@@ -266,13 +266,13 @@ fn main() {
                 "caveat",
                 format!(
                     "generated on a {cpus}-CPU host with {max_threads} benchmark \
-                     threads: with no hardware parallelism the futex mutex stays \
-                     on its uncontended fast path while the STM pays commit \
-                     bookkeeping plus TID-order stalls behind preempted \
-                     committers, so this cell measures per-commit overhead under \
-                     time-slicing, not the parallel-commit scaling the protocol \
-                     buys; regenerate on a multi-core host for a meaningful \
-                     verdict"
+                     threads: with fewer CPUs than threads the futex mutex stays \
+                     on its uncontended fast path (waiters sleep) while the STM \
+                     pays commit bookkeeping plus TID-order stalls behind \
+                     preempted committers, so this cell measures per-commit \
+                     overhead under time-slicing, not the parallel-commit \
+                     scaling the protocol buys; regenerate on a host with at \
+                     least {max_threads} CPUs for a meaningful verdict"
                 )
                 .into(),
             ));

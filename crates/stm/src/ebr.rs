@@ -24,11 +24,18 @@
 //! check implicit: when a bag is reused at epoch `e` its previous
 //! contents are from some `e' ≤ e - 3`, which is always safely
 //! reclaimable. Participants are acquired per-pin from a lock-free
-//! (Treiber) registry with an ownership CAS — no thread-locals, so a
-//! collector's participants can never dangle past the collector itself.
+//! (Treiber) registry with an ownership CAS. A pin first tries the
+//! participant the calling thread used last (a thread-local hint), so
+//! in steady state each thread keeps touching its own participant's
+//! line and never another thread's. The hint is keyed by a collector id
+//! that is never reused, so a hint left over from a dropped collector
+//! matches no live one and its dangling pointer is never followed.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering::SeqCst};
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{
+    AtomicBool, AtomicPtr, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 
 /// Retired garbage: drain a bag this many items deep tries to advance
 /// the global epoch so the bag can empty soon.
@@ -58,6 +65,9 @@ impl Bag {
     }
 }
 
+/// One pinning slot. Aligned to a cache line of its own: its owner
+/// writes `active` on every pin and unpin.
+#[repr(align(128))]
 struct Participant {
     /// `0` = quiescent; otherwise `(epoch << 1) | 1`.
     active: AtomicU64,
@@ -68,10 +78,25 @@ struct Participant {
     bags: UnsafeCell<[Bag; 3]>,
 }
 
-/// The collector one [`crate::Stm`] instance owns.
+/// Source of [`Collector`] ids; starts at 1 so the empty hint (id 0)
+/// matches no collector.
+static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(collector id, participant)` this thread pinned with last.
+    static HINT: Cell<(u64, *mut Participant)> =
+        const { Cell::new((0, std::ptr::null_mut())) };
+}
+
+/// The collector one [`crate::Stm`] instance owns. Aligned to a cache
+/// line of its own: every pin reads `global`, and no unrelated write
+/// may evict it.
+#[repr(align(128))]
 pub struct Collector {
     global: AtomicU64,
     head: AtomicPtr<Participant>,
+    /// Never reused, so it can key the thread-local participant hint.
+    id: u64,
 }
 
 // `head` chains heap nodes only this collector frees; all cross-thread
@@ -91,6 +116,7 @@ impl Collector {
         Collector {
             global: AtomicU64::new(0),
             head: AtomicPtr::new(std::ptr::null_mut()),
+            id: NEXT_COLLECTOR_ID.fetch_add(1, Relaxed),
         }
     }
 
@@ -132,18 +158,45 @@ impl Collector {
     }
 
     fn acquire_participant(&self) -> *mut Participant {
+        // Affinity: the participant this thread pinned with last.
+        let (id, hint) = HINT
+            .try_with(Cell::get)
+            .unwrap_or((0, std::ptr::null_mut()));
+        // SAFETY: participants live until their collector drops, and
+        // the id match (ids are never reused) means `hint` is one of
+        // `self`'s.
+        if id == self.id && unsafe { Self::try_own(hint) } {
+            return hint;
+        }
+        let p = self.scan_or_register();
+        let _ = HINT.try_with(|h| h.set((self.id, p)));
+        p
+    }
+
+    /// Claims `p` if no pin holds it.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be a participant of a collector that is still alive.
+    unsafe fn try_own(p: *mut Participant) -> bool {
+        // SAFETY: the caller's contract.
+        unsafe { &*p }
+            .owned
+            .compare_exchange(false, true, SeqCst, SeqCst)
+            .is_ok()
+    }
+
+    fn scan_or_register(&self) -> *mut Participant {
         // Reuse a released slot if one exists.
         let mut p = self.head.load(SeqCst);
         while !p.is_null() {
-            let node = unsafe { &*p };
-            if node
-                .owned
-                .compare_exchange(false, true, SeqCst, SeqCst)
-                .is_ok()
-            {
+            // SAFETY: a node of `self`'s registry, live as long as
+            // `self`.
+            if unsafe { Self::try_own(p) } {
                 return p;
             }
-            p = node.next;
+            // SAFETY: as above.
+            p = unsafe { (*p).next };
         }
         // Register a fresh one (never unregistered before collector
         // drop; participant count is bounded by peak pin concurrency).
@@ -332,9 +385,9 @@ mod tests {
         drop(reader);
         c.try_advance();
         assert_eq!(c.epoch(), 3);
-        // Two concurrent pins: the first reuses the reader's released
-        // slot (registry head), the second the retirer's — whose bag is
-        // now two epochs stale and drains.
+        // The last pin above reused the retirer's slot and left this
+        // thread's hint on it, so the next pin takes it again — and its
+        // bag is now two epochs stale and drains.
         let _g1 = c.pin();
         let _g2 = c.pin();
         assert_eq!(FREED.load(SeqCst), 1, "freed once the reader unpins");
@@ -360,6 +413,41 @@ mod tests {
         let p1 = c.pin().part;
         let p2 = c.pin().part;
         assert_eq!(p1, p2, "sequential pins reuse the released slot");
+    }
+
+    /// Thread A pins; thread B pins meanwhile and so registers a
+    /// second participant, which lands at the registry head. Once both
+    /// unpin, A must get its own participant back, not B's from the
+    /// head: each thread keeps to its own cache line.
+    #[test]
+    fn pin_returns_to_the_threads_own_participant() {
+        let c = Collector::new();
+        let a = c.pin();
+        let mine = a.part as usize;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let b = c.pin();
+                assert_ne!(b.part as usize, mine, "A's participant is still held");
+            });
+        });
+        drop(a);
+        assert_eq!(
+            c.pin().part as usize,
+            mine,
+            "A's next pin reclaims its own slot"
+        );
+    }
+
+    /// A hint left by a dropped collector is keyed by that collector's
+    /// id, so a new collector (possibly at the same address) ignores it.
+    #[test]
+    fn stale_hint_from_a_dropped_collector_is_ignored() {
+        let old = Collector::new();
+        drop(old.pin());
+        drop(old);
+        let c = Collector::new();
+        let g = c.pin();
+        assert_eq!(g.part, c.head.load(SeqCst), "registered fresh");
     }
 
     #[test]

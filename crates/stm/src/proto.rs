@@ -30,6 +30,7 @@
 //! running.
 
 use crate::shim::{Shim, ShimU64};
+use std::ops::Deref;
 use tcc_types::Tid;
 
 /// Version stamp of a cell no committed transaction has written yet.
@@ -60,6 +61,22 @@ pub const MAX_TID: u64 = (1 << 40) - 2;
 /// Maximum number of directory shards (footprints are shard bitmaps in
 /// one `u64`).
 pub const MAX_SHARDS: usize = 64;
+
+/// Gives `T` a 128-byte-aligned block of its own, so no other hot word
+/// shares its cache line. 128 rather than 64: adjacent-line
+/// prefetchers pull 64-byte lines in pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 // ---------------------------------------------------------------------
 // Directory shard
@@ -180,9 +197,13 @@ impl<S: Shim> Shard<S> {
 /// * If the home slot is occupied, [`Vendor::recycle`] refuses and the
 ///   aborter must skip the TID at every shard itself — the
 ///   shard-exhaustion path.
+///
+/// The sequencer and each slot sit on their own cache line: every
+/// commit RMWs the sequencer, and each slot is written mostly by the
+/// threads homed on it.
 pub struct Vendor<S: Shim> {
-    next: S::U64,
-    slots: Box<[S::U64]>,
+    next: CachePadded<S::U64>,
+    slots: Box<[CachePadded<S::U64>]>,
 }
 
 impl<S: Shim> Vendor<S> {
@@ -206,8 +227,10 @@ impl<S: Shim> Vendor<S> {
     pub fn with_base(slots: usize, base: u64) -> Self {
         assert!(slots > 0, "vendor needs at least one handoff slot");
         Vendor {
-            next: S::U64::new(base),
-            slots: (0..slots).map(|_| S::U64::new(TID_NONE)).collect(),
+            next: CachePadded(S::U64::new(base)),
+            slots: (0..slots)
+                .map(|_| CachePadded(S::U64::new(TID_NONE)))
+                .collect(),
         }
     }
 
@@ -222,9 +245,13 @@ impl<S: Shim> Vendor<S> {
     /// the refusal is detected without ever computing a wrapped value.
     pub fn acquire(&self, home: usize) -> u64 {
         let slot = &self.slots[home % self.slots.len()];
-        let parked = slot.swap(TID_NONE);
-        if parked != TID_NONE {
-            return parked;
+        // Load before swapping: the slot is usually empty, and a load
+        // leaves its line shared where a swap would take it exclusive.
+        if slot.load() != TID_NONE {
+            let parked = slot.swap(TID_NONE);
+            if parked != TID_NONE {
+                return parked;
+            }
         }
         let t = self.next.fetch_add(1);
         // Underflow-safe refusal: `MAX_TID.checked_since(t)` is `None`
@@ -274,6 +301,9 @@ impl<S: Shim> Vendor<S> {
 // ---------------------------------------------------------------------
 
 /// Commit-path statistics (shim counters so the model counts them too).
+/// Aligned to a cache line of its own: every commit bumps `commits`,
+/// and that RMW must not evict the vendor or the shard words.
+#[repr(align(128))]
 pub struct ProtoStats<S: Shim> {
     /// Commits completed.
     pub commits: S::U64,
@@ -304,7 +334,9 @@ impl<S: Shim> ProtoStats<S> {
 }
 
 /// The sharded commit state one STM instance owns: the vendor, the
-/// directory shards, and the protocol counters.
+/// directory shards, and the protocol counters. The shard words stay
+/// packed in one block: a commit touches every shard, so splitting
+/// them across lines would only add misses.
 pub struct CommitState<S: Shim> {
     pub vendor: Vendor<S>,
     pub shards: Box<[Shard<S>]>,

@@ -15,8 +15,11 @@
 //! [`Version<T>`] node (stamp + value) and publishes it with a single
 //! pointer swap — the software image of the paper's write-back commit
 //! via ownership publication, where commit communicates *who owns the
-//! line*, not the data. Displaced versions are reclaimed through
-//! [`crate::ebr`]. Reads are invisible; consistency during execution is
+//! line*, not the data. Displaced versions, and a cell whose last
+//! [`TVar`] handle dropped, are reclaimed through [`crate::ebr`]. Reads
+//! are invisible — a read writes no shared word, not even a reference
+//! count, because the transaction's EBR pin alone keeps the cells it
+//! holds raw pointers to allocated. Consistency during execution is
 //! incremental revalidation (NOrec-style): every read re-checks the
 //! stamps of all prior reads *after* loading the new value, so the
 //! whole read set was simultaneously current at that load — the
@@ -29,8 +32,10 @@ use crate::proto::{
     WriteEntry, STAMP_INITIAL, TID_NONE,
 };
 use crate::shim::{RealShim, Shim, ShimU64};
+use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tcc_types::Tid;
 
@@ -81,6 +86,8 @@ unsafe fn free_erased(p: *mut ()) {
 // ---------------------------------------------------------------------
 
 /// Type-erased cell state shared by all clones of a [`TVar`].
+/// Transactions refer to it by raw pointer; see [`TVar`] for why that
+/// is safe.
 struct CellCore {
     /// Home directory shard (assigned round-robin at creation — the
     /// software image of address-interleaved directories).
@@ -91,16 +98,16 @@ struct CellCore {
     /// The current committed version. Readers `Acquire`-load it (to see
     /// the version's contents), commit `AcqRel`-swaps it.
     current: AtomicPtr<VersionHdr>,
-    /// Keeps the commit state and collector alive as long as any TVar
-    /// clone exists.
-    stm: Arc<Inner>,
+    /// Live [`TVar`] handles. Transactions hold no count.
+    handles: AtomicUsize,
 }
 
 impl Drop for CellCore {
     fn drop(&mut self) {
-        // Last TVar clone gone: nobody can load `current` anymore, and
-        // all *previous* versions were retired through EBR at publish
-        // time, so the final version can be freed inline.
+        // Runs from EBR once no transaction can still hold the cell:
+        // nobody can load `current` anymore, and all *previous*
+        // versions were retired through EBR at publish time, so the
+        // final version can be freed here.
         let p = *self.current.get_mut();
         if !p.is_null() {
             unsafe { ((*p).free)(p) };
@@ -108,25 +115,76 @@ impl Drop for CellCore {
     }
 }
 
+/// # Safety
+///
+/// `p` must be a `CellCore` leaked by [`Stm::new_tvar`] that no handle
+/// or pinned transaction can still reach, freed exactly once.
+unsafe fn free_core(p: *mut ()) {
+    // SAFETY: the caller's contract; the box came from `Box::leak`.
+    drop(unsafe { Box::from_raw(p.cast::<CellCore>()) });
+}
+
 /// A transactional variable: a `T`-typed cell readable and writable
-/// only inside [`Tx`] closures. Cloning is cheap (`Arc`) and clones
-/// alias the same cell.
+/// only inside [`Tx`] closures. Cloning is cheap (one counter bump) and
+/// clones alias the same cell.
+///
+/// A transaction's read and write sets hold raw pointers to the cell,
+/// not counted references, so the handle count can reach zero while a
+/// pinned transaction still holds the cell. The last handle therefore
+/// does not free the cell inline: it retires it through the collector,
+/// which frees it only once every transaction pinned at that moment has
+/// unpinned. A transaction can only have got the pointer from a live
+/// handle, so it was pinned before the retirement.
 pub struct TVar<T> {
-    core: Arc<CellCore>,
+    core: NonNull<CellCore>,
+    /// Keeps the commit state and collector alive as long as any
+    /// handle exists; also identifies the owning instance.
+    stm: Arc<Inner>,
     _t: PhantomData<T>,
+}
+
+impl<T> TVar<T> {
+    fn core(&self) -> &CellCore {
+        // SAFETY: the cell is retired only when the handle count drops
+        // to zero, and this handle still holds its count.
+        unsafe { self.core.as_ref() }
+    }
 }
 
 impl<T> Clone for TVar<T> {
     fn clone(&self) -> Self {
+        // Relaxed, as for `Arc`: a new handle is made from an existing
+        // one, which already keeps the cell alive.
+        self.core().handles.fetch_add(1, Ordering::Relaxed);
         TVar {
-            core: Arc::clone(&self.core),
+            core: self.core,
+            stm: Arc::clone(&self.stm),
             _t: PhantomData,
         }
     }
 }
 
-// Values of `T` move between threads through the cell and `&T` is
-// cloned concurrently, hence both bounds.
+impl<T> Drop for TVar<T> {
+    fn drop(&mut self) {
+        // Release/Acquire, as for `Arc`: every handle's use of the cell
+        // happens before the retirement.
+        if self.core().handles.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        fence(Ordering::Acquire);
+        // No handle is left to reach the cell, so no later pin can load
+        // it; transactions pinned now may still hold it.
+        let guard = self.stm.collector.pin();
+        // SAFETY: no handle remains, so no pin taken from now on can
+        // reach the cell, and the count hit zero exactly once.
+        unsafe { guard.defer(self.core.as_ptr().cast(), free_core) };
+    }
+}
+
+// SAFETY: values of `T` move between threads through the cell and
+// `&T` is cloned concurrently, hence both bounds. `core` points at a
+// cell whose shared fields are atomics and whose lifetime the handle
+// count and the collector manage; `stm` is an `Arc` of `Sync` state.
 unsafe impl<T: Send + Sync> Send for TVar<T> {}
 unsafe impl<T: Send + Sync> Sync for TVar<T> {}
 
@@ -266,13 +324,15 @@ impl Stm {
     /// shards round-robin.
     pub fn new_tvar<T: Clone + Send + Sync + 'static>(&self, init: T) -> TVar<T> {
         let idx = self.inner.next_cell.fetch_add(1, Ordering::Relaxed);
+        let core = Box::new(CellCore {
+            shard: idx % self.inner.config.shards,
+            mark: AtomicU64::new(TID_NONE),
+            current: AtomicPtr::new(alloc_version(STAMP_INITIAL, init)),
+            handles: AtomicUsize::new(1),
+        });
         TVar {
-            core: Arc::new(CellCore {
-                shard: idx % self.inner.config.shards,
-                mark: AtomicU64::new(TID_NONE),
-                current: AtomicPtr::new(alloc_version(STAMP_INITIAL, init)),
-                stm: Arc::clone(&self.inner),
-            }),
+            core: NonNull::from(Box::leak(core)),
+            stm: Arc::clone(&self.inner),
             _t: PhantomData,
         }
     }
@@ -407,17 +467,53 @@ fn backoff(attempts: u32) {
 // Tx
 // ---------------------------------------------------------------------
 
-struct ReadSlot {
-    core: Arc<CellCore>,
-    stamp: u64,
+/// A transaction's handle on one cell: the cell, plus — in the write
+/// set — the prepared version node commit will publish (null in the
+/// read set). The read and write sets are arrays of
+/// [`ReadEntry`]/[`WriteEntry`] over it, handed to [`proto::commit`]
+/// as they are.
+#[derive(Clone, Copy)]
+struct CellRef {
+    core: *const CellCore,
+    /// Owned by the Tx until published (its stamp still
+    /// [`STAMP_INITIAL`]), then owned by the cell.
+    prepared: *mut VersionHdr,
 }
 
-struct WriteSlot {
-    core: Arc<CellCore>,
-    /// Pre-allocated version node; stamp patched at publish time.
-    /// Owned by the Tx until published, then owned by the cell.
-    prepared: *mut VersionHdr,
-    published: bool,
+impl CellRef {
+    fn core(&self) -> &CellCore {
+        // SAFETY: `CellRef`s live only in a transaction's sets; the
+        // transaction took the pointer from a live handle while pinned
+        // and stays pinned, so the cell is not freed (see `TVar`).
+        unsafe { &*self.core }
+    }
+}
+
+/// A read set and a write set. Each thread keeps one pair of buffers
+/// and lends it to its transactions in turn, so an attempt allocates
+/// nothing but the version nodes it writes.
+#[derive(Default)]
+struct TxSets {
+    reads: Vec<ReadEntry<CellRef>>,
+    writes: Vec<WriteEntry<CellRef>>,
+}
+
+thread_local! {
+    /// This thread's idle buffers. A transaction started inside
+    /// another's closure finds it empty and grows buffers of its own.
+    static SETS: Cell<TxSets> = Cell::new(TxSets::default());
+}
+
+impl TxSets {
+    fn take() -> Self {
+        SETS.try_with(Cell::take).unwrap_or_default()
+    }
+
+    fn give_back(mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        let _ = SETS.try_with(|s| s.set(self));
+    }
 }
 
 /// One transaction attempt: invisible-read read set + buffered write
@@ -425,8 +521,7 @@ struct WriteSlot {
 pub struct Tx<'s> {
     stm: &'s Inner,
     guard: ebr::Guard<'s>,
-    reads: Vec<ReadSlot>,
-    writes: Vec<WriteSlot>,
+    sets: TxSets,
 }
 
 impl<'s> Tx<'s> {
@@ -434,16 +529,13 @@ impl<'s> Tx<'s> {
         Tx {
             stm,
             guard: stm.collector.pin(),
-            // Typical footprints are a handful of cells; skip the
-            // doubling reallocs on the hot path.
-            reads: Vec::with_capacity(8),
-            writes: Vec::with_capacity(4),
+            sets: TxSets::take(),
         }
     }
 
     fn check_same_stm<T>(&self, v: &TVar<T>) {
         assert!(
-            std::ptr::eq(Arc::as_ptr(&v.core.stm), self.stm),
+            std::ptr::eq(Arc::as_ptr(&v.stm), self.stm),
             "TVar used with a different Stm instance"
         );
     }
@@ -453,9 +545,9 @@ impl<'s> Tx<'s> {
     /// the entire read set (including the value just loaded) was
     /// simultaneously current at that load instant.
     fn validate_reads(&self) -> TxResult<()> {
-        for slot in &self.reads {
-            let p = slot.core.current.load(Ordering::Acquire);
-            if unsafe { (*p).stamp } != slot.stamp {
+        for r in &self.sets.reads {
+            let p = r.cell.core().current.load(Ordering::Acquire);
+            if unsafe { (*p).stamp } != r.stamp {
                 return Err(TxError::Conflict);
             }
         }
@@ -468,11 +560,14 @@ impl<'s> Tx<'s> {
         v: &TVar<T>,
     ) -> TxResult<(T, ReadOrigin)> {
         self.check_same_stm(v);
-        let core = &v.core;
+        let core = v.core();
+        let ptr: *const CellCore = core;
 
         // Read-your-own-write.
-        if let Some(w) = self.writes.iter().find(|w| Arc::ptr_eq(&w.core, core)) {
-            let value = unsafe { (*w.prepared.cast::<Version<T>>()).value.clone() };
+        if let Some(w) = self.sets.writes.iter().find(|w| w.cell.core == ptr) {
+            // SAFETY: our unpublished node, made by `write` for this
+            // cell and so for this `T`.
+            let value = unsafe { (*w.cell.prepared.cast::<Version<T>>()).value.clone() };
             return Ok((value, ReadOrigin::OwnWrite));
         }
 
@@ -501,9 +596,13 @@ impl<'s> Tx<'s> {
         } else {
             ReadOrigin::Committed(Some(Tid(stamp - 1)))
         };
-        if !self.reads.iter().any(|r| Arc::ptr_eq(&r.core, core)) {
-            self.reads.push(ReadSlot {
-                core: Arc::clone(core),
+        if !self.sets.reads.iter().any(|r| r.cell.core == ptr) {
+            self.sets.reads.push(ReadEntry {
+                cell: CellRef {
+                    core: ptr,
+                    prepared: std::ptr::null_mut(),
+                },
+                shard: core.shard,
                 stamp,
             });
         }
@@ -523,58 +622,35 @@ impl<'s> Tx<'s> {
         value: T,
     ) -> TxResult<()> {
         self.check_same_stm(v);
-        if let Some(w) = self
-            .writes
-            .iter_mut()
-            .find(|w| Arc::ptr_eq(&w.core, &v.core))
-        {
+        let core = v.core();
+        let ptr: *const CellCore = core;
+        if let Some(w) = self.sets.writes.iter().find(|w| w.cell.core == ptr) {
             // Overwrite: replace the prepared node's value in place.
-            unsafe { (*w.prepared.cast::<Version<T>>()).value = value };
+            // SAFETY: our unpublished node for this cell, so of this `T`.
+            unsafe { (*w.cell.prepared.cast::<Version<T>>()).value = value };
             return Ok(());
         }
-        self.writes.push(WriteSlot {
-            core: Arc::clone(&v.core),
-            prepared: alloc_version(STAMP_INITIAL, value),
-            published: false,
+        self.sets.writes.push(WriteEntry {
+            cell: CellRef {
+                core: ptr,
+                prepared: alloc_version(STAMP_INITIAL, value),
+            },
+            shard: core.shard,
         });
         Ok(())
     }
 
     /// Number of distinct cells read / written so far.
     pub fn footprint(&self) -> (usize, usize) {
-        (self.reads.len(), self.writes.len())
+        (self.sets.reads.len(), self.sets.writes.len())
     }
 
-    fn commit(mut self, mode: CommitMode) -> CommitOutcome {
-        let read_entries: Vec<ReadEntry<usize>> = self
-            .reads
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReadEntry {
-                cell: i,
-                shard: r.core.shard,
-                stamp: r.stamp,
-            })
-            .collect();
-        let write_entries: Vec<WriteEntry<usize>> = self
-            .writes
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WriteEntry {
-                cell: i,
-                shard: w.core.shard,
-            })
-            .collect();
-        let mut cells = TxCells {
-            reads: &self.reads,
-            writes: &mut self.writes,
-            guard: &self.guard,
-        };
+    fn commit(self, mode: CommitMode) -> CommitOutcome {
         proto::commit::<RealShim, _>(
             &self.stm.state,
-            &read_entries,
-            &write_entries,
-            &mut cells,
+            &self.sets.reads,
+            &self.sets.writes,
+            &mut TxCells { guard: &self.guard },
             mode,
             &CommitTweaks::default(),
         )
@@ -585,52 +661,57 @@ impl<'s> Tx<'s> {
 
 impl Drop for Tx<'_> {
     fn drop(&mut self) {
-        for w in &self.writes {
-            if !w.published {
-                unsafe { ((*w.prepared).free)(w.prepared) };
+        for w in &self.sets.writes {
+            let node = w.cell.prepared;
+            // Publishing stamps a node with `stamp_of(tid) > 0` before
+            // handing it to the cell; one still at `STAMP_INITIAL` is
+            // ours.
+            // SAFETY: a published node may since have been displaced
+            // and retired, but not freed: our pin is still held (the
+            // guard field drops after this body). Nobody writes a
+            // node's stamp after publication.
+            if unsafe { (*node).stamp } == STAMP_INITIAL {
+                // SAFETY: never published, so never shared; freed once.
+                unsafe { ((*node).free)(node) };
             }
         }
+        std::mem::take(&mut self.sets).give_back();
     }
 }
 
-/// [`CellAccess`] over a real transaction's slots. Handles are indices:
-/// read handles into `reads`, write handles into `writes`.
+/// [`CellAccess`] over a real transaction's cells.
 struct TxCells<'t> {
-    reads: &'t [ReadSlot],
-    writes: &'t mut [WriteSlot],
     guard: &'t ebr::Guard<'t>,
 }
 
 impl CellAccess for TxCells<'_> {
-    type Handle = usize;
+    type Handle = CellRef;
 
-    fn stamp(&self, h: usize) -> u64 {
-        let p = self.reads[h].core.current.load(Ordering::Acquire);
+    fn stamp(&self, h: CellRef) -> u64 {
+        let p = h.core().current.load(Ordering::Acquire);
         unsafe { (*p).stamp }
     }
 
-    fn set_mark(&self, h: usize, tid: u64) {
-        self.writes[h].core.mark.store(tid, Ordering::SeqCst);
+    fn set_mark(&self, h: CellRef, tid: u64) {
+        h.core().mark.store(tid, Ordering::SeqCst);
     }
 
-    fn clear_mark(&self, h: usize, tid: u64) {
+    fn clear_mark(&self, h: CellRef, tid: u64) {
         // CAS so we never erase a mark a later committer overwrote.
-        let _ = self.writes[h].core.mark.compare_exchange(
-            tid,
-            TID_NONE,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        let _ = h
+            .core()
+            .mark
+            .compare_exchange(tid, TID_NONE, Ordering::SeqCst, Ordering::SeqCst);
     }
 
-    fn publish(&mut self, h: usize, tid: u64) {
-        let w = &mut self.writes[h];
+    fn publish(&mut self, h: CellRef, tid: u64) {
         // Stamp first (Release on the swap makes it visible with the
         // pointer), then ownership publication: one swap installs the
         // whole version.
-        unsafe { (*w.prepared).stamp = stamp_of(tid) };
-        let old = w.core.current.swap(w.prepared, Ordering::AcqRel);
-        w.published = true;
+        // SAFETY: `h` is a write-set entry, so `prepared` is our node
+        // and not yet shared.
+        unsafe { (*h.prepared).stamp = stamp_of(tid) };
+        let old = h.core().current.swap(h.prepared, Ordering::AcqRel);
         // The displaced version may still be under a concurrent
         // reader's pin; EBR decides when it is really dead.
         unsafe { self.guard.defer(old.cast(), free_erased) };
@@ -714,6 +795,102 @@ mod tests {
         drop(stm);
         drop(a);
         drop(a2);
+    }
+
+    /// Counts drops of the instances stored in version nodes; the
+    /// clones reads hand out are not counted.
+    struct Canary {
+        drops: Arc<AtomicUsize>,
+        stored: bool,
+    }
+
+    impl Canary {
+        fn stored(drops: &Arc<AtomicUsize>) -> Self {
+            Canary {
+                drops: Arc::clone(drops),
+                stored: true,
+            }
+        }
+    }
+
+    impl Clone for Canary {
+        fn clone(&self) -> Self {
+            Canary {
+                drops: Arc::clone(&self.drops),
+                stored: false,
+            }
+        }
+    }
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            if self.stored {
+                self.drops.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// The last handle of a cell the transaction read and wrote drops
+    /// inside the transaction. The cell must outlive the pin, and the
+    /// commit still validates and publishes into it.
+    #[test]
+    fn last_handle_dropped_inside_a_transaction_outlives_the_pin() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let stm = Stm::new();
+        let mut handle = Some(stm.new_tvar(Canary::stored(&drops)));
+        let (_, receipt) = stm.run(|tx| {
+            let a = handle.take().expect("nothing conflicts: one attempt");
+            tx.read(&a)?;
+            tx.write(&a, Canary::stored(&drops))?;
+            drop(a);
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the pin");
+            Ok(())
+        });
+        assert_eq!(receipt.attempts, 1);
+        assert_eq!(stm.stats().commits, 1);
+        assert_eq!(stm.frontier().1, vec![1; 8], "TID resolved everywhere");
+        drop(stm);
+        // The displaced initial version and the published one, each
+        // freed exactly once.
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    /// As above, but a second thread drops the last handle — and then
+    /// commits enough to push the collector's epoch — while the first
+    /// thread's transaction is still pinned holding the cell.
+    #[test]
+    fn last_handle_dropped_by_another_thread_outlives_the_pin() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let stm = Stm::new();
+        let churn = stm.new_tvar(0u64);
+        let a = stm.new_tvar(Canary::stored(&drops));
+        let mut theirs = Some(a.clone());
+        let mut mine = Some(a);
+        std::thread::scope(|s| {
+            let (_, receipt) = stm.run(|tx| {
+                let a = mine.take().expect("nothing conflicts: one attempt");
+                tx.read(&a)?;
+                tx.write(&a, Canary::stored(&drops))?;
+                drop(a);
+                let last = theirs.take().expect("one attempt");
+                let (stm, churn) = (&stm, &churn);
+                s.spawn(move || {
+                    drop(last);
+                    for i in 0..1_000 {
+                        stm.atomically(|tx| tx.write(churn, i));
+                    }
+                })
+                .join()
+                .unwrap();
+                assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the pin");
+                Ok(())
+            });
+            assert_eq!(receipt.attempts, 1);
+            assert_eq!(receipt.tid, Tid(1_000), "serialized after the churn");
+        });
+        assert_eq!(stm.stats().commits, 1_001);
+        drop((stm, churn));
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
 
     #[test]
