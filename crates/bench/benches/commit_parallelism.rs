@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use tcc_core::{Simulator, SystemConfig};
+use tcc_core::{ProtocolKind, Simulator, SystemConfig};
 use tcc_workloads::{apps, Scale};
 
 fn time_runs(name: &str, samples: usize, mut run: impl FnMut()) {
@@ -43,8 +43,9 @@ fn main() {
             let programs = app.generate_scaled(n, 7, Scale::Smoke);
             std::hint::black_box(
                 Simulator::builder(SystemConfig::with_procs(n))
+                    .protocol(ProtocolKind::SerializedCommit)
                     .programs(programs)
-                    .build_baseline()
+                    .build()
                     .expect("valid config")
                     .run(),
             );

@@ -14,9 +14,7 @@
 
 use tcc_bench::report::{harness_json, write_report};
 use tcc_bench::{run_app, HarnessArgs, HARNESS_SEED};
-use tcc_core::baseline::OccCondition;
-use tcc_core::Simulator;
-use tcc_core::SystemConfig;
+use tcc_core::{ProtocolKind, SimResult, Simulator, SystemConfig};
 use tcc_stats::render::TextTable;
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::apps;
@@ -55,19 +53,8 @@ fn ablation_a(args: &HarnessArgs, report: &mut RunReport) {
     for n in [1usize, 4, 16, 32] {
         let scalable = run_app(&app, n, args.scale(), |_| {}).total_cycles;
         let programs = app.generate_scaled(n, HARNESS_SEED, args.scale());
-        let cond2 = Simulator::builder(SystemConfig::with_procs(n))
-            .programs(programs.clone())
-            .build_baseline()
-            .expect("valid config")
-            .run()
-            .total_cycles;
-        let cond1 = Simulator::builder(SystemConfig::with_procs(n))
-            .programs(programs)
-            .baseline(OccCondition::SerialExecution)
-            .build_baseline()
-            .expect("valid config")
-            .run()
-            .total_cycles;
+        let cond2 = run_serialized(n, programs.clone(), false).total_cycles;
+        let cond1 = run_serialized(n, programs, true).total_cycles;
         t.row(vec![
             n.to_string(),
             scalable.to_string(),
@@ -89,6 +76,26 @@ fn ablation_a(args: &HarnessArgs, report: &mut RunReport) {
     println!("Expectation (§2.1): condition 1 yields no concurrency at all;");
     println!("condition 2 stops scaling once the sum of commit times dominates;");
     println!("condition 3 (parallel commit) keeps scaling.\n");
+}
+
+/// Runs `programs` on the §2.2 small-scale machine: the serialized-commit
+/// backend (global commit token, write-through broadcast commit), in OCC
+/// condition 1 when `serial_execution` is set, condition 2 otherwise.
+fn run_serialized(
+    n: usize,
+    programs: Vec<tcc_core::ThreadProgram>,
+    serial_execution: bool,
+) -> SimResult {
+    let cfg = SystemConfig {
+        serial_execution,
+        ..SystemConfig::with_procs(n)
+    };
+    Simulator::builder(cfg)
+        .protocol(ProtocolKind::SerializedCommit)
+        .programs(programs)
+        .build()
+        .expect("valid config")
+        .run()
 }
 
 /// Word- vs. line-granularity conflict detection.
@@ -154,11 +161,7 @@ fn ablation_c(args: &HarnessArgs, report: &mut RunReport) {
         let n = 16;
         let wb = run_app(&app, n, args.scale(), |_| {});
         let programs = app.generate_scaled(n, HARNESS_SEED, args.scale());
-        let wt = Simulator::builder(SystemConfig::with_procs(n))
-            .programs(programs)
-            .build_baseline()
-            .expect("valid config")
-            .run();
+        let wt = run_serialized(n, programs, false);
         t.row(vec![
             app.name.to_string(),
             wb.traffic.total_bytes().to_string(),

@@ -9,9 +9,13 @@
 //! commit times on the critical path, which is exactly the scaling
 //! bottleneck Figures 7–9 quantify against.
 //!
-//! This module models that design on the same mesh network, cache
-//! hierarchy, and workload abstraction as the scalable protocol, so the
-//! two can be compared head-to-head (Ablations A and C in DESIGN.md).
+//! This module is a **test-only oracle**: a second, standalone event
+//! loop for the machine that production runs drive through the
+//! serialized-commit backend ([`crate::serialized`], with
+//! [`SystemConfig::serial_execution`] selecting OCC condition 1). The
+//! differential tests in that module run both on identical workloads
+//! and require identical results, so the two implementations check
+//! each other.
 //!
 //! Modelling notes:
 //! * The token arbiter lives on node 0 and grants FIFO.
@@ -103,16 +107,6 @@ pub struct BaselineResult {
     pub serializability: Option<Result<(), SerializabilityError>>,
 }
 
-impl BaselineResult {
-    /// Machine-wide breakdown (sum over processors).
-    #[must_use]
-    pub fn aggregate(&self) -> Breakdown {
-        self.breakdowns
-            .iter()
-            .fold(Breakdown::default(), |acc, b| acc.merged(b))
-    }
-}
-
 /// One processor of the baseline machine.
 #[derive(Debug)]
 struct BaseProc {
@@ -147,24 +141,7 @@ enum Event {
     ProcStep(NodeId, u64),
 }
 
-/// The small-scale TCC simulator.
-///
-/// # Example
-///
-/// ```
-/// use tcc_core::baseline::BaselineSimulator;
-/// use tcc_core::{SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
-/// use tcc_types::Addr;
-///
-/// let cfg = SystemConfig::with_procs(2);
-/// let tx = Transaction::new(vec![TxOp::Store(Addr(0x1000)), TxOp::Compute(50)]);
-/// let programs = vec![
-///     ThreadProgram::new(vec![WorkItem::Tx(tx.clone())]),
-///     ThreadProgram::new(vec![WorkItem::Tx(Transaction::new(vec![TxOp::Compute(10)]))]),
-/// ];
-/// let result = BaselineSimulator::new(cfg, programs).run();
-/// assert_eq!(result.commits, 2);
-/// ```
+/// The standalone small-scale TCC simulator.
 #[derive(Debug)]
 pub struct BaselineSimulator {
     cfg: SystemConfig,
@@ -855,52 +832,6 @@ mod tests {
         assert_eq!(r.commits, 4);
         // The fast processor idles at the barrier.
         assert!(r.breakdowns[0].idle > 0);
-    }
-
-    #[test]
-    fn serial_execution_never_overlaps_or_violates() {
-        // OCC condition 1: even wildly conflicting transactions cannot
-        // violate because only the token holder ever executes.
-        let x = Addr(0x40);
-        let programs: Vec<ThreadProgram> = (0..4)
-            .map(|_| {
-                ThreadProgram::new(vec![
-                    tx(vec![TxOp::Load(x), TxOp::Compute(500), TxOp::Store(x)]),
-                    tx(vec![TxOp::Load(x), TxOp::Store(x)]),
-                ])
-            })
-            .collect();
-        let r = BaselineSimulator::with_condition(cfg(4), programs, OccCondition::SerialExecution)
-            .run();
-        assert_eq!(r.commits, 8);
-        assert_eq!(r.violations, 0, "serial execution cannot conflict");
-        assert!(r.serializability.unwrap().is_ok());
-    }
-
-    #[test]
-    fn serial_execution_is_slower_than_serialized_commit() {
-        // Condition 1 gives strictly less concurrency than condition 2
-        // on independent work.
-        let programs: Vec<ThreadProgram> = (0..4u64)
-            .map(|p| {
-                ThreadProgram::new(vec![tx(vec![
-                    TxOp::Store(Addr(0x4000 * (p + 1))),
-                    TxOp::Compute(5_000),
-                ])])
-            })
-            .collect();
-        let c1 = BaselineSimulator::with_condition(
-            cfg(4),
-            programs.clone(),
-            OccCondition::SerialExecution,
-        )
-        .run()
-        .total_cycles;
-        let c2 = BaselineSimulator::new(cfg(4), programs).run().total_cycles;
-        assert!(
-            c1 as f64 > c2 as f64 * 2.0,
-            "serial execution ({c1}) should be far slower than serialized commit ({c2})"
-        );
     }
 
     #[test]

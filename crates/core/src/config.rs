@@ -21,6 +21,13 @@ pub struct SystemConfig {
     /// timestamp-ordered backend. Selected per run and validated
     /// against the other knobs by [`SystemConfig::validate`].
     pub protocol: ProtocolKind,
+    /// OCC condition 1 (§2.1) on the serialized-commit backend: a
+    /// transaction acquires the commit token *before* its body runs, so
+    /// no two transactions overlap at all. `false` (the default) is
+    /// condition 2 — execution overlaps, commits serialize. Only
+    /// [`ProtocolKind::SerializedCommit`] has a token to hold;
+    /// [`SystemConfig::validate`] refuses the mode elsewhere.
+    pub serial_execution: bool,
     /// Private cache hierarchy of each processor.
     pub cache: CacheConfig,
     /// Interconnect parameters (Figure 8 varies `link_latency`).
@@ -429,6 +436,17 @@ impl SystemConfig {
                 ));
             }
         }
+        if self.serial_execution && self.protocol != ProtocolKind::SerializedCommit {
+            return Err(ConfigError::unsupported(
+                self.protocol,
+                "serial_execution",
+                "serial execution (OCC condition 1) holds the serialized \
+                 baseline's commit token across the whole transaction; \
+                 this backend has no such token",
+                "set cfg.serial_execution = false, or select \
+                 ProtocolKind::SerializedCommit",
+            ));
+        }
         if self.protocol == ProtocolKind::SerializedCommit && self.dir_cache_entries.is_some() {
             return Err(ConfigError::unsupported(
                 self.protocol,
@@ -450,13 +468,7 @@ impl SystemConfig {
     /// gated by this digest.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let s = format!("{self:?}");
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        for &b in s.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        tcc_types::hash::fnv1a(format!("{self:?}").as_bytes())
     }
 }
 
@@ -465,6 +477,7 @@ impl Default for SystemConfig {
         SystemConfig {
             n_procs: 32,
             protocol: ProtocolKind::Tcc,
+            serial_execution: false,
             cache: CacheConfig::default(),
             network: NetworkConfig::default(),
             dir_line_latency: 10,
@@ -566,6 +579,30 @@ mod tests {
         c.protocol = ProtocolKind::Tardis;
         c.profile = true;
         assert_eq!(c.validate().unwrap_err().field(), "profile");
+    }
+
+    #[test]
+    fn serial_execution_is_refused_off_the_serialized_backend() {
+        for protocol in [ProtocolKind::Tcc, ProtocolKind::Tardis] {
+            let c = SystemConfig {
+                protocol,
+                serial_execution: true,
+                ..SystemConfig::with_procs(4)
+            };
+            let err = c.validate().unwrap_err();
+            assert_eq!(err.field(), "serial_execution");
+            assert!(
+                matches!(err, ConfigError::UnsupportedByProtocol { protocol: p, .. } if p == protocol),
+                "{err:?}"
+            );
+        }
+        let c = SystemConfig {
+            protocol: ProtocolKind::SerializedCommit,
+            serial_execution: true,
+            ..SystemConfig::with_procs(4)
+        };
+        c.validate()
+            .expect("condition 1 is a serialized-backend mode");
     }
 
     #[test]

@@ -19,8 +19,12 @@
 //! * [`Simulator`] — wires processors, `tcc-directory` controllers, the
 //!   `tcc-network` mesh, and the gap-free TID vendor into one
 //!   deterministic event-driven simulation; produces [`SimResult`].
-//! * [`baseline`] — the small-scale TCC protocol (global commit token +
-//!   write-through broadcast commit) used as the scalability baseline.
+//! * [`serialized`] / [`tardis`] — the small-scale TCC protocol (global
+//!   commit token + write-through broadcast commit, OCC condition 2, or
+//!   condition 1 with [`SystemConfig::serial_execution`]) used as the
+//!   scalability baseline, and timestamp-ordered Tardis coherence. Both
+//!   run programs through one shared driver and plug into the
+//!   [`Simulator`] via the [`Protocol`] trait.
 //! * [`Checker`] — a serializability oracle that validates every
 //!   committed execution against a serial replay in TID order.
 //!
@@ -58,10 +62,12 @@
 //! [`RunError`] values. The panicking [`Simulator::run`] remains as a
 //! convenience for tests and examples that treat a stall as a bug.
 
-pub mod baseline;
+#[cfg(test)]
+mod baseline;
 mod breakdown;
 mod checker;
 mod config;
+mod driver;
 mod par;
 mod processor;
 mod profiling;

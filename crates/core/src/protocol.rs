@@ -132,11 +132,11 @@ pub trait Protocol {
 
     /// Takes a component fault raised during a handler (e.g. the TCC
     /// directory's bounded skip-vector refusal); the event loop turns
-    /// it into a typed stall.
-    fn take_fault(&mut self) -> Option<StallReason>;
-
-    /// Machine-wide committed-transaction count (stall diagnostics).
-    fn commits_total(&self) -> u64;
+    /// it into a typed stall. Backends without faulting components keep
+    /// the default.
+    fn take_fault(&mut self) -> Option<StallReason> {
+        None
+    }
 
     /// Per-directory Now-Serving TIDs, or the closest per-home notion
     /// of commit progress (stall diagnostics).
@@ -159,14 +159,23 @@ pub trait Protocol {
     /// Per-processor protocol counters.
     fn proc_counters(&self) -> Vec<ProcCounters>;
 
-    /// Drains per-processor TAPE profiling events into `report`.
-    fn take_profile(&mut self, report: &mut ProfileReport);
+    /// Drains per-processor TAPE profiling events into `report`. The
+    /// hooks live in the TCC processor only (`SystemConfig::validate`
+    /// refuses `profile` elsewhere), so other backends have nothing to
+    /// drain.
+    fn take_profile(&mut self, _report: &mut ProfileReport) {}
 
-    /// Per-commit home-occupancy samples across all homes (Table 3).
-    fn dir_occupancy(&self) -> Vec<u64>;
+    /// Per-commit home-occupancy samples across all homes (Table 3);
+    /// empty for a backend without directory controllers.
+    fn dir_occupancy(&self) -> Vec<u64> {
+        Vec::new()
+    }
 
-    /// Per-home working-set size at end of run (Table 3).
-    fn dir_working_set(&self) -> Vec<usize>;
+    /// Per-home working-set size at end of run (Table 3); empty for a
+    /// backend without directory state.
+    fn dir_working_set(&self) -> Vec<usize> {
+        Vec::new()
+    }
 
     /// Serializes the backend's complete mutable state.
     fn save_state(&self, w: &mut SnapWriter);
@@ -418,10 +427,6 @@ impl Protocol for TccMachine {
         self.fault.take()
     }
 
-    fn commits_total(&self) -> u64 {
-        self.procs.iter().map(|p| p.counters().commits).sum()
-    }
-
     fn dir_nstids(&self) -> Vec<Tid> {
         self.dirs.iter().map(Directory::now_serving).collect()
     }
@@ -607,8 +612,9 @@ impl Machine {
         dispatch!(self, m => m.take_fault())
     }
 
+    /// Machine-wide committed-transaction count (stall diagnostics).
     pub(crate) fn commits_total(&self) -> u64 {
-        dispatch!(self, m => m.commits_total())
+        self.proc_counters().iter().map(|c| c.commits).sum()
     }
 
     pub(crate) fn dir_nstids(&self) -> Vec<Tid> {

@@ -2,37 +2,32 @@
 //!
 //! This is the §2.2 small-scale TCC machine — a single global commit
 //! token arbitrated FIFO on node 0, write-through broadcast commits,
-//! flat memory at the home nodes — ported method-for-method from
-//! [`crate::baseline`] onto the [`Protocol`] trait so it runs inside
-//! the full [`Simulator`](crate::Simulator) event loop and inherits
-//! checkpointing, chaos, transport, tracing, and stall diagnostics.
+//! flat memory at the home nodes — inside the full
+//! [`Simulator`](crate::Simulator) event loop. The shared program
+//! driver (`driver.rs`) runs the programs; this module owns the token,
+//! the broadcast commit, and the homes. It runs two of Kung &
+//! Robinson's OCC overlap conditions (§2.1): condition 2 by default
+//! (execution overlaps, the token is taken once the body completes)
+//! and condition 1 under [`SystemConfig::serial_execution`] (the token
+//! is taken *before* the body runs, so only its holder executes; the
+//! wait counts as commit time).
 //!
-//! The standalone [`BaselineSimulator`](crate::baseline) remains as an
-//! independent implementation of the same machine; the differential
-//! tests at the bottom of this module drive both on identical
-//! workloads and require identical makespans, breakdowns, commit and
-//! violation counts, and traffic — two codebases, one protocol.
-//!
-//! Only OCC condition 2 (execution overlaps, commits serialize) lives
-//! behind the trait; condition 1 (serial execution) is a baseline-only
-//! ablation.
+//! The differential tests at the bottom of this module require a
+//! second, test-only implementation of the same machine to produce
+//! identical results on identical workloads under both conditions.
 
 use std::collections::BTreeMap;
 
-use tcc_cache::{HierCache, LoadOutcome, StoreOutcome};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{
     Cycle, DataSource, LineAddr, LineValues, Message, NodeId, Payload, ProtocolKind, Tid, WordMask,
 };
 
-use crate::breakdown::{Breakdown, TxCharacteristics};
-use crate::checker::TxRecord;
 use crate::config::SystemConfig;
-use crate::processor::{Effects, ProcCounters};
-use crate::profiling::ProfileReport;
-use crate::program::{ThreadProgram, TxOp, WorkItem};
+use crate::driver::{Backend, Driver, Phase, Proc};
+use crate::processor::Effects;
+use crate::program::ThreadProgram;
 use crate::protocol::{HomeTiming, Protocol};
-use crate::stall::StallReason;
 
 /// Memory service time at the home node, in cycles (symmetric with the
 /// scalable protocol's directory-cache lookup).
@@ -40,151 +35,132 @@ const HOME_SERVICE: u64 = 10;
 /// Token arbiter service time, in cycles.
 const ARBITER_SERVICE: u64 = 2;
 
-/// Protocol phase of one serialized-baseline processor.
+/// Commit-side phase of one serialized-commit processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Fresh,
-    Running,
-    WaitFill {
-        line: LineAddr,
-        stall_start: Cycle,
-        req: u64,
-    },
+pub enum TokenPhase {
+    /// Condition 1: waiting for the token before *starting* the body.
+    WaitTokenStart,
+    /// Body complete, waiting for the token to commit.
     WaitToken,
-    Broadcasting {
-        acks_left: u32,
-    },
-    AtBarrier {
-        since: Cycle,
-    },
-    Done,
+    /// Write-set broadcast out, waiting for `acks_left` more acks.
+    Broadcasting { acks_left: u32 },
 }
 
-impl Snap for State {
+impl Snap for TokenPhase {
     fn save(&self, w: &mut SnapWriter) {
         match self {
-            State::Fresh => 0u8.save(w),
-            State::Running => 1u8.save(w),
-            State::WaitFill {
-                line,
-                stall_start,
-                req,
-            } => {
+            TokenPhase::WaitTokenStart => 0u8.save(w),
+            TokenPhase::WaitToken => 1u8.save(w),
+            TokenPhase::Broadcasting { acks_left } => {
                 2u8.save(w);
-                line.save(w);
-                stall_start.save(w);
-                req.save(w);
-            }
-            State::WaitToken => 3u8.save(w),
-            State::Broadcasting { acks_left } => {
-                4u8.save(w);
                 acks_left.save(w);
             }
-            State::AtBarrier { since } => {
-                5u8.save(w);
-                since.save(w);
-            }
-            State::Done => 6u8.save(w),
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match u8::load(r)? {
-            0 => State::Fresh,
-            1 => State::Running,
-            2 => State::WaitFill {
-                line: r.get()?,
-                stall_start: r.get()?,
-                req: r.get()?,
-            },
-            3 => State::WaitToken,
-            4 => State::Broadcasting {
+            0 => TokenPhase::WaitTokenStart,
+            1 => TokenPhase::WaitToken,
+            2 => TokenPhase::Broadcasting {
                 acks_left: r.get()?,
             },
-            5 => State::AtBarrier { since: r.get()? },
-            6 => State::Done,
-            t => return Err(SnapError::invalid("serialized State", format!("tag {t}"))),
+            t => return Err(SnapError::invalid("serialized phase", format!("tag {t}"))),
         })
     }
 }
 
-/// One processor of the serialized-commit machine (the trait port of
-/// the baseline's `BaseProc`).
-#[derive(Debug)]
-pub struct SerializedProc {
-    cache: HierCache,
-    program: ThreadProgram,
-    item: usize,
-    op: usize,
-    state: State,
+/// A processor's standing with the commit token.
+#[derive(Debug, Default)]
+pub struct TokenState {
     has_token: bool,
     token_requested: bool,
-    tx_start: Cycle,
-    commit_start: Cycle,
-    attempt_useful: u64,
-    attempt_miss: u64,
-    tx_instr: u64,
-    reads_log: Vec<(LineAddr, usize, Option<Tid>)>,
-    req_seq: u64,
-    wake_seq: u64,
-    totals: Breakdown,
-    commits: u64,
-    violations: u64,
-    instructions: u64,
-    done_at: Option<Cycle>,
 }
 
-impl SerializedProc {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w);
-        self.item.save(w);
-        self.op.save(w);
-        self.state.save(w);
-        self.has_token.save(w);
-        self.token_requested.save(w);
-        self.tx_start.save(w);
-        self.commit_start.save(w);
-        self.attempt_useful.save(w);
-        self.attempt_miss.save(w);
-        self.tx_instr.save(w);
-        self.reads_log.save(w);
-        self.req_seq.save(w);
-        self.wake_seq.save(w);
-        self.totals.save(w);
-        self.commits.save(w);
-        self.violations.save(w);
-        self.instructions.save(w);
-        self.done_at.save(w);
+impl Snap for TokenState {
+    fn save(&self, w: &mut SnapWriter) {
+        (self.has_token, self.token_requested).save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (has_token, token_requested) = r.get()?;
+        Ok(TokenState {
+            has_token,
+            token_requested,
+        })
+    }
+}
+
+/// One processor of the serialized-commit machine.
+pub type SerializedProc = Proc<TokenState>;
+
+impl Backend for TokenState {
+    type Phase = TokenPhase;
+
+    fn phase_name(phase: TokenPhase) -> &'static str {
+        match phase {
+            TokenPhase::WaitTokenStart => "wait-token-start",
+            TokenPhase::WaitToken => "wait-token",
+            TokenPhase::Broadcasting { .. } => "broadcasting",
+        }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cache.restore_state(r)?;
-        self.item = r.get()?;
-        self.op = r.get()?;
-        self.state = r.get()?;
-        self.has_token = r.get()?;
-        self.token_requested = r.get()?;
-        self.tx_start = r.get()?;
-        self.commit_start = r.get()?;
-        self.attempt_useful = r.get()?;
-        self.attempt_miss = r.get()?;
-        self.tx_instr = r.get()?;
-        self.reads_log = r.get()?;
-        self.req_seq = r.get()?;
-        self.wake_seq = r.get()?;
-        self.totals = r.get()?;
-        self.commits = r.get()?;
-        self.violations = r.get()?;
-        self.instructions = r.get()?;
-        self.done_at = r.get()?;
-        Ok(())
+    fn fill_request(line: LineAddr, requester: NodeId, req: u64) -> Payload {
+        Payload::LoadRequest {
+            line,
+            requester,
+            req,
+        }
+    }
+
+    fn send(fx: &mut Effects, delay: u64, msg: Message) {
+        emit(fx, 0, delay, msg);
+    }
+
+    /// Condition 1: the predecessor must finish its commit before this
+    /// transaction may begin executing.
+    fn gate(
+        p: &mut SerializedProc,
+        cfg: &SystemConfig,
+        now: Cycle,
+        delay: u64,
+        n: NodeId,
+        fx: &mut Effects,
+    ) -> bool {
+        if !cfg.serial_execution || p.x.has_token {
+            return false;
+        }
+        p.phase = Phase::Backend(TokenPhase::WaitTokenStart);
+        p.commit_start = now; // the token wait counts as commit time
+        request_token(p, n, delay, fx);
+        true
+    }
+}
+
+/// Puts zero-delay messages on the wire at *call* time (stamped
+/// `now + offset`, claiming links in emission order, even when the
+/// stamp is in the future of other queued events), while delayed
+/// messages are injected later in time order — the small-scale
+/// machine's send discipline, which decides mesh contention.
+fn emit(fx: &mut Effects, offset: u64, delay: u64, msg: Message) {
+    if delay == 0 {
+        fx.immediate_sends.push((offset, msg));
+    } else {
+        fx.sends.push((offset + delay, msg));
+    }
+}
+
+/// Queues `n` at the token arbiter unless it already is.
+fn request_token(p: &mut SerializedProc, n: NodeId, delay: u64, fx: &mut Effects) {
+    if !p.x.token_requested {
+        p.x.token_requested = true;
+        let msg = Message::new(n, NodeId(0), Payload::TokenRequest { requester: n });
+        emit(fx, delay, 0, msg);
     }
 }
 
 /// The serialized-commit (small-scale TCC) backend.
 #[derive(Debug)]
 pub struct SerializedMachine {
-    cfg: SystemConfig,
-    procs: Vec<SerializedProc>,
+    drv: Driver<TokenState>,
     /// Flat global memory at the home nodes; write-through commits keep
     /// it always current.
     memory: BTreeMap<LineAddr, LineValues>,
@@ -197,34 +173,8 @@ pub struct SerializedMachine {
 
 impl SerializedMachine {
     pub(crate) fn new(cfg: SystemConfig, programs: Vec<ThreadProgram>) -> SerializedMachine {
-        let procs: Vec<SerializedProc> = programs
-            .into_iter()
-            .map(|p| SerializedProc {
-                cache: HierCache::new(cfg.cache.clone()),
-                program: p,
-                item: 0,
-                op: 0,
-                state: State::Fresh,
-                has_token: false,
-                token_requested: false,
-                tx_start: Cycle::ZERO,
-                commit_start: Cycle::ZERO,
-                attempt_useful: 0,
-                attempt_miss: 0,
-                tx_instr: 0,
-                reads_log: Vec::new(),
-                req_seq: 0,
-                wake_seq: 0,
-                totals: Breakdown::default(),
-                commits: 0,
-                violations: 0,
-                instructions: 0,
-                done_at: None,
-            })
-            .collect();
         SerializedMachine {
-            cfg,
-            procs,
+            drv: Driver::new(cfg, programs),
             memory: BTreeMap::new(),
             token_holder: None,
             token_queue: Vec::new(),
@@ -232,215 +182,29 @@ impl SerializedMachine {
         }
     }
 
-    fn home_node(&self, line: LineAddr) -> NodeId {
-        self.cfg
-            .cache
-            .geometry
-            .home_of(line, self.cfg.n_procs)
-            .node()
-    }
-
-    /// Supersedes any earlier wake and schedules the next continuation
-    /// `delay` cycles out.
-    fn wake(&mut self, n: NodeId, delay: u64, fx: &mut Effects) {
-        self.procs[n.index()].wake_seq += 1;
-        fx.wake_in = Some(delay);
-    }
-
-    // ------------------------------------------------------------------
-    // Program advancement
-    // ------------------------------------------------------------------
-
-    /// `now` is the absolute cycle the transition logically happens at;
-    /// `delay` is its offset from the event being handled (effects are
-    /// applied by the simulator at event time, so scheduling must carry
-    /// the offset explicitly — mirrors the scalable processor's
-    /// `begin_validation(now, elapsed)`).
-    fn enter_item(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        match p.program.items.get(p.item) {
-            Some(WorkItem::Tx(_)) => {
-                p.op = 0;
-                p.tx_start = now;
-                p.attempt_useful = 0;
-                p.attempt_miss = 0;
-                p.tx_instr = 0;
-                p.reads_log.clear();
-                p.state = State::Running;
-                self.wake(n, delay, fx);
-            }
-            Some(WorkItem::Barrier) => {
-                p.state = State::AtBarrier { since: now };
-                fx.reached_barrier = true;
-            }
-            None => {
-                p.state = State::Done;
-                p.done_at = Some(now);
-                fx.finished = true;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Execution
-    // ------------------------------------------------------------------
-
-    fn run_chunk(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
-        let chunk = self.cfg.exec_chunk;
-        let geom = self.cfg.cache.geometry;
-        let mut elapsed = 0u64;
-        loop {
-            let p = &mut self.procs[n.index()];
-            if p.state != State::Running {
-                return; // a violation mid-event restarted us elsewhere
-            }
-            if elapsed >= chunk {
-                self.wake(n, elapsed, fx);
-                return;
-            }
-            let Some(WorkItem::Tx(tx)) = p.program.items.get(p.item) else {
-                unreachable!("running outside a transaction")
-            };
-            let Some(&op) = tx.ops.get(p.op) else {
-                // Body complete: arbitrate for the commit token.
-                self.tx_end(now + elapsed, elapsed, n, fx);
-                return;
-            };
-            match op {
-                TxOp::Compute(c) => {
-                    elapsed += u64::from(c);
-                    p.attempt_useful += u64::from(c);
-                    p.tx_instr += u64::from(c);
-                    p.op += 1;
-                }
-                TxOp::Load(a) => {
-                    let line = geom.line_of(a);
-                    let word = geom.word_index(a);
-                    match p.cache.load(line, word) {
-                        LoadOutcome::Hit {
-                            level,
-                            value,
-                            own_speculative,
-                            first_read,
-                        } => {
-                            let lat = self.cfg.cache.latency(level);
-                            elapsed += lat;
-                            p.attempt_useful += lat;
-                            p.tx_instr += 1;
-                            if !own_speculative && first_read {
-                                p.reads_log.push((line, word, value));
-                            }
-                            p.op += 1;
-                        }
-                        LoadOutcome::Miss => {
-                            self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                            return;
-                        }
-                    }
-                }
-                TxOp::Store(a) => {
-                    let line = geom.line_of(a);
-                    let word = geom.word_index(a);
-                    match p.cache.store(line, word) {
-                        StoreOutcome::Hit { level, .. } => {
-                            // Write-through: no pre-write-back needed.
-                            let lat = self.cfg.cache.latency(level);
-                            elapsed += lat;
-                            p.attempt_useful += lat;
-                            p.tx_instr += 1;
-                            p.op += 1;
-                        }
-                        StoreOutcome::Miss => {
-                            self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A load/store missed: stall in `WaitFill` and request the line
-    /// from its home, departing when the miss logically occurred.
-    fn fill_miss(
-        &mut self,
-        n: NodeId,
-        line: LineAddr,
-        stall_start: Cycle,
-        delay: u64,
-        fx: &mut Effects,
-    ) {
-        let home = self.home_node(line);
-        let p = &mut self.procs[n.index()];
-        p.req_seq += 1;
-        p.state = State::WaitFill {
-            line,
-            stall_start,
-            req: p.req_seq,
-        };
-        let msg = Message::new(
-            n,
-            home,
-            Payload::LoadRequest {
-                line,
-                requester: n,
-                req: p.req_seq,
-            },
-        );
-        Self::emit(fx, 0, delay, msg);
-    }
-
-    /// Mirrors `BaselineSimulator::send` faithfully enough for
-    /// message-for-message identical mesh contention: the baseline puts
-    /// zero-delay messages on the wire at *call* time (stamped
-    /// `now + offset`, claiming links in emission order, even when the
-    /// stamp is in the future of other queued events), while delayed
-    /// messages are injected later in time order.
-    fn emit(fx: &mut Effects, offset: u64, delay: u64, msg: Message) {
-        if delay == 0 {
-            fx.immediate_sends.push((offset, msg));
-        } else {
-            fx.sends.push((offset + delay, msg));
-        }
-    }
-
+    /// Body complete: commit if the token is already held, otherwise
+    /// arbitrate for it.
     fn tx_end(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
+        let p = &mut self.drv.procs[n.index()];
         p.commit_start = now;
-        if p.has_token {
+        if p.x.has_token {
             self.broadcast_commit(now, delay, n, fx);
             return;
         }
-        p.state = State::WaitToken;
-        if !p.token_requested {
-            p.token_requested = true;
-            let msg = Message::new(n, NodeId(0), Payload::TokenRequest { requester: n });
-            Self::emit(fx, delay, 0, msg);
-        }
+        p.phase = Phase::Backend(TokenPhase::WaitToken);
+        request_token(p, n, delay, fx);
     }
 
     /// Token-holder commits: push the write-set to every other node.
     fn broadcast_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
         let seq = Tid(self.commit_seq);
         self.commit_seq += 1;
-        let geom = self.cfg.cache.geometry;
-        let n_procs = self.cfg.n_procs;
-        let p = &mut self.procs[n.index()];
-        let write_set = p.cache.write_set();
+        let write_set = self.drv.procs[n.index()].cache.write_set();
         // Stamp values locally (commit order = token order).
-        p.cache.commit_tx(seq);
-        p.cache.clear_dirty_bits(); // write-through: memory is current
-        let reads = std::mem::take(&mut p.reads_log);
-        fx.committed = Some((
-            TxRecord {
-                tid: seq,
-                reads: reads.clone(),
-                writes: write_set.clone(),
-            },
-            characteristics(p.tx_instr, &reads, &write_set, geom, n_procs),
-        ));
+        self.drv.retire(n, seq, &write_set, fx);
         // Gather the committed data to broadcast.
-        let words = geom.words_per_line() as usize;
+        let n_procs = self.drv.cfg.n_procs;
+        let words = self.drv.cfg.cache.geometry.words_per_line() as usize;
         let mut writes = Vec::with_capacity(write_set.len());
         for (line, mask) in &write_set {
             let mem = self
@@ -450,19 +214,14 @@ impl SerializedMachine {
             mem.apply_write(*mask, seq);
             writes.push((*line, *mask, mem.clone()));
         }
-        let p = &mut self.procs[n.index()];
-        p.commits += 1;
-        p.instructions += p.tx_instr;
-        p.totals.useful += p.attempt_useful;
-        p.totals.cache_miss += p.attempt_miss;
         let n_others = (n_procs - 1) as u32;
         if n_others == 0 {
             self.finish_commit(now, delay, n, fx);
             return;
         }
-        p.state = State::Broadcasting {
+        self.drv.procs[n.index()].phase = Phase::Backend(TokenPhase::Broadcasting {
             acks_left: n_others,
-        };
+        });
         for i in 0..n_procs {
             let dst = NodeId(i as u16);
             if dst == n {
@@ -477,108 +236,92 @@ impl SerializedMachine {
                     seq,
                 },
             );
-            Self::emit(fx, delay, 0, msg);
+            emit(fx, delay, 0, msg);
         }
     }
 
     /// All acks in: release the token and move on.
     fn finish_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        p.totals.commit += now.since(p.commit_start);
-        p.has_token = false;
-        p.token_requested = false;
-        p.item += 1;
-        let msg = Message::new(n, NodeId(0), Payload::TokenRelease);
-        Self::emit(fx, delay, 0, msg);
-        self.enter_item(now, delay, n, fx);
+        let p = &mut self.drv.procs[n.index()];
+        p.x.has_token = false;
+        p.x.token_requested = false;
+        let release = Message::new(n, NodeId(0), Payload::TokenRelease);
+        emit(fx, delay, 0, release);
+        self.drv.next_item(now, delay, n, fx);
     }
 
-    fn violate(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        debug_assert!(!p.has_token, "token holder cannot be violated");
-        p.violations += 1;
-        p.cache.abort_tx();
-        p.totals.violation += now.since(p.tx_start);
-        p.op = 0;
-        p.tx_start = now;
-        p.attempt_useful = 0;
-        p.attempt_miss = 0;
-        p.tx_instr = 0;
-        p.reads_log.clear();
-        // Keep the token-queue position (token_requested stays set);
-        // resume execution immediately.
-        p.state = State::Running;
-        self.wake(n, 0, fx);
+    /// A token grant arrived at `n`.
+    fn on_grant(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
+        let p = &mut self.drv.procs[n.index()];
+        p.x.has_token = true;
+        match p.phase {
+            Phase::Backend(TokenPhase::WaitToken) => self.broadcast_commit(now, 0, n, fx),
+            Phase::Backend(TokenPhase::WaitTokenStart) => {
+                // Condition 1: account the wait as commit time (the
+                // serialization the token imposes), then run.
+                p.totals.commit += now.since(p.commit_start);
+                p.tx_start = now;
+                p.phase = Phase::Running;
+                self.drv.wake(n, 0, fx);
+            }
+            // A violation restarted the transaction while queued: the
+            // token is held and the commit happens at the next tx_end.
+            _ => {}
+        }
     }
 
-    fn on_fill(
+    /// Another node's write-set broadcast arrived at `n`: invalidate,
+    /// re-request any in-flight fill it supersedes, ack, and violate on
+    /// a conflict.
+    fn on_broadcast(
         &mut self,
         now: Cycle,
         n: NodeId,
-        line: LineAddr,
-        values: LineValues,
-        req: u64,
+        writes: &[(LineAddr, WordMask, LineValues)],
+        committer: NodeId,
         fx: &mut Effects,
     ) {
-        let p = &mut self.procs[n.index()];
-        let State::WaitFill {
-            line: expected,
-            stall_start,
-            req: want,
-        } = p.state
-        else {
-            return; // stale fill after a violation restart: drop it
-        };
-        if req != want {
-            return; // reply to a superseded request: drop it
+        let mut conflict = false;
+        let mut rerequests = Vec::new();
+        let p = &mut self.drv.procs[n.index()];
+        for (line, mask, _) in writes {
+            conflict |= p.cache.invalidate(*line, *mask).conflict;
+            // Supersede an in-flight fill of an invalidated line: its
+            // data predates this commit. The replacement departs no
+            // earlier than the original request's logical issue time
+            // (see the scalable processor's on_invalidate).
+            if let Phase::WaitFill {
+                line: l,
+                req,
+                stall_start,
+            } = &mut p.phase
+            {
+                if l == line {
+                    p.req_seq += 1;
+                    *req = p.req_seq;
+                    rerequests.push((*line, p.req_seq, stall_start.since(now)));
+                }
+            }
         }
-        debug_assert_eq!(line, expected);
-        let r = p.cache.fill(line, values, false);
-        assert!(
-            !r.overflow,
-            "serialized-baseline overflow: size workloads within the L2"
-        );
-        p.attempt_miss += now.since(stall_start);
-        p.state = State::Running;
-        self.wake(n, 0, fx);
-    }
-}
-
-/// Table 3 characteristics of one committed transaction, derived from
-/// the read log and write-set at commit time (shared with the Tardis
-/// backend).
-pub(crate) fn characteristics(
-    instructions: u64,
-    reads: &[(LineAddr, usize, Option<Tid>)],
-    writes: &[(LineAddr, WordMask)],
-    geom: tcc_types::LineGeometry,
-    n_procs: usize,
-) -> TxCharacteristics {
-    let line_bytes = geom.line_bytes() as u64;
-    let mut read_lines: Vec<LineAddr> = reads.iter().map(|&(l, _, _)| l).collect();
-    read_lines.sort_unstable();
-    read_lines.dedup();
-    let words_written: u64 = writes.iter().map(|&(_, m)| u64::from(m.count())).sum();
-    let mut touched: Vec<u16> = read_lines
-        .iter()
-        .chain(writes.iter().map(|(l, _)| l))
-        .map(|&l| geom.home_of(l, n_procs).0)
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-    let mut written: Vec<u16> = writes
-        .iter()
-        .map(|&(l, _)| geom.home_of(l, n_procs).0)
-        .collect();
-    written.sort_unstable();
-    written.dedup();
-    TxCharacteristics {
-        instructions,
-        read_set_bytes: read_lines.len() as u64 * line_bytes,
-        write_set_bytes: writes.len() as u64 * line_bytes,
-        words_written,
-        dirs_written: written.len() as u32,
-        dirs_touched: touched.len() as u32,
+        for (line, req, delay) in rerequests {
+            let msg = Message::new(
+                n,
+                self.drv.home_node(line),
+                TokenState::fill_request(line, n, req),
+            );
+            TokenState::send(fx, delay, msg);
+        }
+        let ack = Message::new(n, committer, Payload::BaselineAck { from: n });
+        fx.sends.push((1, ack));
+        if conflict {
+            debug_assert!(
+                !self.drv.procs[n.index()].x.has_token,
+                "token holder violated"
+            );
+            // Keep the token-queue position (token_requested stays set);
+            // resume execution immediately.
+            self.drv.restart(now, n, fx);
+        }
     }
 }
 
@@ -588,58 +331,12 @@ impl Protocol for SerializedMachine {
     type ProcState = SerializedProc;
     type LineState = LineValues;
 
-    fn proc_state(&self, node: NodeId) -> &SerializedProc {
-        &self.procs[node.index()]
-    }
+    crate::driver::protocol_plumbing!(tx_end);
 
     /// Home state is the flat memory image; `home` is implied by the
     /// line's address interleaving.
     fn line_state(&self, _home: NodeId, line: LineAddr) -> Option<&LineValues> {
         self.memory.get(&line)
-    }
-
-    fn start(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        self.enter_item(now, 0, node, &mut fx);
-        fx
-    }
-
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        self.run_chunk(now, node, &mut fx);
-        fx
-    }
-
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        let p = &mut self.procs[node.index()];
-        let State::AtBarrier { since } = p.state else {
-            unreachable!("releasing a processor not at the barrier")
-        };
-        // A single-processor machine can arrive mid-chunk, `since`
-        // cycles into the event being handled; the release then happens
-        // at the arrival instant, not the (earlier) event time.
-        let at = now.max(since);
-        p.totals.idle += at.since(since);
-        p.item += 1;
-        self.enter_item(at, at.since(now), node, &mut fx);
-        fx
-    }
-
-    fn wake_seq(&self, node: NodeId) -> u64 {
-        self.procs[node.index()].wake_seq
-    }
-
-    fn state_name(&self, node: NodeId) -> &'static str {
-        match self.procs[node.index()].state {
-            State::Fresh => "fresh",
-            State::Running => "running",
-            State::WaitFill { .. } => "wait-fill",
-            State::WaitToken => "wait-token",
-            State::Broadcasting { .. } => "broadcasting",
-            State::AtBarrier { .. } => "at-barrier",
-            State::Done => "done",
-        }
     }
 
     fn home_timing(&self, _cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
@@ -695,7 +392,9 @@ impl Protocol for SerializedMachine {
         match msg.payload {
             Payload::LoadReply {
                 line, values, req, ..
-            } => self.on_fill(now, dst, line, values, req, &mut fx),
+            } => {
+                self.drv.on_fill(now, dst, line, values, req, &mut fx);
+            }
             Payload::TokenRequest { requester } => {
                 debug_assert_eq!(dst, NodeId(0));
                 if self.token_holder.is_none() {
@@ -706,16 +405,7 @@ impl Protocol for SerializedMachine {
                     self.token_queue.push(requester);
                 }
             }
-            Payload::TokenGrant => {
-                let p = &mut self.procs[dst.index()];
-                p.has_token = true;
-                // If a violation restarted the transaction while queued,
-                // the token is held and the commit happens at the next
-                // tx_end.
-                if p.state == State::WaitToken {
-                    self.broadcast_commit(now, 0, dst, &mut fx);
-                }
-            }
+            Payload::TokenGrant => self.on_grant(now, dst, &mut fx),
             Payload::TokenRelease => {
                 debug_assert_eq!(dst, NodeId(0));
                 self.token_holder = None;
@@ -728,53 +418,10 @@ impl Protocol for SerializedMachine {
             }
             Payload::BaselineCommit {
                 writes, committer, ..
-            } => {
-                let mut conflict = false;
-                let mut rerequests = Vec::new();
-                {
-                    let p = &mut self.procs[dst.index()];
-                    for (line, mask, _) in &writes {
-                        conflict |= p.cache.invalidate(*line, *mask).conflict;
-                        // Supersede an in-flight fill of an invalidated
-                        // line: its data predates this commit. The
-                        // replacement departs no earlier than the
-                        // original request's logical issue time (see the
-                        // scalable processor's on_invalidate).
-                        if let State::WaitFill {
-                            line: l,
-                            req,
-                            stall_start,
-                        } = &mut p.state
-                        {
-                            if l == line {
-                                p.req_seq += 1;
-                                *req = p.req_seq;
-                                rerequests.push((*line, p.req_seq, stall_start.since(now)));
-                            }
-                        }
-                    }
-                }
-                for (line, req, delay) in rerequests {
-                    let m = Message::new(
-                        dst,
-                        self.home_node(line),
-                        Payload::LoadRequest {
-                            line,
-                            requester: dst,
-                            req,
-                        },
-                    );
-                    Self::emit(&mut fx, 0, delay, m);
-                }
-                let ack = Message::new(dst, committer, Payload::BaselineAck { from: dst });
-                fx.sends.push((1, ack));
-                if conflict {
-                    self.violate(now, dst, &mut fx);
-                }
-            }
+            } => self.on_broadcast(now, dst, &writes, committer, &mut fx),
             Payload::BaselineAck { .. } => {
-                let p = &mut self.procs[dst.index()];
-                let State::Broadcasting { acks_left } = &mut p.state else {
+                let p = &mut self.drv.procs[dst.index()];
+                let Phase::Backend(TokenPhase::Broadcasting { acks_left }) = &mut p.phase else {
                     panic!("ack while not broadcasting");
                 };
                 *acks_left -= 1;
@@ -790,14 +437,6 @@ impl Protocol for SerializedMachine {
         fx
     }
 
-    fn take_fault(&mut self) -> Option<StallReason> {
-        None // no component of this backend raises faults
-    }
-
-    fn commits_total(&self) -> u64 {
-        self.procs.iter().map(|p| p.commits).sum()
-    }
-
     /// There are no directories; the token-grant sequence is the
     /// machine-wide notion of commit progress.
     fn dir_nstids(&self) -> Vec<Tid> {
@@ -805,84 +444,29 @@ impl Protocol for SerializedMachine {
     }
 
     fn progress_signature(&self, extra: [u64; 3]) -> u64 {
-        let words = self
-            .procs
+        let procs = &self.drv.procs;
+        let words = procs
             .iter()
             .map(|p| p.commits)
-            .chain(self.procs.iter().map(|p| p.item as u64))
+            .chain(procs.iter().map(|p| p.item as u64))
             .chain([self.commit_seq])
             .chain(extra);
         tcc_engine::progress_signature(words)
     }
 
-    fn done_at_max(&self) -> Cycle {
-        self.procs
-            .iter()
-            .filter_map(|p| p.done_at)
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    fn pad_idle_to(&mut self, end: Cycle) {
-        for p in &mut self.procs {
-            if let Some(done) = p.done_at {
-                p.totals.idle += end.since(done);
-            }
-        }
-    }
-
-    fn breakdowns(&self) -> Vec<Breakdown> {
-        self.procs.iter().map(|p| p.totals).collect()
-    }
-
-    fn proc_counters(&self) -> Vec<ProcCounters> {
-        self.procs
-            .iter()
-            .map(|p| ProcCounters {
-                commits: p.commits,
-                violations: p.violations,
-                overflows: 0,
-                instructions: p.instructions,
-                serialized_retries: 0,
-                tid_wait: 0,
-                probe_wait: 0,
-            })
-            .collect()
-    }
-
-    fn take_profile(&mut self, _report: &mut ProfileReport) {
-        // TAPE profiling hooks live in the TCC processor only;
-        // `SystemConfig::validate` refuses `profile` for this backend.
-    }
-
-    fn dir_occupancy(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn dir_working_set(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
-        for p in &self.procs {
-            p.save_state(w);
-        }
+        self.drv.save_state(w);
         // Ordered map: iteration is already sorted by address, so the
         // bytes are a pure function of state.
-        let mem: Vec<(LineAddr, LineValues)> =
-            self.memory.iter().map(|(&l, v)| (l, v.clone())).collect();
-        mem.save(w);
+        self.memory.save(w);
         self.token_holder.save(w);
         self.token_queue.save(w);
         self.commit_seq.save(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for p in &mut self.procs {
-            p.restore_state(r)?;
-        }
-        let mem: Vec<(LineAddr, LineValues)> = r.get()?;
-        self.memory = mem.into_iter().collect();
+        self.drv.restore_state(r)?;
+        self.memory = r.get()?;
         self.token_holder = r.get()?;
         self.token_queue = r.get()?;
         self.commit_seq = r.get()?;
@@ -902,23 +486,22 @@ impl Protocol for SerializedMachine {
             "processors still queued for the token at quiescence: {:?}",
             self.token_queue
         );
-        for (i, p) in self.procs.iter().enumerate() {
-            assert!(
-                p.state == State::Done && p.done_at.is_some(),
-                "P{i} in state {:?} at quiescence",
-                p.state
-            );
-        }
+        self.drv.assert_all_done();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::BaselineSimulator;
-    use crate::program::Transaction;
+    use crate::baseline::{BaselineSimulator, OccCondition};
+    use crate::program::{Transaction, TxOp, WorkItem};
     use crate::sim::Simulator;
     use tcc_types::Addr;
+
+    const CONDITIONS: [OccCondition; 2] = [
+        OccCondition::SerializedCommit,
+        OccCondition::SerialExecution,
+    ];
 
     fn tx(ops: Vec<TxOp>) -> WorkItem {
         WorkItem::Tx(Transaction::new(ops))
@@ -932,44 +515,68 @@ mod tests {
         }
     }
 
+    fn run(cfg_: SystemConfig, programs: Vec<ThreadProgram>) -> crate::SimResult {
+        Simulator::builder(cfg_)
+            .programs(programs)
+            .build()
+            .expect("valid serialized config")
+            .run()
+    }
+
     /// Runs the same workload through the standalone baseline simulator
-    /// and the trait-hosted backend and requires identical results —
-    /// makespan, per-processor breakdowns, commit/violation/instruction
-    /// counts, and traffic, down to the byte.
-    fn differential(cfg_: SystemConfig, programs: Vec<ThreadProgram>) {
-        let base = BaselineSimulator::new(
+    /// (the test-only oracle) in OCC `condition` and through the
+    /// trait-hosted backend in the matching mode, and requires
+    /// identical results — makespan, per-processor breakdowns,
+    /// commit/violation/instruction counts, and traffic, down to the
+    /// byte.
+    fn differential(cfg_: SystemConfig, programs: Vec<ThreadProgram>, condition: OccCondition) {
+        let base = BaselineSimulator::with_condition(
             SystemConfig {
                 protocol: ProtocolKind::Tcc,
                 ..cfg_.clone()
             },
             programs.clone(),
+            condition,
         )
         .run();
-        let ported = Simulator::builder(cfg_)
-            .programs(programs)
-            .build()
-            .expect("valid serialized config")
-            .run();
-        assert_eq!(ported.total_cycles, base.total_cycles, "makespan differs");
-        assert_eq!(ported.breakdowns, base.breakdowns, "breakdowns differ");
-        assert_eq!(ported.commits, base.commits, "commits differ");
-        assert_eq!(ported.violations, base.violations, "violations differ");
+        let ported = run(
+            SystemConfig {
+                serial_execution: condition == OccCondition::SerialExecution,
+                ..cfg_
+            },
+            programs,
+        );
+        let what = format!("{condition:?}");
+        assert_eq!(ported.total_cycles, base.total_cycles, "{what}: makespan");
+        assert_eq!(ported.breakdowns, base.breakdowns, "{what}: breakdowns");
+        assert_eq!(ported.commits, base.commits, "{what}: commits");
+        assert_eq!(ported.violations, base.violations, "{what}: violations");
         assert_eq!(
             ported.instructions, base.instructions,
-            "instructions differ"
+            "{what}: instructions"
         );
         assert_eq!(
             ported.traffic.total_bytes(),
             base.traffic.total_bytes(),
-            "traffic bytes differ"
+            "{what}: traffic bytes"
         );
         assert_eq!(
             ported.traffic.total_messages(),
             base.traffic.total_messages(),
-            "traffic messages differ"
+            "{what}: traffic messages"
         );
-        assert!(base.serializability.unwrap().is_ok());
+        assert!(
+            base.serializability.unwrap().is_ok(),
+            "{what}: oracle run not serializable"
+        );
         ported.assert_serializable();
+    }
+
+    /// [`differential`] under both OCC conditions.
+    fn differential_both(cfg_: SystemConfig, programs: Vec<ThreadProgram>) {
+        for condition in CONDITIONS {
+            differential(cfg_.clone(), programs.clone(), condition);
+        }
     }
 
     #[test]
@@ -979,7 +586,7 @@ mod tests {
             TxOp::Compute(50),
             TxOp::Store(Addr(0x100)),
         ])])];
-        differential(cfg(1), programs);
+        differential_both(cfg(1), programs);
     }
 
     #[test]
@@ -992,7 +599,7 @@ mod tests {
                 ])])
             })
             .collect();
-        differential(cfg(4), programs);
+        differential_both(cfg(4), programs);
     }
 
     #[test]
@@ -1002,7 +609,7 @@ mod tests {
             ThreadProgram::new(vec![tx(vec![TxOp::Load(x), TxOp::Compute(20_000)])]),
             ThreadProgram::new(vec![tx(vec![TxOp::Store(x), TxOp::Compute(10)])]),
         ];
-        differential(cfg(2), programs);
+        differential_both(cfg(2), programs);
     }
 
     #[test]
@@ -1020,7 +627,7 @@ mod tests {
                 ])])
             })
             .collect();
-        differential(cfg(4), programs);
+        differential_both(cfg(4), programs);
     }
 
     #[test]
@@ -1046,7 +653,118 @@ mod tests {
                 ])
             })
             .collect();
-        differential(cfg(4), programs);
+        differential_both(cfg(4), programs);
+    }
+
+    /// Rebuilds programs generated by `tcc-workloads`. That crate links
+    /// the non-test build of this one, so its program types are foreign
+    /// here; the derived `Debug` rendering carries every field, and the
+    /// round trip is checked against it.
+    fn app_programs(app: &tcc_workloads::AppProfile, n: usize) -> Vec<ThreadProgram> {
+        const SEED: u64 = 0x7cc_5eed;
+        fn operand<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> u64 {
+            tokens
+                .find_map(|t| t.parse().ok())
+                .expect("numeric operand")
+        }
+        app.generate_scaled(n, SEED, tcc_workloads::Scale::Smoke)
+            .iter()
+            .map(|foreign| {
+                let debug = format!("{foreign:?}");
+                let mut items: Vec<WorkItem> = Vec::new();
+                let mut tokens = debug
+                    .split(|c: char| !c.is_ascii_alphanumeric())
+                    .filter(|t| !t.is_empty());
+                while let Some(t) = tokens.next() {
+                    let op = match t {
+                        "Tx" => {
+                            items.push(tx(Vec::new()));
+                            continue;
+                        }
+                        "Barrier" => {
+                            items.push(WorkItem::Barrier);
+                            continue;
+                        }
+                        "Compute" => TxOp::Compute(operand(&mut tokens) as u32),
+                        "Load" => TxOp::Load(Addr(operand(&mut tokens))),
+                        "Store" => TxOp::Store(Addr(operand(&mut tokens))),
+                        _ => continue,
+                    };
+                    let Some(WorkItem::Tx(t)) = items.last_mut() else {
+                        panic!("operation outside a transaction")
+                    };
+                    t.ops.push(op);
+                }
+                let program = ThreadProgram::new(items);
+                assert_eq!(format!("{program:?}"), debug, "program round trip");
+                program
+            })
+            .collect()
+    }
+
+    #[test]
+    fn differential_volrend() {
+        let app = tcc_workloads::apps::volrend();
+        for n in [1, 4, 16] {
+            differential_both(cfg(n), app_programs(&app, n));
+        }
+    }
+
+    #[test]
+    fn differential_swim_and_water_spatial() {
+        for app in [
+            tcc_workloads::apps::swim(),
+            tcc_workloads::apps::water_spatial(),
+        ] {
+            differential_both(cfg(16), app_programs(&app, 16));
+        }
+    }
+
+    #[test]
+    fn serial_execution_never_overlaps_or_violates() {
+        // OCC condition 1: even wildly conflicting transactions cannot
+        // violate because only the token holder ever executes.
+        let x = Addr(0x40);
+        let programs: Vec<ThreadProgram> = (0..4)
+            .map(|_| {
+                ThreadProgram::new(vec![
+                    tx(vec![TxOp::Load(x), TxOp::Compute(500), TxOp::Store(x)]),
+                    tx(vec![TxOp::Load(x), TxOp::Store(x)]),
+                ])
+            })
+            .collect();
+        let serial = SystemConfig {
+            serial_execution: true,
+            ..cfg(4)
+        };
+        let r = run(serial, programs);
+        assert_eq!(r.commits, 8);
+        assert_eq!(r.violations, 0, "serial execution cannot conflict");
+        r.assert_serializable();
+    }
+
+    #[test]
+    fn serial_execution_is_slower_than_serialized_commit() {
+        // Condition 1 gives strictly less concurrency than condition 2
+        // on independent work.
+        let programs: Vec<ThreadProgram> = (0..4u64)
+            .map(|p| {
+                ThreadProgram::new(vec![tx(vec![
+                    TxOp::Store(Addr(0x4000 * (p + 1))),
+                    TxOp::Compute(5_000),
+                ])])
+            })
+            .collect();
+        let serial = SystemConfig {
+            serial_execution: true,
+            ..cfg(4)
+        };
+        let c1 = run(serial, programs.clone()).total_cycles;
+        let c2 = run(cfg(4), programs).total_cycles;
+        assert!(
+            c1 as f64 > c2 as f64 * 2.0,
+            "serial execution ({c1}) should be far slower than serialized commit ({c2})"
+        );
     }
 
     #[test]
@@ -1061,11 +779,7 @@ mod tests {
                 ])])
             })
             .collect();
-        let r = Simulator::builder(cfg(8))
-            .programs(programs)
-            .build()
-            .expect("valid config")
-            .run();
+        let r = run(cfg(8), programs);
         assert_eq!(r.commits, 8);
         assert_eq!(r.violations, 0);
         r.assert_serializable();
@@ -1074,7 +788,8 @@ mod tests {
     #[test]
     fn serialized_checkpoint_round_trips() {
         // Pause mid-run, checkpoint, resume in a fresh machine: the
-        // final results must be identical to the uninterrupted run.
+        // final results must be identical to the uninterrupted run, in
+        // either OCC condition.
         let mk_programs = || -> Vec<ThreadProgram> {
             (0..4u64)
                 .map(|p| {
@@ -1089,31 +804,33 @@ mod tests {
                 })
                 .collect()
         };
-        let uninterrupted = Simulator::builder(cfg(4))
-            .programs(mk_programs())
-            .build()
-            .expect("valid config")
-            .run();
-        let stepped = Simulator::builder(cfg(4))
-            .programs(mk_programs())
-            .build()
-            .expect("valid config")
-            .try_run_until(Some(Cycle(300)))
-            .expect("no stall");
-        let resumed = match stepped {
-            crate::sim::Step::Paused(sim) => {
-                let snap = sim.checkpoint();
-                Simulator::resume(cfg(4), mk_programs(), &snap)
-                    .expect("resume accepts its own checkpoint")
-                    .run()
-            }
-            crate::sim::Step::Done(_) => panic!("run finished before the pause cycle"),
-        };
-        assert_eq!(resumed.total_cycles, uninterrupted.total_cycles);
-        assert_eq!(resumed.commits, uninterrupted.commits);
-        assert_eq!(resumed.violations, uninterrupted.violations);
-        assert_eq!(resumed.breakdowns, uninterrupted.breakdowns);
-        resumed.assert_serializable();
+        for serial_execution in [false, true] {
+            let c = SystemConfig {
+                serial_execution,
+                ..cfg(4)
+            };
+            let uninterrupted = run(c.clone(), mk_programs());
+            let stepped = Simulator::builder(c.clone())
+                .programs(mk_programs())
+                .build()
+                .expect("valid config")
+                .try_run_until(Some(Cycle(300)))
+                .expect("no stall");
+            let resumed = match stepped {
+                crate::sim::Step::Paused(sim) => {
+                    let snap = sim.checkpoint();
+                    Simulator::resume(c, mk_programs(), &snap)
+                        .expect("resume accepts its own checkpoint")
+                        .run()
+                }
+                crate::sim::Step::Done(_) => panic!("run finished before the pause cycle"),
+            };
+            assert_eq!(resumed.total_cycles, uninterrupted.total_cycles);
+            assert_eq!(resumed.commits, uninterrupted.commits);
+            assert_eq!(resumed.violations, uninterrupted.violations);
+            assert_eq!(resumed.breakdowns, uninterrupted.breakdowns);
+            resumed.assert_serializable();
+        }
     }
 
     #[test]

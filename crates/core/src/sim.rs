@@ -2,7 +2,7 @@
 //! barriers, and result assembly.
 
 use std::collections::VecDeque;
-use tcc_types::hash::FxHashSet;
+use tcc_types::hash::{fnv1a, FxHashSet};
 
 use tcc_directory::{DirConfig, Directory};
 use tcc_engine::{EventQueue, ProgressWatchdog, TieBreak};
@@ -14,7 +14,6 @@ use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, DirId, Frame, LineAddr, Message, NodeId, Payload};
 
-use crate::baseline::BaselineSimulator;
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
 use crate::config::{ConfigError, SystemConfig};
@@ -299,12 +298,7 @@ impl SimResult {
             self.traffic.total_messages(),
             self.events,
         );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv1a(s.as_bytes()))
     }
 
     /// Asserts that the run was serializable (checker must be enabled).
@@ -478,9 +472,8 @@ pub struct Simulator {
     pub(crate) program_digest: u64,
 }
 
-/// Fluent, validating constructor for [`Simulator`] (and the
-/// small-scale TCC [`BaselineSimulator`] used for Figure 6
-/// comparisons). Obtained from [`Simulator::builder`].
+/// Fluent, validating constructor for [`Simulator`], whichever
+/// protocol backend it runs. Obtained from [`Simulator::builder`].
 ///
 /// Construction goes through [`SystemConfig::validate`] plus
 /// program-shape checks, so every refusal is a typed [`ConfigError`]
@@ -511,7 +504,6 @@ pub struct SimulatorBuilder {
     cfg: SystemConfig,
     programs: Vec<ThreadProgram>,
     tracer: Option<Tracer>,
-    baseline: Option<crate::baseline::OccCondition>,
 }
 
 impl SimulatorBuilder {
@@ -535,15 +527,6 @@ impl SimulatorBuilder {
     /// several runs, or to keep a handle for inspection after `run`.
     pub fn tracer(mut self, tracer: Tracer) -> SimulatorBuilder {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Target the small-scale TCC baseline machine implementing the
-    /// given OCC overlap condition; finish with
-    /// [`build_baseline`](Self::build_baseline) instead of
-    /// [`build`](Self::build).
-    pub fn baseline(mut self, condition: crate::baseline::OccCondition) -> SimulatorBuilder {
-        self.baseline = Some(condition);
         self
     }
 
@@ -573,47 +556,21 @@ impl SimulatorBuilder {
         Ok(())
     }
 
-    /// Builds the scalable-protocol [`Simulator`].
+    /// Builds the [`Simulator`] for the configured protocol backend.
     ///
     /// # Errors
     ///
     /// Any [`SystemConfig::validate`] refusal; a program count that
     /// differs from the processor count; programs that disagree on
-    /// barrier counts; or a builder already pointed at the baseline
-    /// machine via [`baseline`](Self::baseline).
+    /// barrier counts.
     pub fn build(self) -> Result<Simulator, ConfigError> {
         self.check()?;
-        if self.baseline.is_some() {
-            return Err(ConfigError::invalid(
-                "baseline",
-                "builder was pointed at the baseline machine",
-                "finish with .build_baseline(), or drop .baseline(..)",
-            ));
-        }
         let SimulatorBuilder {
             cfg,
             programs,
             tracer,
-            baseline: _,
         } = self;
         Ok(Simulator::construct(cfg, programs, tracer))
-    }
-
-    /// Builds the small-scale TCC [`BaselineSimulator`] (defaults to
-    /// [`OccCondition::SerializedCommit`](crate::baseline::OccCondition)
-    /// if [`baseline`](Self::baseline) was not called).
-    ///
-    /// # Errors
-    ///
-    /// The same config/program refusals as [`build`](Self::build).
-    pub fn build_baseline(self) -> Result<BaselineSimulator, ConfigError> {
-        self.check()?;
-        let condition = self.baseline.unwrap_or_default();
-        Ok(BaselineSimulator::with_condition(
-            self.cfg,
-            self.programs,
-            condition,
-        ))
     }
 }
 
@@ -626,7 +583,6 @@ impl Simulator {
             cfg,
             programs: Vec::new(),
             tracer: None,
-            baseline: None,
         }
     }
 
@@ -641,15 +597,7 @@ impl Simulator {
         // Workload identity, for snapshot gating: resume() rebuilds the
         // machine from caller-supplied programs, and this digest proves
         // they are the programs the checkpoint came from.
-        let program_digest = {
-            let s = format!("{programs:?}");
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in s.as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            h
-        };
+        let program_digest = fnv1a(format!("{programs:?}").as_bytes());
         let machine = match cfg.protocol {
             tcc_types::ProtocolKind::Tcc => {
                 let procs: Vec<Processor> = programs

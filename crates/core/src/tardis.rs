@@ -31,29 +31,24 @@
 //! 4. **Publish** — written lines go home write-through (`wts = ts`),
 //!    releasing the locks and draining deferred fills.
 //!
-//! Home-side state lives in [`tcc_directory::TardisHome`]; this module
-//! owns the processor side and the [`Protocol`] plumbing. TIDs are
-//! `ts * n_procs + node`, so TID order — what the serializability
-//! checker replays — is exactly logical-time order.
+//! Home-side state lives in [`tcc_directory::TardisHome`]. The program
+//! loop is the shared program driver (`driver.rs`); this module owns the
+//! commit protocol above, the lease bookkeeping a fill feeds it, and
+//! the [`Protocol`] plumbing. TIDs are `ts * n_procs + node`, so TID
+//! order — what the serializability checker replays — is exactly
+//! logical-time order.
 
 use std::collections::BTreeMap;
 
-use tcc_cache::{HierCache, LoadOutcome, StoreOutcome};
 use tcc_directory::TardisHome;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{
-    Cycle, LineAddr, LineValues, Message, NodeId, Payload, ProtocolKind, Tid, WordMask,
-};
+use tcc_types::{Cycle, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid, WordMask};
 
-use crate::breakdown::Breakdown;
-use crate::checker::TxRecord;
 use crate::config::SystemConfig;
-use crate::processor::{Effects, ProcCounters};
-use crate::profiling::ProfileReport;
-use crate::program::{ThreadProgram, TxOp, WorkItem};
+use crate::driver::{Backend, Driver, Phase, Proc};
+use crate::processor::Effects;
+use crate::program::ThreadProgram;
 use crate::protocol::{HomeTiming, Protocol};
-use crate::serialized::characteristics;
-use crate::stall::StallReason;
 
 /// Logical lease length granted per fill: a load extends the line's
 /// `rts` to `wts + LEASE`. Short leases renew often; long leases make
@@ -62,96 +57,49 @@ use crate::stall::StallReason;
 /// every protocol behavior the experiments compare.
 const LEASE: u64 = 10;
 
-/// Protocol phase of one Tardis processor.
+/// Commit-side phase of one Tardis processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Fresh,
-    Running,
-    WaitFill {
-        line: LineAddr,
-        stall_start: Cycle,
-        req: u64,
-    },
+pub enum LeasePhase {
     /// Acquiring write locks, ascending; `idx` is the next unlocked
     /// write-set index.
-    Locking {
-        idx: usize,
-    },
-    /// Waiting for lease-renewal verdicts.
-    Renewing {
-        pending: u32,
-    },
-    /// Waiting for publish acks.
-    Publishing {
-        pending: u32,
-    },
-    AtBarrier {
-        since: Cycle,
-    },
-    Done,
+    Locking { idx: usize },
+    /// Waiting for `pending` more lease-renewal verdicts.
+    Renewing { pending: u32 },
+    /// Waiting for `pending` more publish acks.
+    Publishing { pending: u32 },
 }
 
-impl Snap for State {
+impl Snap for LeasePhase {
     fn save(&self, w: &mut SnapWriter) {
         match self {
-            State::Fresh => 0u8.save(w),
-            State::Running => 1u8.save(w),
-            State::WaitFill {
-                line,
-                stall_start,
-                req,
-            } => {
-                2u8.save(w);
-                line.save(w);
-                stall_start.save(w);
-                req.save(w);
-            }
-            State::Locking { idx } => {
-                3u8.save(w);
+            LeasePhase::Locking { idx } => {
+                0u8.save(w);
                 idx.save(w);
             }
-            State::Renewing { pending } => {
-                4u8.save(w);
+            LeasePhase::Renewing { pending } => {
+                1u8.save(w);
                 pending.save(w);
             }
-            State::Publishing { pending } => {
-                5u8.save(w);
+            LeasePhase::Publishing { pending } => {
+                2u8.save(w);
                 pending.save(w);
             }
-            State::AtBarrier { since } => {
-                6u8.save(w);
-                since.save(w);
-            }
-            State::Done => 7u8.save(w),
         }
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match u8::load(r)? {
-            0 => State::Fresh,
-            1 => State::Running,
-            2 => State::WaitFill {
-                line: r.get()?,
-                stall_start: r.get()?,
-                req: r.get()?,
-            },
-            3 => State::Locking { idx: r.get()? },
-            4 => State::Renewing { pending: r.get()? },
-            5 => State::Publishing { pending: r.get()? },
-            6 => State::AtBarrier { since: r.get()? },
-            7 => State::Done,
-            t => return Err(SnapError::invalid("tardis State", format!("tag {t}"))),
+            0 => LeasePhase::Locking { idx: r.get()? },
+            1 => LeasePhase::Renewing { pending: r.get()? },
+            2 => LeasePhase::Publishing { pending: r.get()? },
+            t => return Err(SnapError::invalid("tardis phase", format!("tag {t}"))),
         })
     }
 }
 
-/// One processor of the Tardis machine.
-#[derive(Debug)]
-pub struct TardisProc {
-    cache: HierCache,
-    program: ThreadProgram,
-    item: usize,
-    op: usize,
-    state: State,
+/// A Tardis processor's logical clock, lease view, and in-flight
+/// commit attempt.
+#[derive(Debug, Default)]
+pub struct LeaseState {
     /// The processor's logical clock: its last commit time. Commit
     /// times are strictly increasing per processor, which makes the
     /// packed TIDs unique.
@@ -160,14 +108,6 @@ pub struct TardisProc {
     /// time (and refreshed by own publishes); consulted at commit to
     /// decide which reads need renewal.
     lease: BTreeMap<LineAddr, (u64, u64)>,
-    tx_start: Cycle,
-    commit_start: Cycle,
-    attempt_useful: u64,
-    attempt_miss: u64,
-    tx_instr: u64,
-    reads_log: Vec<(LineAddr, usize, Option<Tid>)>,
-    req_seq: u64,
-    wake_seq: u64,
     /// Commit-attempt id echoed in renew verdicts; bumped on abort so
     /// straggling verdicts drop.
     attempt: u64,
@@ -178,86 +118,57 @@ pub struct TardisProc {
     lock_ts: Vec<(u64, u64)>,
     /// Chosen commit time of the in-flight attempt.
     commit_ts: u64,
-    totals: Breakdown,
-    commits: u64,
-    violations: u64,
-    instructions: u64,
-    done_at: Option<Cycle>,
 }
 
-impl TardisProc {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w);
-        self.item.save(w);
-        self.op.save(w);
-        self.state.save(w);
+impl Snap for LeaseState {
+    fn save(&self, w: &mut SnapWriter) {
         self.pts.save(w);
-        // Ordered map: iteration is already sorted by address, so the
-        // bytes are a pure function of state.
-        let lease: Vec<(LineAddr, (u64, u64))> =
-            self.lease.iter().map(|(&l, &ts)| (l, ts)).collect();
-        lease.save(w);
-        self.tx_start.save(w);
-        self.commit_start.save(w);
-        self.attempt_useful.save(w);
-        self.attempt_miss.save(w);
-        self.tx_instr.save(w);
-        self.reads_log.save(w);
-        self.req_seq.save(w);
-        self.wake_seq.save(w);
+        self.lease.save(w);
         self.attempt.save(w);
         self.write_lines.save(w);
         self.lock_ts.save(w);
         self.commit_ts.save(w);
-        self.totals.save(w);
-        self.commits.save(w);
-        self.violations.save(w);
-        self.instructions.save(w);
-        self.done_at.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(LeaseState {
+            pts: r.get()?,
+            lease: r.get()?,
+            attempt: r.get()?,
+            write_lines: r.get()?,
+            lock_ts: r.get()?,
+            commit_ts: r.get()?,
+        })
+    }
+}
+
+/// One processor of the Tardis machine.
+pub type TardisProc = Proc<LeaseState>;
+
+impl Backend for LeaseState {
+    type Phase = LeasePhase;
+
+    fn phase_name(phase: LeasePhase) -> &'static str {
+        match phase {
+            LeasePhase::Locking { .. } => "locking",
+            LeasePhase::Renewing { .. } => "renewing",
+            LeasePhase::Publishing { .. } => "publishing",
+        }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cache.restore_state(r)?;
-        self.item = r.get()?;
-        self.op = r.get()?;
-        self.state = r.get()?;
-        self.pts = r.get()?;
-        let lease: Vec<(LineAddr, (u64, u64))> = r.get()?;
-        self.lease = lease.into_iter().collect();
-        self.tx_start = r.get()?;
-        self.commit_start = r.get()?;
-        self.attempt_useful = r.get()?;
-        self.attempt_miss = r.get()?;
-        self.tx_instr = r.get()?;
-        self.reads_log = r.get()?;
-        self.req_seq = r.get()?;
-        self.wake_seq = r.get()?;
-        self.attempt = r.get()?;
-        self.write_lines = r.get()?;
-        self.lock_ts = r.get()?;
-        self.commit_ts = r.get()?;
-        self.totals = r.get()?;
-        self.commits = r.get()?;
-        self.violations = r.get()?;
-        self.instructions = r.get()?;
-        self.done_at = r.get()?;
-        Ok(())
-    }
-
-    /// Distinct lines in the read log, ascending.
-    fn read_lines(&self) -> Vec<LineAddr> {
-        let mut lines: Vec<LineAddr> = self.reads_log.iter().map(|&(l, _, _)| l).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        lines
+    /// Fills carry the line's timestamp interval back.
+    fn fill_request(line: LineAddr, requester: NodeId, req: u64) -> Payload {
+        Payload::TsLoadRequest {
+            line,
+            requester,
+            req,
+        }
     }
 }
 
 /// The Tardis timestamp-ordered backend.
 #[derive(Debug)]
 pub struct TardisMachine {
-    cfg: SystemConfig,
-    procs: Vec<TardisProc>,
+    drv: Driver<LeaseState>,
     /// One timestamp-home slice per node.
     homes: Vec<TardisHome>,
 }
@@ -268,249 +179,32 @@ impl TardisMachine {
         let homes = (0..cfg.n_procs)
             .map(|_| TardisHome::new(LEASE, words, cfg.mem_latency))
             .collect();
-        let procs: Vec<TardisProc> = programs
-            .into_iter()
-            .map(|p| TardisProc {
-                cache: HierCache::new(cfg.cache.clone()),
-                program: p,
-                item: 0,
-                op: 0,
-                state: State::Fresh,
-                pts: 0,
-                lease: BTreeMap::new(),
-                tx_start: Cycle::ZERO,
-                commit_start: Cycle::ZERO,
-                attempt_useful: 0,
-                attempt_miss: 0,
-                tx_instr: 0,
-                reads_log: Vec::new(),
-                req_seq: 0,
-                wake_seq: 0,
-                attempt: 0,
-                write_lines: Vec::new(),
-                lock_ts: Vec::new(),
-                commit_ts: 0,
-                totals: Breakdown::default(),
-                commits: 0,
-                violations: 0,
-                instructions: 0,
-                done_at: None,
-            })
-            .collect();
-        TardisMachine { cfg, procs, homes }
-    }
-
-    fn home_node(&self, line: LineAddr) -> NodeId {
-        self.cfg
-            .cache
-            .geometry
-            .home_of(line, self.cfg.n_procs)
-            .node()
-    }
-
-    /// Supersedes any earlier wake and schedules the next continuation
-    /// `delay` cycles out.
-    fn wake(&mut self, n: NodeId, delay: u64, fx: &mut Effects) {
-        self.procs[n.index()].wake_seq += 1;
-        fx.wake_in = Some(delay);
-    }
-
-    // ------------------------------------------------------------------
-    // Program advancement
-    // ------------------------------------------------------------------
-
-    /// `now` is the absolute cycle the transition logically happens at;
-    /// `delay` is its offset from the event being handled (effects are
-    /// applied by the simulator at event time, so scheduling must carry
-    /// the offset explicitly).
-    fn enter_item(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        match p.program.items.get(p.item) {
-            Some(WorkItem::Tx(_)) => {
-                p.op = 0;
-                p.tx_start = now;
-                p.attempt_useful = 0;
-                p.attempt_miss = 0;
-                p.tx_instr = 0;
-                p.reads_log.clear();
-                p.state = State::Running;
-                self.wake(n, delay, fx);
-            }
-            Some(WorkItem::Barrier) => {
-                p.state = State::AtBarrier { since: now };
-                fx.reached_barrier = true;
-            }
-            None => {
-                p.state = State::Done;
-                p.done_at = Some(now);
-                fx.finished = true;
-            }
+        TardisMachine {
+            drv: Driver::new(cfg, programs),
+            homes,
         }
     }
 
-    // ------------------------------------------------------------------
-    // Execution
-    // ------------------------------------------------------------------
-
-    fn run_chunk(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
-        let chunk = self.cfg.exec_chunk;
-        let geom = self.cfg.cache.geometry;
-        let mut elapsed = 0u64;
-        loop {
-            let p = &mut self.procs[n.index()];
-            if p.state != State::Running {
-                return; // an abort mid-event restarted us elsewhere
-            }
-            if elapsed >= chunk {
-                self.wake(n, elapsed, fx);
-                return;
-            }
-            let Some(WorkItem::Tx(tx)) = p.program.items.get(p.item) else {
-                unreachable!("running outside a transaction")
-            };
-            let Some(&op) = tx.ops.get(p.op) else {
-                // Body complete: start the timestamped commit.
-                self.begin_commit(now + elapsed, elapsed, n, fx);
-                return;
-            };
-            match op {
-                TxOp::Compute(c) => {
-                    elapsed += u64::from(c);
-                    p.attempt_useful += u64::from(c);
-                    p.tx_instr += u64::from(c);
-                    p.op += 1;
-                }
-                TxOp::Load(a) => {
-                    let line = geom.line_of(a);
-                    let word = geom.word_index(a);
-                    match p.cache.load(line, word) {
-                        LoadOutcome::Hit {
-                            level,
-                            value,
-                            own_speculative,
-                            first_read,
-                        } => {
-                            let lat = self.cfg.cache.latency(level);
-                            elapsed += lat;
-                            p.attempt_useful += lat;
-                            p.tx_instr += 1;
-                            if !own_speculative && first_read {
-                                p.reads_log.push((line, word, value));
-                            }
-                            p.op += 1;
-                        }
-                        LoadOutcome::Miss => {
-                            self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                            return;
-                        }
-                    }
-                }
-                TxOp::Store(a) => {
-                    let line = geom.line_of(a);
-                    let word = geom.word_index(a);
-                    match p.cache.store(line, word) {
-                        StoreOutcome::Hit { level, .. } => {
-                            let lat = self.cfg.cache.latency(level);
-                            elapsed += lat;
-                            p.attempt_useful += lat;
-                            p.tx_instr += 1;
-                            p.op += 1;
-                        }
-                        StoreOutcome::Miss => {
-                            self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A load/store missed: stall in `WaitFill` and request the line
-    /// (with its timestamp interval) from its home.
-    fn fill_miss(
-        &mut self,
-        n: NodeId,
-        line: LineAddr,
-        stall_start: Cycle,
-        delay: u64,
-        fx: &mut Effects,
-    ) {
-        let home = self.home_node(line);
-        let p = &mut self.procs[n.index()];
-        p.req_seq += 1;
-        p.state = State::WaitFill {
-            line,
-            stall_start,
-            req: p.req_seq,
-        };
-        let msg = Message::new(
-            n,
-            home,
-            Payload::TsLoadRequest {
-                line,
-                requester: n,
-                req: p.req_seq,
-            },
-        );
+    /// Sends `n`'s lock request for `line` to its home.
+    fn lock(&self, n: NodeId, line: LineAddr, delay: u64, fx: &mut Effects) {
+        let home = self.drv.home_node(line);
+        let msg = Message::new(n, home, Payload::TsLock { line, requester: n });
         fx.sends.push((delay, msg));
     }
-
-    fn on_fill(
-        &mut self,
-        now: Cycle,
-        n: NodeId,
-        fill: (LineAddr, LineValues),
-        stamps: (u64, u64),
-        req: u64,
-        fx: &mut Effects,
-    ) {
-        let (line, values) = fill;
-        let p = &mut self.procs[n.index()];
-        let State::WaitFill {
-            line: expected,
-            stall_start,
-            req: want,
-        } = p.state
-        else {
-            return; // stale fill after an abort restart: drop it
-        };
-        if req != want {
-            return; // reply to a superseded request: drop it
-        }
-        debug_assert_eq!(line, expected);
-        let r = p.cache.fill(line, values, false);
-        assert!(!r.overflow, "tardis overflow: size workloads within the L2");
-        p.lease.insert(line, stamps);
-        p.attempt_miss += now.since(stall_start);
-        p.state = State::Running;
-        self.wake(n, 0, fx);
-    }
-
-    // ------------------------------------------------------------------
-    // Commit
-    // ------------------------------------------------------------------
 
     /// Body complete: capture the write-set and start locking (writers)
     /// or go straight to lease validation (read-only).
     fn begin_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
+        let p = &mut self.drv.procs[n.index()];
         p.commit_start = now;
-        let mut writes = p.cache.write_set();
-        writes.sort_unstable_by_key(|&(l, _)| l);
-        p.write_lines = writes;
-        p.lock_ts.clear();
-        if p.write_lines.is_empty() {
-            self.validate_reads(now, delay, n, fx);
+        p.x.write_lines = p.cache.write_set();
+        p.x.write_lines.sort_unstable_by_key(|&(l, _)| l);
+        p.x.lock_ts.clear();
+        if let Some(&(line, _)) = p.x.write_lines.first() {
+            p.phase = Phase::Backend(LeasePhase::Locking { idx: 0 });
+            self.lock(n, line, delay, fx);
         } else {
-            p.state = State::Locking { idx: 0 };
-            let line = p.write_lines[0].0;
-            let msg = Message::new(
-                n,
-                self.home_node(line),
-                Payload::TsLock { line, requester: n },
-            );
-            fx.sends.push((delay, msg));
+            self.validate_reads(now, delay, n, fx);
         }
     }
 
@@ -523,32 +217,26 @@ impl TardisMachine {
         rts: u64,
         fx: &mut Effects,
     ) {
-        let p = &mut self.procs[n.index()];
-        let State::Locking { idx } = p.state else {
+        let p = &mut self.drv.procs[n.index()];
+        let Phase::Backend(LeasePhase::Locking { idx }) = p.phase else {
             panic!("lock grant while not locking");
         };
-        debug_assert_eq!(line, p.write_lines[idx].0, "locks grant in request order");
+        debug_assert_eq!(line, p.x.write_lines[idx].0, "locks grant in request order");
         // A line both read and written validates here: if its `wts`
         // moved since our fill, our read observed a superseded version
         // and no renewal can save it (we are about to overwrite `wts`
         // ourselves).
         let stale_read = p.reads_log.iter().any(|&(l, _, _)| l == line)
-            && p.lease.get(&line).is_some_and(|&(w, _)| w != wts);
+            && p.x.lease.get(&line).is_some_and(|&(w, _)| w != wts);
         if stale_read {
             self.abort_commit(now, n, idx + 1, Some(line), fx);
             return;
         }
-        p.lock_ts.push((wts, rts));
+        p.x.lock_ts.push((wts, rts));
         let next = idx + 1;
-        if next < p.write_lines.len() {
-            p.state = State::Locking { idx: next };
-            let line = p.write_lines[next].0;
-            let msg = Message::new(
-                n,
-                self.home_node(line),
-                Payload::TsLock { line, requester: n },
-            );
-            fx.sends.push((0, msg));
+        if let Some(&(line, _)) = p.x.write_lines.get(next) {
+            p.phase = Phase::Backend(LeasePhase::Locking { idx: next });
+            self.lock(n, line, 0, fx);
         } else {
             self.validate_reads(now, 0, n, fx);
         }
@@ -558,24 +246,26 @@ impl TardisMachine {
     /// renew the reads whose lease falls short. No renewals needed —
     /// the common case for read-mostly work — commits immediately.
     fn validate_reads(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        let mut ts = p.pts + 1;
+        let p = &mut self.drv.procs[n.index()];
+        let x = &mut p.x;
+        let mut ts = x.pts + 1;
         for &(l, _, _) in &p.reads_log {
-            if let Some(&(wts, _)) = p.lease.get(&l) {
+            if let Some(&(wts, _)) = x.lease.get(&l) {
                 ts = ts.max(wts + 1);
             }
         }
-        for &(wts, rts) in &p.lock_ts {
+        for &(wts, rts) in &x.lock_ts {
             ts = ts.max(wts + 1).max(rts + 1);
         }
-        p.commit_ts = ts;
-        let written: Vec<LineAddr> = p.write_lines.iter().map(|&(l, _)| l).collect();
-        let renew: Vec<(LineAddr, u64)> = p
-            .read_lines()
+        x.commit_ts = ts;
+        let mut read_lines: Vec<LineAddr> = p.reads_log.iter().map(|&(l, _, _)| l).collect();
+        read_lines.sort_unstable();
+        read_lines.dedup();
+        let renew: Vec<(LineAddr, u64)> = read_lines
             .into_iter()
-            .filter(|l| !written.contains(l))
+            .filter(|l| !x.write_lines.iter().any(|(w, _)| w == l))
             .filter_map(|l| {
-                let &(wts, rts) = p.lease.get(&l)?;
+                let &(wts, rts) = x.lease.get(&l)?;
                 (rts < ts).then_some((l, wts))
             })
             .collect();
@@ -583,15 +273,15 @@ impl TardisMachine {
             self.commit_point(now, delay, n, fx);
             return;
         }
-        p.attempt += 1;
-        let attempt = p.attempt;
-        p.state = State::Renewing {
+        x.attempt += 1;
+        let attempt = x.attempt;
+        p.phase = Phase::Backend(LeasePhase::Renewing {
             pending: renew.len() as u32,
-        };
+        });
         for (line, wts) in renew {
             let msg = Message::new(
                 n,
-                self.home_node(line),
+                self.drv.home_node(line),
                 Payload::TsRenew {
                     line,
                     requester: n,
@@ -613,15 +303,15 @@ impl TardisMachine {
         req: u64,
         fx: &mut Effects,
     ) {
-        let p = &mut self.procs[n.index()];
-        if req != p.attempt {
+        let p = &mut self.drv.procs[n.index()];
+        if req != p.x.attempt {
             return; // verdict for an aborted attempt: drop it
         }
-        let State::Renewing { pending } = &mut p.state else {
+        let Phase::Backend(LeasePhase::Renewing { pending }) = &mut p.phase else {
             return; // stale verdict after state moved on
         };
         if !ok {
-            let locks = p.write_lines.len();
+            let locks = p.x.write_lines.len();
             self.abort_commit(now, n, locks, Some(line), fx);
             return;
         }
@@ -635,44 +325,29 @@ impl TardisMachine {
     /// transaction logically commits *now*. Read-only transactions
     /// finish on the spot; writers publish and wait for acks.
     fn commit_point(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let geom = self.cfg.cache.geometry;
-        let n_procs = self.cfg.n_procs;
-        let p = &mut self.procs[n.index()];
-        let tid = Tid(p.commit_ts * n_procs as u64 + u64::from(n.0));
-        p.cache.commit_tx(tid);
-        p.cache.clear_dirty_bits(); // write-through: homes stay current
-        let reads = std::mem::take(&mut p.reads_log);
-        let writes = p.write_lines.clone();
-        fx.committed = Some((
-            TxRecord {
-                tid,
-                reads: reads.clone(),
-                writes: writes.clone(),
-            },
-            characteristics(p.tx_instr, &reads, &writes, geom, n_procs),
-        ));
-        p.commits += 1;
-        p.instructions += p.tx_instr;
-        p.totals.useful += p.attempt_useful;
-        p.totals.cache_miss += p.attempt_miss;
+        let n_procs = self.drv.cfg.n_procs as u64;
+        let p = &self.drv.procs[n.index()];
+        let ts = p.x.commit_ts;
+        let tid = Tid(ts * n_procs + u64::from(n.0));
+        let writes = p.x.write_lines.clone();
+        self.drv.retire(n, tid, &writes, fx);
         // Own publishes refresh the local lease view: our copy *is* the
         // `commit_ts` version, valid exactly at its write time.
-        for &(l, _) in &p.write_lines {
-            p.lease.insert(l, (p.commit_ts, p.commit_ts));
+        let p = &mut self.drv.procs[n.index()];
+        for &(l, _) in &writes {
+            p.x.lease.insert(l, (ts, ts));
         }
-        if p.write_lines.is_empty() {
+        if writes.is_empty() {
             self.finish_commit(now, delay, n, fx);
             return;
         }
-        p.state = State::Publishing {
-            pending: p.write_lines.len() as u32,
-        };
-        let ts = p.commit_ts;
-        let publishes: Vec<(LineAddr, WordMask)> = p.write_lines.clone();
-        for (line, words) in publishes {
+        p.phase = Phase::Backend(LeasePhase::Publishing {
+            pending: writes.len() as u32,
+        });
+        for (line, words) in writes {
             let msg = Message::new(
                 n,
-                self.home_node(line),
+                self.drv.home_node(line),
                 Payload::TsPublish {
                     line,
                     words,
@@ -686,8 +361,8 @@ impl TardisMachine {
     }
 
     fn on_publish_ack(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        let State::Publishing { pending } = &mut p.state else {
+        let p = &mut self.drv.procs[n.index()];
+        let Phase::Backend(LeasePhase::Publishing { pending }) = &mut p.phase else {
             panic!("publish ack while not publishing");
         };
         *pending -= 1;
@@ -697,13 +372,11 @@ impl TardisMachine {
     }
 
     fn finish_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        p.pts = p.commit_ts;
-        p.totals.commit += now.since(p.commit_start);
-        p.write_lines.clear();
-        p.lock_ts.clear();
-        p.item += 1;
-        self.enter_item(now, delay, n, fx);
+        let x = &mut self.drv.procs[n.index()].x;
+        x.pts = x.commit_ts;
+        x.write_lines.clear();
+        x.lock_ts.clear();
+        self.drv.next_item(now, delay, n, fx);
     }
 
     /// A commit attempt failed (stale read or refused renewal): release
@@ -717,39 +390,28 @@ impl TardisMachine {
         stale: Option<LineAddr>,
         fx: &mut Effects,
     ) {
-        let releases: Vec<LineAddr> = self.procs[n.index()]
+        for &(line, _) in self.drv.procs[n.index()]
+            .x
             .write_lines
             .iter()
             .take(locks_held)
-            .map(|&(l, _)| l)
-            .collect();
-        for line in releases {
+        {
             let msg = Message::new(
                 n,
-                self.home_node(line),
+                self.drv.home_node(line),
                 Payload::TsRelease { line, requester: n },
             );
             fx.sends.push((0, msg));
         }
-        let p = &mut self.procs[n.index()];
-        p.violations += 1;
-        p.attempt += 1; // straggling renew verdicts drop
-        p.cache.abort_tx();
+        self.drv.restart(now, n, fx);
+        let p = &mut self.drv.procs[n.index()];
+        p.x.attempt += 1; // straggling renew verdicts drop
         if let Some(line) = stale {
             p.cache.invalidate(line, WordMask::ALL);
-            p.lease.remove(&line);
+            p.x.lease.remove(&line);
         }
-        p.totals.violation += now.since(p.tx_start);
-        p.op = 0;
-        p.tx_start = now;
-        p.attempt_useful = 0;
-        p.attempt_miss = 0;
-        p.tx_instr = 0;
-        p.reads_log.clear();
-        p.write_lines.clear();
-        p.lock_ts.clear();
-        p.state = State::Running;
-        self.wake(n, 0, fx);
+        p.x.write_lines.clear();
+        p.x.lock_ts.clear();
     }
 }
 
@@ -759,57 +421,10 @@ impl Protocol for TardisMachine {
     type ProcState = TardisProc;
     type LineState = tcc_directory::TardisLine;
 
-    fn proc_state(&self, node: NodeId) -> &TardisProc {
-        &self.procs[node.index()]
-    }
+    crate::driver::protocol_plumbing!(begin_commit);
 
     fn line_state(&self, home: NodeId, line: LineAddr) -> Option<&tcc_directory::TardisLine> {
         self.homes[home.index()].line_state(line)
-    }
-
-    fn start(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        self.enter_item(now, 0, node, &mut fx);
-        fx
-    }
-
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        self.run_chunk(now, node, &mut fx);
-        fx
-    }
-
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        let p = &mut self.procs[node.index()];
-        let State::AtBarrier { since } = p.state else {
-            unreachable!("releasing a processor not at the barrier")
-        };
-        // A single-processor machine can arrive mid-chunk, `since`
-        // cycles into the event being handled; the release then happens
-        // at the arrival instant, not the (earlier) event time.
-        let at = now.max(since);
-        p.totals.idle += at.since(since);
-        p.item += 1;
-        self.enter_item(at, at.since(now), node, &mut fx);
-        fx
-    }
-
-    fn wake_seq(&self, node: NodeId) -> u64 {
-        self.procs[node.index()].wake_seq
-    }
-
-    fn state_name(&self, node: NodeId) -> &'static str {
-        match self.procs[node.index()].state {
-            State::Fresh => "fresh",
-            State::Running => "running",
-            State::WaitFill { .. } => "wait-fill",
-            State::Locking { .. } => "locking",
-            State::Renewing { .. } => "renewing",
-            State::Publishing { .. } => "publishing",
-            State::AtBarrier { .. } => "at-barrier",
-            State::Done => "done",
-        }
     }
 
     fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
@@ -888,7 +503,11 @@ impl Protocol for TardisMachine {
                 wts,
                 rts,
                 req,
-            } => self.on_fill(now, dst, (line, values), (wts, rts), req, &mut fx),
+            } => {
+                if self.drv.on_fill(now, dst, line, values, req, &mut fx) {
+                    self.drv.procs[dst.index()].x.lease.insert(line, (wts, rts));
+                }
+            }
             Payload::TsLockAck { line, wts, rts } => {
                 self.on_lock_ack(now, dst, line, wts, rts, &mut fx);
             }
@@ -904,14 +523,6 @@ impl Protocol for TardisMachine {
         fx
     }
 
-    fn take_fault(&mut self) -> Option<StallReason> {
-        None // no component of this backend raises faults
-    }
-
-    fn commits_total(&self) -> u64 {
-        self.procs.iter().map(|p| p.commits).sum()
-    }
-
     /// The per-home notion of commit progress is the highest published
     /// commit time.
     fn dir_nstids(&self) -> Vec<Tid> {
@@ -919,55 +530,15 @@ impl Protocol for TardisMachine {
     }
 
     fn progress_signature(&self, extra: [u64; 3]) -> u64 {
-        let words = self
-            .procs
+        let procs = &self.drv.procs;
+        let words = procs
             .iter()
             .map(|p| p.commits)
-            .chain(self.procs.iter().map(|p| p.item as u64))
-            .chain(self.procs.iter().map(|p| p.pts))
+            .chain(procs.iter().map(|p| p.item as u64))
+            .chain(procs.iter().map(|p| p.x.pts))
             .chain(self.homes.iter().map(TardisHome::max_ts))
             .chain(extra);
         tcc_engine::progress_signature(words)
-    }
-
-    fn done_at_max(&self) -> Cycle {
-        self.procs
-            .iter()
-            .filter_map(|p| p.done_at)
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    fn pad_idle_to(&mut self, end: Cycle) {
-        for p in &mut self.procs {
-            if let Some(done) = p.done_at {
-                p.totals.idle += end.since(done);
-            }
-        }
-    }
-
-    fn breakdowns(&self) -> Vec<Breakdown> {
-        self.procs.iter().map(|p| p.totals).collect()
-    }
-
-    fn proc_counters(&self) -> Vec<ProcCounters> {
-        self.procs
-            .iter()
-            .map(|p| ProcCounters {
-                commits: p.commits,
-                violations: p.violations,
-                overflows: 0,
-                instructions: p.instructions,
-                serialized_retries: 0,
-                tid_wait: 0,
-                probe_wait: 0,
-            })
-            .collect()
-    }
-
-    fn take_profile(&mut self, _report: &mut ProfileReport) {
-        // TAPE profiling hooks live in the TCC processor only;
-        // `SystemConfig::validate` refuses `profile` for this backend.
     }
 
     fn dir_occupancy(&self) -> Vec<u64> {
@@ -979,18 +550,14 @@ impl Protocol for TardisMachine {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        for p in &self.procs {
-            p.save_state(w);
-        }
+        self.drv.save_state(w);
         for h in &self.homes {
             h.save_state(w);
         }
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for p in &mut self.procs {
-            p.restore_state(r)?;
-        }
+        self.drv.restore_state(r)?;
         for h in &mut self.homes {
             h.restore_state(r)?;
         }
@@ -1003,20 +570,14 @@ impl Protocol for TardisMachine {
         for h in &self.homes {
             h.assert_quiescent();
         }
-        for (i, p) in self.procs.iter().enumerate() {
-            assert!(
-                p.state == State::Done && p.done_at.is_some(),
-                "P{i} in state {:?} at quiescence",
-                p.state
-            );
-        }
+        self.drv.assert_all_done();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Transaction;
+    use crate::program::{Transaction, TxOp, WorkItem};
     use crate::sim::Simulator;
     use tcc_network::{ChaosConfig, DropRule, TransportConfig};
     use tcc_types::Addr;

@@ -4,7 +4,9 @@
 //! vendor) and checks both the outcome (commits, violations) and the
 //! serializability of the committed history.
 
-use tcc_core::{SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
+use tcc_core::{
+    ProtocolKind, SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,
+};
 use tcc_types::Addr;
 
 fn cfg(n: usize) -> SystemConfig {
@@ -501,8 +503,9 @@ fn parallel_commits_overlap_in_time() {
         .expect("valid config")
         .run();
     let serialized = Simulator::builder(SystemConfig::with_procs(n))
+        .protocol(ProtocolKind::SerializedCommit)
         .programs(mk())
-        .build_baseline()
+        .build()
         .expect("valid config")
         .run();
     assert_eq!(scalable.commits, 16 * 12);

@@ -6,7 +6,7 @@
 //! that survives the targeted tests in `protocol.rs` has to get past
 //! hundreds of randomized schedules here.
 
-use tcc_core::{Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
+use tcc_core::{ProtocolKind, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
 use tcc_types::rng::SmallRng;
 use tcc_types::Addr;
 
@@ -389,8 +389,9 @@ fn prop_baseline_is_serializable() {
         let programs = to_programs(&raw);
         let expected: u64 = programs.iter().map(|p| p.transactions() as u64).sum();
         let r = Simulator::builder(checked_cfg(2))
+            .protocol(ProtocolKind::SerializedCommit)
             .programs(programs)
-            .build_baseline()
+            .build()
             .expect("valid config")
             .run();
         assert_eq!(r.commits, expected, "program: {raw:?}");

@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"TCCSNAP1"
-//!      8     2  version          u16 LE (currently 1)
+//!      8     2  version          u16 LE (currently 2)
 //!     10     8  config_digest    u64 LE — digest of the SystemConfig
 //!     18     8  at_cycle         u64 LE — simulated cycle of capture
 //!     26     8  body_len         u64 LE
@@ -47,34 +47,27 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use tcc_types::hash::fnv1a;
+
 /// Magic bytes opening every snapshot container.
 pub const MAGIC: &[u8; 8] = b"TCCSNAP1";
 
-/// Current container format version.
-pub const FORMAT_VERSION: u16 = 1;
+/// Current container format version. Version 2 changed the body: the
+/// serialized-commit and Tardis processors save their shared program-
+/// driver fields first and share the driver's phase tags, so a
+/// version-1 body would misparse and is refused instead.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_BYTES: usize = 8 + 2 + 8 + 8 + 8 + 8 + 8;
-
-/// FNV-1a over a byte slice — the same hash the simulator uses for
-/// result fingerprints, so checksum mismatches and fingerprint
-/// mismatches are comparable artifacts.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// Everything that can go wrong reading a snapshot or journal.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build writes: newer
+    /// versions are unknown, older ones lay the body out differently.
     UnsupportedVersion(u16),
     /// The byte stream ended before the declared content.
     Truncated { wanted: usize, have: usize },
@@ -524,17 +517,31 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn future_versions_are_refused() {
-        let s = snap(b"abc");
-        let mut bytes = s.to_bytes();
-        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
-        // Re-seal the header so only the version is "wrong".
+    /// A sealed container whose header claims `version`; only the
+    /// version is "wrong".
+    fn with_version(version: u16) -> Vec<u8> {
+        let mut bytes = snap(b"abc").to_bytes();
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
         let sum = fnv1a(&bytes[..HEADER_BYTES - 8]);
         bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn future_versions_are_refused() {
+        let v = FORMAT_VERSION + 1;
         assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(2))
+            Snapshot::from_bytes(&with_version(v)),
+            Err(SnapshotError::UnsupportedVersion(got)) if got == v
+        ));
+    }
+
+    #[test]
+    fn version_1_containers_are_refused() {
+        // Version-1 bodies predate the shared driver layout.
+        assert!(matches!(
+            Snapshot::from_bytes(&with_version(1)),
+            Err(SnapshotError::UnsupportedVersion(1))
         ));
     }
 

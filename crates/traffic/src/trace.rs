@@ -27,6 +27,8 @@
 //! value — the property the `--jobs` and parallel-engine sharding
 //! guarantees lean on (see `crate::replay`).
 
+use tcc_types::hash::fnv1a;
+
 use crate::shapes::{TrafficOp, TrafficTx};
 
 /// Schema identifier recorded in run reports and golden files.
@@ -113,17 +115,6 @@ impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> TraceError {
         TraceError::Io(e)
     }
-}
-
-/// FNV-1a over a byte slice, the workspace's standard digest.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer, used to de-correlate per-record digests

@@ -5,8 +5,9 @@
 //! with recomputed checksums — yields the matching typed
 //! [`TraceError`].
 
-use tcc_traffic::trace::{fnv1a, TraceError, TraceWriter};
+use tcc_traffic::trace::{TraceError, TraceWriter};
 use tcc_traffic::{Trace, TrafficOp};
+use tcc_types::hash::fnv1a;
 
 fn sample() -> Trace {
     let mut w = TraceWriter::new();

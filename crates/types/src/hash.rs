@@ -1,4 +1,5 @@
-//! Fast, deterministic hashing for simulator-internal containers.
+//! Fast, deterministic hashing for simulator-internal containers, and
+//! the workspace's stable [`fnv1a`] digest.
 //!
 //! `std`'s default `RandomState` (SipHash-1-3 with per-instance random
 //! keys) is a DoS defence the simulator does not need: every key hashed
@@ -88,9 +89,37 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` with the fast deterministic hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// FNV-1a-style digest over a byte slice: the workspace's one stable
+/// digest. Result fingerprints, config and program digests, snapshot
+/// checksums, and trace-record checksums all use it, so a mismatch in
+/// any of them is comparable with the others across machines.
+///
+/// The multiplier is `0x1000_0000_01b3` (2^44 + 0x1b3), not the
+/// published 64-bit FNV prime `0x100_0000_01b3`. Every committed
+/// fingerprint golden was produced with it, so it stays: changing it
+/// would change every digest.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_digests_are_pinned() {
+        // Pinned so the multiplier cannot drift: every fingerprint
+        // golden in the workspace depends on these exact values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+    }
 
     #[test]
     fn hashing_is_deterministic() {

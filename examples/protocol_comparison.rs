@@ -34,8 +34,9 @@ fn main() {
             .run()
             .total_cycles;
         let serialized = Simulator::builder(SystemConfig::with_procs(n))
+            .protocol(ProtocolKind::SerializedCommit)
             .programs(programs)
-            .build_baseline()
+            .build()
             .expect("valid config")
             .run()
             .total_cycles;

@@ -89,11 +89,11 @@ pub use tcc_workloads as workloads;
 
 /// The names nearly every experiment, example, and test imports —
 /// construction ([`Simulator`], [`SystemConfig`], [`SimulatorBuilder`],
-/// [`ConfigError`]), backend selection ([`Protocol`], [`ProtocolKind`]),
-/// results ([`SimResult`], [`RunError`]), workloads ([`apps`],
-/// [`Scale`], program-building types), the serialized-commit baseline
-/// ([`BaselineSimulator`], [`OccCondition`]), and tracing ([`Tracer`],
-/// [`TraceConfig`]).
+/// [`ConfigError`]), backend selection ([`Protocol`], [`ProtocolKind`] —
+/// the serialized-commit baseline is `ProtocolKind::SerializedCommit`,
+/// with `SystemConfig::serial_execution` for OCC condition 1), results
+/// ([`SimResult`], [`RunError`]), workloads ([`apps`], [`Scale`],
+/// program-building types), and tracing ([`Tracer`], [`TraceConfig`]).
 ///
 /// ```
 /// use scalable_tcc::prelude::*;
@@ -107,7 +107,6 @@ pub use tcc_workloads as workloads;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub mod prelude {
-    pub use tcc_core::baseline::{BaselineResult, BaselineSimulator, OccCondition};
     pub use tcc_core::{
         ConfigError, Protocol, ProtocolKind, RunError, SimResult, Simulator, SimulatorBuilder,
         SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,

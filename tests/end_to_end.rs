@@ -100,8 +100,9 @@ fn scalable_beats_the_serialized_baseline_on_commit_bound_work() {
         .run()
         .total_cycles;
     let serialized = Simulator::builder(SystemConfig::with_procs(n))
+        .protocol(ProtocolKind::SerializedCommit)
         .programs(programs)
-        .build_baseline()
+        .build()
         .expect("valid config")
         .run()
         .total_cycles;
