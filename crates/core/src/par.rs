@@ -22,11 +22,20 @@
 //! *deferred* and replayed at the window join (Phase B) in canonical
 //! order, so they evolve exactly as in the classic engine.
 //!
+//! This module carries no protocol logic. A shard delivers through the
+//! same steps as the classic loop: the TCC per-node handlers
+//! ([`TccMachine::on_home`] over its directory, [`TccMachine::on_node`]
+//! over its processor and the vendor counter), the home-occupancy step
+//! ([`occupy_home`]) and the transport step ([`transport_step`]). Each
+//! engine only schedules what those steps return: the shard with
+//! in-window keys (`Shard::sched`), the merged path with canonical ones
+//! (`Engine::seq_sched`).
+//!
 //! # Canonical keys
 //!
 //! The classic FIFO tie-break pops same-cycle events in creation
 //! order. The parallel engine reproduces that order with `u128` keys
-//! packing causal coordinates (see [`pack`]): the creating pop's cycle
+//! packing causal coordinates (see [`try_pack`]): the creating pop's cycle
 //! and its global *rank* among that cycle's pops, plus a per-pop
 //! emission counter. Ranks are only known at joins, so in-window
 //! creations carry *provisional* keys naming the parent pop's
@@ -94,19 +103,22 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use tcc_directory::{DirAction, Directory};
+use tcc_directory::Directory;
 use tcc_engine::{mix64, progress_signature, EventQueue, ProgressWatchdog, TieBreak, WorkerBudget};
 use tcc_network::{Network, Transport, TransportAction, TransportStats};
 use tcc_trace::{TraceEvent, Tracer};
 use tcc_types::hash::FxHashMap;
-use tcc_types::{Cycle, Frame, Message, NodeId, Payload, Tid};
+use tcc_types::{Cycle, Frame, Message, NodeId};
 
 use crate::breakdown::TxCharacteristics;
 use crate::checker::{Checker, TxRecord};
 use crate::config::SystemConfig;
 use crate::processor::{Effects, Processor};
 use crate::protocol::{Machine, TccMachine};
-use crate::sim::{DirCache, Event, SimResult, Simulator, VENDOR_SERVICE};
+use crate::sim::{
+    occupy_home, trace_delivery, transport_step, DirCache, Event, SimResult, Simulator,
+    VENDOR_SERVICE,
+};
 use crate::stall::{RunError, RunProvenance, StallDiagnostic, StallReason};
 
 /// Bits of the emission field (slot << SUB_BITS | sub).
@@ -186,7 +198,7 @@ enum OpKind {
     /// traffic accounting, chaos perturbation).
     Route(Message),
     /// A transport frame put on the (possibly faulty) wire.
-    Frame { frame: Frame, multicast: bool },
+    Frame(Frame),
 }
 
 /// An in-window creation whose arrival falls past the window end; it
@@ -209,6 +221,8 @@ pub(crate) struct Shard {
     dir: Directory,
     dir_busy: Cycle,
     dir_cache: Option<DirCache>,
+    /// Reusable buffer for home-message replies (empty between events).
+    out: Vec<(u64, Message)>,
     /// This node's end of every transport channel it touches: `tx`
     /// state of channels it sends on, `rx` state of channels it
     /// receives on. The union over shards is exactly the classic
@@ -358,57 +372,23 @@ impl Shard {
             }
             Event::Inject(msg) => self.dispatch_send(now, msg),
             Event::Deliver(msg) => self.deliver(now, msg),
-            Event::Wire(frame) => {
-                let Some(t) = self.transport.as_mut() else {
-                    self.set_fault(now, StallReason::MissingTransport { event: "wire" });
-                    return;
-                };
-                let (delivered, actions) = t.on_frame(frame);
-                self.apply_transport_actions(now, actions);
-                for m in delivered {
-                    self.deliver(now, m);
+            ev => match transport_step(self.transport.as_mut(), now, ev) {
+                Ok((delivered, actions)) => {
+                    self.apply_transport_actions(now, actions);
+                    for m in delivered {
+                        self.deliver(now, m);
+                    }
                 }
-            }
-            Event::RetxTimer { src, dst, epoch } => {
-                let Some(t) = self.transport.as_mut() else {
-                    self.set_fault(
-                        now,
-                        StallReason::MissingTransport {
-                            event: "retx timer",
-                        },
-                    );
-                    return;
-                };
-                match t.on_retx_timer(now, src, dst, epoch) {
-                    Ok(actions) => self.apply_transport_actions(now, actions),
-                    Err(ex) => self.set_fault(
-                        now,
-                        StallReason::RetryExhausted {
-                            src: ex.src,
-                            dst: ex.dst,
-                            seq: ex.seq,
-                            kind: ex.kind,
-                            retries: ex.retries,
-                        },
-                    ),
-                }
-            }
-            Event::AckTimer { src, dst, epoch } => {
-                let Some(t) = self.transport.as_mut() else {
-                    self.set_fault(now, StallReason::MissingTransport { event: "ack timer" });
-                    return;
-                };
-                let actions = t.on_ack_timer(src, dst, epoch);
-                self.apply_transport_actions(now, actions);
-            }
+                Err(reason) => self.set_fault(now, reason),
+            },
         }
     }
 
-    /// Mirror of the classic `dispatch_send`. Transport sequencing is
-    /// node-local (this shard owns the channel state) and runs inline;
-    /// chaos-free local messages bypass the mesh with the fixed local
-    /// latency, also inline; everything that touches the mesh, the
-    /// traffic stats, or the chaos RNG defers.
+    /// Puts a message in flight. Transport sequencing is node-local
+    /// (this shard owns the channel state) and runs inline; chaos-free
+    /// local messages bypass the mesh with the fixed local latency,
+    /// also inline; everything that touches the mesh, the traffic
+    /// stats, or the chaos RNG defers.
     fn dispatch_send(&mut self, now: Cycle, msg: Message) {
         if self.transport.is_some() && msg.src != msg.dst {
             let actions = self.transport.as_mut().expect("checked above").send(msg);
@@ -436,16 +416,7 @@ impl Shard {
     fn apply_transport_actions(&mut self, now: Cycle, actions: Vec<TransportAction>) {
         for a in actions {
             match a {
-                TransportAction::Wire(frame) => {
-                    let multicast = matches!(
-                        &frame,
-                        Frame::Data { msg, .. } if matches!(
-                            msg.payload,
-                            Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. }
-                        )
-                    );
-                    self.defer(OpKind::Frame { frame, multicast });
-                }
+                TransportAction::Wire(frame) => self.defer(OpKind::Frame(frame)),
                 TransportAction::RetxTimer {
                     src,
                     dst,
@@ -463,7 +434,7 @@ impl Shard {
     }
 
     fn apply(&mut self, now: Cycle, fx: Effects) {
-        debug_assert!(
+        assert!(
             fx.immediate_sends.is_empty(),
             "immediate sends are a serialized-baseline channel; the TCC \
              shard engine never emits them"
@@ -494,207 +465,39 @@ impl Shard {
         }
     }
 
+    /// Delivers a message to this node through the TCC per-node
+    /// handlers; home replies leave at the service-complete cycle and
+    /// schedule in-window (they are self-owned).
     fn deliver(&mut self, now: Cycle, msg: Message) {
-        if crate::tcc_trace_enabled() {
-            eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
-        }
-        let dst = msg.dst;
-        debug_assert_eq!(dst, self.node, "event delivered to the wrong shard");
-        match msg.payload {
-            Payload::LoadRequest { .. }
-            | Payload::Skip { .. }
-            | Payload::Probe { .. }
-            | Payload::Mark { .. }
-            | Payload::Commit { .. }
-            | Payload::Abort { .. }
-            | Payload::WriteBack { .. }
-            | Payload::Flush { .. }
-            | Payload::InvAck { .. } => self.deliver_to_dir(now, msg),
-            Payload::TidRequest { requester } => {
-                debug_assert_eq!(dst, self.cfg.vendor_node());
-                self.tracer.count("vendor.tid_requests", 1);
-                let tid = Tid(self.vendor_next);
-                self.vendor_next += 1;
-                let reply = Message::new(dst, requester, Payload::TidReply { tid });
-                self.sched(now + VENDOR_SERVICE, Event::Inject(reply));
-            }
-            Payload::LoadReply {
-                line, values, req, ..
-            } => {
-                let fx = self.proc.on_load_reply(now, line, values, req);
-                self.apply(now, fx);
-            }
-            Payload::TidReply { tid } => {
-                let fx = self.proc.on_tid_reply(now, tid);
-                self.apply(now, fx);
-            }
-            Payload::ProbeReply {
-                dir,
-                now_serving,
-                probe_tid,
-                for_write,
-            } => {
-                let fx = self
-                    .proc
-                    .on_probe_reply(now, dir, now_serving, probe_tid, for_write);
-                self.apply(now, fx);
-            }
-            Payload::DataRequest { line } => {
-                let fx = self.proc.on_data_request(now, line);
-                self.apply(now, fx);
-            }
-            Payload::Invalidate {
-                line,
-                words,
-                committer_tid,
-                dir,
-            } => {
-                let fx = self
-                    .proc
-                    .on_invalidate(now, line, words, committer_tid, dir);
-                self.apply(now, fx);
-            }
-            Payload::TokenRequest { .. }
-            | Payload::TokenGrant
-            | Payload::TokenRelease
-            | Payload::BaselineCommit { .. }
-            | Payload::BaselineAck { .. }
-            | Payload::TsLoadRequest { .. }
-            | Payload::TsLoadReply { .. }
-            | Payload::TsLock { .. }
-            | Payload::TsLockAck { .. }
-            | Payload::TsRenew { .. }
-            | Payload::TsRenewAck { .. }
-            | Payload::TsPublish { .. }
-            | Payload::TsPublishAck { .. }
-            | Payload::TsRelease { .. } => {
-                unreachable!("foreign-protocol message in the scalable protocol")
-            }
-        }
-    }
-
-    /// Mirror of the classic `deliver_to_dir` against shard-local
-    /// directory state (controller occupancy, directory cache, state
-    /// machine). Output injections are self-owned and schedule
-    /// in-window.
-    fn deliver_to_dir(&mut self, now: Cycle, msg: Message) {
-        let mut service = match msg.payload {
-            Payload::LoadRequest { .. }
-            | Payload::Mark { .. }
-            | Payload::WriteBack { .. }
-            | Payload::Flush { .. } => self.cfg.dir_line_latency,
-            Payload::Commit { .. } => self.cfg.dir_line_latency,
-            _ => self.cfg.dir_ctrl_latency,
-        };
-        if let Some(cache) = &mut self.dir_cache {
-            let line = match &msg.payload {
-                Payload::LoadRequest { line, .. }
-                | Payload::Mark { line, .. }
-                | Payload::WriteBack { line, .. }
-                | Payload::Flush { line, .. } => Some(*line),
-                _ => None,
-            };
-            if let Some(line) = line {
-                if !cache.touch(line) {
-                    service += self.cfg.mem_latency;
-                }
-            }
-        }
-        let start = now.max(self.dir_busy);
-        let done = start + service;
-        self.dir_busy = done;
-        let trace_wb_line = if crate::tcc_trace_enabled() {
-            match &msg.payload {
-                Payload::WriteBack { line, .. } | Payload::Flush { line, .. } => Some(*line),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let actions: Vec<DirAction> = match msg.payload {
-            Payload::LoadRequest {
-                line,
-                requester,
-                req,
-            } => self.dir.handle_load(done, line, requester, req),
-            Payload::Skip { tid } => self.dir.handle_skip(done, tid),
-            Payload::Probe {
-                tid,
-                requester,
-                for_write,
-            } => self.dir.handle_probe(done, tid, requester, for_write),
-            Payload::Mark {
-                tid,
-                line,
-                words,
-                committer,
-            } => self.dir.handle_mark(done, tid, line, words, committer),
-            Payload::Commit {
-                tid,
-                committer,
-                marks,
-            } => self.dir.handle_commit(done, tid, committer, marks),
-            Payload::Abort { tid } => self.dir.handle_abort(done, tid),
-            Payload::WriteBack {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-            } => self
-                .dir
-                .handle_writeback(line, tid, values, valid, writer, false),
-            Payload::Flush {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-                dropped: _,
-            } => self
-                .dir
-                .handle_writeback(line, tid, values, valid, writer, true),
-            Payload::InvAck {
-                tid,
-                line,
-                from,
-                retained,
-            } => self.dir.handle_inv_ack(done, tid, line, from, retained),
-            _ => unreachable!("non-directory payload routed to directory"),
-        };
-        if let Some(r) = self.dir.skip_refusal() {
-            self.set_fault(
+        trace_delivery(now, &msg);
+        debug_assert_eq!(msg.dst, self.node, "event delivered to the wrong shard");
+        let Some(timing) = TccMachine::timing_for(&self.cfg, &msg.payload) else {
+            let fx = TccMachine::on_node(
+                &mut self.proc,
+                &mut self.vendor_next,
+                &self.tracer,
                 now,
-                StallReason::SkipRefused {
-                    dir: msg.dst,
-                    tid: r.tid,
-                    now_serving: r.now_serving,
-                    window: r.window,
-                },
+                &self.cfg,
+                msg,
             );
+            self.apply(now, fx);
+            return;
+        };
+        let done = occupy_home(
+            &mut self.dir_busy,
+            self.dir_cache.as_mut(),
+            &self.cfg,
+            now,
+            timing,
+        );
+        let mut out = std::mem::take(&mut self.out);
+        if let Some(reason) = TccMachine::on_home(&mut self.dir, done, &self.cfg, msg, &mut out) {
+            self.set_fault(now, reason);
         }
-        if let Some(line) = trace_wb_line {
-            let e = self.dir.entry(line);
-            eprintln!(
-                "  DIRSTATE after wb {}: {:?}",
-                line,
-                e.map(|e| (e.owner, e.tid_tag, e.owner_words, e.memory.words.clone()))
-            );
+        for (extra, reply) in out.drain(..) {
+            self.sched(done + extra, Event::Inject(reply));
         }
-        let src = msg.dst;
-        let mut actions = actions;
-        for a in actions.drain(..) {
-            let extra = match &a.payload {
-                Payload::LoadReply {
-                    source: tcc_types::DataSource::Memory,
-                    ..
-                } => self.cfg.mem_latency,
-                _ => 0,
-            };
-            let out = Message::new(src, a.to, a.payload);
-            self.sched(done + extra, Event::Inject(out));
-        }
-        self.dir.recycle_actions(actions);
+        self.out = out;
     }
 }
 
@@ -719,6 +522,9 @@ struct Engine {
     rank_map: FxHashMap<(u64, u16, u64), u64>,
     /// Sticky fault raised mid-delivery on the sequential path.
     fault: Option<StallReason>,
+    /// Reusable buffer for home-message replies on the sequential path
+    /// (empty between events).
+    out: Vec<(u64, Message)>,
     /// Bounds `[start, end)` of the window being processed, stamped
     /// into stall diagnostics so an adaptive long window cannot hide
     /// the faulting cycle behind a much later window end.
@@ -814,16 +620,6 @@ impl Engine {
         self.fix_head(shards, own);
     }
 
-    /// Classic `route`: multicast timing for Skip/Commit/Abort.
-    fn route(&mut self, now: Cycle, msg: &Message) -> Cycle {
-        match msg.payload {
-            Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. } => {
-                self.net.send_multicast(now, msg)
-            }
-            _ => self.net.send(now, msg),
-        }
-    }
-
     fn dispatch_send_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, msg: Message) {
         if self.cfg.transport.is_some() && msg.src != msg.dst {
             let actions = shards[msg.src.index()]
@@ -833,7 +629,7 @@ impl Engine {
                 .send(msg);
             self.apply_transport_actions_seq(shards, now, actions);
         } else {
-            let arrival = self.route(now, &msg);
+            let arrival = self.net.route(now, &msg);
             self.seq_sched(shards, arrival, Event::Deliver(msg));
         }
     }
@@ -847,14 +643,7 @@ impl Engine {
         for a in actions {
             match a {
                 TransportAction::Wire(frame) => {
-                    let multicast = matches!(
-                        &frame,
-                        Frame::Data { msg, .. } if matches!(
-                            msg.payload,
-                            Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. }
-                        )
-                    );
-                    for at in self.net.send_frame(now, &frame, multicast) {
+                    for at in self.net.send_frame(now, &frame) {
                         self.seq_sched(shards, at, Event::Wire(frame.clone()));
                     }
                 }
@@ -875,7 +664,7 @@ impl Engine {
     }
 
     fn apply_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, node: NodeId, fx: Effects) {
-        debug_assert!(
+        assert!(
             fx.immediate_sends.is_empty(),
             "immediate sends are a serialized-baseline channel; the TCC \
              shard engine never emits them"
@@ -916,221 +705,40 @@ impl Engine {
         }
     }
 
+    /// Delivers a message through the TCC per-node handlers against
+    /// its owner shard; outputs schedule once the shard is released
+    /// (scheduling needs the full slice for ownership routing).
     fn deliver_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, msg: Message) {
-        if crate::tcc_trace_enabled() {
-            eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
-        }
+        trace_delivery(now, &msg);
         let dst = msg.dst;
-        match msg.payload {
-            Payload::LoadRequest { .. }
-            | Payload::Skip { .. }
-            | Payload::Probe { .. }
-            | Payload::Mark { .. }
-            | Payload::Commit { .. }
-            | Payload::Abort { .. }
-            | Payload::WriteBack { .. }
-            | Payload::Flush { .. }
-            | Payload::InvAck { .. } => self.deliver_to_dir_seq(shards, now, msg),
-            Payload::TidRequest { requester } => {
-                debug_assert_eq!(dst, self.cfg.vendor_node());
-                self.tracer.count("vendor.tid_requests", 1);
-                let tid = {
-                    let g = &mut *shards[dst.index()];
-                    let t = Tid(g.vendor_next);
-                    g.vendor_next += 1;
-                    t
-                };
-                let reply = Message::new(dst, requester, Payload::TidReply { tid });
-                self.seq_sched(shards, now + VENDOR_SERVICE, Event::Inject(reply));
-            }
-            Payload::LoadReply {
-                line, values, req, ..
-            } => {
-                let fx = shards[dst.index()]
-                    .proc
-                    .on_load_reply(now, line, values, req);
-                self.apply_seq(shards, now, dst, fx);
-            }
-            Payload::TidReply { tid } => {
-                let fx = shards[dst.index()].proc.on_tid_reply(now, tid);
-                self.apply_seq(shards, now, dst, fx);
-            }
-            Payload::ProbeReply {
-                dir,
-                now_serving,
-                probe_tid,
-                for_write,
-            } => {
-                let fx = shards[dst.index()].proc.on_probe_reply(
-                    now,
-                    dir,
-                    now_serving,
-                    probe_tid,
-                    for_write,
-                );
-                self.apply_seq(shards, now, dst, fx);
-            }
-            Payload::DataRequest { line } => {
-                let fx = shards[dst.index()].proc.on_data_request(now, line);
-                self.apply_seq(shards, now, dst, fx);
-            }
-            Payload::Invalidate {
-                line,
-                words,
-                committer_tid,
-                dir,
-            } => {
-                let fx =
-                    shards[dst.index()]
-                        .proc
-                        .on_invalidate(now, line, words, committer_tid, dir);
-                self.apply_seq(shards, now, dst, fx);
-            }
-            Payload::TokenRequest { .. }
-            | Payload::TokenGrant
-            | Payload::TokenRelease
-            | Payload::BaselineCommit { .. }
-            | Payload::BaselineAck { .. }
-            | Payload::TsLoadRequest { .. }
-            | Payload::TsLoadReply { .. }
-            | Payload::TsLock { .. }
-            | Payload::TsLockAck { .. }
-            | Payload::TsRenew { .. }
-            | Payload::TsRenewAck { .. }
-            | Payload::TsPublish { .. }
-            | Payload::TsPublishAck { .. }
-            | Payload::TsRelease { .. } => {
-                unreachable!("foreign-protocol message in the scalable protocol")
-            }
-        }
-    }
-
-    fn deliver_to_dir_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, msg: Message) {
-        let dst = msg.dst;
-        // The whole directory step runs against the owner shard;
-        // outputs are collected first, then scheduled (scheduling
-        // needs the full slice for ownership routing).
-        let outs: Vec<(Cycle, Message)> = {
-            let g = &mut *shards[dst.index()];
-            let mut service = match msg.payload {
-                Payload::LoadRequest { .. }
-                | Payload::Mark { .. }
-                | Payload::WriteBack { .. }
-                | Payload::Flush { .. } => g.cfg.dir_line_latency,
-                Payload::Commit { .. } => g.cfg.dir_line_latency,
-                _ => g.cfg.dir_ctrl_latency,
-            };
-            let mem_latency = g.cfg.mem_latency;
-            if let Some(cache) = &mut g.dir_cache {
-                let line = match &msg.payload {
-                    Payload::LoadRequest { line, .. }
-                    | Payload::Mark { line, .. }
-                    | Payload::WriteBack { line, .. }
-                    | Payload::Flush { line, .. } => Some(*line),
-                    _ => None,
-                };
-                if let Some(line) = line {
-                    if !cache.touch(line) {
-                        service += mem_latency;
-                    }
-                }
-            }
-            let start = now.max(g.dir_busy);
-            let done = start + service;
-            g.dir_busy = done;
-            let trace_wb_line = if crate::tcc_trace_enabled() {
-                match &msg.payload {
-                    Payload::WriteBack { line, .. } | Payload::Flush { line, .. } => Some(*line),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let actions: Vec<DirAction> = match msg.payload {
-                Payload::LoadRequest {
-                    line,
-                    requester,
-                    req,
-                } => g.dir.handle_load(done, line, requester, req),
-                Payload::Skip { tid } => g.dir.handle_skip(done, tid),
-                Payload::Probe {
-                    tid,
-                    requester,
-                    for_write,
-                } => g.dir.handle_probe(done, tid, requester, for_write),
-                Payload::Mark {
-                    tid,
-                    line,
-                    words,
-                    committer,
-                } => g.dir.handle_mark(done, tid, line, words, committer),
-                Payload::Commit {
-                    tid,
-                    committer,
-                    marks,
-                } => g.dir.handle_commit(done, tid, committer, marks),
-                Payload::Abort { tid } => g.dir.handle_abort(done, tid),
-                Payload::WriteBack {
-                    line,
-                    tid,
-                    values,
-                    valid,
-                    writer,
-                } => g
-                    .dir
-                    .handle_writeback(line, tid, values, valid, writer, false),
-                Payload::Flush {
-                    line,
-                    tid,
-                    values,
-                    valid,
-                    writer,
-                    dropped: _,
-                } => g
-                    .dir
-                    .handle_writeback(line, tid, values, valid, writer, true),
-                Payload::InvAck {
-                    tid,
-                    line,
-                    from,
-                    retained,
-                } => g.dir.handle_inv_ack(done, tid, line, from, retained),
-                _ => unreachable!("non-directory payload routed to directory"),
-            };
-            if let Some(r) = g.dir.skip_refusal() {
-                self.fault.get_or_insert(StallReason::SkipRefused {
-                    dir: dst,
-                    tid: r.tid,
-                    now_serving: r.now_serving,
-                    window: r.window,
-                });
-            }
-            if let Some(line) = trace_wb_line {
-                let e = g.dir.entry(line);
-                eprintln!(
-                    "  DIRSTATE after wb {}: {:?}",
-                    line,
-                    e.map(|e| (e.owner, e.tid_tag, e.owner_words, e.memory.words.clone()))
-                );
-            }
-            let mut actions = actions;
-            let mut outs = Vec::with_capacity(actions.len());
-            for a in actions.drain(..) {
-                let extra = match &a.payload {
-                    Payload::LoadReply {
-                        source: tcc_types::DataSource::Memory,
-                        ..
-                    } => mem_latency,
-                    _ => 0,
-                };
-                outs.push((done + extra, Message::new(dst, a.to, a.payload)));
-            }
-            g.dir.recycle_actions(actions);
-            outs
+        let g = &mut *shards[dst.index()];
+        let Some(timing) = TccMachine::timing_for(&self.cfg, &msg.payload) else {
+            let fx = TccMachine::on_node(
+                &mut g.proc,
+                &mut g.vendor_next,
+                &self.tracer,
+                now,
+                &self.cfg,
+                msg,
+            );
+            self.apply_seq(shards, now, dst, fx);
+            return;
         };
-        for (at, out) in outs {
-            self.seq_sched(shards, at, Event::Inject(out));
+        let done = occupy_home(
+            &mut g.dir_busy,
+            g.dir_cache.as_mut(),
+            &self.cfg,
+            now,
+            timing,
+        );
+        let mut out = std::mem::take(&mut self.out);
+        if let Some(reason) = TccMachine::on_home(&mut g.dir, done, &self.cfg, msg, &mut out) {
+            self.fault.get_or_insert(reason);
         }
+        for (extra, reply) in out.drain(..) {
+            self.seq_sched(shards, done + extra, Event::Inject(reply));
+        }
+        self.out = out;
     }
 
     /// Processes `[current, window_end)` in globally merged classic
@@ -1206,59 +814,21 @@ impl Engine {
             }
             Event::Inject(msg) => self.dispatch_send_seq(shards, now, msg),
             Event::Deliver(msg) => self.deliver_seq(shards, now, msg),
-            Event::Wire(frame) => {
-                let res = shards[i].transport.as_mut().map(|t| t.on_frame(frame));
-                let Some((delivered, actions)) = res else {
-                    let reason = StallReason::MissingTransport { event: "wire" };
-                    return Err(self.stalled(shards, now, reason));
-                };
-                self.apply_transport_actions_seq(shards, now, actions);
-                for m in delivered {
-                    self.deliver_seq(shards, now, m);
-                }
-            }
-            Event::RetxTimer { src, dst, epoch } => {
-                let res = shards[i]
-                    .transport
-                    .as_mut()
-                    .map(|t| t.on_retx_timer(now, src, dst, epoch));
-                let Some(res) = res else {
-                    let reason = StallReason::MissingTransport {
-                        event: "retx timer",
-                    };
-                    return Err(self.stalled(shards, now, reason));
-                };
-                match res {
-                    Ok(actions) => self.apply_transport_actions_seq(shards, now, actions),
-                    Err(ex) => {
-                        let reason = StallReason::RetryExhausted {
-                            src: ex.src,
-                            dst: ex.dst,
-                            seq: ex.seq,
-                            kind: ex.kind,
-                            retries: ex.retries,
-                        };
-                        return Err(self.stalled(shards, now, reason));
+            ev => match transport_step(shards[i].transport.as_mut(), now, ev) {
+                Ok((delivered, actions)) => {
+                    self.apply_transport_actions_seq(shards, now, actions);
+                    for m in delivered {
+                        self.deliver_seq(shards, now, m);
                     }
                 }
-            }
-            Event::AckTimer { src, dst, epoch } => {
-                let res = shards[i]
-                    .transport
-                    .as_mut()
-                    .map(|t| t.on_ack_timer(src, dst, epoch));
-                let Some(actions) = res else {
-                    let reason = StallReason::MissingTransport { event: "ack timer" };
-                    return Err(self.stalled(shards, now, reason));
-                };
-                self.apply_transport_actions_seq(shards, now, actions);
-            }
+                Err(reason) => return Err(self.stalled(shards, now, reason)),
+            },
         }
         Ok(())
     }
 
-    /// Assembles the stall diagnostic across all shards — the parallel
-    /// mirror of the classic `Simulator::stalled`. `now` is the true
+    /// Assembles the stall diagnostic across all shards, field for
+    /// field as `Simulator::stalled` builds it. `now` is the true
     /// fault cycle (the cycle of the faulting pop, not the window
     /// end), and the active window bounds are stamped alongside it.
     fn stalled(&mut self, shards: &mut [&mut Shard], now: Cycle, reason: StallReason) -> RunError {
@@ -1597,8 +1167,8 @@ impl Engine {
                     if op.shard != msg.dst.0 {
                         *self.traffic.entry(edge(op.shard, msg.dst.0)).or_insert(0) += 1;
                     }
-                    let arrival = self.route(op.t, &msg);
-                    debug_assert!(
+                    let arrival = self.net.route(op.t, &msg);
+                    assert!(
                         arrival >= window_end,
                         "deferred delivery lands inside its own window"
                     );
@@ -1615,7 +1185,7 @@ impl Engine {
                         .schedule_with_key(arrival, key, Event::Deliver(msg));
                     self.fix_head(shards, dst);
                 }
-                OpKind::Frame { frame, multicast } => {
+                OpKind::Frame(frame) => {
                     let dst = frame.dst().index();
                     if op.shard != frame.dst().0 {
                         *self
@@ -1623,13 +1193,8 @@ impl Engine {
                             .entry(edge(op.shard, frame.dst().0))
                             .or_insert(0) += 1;
                     }
-                    for (j, at) in self
-                        .net
-                        .send_frame(op.t, &frame, multicast)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        debug_assert!(
+                    for (j, at) in self.net.send_frame(op.t, &frame).into_iter().enumerate() {
+                        assert!(
                             at >= window_end,
                             "deferred frame lands inside its own window"
                         );
@@ -1984,6 +1549,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
             dir,
             dir_busy: busy,
             dir_cache: cache,
+            out: Vec::new(),
             transport: tparts[i].take(),
             vendor_next: if node == vendor { vendor_next } else { 0 },
             line_bytes: cfg.cache.geometry.line_bytes(),
@@ -2015,6 +1581,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         program_seed,
         rank_map: FxHashMap::default(),
         fault: None,
+        out: Vec::new(),
         cur_window: None,
         heads: BTreeSet::new(),
         head_cache: vec![None; n],

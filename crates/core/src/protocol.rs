@@ -195,6 +195,11 @@ pub trait Protocol {
 /// invalidation multicasts. This is the protocol machinery that lived
 /// directly inside `Simulator` before the [`Protocol`] extraction; its
 /// behavior (and result fingerprints) are unchanged.
+///
+/// The per-node handlers (`TccMachine::on_home`,
+/// `TccMachine::on_node`) are associated functions over one node's
+/// components, so the sharded engine runs the same code against its
+/// shards; the [`Protocol`] methods below are thin calls into them.
 #[derive(Debug)]
 pub struct TccMachine {
     pub(crate) procs: Vec<Processor>,
@@ -213,6 +218,185 @@ impl TccMachine {
             vendor_next: 0,
             tracer,
             fault: None,
+        }
+    }
+
+    /// Occupancy timing of a TCC home (directory-controller) message;
+    /// `None` marks a node message.
+    pub(crate) fn timing_for(cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
+        match payload {
+            // Line-state operations walk the directory cache.
+            Payload::LoadRequest { line, .. }
+            | Payload::Mark { line, .. }
+            | Payload::WriteBack { line, .. }
+            | Payload::Flush { line, .. } => Some(HomeTiming {
+                service: cfg.dir_line_latency,
+                touch: Some(*line),
+            }),
+            Payload::Commit { .. } => Some(HomeTiming {
+                service: cfg.dir_line_latency,
+                touch: None,
+            }),
+            // Register-only operations are cheap.
+            Payload::Skip { .. }
+            | Payload::Probe { .. }
+            | Payload::Abort { .. }
+            | Payload::InvAck { .. } => Some(HomeTiming {
+                service: cfg.dir_ctrl_latency,
+                touch: None,
+            }),
+            _ => None,
+        }
+    }
+
+    /// One directory's reaction to a home message at its
+    /// service-complete cycle `done`. Replies are pushed to `out` as
+    /// `(extra_delay, message)`; a memory fill pays `mem_latency` on
+    /// top of the lookup. Returns the directory's skip refusal as a
+    /// typed stall, if it has recorded one. Both engines deliver every
+    /// TCC home message through here.
+    pub(crate) fn on_home(
+        dir: &mut Directory,
+        done: Cycle,
+        cfg: &SystemConfig,
+        msg: Message,
+        out: &mut Vec<(u64, Message)>,
+    ) -> Option<StallReason> {
+        let home = msg.dst;
+        let trace_wb_line = if crate::tcc_trace_enabled() {
+            match &msg.payload {
+                Payload::WriteBack { line, .. } | Payload::Flush { line, .. } => Some(*line),
+                _ => None,
+            }
+        } else {
+            None
+        };
+        // Flushes never prune the sharers list — even when the owner
+        // dropped its copy (Fig. 2f mode). A load reply for the same
+        // line may be in flight to the flusher, so eager pruning could
+        // leave it caching the line unlisted. Stale sharers are pruned
+        // self-healingly by the `retained = false` invalidation acks.
+        let flush = matches!(msg.payload, Payload::Flush { .. });
+        let mut actions: Vec<DirAction> = match msg.payload {
+            Payload::LoadRequest {
+                line,
+                requester,
+                req,
+            } => dir.handle_load(done, line, requester, req),
+            Payload::Skip { tid } => dir.handle_skip(done, tid),
+            Payload::Probe {
+                tid,
+                requester,
+                for_write,
+            } => dir.handle_probe(done, tid, requester, for_write),
+            Payload::Mark {
+                tid,
+                line,
+                words,
+                committer,
+            } => dir.handle_mark(done, tid, line, words, committer),
+            Payload::Commit {
+                tid,
+                committer,
+                marks,
+            } => dir.handle_commit(done, tid, committer, marks),
+            Payload::Abort { tid } => dir.handle_abort(done, tid),
+            Payload::WriteBack {
+                line,
+                tid,
+                values,
+                valid,
+                writer,
+            }
+            | Payload::Flush {
+                line,
+                tid,
+                values,
+                valid,
+                writer,
+                ..
+            } => dir.handle_writeback(line, tid, values, valid, writer, flush),
+            Payload::InvAck {
+                tid,
+                line,
+                from,
+                retained,
+            } => dir.handle_inv_ack(done, tid, line, from, retained),
+            _ => unreachable!("non-directory payload routed to directory"),
+        };
+        let refusal = dir.skip_refusal().map(|r| StallReason::SkipRefused {
+            dir: home,
+            tid: r.tid,
+            now_serving: r.now_serving,
+            window: r.window,
+        });
+        if let Some(line) = trace_wb_line {
+            let e = dir.entry(line);
+            eprintln!(
+                "  DIRSTATE after wb {}: {:?}",
+                line,
+                e.map(|e| (e.owner, e.tid_tag, e.owner_words, e.memory.words.clone()))
+            );
+        }
+        for a in actions.drain(..) {
+            let extra = match &a.payload {
+                Payload::LoadReply {
+                    source: tcc_types::DataSource::Memory,
+                    ..
+                } => cfg.mem_latency,
+                _ => 0,
+            };
+            out.push((extra, Message::new(home, a.to, a.payload)));
+        }
+        // Hand the buffer back so the next handler call reuses it
+        // instead of allocating a fresh `Vec`.
+        dir.recycle_actions(actions);
+        refusal
+    }
+
+    /// One node's reaction to a node message at its arrival cycle:
+    /// the TID vendor (`vendor_next` is only advanced on the vendor
+    /// node) or `proc_`'s transaction state machine. Both engines
+    /// deliver every TCC node message through here.
+    pub(crate) fn on_node(
+        proc_: &mut Processor,
+        vendor_next: &mut u64,
+        tracer: &Tracer,
+        now: Cycle,
+        cfg: &SystemConfig,
+        msg: Message,
+    ) -> Effects {
+        let dst = msg.dst;
+        match msg.payload {
+            Payload::TidRequest { requester } => {
+                debug_assert_eq!(dst, cfg.vendor_node());
+                tracer.count("vendor.tid_requests", 1);
+                let tid = Tid(*vendor_next);
+                *vendor_next += 1;
+                let reply = Message::new(dst, requester, Payload::TidReply { tid });
+                Effects {
+                    sends: vec![(VENDOR_SERVICE, reply)],
+                    ..Effects::default()
+                }
+            }
+            Payload::LoadReply {
+                line, values, req, ..
+            } => proc_.on_load_reply(now, line, values, req),
+            Payload::TidReply { tid } => proc_.on_tid_reply(now, tid),
+            Payload::ProbeReply {
+                dir,
+                now_serving,
+                probe_tid,
+                for_write,
+            } => proc_.on_probe_reply(now, dir, now_serving, probe_tid, for_write),
+            Payload::DataRequest { line } => proc_.on_data_request(now, line),
+            Payload::Invalidate {
+                line,
+                words,
+                committer_tid,
+                dir,
+            } => proc_.on_invalidate(now, line, words, committer_tid, dir),
+            _ => unreachable!("foreign-protocol message in the scalable TCC protocol"),
         }
     }
 }
@@ -252,29 +436,7 @@ impl Protocol for TccMachine {
     }
 
     fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
-        match payload {
-            // Line-state operations walk the directory cache.
-            Payload::LoadRequest { line, .. }
-            | Payload::Mark { line, .. }
-            | Payload::WriteBack { line, .. }
-            | Payload::Flush { line, .. } => Some(HomeTiming {
-                service: cfg.dir_line_latency,
-                touch: Some(*line),
-            }),
-            Payload::Commit { .. } => Some(HomeTiming {
-                service: cfg.dir_line_latency,
-                touch: None,
-            }),
-            // Register-only operations are cheap.
-            Payload::Skip { .. }
-            | Payload::Probe { .. }
-            | Payload::Abort { .. }
-            | Payload::InvAck { .. } => Some(HomeTiming {
-                service: cfg.dir_ctrl_latency,
-                touch: None,
-            }),
-            _ => None,
-        }
+        Self::timing_for(cfg, payload)
     }
 
     fn on_home_message(
@@ -284,143 +446,15 @@ impl Protocol for TccMachine {
         msg: Message,
         out: &mut Vec<(u64, Message)>,
     ) {
-        let d = msg.dst.index();
-        let trace_wb_line = if crate::tcc_trace_enabled() {
-            match &msg.payload {
-                Payload::WriteBack { line, .. } | Payload::Flush { line, .. } => Some(*line),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let dir = &mut self.dirs[d];
-        let actions: Vec<DirAction> = match msg.payload {
-            Payload::LoadRequest {
-                line,
-                requester,
-                req,
-            } => dir.handle_load(done, line, requester, req),
-            Payload::Skip { tid } => dir.handle_skip(done, tid),
-            Payload::Probe {
-                tid,
-                requester,
-                for_write,
-            } => dir.handle_probe(done, tid, requester, for_write),
-            Payload::Mark {
-                tid,
-                line,
-                words,
-                committer,
-            } => dir.handle_mark(done, tid, line, words, committer),
-            Payload::Commit {
-                tid,
-                committer,
-                marks,
-            } => dir.handle_commit(done, tid, committer, marks),
-            Payload::Abort { tid } => dir.handle_abort(done, tid),
-            Payload::WriteBack {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-            } => dir.handle_writeback(line, tid, values, valid, writer, false),
-            Payload::Flush {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-                dropped: _,
-            } => {
-                // Flushes never prune the sharers list — even when the
-                // owner dropped its copy (Fig. 2f mode). A load reply
-                // for the same line may be in flight to the flusher, so
-                // eager pruning could leave it caching the line
-                // unlisted. Stale sharers are pruned self-healingly by
-                // the `retained = false` invalidation acks.
-                dir.handle_writeback(line, tid, values, valid, writer, true)
-            }
-            Payload::InvAck {
-                tid,
-                line,
-                from,
-                retained,
-            } => dir.handle_inv_ack(done, tid, line, from, retained),
-            _ => unreachable!("non-directory payload routed to directory"),
-        };
-        if let Some(r) = self.dirs[d].skip_refusal() {
-            self.fault.get_or_insert(StallReason::SkipRefused {
-                dir: msg.dst,
-                tid: r.tid,
-                now_serving: r.now_serving,
-                window: r.window,
-            });
+        let dir = &mut self.dirs[msg.dst.index()];
+        if let Some(r) = Self::on_home(dir, done, cfg, msg, out) {
+            self.fault.get_or_insert(r);
         }
-        if let Some(line) = trace_wb_line {
-            let e = self.dirs[d].entry(line);
-            eprintln!(
-                "  DIRSTATE after wb {}: {:?}",
-                line,
-                e.map(|e| (e.owner, e.tid_tag, e.owner_words, e.memory.words.clone()))
-            );
-        }
-        let src = msg.dst;
-        let mut actions = actions;
-        for a in actions.drain(..) {
-            // Memory fills pay main-memory latency on top of the
-            // directory lookup; everything else leaves at `done`.
-            let extra = match &a.payload {
-                Payload::LoadReply {
-                    source: tcc_types::DataSource::Memory,
-                    ..
-                } => cfg.mem_latency,
-                _ => 0,
-            };
-            out.push((extra, Message::new(src, a.to, a.payload)));
-        }
-        // Hand the buffer back so the next handler call reuses it
-        // instead of allocating a fresh `Vec`.
-        self.dirs[d].recycle_actions(actions);
     }
 
     fn on_node_message(&mut self, now: Cycle, cfg: &SystemConfig, msg: Message) -> Effects {
-        let dst = msg.dst;
-        match msg.payload {
-            // ---- vendor ----
-            Payload::TidRequest { requester } => {
-                debug_assert_eq!(dst, cfg.vendor_node());
-                self.tracer.count("vendor.tid_requests", 1);
-                let tid = Tid(self.vendor_next);
-                self.vendor_next += 1;
-                let reply = Message::new(dst, requester, Payload::TidReply { tid });
-                Effects {
-                    sends: vec![(VENDOR_SERVICE, reply)],
-                    ..Effects::default()
-                }
-            }
-            // ---- processor messages ----
-            Payload::LoadReply {
-                line, values, req, ..
-            } => self.procs[dst.index()].on_load_reply(now, line, values, req),
-            Payload::TidReply { tid } => self.procs[dst.index()].on_tid_reply(now, tid),
-            Payload::ProbeReply {
-                dir,
-                now_serving,
-                probe_tid,
-                for_write,
-            } => {
-                self.procs[dst.index()].on_probe_reply(now, dir, now_serving, probe_tid, for_write)
-            }
-            Payload::DataRequest { line } => self.procs[dst.index()].on_data_request(now, line),
-            Payload::Invalidate {
-                line,
-                words,
-                committer_tid,
-                dir,
-            } => self.procs[dst.index()].on_invalidate(now, line, words, committer_tid, dir),
-            _ => unreachable!("foreign-protocol message in the scalable TCC protocol"),
-        }
+        let proc_ = &mut self.procs[msg.dst.index()];
+        Self::on_node(proc_, &mut self.vendor_next, &self.tracer, now, cfg, msg)
     }
 
     fn take_fault(&mut self) -> Option<StallReason> {
@@ -663,5 +697,98 @@ impl Machine {
 
     pub(crate) fn assert_quiescent(&self) {
         dispatch!(self, m => m.assert_quiescent());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcc_directory::{DirConfig, SkipVector};
+    use tcc_types::{DataSource, DirId};
+
+    fn home(cfg: &SystemConfig) -> Directory {
+        Directory::new(DirConfig {
+            id: DirId(0),
+            words_per_line: cfg.cache.geometry.words_per_line() as usize,
+            bugs: cfg.bugs,
+        })
+    }
+
+    fn to_home(payload: Payload) -> Message {
+        Message::new(NodeId(1), NodeId(0), payload)
+    }
+
+    #[test]
+    fn memory_sourced_load_reply_carries_the_memory_latency() {
+        let cfg = SystemConfig::with_procs(2);
+        let mut dir = home(&cfg);
+        let mut out = Vec::new();
+        let load = to_home(Payload::LoadRequest {
+            line: LineAddr(7),
+            requester: NodeId(1),
+            req: 3,
+        });
+        assert!(TccMachine::on_home(&mut dir, Cycle(10), &cfg, load, &mut out).is_none());
+        let [(extra, reply)] = out.as_slice() else {
+            panic!("one reply expected, got {out:?}");
+        };
+        assert_eq!(*extra, cfg.mem_latency);
+        assert_eq!((reply.src, reply.dst), (NodeId(0), NodeId(1)));
+        assert!(matches!(
+            reply.payload,
+            Payload::LoadReply {
+                source: DataSource::Memory,
+                req: 3,
+                ..
+            }
+        ));
+        // Replies that are not memory fills leave at the service-complete
+        // cycle.
+        out.clear();
+        let probe = to_home(Payload::Probe {
+            tid: Tid(0),
+            requester: NodeId(1),
+            for_write: false,
+        });
+        assert!(TccMachine::on_home(&mut dir, Cycle(20), &cfg, probe, &mut out).is_none());
+        assert!(matches!(
+            out.as_slice(),
+            [(
+                0,
+                Message {
+                    payload: Payload::ProbeReply { .. },
+                    ..
+                }
+            )]
+        ));
+    }
+
+    #[test]
+    fn skip_beyond_the_window_is_a_typed_refusal() {
+        let cfg = SystemConfig::with_procs(2);
+        let mut dir = home(&cfg);
+        let mut out = Vec::new();
+        let tid = Tid(SkipVector::MAX_WINDOW + 1);
+        let refusal = TccMachine::on_home(
+            &mut dir,
+            Cycle(1),
+            &cfg,
+            to_home(Payload::Skip { tid }),
+            &mut out,
+        );
+        assert_eq!(
+            refusal,
+            Some(StallReason::SkipRefused {
+                dir: NodeId(0),
+                tid,
+                now_serving: Tid(0),
+                window: SkipVector::MAX_WINDOW,
+            })
+        );
+        assert!(out.is_empty());
+        // A skip inside the window is buffered, not refused.
+        let mut fresh = home(&cfg);
+        let near = to_home(Payload::Skip { tid: Tid(5) });
+        assert!(TccMachine::on_home(&mut fresh, Cycle(1), &cfg, near, &mut out).is_none());
     }
 }

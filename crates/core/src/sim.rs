@@ -12,7 +12,7 @@ use tcc_network::{
 use tcc_snapshot::{Snapshot, SnapshotError};
 use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, DirId, Frame, LineAddr, Message, NodeId, Payload};
+use tcc_types::{Cycle, DirId, Frame, LineAddr, Message, NodeId};
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
@@ -107,6 +107,72 @@ impl DirCache {
         self.hits = r.get()?;
         self.misses = r.get()?;
         Ok(())
+    }
+}
+
+/// The home-occupancy step, the one home-delivery path of every backend
+/// and both engines: a message serializes on its controller behind
+/// `busy`, and a capacity-limited directory cache that misses on the
+/// line the message walks fetches its state from memory first
+/// (`mem_latency` on top of the service time). Returns the
+/// service-complete cycle, which is also the controller's new `busy`.
+pub(crate) fn occupy_home(
+    busy: &mut Cycle,
+    cache: Option<&mut DirCache>,
+    cfg: &SystemConfig,
+    now: Cycle,
+    timing: HomeTiming,
+) -> Cycle {
+    let mut service = timing.service;
+    if let (Some(cache), Some(line)) = (cache, timing.touch) {
+        if !cache.touch(line) {
+            service += cfg.mem_latency;
+        }
+    }
+    let done = now.max(*busy) + service;
+    *busy = done;
+    done
+}
+
+/// The transport step: one reliable-transport event (a frame off the
+/// wire, or a retransmission/ack timer) against the owning node's
+/// transport state. Returns the messages it delivers in order and the
+/// actions to schedule; each engine schedules the actions first, then
+/// delivers the messages, and reports an error as its own stall.
+pub(crate) fn transport_step(
+    t: Option<&mut Transport>,
+    now: Cycle,
+    ev: Event,
+) -> Result<(Vec<Message>, Vec<TransportAction>), StallReason> {
+    let missing = |event| StallReason::MissingTransport { event };
+    Ok(match ev {
+        Event::Wire(frame) => t.ok_or(missing("wire"))?.on_frame(frame),
+        Event::RetxTimer { src, dst, epoch } => {
+            let t = t.ok_or(missing("retx timer"))?;
+            let actions = t.on_retx_timer(now, src, dst, epoch).map_err(|ex| {
+                StallReason::RetryExhausted {
+                    src: ex.src,
+                    dst: ex.dst,
+                    seq: ex.seq,
+                    kind: ex.kind,
+                    retries: ex.retries,
+                }
+            })?;
+            (Vec::new(), actions)
+        }
+        Event::AckTimer { src, dst, epoch } => {
+            let t = t.ok_or(missing("ack timer"))?;
+            (Vec::new(), t.on_ack_timer(src, dst, epoch))
+        }
+        other => unreachable!("{other:?} is not a transport event"),
+    })
+}
+
+/// The `TCC_TRACE` per-delivery dump (stderr), shared by both engines
+/// and every backend.
+pub(crate) fn trace_delivery(now: Cycle, msg: &Message) {
+    if crate::tcc_trace_enabled() {
+        eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
     }
 }
 
@@ -817,46 +883,15 @@ impl Simulator {
                 }
                 Event::Inject(msg) => self.dispatch_send(now, msg),
                 Event::Deliver(msg) => self.deliver(now, msg),
-                Event::Wire(frame) => {
-                    let Some(t) = self.transport.as_mut() else {
-                        let reason = StallReason::MissingTransport { event: "wire" };
-                        return Err(self.stalled(now, reason));
-                    };
-                    let (delivered, actions) = t.on_frame(frame);
-                    self.apply_transport_actions(now, actions);
-                    for m in delivered {
-                        self.deliver(now, m);
-                    }
-                }
-                Event::RetxTimer { src, dst, epoch } => {
-                    let Some(t) = self.transport.as_mut() else {
-                        let reason = StallReason::MissingTransport {
-                            event: "retx timer",
-                        };
-                        return Err(self.stalled(now, reason));
-                    };
-                    match t.on_retx_timer(now, src, dst, epoch) {
-                        Ok(actions) => self.apply_transport_actions(now, actions),
-                        Err(ex) => {
-                            let reason = StallReason::RetryExhausted {
-                                src: ex.src,
-                                dst: ex.dst,
-                                seq: ex.seq,
-                                kind: ex.kind,
-                                retries: ex.retries,
-                            };
-                            return Err(self.stalled(now, reason));
+                ev => match transport_step(self.transport.as_mut(), now, ev) {
+                    Ok((delivered, actions)) => {
+                        self.apply_transport_actions(now, actions);
+                        for m in delivered {
+                            self.deliver(now, m);
                         }
                     }
-                }
-                Event::AckTimer { src, dst, epoch } => {
-                    let Some(t) = self.transport.as_mut() else {
-                        let reason = StallReason::MissingTransport { event: "ack timer" };
-                        return Err(self.stalled(now, reason));
-                    };
-                    let actions = t.on_ack_timer(src, dst, epoch);
-                    self.apply_transport_actions(now, actions);
-                }
+                    Err(reason) => return Err(self.stalled(now, reason)),
+                },
             }
             if let Some(reason) = self.fault.take() {
                 return Err(self.stalled(now, reason));
@@ -928,7 +963,7 @@ impl Simulator {
             let actions = self.transport.as_mut().expect("checked above").send(msg);
             self.apply_transport_actions(now, actions);
         } else {
-            let arrival = self.route(now, &msg);
+            let arrival = self.net.route(now, &msg);
             self.queue.schedule(arrival, Event::Deliver(msg));
         }
     }
@@ -940,18 +975,7 @@ impl Simulator {
         for a in actions {
             match a {
                 TransportAction::Wire(frame) => {
-                    // Skip/Commit/Abort keep their fabric-multicast
-                    // timing (§2.2) even when enveloped; everything
-                    // else pays point-to-point contention, including
-                    // retransmissions.
-                    let multicast = matches!(
-                        &frame,
-                        Frame::Data { msg, .. } if matches!(
-                            msg.payload,
-                            Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. }
-                        )
-                    );
-                    for at in self.net.send_frame(now, &frame, multicast) {
+                    for at in self.net.send_frame(now, &frame) {
                         self.queue.schedule(at, Event::Wire(frame.clone()));
                     }
                 }
@@ -974,18 +998,6 @@ impl Simulator {
                         .schedule(now + delay, Event::AckTimer { src, dst, epoch });
                 }
             }
-        }
-    }
-
-    /// Injects a message, choosing point-to-point or multicast timing by
-    /// payload type (Skip/Commit/Abort are fabric-replicated
-    /// multicasts, §2.2).
-    fn route(&mut self, now: Cycle, msg: &Message) -> Cycle {
-        match msg.payload {
-            Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. } => {
-                self.net.send_multicast(now, msg)
-            }
-            _ => self.net.send(now, msg),
         }
     }
 
@@ -1035,9 +1047,7 @@ impl Simulator {
     /// (directory-controller) messages go through the shared occupancy
     /// model, node messages run at arrival.
     fn deliver(&mut self, now: Cycle, msg: Message) {
-        if crate::tcc_trace_enabled() {
-            eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
-        }
+        trace_delivery(now, &msg);
         match self.machine.home_timing(&self.cfg, &msg.payload) {
             Some(timing) => self.deliver_home(now, msg, timing),
             None => {
@@ -1051,24 +1061,17 @@ impl Simulator {
         }
     }
 
-    /// Home-side delivery, shared by every backend: models controller
-    /// occupancy and directory-cache/memory latency, then applies the
-    /// backend's home state machine and injects its replies.
+    /// Home-side delivery, shared by every backend: the occupancy step,
+    /// then the backend's home state machine, then its replies.
     fn deliver_home(&mut self, now: Cycle, msg: Message, timing: HomeTiming) {
         let d = msg.dst.index();
-        let mut service = timing.service;
-        // Capacity-limited directory cache: a miss fetches the entry's
-        // state from memory first.
-        if let Some(cache) = &mut self.dir_caches[d] {
-            if let Some(line) = timing.touch {
-                if !cache.touch(line) {
-                    service += self.cfg.mem_latency;
-                }
-            }
-        }
-        let start = now.max(self.dir_busy[d]);
-        let done = start + service;
-        self.dir_busy[d] = done;
+        let done = occupy_home(
+            &mut self.dir_busy[d],
+            self.dir_caches[d].as_mut(),
+            &self.cfg,
+            now,
+            timing,
+        );
         let mut out = std::mem::take(&mut self.home_out);
         self.machine.on_home_message(done, &self.cfg, msg, &mut out);
         for (extra, reply) in out.drain(..) {
@@ -1439,5 +1442,73 @@ impl Simulator {
             trace,
             transport,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line_timing(cfg: &SystemConfig, touch: Option<LineAddr>) -> HomeTiming {
+        HomeTiming {
+            service: cfg.dir_line_latency,
+            touch,
+        }
+    }
+
+    #[test]
+    fn back_to_back_home_messages_serialize_on_the_busy_cycle() {
+        let cfg = SystemConfig::with_procs(2);
+        let svc = cfg.dir_line_latency;
+        let t = line_timing(&cfg, None);
+        let mut busy = Cycle::ZERO;
+        let first = occupy_home(&mut busy, None, &cfg, Cycle(100), t);
+        assert_eq!(first, Cycle(100 + svc));
+        // Arrives while the controller is still busy: starts when it
+        // frees up, not at arrival.
+        let second = occupy_home(&mut busy, None, &cfg, Cycle(101), t);
+        assert_eq!(second, first + svc);
+        assert_eq!(busy, second);
+        // Arrives after the controller went idle: starts at arrival.
+        let later = Cycle(second.0 + 50);
+        assert_eq!(occupy_home(&mut busy, None, &cfg, later, t), later + svc);
+    }
+
+    #[test]
+    fn directory_cache_miss_adds_mem_latency_and_a_hit_does_not() {
+        let cfg = SystemConfig::with_procs(2);
+        let svc = cfg.dir_line_latency;
+        let mut cache = DirCache::new(1);
+        let mut busy = Cycle::ZERO;
+        // Service time of one message walking `touch`, arriving at an
+        // idle controller.
+        let mut service = |cache: &mut DirCache, touch: Option<LineAddr>| {
+            let now = Cycle(busy.0 + 1_000);
+            occupy_home(&mut busy, Some(cache), &cfg, now, line_timing(&cfg, touch)).0 - now.0
+        };
+        let (a, b) = (LineAddr(1), LineAddr(2));
+        // A never-seen line's entry is synthesized: no fetch.
+        assert_eq!(service(&mut cache, Some(a)), svc);
+        // Resident: a hit.
+        assert_eq!(service(&mut cache, Some(a)), svc);
+        // `b` evicts `a` to memory (capacity 1) ...
+        assert_eq!(service(&mut cache, Some(b)), svc);
+        // ... so re-walking `a` misses and pays the memory access.
+        assert_eq!(service(&mut cache, Some(a)), svc + cfg.mem_latency);
+        // A message that walks no line never consults the cache.
+        assert_eq!(service(&mut cache, None), svc);
+    }
+
+    #[test]
+    fn transport_events_without_a_transport_are_typed_stalls() {
+        let ev = Event::AckTimer {
+            src: NodeId(0),
+            dst: NodeId(1),
+            epoch: 0,
+        };
+        assert!(matches!(
+            transport_step(None, Cycle(5), ev),
+            Err(StallReason::MissingTransport { event: "ack timer" })
+        ));
     }
 }

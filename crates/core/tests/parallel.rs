@@ -316,6 +316,30 @@ fn lossy_wire_matches_classic() {
         let programs = contended_programs(4, 6);
         assert_differential(&cfg, &programs, &format!("chaos/{seed}"));
     }
+    // A 4-entry directory cache on the same lossy wire, over enough
+    // lines (16 per home) that entries spill: miss surcharges shift
+    // home service times, and with them every later frame's wire fate.
+    let spec = Spec {
+        n_procs: 4,
+        txs_per_proc: 8,
+        max_ops: 8,
+        n_lines: 64,
+        store_fraction: 0.4,
+        barrier_every: None,
+    };
+    let programs = random_programs(&spec, 5);
+    let mut cfg = checked_cfg(4);
+    cfg.chaos = Some(lossy_chaos(0, 0.10));
+    cfg.transport = Some(TransportConfig::default());
+    cfg.watchdog = Some(WatchdogConfig::default());
+    let uncached = run(cfg.clone(), &programs);
+    cfg.dir_cache_entries = Some(4);
+    assert_ne!(
+        run(cfg.clone(), &programs).fingerprint(),
+        uncached.fingerprint(),
+        "the directory cache must miss on this workload"
+    );
+    assert_differential(&cfg, &programs, "chaos/dir-cache");
 }
 
 // ---------------------------------------------------------------------

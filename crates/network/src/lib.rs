@@ -43,7 +43,7 @@ pub use transport::{RetryExhausted, Transport, TransportAction, TransportConfig,
 
 use tcc_trace::{TraceEvent, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Frame, Message, NodeId};
+use tcc_types::{Cycle, Frame, Message, NodeId, Payload};
 
 /// The interconnect facade: routes [`Message`]s over a [`Mesh2D`] and
 /// accounts their traffic.
@@ -132,6 +132,17 @@ impl Network {
         self.apply_chaos(now, msg, arrival)
     }
 
+    /// Times `msg` with the timing its payload calls for: fabric
+    /// multicast for Skip/Commit/Abort (see [`Network::send_multicast`]),
+    /// point-to-point contention for everything else.
+    pub fn route(&mut self, now: Cycle, msg: &Message) -> Cycle {
+        if is_multicast(&msg.payload) {
+            self.send_multicast(now, msg)
+        } else {
+            self.send(now, msg)
+        }
+    }
+
     /// Times one copy of a *multicast* message (Skip/Commit/Abort
     /// distribution). The paper relies on limited multicast being cheap
     /// ("limited multicast messages are cheap in a high bandwidth
@@ -162,11 +173,11 @@ impl Network {
     /// restores ordering itself — so this is the only path on which the
     /// chaos drop/dup/reorder rules take effect.
     ///
-    /// `multicast` selects the uncontended-path timing model used for
-    /// Skip/Commit/Abort fan-out (see [`Network::send_multicast`]);
-    /// traffic is still accounted per copy put on the wire, including
-    /// retransmissions — resending costs real bytes.
-    pub fn send_frame(&mut self, now: Cycle, frame: &Frame, multicast: bool) -> Vec<Cycle> {
+    /// An enveloped Skip/Commit/Abort keeps the uncontended-path timing
+    /// of fabric multicast (see [`Network::route`]), retransmissions
+    /// included; traffic is still accounted per copy put on the wire —
+    /// resending costs real bytes.
+    pub fn send_frame(&mut self, now: Cycle, frame: &Frame) -> Vec<Cycle> {
         let size = frame.size_bytes(self.line_bytes);
         let (src, dst) = (frame.src(), frame.dst());
         let kind = frame.kind_name();
@@ -181,7 +192,7 @@ impl Network {
         debug_assert_ne!(src, dst, "local messages bypass the transport");
         self.stats.record(src, dst, frame.category(), size);
         self.stats.record_kind(kind);
-        let arrival = if multicast {
+        let arrival = if matches!(frame, Frame::Data { msg, .. } if is_multicast(&msg.payload)) {
             let hops = self.mesh.hops(src, dst);
             now + self.mesh.uncontended_latency(hops, size)
         } else {
@@ -278,10 +289,19 @@ impl Network {
     }
 }
 
+/// Skip/Commit/Abort are fabric-replicated multicasts (§2.2); every
+/// other payload is point-to-point.
+fn is_multicast(payload: &Payload) -> bool {
+    matches!(
+        payload,
+        Payload::Skip { .. } | Payload::Commit { .. } | Payload::Abort { .. }
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcc_types::{Payload, Tid, TrafficCategory};
+    use tcc_types::{Tid, TrafficCategory};
 
     #[test]
     fn network_counts_remote_but_not_local_traffic() {
@@ -295,6 +315,35 @@ mod tests {
             net.stats().bytes_in_category(TrafficCategory::Commit),
             u64::from(remote.size_bytes(32))
         );
+    }
+
+    #[test]
+    fn skip_commit_abort_take_multicast_timing_on_both_paths() {
+        // Point-to-point copies queue on the shared link; multicast
+        // copies replicate in the fabric and arrive together.
+        let skip = Message::new(NodeId(0), NodeId(3), Payload::Skip { tid: Tid(0) });
+        let tid = Message::new(
+            NodeId(0),
+            NodeId(3),
+            Payload::TidRequest {
+                requester: NodeId(0),
+            },
+        );
+        let mut net = Network::new(4, 32, NetworkConfig::default());
+        assert_eq!(net.route(Cycle(0), &skip), net.route(Cycle(0), &skip));
+        assert!(net.route(Cycle(0), &tid) < net.route(Cycle(0), &tid));
+        let frame = |msg: &Message| Frame::Data {
+            seq: 0,
+            ack: 0,
+            msg: msg.clone(),
+        };
+        let mut net = Network::new(4, 32, NetworkConfig::default());
+        let (f_skip, f_tid) = (frame(&skip), frame(&tid));
+        assert_eq!(
+            net.send_frame(Cycle(0), &f_skip),
+            net.send_frame(Cycle(0), &f_skip)
+        );
+        assert!(net.send_frame(Cycle(0), &f_tid) < net.send_frame(Cycle(0), &f_tid));
     }
 
     #[test]
