@@ -1,29 +1,103 @@
-//! The program driver shared by the write-through backends.
+//! The program driver shared by every backend.
 //!
-//! The serialized-commit and Tardis backends run programs the same way:
-//! walk the [`ThreadProgram`], execute bodies in `exec_chunk` slices
-//! over a private [`HierCache`], stall on misses, park at barriers, and
-//! book every cycle into a [`Breakdown`]. [`Driver`] owns that loop; a
-//! backend supplies the hooks of [`Backend`], starts its commit when
-//! [`Driver::run_chunk`] reports a completed body, and gets its shared
-//! `Protocol` methods from [`protocol_plumbing!`]. DESIGN.md §15.4
-//! explains why the TCC [`Processor`](crate::Processor) keeps its own
-//! loop.
+//! The TCC, serialized-commit and Tardis backends run programs the same
+//! way: walk the [`ThreadProgram`], execute bodies in `exec_chunk`
+//! slices over a private [`HierCache`], stall on misses, park at
+//! barriers, and book every cycle into a [`Breakdown`]. [`Proc`] owns
+//! that loop; a backend supplies the hooks of [`Backend`], starts its
+//! commit when [`Proc::run_chunk`] reports a completed body, and gets
+//! its shared `Protocol` methods from [`protocol_plumbing!`]. The hook
+//! defaults are the write-through behaviour of the serialized and
+//! Tardis backends; the TCC [`Processor`](crate::Processor) overrides
+//! them with its victim buffer, early TIDs and dirty-data write-backs
+//! (DESIGN.md §15.4).
 
-use tcc_cache::{HierCache, LoadOutcome, StoreOutcome};
+use tcc_cache::{Eviction, HierCache, LoadOutcome, StoreOutcome};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{
-    Cycle, LineAddr, LineGeometry, LineValues, Message, NodeId, Payload, Tid, WordMask,
+    Cycle, DirId, LineAddr, LineGeometry, LineValues, Message, NodeId, Payload, Tid, WordMask,
 };
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::TxRecord;
 use crate::config::SystemConfig;
-use crate::processor::Effects;
 use crate::program::{ThreadProgram, TxOp, WorkItem};
 
-/// What a backend plugs into the [`Driver`]. Implemented by the
-/// backend's per-processor state (the [`Proc::x`] slot).
+/// Everything a processor transition asks the simulation layer to do.
+#[derive(Debug, Default)]
+pub struct Effects {
+    /// Messages to inject, each after the given delay (cycles from now).
+    pub sends: Vec<(u64, Message)>,
+    /// Messages put on the wire *now*, timestamped `now + offset`.
+    ///
+    /// Unlike [`Effects::sends`], these claim network links at apply
+    /// time, in emission order — the mesh sees the reservation before
+    /// any event scheduled between `now` and `now + offset` does. The
+    /// serialized baseline's mid-chunk sends work this way; TCC never
+    /// uses this channel.
+    pub immediate_sends: Vec<(u64, Message)>,
+    /// Re-schedule this processor's execution after the given delay.
+    pub wake_in: Option<u64>,
+    /// The processor reached a barrier.
+    pub reached_barrier: bool,
+    /// The processor finished its program.
+    pub finished: bool,
+    /// A transaction committed (checker record + Table 3 characteristics).
+    pub committed: Option<(TxRecord, TxCharacteristics)>,
+}
+
+impl Effects {
+    /// Appends `other`. At most one of the two may schedule a wake or
+    /// report a commit: a second one would be lost.
+    pub(crate) fn merge(&mut self, other: Effects) {
+        self.sends.extend(other.sends);
+        self.immediate_sends.extend(other.immediate_sends);
+        assert!(
+            self.wake_in.is_none() || other.wake_in.is_none(),
+            "two wakes in one transition"
+        );
+        self.wake_in = self.wake_in.take().or(other.wake_in);
+        self.reached_barrier |= other.reached_barrier;
+        self.finished |= other.finished;
+        assert!(
+            self.committed.is_none() || other.committed.is_none(),
+            "two commits in one transition"
+        );
+        if other.committed.is_some() {
+            self.committed = other.committed;
+        }
+    }
+}
+
+/// Lifetime counters of one processor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProcCounters {
+    /// Transactions committed.
+    pub commits: u64,
+    /// Transaction attempts violated.
+    pub violations: u64,
+    /// Violations caused by speculative-buffer overflow.
+    pub overflows: u64,
+    /// Committed instructions.
+    pub instructions: u64,
+    /// Re-executions performed in serialized (early-TID) mode.
+    pub serialized_retries: u64,
+    /// Cycles committed transactions spent waiting for the TID vendor.
+    pub tid_wait: u64,
+    /// Cycles committed transactions spent between announcing (skips +
+    /// probes out) and the last probe reply (NSTID waits).
+    pub probe_wait: u64,
+}
+
+/// The directory that is home to `line`.
+pub(crate) fn home_of(cfg: &SystemConfig, line: LineAddr) -> DirId {
+    cfg.cache.geometry.home_of(line, cfg.n_procs)
+}
+
+/// What a backend plugs into the driver. Implemented by the backend's
+/// per-processor state (the [`Proc::x`] slot). Every hook has the
+/// write-through behaviour as its default except the two that name
+/// the backend's phases and fill request.
 pub trait Backend: Snap + Default + std::fmt::Debug {
     /// The backend's own processor phases (commit protocol steps).
     type Phase: Copy + Eq + std::fmt::Debug + Snap;
@@ -39,18 +113,67 @@ pub trait Backend: Snap + Default + std::fmt::Debug {
         fx.sends.push((delay, msg));
     }
 
-    /// Runs as a transaction is entered, after the attempt state is
-    /// reset. Returns `true` if the backend parked the processor;
-    /// otherwise the body starts running `delay` cycles out.
+    /// Attempt-start gate: runs as a transaction attempt starts, after
+    /// the shared attempt state is reset. Returns `true` if the backend
+    /// parked the processor; otherwise the body starts running `delay`
+    /// cycles out.
     fn gate(
         _p: &mut Proc<Self>,
         _cfg: &SystemConfig,
         _now: Cycle,
         _delay: u64,
-        _n: NodeId,
         _fx: &mut Effects,
     ) -> bool {
         false
+    }
+
+    /// Per-access hook: runs before a body load (`store == false`) or
+    /// store of word `word` reaches the cache, `delay` cycles into the
+    /// event. `Some(latency)` services the access without the cache.
+    fn access(
+        _p: &mut Proc<Self>,
+        _cfg: &SystemConfig,
+        _line: LineAddr,
+        _word: usize,
+        _store: bool,
+        _delay: u64,
+        _fx: &mut Effects,
+    ) -> Option<u64> {
+        None
+    }
+
+    /// A store hit a line holding committed data newer than its home
+    /// (the §3.1 dirty-bit rule): `ev` must be written home before the
+    /// speculative write can be undone. A write-through cache holds no
+    /// such data, so the default never sees one.
+    fn dirty_store(_p: &mut Proc<Self>, _cfg: &SystemConfig, _ev: Eviction, _fx: &mut Effects) {}
+
+    /// Fill handling: the reply to the stalled access's request arrived
+    /// at `now`; the stall began at `stall_start`. Installs the line
+    /// and resumes the body.
+    fn fill(
+        p: &mut Proc<Self>,
+        _cfg: &SystemConfig,
+        now: Cycle,
+        line: LineAddr,
+        values: LineValues,
+        stall_start: Cycle,
+        fx: &mut Effects,
+    ) {
+        let r = p.cache.fill(line, values, false);
+        assert!(
+            !r.overflow,
+            "write-through backend overflow: size workloads within the L2"
+        );
+        p.attempt_miss += now.since(stall_start);
+        p.phase = Phase::Running;
+        p.wake(0, fx);
+    }
+
+    /// The backend's own lifetime counters; the driver fills in
+    /// commits, violations and instructions.
+    fn counters(&self) -> ProcCounters {
+        ProcCounters::default()
     }
 }
 
@@ -123,6 +246,7 @@ impl<B: Snap> Snap for Phase<B> {
 /// lifetime counters, plus the backend's own state in `x`.
 #[derive(Debug)]
 pub struct Proc<X: Backend> {
+    pub(crate) id: NodeId,
     pub(crate) cache: HierCache,
     pub(crate) program: ThreadProgram,
     pub(crate) item: usize,
@@ -134,7 +258,12 @@ pub struct Proc<X: Backend> {
     pub(crate) attempt_miss: u64,
     pub(crate) tx_instr: u64,
     pub(crate) reads_log: Vec<(LineAddr, usize, Option<Tid>)>,
+    /// Monotonic load-request id. Echoed in replies; only the reply to
+    /// the *latest* request is consumed (§3.3 "drop that load" race
+    /// elimination, generalized to rolled-back attempts).
     pub(crate) req_seq: u64,
+    /// Monotonic wake-up sequence; a `ProcStep` event stamped with an
+    /// older value is stale and dropped.
     pub(crate) wake_seq: u64,
     pub(crate) totals: Breakdown,
     pub(crate) commits: u64,
@@ -146,9 +275,10 @@ pub struct Proc<X: Backend> {
 }
 
 impl<X: Backend> Proc<X> {
-    fn new(cache: HierCache, program: ThreadProgram) -> Proc<X> {
+    pub(crate) fn new(id: NodeId, cfg: &SystemConfig, program: ThreadProgram) -> Proc<X> {
         Proc {
-            cache,
+            id,
+            cache: HierCache::new(cfg.cache.clone()),
             program,
             item: 0,
             op: 0,
@@ -170,7 +300,366 @@ impl<X: Backend> Proc<X> {
         }
     }
 
-    /// Starts a fresh attempt of the current transaction at `now`.
+    /// This processor's node.
+    #[must_use]
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The cache hierarchy (for statistics and invariant checks).
+    #[must_use]
+    pub fn cache(&self) -> &HierCache {
+        &self.cache
+    }
+
+    /// Execution-time breakdown accumulated so far.
+    #[must_use]
+    pub fn breakdown(&self) -> Breakdown {
+        self.totals
+    }
+
+    /// Lifetime counters.
+    #[must_use]
+    pub fn counters(&self) -> ProcCounters {
+        ProcCounters {
+            commits: self.commits,
+            violations: self.violations,
+            instructions: self.instructions,
+            ..self.x.counters()
+        }
+    }
+
+    /// Cycle at which the program finished, if it has.
+    #[must_use]
+    pub fn done_at(&self) -> Option<Cycle> {
+        self.done_at
+    }
+
+    /// Whether the processor finished its program.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// Current wake-up sequence number; the scheduler tags `ProcStep`
+    /// events with this and discards events whose tag is stale.
+    #[must_use]
+    pub fn wake_seq(&self) -> u64 {
+        self.wake_seq
+    }
+
+    /// Human-readable phase tag for stall diagnostics.
+    #[must_use]
+    pub fn state_name(&self) -> &'static str {
+        match self.phase {
+            Phase::Fresh => "fresh",
+            Phase::Running => "running",
+            Phase::WaitFill { .. } => "wait-fill",
+            Phase::AtBarrier { .. } => "at-barrier",
+            Phase::Done => "done",
+            Phase::Backend(b) => X::phase_name(b),
+        }
+    }
+
+    /// Conservative barrier-imminence test for the windowed parallel
+    /// engine: could this processor *arrive at a barrier* within a
+    /// window in which at most `depth` work items complete? True when
+    /// the processor is already waiting at a barrier, or when a barrier
+    /// sits within the next `depth + 1` program items (the in-flight
+    /// item may complete any moment; each later item needs at least a
+    /// full fresh-transaction lifetime). A false negative here would
+    /// let a barrier arrival — a global, zero-latency rendezvous —
+    /// happen inside a parallel window, so over-approximation is the
+    /// contract: windows that might see an arrival run sequentially.
+    #[must_use]
+    pub fn barrier_within(&self, depth: usize) -> bool {
+        if matches!(self.phase, Phase::AtBarrier { .. }) {
+            return true;
+        }
+        self.program
+            .items
+            .get(self.item..)
+            .unwrap_or(&[])
+            .iter()
+            .take(depth + 1)
+            .any(|it| matches!(it, WorkItem::Barrier))
+    }
+
+    /// Supersedes any earlier wake and schedules the next continuation
+    /// `delay` cycles out.
+    pub(crate) fn wake(&mut self, delay: u64, fx: &mut Effects) {
+        self.wake_seq += 1;
+        fx.wake_in = Some(delay);
+    }
+
+    /// Begins execution (called once per processor, at simulation
+    /// start).
+    pub(crate) fn start(&mut self, cfg: &SystemConfig, now: Cycle) -> Effects {
+        assert_eq!(self.phase, Phase::Fresh, "start() called twice");
+        let mut fx = Effects::default();
+        self.enter_item(cfg, now, 0, &mut fx);
+        fx
+    }
+
+    /// Enters the current work item: begins a transaction attempt,
+    /// reaches a barrier, or finishes. `now` is the absolute cycle the
+    /// transition logically happens at; `delay` is its offset from the
+    /// event being handled (effects are applied by the simulator at
+    /// event time, so scheduling must carry the offset explicitly).
+    fn enter_item(&mut self, cfg: &SystemConfig, now: Cycle, delay: u64, fx: &mut Effects) {
+        match self.program.items.get(self.item) {
+            Some(WorkItem::Tx(_)) => self.begin_attempt(cfg, now, delay, fx),
+            Some(WorkItem::Barrier) => {
+                self.phase = Phase::AtBarrier { since: now };
+                fx.reached_barrier = true;
+            }
+            None => {
+                self.phase = Phase::Done;
+                self.done_at = Some(now);
+                fx.finished = true;
+            }
+        }
+    }
+
+    /// Starts a fresh attempt of the current transaction at `now`: it
+    /// runs `delay` cycles out unless the backend's gate parks it.
+    pub(crate) fn begin_attempt(
+        &mut self,
+        cfg: &SystemConfig,
+        now: Cycle,
+        delay: u64,
+        fx: &mut Effects,
+    ) {
+        self.reset_attempt(now);
+        if !X::gate(self, cfg, now, delay, fx) {
+            self.phase = Phase::Running;
+            self.wake(delay, fx);
+        }
+    }
+
+    /// Every processor reached the barrier: release this one.
+    pub(crate) fn release_barrier(&mut self, cfg: &SystemConfig, now: Cycle) -> Effects {
+        let Phase::AtBarrier { since } = self.phase else {
+            panic!("release_barrier while {}", self.state_name())
+        };
+        // A single-processor machine can arrive mid-chunk, `since`
+        // cycles into the event being handled; the release then happens
+        // at the arrival instant, not the (earlier) event time.
+        let at = now.max(since);
+        self.totals.idle += at.since(since);
+        self.item += 1;
+        let mut fx = Effects::default();
+        self.enter_item(cfg, at, at.since(now), &mut fx);
+        fx
+    }
+
+    /// The commit finished at `now`: book its time and move on.
+    pub(crate) fn next_item(
+        &mut self,
+        cfg: &SystemConfig,
+        now: Cycle,
+        delay: u64,
+        fx: &mut Effects,
+    ) {
+        self.totals.commit += now.since(self.commit_start);
+        self.item += 1;
+        self.enter_item(cfg, now, delay, fx);
+    }
+
+    /// Terminal idle time: a processor that finished before the
+    /// slowest one idles until the application completes at `end`.
+    pub(crate) fn pad_idle_to(&mut self, end: Cycle) {
+        if let Some(done) = self.done_at {
+            self.totals.idle += end.since(done);
+        }
+    }
+
+    /// Runs up to one `exec_chunk` of the transaction body. Returns
+    /// `Some((at, delay))` when the body completed at cycle `at`,
+    /// `delay` cycles into the event; the backend then starts its
+    /// commit.
+    pub(crate) fn run_chunk(
+        &mut self,
+        cfg: &SystemConfig,
+        now: Cycle,
+        fx: &mut Effects,
+    ) -> Option<(Cycle, u64)> {
+        let geom = cfg.cache.geometry;
+        let mut elapsed = 0u64;
+        loop {
+            if self.phase != Phase::Running {
+                return None; // a violation mid-event restarted us elsewhere
+            }
+            if elapsed >= cfg.exec_chunk {
+                self.wake(elapsed, fx);
+                return None;
+            }
+            let Some(WorkItem::Tx(tx)) = self.program.items.get(self.item) else {
+                unreachable!("running outside a transaction")
+            };
+            let Some(&op) = tx.ops.get(self.op) else {
+                return Some((now + elapsed, elapsed));
+            };
+            let (cycles, instr) = match op {
+                TxOp::Compute(c) => (u64::from(c), u64::from(c)),
+                TxOp::Load(a) | TxOp::Store(a) => {
+                    let (line, word) = (geom.line_of(a), geom.word_index(a));
+                    let store = matches!(op, TxOp::Store(_));
+                    let latency = X::access(self, cfg, line, word, store, elapsed, fx)
+                        .or_else(|| self.cache_access(cfg, line, word, store, fx));
+                    let Some(latency) = latency else {
+                        self.fill_miss(cfg, line, now + elapsed, elapsed, fx);
+                        return None;
+                    };
+                    (latency, 1)
+                }
+            };
+            elapsed += cycles;
+            self.attempt_useful += cycles;
+            self.tx_instr += instr;
+            self.op += 1;
+        }
+    }
+
+    /// One load or store against the cache: the hit latency, or `None`
+    /// on a miss.
+    fn cache_access(
+        &mut self,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        word: usize,
+        store: bool,
+        fx: &mut Effects,
+    ) -> Option<u64> {
+        let level = if store {
+            let StoreOutcome::Hit {
+                level,
+                pre_writeback,
+            } = self.cache.store(line, word)
+            else {
+                return None;
+            };
+            if let Some(ev) = pre_writeback {
+                X::dirty_store(self, cfg, ev, fx);
+            }
+            level
+        } else {
+            let LoadOutcome::Hit {
+                level,
+                value,
+                own_speculative,
+                first_read,
+            } = self.cache.load(line, word)
+            else {
+                return None;
+            };
+            if !own_speculative && first_read {
+                self.reads_log.push((line, word, value));
+            }
+            level
+        };
+        Some(cfg.cache.latency(level))
+    }
+
+    /// A load/store missed: stall in `WaitFill` and request the line
+    /// from its home, departing when the miss logically occurred.
+    fn fill_miss(
+        &mut self,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        stall_start: Cycle,
+        delay: u64,
+        fx: &mut Effects,
+    ) {
+        self.req_seq += 1;
+        self.phase = Phase::WaitFill {
+            line,
+            stall_start,
+            req: self.req_seq,
+        };
+        let home = home_of(cfg, line).node();
+        let msg = Message::new(self.id, home, X::fill_request(line, self.id, self.req_seq));
+        X::send(fx, delay, msg);
+    }
+
+    /// A fill reply arrived. Only the reply to the *latest* outstanding
+    /// request is consumed; anything else — a reply to a request of a
+    /// rolled-back attempt, or one superseded after an in-flight
+    /// invalidation — is dropped, per the §3.3 load/invalidate race
+    /// rule, and `false` is returned. The same check makes fills
+    /// idempotent: a duplicate finds no matching request.
+    pub(crate) fn on_fill(
+        &mut self,
+        cfg: &SystemConfig,
+        now: Cycle,
+        line: LineAddr,
+        values: LineValues,
+        req: u64,
+        fx: &mut Effects,
+    ) -> bool {
+        let Phase::WaitFill {
+            line: expected,
+            stall_start,
+            req: want,
+        } = self.phase
+        else {
+            return false;
+        };
+        // Mutation knob: ignoring the request id accepts fills an
+        // invalidation superseded while they were in flight — the §3.3
+        // load/invalidate race the re-request rule eliminates.
+        let current = if cfg.bugs.accept_stale_fills {
+            line == expected
+        } else {
+            req == want
+        };
+        if !current {
+            return false;
+        }
+        assert_eq!(line, expected, "fill for a line not requested");
+        X::fill(self, cfg, now, line, values, stall_start, fx);
+        true
+    }
+
+    /// The transaction commits as `tid` with write-set `writes`: stamp
+    /// the cached values, report the checker record and Table 3
+    /// characteristics, and book the attempt as useful work.
+    pub(crate) fn retire(
+        &mut self,
+        cfg: &SystemConfig,
+        tid: Tid,
+        writes: &[(LineAddr, WordMask)],
+        fx: &mut Effects,
+    ) {
+        self.cache.commit_tx(tid);
+        let reads = std::mem::take(&mut self.reads_log);
+        let chars = characteristics(
+            self.tx_instr,
+            &reads,
+            writes,
+            cfg.cache.geometry,
+            cfg.n_procs,
+        );
+        let writes = writes.to_vec();
+        fx.committed = Some((TxRecord { tid, reads, writes }, chars));
+        self.commits += 1;
+        self.instructions += self.tx_instr;
+        self.totals.useful += self.attempt_useful;
+        self.totals.cache_miss += self.attempt_miss;
+    }
+
+    /// The attempt failed at `now`: discard its speculative state, book
+    /// it as violation time, and re-execute the transaction at once.
+    pub(crate) fn restart(&mut self, now: Cycle, fx: &mut Effects) {
+        self.violations += 1;
+        self.cache.abort_tx();
+        self.totals.violation += now.since(self.tx_start);
+        self.reset_attempt(now);
+        self.phase = Phase::Running;
+        self.wake(0, fx);
+    }
+
+    /// Resets the shared attempt state for an attempt starting at `now`.
     fn reset_attempt(&mut self, now: Cycle) {
         self.op = 0;
         self.tx_start = now;
@@ -180,6 +669,10 @@ impl<X: Backend> Proc<X> {
         self.reads_log.clear();
     }
 
+    /// Serializes the processor's mutable state. The identity, program
+    /// and wiring are construction inputs the resuming caller supplies
+    /// again (gated by the snapshot's config and program digests); only
+    /// the *position* within the program (`item`/`op`) travels.
     fn save_state(&self, w: &mut SnapWriter) {
         self.cache.save_state(w);
         self.item.save(w);
@@ -201,9 +694,24 @@ impl<X: Backend> Proc<X> {
         self.x.save(w);
     }
 
+    /// Overlays checkpointed state onto a freshly constructed processor
+    /// (same config and program as the capturing run).
+    ///
+    /// # Errors
+    ///
+    /// Any decode failure, or a program position past the end of the
+    /// program this processor was constructed with.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.cache.restore_state(r)?;
-        self.item = r.get()?;
+        let item: usize = r.get()?;
+        let len = self.program.items.len();
+        if item > len {
+            return Err(SnapError::invalid(
+                "Proc.item",
+                format!("snapshot at item {item}, program has {len}"),
+            ));
+        }
+        self.item = item;
         self.op = r.get()?;
         self.phase = r.get()?;
         self.tx_start = r.get()?;
@@ -224,8 +732,7 @@ impl<X: Backend> Proc<X> {
     }
 }
 
-/// Every processor of a write-through machine, driven through its
-/// program.
+/// Every processor of a machine, driven through its program.
 #[derive(Debug)]
 pub(crate) struct Driver<X: Backend> {
     pub(crate) cfg: SystemConfig,
@@ -236,248 +743,14 @@ impl<X: Backend> Driver<X> {
     pub(crate) fn new(cfg: SystemConfig, programs: Vec<ThreadProgram>) -> Driver<X> {
         let procs = programs
             .into_iter()
-            .map(|p| Proc::new(HierCache::new(cfg.cache.clone()), p))
+            .enumerate()
+            .map(|(i, p)| Proc::new(NodeId(i as u16), &cfg, p))
             .collect();
         Driver { cfg, procs }
     }
 
     pub(crate) fn home_node(&self, line: LineAddr) -> NodeId {
-        self.cfg
-            .cache
-            .geometry
-            .home_of(line, self.cfg.n_procs)
-            .node()
-    }
-
-    /// Supersedes any earlier wake and schedules the next continuation
-    /// `delay` cycles out.
-    pub(crate) fn wake(&mut self, n: NodeId, delay: u64, fx: &mut Effects) {
-        self.procs[n.index()].wake_seq += 1;
-        fx.wake_in = Some(delay);
-    }
-
-    /// `now` is the absolute cycle the transition logically happens at;
-    /// `delay` is its offset from the event being handled (effects are
-    /// applied by the simulator at event time, so scheduling must carry
-    /// the offset explicitly — mirrors the scalable processor's
-    /// `begin_validation(now, elapsed)`).
-    pub(crate) fn enter_item(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        match p.program.items.get(p.item) {
-            Some(WorkItem::Tx(_)) => {
-                p.reset_attempt(now);
-                if !X::gate(p, &self.cfg, now, delay, n, fx) {
-                    p.phase = Phase::Running;
-                    self.wake(n, delay, fx);
-                }
-            }
-            Some(WorkItem::Barrier) => {
-                p.phase = Phase::AtBarrier { since: now };
-                fx.reached_barrier = true;
-            }
-            None => {
-                p.phase = Phase::Done;
-                p.done_at = Some(now);
-                fx.finished = true;
-            }
-        }
-    }
-
-    /// Every processor reached the barrier: release `n`.
-    pub(crate) fn release_barrier(&mut self, now: Cycle, n: NodeId) -> Effects {
-        let mut fx = Effects::default();
-        let p = &mut self.procs[n.index()];
-        let Phase::AtBarrier { since } = p.phase else {
-            unreachable!("releasing a processor not at the barrier")
-        };
-        // A single-processor machine can arrive mid-chunk, `since`
-        // cycles into the event being handled; the release then happens
-        // at the arrival instant, not the (earlier) event time.
-        let at = now.max(since);
-        p.totals.idle += at.since(since);
-        p.item += 1;
-        self.enter_item(at, at.since(now), n, &mut fx);
-        fx
-    }
-
-    /// The commit finished at `now`: book its time and move on.
-    pub(crate) fn next_item(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        p.totals.commit += now.since(p.commit_start);
-        p.item += 1;
-        self.enter_item(now, delay, n, fx);
-    }
-
-    /// Runs up to one `exec_chunk` of `n`'s transaction body. Returns
-    /// `Some((at, delay))` when the body completed at cycle `at`,
-    /// `delay` cycles into the event; the backend then starts its
-    /// commit.
-    pub(crate) fn run_chunk(
-        &mut self,
-        now: Cycle,
-        n: NodeId,
-        fx: &mut Effects,
-    ) -> Option<(Cycle, u64)> {
-        let chunk = self.cfg.exec_chunk;
-        let geom = self.cfg.cache.geometry;
-        let mut elapsed = 0u64;
-        loop {
-            let p = &mut self.procs[n.index()];
-            if p.phase != Phase::Running {
-                return None; // a violation mid-event restarted us elsewhere
-            }
-            if elapsed >= chunk {
-                self.wake(n, elapsed, fx);
-                return None;
-            }
-            let Some(WorkItem::Tx(tx)) = p.program.items.get(p.item) else {
-                unreachable!("running outside a transaction")
-            };
-            let Some(&op) = tx.ops.get(p.op) else {
-                return Some((now + elapsed, elapsed));
-            };
-            let (cycles, instr) = match op {
-                TxOp::Compute(c) => (u64::from(c), u64::from(c)),
-                TxOp::Load(a) => {
-                    let (line, word) = (geom.line_of(a), geom.word_index(a));
-                    let LoadOutcome::Hit {
-                        level,
-                        value,
-                        own_speculative,
-                        first_read,
-                    } = p.cache.load(line, word)
-                    else {
-                        self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                        return None;
-                    };
-                    if !own_speculative && first_read {
-                        p.reads_log.push((line, word, value));
-                    }
-                    (self.cfg.cache.latency(level), 1)
-                }
-                TxOp::Store(a) => {
-                    let line = geom.line_of(a);
-                    // Write-through: no pre-write-back needed.
-                    let StoreOutcome::Hit { level, .. } = p.cache.store(line, geom.word_index(a))
-                    else {
-                        self.fill_miss(n, line, now + elapsed, elapsed, fx);
-                        return None;
-                    };
-                    (self.cfg.cache.latency(level), 1)
-                }
-            };
-            elapsed += cycles;
-            p.attempt_useful += cycles;
-            p.tx_instr += instr;
-            p.op += 1;
-        }
-    }
-
-    /// A load/store missed: stall in `WaitFill` and request the line
-    /// from its home, departing when the miss logically occurred.
-    fn fill_miss(
-        &mut self,
-        n: NodeId,
-        line: LineAddr,
-        stall_start: Cycle,
-        delay: u64,
-        fx: &mut Effects,
-    ) {
-        let home = self.home_node(line);
-        let p = &mut self.procs[n.index()];
-        p.req_seq += 1;
-        p.phase = Phase::WaitFill {
-            line,
-            stall_start,
-            req: p.req_seq,
-        };
-        let msg = Message::new(n, home, X::fill_request(line, n, p.req_seq));
-        X::send(fx, delay, msg);
-    }
-
-    /// A fill reply arrived: install the line and resume. Returns
-    /// `false` (and drops the reply) when it is stale — the attempt was
-    /// restarted or the request superseded.
-    pub(crate) fn on_fill(
-        &mut self,
-        now: Cycle,
-        n: NodeId,
-        line: LineAddr,
-        values: LineValues,
-        req: u64,
-        fx: &mut Effects,
-    ) -> bool {
-        let p = &mut self.procs[n.index()];
-        let Phase::WaitFill {
-            line: expected,
-            stall_start,
-            req: want,
-        } = p.phase
-        else {
-            return false;
-        };
-        if req != want {
-            return false;
-        }
-        debug_assert_eq!(line, expected);
-        let r = p.cache.fill(line, values, false);
-        assert!(
-            !r.overflow,
-            "write-through backend overflow: size workloads within the L2"
-        );
-        p.attempt_miss += now.since(stall_start);
-        p.phase = Phase::Running;
-        self.wake(n, 0, fx);
-        true
-    }
-
-    /// `n`'s transaction commits as `tid` with write-set `writes`:
-    /// stamp the cached values, report the checker record and Table 3
-    /// characteristics, and book the attempt as useful work.
-    pub(crate) fn retire(
-        &mut self,
-        n: NodeId,
-        tid: Tid,
-        writes: &[(LineAddr, WordMask)],
-        fx: &mut Effects,
-    ) {
-        let geom = self.cfg.cache.geometry;
-        let n_procs = self.cfg.n_procs;
-        let p = &mut self.procs[n.index()];
-        p.cache.commit_tx(tid);
-        p.cache.clear_dirty_bits(); // write-through: the homes are current
-        let reads = std::mem::take(&mut p.reads_log);
-        let chars = characteristics(p.tx_instr, &reads, writes, geom, n_procs);
-        let writes = writes.to_vec();
-        fx.committed = Some((TxRecord { tid, reads, writes }, chars));
-        p.commits += 1;
-        p.instructions += p.tx_instr;
-        p.totals.useful += p.attempt_useful;
-        p.totals.cache_miss += p.attempt_miss;
-    }
-
-    /// `n`'s attempt failed at `now`: discard its speculative state,
-    /// book the attempt as violation time, and re-execute the
-    /// transaction immediately.
-    pub(crate) fn restart(&mut self, now: Cycle, n: NodeId, fx: &mut Effects) {
-        let p = &mut self.procs[n.index()];
-        p.violations += 1;
-        p.cache.abort_tx();
-        p.totals.violation += now.since(p.tx_start);
-        p.reset_attempt(now);
-        p.phase = Phase::Running;
-        self.wake(n, 0, fx);
-    }
-
-    pub(crate) fn state_name(&self, n: NodeId) -> &'static str {
-        match self.procs[n.index()].phase {
-            Phase::Fresh => "fresh",
-            Phase::Running => "running",
-            Phase::WaitFill { .. } => "wait-fill",
-            Phase::AtBarrier { .. } => "at-barrier",
-            Phase::Done => "done",
-            Phase::Backend(b) => X::phase_name(b),
-        }
+        home_of(&self.cfg, line).node()
     }
 
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
@@ -519,26 +792,29 @@ fn characteristics(
     let mut read_lines: Vec<LineAddr> = reads.iter().map(|&(l, _, _)| l).collect();
     read_lines.sort_unstable();
     read_lines.dedup();
-    let mut written: Vec<u16> = writes.iter().map(|(l, _)| home(l)).collect();
-    let mut touched: Vec<u16> = read_lines.iter().map(home).chain(written.clone()).collect();
-    for homes in [&mut written, &mut touched] {
-        homes.sort_unstable();
-        homes.dedup();
-    }
+    // One buffer of distinct homes: the written ones first, then every
+    // touched one.
+    let mut homes: Vec<u16> = writes.iter().map(|(l, _)| home(l)).collect();
+    homes.sort_unstable();
+    homes.dedup();
+    let dirs_written = homes.len() as u32;
+    homes.extend(read_lines.iter().map(home));
+    homes.sort_unstable();
+    homes.dedup();
     TxCharacteristics {
         instructions,
         read_set_bytes: read_lines.len() as u64 * line_bytes,
         write_set_bytes: writes.len() as u64 * line_bytes,
         words_written: writes.iter().map(|&(_, m)| u64::from(m.count())).sum(),
-        dirs_written: written.len() as u32,
-        dirs_touched: touched.len() as u32,
+        dirs_written,
+        dirs_touched: homes.len() as u32,
     }
 }
 
-/// Defines, inside a driven backend's `impl Protocol` block, the
-/// `Protocol` methods that only read or drive its processors. The
-/// machine keeps them in a `drv: Driver<_>` field; `$body_end` names
-/// its method that starts a commit once a body completes.
+/// Defines, inside a backend's `impl Protocol` block, the `Protocol`
+/// methods that only read or drive its processors. The machine keeps
+/// them in a `drv: Driver<_>` field; `$body_end` names its method that
+/// starts a commit once a body completes.
 macro_rules! protocol_plumbing {
     ($body_end:ident) => {
         fn proc_state(&self, node: ::tcc_types::NodeId) -> &Self::ProcState {
@@ -546,14 +822,13 @@ macro_rules! protocol_plumbing {
         }
 
         fn start(&mut self, now: ::tcc_types::Cycle, node: ::tcc_types::NodeId) -> $crate::Effects {
-            let mut fx = $crate::Effects::default();
-            self.drv.enter_item(now, 0, node, &mut fx);
-            fx
+            self.drv.procs[node.index()].start(&self.drv.cfg, now)
         }
 
         fn step(&mut self, now: ::tcc_types::Cycle, node: ::tcc_types::NodeId) -> $crate::Effects {
             let mut fx = $crate::Effects::default();
-            if let Some((at, delay)) = self.drv.run_chunk(now, node, &mut fx) {
+            let p = &mut self.drv.procs[node.index()];
+            if let Some((at, delay)) = p.run_chunk(&self.drv.cfg, now, &mut fx) {
                 self.$body_end(at, delay, node, &mut fx);
             }
             fx
@@ -564,7 +839,7 @@ macro_rules! protocol_plumbing {
             now: ::tcc_types::Cycle,
             node: ::tcc_types::NodeId,
         ) -> $crate::Effects {
-            self.drv.release_barrier(now, node)
+            self.drv.procs[node.index()].release_barrier(&self.drv.cfg, now)
         }
 
         fn wake_seq(&self, node: ::tcc_types::NodeId) -> u64 {
@@ -572,7 +847,7 @@ macro_rules! protocol_plumbing {
         }
 
         fn state_name(&self, node: ::tcc_types::NodeId) -> &'static str {
-            self.drv.state_name(node)
+            self.drv.procs[node.index()].state_name()
         }
 
         fn done_at_max(&self) -> ::tcc_types::Cycle {
@@ -582,9 +857,7 @@ macro_rules! protocol_plumbing {
 
         fn pad_idle_to(&mut self, end: ::tcc_types::Cycle) {
             for p in &mut self.drv.procs {
-                if let Some(done) = p.done_at {
-                    p.totals.idle += end.since(done);
-                }
+                p.pad_idle_to(end);
             }
         }
 
@@ -593,13 +866,7 @@ macro_rules! protocol_plumbing {
         }
 
         fn proc_counters(&self) -> Vec<$crate::ProcCounters> {
-            let counters = self.drv.procs.iter().map(|p| $crate::ProcCounters {
-                commits: p.commits,
-                violations: p.violations,
-                instructions: p.instructions,
-                ..$crate::ProcCounters::default()
-            });
-            counters.collect()
+            self.drv.procs.iter().map(|p| p.counters()).collect()
         }
     };
 }
@@ -608,7 +875,10 @@ pub(crate) use protocol_plumbing;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::processor::{TccPhase, TccState};
     use crate::program::Transaction;
+    use crate::serialized::TokenState;
+    use crate::tardis::LeaseState;
     use tcc_types::Addr;
 
     /// A minimal backend: plain load requests, and a gate that parks
@@ -647,7 +917,6 @@ mod tests {
             _cfg: &SystemConfig,
             _now: Cycle,
             _delay: u64,
-            _n: NodeId,
             _fx: &mut Effects,
         ) -> bool {
             if p.x.park {
@@ -659,23 +928,29 @@ mod tests {
 
     const P0: NodeId = NodeId(0);
 
-    fn driver(items: Vec<WorkItem>) -> Driver<Probe> {
-        Driver::new(SystemConfig::with_procs(1), vec![ThreadProgram::new(items)])
-    }
-
-    fn start(d: &mut Driver<Probe>) -> Effects {
-        let mut fx = Effects::default();
-        d.enter_item(Cycle::ZERO, 0, P0, &mut fx);
-        fx
+    fn proc_<X: Backend>(items: Vec<WorkItem>) -> (SystemConfig, Proc<X>) {
+        let cfg = SystemConfig::with_procs(1);
+        let p = Proc::new(P0, &cfg, ThreadProgram::new(items));
+        (cfg, p)
     }
 
     fn tx(ops: Vec<TxOp>) -> WorkItem {
         WorkItem::Tx(Transaction::new(ops))
     }
 
+    fn round_trip<B: Snap + Copy + Eq + std::fmt::Debug>(phases: &[Phase<B>]) {
+        for &phase in phases {
+            let mut w = SnapWriter::new();
+            phase.save(&mut w);
+            let bytes = w.into_bytes();
+            let back: Phase<B> = SnapReader::new(&bytes).get().unwrap();
+            assert_eq!(back, phase);
+        }
+    }
+
     #[test]
     fn driver_phase_tags_round_trip() {
-        let phases = [
+        round_trip(&[
             Phase::Fresh,
             Phase::Running,
             Phase::WaitFill {
@@ -686,109 +961,152 @@ mod tests {
             Phase::AtBarrier { since: Cycle(5) },
             Phase::Done,
             Phase::Backend(42u8),
-        ];
-        for phase in phases {
-            let mut w = SnapWriter::new();
-            phase.save(&mut w);
-            let bytes = w.into_bytes();
-            let back: Phase<u8> = SnapReader::new(&bytes).get().unwrap();
-            assert_eq!(back, phase);
-        }
+        ]);
         assert!(SnapReader::new(&[6u8]).get::<Phase<u8>>().is_err());
+        // The TCC commit phases travel as backend phases.
+        round_trip(&[
+            Phase::Backend(TccPhase::WaitTid),
+            Phase::Backend(TccPhase::WaitTidEarly),
+            Phase::Backend(TccPhase::Validating),
+        ]);
+        assert!(SnapReader::new(&[5u8, 3]).get::<Phase<TccPhase>>().is_err());
     }
 
     #[test]
     fn driver_runs_bodies_in_chunks_and_reports_the_end() {
-        let mut d = driver(vec![tx(vec![TxOp::Compute(150), TxOp::Compute(150)])]);
-        let fx = start(&mut d);
+        let (cfg, mut p) = proc_::<Probe>(vec![tx(vec![TxOp::Compute(150), TxOp::Compute(150)])]);
+        let fx = p.start(&cfg, Cycle::ZERO);
         assert_eq!(fx.wake_in, Some(0));
-        assert_eq!(d.state_name(P0), "running");
+        assert_eq!(p.state_name(), "running");
         // 300 cycles of work overrun the 200-cycle chunk: yield first.
         let mut fx = Effects::default();
-        assert_eq!(d.run_chunk(Cycle::ZERO, P0, &mut fx), None);
+        assert_eq!(p.run_chunk(&cfg, Cycle::ZERO, &mut fx), None);
         assert_eq!(fx.wake_in, Some(300));
         let mut fx = Effects::default();
-        assert_eq!(d.run_chunk(Cycle(300), P0, &mut fx), Some((Cycle(300), 0)));
-        assert_eq!(d.procs[0].attempt_useful, 300);
-        assert_eq!(d.procs[0].tx_instr, 300);
+        assert_eq!(
+            p.run_chunk(&cfg, Cycle(300), &mut fx),
+            Some((Cycle(300), 0))
+        );
+        assert_eq!(p.attempt_useful, 300);
+        assert_eq!(p.tx_instr, 300);
     }
 
     #[test]
     fn driver_stalls_on_a_miss_until_the_matching_fill() {
-        let mut d = driver(vec![tx(vec![TxOp::Load(Addr(0x40))])]);
-        start(&mut d);
+        let (cfg, mut p) = proc_::<Probe>(vec![tx(vec![TxOp::Load(Addr(0x40))])]);
+        p.start(&cfg, Cycle::ZERO);
         let mut fx = Effects::default();
-        assert_eq!(d.run_chunk(Cycle::ZERO, P0, &mut fx), None);
-        assert_eq!(d.state_name(P0), "wait-fill");
+        assert_eq!(p.run_chunk(&cfg, Cycle::ZERO, &mut fx), None);
+        assert_eq!(p.state_name(), "wait-fill");
         let [(0, msg)] = fx.sends.as_slice() else {
             panic!("one fill request expected: {:?}", fx.sends)
         };
         let Payload::LoadRequest { line, req, .. } = msg.payload else {
             panic!("not a load request: {msg:?}")
         };
-        let words = d.cfg.cache.geometry.words_per_line() as usize;
-        let seq = d.procs[0].wake_seq;
+        let words = cfg.cache.geometry.words_per_line() as usize;
+        let seq = p.wake_seq;
         let mut fx = Effects::default();
-        let stale = d.on_fill(
+        let stale = p.on_fill(
+            &cfg,
             Cycle(50),
-            P0,
             line,
             LineValues::fresh(words),
             req + 1,
             &mut fx,
         );
         assert!(!stale, "a superseded reply is dropped");
-        assert_eq!(d.procs[0].wake_seq, seq);
-        assert!(d.on_fill(Cycle(150), P0, line, LineValues::fresh(words), req, &mut fx));
-        assert_eq!(d.procs[0].attempt_miss, 150);
+        assert_eq!(p.wake_seq, seq);
+        assert!(p.on_fill(
+            &cfg,
+            Cycle(150),
+            line,
+            LineValues::fresh(words),
+            req,
+            &mut fx
+        ));
+        assert_eq!(p.attempt_miss, 150);
         assert_eq!(fx.wake_in, Some(0));
         let mut fx = Effects::default();
-        assert!(d.run_chunk(Cycle(150), P0, &mut fx).is_some());
-        assert_eq!(d.procs[0].reads_log.len(), 1);
+        assert!(p.run_chunk(&cfg, Cycle(150), &mut fx).is_some());
+        assert_eq!(p.reads_log.len(), 1);
     }
 
     #[test]
     fn driver_books_retired_and_restarted_attempts() {
-        let mut d = driver(vec![tx(vec![TxOp::Compute(40)]), tx(vec![])]);
-        start(&mut d);
+        let (cfg, mut p) = proc_::<Probe>(vec![tx(vec![TxOp::Compute(40)]), tx(vec![])]);
+        p.start(&cfg, Cycle::ZERO);
         let mut fx = Effects::default();
-        assert!(d.run_chunk(Cycle::ZERO, P0, &mut fx).is_some());
+        assert!(p.run_chunk(&cfg, Cycle::ZERO, &mut fx).is_some());
         // A failed attempt: its cycles become violation time and the
         // body restarts from the top.
-        d.restart(Cycle(40), P0, &mut fx);
-        let p = &d.procs[0];
+        p.restart(Cycle(40), &mut fx);
         assert_eq!((p.violations, p.totals.violation, p.op), (1, 40, 0));
         assert_eq!((p.attempt_useful, p.tx_start), (0, Cycle(40)));
         let mut fx = Effects::default();
-        assert!(d.run_chunk(Cycle(40), P0, &mut fx).is_some());
-        d.procs[0].commit_start = Cycle(80);
-        d.retire(P0, Tid(9), &[], &mut fx);
+        assert!(p.run_chunk(&cfg, Cycle(40), &mut fx).is_some());
+        p.commit_start = Cycle(80);
+        p.retire(&cfg, Tid(9), &[], &mut fx);
         let (record, chars) = fx.committed.take().expect("commit reported");
         assert_eq!((record.tid, chars.instructions), (Tid(9), 40));
-        d.next_item(Cycle(90), 0, P0, &mut fx);
-        let p = &d.procs[0];
+        p.next_item(&cfg, Cycle(90), 0, &mut fx);
         assert_eq!((p.commits, p.totals.useful, p.totals.commit), (1, 40, 10));
         assert_eq!((p.item, p.instructions), (1, 40));
     }
 
     #[test]
     fn driver_gate_parks_an_attempt() {
-        let mut d = driver(vec![tx(vec![TxOp::Compute(5)])]);
-        d.procs[0].x.park = true;
-        let fx = start(&mut d);
+        let (cfg, mut p) = proc_::<Probe>(vec![tx(vec![TxOp::Compute(5)])]);
+        p.x.park = true;
+        let fx = p.start(&cfg, Cycle::ZERO);
         assert_eq!(fx.wake_in, None, "a parked attempt is not scheduled");
-        assert_eq!(d.state_name(P0), "probe");
+        assert_eq!(p.state_name(), "probe");
     }
 
     #[test]
     fn driver_books_barrier_idle_time_and_program_end() {
-        let mut d = driver(vec![WorkItem::Barrier]);
-        let fx = start(&mut d);
+        let (cfg, mut p) = proc_::<Probe>(vec![WorkItem::Barrier]);
+        let fx = p.start(&cfg, Cycle::ZERO);
         assert!(fx.reached_barrier);
-        let fx = d.release_barrier(Cycle(100), P0);
+        let fx = p.release_barrier(&cfg, Cycle(100));
         assert!(fx.finished);
-        d.assert_all_done();
-        let p = &d.procs[0];
+        assert!(p.is_done());
         assert_eq!((p.done_at, p.totals.idle), (Some(Cycle(100)), 100));
+    }
+
+    /// Saves a processor whose program position is `item` and restores
+    /// the bytes into a fresh processor of the same one-item program.
+    fn restore_at<X: Backend>(item: usize) -> Result<(), SnapError> {
+        let (_, mut saved) = proc_::<X>(vec![tx(vec![TxOp::Compute(1)])]);
+        saved.item = item;
+        let mut w = SnapWriter::new();
+        saved.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let (_, mut fresh) = proc_::<X>(vec![tx(vec![TxOp::Compute(1)])]);
+        fresh.restore_state(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_refuses_a_position_past_the_program_end_on_every_backend() {
+        for result in [
+            restore_at::<TokenState>(2),
+            restore_at::<LeaseState>(2),
+            restore_at::<TccState>(2),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(SnapError::Invalid {
+                        what: "Proc.item",
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        }
+        // One past the last item is a finished program, not an error.
+        restore_at::<TokenState>(1).unwrap();
+        restore_at::<LeaseState>(1).unwrap();
+        restore_at::<TccState>(1).unwrap();
     }
 }

@@ -12,19 +12,22 @@
 //! * [`SystemConfig`] — the simulated machine (Table 2 defaults).
 //! * [`ThreadProgram`] / [`Transaction`] / [`TxOp`] — the workload
 //!   abstraction: continuous transactions separated by barriers.
-//! * [`Processor`] — the per-node protocol engine: speculative
-//!   execution over a `tcc-cache` hierarchy, the two-phase parallel
-//!   commit (TID acquisition, skip multicast, deferred probes, marks,
-//!   commit), violations, and the early-TID forward-progress mechanism.
+//! * [`Processor`] — the per-node TCC protocol engine: the shared
+//!   program driver (speculative execution over a `tcc-cache`
+//!   hierarchy, miss stalls, barriers, cycle accounting) with the TCC
+//!   backend plugged in — the two-phase parallel commit (TID
+//!   acquisition, skip multicast, deferred probes, marks, commit),
+//!   violations, the overflow victim buffer, and the early-TID
+//!   forward-progress mechanism.
 //! * [`Simulator`] — wires processors, `tcc-directory` controllers, the
 //!   `tcc-network` mesh, and the gap-free TID vendor into one
 //!   deterministic event-driven simulation; produces [`SimResult`].
 //! * [`serialized`] / [`tardis`] — the small-scale TCC protocol (global
 //!   commit token + write-through broadcast commit, OCC condition 2, or
 //!   condition 1 with [`SystemConfig::serial_execution`]) used as the
-//!   scalability baseline, and timestamp-ordered Tardis coherence. Both
-//!   run programs through one shared driver and plug into the
-//!   [`Simulator`] via the [`Protocol`] trait.
+//!   scalability baseline, and timestamp-ordered Tardis coherence. Like
+//!   the TCC machine, both run programs through the one shared driver
+//!   and plug into the [`Simulator`] via the [`Protocol`] trait.
 //! * [`Checker`] — a serializability oracle that validates every
 //!   committed execution against a serial replay in TID order.
 //!
@@ -92,7 +95,8 @@ pub(crate) fn tcc_trace_enabled() -> bool {
 pub use breakdown::{Breakdown, TxCharacteristics};
 pub use checker::{Checker, SerializabilityError, TxRecord};
 pub use config::{ConfigError, ParallelConfig, SystemConfig};
-pub use processor::{Effects, ProcCounters, Processor};
+pub use driver::{Effects, ProcCounters};
+pub use processor::Processor;
 pub use profiling::{LineConflicts, ProfileReport, StarvationEvent, ViolationEvent};
 pub use program::{ThreadProgram, Transaction, TxOp, WorkItem};
 pub use protocol::{HomeTiming, Machine, Protocol, TccMachine};

@@ -113,7 +113,8 @@ use tcc_types::{Cycle, Frame, Message, NodeId};
 use crate::breakdown::TxCharacteristics;
 use crate::checker::{Checker, TxRecord};
 use crate::config::SystemConfig;
-use crate::processor::{Effects, Processor};
+use crate::driver::{Driver, Effects};
+use crate::processor::Processor;
 use crate::protocol::{Machine, TccMachine};
 use crate::sim::{
     occupy_home, trace_delivery, transport_step, DirCache, Event, SimResult, Simulator,
@@ -366,7 +367,7 @@ impl Shard {
             Event::ProcStep(n, seq) => {
                 debug_assert_eq!(n, self.node);
                 if self.proc.wake_seq() == seq {
-                    let fx = self.proc.step(now);
+                    let fx = self.proc.step(&self.cfg, now);
                     self.apply(now, fx);
                 }
             }
@@ -699,7 +700,7 @@ impl Engine {
         if self.barrier_waiting.len() == self.cfg.n_procs {
             let waiting = std::mem::take(&mut self.barrier_waiting);
             for n in waiting {
-                let fx = shards[n.index()].proc.release_barrier(now);
+                let fx = shards[n.index()].proc.release_barrier(&self.cfg, now);
                 self.apply_seq(shards, now, n, fx);
             }
         }
@@ -806,7 +807,7 @@ impl Engine {
             Event::ProcStep(n, seq) => {
                 let fx = {
                     let g = &mut *shards[n.index()];
-                    (g.proc.wake_seq() == seq).then(|| g.proc.step(now))
+                    (g.proc.wake_seq() == seq).then(|| g.proc.step(&self.cfg, now))
                 };
                 if let Some(fx) = fx {
                     self.apply_seq(shards, now, n, fx);
@@ -1486,7 +1487,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         unreachable!("Simulator::try_run keeps non-TCC backends on the classic loop")
     };
     let TccMachine {
-        procs,
+        drv: Driver { procs, .. },
         dirs,
         vendor_next,
         ..
@@ -1632,7 +1633,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
             // context so their creations get canonical keys in classic
             // creation order (cycle 0 pseudo-pops, ranked by node).
             for i in 0..n {
-                let fx = shards[i].proc.start(Cycle::ZERO);
+                let fx = shards[i].proc.start(&eng.cfg, Cycle::ZERO);
                 eng.seq_cycle = Cycle::ZERO;
                 eng.seq_hi = 0;
                 eng.seq_rank = i as u64;
@@ -1727,6 +1728,10 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         program_seed,
         ..
     } = eng;
+    let drv = Driver {
+        cfg: cfg.clone(),
+        procs,
+    };
     let reassembled = Simulator {
         cfg,
         // The restored queue (if any) was consumed into the shards; a
@@ -1734,7 +1739,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         // never read it.
         queue: EventQueue::with_tie_break(tie_break),
         machine: Machine::Tcc(TccMachine {
-            procs,
+            drv,
             dirs,
             vendor_next: vendor_total,
             tracer: tracer.clone(),

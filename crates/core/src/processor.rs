@@ -1,83 +1,20 @@
-//! The TCC processor model: transactional execution, the two-phase
-//! commit protocol, violations, and overflow handling.
+//! The TCC processor: the shared program driver's [`Proc`] with the
+//! TCC backend — the two-phase commit protocol, violations, the
+//! early-TID starvation machinery, and overflow handling.
 
 use std::collections::{BTreeMap, BTreeSet};
-use tcc_types::hash::FxHashSet;
 
-use tcc_cache::{Eviction, HierCache, LineState, LoadOutcome, StoreOutcome};
+use tcc_cache::{Eviction, LineState};
 use tcc_trace::{TraceEvent, Tracer, ViolationCause};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{
-    Addr, Cycle, DirId, LineAddr, LineValues, Message, NodeId, Payload, Tid, WordMask,
-};
+use tcc_types::{Cycle, DirId, LineAddr, LineValues, Message, NodeId, Payload, Tid, WordMask};
 
-use crate::breakdown::{Breakdown, TxCharacteristics};
-use crate::checker::TxRecord;
 use crate::config::SystemConfig;
+use crate::driver::{home_of, Backend, Effects, Phase, Proc, ProcCounters};
 use crate::profiling::{StarvationEvent, ViolationEvent};
-use crate::program::{ThreadProgram, Transaction, TxOp, WorkItem};
 
-/// Everything a processor transition asks the simulation layer to do.
-#[derive(Debug, Default)]
-pub struct Effects {
-    /// Messages to inject, each after the given delay (cycles from now).
-    pub sends: Vec<(u64, Message)>,
-    /// Messages put on the wire *now*, timestamped `now + offset`.
-    ///
-    /// Unlike [`Effects::sends`], these claim network links at apply
-    /// time, in emission order — the mesh sees the reservation before
-    /// any event scheduled between `now` and `now + offset` does. The
-    /// serialized baseline's mid-chunk sends work this way; TCC never
-    /// uses this channel.
-    pub immediate_sends: Vec<(u64, Message)>,
-    /// Re-schedule this processor's execution after the given delay.
-    pub wake_in: Option<u64>,
-    /// The processor reached a barrier.
-    pub reached_barrier: bool,
-    /// The processor finished its program.
-    pub finished: bool,
-    /// A transaction committed (checker record + Table 3 characteristics).
-    pub committed: Option<(TxRecord, TxCharacteristics)>,
-}
-
-impl Effects {
-    fn send(&mut self, delay: u64, msg: Message) {
-        self.sends.push((delay, msg));
-    }
-
-    fn merge(&mut self, other: Effects) {
-        self.sends.extend(other.sends);
-        self.immediate_sends.extend(other.immediate_sends);
-        debug_assert!(self.wake_in.is_none() || other.wake_in.is_none());
-        self.wake_in = self.wake_in.take().or(other.wake_in);
-        self.reached_barrier |= other.reached_barrier;
-        self.finished |= other.finished;
-        debug_assert!(self.committed.is_none() || other.committed.is_none());
-        if other.committed.is_some() {
-            self.committed = other.committed;
-        }
-    }
-}
-
-/// Lifetime counters of one processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcCounters {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transaction attempts violated.
-    pub violations: u64,
-    /// Violations caused by speculative-buffer overflow.
-    pub overflows: u64,
-    /// Committed instructions.
-    pub instructions: u64,
-    /// Re-executions performed in serialized (early-TID) mode.
-    pub serialized_retries: u64,
-    /// Cycles committed transactions spent waiting for the TID vendor.
-    pub tid_wait: u64,
-    /// Cycles committed transactions spent between announcing (skips +
-    /// probes out) and the last probe reply (NSTID waits).
-    pub probe_wait: u64,
-}
+/// One TCC processor: private cache hierarchy plus the protocol engine.
+pub type Processor = Proc<TccState>;
 
 /// An overflowed speculative line held in the processor's unbounded
 /// victim buffer (the VTM-style virtualization fallback; see DESIGN.md).
@@ -117,60 +54,46 @@ struct ValState {
     announced: bool,
 }
 
+/// Commit-side phase of one TCC processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Not yet started.
-    Fresh,
-    /// Executing transaction operations.
-    Running,
-    /// Blocked on an outstanding cache-line fill; `req` identifies the
-    /// outstanding request (replies to superseded requests are dropped).
-    WaitFill {
-        line: LineAddr,
-        word: usize,
-        is_store: bool,
-        req: u64,
-        stall_start: Cycle,
-    },
+pub enum TccPhase {
     /// Waiting for the TID vendor during validation.
     WaitTid,
     /// Waiting for an early TID before re-executing (serialized mode).
     WaitTidEarly,
     /// Probing/marking/committing.
     Validating,
-    /// Waiting at a barrier.
-    AtBarrier { since: Cycle },
-    /// Program complete.
-    Done,
 }
 
-/// One TCC processor: private cache hierarchy plus the protocol engine.
-#[derive(Debug)]
-pub struct Processor {
-    id: NodeId,
-    cfg: SystemConfig,
-    cache: HierCache,
-    program: ThreadProgram,
-    item: usize,
-    op: usize,
-    state: State,
-    val: Option<ValState>,
+impl Snap for TccPhase {
+    fn save(&self, w: &mut SnapWriter) {
+        let tag: u8 = match self {
+            TccPhase::WaitTid => 0,
+            TccPhase::WaitTidEarly => 1,
+            TccPhase::Validating => 2,
+        };
+        tag.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match u8::load(r)? {
+            0 => TccPhase::WaitTid,
+            1 => TccPhase::WaitTidEarly,
+            2 => TccPhase::Validating,
+            t => return Err(SnapError::invalid("TCC phase", format!("tag {t}"))),
+        })
+    }
+}
 
-    // Current-attempt bookkeeping.
-    tx_start: Cycle,
-    commit_start: Cycle,
+/// The TCC backend's per-processor state: validation, forward-progress
+/// machinery, the victim buffer, and TCC-only counters.
+#[derive(Debug, Default)]
+pub struct TccState {
+    val: Option<ValState>,
     /// When this attempt's skips/probes went out (commit sub-phase
     /// attribution).
     announce_at: Cycle,
-    attempt_useful: u64,
-    attempt_miss: u64,
     attempt_commit_extra: u64,
-    tx_instr: u64,
-    read_lines: FxHashSet<LineAddr>,
-    reads_log: Vec<(LineAddr, usize, Option<Tid>)>,
     sharing_dirs: BTreeSet<DirId>,
-    writing_dirs: BTreeSet<DirId>,
-    fill_epoch: u64,
 
     // Forward-progress machinery.
     violations_in_row: u32,
@@ -183,560 +106,310 @@ pub struct Processor {
     /// TID requests whose attempt was violated while the request was in
     /// flight; the matching replies must be released with skips.
     orphaned_tid_requests: u32,
-    /// Monotonic wake-up sequence; stale `ProcStep` events (scheduled
-    /// before a violation or state change) are discarded by comparing
-    /// against this.
-    wake_seq: u64,
-    /// Monotonic load-request id. Echoed in replies; only the reply to
-    /// the *latest* request is consumed (§3.3 "drop that load" race
-    /// elimination, generalized to rolled-back attempts).
-    req_seq: u64,
 
-    totals: Breakdown,
-    counters: ProcCounters,
-    tracer: Tracer,
-    done_at: Option<Cycle>,
+    overflows: u64,
+    serialized_retries: u64,
+    tid_wait: u64,
+    probe_wait: u64,
+    /// The shared tracing sink (observation-only; protocol decisions
+    /// never read it). Not saved: the machine re-attaches it.
+    pub(crate) tracer: Tracer,
     /// TAPE profiling events (populated only when `cfg.profile`).
     profile_violations: Vec<ViolationEvent>,
     profile_starvation: Vec<StarvationEvent>,
 }
 
-impl Processor {
-    /// Creates a processor for node `id` running `program`.
-    #[must_use]
-    pub fn new(id: NodeId, cfg: SystemConfig, program: ThreadProgram) -> Processor {
-        let cache = HierCache::new(cfg.cache.clone());
-        Processor {
-            id,
-            cfg,
-            cache,
-            program,
-            item: 0,
-            op: 0,
-            state: State::Fresh,
-            val: None,
-            tx_start: Cycle::ZERO,
-            commit_start: Cycle::ZERO,
-            announce_at: Cycle::ZERO,
-            attempt_useful: 0,
-            attempt_miss: 0,
-            attempt_commit_extra: 0,
-            tx_instr: 0,
-            read_lines: FxHashSet::default(),
-            reads_log: Vec::new(),
-            sharing_dirs: BTreeSet::new(),
-            writing_dirs: BTreeSet::new(),
-            fill_epoch: 0,
-            violations_in_row: 0,
-            serialize_mode: false,
-            early_tid: None,
-            spill: BTreeMap::new(),
-            last_tid: Tid(0),
-            orphaned_tid_requests: 0,
-            wake_seq: 0,
-            req_seq: 0,
-            totals: Breakdown::default(),
-            counters: ProcCounters::default(),
-            tracer: Tracer::disabled(),
-            done_at: None,
-            profile_violations: Vec::new(),
-            profile_starvation: Vec::new(),
+impl Backend for TccState {
+    type Phase = TccPhase;
+
+    fn phase_name(phase: TccPhase) -> &'static str {
+        match phase {
+            TccPhase::WaitTid => "wait-tid",
+            TccPhase::WaitTidEarly => "wait-tid-early",
+            TccPhase::Validating => "validating",
         }
     }
 
-    /// Attaches the shared tracing sink (observation-only; protocol
-    /// decisions never read it).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    fn fill_request(line: LineAddr, requester: NodeId, req: u64) -> Payload {
+        Payload::LoadRequest {
+            line,
+            requester,
+            req,
+        }
     }
 
+    /// In serialized mode the TID is acquired *before* execution so the
+    /// transaction ages into the oldest in the system.
+    fn gate(
+        p: &mut Processor,
+        cfg: &SystemConfig,
+        _now: Cycle,
+        delay: u64,
+        fx: &mut Effects,
+    ) -> bool {
+        p.x.attempt_commit_extra = 0;
+        p.x.sharing_dirs.clear();
+        p.x.val = None;
+        if !p.x.serialize_mode || p.x.early_tid.is_some() {
+            return false;
+        }
+        p.x.serialized_retries += 1;
+        p.phase = Phase::Backend(TccPhase::WaitTidEarly);
+        let msg = Message::new(
+            p.id,
+            cfg.vendor_node(),
+            Payload::TidRequest { requester: p.id },
+        );
+        fx.sends.push((delay, msg));
+        true
+    }
+
+    /// Loads join the sharing vector; spilled lines (serialized mode
+    /// and post-commit residue) are serviced from the victim buffer at
+    /// L2 latency.
+    fn access(
+        p: &mut Processor,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        word: usize,
+        store: bool,
+        delay: u64,
+        fx: &mut Effects,
+    ) -> Option<u64> {
+        if store {
+            return p.spill_store(cfg, line, word, delay, fx);
+        }
+        p.x.sharing_dirs.insert(home_of(cfg, line));
+        p.spill_load(cfg, line, word, delay, fx)
+    }
+
+    /// The line stays resident (it is about to receive the speculative
+    /// write), so this is a Flush — the processor must remain on the
+    /// sharers list to keep receiving invalidations for it.
+    ///
+    /// Sent with delay 0, not at the store's offset: the cache's dirty
+    /// bit cleared *now* (execution is batched), and the flush must not
+    /// be overtaken by the ack of an invalidation processed later in
+    /// this batch window — the directory relies on flush-before-ack
+    /// ordering.
+    fn dirty_store(p: &mut Processor, cfg: &SystemConfig, ev: Eviction, fx: &mut Effects) {
+        p.send_flush(cfg, fx, 0, ev);
+    }
+
+    /// Installs the fill (forced in serialized mode, write-backs for
+    /// evictions), violates on overflow, and re-executes the blocked
+    /// access — now a hit — inline.
+    fn fill(
+        p: &mut Processor,
+        cfg: &SystemConfig,
+        now: Cycle,
+        line: LineAddr,
+        values: LineValues,
+        stall_start: Cycle,
+        fx: &mut Effects,
+    ) {
+        let installed = if p.x.serialize_mode {
+            p.install_forced(cfg, fx, line, values)
+        } else {
+            let r = p.cache.fill(line, values, false);
+            for ev in r.evictions {
+                p.send_writeback(cfg, fx, 0, ev);
+            }
+            !r.overflow
+        };
+        if !installed {
+            // Overflow: this attempt cannot proceed on this hardware.
+            p.x.overflows += 1;
+            fx.merge(p.violate(cfg, now, true));
+            return;
+        }
+        debug_assert!(
+            now >= stall_start,
+            "fill resumed before its request's logical issue time"
+        );
+        let stalled_for = now.since(stall_start);
+        let node = p.id;
+        p.x.tracer.observe("proc.miss_stall", stalled_for);
+        p.x.tracer.record(now, || TraceEvent::MissStallExit {
+            node,
+            line,
+            stalled_for,
+        });
+        p.attempt_miss += stalled_for;
+        p.phase = Phase::Running;
+        fx.merge(p.step(cfg, now));
+    }
+
+    fn counters(&self) -> ProcCounters {
+        ProcCounters {
+            overflows: self.overflows,
+            serialized_retries: self.serialized_retries,
+            tid_wait: self.tid_wait,
+            probe_wait: self.probe_wait,
+            ..ProcCounters::default()
+        }
+    }
+}
+
+impl Processor {
     /// Drains the TAPE profiling events recorded so far.
     pub fn take_profile(&mut self) -> (Vec<ViolationEvent>, Vec<StarvationEvent>) {
         (
-            std::mem::take(&mut self.profile_violations),
-            std::mem::take(&mut self.profile_starvation),
+            std::mem::take(&mut self.x.profile_violations),
+            std::mem::take(&mut self.x.profile_starvation),
         )
-    }
-
-    /// This processor's node.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Execution-time breakdown accumulated so far.
-    #[must_use]
-    pub fn breakdown(&self) -> Breakdown {
-        self.totals
-    }
-
-    /// Lifetime counters.
-    #[must_use]
-    pub fn counters(&self) -> ProcCounters {
-        self.counters
-    }
-
-    /// Cycle at which the program finished, if it has.
-    #[must_use]
-    pub fn done_at(&self) -> Option<Cycle> {
-        self.done_at
-    }
-
-    /// The cache hierarchy (for statistics and invariant checks).
-    #[must_use]
-    pub fn cache(&self) -> &HierCache {
-        &self.cache
     }
 
     /// Whether `line` is held dirty in the overflow victim buffer
     /// (for the simulator's end-of-run ownership check).
     #[must_use]
     pub fn has_dirty_spill(&self, line: LineAddr) -> bool {
-        self.spill.get(&line).is_some_and(|e| e.dirty)
-    }
-
-    /// Whether the processor finished its program.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
-    /// Human-readable state tag for deadlock diagnostics.
-    #[must_use]
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            State::Fresh => "fresh",
-            State::Running => "running",
-            State::WaitFill { .. } => "wait-fill",
-            State::WaitTid => "wait-tid",
-            State::WaitTidEarly => "wait-tid-early",
-            State::Validating => "validating",
-            State::AtBarrier { .. } => "at-barrier",
-            State::Done => "done",
-        }
-    }
-
-    /// Current wake-up sequence number; the scheduler tags `ProcStep`
-    /// events with this and discards events whose tag is stale.
-    #[must_use]
-    pub fn wake_seq(&self) -> u64 {
-        self.wake_seq
-    }
-
-    /// Conservative barrier-imminence test for the windowed parallel
-    /// engine: could this processor *arrive at a barrier* within a
-    /// window in which at most `depth` work items complete? True when
-    /// the processor is already waiting at a barrier, or when a barrier
-    /// sits within the next `depth + 1` program items (the in-flight
-    /// item may complete any moment; each later item needs at least a
-    /// full fresh-transaction lifetime). A false negative here would
-    /// let a barrier arrival — a global, zero-latency rendezvous —
-    /// happen inside a parallel window, so over-approximation is the
-    /// contract: windows that might see an arrival run sequentially.
-    #[must_use]
-    pub fn barrier_within(&self, depth: usize) -> bool {
-        if matches!(self.state, State::AtBarrier { .. }) {
-            return true;
-        }
-        self.program
-            .items
-            .get(self.item..)
-            .unwrap_or(&[])
-            .iter()
-            .take(depth + 1)
-            .any(|it| matches!(it, WorkItem::Barrier))
-    }
-
-    /// Arms a wake-up `delay` cycles from now, invalidating any
-    /// previously scheduled wake-up.
-    fn arm_wake(&mut self, fx: &mut Effects, delay: u64) {
-        self.wake_seq += 1;
-        fx.wake_in = Some(delay);
-    }
-
-    fn geometry(&self) -> tcc_types::LineGeometry {
-        self.cfg.cache.geometry
-    }
-
-    fn home_of(&self, line: LineAddr) -> DirId {
-        self.geometry().home_of(line, self.cfg.n_procs)
-    }
-
-    fn current_tx(&self) -> Option<&Transaction> {
-        match self.program.items.get(self.item) {
-            Some(WorkItem::Tx(t)) => Some(t),
-            _ => None,
-        }
+        self.x.spill.get(&line).is_some_and(|e| e.dirty)
     }
 
     /// The TID governing this attempt, if any (validation TID or early
     /// TID).
     fn attempt_tid(&self) -> Option<Tid> {
-        self.val.as_ref().and_then(|v| v.tid).or(self.early_tid)
+        self.x.val.as_ref().and_then(|v| v.tid).or(self.x.early_tid)
     }
 
-    // ------------------------------------------------------------------
-    // Program advancement
-    // ------------------------------------------------------------------
-
-    /// Begins execution (call once at simulation start).
-    pub fn start(&mut self, now: Cycle) -> Effects {
-        assert_eq!(self.state, State::Fresh, "start() called twice");
-        self.enter_item(now)
-    }
-
-    /// Enters the current work item: begins a transaction attempt,
-    /// reaches a barrier, or finishes.
-    fn enter_item(&mut self, now: Cycle) -> Effects {
+    /// One `ProcStep`: runs a chunk of the body and, once it completes,
+    /// enters validation.
+    pub(crate) fn step(&mut self, cfg: &SystemConfig, now: Cycle) -> Effects {
         let mut fx = Effects::default();
-        match self.program.items.get(self.item) {
-            Some(WorkItem::Tx(_)) => {
-                self.begin_attempt(now);
-                fx.merge(self.request_early_tid_or_run(now));
-            }
-            Some(WorkItem::Barrier) => {
-                self.state = State::AtBarrier { since: now };
-                fx.reached_barrier = true;
-            }
-            None => {
-                self.state = State::Done;
-                self.done_at = Some(now);
-                fx.finished = true;
-            }
+        if let Some((at, delay)) = self.run_chunk(cfg, now, &mut fx) {
+            fx.merge(self.begin_validation(cfg, at, delay));
         }
         fx
     }
 
-    /// Resets per-attempt bookkeeping at the start of an attempt.
-    fn begin_attempt(&mut self, now: Cycle) {
-        self.op = 0;
-        self.tx_start = now;
-        self.attempt_useful = 0;
-        self.attempt_miss = 0;
-        self.attempt_commit_extra = 0;
-        self.tx_instr = 0;
-        self.read_lines.clear();
-        self.reads_log.clear();
-        self.sharing_dirs.clear();
-        self.writing_dirs.clear();
-        self.val = None;
-    }
-
-    /// In serialized mode the TID is acquired *before* execution so the
-    /// transaction ages into the oldest in the system.
-    fn request_early_tid_or_run(&mut self, _now: Cycle) -> Effects {
-        let mut fx = Effects::default();
-        if self.serialize_mode && self.early_tid.is_none() {
-            self.counters.serialized_retries += 1;
-            self.state = State::WaitTidEarly;
-            fx.send(
-                0,
-                Message::new(
-                    self.id,
-                    self.cfg.vendor_node(),
-                    Payload::TidRequest { requester: self.id },
-                ),
-            );
-        } else {
-            self.state = State::Running;
-            self.arm_wake(&mut fx, 0);
-        }
-        fx
-    }
-
-    // ------------------------------------------------------------------
-    // Execution
-    // ------------------------------------------------------------------
-
-    /// Executes operations of the current transaction until a blocking
-    /// point or the chunk limit. Invoked by the scheduler on each
-    /// `ProcStep` event.
-    pub fn step(&mut self, now: Cycle) -> Effects {
-        assert_eq!(
-            self.state,
-            State::Running,
-            "step() while {}",
-            self.state_name()
-        );
-        let mut fx = Effects::default();
-        let mut elapsed: u64 = 0;
-        loop {
-            if elapsed >= self.cfg.exec_chunk {
-                self.arm_wake(&mut fx, elapsed);
-                return fx;
-            }
-            let Some(tx) = self.current_tx() else {
-                unreachable!("Running state outside a transaction item")
-            };
-            let Some(&op) = tx.ops.get(self.op) else {
-                // Transaction body complete: begin validation.
-                fx.merge(self.begin_validation(now, elapsed));
-                return fx;
-            };
-            match op {
-                TxOp::Compute(n) => {
-                    elapsed += u64::from(n);
-                    self.attempt_useful += u64::from(n);
-                    self.tx_instr += u64::from(n);
-                    self.op += 1;
-                }
-                TxOp::Load(a) => {
-                    if let Some(done) = self.exec_load(now, &mut fx, &mut elapsed, a) {
-                        if !done {
-                            return fx; // blocked on a fill
-                        }
-                    }
-                }
-                TxOp::Store(a) => {
-                    if let Some(done) = self.exec_store(now, &mut fx, &mut elapsed, a) {
-                        if !done {
-                            return fx;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one load; returns `Some(true)` if it completed,
-    /// `Some(false)` if the processor blocked on a fill.
-    fn exec_load(
+    /// A load of `word` in a spilled line: served from the buffer when
+    /// the word is there. Otherwise the entry is re-installed into the
+    /// cache (forced, possibly spilling a different victim) and the
+    /// load takes the ordinary upgrade-miss path — the fetch merges
+    /// around the entry's SM words and valid data, keeping a single
+    /// copy of truth.
+    fn spill_load(
         &mut self,
-        now: Cycle,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        word: usize,
+        delay: u64,
         fx: &mut Effects,
-        elapsed: &mut u64,
-        a: Addr,
-    ) -> Option<bool> {
-        let geom = self.geometry();
-        let line = geom.line_of(a);
-        let word = geom.word_index(a);
-        self.sharing_dirs.insert(self.home_of(line));
-        // Spilled lines (serialized mode and post-commit residue) are
-        // serviced from the victim buffer at L2 latency.
-        if let Some(entry) = self.spill.get_mut(&line) {
-            if entry.sm.get(word) || entry.valid.get(word) {
-                let first = !entry.sr.get(word) && !entry.sm.get(word);
-                if !entry.sm.get(word) {
-                    entry.sr.set(word);
-                    if first {
-                        let v = entry.values.words.get(word).copied().flatten();
-                        self.reads_log.push((line, word, v));
-                        self.read_lines.insert(line);
-                    }
+    ) -> Option<u64> {
+        let entry = self.x.spill.get_mut(&line)?;
+        if entry.sm.get(word) || entry.valid.get(word) {
+            let first = !entry.sr.get(word) && !entry.sm.get(word);
+            if !entry.sm.get(word) {
+                entry.sr.set(word);
+                if first {
+                    let v = entry.values.words.get(word).copied().flatten();
+                    self.reads_log.push((line, word, v));
                 }
-                let lat = self.cfg.cache.l2_latency;
-                *elapsed += lat;
-                self.attempt_useful += lat;
-                self.tx_instr += 1;
-                self.op += 1;
-                return Some(true);
             }
-            // The wanted word is invalid in the buffered copy:
-            // re-install the entry into the cache (forced, possibly
-            // spilling a different victim) and take the ordinary
-            // upgrade-miss path — the fetch merges around the entry's
-            // SM words and valid data, keeping a single copy of truth.
-            let e = self.spill.remove(&line).expect("checked above");
-            let state = LineState {
-                sr: e.sr,
-                sm: e.sm,
-                dirty: e.dirty,
-                owner_tid: e.generation,
-                values: e.values,
-            };
-            let forced = self.cache.install_forced(line, state, e.valid);
-            for ev in forced.evictions {
-                self.send_writeback(fx, *elapsed, ev);
-            }
-            if let Some((vline, vstate, vvalid)) = forced.spilled {
-                debug_assert_ne!(vline, line, "just-installed line evicted");
-                if vstate.dirty {
-                    self.send_flush(
-                        fx,
-                        *elapsed,
-                        Eviction {
-                            line: vline,
-                            values: vstate.values.clone(),
-                            valid: vvalid,
-                            dirty: true,
-                            generation: vstate.owner_tid,
-                        },
-                    );
-                }
-                self.spill.insert(
-                    vline,
-                    SpillEntry {
-                        sr: vstate.sr,
-                        sm: vstate.sm,
-                        valid: vvalid,
-                        dirty: false,
-                        generation: vstate.owner_tid,
-                        values: vstate.values,
-                    },
-                );
-            }
+            return Some(cfg.cache.l2_latency);
         }
-        match self.cache.load(line, word) {
-            LoadOutcome::Hit {
-                level,
-                value,
-                own_speculative,
-                first_read,
-            } => {
-                let lat = self.cfg.cache.latency(level);
-                *elapsed += lat;
-                self.attempt_useful += lat;
-                self.tx_instr += 1;
-                if !own_speculative {
-                    self.read_lines.insert(line);
-                    if first_read {
-                        self.reads_log.push((line, word, value));
-                    }
-                }
-                self.op += 1;
-                Some(true)
-            }
-            LoadOutcome::Miss => {
-                self.req_seq += 1;
-                self.state = State::WaitFill {
-                    line,
-                    word,
-                    is_store: false,
-                    req: self.req_seq,
-                    stall_start: now + *elapsed,
-                };
-                fx.send(
-                    *elapsed,
-                    Message::new(
-                        self.id,
-                        self.home_of(line).node(),
-                        Payload::LoadRequest {
-                            line,
-                            requester: self.id,
-                            req: self.req_seq,
-                        },
-                    ),
-                );
-                Some(false)
-            }
+        let e = self.x.spill.remove(&line).expect("checked above");
+        let state = LineState {
+            sr: e.sr,
+            sm: e.sm,
+            dirty: e.dirty,
+            owner_tid: e.generation,
+            values: e.values,
+        };
+        let forced = self.cache.install_forced(line, state, e.valid);
+        for ev in forced.evictions {
+            self.send_writeback(cfg, fx, delay, ev);
         }
-    }
-
-    /// Executes one store; returns as [`Processor::exec_load`].
-    fn exec_store(
-        &mut self,
-        now: Cycle,
-        fx: &mut Effects,
-        elapsed: &mut u64,
-        a: Addr,
-    ) -> Option<bool> {
-        let geom = self.geometry();
-        let line = geom.line_of(a);
-        let word = geom.word_index(a);
-        self.writing_dirs.insert(self.home_of(line));
-        if let Some(entry) = self.spill.get_mut(&line) {
-            // Dirty-bit rule (§3.1), spill edition: the first
-            // speculative write to buffered committed data flushes it
-            // home first so an abort cannot destroy it.
-            let pre = (entry.dirty && entry.sm.is_empty()).then(|| {
-                entry.dirty = false;
-                (entry.values.clone(), entry.valid, entry.generation)
-            });
-            entry.sm.set(word);
-            if let Some((values, valid, generation)) = pre {
+        if let Some((vline, vstate, vvalid)) = forced.spilled {
+            debug_assert_ne!(vline, line, "just-installed line evicted");
+            if vstate.dirty {
                 self.send_flush(
+                    cfg,
                     fx,
-                    *elapsed,
+                    delay,
                     Eviction {
-                        line,
-                        values,
-                        valid,
+                        line: vline,
+                        values: vstate.values.clone(),
+                        valid: vvalid,
                         dirty: true,
-                        generation,
+                        generation: vstate.owner_tid,
                     },
                 );
             }
-            let lat = self.cfg.cache.l2_latency;
-            *elapsed += lat;
-            self.attempt_useful += lat;
-            self.tx_instr += 1;
-            self.op += 1;
-            return Some(true);
+            self.x.spill.insert(
+                vline,
+                SpillEntry {
+                    sr: vstate.sr,
+                    sm: vstate.sm,
+                    valid: vvalid,
+                    dirty: false,
+                    generation: vstate.owner_tid,
+                    values: vstate.values,
+                },
+            );
         }
-        match self.cache.store(line, word) {
-            StoreOutcome::Hit {
-                level,
-                pre_writeback,
-            } => {
-                if let Some(ev) = pre_writeback {
-                    // The line stays resident (it is about to receive the
-                    // speculative write), so this is a Flush — the
-                    // processor must remain on the sharers list to keep
-                    // receiving invalidations for it.
-                    //
-                    // Sent with delay 0, not `elapsed`: the cache's dirty
-                    // bit cleared *now* (execution is batched), and the
-                    // flush must not be overtaken by the ack of an
-                    // invalidation processed later in this batch window —
-                    // the directory relies on flush-before-ack ordering.
-                    self.send_flush(fx, 0, ev);
-                }
-                let lat = self.cfg.cache.latency(level);
-                *elapsed += lat;
-                self.attempt_useful += lat;
-                self.tx_instr += 1;
-                self.op += 1;
-                Some(true)
-            }
-            StoreOutcome::Miss => {
-                self.req_seq += 1;
-                self.state = State::WaitFill {
+        None
+    }
+
+    /// A store of `word` in a spilled line is buffered there.
+    fn spill_store(
+        &mut self,
+        cfg: &SystemConfig,
+        line: LineAddr,
+        word: usize,
+        delay: u64,
+        fx: &mut Effects,
+    ) -> Option<u64> {
+        let entry = self.x.spill.get_mut(&line)?;
+        // Dirty-bit rule (§3.1), spill edition: the first speculative
+        // write to buffered committed data flushes it home first so an
+        // abort cannot destroy it.
+        let pre = (entry.dirty && entry.sm.is_empty()).then(|| {
+            entry.dirty = false;
+            (entry.values.clone(), entry.valid, entry.generation)
+        });
+        entry.sm.set(word);
+        if let Some((values, valid, generation)) = pre {
+            self.send_flush(
+                cfg,
+                fx,
+                delay,
+                Eviction {
                     line,
-                    word,
-                    is_store: true,
-                    req: self.req_seq,
-                    stall_start: now + *elapsed,
-                };
-                fx.send(
-                    *elapsed,
-                    Message::new(
-                        self.id,
-                        self.home_of(line).node(),
-                        Payload::LoadRequest {
-                            line,
-                            requester: self.id,
-                            req: self.req_seq,
-                        },
-                    ),
-                );
-                Some(false)
-            }
+                    values,
+                    valid,
+                    dirty: true,
+                    generation,
+                },
+            );
         }
+        Some(cfg.cache.l2_latency)
     }
 
     /// The staleness tag for a write-back of committed data: the
     /// ownership generation of the data itself (§3.3, refined — see
     /// DESIGN.md: tagging with the processor's latest TID would defeat
     /// the superseded-write-back check).
-    fn wb_tag(&self, generation: Option<Tid>) -> Tid {
+    fn wb_tag(&self, cfg: &SystemConfig, generation: Option<Tid>) -> Tid {
         debug_assert!(generation.is_some(), "dirty data without a generation");
-        if self.cfg.bugs.writeback_latest_tid {
+        if cfg.bugs.writeback_latest_tid {
             // Mutation knob: tagging with the newest TID this processor
             // has seen (instead of the generation that claimed the
             // line) defeats the directory's §3.3 staleness check — a
             // superseded owner's write-back can clobber newer data.
-            return self.last_tid;
+            return self.x.last_tid;
         }
-        generation.unwrap_or(self.last_tid)
+        generation.unwrap_or(self.x.last_tid)
     }
 
     /// Emits a `Flush` for a dirty line that stays resident (dirty-bit
     /// pre-write-back, §3.1).
-    fn send_flush(&mut self, fx: &mut Effects, delay: u64, ev: Eviction) {
+    fn send_flush(&self, cfg: &SystemConfig, fx: &mut Effects, delay: u64, ev: Eviction) {
         debug_assert!(ev.dirty);
-        let home = self.home_of(ev.line).node();
-        let tid = self.wb_tag(ev.generation);
-        fx.send(
+        let home = home_of(cfg, ev.line).node();
+        let tid = self.wb_tag(cfg, ev.generation);
+        fx.sends.push((
             delay,
             Message::new(
                 self.id,
@@ -750,16 +423,16 @@ impl Processor {
                     dropped: false,
                 },
             ),
-        );
+        ));
     }
 
     /// Emits a `WriteBack` (eviction) message for a dirty line leaving
     /// the cache.
-    fn send_writeback(&mut self, fx: &mut Effects, delay: u64, ev: Eviction) {
+    fn send_writeback(&self, cfg: &SystemConfig, fx: &mut Effects, delay: u64, ev: Eviction) {
         debug_assert!(ev.dirty);
-        let home = self.home_of(ev.line).node();
-        let tid = self.wb_tag(ev.generation);
-        fx.send(
+        let home = home_of(cfg, ev.line).node();
+        let tid = self.wb_tag(cfg, ev.generation);
+        fx.sends.push((
             delay,
             Message::new(
                 self.id,
@@ -772,31 +445,37 @@ impl Processor {
                     writer: self.id,
                 },
             ),
-        );
+        ));
     }
 
     // ------------------------------------------------------------------
     // Validation & commit
     // ------------------------------------------------------------------
 
-    /// Transaction body finished `elapsed` cycles into the current
-    /// event: capture the write-set and enter the commit protocol.
-    fn begin_validation(&mut self, now: Cycle, elapsed: u64) -> Effects {
+    /// Transaction body finished at cycle `at`, `delay` cycles into the
+    /// current event: capture the write-set and enter the commit
+    /// protocol.
+    pub(crate) fn begin_validation(
+        &mut self,
+        cfg: &SystemConfig,
+        at: Cycle,
+        delay: u64,
+    ) -> Effects {
         let mut fx = Effects::default();
-        self.commit_start = now + elapsed;
-        self.announce_at = self.commit_start;
+        self.commit_start = at;
+        self.x.announce_at = at;
         // Write-set = cached SM lines plus spilled SM lines.
         let mut write_set = self.cache.write_set();
-        for (&line, e) in &self.spill {
+        for (&line, e) in &self.x.spill {
             if !e.sm.is_empty() {
                 write_set.push((line, e.sm));
             }
         }
         write_set.sort_by_key(|(l, _)| l.0);
-        let wdirs: BTreeSet<DirId> = write_set.iter().map(|(l, _)| self.home_of(*l)).collect();
-        let sdirs_only: BTreeSet<DirId> = self.sharing_dirs.difference(&wdirs).copied().collect();
-        self.val = Some(ValState {
-            tid: None,
+        let wdirs: BTreeSet<DirId> = write_set.iter().map(|(l, _)| home_of(cfg, *l)).collect();
+        let sdirs_only: BTreeSet<DirId> = self.x.sharing_dirs.difference(&wdirs).copied().collect();
+        self.x.val = Some(ValState {
+            tid: self.x.early_tid,
             write_set,
             wdirs,
             sdirs_only,
@@ -804,32 +483,32 @@ impl Processor {
             marks_per_dir: BTreeMap::new(),
             announced: false,
         });
-        if let Some(tid) = self.early_tid {
+        if self.x.early_tid.is_some() {
             // Serialized mode already holds a TID.
-            self.val.as_mut().expect("just set").tid = Some(tid);
-            self.state = State::Validating;
-            fx.merge(self.announce_commit(now, elapsed));
+            self.phase = Phase::Backend(TccPhase::Validating);
+            fx.merge(self.announce_commit(cfg, at, delay));
         } else {
-            self.state = State::WaitTid;
+            self.phase = Phase::Backend(TccPhase::WaitTid);
             let node = self.id;
-            self.tracer
-                .record(self.commit_start, || TraceEvent::TidRequest { node });
-            fx.send(
-                elapsed,
+            self.x.tracer.record(at, || TraceEvent::TidRequest { node });
+            fx.sends.push((
+                delay,
                 Message::new(
                     self.id,
-                    self.cfg.vendor_node(),
+                    cfg.vendor_node(),
                     Payload::TidRequest { requester: self.id },
                 ),
-            );
+            ));
         }
         fx
     }
 
-    /// Sends the Skip multicast and the probes (phase 1 of the commit).
-    fn announce_commit(&mut self, now: Cycle, delay: u64) -> Effects {
+    /// Sends the Skip multicast and the probes (phase 1 of the commit)
+    /// at cycle `at`, `delay` cycles into the current event.
+    fn announce_commit(&mut self, cfg: &SystemConfig, at: Cycle, delay: u64) -> Effects {
         let mut fx = Effects::default();
         let val = self
+            .x
             .val
             .as_mut()
             .expect("announce without validation state");
@@ -838,11 +517,11 @@ impl Processor {
         val.announced = true;
         val.pending = val.wdirs.union(&val.sdirs_only).copied().collect();
         let involved: BTreeSet<DirId> = val.pending.clone();
-        for d in 0..self.cfg.n_procs {
+        for d in 0..cfg.n_procs {
             let dir = DirId(d as u16);
             if involved.contains(&dir) {
                 let for_write = val.wdirs.contains(&dir);
-                fx.send(
+                fx.sends.push((
                     delay,
                     Message::new(
                         self.id,
@@ -853,27 +532,26 @@ impl Processor {
                             for_write,
                         },
                     ),
-                );
+                ));
             } else {
-                fx.send(
+                fx.sends.push((
                     delay,
                     Message::new(self.id, dir.node(), Payload::Skip { tid }),
-                );
+                ));
             }
         }
         let node = self.id;
         let probes = involved.len() as u32;
-        let skips = (self.cfg.n_procs - involved.len()) as u32;
-        self.tracer
-            .record(now + delay, || TraceEvent::CommitAnnounce {
-                node,
-                tid,
-                probes,
-                skips,
-            });
+        let skips = (cfg.n_procs - involved.len()) as u32;
+        self.x.tracer.record(at, || TraceEvent::CommitAnnounce {
+            node,
+            tid,
+            probes,
+            skips,
+        });
         if involved.is_empty() {
             // A transaction with no memory footprint commits at once.
-            fx.merge(self.complete_commit(now + delay));
+            fx.merge(self.complete_commit(cfg, at));
         }
         fx
     }
@@ -889,33 +567,34 @@ impl Processor {
     /// allocation, not a query — a duplicate `TidRequest` mints an
     /// orphan TID nobody releases, and a duplicate `TidReply` trips the
     /// state panic below (kept as an exactly-once-violation detector).
-    pub fn on_tid_reply(&mut self, now: Cycle, tid: Tid) -> Effects {
-        if self.orphaned_tid_requests > 0 {
-            self.orphaned_tid_requests -= 1;
-            self.last_tid = tid;
-            return self.skip_everywhere(tid);
+    pub(crate) fn on_tid_reply(&mut self, cfg: &SystemConfig, now: Cycle, tid: Tid) -> Effects {
+        if self.x.orphaned_tid_requests > 0 {
+            self.x.orphaned_tid_requests -= 1;
+            self.x.last_tid = tid;
+            return self.skip_everywhere(cfg, tid);
         }
-        self.last_tid = tid;
-        match self.state {
-            State::WaitTid => {
+        self.x.last_tid = tid;
+        match self.phase {
+            Phase::Backend(TccPhase::WaitTid) => {
                 let waited = now.since(self.commit_start);
-                self.counters.tid_wait += waited;
+                self.x.tid_wait += waited;
                 let node = self.id;
-                self.tracer.observe("commit.tid_wait", waited);
-                self.tracer
+                self.x.tracer.observe("commit.tid_wait", waited);
+                self.x
+                    .tracer
                     .record(now, || TraceEvent::TidAcquire { node, tid, waited });
-                self.announce_at = now;
-                self.val.as_mut().expect("WaitTid without val").tid = Some(tid);
-                self.state = State::Validating;
-                self.announce_commit(now, 0)
+                self.x.announce_at = now;
+                self.x.val.as_mut().expect("WaitTid without val").tid = Some(tid);
+                self.phase = Phase::Backend(TccPhase::Validating);
+                self.announce_commit(cfg, now, 0)
             }
-            State::WaitTidEarly => {
-                self.early_tid = Some(tid);
-                self.state = State::Running;
+            Phase::Backend(TccPhase::WaitTidEarly) => {
+                self.x.early_tid = Some(tid);
+                self.phase = Phase::Running;
                 let mut fx = Effects::default();
                 // The wait for the early TID is commit-protocol overhead.
-                self.attempt_commit_extra += now.since(self.tx_start);
-                self.arm_wake(&mut fx, 0);
+                self.x.attempt_commit_extra += now.since(self.tx_start);
+                self.wake(0, &mut fx);
                 fx
             }
             _ => panic!("TidReply while {}", self.state_name()),
@@ -928,8 +607,9 @@ impl Processor {
     /// removing `dir` from the attempt's pending set (and stale-attempt
     /// replies fail the `probe_tid` echo check), so a duplicate is
     /// dropped without re-sending Marks.
-    pub fn on_probe_reply(
+    pub(crate) fn on_probe_reply(
         &mut self,
+        cfg: &SystemConfig,
         now: Cycle,
         dir: DirId,
         now_serving: Tid,
@@ -937,10 +617,10 @@ impl Processor {
         for_write: bool,
     ) -> Effects {
         let mut fx = Effects::default();
-        let State::Validating = self.state else {
+        let Phase::Backend(TccPhase::Validating) = self.phase else {
             return fx; // stale reply from an aborted attempt
         };
-        let val = self.val.as_mut().expect("validating without val state");
+        let val = self.x.val.as_mut().expect("validating without val state");
         let tid = val.tid.expect("validating without TID");
         if probe_tid != tid || now_serving < tid || !val.pending.remove(&dir) {
             return fx; // reply to a probe of an aborted earlier attempt
@@ -950,12 +630,12 @@ impl Processor {
             let marks: Vec<(LineAddr, WordMask)> = val
                 .write_set
                 .iter()
-                .filter(|(l, _)| self.cfg.cache.geometry.home_of(*l, self.cfg.n_procs) == dir)
+                .filter(|(l, _)| home_of(cfg, *l) == dir)
                 .copied()
                 .collect();
             val.marks_per_dir.insert(dir, marks.len() as u32);
             for (line, words) in marks {
-                fx.send(
+                fx.sends.push((
                     0,
                     Message::new(
                         self.id,
@@ -967,39 +647,33 @@ impl Processor {
                             committer: self.id,
                         },
                     ),
-                );
+                ));
             }
         }
-        if self
-            .val
-            .as_ref()
-            .expect("still validating")
-            .pending
-            .is_empty()
-        {
-            fx.merge(self.complete_commit(now));
+        if val.pending.is_empty() {
+            fx.merge(self.complete_commit(cfg, now));
         }
         fx
     }
 
     /// Phase 2: all probes satisfied and all marks sent — multicast
     /// `Commit`, apply the commit locally, and move to the next item.
-    fn complete_commit(&mut self, now: Cycle) -> Effects {
-        let probe_wait = now.since(self.announce_at.max(self.commit_start));
-        self.counters.probe_wait += probe_wait;
-        self.tracer.observe("commit.probe_wait", probe_wait);
+    fn complete_commit(&mut self, cfg: &SystemConfig, now: Cycle) -> Effects {
+        let probe_wait = now.since(self.x.announce_at.max(self.commit_start));
+        self.x.probe_wait += probe_wait;
+        self.x.tracer.observe("commit.probe_wait", probe_wait);
         let mut fx = Effects::default();
-        let val = self.val.take().expect("commit without validation state");
+        let val = self.x.val.take().expect("commit without validation state");
         let tid = val.tid.expect("commit without TID");
         {
             let node = self.id;
             let marks: u32 = val.marks_per_dir.values().sum();
             // Latency of the whole commit phase: TID acquire (or phase
             // entry, in serialized mode) to the Commit multicast.
-            let latency = now.since(self.announce_at);
-            self.tracer.count("commit.count", 1);
-            self.tracer.observe("commit.latency", latency);
-            self.tracer.record(now, || TraceEvent::CommitMulticast {
+            let latency = now.since(self.x.announce_at);
+            self.x.tracer.count("commit.count", 1);
+            self.x.tracer.observe("commit.latency", latency);
+            self.x.tracer.record(now, || TraceEvent::CommitMulticast {
                 node,
                 tid,
                 marks,
@@ -1008,7 +682,7 @@ impl Processor {
         }
         for &dir in val.wdirs.union(&val.sdirs_only) {
             let marks = val.marks_per_dir.get(&dir).copied().unwrap_or(0);
-            fx.send(
+            fx.sends.push((
                 0,
                 Message::new(
                     self.id,
@@ -1019,18 +693,15 @@ impl Processor {
                         marks,
                     },
                 ),
-            );
+            ));
         }
-        // Local commit: stamp speculative writes with the TID.
-        self.cache.commit_tx(tid);
-        // Spilled lines: commit locally, exactly like cached lines. The
+        // Spilled lines commit locally, exactly like cached lines. The
         // data stays in the buffer *dirty* — we are its registered
         // owner — and is flushed on demand (DataRequest, invalidation,
         // re-write, or retirement), never fire-and-forget: an eager
         // write-back could still be in flight when a later commit to
         // the line completes, leaving memory stale in the window.
-        let spilled: Vec<(LineAddr, SpillEntry)> =
-            std::mem::take(&mut self.spill).into_iter().collect();
+        let spilled = std::mem::take(&mut self.x.spill);
         for (line, mut e) in spilled {
             if !e.sm.is_empty() {
                 e.values.apply_write(e.sm, tid);
@@ -1041,53 +712,29 @@ impl Processor {
             }
             e.sr = WordMask::EMPTY;
             if e.dirty {
-                self.spill.insert(line, e);
+                self.x.spill.insert(line, e);
             }
             // Clean read-only spills are simply forgotten.
         }
-        // Statistics and checker record.
-        let geom = self.geometry();
-        let line_bytes = u64::from(geom.line_bytes());
-        let words_written: u64 = val
-            .write_set
-            .iter()
-            .map(|(_, m)| u64::from(m.count()))
-            .sum();
-        let chars = TxCharacteristics {
-            instructions: self.tx_instr,
-            read_set_bytes: self.read_lines.len() as u64 * line_bytes,
-            write_set_bytes: val.write_set.len() as u64 * line_bytes,
-            words_written,
-            dirs_written: val.wdirs.len() as u32,
-            dirs_touched: (val.wdirs.len() + val.sdirs_only.len()) as u32,
-        };
-        let record = TxRecord {
-            tid,
-            reads: std::mem::take(&mut self.reads_log),
-            writes: val.write_set.clone(),
-        };
         debug_assert_eq!(
-            self.attempt_useful + self.attempt_miss + self.attempt_commit_extra,
+            self.attempt_useful + self.attempt_miss + self.x.attempt_commit_extra,
             self.commit_start.since(self.tx_start),
             "{}: attempt segments do not tile: useful={} miss={} extra={} tx_start={} commit_start={}",
             self.id,
             self.attempt_useful,
             self.attempt_miss,
-            self.attempt_commit_extra,
+            self.x.attempt_commit_extra,
             self.tx_start,
             self.commit_start
         );
-        fx.committed = Some((record, chars));
-        self.counters.commits += 1;
-        self.counters.instructions += self.tx_instr;
-        self.totals.useful += self.attempt_useful;
-        self.totals.cache_miss += self.attempt_miss;
-        self.totals.commit += now.since(self.commit_start) + self.attempt_commit_extra;
-        self.violations_in_row = 0;
-        self.serialize_mode = false;
-        self.early_tid = None;
-        self.item += 1;
-        fx.merge(self.enter_item(now));
+        // Local commit: stamp speculative writes with the TID, report
+        // the checker record, and book the attempt.
+        self.retire(cfg, tid, &val.write_set, &mut fx);
+        self.totals.commit += self.x.attempt_commit_extra;
+        self.x.violations_in_row = 0;
+        self.x.serialize_mode = false;
+        self.x.early_tid = None;
+        self.next_item(cfg, now, 0, &mut fx);
         fx
     }
 
@@ -1095,89 +742,25 @@ impl Processor {
     // Incoming coherence traffic
     // ------------------------------------------------------------------
 
-    /// Handles a `LoadReply` (fill data).
-    ///
-    /// Only the reply matching the *latest* outstanding request id is
-    /// consumed; anything else — replies to requests from rolled-back
-    /// attempts, or requests superseded after an in-flight invalidation
-    /// — is dropped on the floor, per the paper's load/invalidate race
-    /// rule (§3.3). The same check makes the handler naturally
-    /// idempotent: a duplicate fill finds no matching outstanding
-    /// request and is discarded.
-    pub fn on_load_reply(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        values: LineValues,
-        req: u64,
-    ) -> Effects {
-        let mut fx = Effects::default();
-        // Mutation knob: ignoring the request id accepts fills an
-        // invalidation superseded while they were in flight — the §3.3
-        // load/invalidate race the re-request rule eliminates.
-        let resume = if self.cfg.bugs.accept_stale_fills {
-            matches!(self.state, State::WaitFill { line: l, .. } if l == line)
-        } else {
-            matches!(
-                self.state,
-                State::WaitFill { line: l, req: r, .. } if l == line && r == req
-            )
-        };
-        if !resume {
-            return fx; // stale reply: drop the data on the floor
-        }
-        let installed = if self.serialize_mode {
-            self.install_forced(&mut fx, line, values)
-        } else {
-            let r = self.cache.fill(line, values, false);
-            for ev in r.evictions {
-                self.send_writeback(&mut fx, 0, ev);
-            }
-            !r.overflow
-        };
-        if !installed {
-            // Overflow: this attempt cannot proceed on this hardware.
-            self.counters.overflows += 1;
-            fx.merge(self.violate(now, true));
-            return fx;
-        }
-        let State::WaitFill { stall_start, .. } = self.state else {
-            unreachable!()
-        };
-        debug_assert!(
-            now >= stall_start,
-            "fill resumed before its request's logical issue time"
-        );
-        let stalled_for = now.since(stall_start);
-        {
-            let node = self.id;
-            self.tracer.observe("proc.miss_stall", stalled_for);
-            self.tracer.record(now, || TraceEvent::MissStallExit {
-                node,
-                line,
-                stalled_for,
-            });
-        }
-        self.attempt_miss += stalled_for;
-        self.state = State::Running;
-        // Re-execute the blocked access (now a hit) and continue.
-        fx.merge(self.step(now));
-        fx
-    }
-
     /// Serialized-mode fill: force the install, spilling any displaced
     /// speculative line into the unbounded victim buffer.
-    fn install_forced(&mut self, fx: &mut Effects, line: LineAddr, values: LineValues) -> bool {
+    fn install_forced(
+        &mut self,
+        cfg: &SystemConfig,
+        fx: &mut Effects,
+        line: LineAddr,
+        values: LineValues,
+    ) -> bool {
         let r = self.cache.fill(line, values.clone(), false);
         if !r.overflow {
             for ev in r.evictions {
-                self.send_writeback(fx, 0, ev);
+                self.send_writeback(cfg, fx, 0, ev);
             }
             return true;
         }
         let forced = self.cache.fill_forced(line, values);
         for ev in forced.evictions {
-            self.send_writeback(fx, 0, ev);
+            self.send_writeback(cfg, fx, 0, ev);
         }
         if let Some((vline, state, valid)) = forced.spilled {
             if state.dirty {
@@ -1186,6 +769,7 @@ impl Processor {
                 // buffered SR/SM bits still need invalidations) so the
                 // directory's ownership record stays serviceable.
                 self.send_flush(
+                    cfg,
                     fx,
                     0,
                     Eviction {
@@ -1197,7 +781,7 @@ impl Processor {
                     },
                 );
             }
-            self.spill.insert(
+            self.x.spill.insert(
                 vline,
                 SpillEntry {
                     sr: state.sr,
@@ -1218,9 +802,10 @@ impl Processor {
     /// with an `InvAck`, and the directory's ack window is a countdown —
     /// a duplicate invalidation produces a surplus ack that underflows
     /// it ("inv ack with no commit in flight").
-    pub fn on_invalidate(
+    pub(crate) fn on_invalidate(
         &mut self,
-        _now: Cycle,
+        cfg: &SystemConfig,
+        now: Cycle,
         line: LineAddr,
         words: WordMask,
         committer_tid: Tid,
@@ -1230,54 +815,54 @@ impl Processor {
         if crate::tcc_trace_enabled() {
             eprintln!(
                 "{} INV@{} line={} words={:b} from={} state={} dirty={} sr={:b} sm={:b} contains={}",
-                _now, self.id, line, words.0, committer_tid, self.state_name(),
+                now, self.id, line, words.0, committer_tid, self.state_name(),
                 self.cache.is_dirty(line), self.cache.sr_mask(line).0,
                 self.cache.sm_mask(line).0, self.cache.contains(line)
             );
         }
+        let home = home_of(cfg, line).node();
         // If a fill for this very line is in flight, the data it will
         // return predates this commit: supersede the request with a
         // fresh one (the old reply's id no longer matches and will be
         // dropped — §3.3 "drop that load"). The replacement must not
         // depart before the original request's logical issue time
-        // (`stall_start` can lie ahead of `_now` because execution is
+        // (`stall_start` can lie ahead of `now` because execution is
         // batched): a reply arriving before that point would resume the
         // processor inside an already-accounted execution window.
-        if let State::WaitFill {
+        if let Phase::WaitFill {
             line: l,
             req,
             stall_start,
-            ..
-        } = &mut self.state
+        } = &mut self.phase
         {
             if *l == line {
                 self.req_seq += 1;
                 *req = self.req_seq;
-                let delay = stall_start.since(_now);
-                fx.send(
+                let delay = stall_start.since(now);
+                fx.sends.push((
                     delay,
                     Message::new(
                         self.id,
-                        self.home_of(line).node(),
+                        home,
                         Payload::LoadRequest {
                             line,
                             requester: self.id,
                             req: self.req_seq,
                         },
                     ),
-                );
+                ));
             }
         }
         // A dirty copy being invalidated means another processor took
         // over ownership of this line: our still-valid committed words
         // must reach memory first, or they would be lost.
         if let Some((values, valid, generation)) = self.cache.prepare_inv_flush(line, words) {
-            let tid = self.wb_tag(generation);
-            fx.send(
+            let tid = self.wb_tag(cfg, generation);
+            fx.sends.push((
                 0,
                 Message::new(
                     self.id,
-                    self.home_of(line).node(),
+                    home,
                     Payload::Flush {
                         line,
                         tid,
@@ -1287,14 +872,14 @@ impl Processor {
                         dropped: false,
                     },
                 ),
-            );
+            ));
         }
         let mut conflict = false;
         let mut retained = false;
         // Victim-buffer copy: whole-line data invalidation, word-granular
         // conflict check (mirrors the cache path, including the
         // flush-dirty-first obligation).
-        if let Some(e) = self.spill.get_mut(&line) {
+        if let Some(e) = self.x.spill.get_mut(&line) {
             if e.dirty {
                 e.dirty = false;
                 let valid = WordMask(e.valid.0 & !words.0);
@@ -1305,13 +890,13 @@ impl Processor {
                     dirty: true,
                     generation: e.generation,
                 };
-                self.send_flush(&mut fx, 0, ev);
+                self.send_flush(cfg, &mut fx, 0, ev);
             }
-            let e = self.spill.get_mut(&line).expect("still present");
+            let e = self.x.spill.get_mut(&line).expect("still present");
             conflict |= e.sr.intersects(words);
             e.valid = WordMask::EMPTY;
             if e.sr.is_empty() && e.sm.is_empty() {
-                self.spill.remove(&line);
+                self.x.spill.remove(&line);
             } else {
                 retained = true;
             }
@@ -1320,10 +905,10 @@ impl Processor {
         conflict |= out.conflict;
         retained |= out.retained;
         // A superseded in-flight fill also keeps us interested.
-        retained |= matches!(self.state, State::WaitFill { line: l, .. } if l == line);
+        retained |= matches!(self.phase, Phase::WaitFill { line: l, .. } if l == line);
         // Acknowledge (the directory counts acks and prunes inactive
         // sharers).
-        fx.send(
+        fx.sends.push((
             1,
             Message::new(
                 self.id,
@@ -1335,7 +920,7 @@ impl Processor {
                     retained,
                 },
             ),
-        );
+        ));
         if !conflict {
             return fx;
         }
@@ -1345,33 +930,33 @@ impl Processor {
                 // invalidated but our transaction is unaffected. Only
                 // possible once our execution phase is over.
                 debug_assert!(
-                    !matches!(self.state, State::Running | State::WaitFill { .. }),
+                    !matches!(self.phase, Phase::Running | Phase::WaitFill { .. }),
                     "a later transaction committed while an early-TID \
                      transaction was still executing"
                 );
                 return fx;
             }
         }
-        if self.cfg.profile {
-            self.profile_violations.push(ViolationEvent {
+        if cfg.profile {
+            self.x.profile_violations.push(ViolationEvent {
                 victim: self.id,
                 line,
                 words,
                 committer_tid,
-                wasted_cycles: _now.since(self.tx_start),
-                at: _now,
+                wasted_cycles: now.since(self.tx_start),
+                at: now,
             });
         }
-        fx.merge(self.violate(_now, false));
+        fx.merge(self.violate(cfg, now, false));
         fx
     }
 
     /// Handles a `DataRequest`: flush the line so the directory can
     /// serve a remote load.
-    pub fn on_data_request(&mut self, _now: Cycle, line: LineAddr) -> Effects {
+    pub(crate) fn on_data_request(&mut self, cfg: &SystemConfig, line: LineAddr) -> Effects {
         let mut fx = Effects::default();
         // A dirty spilled copy answers from the victim buffer.
-        if let Some(e) = self.spill.get_mut(&line) {
+        if let Some(e) = self.x.spill.get_mut(&line) {
             if e.dirty {
                 e.dirty = false;
                 let ev = Eviction {
@@ -1382,9 +967,9 @@ impl Processor {
                     generation: e.generation,
                 };
                 if e.sr.is_empty() && e.sm.is_empty() {
-                    self.spill.remove(&line);
+                    self.x.spill.remove(&line);
                 }
-                self.send_flush(&mut fx, self.cfg.cache.l2_latency, ev);
+                self.send_flush(cfg, &mut fx, cfg.cache.l2_latency, ev);
             }
             return fx;
         }
@@ -1404,15 +989,15 @@ impl Processor {
         // over words only this owner held).
         let speculative =
             !self.cache.sr_mask(line).is_empty() || !self.cache.sm_mask(line).is_empty();
-        let fill_inflight = matches!(self.state, State::WaitFill { line: l, .. } if l == line);
-        let keep = self.cfg.owner_flush_keeps_line || speculative || fill_inflight;
+        let fill_inflight = matches!(self.phase, Phase::WaitFill { line: l, .. } if l == line);
+        let keep = cfg.owner_flush_keeps_line || speculative || fill_inflight;
         if let Some((values, valid, generation)) = self.cache.flush(line, keep) {
-            let tid = self.wb_tag(generation);
-            fx.send(
-                self.cfg.cache.l2_latency,
+            let tid = self.wb_tag(cfg, generation);
+            fx.sends.push((
+                cfg.cache.l2_latency,
                 Message::new(
                     self.id,
-                    self.home_of(line).node(),
+                    home_of(cfg, line).node(),
                     Payload::Flush {
                         line,
                         tid,
@@ -1422,7 +1007,7 @@ impl Processor {
                         dropped: !keep,
                     },
                 ),
-            );
+            ));
         }
         fx
     }
@@ -1434,7 +1019,7 @@ impl Processor {
     /// Rolls back the current attempt and restarts it. `overflow` marks
     /// violations caused by speculative-buffer exhaustion, which force
     /// the serialized retry mode immediately.
-    fn violate(&mut self, now: Cycle, overflow: bool) -> Effects {
+    fn violate(&mut self, cfg: &SystemConfig, now: Cycle, overflow: bool) -> Effects {
         let mut fx = Effects::default();
         let node = self.id;
         let cause = if overflow {
@@ -1442,7 +1027,7 @@ impl Processor {
         } else {
             ViolationCause::Conflict
         };
-        self.tracer.count(
+        self.x.tracer.count(
             if overflow {
                 "violations.overflow"
             } else {
@@ -1450,197 +1035,80 @@ impl Processor {
             },
             1,
         );
-        self.tracer
+        self.x
+            .tracer
             .record(now, || TraceEvent::Violation { node, cause });
         // Any wake-up scheduled by the doomed attempt is now stale.
         self.wake_seq += 1;
-        self.counters.violations += 1;
-        self.violations_in_row += 1;
+        self.violations += 1;
+        self.x.violations_in_row += 1;
         // A TID request in flight becomes orphaned: its reply will be
         // released with skips when it arrives.
-        if matches!(self.state, State::WaitTid | State::WaitTidEarly) {
-            self.orphaned_tid_requests += 1;
+        if matches!(
+            self.phase,
+            Phase::Backend(TccPhase::WaitTid | TccPhase::WaitTidEarly)
+        ) {
+            self.x.orphaned_tid_requests += 1;
         }
         // Undo any protocol announcements of this attempt.
-        if let Some(val) = self.val.take() {
+        if let Some(val) = self.x.val.take() {
             if let Some(tid) = val.tid {
                 if val.announced {
                     for &dir in &val.wdirs {
-                        fx.send(0, Message::new(self.id, dir.node(), Payload::Abort { tid }));
+                        fx.sends
+                            .push((0, Message::new(self.id, dir.node(), Payload::Abort { tid })));
                     }
                     for &dir in &val.sdirs_only {
-                        fx.send(0, Message::new(self.id, dir.node(), Payload::Skip { tid }));
+                        fx.sends
+                            .push((0, Message::new(self.id, dir.node(), Payload::Skip { tid })));
                     }
                 } else {
                     // TID acquired but nothing announced: release it by
                     // skipping everywhere so the sequence stays gap-free.
-                    fx.merge(self.skip_everywhere(tid));
+                    fx.merge(self.skip_everywhere(cfg, tid));
                 }
             }
-        } else if let Some(tid) = self.early_tid.take() {
+        } else if let Some(tid) = self.x.early_tid.take() {
             // Early TID held during execution: release it everywhere.
-            fx.merge(self.skip_everywhere(tid));
+            fx.merge(self.skip_everywhere(cfg, tid));
         }
-        self.early_tid = None;
+        self.x.early_tid = None;
         // Roll back speculative state. Committed (dirty) spill entries
         // survive the abort — they are not speculative.
         self.cache.abort_tx();
-        self.spill.retain(|_, e| {
+        self.x.spill.retain(|_, e| {
             debug_assert!(!e.dirty || e.sm.is_empty(), "dirty+SM spill impossible");
             e.sr = WordMask::EMPTY;
             e.dirty && e.sm.is_empty()
         });
-        self.fill_epoch += 1;
         self.totals.violation += now.since(self.tx_start);
-        let was_serialized = self.serialize_mode;
-        self.serialize_mode = overflow || self.violations_in_row >= self.cfg.starvation_threshold;
-        if self.serialize_mode && !was_serialized {
-            self.tracer.count("proc.starvation_entries", 1);
-            if self.cfg.profile {
-                self.profile_starvation.push(StarvationEvent {
+        let was_serialized = self.x.serialize_mode;
+        self.x.serialize_mode = overflow || self.x.violations_in_row >= cfg.starvation_threshold;
+        if self.x.serialize_mode && !was_serialized {
+            self.x.tracer.count("proc.starvation_entries", 1);
+            if cfg.profile {
+                self.x.profile_starvation.push(StarvationEvent {
                     proc: self.id,
-                    violations: self.violations_in_row,
+                    violations: self.x.violations_in_row,
                     overflow,
                     at: now,
                 });
             }
         }
-        self.begin_attempt(now);
-        fx.merge(self.request_early_tid_or_run(now));
+        self.begin_attempt(cfg, now, 0, &mut fx);
         fx
     }
 
     /// Releases `tid` by skipping every directory in the machine.
-    fn skip_everywhere(&self, tid: Tid) -> Effects {
+    fn skip_everywhere(&self, cfg: &SystemConfig, tid: Tid) -> Effects {
         let mut fx = Effects::default();
-        for d in 0..self.cfg.n_procs {
-            fx.send(
+        for d in 0..cfg.n_procs {
+            fx.sends.push((
                 0,
                 Message::new(self.id, NodeId(d as u16), Payload::Skip { tid }),
-            );
-        }
-        fx
-    }
-
-    // ------------------------------------------------------------------
-    // Barriers
-    // ------------------------------------------------------------------
-
-    /// Releases the processor from a barrier.
-    pub fn release_barrier(&mut self, now: Cycle) -> Effects {
-        let State::AtBarrier { since } = self.state else {
-            panic!("release_barrier while {}", self.state_name());
-        };
-        self.totals.idle += now.since(since);
-        self.item += 1;
-        self.enter_item(now)
-    }
-
-    /// Adds terminal idle time (processors that finish before the
-    /// slowest one idle until the application completes).
-    pub fn pad_idle_to(&mut self, end: Cycle) {
-        if let Some(done) = self.done_at {
-            self.totals.idle += end.since(done);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Checkpoint/restore
-    // ------------------------------------------------------------------
-
-    /// Serializes every piece of mutable state, in field-declaration
-    /// order. The identity (`id`), config, program, and tracer are not
-    /// saved: they are construction inputs the resuming caller supplies
-    /// again (gated by the snapshot's config and program digests); only
-    /// the *position* within the program (`item`/`op`) travels.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w);
-        self.item.save(w);
-        self.op.save(w);
-        self.state.save(w);
-        self.val.save(w);
-        self.tx_start.save(w);
-        self.commit_start.save(w);
-        self.announce_at.save(w);
-        self.attempt_useful.save(w);
-        self.attempt_miss.save(w);
-        self.attempt_commit_extra.save(w);
-        self.tx_instr.save(w);
-        // Unordered set: sorted at save so snapshot bytes are a pure
-        // function of state.
-        let mut read_lines: Vec<LineAddr> = self.read_lines.iter().copied().collect();
-        read_lines.sort_unstable();
-        read_lines.save(w);
-        self.reads_log.save(w);
-        self.sharing_dirs.save(w);
-        self.writing_dirs.save(w);
-        self.fill_epoch.save(w);
-        self.violations_in_row.save(w);
-        self.serialize_mode.save(w);
-        self.early_tid.save(w);
-        self.spill.save(w);
-        self.last_tid.save(w);
-        self.orphaned_tid_requests.save(w);
-        self.wake_seq.save(w);
-        self.req_seq.save(w);
-        self.totals.save(w);
-        self.counters.save(w);
-        self.done_at.save(w);
-        self.profile_violations.save(w);
-        self.profile_starvation.save(w);
-    }
-
-    /// Overlays checkpointed state onto a freshly constructed processor
-    /// (same config and program as the capturing run).
-    ///
-    /// # Errors
-    ///
-    /// Any decode failure, or a program position outside the program
-    /// this processor was constructed with.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cache.restore_state(r)?;
-        let item: usize = r.get()?;
-        let op: usize = r.get()?;
-        if item > self.program.items.len() {
-            return Err(SnapError::invalid(
-                "Processor.item",
-                format!(
-                    "snapshot at item {item}, program has {}",
-                    self.program.items.len()
-                ),
             ));
         }
-        self.item = item;
-        self.op = op;
-        self.state = r.get()?;
-        self.val = r.get()?;
-        self.tx_start = r.get()?;
-        self.commit_start = r.get()?;
-        self.announce_at = r.get()?;
-        self.attempt_useful = r.get()?;
-        self.attempt_miss = r.get()?;
-        self.attempt_commit_extra = r.get()?;
-        self.tx_instr = r.get()?;
-        let read_lines: Vec<LineAddr> = r.get()?;
-        self.read_lines = read_lines.into_iter().collect();
-        self.reads_log = r.get()?;
-        self.sharing_dirs = r.get()?;
-        self.writing_dirs = r.get()?;
-        self.fill_epoch = r.get()?;
-        self.violations_in_row = r.get()?;
-        self.serialize_mode = r.get()?;
-        self.early_tid = r.get()?;
-        self.spill = r.get()?;
-        self.last_tid = r.get()?;
-        self.orphaned_tid_requests = r.get()?;
-        self.wake_seq = r.get()?;
-        self.req_seq = r.get()?;
-        self.totals = r.get()?;
-        self.counters = r.get()?;
-        self.done_at = r.get()?;
-        self.profile_violations = r.get()?;
-        self.profile_starvation = r.get()?;
-        Ok(())
+        fx
     }
 }
 
@@ -1688,75 +1156,45 @@ impl Snap for ValState {
     }
 }
 
-impl Snap for State {
+/// Every field but the tracer, in declaration order.
+impl Snap for TccState {
     fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            State::Fresh => 0u8.save(w),
-            State::Running => 1u8.save(w),
-            State::WaitFill {
-                line,
-                word,
-                is_store,
-                req,
-                stall_start,
-            } => {
-                2u8.save(w);
-                line.save(w);
-                word.save(w);
-                is_store.save(w);
-                req.save(w);
-                stall_start.save(w);
-            }
-            State::WaitTid => 3u8.save(w),
-            State::WaitTidEarly => 4u8.save(w),
-            State::Validating => 5u8.save(w),
-            State::AtBarrier { since } => {
-                6u8.save(w);
-                since.save(w);
-            }
-            State::Done => 7u8.save(w),
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::load(r)? {
-            0 => State::Fresh,
-            1 => State::Running,
-            2 => State::WaitFill {
-                line: r.get()?,
-                word: r.get()?,
-                is_store: r.get()?,
-                req: r.get()?,
-                stall_start: r.get()?,
-            },
-            3 => State::WaitTid,
-            4 => State::WaitTidEarly,
-            5 => State::Validating,
-            6 => State::AtBarrier { since: r.get()? },
-            7 => State::Done,
-            t => return Err(SnapError::invalid("Processor.state", format!("tag {t}"))),
-        })
-    }
-}
-
-impl Snap for ProcCounters {
-    fn save(&self, w: &mut SnapWriter) {
-        self.commits.save(w);
-        self.violations.save(w);
+        self.val.save(w);
+        self.announce_at.save(w);
+        self.attempt_commit_extra.save(w);
+        self.sharing_dirs.save(w);
+        self.violations_in_row.save(w);
+        self.serialize_mode.save(w);
+        self.early_tid.save(w);
+        self.spill.save(w);
+        self.last_tid.save(w);
+        self.orphaned_tid_requests.save(w);
         self.overflows.save(w);
-        self.instructions.save(w);
         self.serialized_retries.save(w);
         self.tid_wait.save(w);
         self.probe_wait.save(w);
+        self.profile_violations.save(w);
+        self.profile_starvation.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProcCounters {
-            commits: r.get()?,
-            violations: r.get()?,
+        Ok(TccState {
+            val: r.get()?,
+            announce_at: r.get()?,
+            attempt_commit_extra: r.get()?,
+            sharing_dirs: r.get()?,
+            violations_in_row: r.get()?,
+            serialize_mode: r.get()?,
+            early_tid: r.get()?,
+            spill: r.get()?,
+            last_tid: r.get()?,
+            orphaned_tid_requests: r.get()?,
             overflows: r.get()?,
-            instructions: r.get()?,
             serialized_retries: r.get()?,
             tid_wait: r.get()?,
             probe_wait: r.get()?,
+            tracer: Tracer::disabled(),
+            profile_violations: r.get()?,
+            profile_starvation: r.get()?,
         })
     }
 }
@@ -1764,6 +1202,8 @@ impl Snap for ProcCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{ThreadProgram, Transaction, TxOp, WorkItem};
+    use tcc_types::Addr;
 
     fn one_proc_cfg() -> SystemConfig {
         SystemConfig {
@@ -1788,10 +1228,25 @@ mod tests {
             .expect("expected a LoadRequest")
     }
 
+    /// Delivers a fill reply, as `TccMachine::on_node` does.
+    fn fill(
+        p: &mut Processor,
+        cfg: &SystemConfig,
+        now: Cycle,
+        line: LineAddr,
+        values: LineValues,
+        req: u64,
+    ) -> Effects {
+        let mut fx = Effects::default();
+        p.on_fill(cfg, now, line, values, req, &mut fx);
+        fx
+    }
+
     #[test]
     fn empty_program_finishes_immediately() {
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), ThreadProgram::empty());
-        let fx = p.start(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, ThreadProgram::empty());
+        let fx = p.start(&cfg, Cycle(0));
         assert!(fx.finished);
         assert!(p.is_done());
         assert_eq!(p.done_at(), Some(Cycle(0)));
@@ -1800,10 +1255,11 @@ mod tests {
     #[test]
     fn compute_only_transaction_requests_a_tid() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Compute(10)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        let fx = p.start(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        let fx = p.start(&cfg, Cycle(0));
         assert_eq!(fx.wake_in, Some(0));
-        let fx = p.step(Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         // Body done at +10: a TidRequest goes to the vendor.
         assert_eq!(fx.sends.len(), 1);
         let (delay, msg) = &fx.sends[0];
@@ -1812,7 +1268,7 @@ mod tests {
         assert_eq!(p.state_name(), "wait-tid");
         // TID arrives: with no footprint, it skips its one directory and
         // commits instantly.
-        let fx = p.on_tid_reply(Cycle(20), Tid(0));
+        let fx = p.on_tid_reply(&cfg, Cycle(20), Tid(0));
         assert!(fx.committed.is_some());
         assert!(fx
             .sends
@@ -1829,20 +1285,21 @@ mod tests {
     #[test]
     fn load_miss_blocks_and_fill_resumes() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40))])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         assert_eq!(p.state_name(), "wait-fill");
         let (line, req) = load_req(&fx);
         // Fill arrives 100 cycles later.
-        let fx = p.on_load_reply(Cycle(100), line, LineValues::fresh(8), req);
+        let fx = fill(&mut p, &cfg, Cycle(100), line, LineValues::fresh(8), req);
         // The retry hits (1 cycle) and validation begins.
         assert!(fx
             .sends
             .iter()
             .any(|(_, m)| matches!(m.payload, Payload::TidRequest { .. })));
         assert_eq!(p.breakdown().cache_miss, 0, "not folded until commit");
-        let fx = p.on_tid_reply(Cycle(120), Tid(0));
+        let fx = p.on_tid_reply(&cfg, Cycle(120), Tid(0));
         // One directory, in the sharing vector: a probe goes out.
         assert!(fx.sends.iter().any(|(_, m)| matches!(
             m.payload,
@@ -1851,7 +1308,7 @@ mod tests {
                 ..
             }
         )));
-        let fx = p.on_probe_reply(Cycle(130), DirId(0), Tid(0), Tid(0), false);
+        let fx = p.on_probe_reply(&cfg, Cycle(130), DirId(0), Tid(0), Tid(0), false);
         assert!(fx.committed.is_some());
         let (record, chars) = fx.committed.unwrap();
         assert_eq!(record.reads.len(), 1);
@@ -1868,13 +1325,14 @@ mod tests {
     #[test]
     fn store_path_marks_and_commits() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Store(Addr(0x40))])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(50), line, LineValues::fresh(8), req);
-        p.on_tid_reply(Cycle(60), Tid(0));
-        let fx = p.on_probe_reply(Cycle(70), DirId(0), Tid(0), Tid(0), true);
+        fill(&mut p, &cfg, Cycle(50), line, LineValues::fresh(8), req);
+        p.on_tid_reply(&cfg, Cycle(60), Tid(0));
+        let fx = p.on_probe_reply(&cfg, Cycle(70), DirId(0), Tid(0), Tid(0), true);
         // A mark for the stored line, then the commit.
         assert!(fx
             .sends
@@ -1892,14 +1350,15 @@ mod tests {
     #[test]
     fn invalidation_conflict_restarts_the_transaction() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40)), TxOp::Compute(1000)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(10), line, LineValues::fresh(8), req);
+        fill(&mut p, &cfg, Cycle(10), line, LineValues::fresh(8), req);
         // Executing Compute(1000) in chunks; now a conflicting
         // invalidation lands.
-        let fx = p.on_invalidate(Cycle(50), line, WordMask::ALL, Tid(0), DirId(0));
+        let fx = p.on_invalidate(&cfg, Cycle(50), line, WordMask::ALL, Tid(0), DirId(0));
         assert!(fx
             .sends
             .iter()
@@ -1912,13 +1371,14 @@ mod tests {
     #[test]
     fn non_conflicting_invalidation_is_acked_and_ignored() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40)), TxOp::Compute(500)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(10), line, LineValues::fresh(8), req);
+        fill(&mut p, &cfg, Cycle(10), line, LineValues::fresh(8), req);
         // Invalidate a word we did not read (word 5; we read word 0).
-        let fx = p.on_invalidate(Cycle(20), line, WordMask::single(5), Tid(0), DirId(0));
+        let fx = p.on_invalidate(&cfg, Cycle(20), line, WordMask::single(5), Tid(0), DirId(0));
         assert!(fx
             .sends
             .iter()
@@ -1933,17 +1393,17 @@ mod tests {
             ..one_proc_cfg()
         };
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40)), TxOp::Compute(100)])]);
-        let mut p = Processor::new(NodeId(0), cfg, prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(10), line, LineValues::fresh(8), req);
-        p.on_invalidate(Cycle(20), line, WordMask::ALL, Tid(0), DirId(0));
+        fill(&mut p, &cfg, Cycle(10), line, LineValues::fresh(8), req);
+        p.on_invalidate(&cfg, Cycle(20), line, WordMask::ALL, Tid(0), DirId(0));
         // Second attempt: reload, violate again -> serialized mode.
-        let fx = p.step(Cycle(21));
+        let fx = p.step(&cfg, Cycle(21));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(30), line, LineValues::fresh(8), req);
-        let fx = p.on_invalidate(Cycle(40), line, WordMask::ALL, Tid(1), DirId(0));
+        fill(&mut p, &cfg, Cycle(30), line, LineValues::fresh(8), req);
+        let fx = p.on_invalidate(&cfg, Cycle(40), line, WordMask::ALL, Tid(1), DirId(0));
         assert_eq!(p.counters().violations, 2);
         // Early TID requested before re-execution.
         assert!(fx
@@ -1955,7 +1415,7 @@ mod tests {
         // violated in wait-tid); those replies are orphaned and must be
         // released with Skip messages.
         for orphan in [Tid(0), Tid(1)] {
-            let fx = p.on_tid_reply(Cycle(45), orphan);
+            let fx = p.on_tid_reply(&cfg, Cycle(45), orphan);
             assert!(fx.wake_in.is_none());
             assert!(fx
                 .sends
@@ -1968,7 +1428,7 @@ mod tests {
             );
         }
         // The third reply is the early TID: execution resumes.
-        let fx = p.on_tid_reply(Cycle(50), Tid(5));
+        let fx = p.on_tid_reply(&cfg, Cycle(50), Tid(5));
         assert_eq!(fx.wake_in, Some(0));
         assert_eq!(p.counters().serialized_retries, 1);
     }
@@ -1976,11 +1436,12 @@ mod tests {
     #[test]
     fn barrier_waits_and_releases() {
         let prog = ThreadProgram::new(vec![WorkItem::Barrier, tx(vec![TxOp::Compute(1)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        let fx = p.start(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        let fx = p.start(&cfg, Cycle(0));
         assert!(fx.reached_barrier);
         assert_eq!(p.state_name(), "at-barrier");
-        let fx = p.release_barrier(Cycle(100));
+        let fx = p.release_barrier(&cfg, Cycle(100));
         assert_eq!(p.breakdown().idle, 100);
         assert_eq!(fx.wake_in, Some(0));
         assert_eq!(p.state_name(), "running");
@@ -1993,12 +1454,12 @@ mod tests {
             ..one_proc_cfg()
         };
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Compute(200)])]);
-        let mut p = Processor::new(NodeId(0), cfg, prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         assert_eq!(fx.wake_in, Some(200), "one big compute op is atomic");
         // The op completed; next step begins validation.
-        let fx = p.step(Cycle(200));
+        let fx = p.step(&cfg, Cycle(200));
         assert!(fx
             .sends
             .iter()
@@ -2013,9 +1474,9 @@ mod tests {
         };
         let ops = vec![TxOp::Compute(30); 10];
         let prog = ThreadProgram::new(vec![tx(ops)]);
-        let mut p = Processor::new(NodeId(0), cfg, prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         // 30 + 30 = 60 >= 50: rescheduled after two ops.
         assert_eq!(fx.wake_in, Some(60));
     }
@@ -2027,19 +1488,20 @@ mod tests {
         // revalidate words a concurrent commit just invalidated (the
         // §3.3 load/invalidate race).
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40)), TxOp::Compute(10)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
         let mut v = LineValues::fresh(8);
         v.apply_write(WordMask::single(0), Tid(9));
         // A reply carrying a stale request id is dropped.
-        let fx = p.on_load_reply(Cycle(30), line, v.clone(), req + 100);
+        let fx = fill(&mut p, &cfg, Cycle(30), line, v.clone(), req + 100);
         assert!(!p.cache.contains(line), "stale fill must be dropped");
         assert!(fx.sends.is_empty());
         assert!(fx.wake_in.is_none());
         // The genuine reply is consumed.
-        let fx = p.on_load_reply(Cycle(40), line, v, req);
+        let fx = fill(&mut p, &cfg, Cycle(40), line, v, req);
         assert!(p.cache.contains(line));
         assert!(fx
             .sends
@@ -2053,13 +1515,14 @@ mod tests {
         // supersedes the request: the old reply is dropped by its stale
         // id and a fresh request goes out immediately.
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Load(Addr(0x40)), TxOp::Compute(10)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, old_req) = load_req(&fx);
         // A commit elsewhere invalidates the line mid-flight. No SR bits
         // are set yet, so no violation — but a fresh request goes out.
-        let fx = p.on_invalidate(Cycle(5), line, WordMask::ALL, Tid(0), DirId(0));
+        let fx = p.on_invalidate(&cfg, Cycle(5), line, WordMask::ALL, Tid(0), DirId(0));
         assert!(fx
             .sends
             .iter()
@@ -2068,14 +1531,14 @@ mod tests {
         assert_ne!(new_req, old_req);
         assert_eq!(p.counters().violations, 0);
         // The stale fill arrives: dropped.
-        let fx = p.on_load_reply(Cycle(10), line, LineValues::fresh(8), old_req);
+        let fx = fill(&mut p, &cfg, Cycle(10), line, LineValues::fresh(8), old_req);
         assert!(!p.cache.contains(line));
         assert!(fx.sends.is_empty());
         assert_eq!(p.state_name(), "wait-fill");
         // The fresh fill resumes execution normally.
         let mut v = LineValues::fresh(8);
         v.apply_write(WordMask::single(0), Tid(0));
-        let fx = p.on_load_reply(Cycle(120), line, v, new_req);
+        let fx = fill(&mut p, &cfg, Cycle(120), line, v, new_req);
         assert!(p.cache.contains(line));
         assert!(fx
             .sends
@@ -2086,15 +1549,16 @@ mod tests {
     #[test]
     fn data_request_flushes_committed_data() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Store(Addr(0x40))])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        let fx = p.step(Cycle(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        let fx = p.step(&cfg, Cycle(0));
         let (line, req) = load_req(&fx);
-        p.on_load_reply(Cycle(10), line, LineValues::fresh(8), req);
-        p.on_tid_reply(Cycle(20), Tid(3));
-        p.on_probe_reply(Cycle(30), DirId(0), Tid(3), Tid(3), true);
+        fill(&mut p, &cfg, Cycle(10), line, LineValues::fresh(8), req);
+        p.on_tid_reply(&cfg, Cycle(20), Tid(3));
+        p.on_probe_reply(&cfg, Cycle(30), DirId(0), Tid(3), Tid(3), true);
         assert!(p.cache.is_dirty(line));
-        let fx = p.on_data_request(Cycle(40), line);
+        let fx = p.on_data_request(&cfg, line);
         let flush = fx
             .sends
             .iter()
@@ -2110,17 +1574,18 @@ mod tests {
         // first flush (already processed or in flight) carries
         // everything memory needs, and a clean copy may belong to a
         // superseded ownership generation.
-        let fx = p.on_data_request(Cycle(50), line);
+        let fx = p.on_data_request(&cfg, line);
         assert!(fx.sends.is_empty());
     }
 
     #[test]
     fn breakdown_totals_match_wall_clock_single_tx() {
         let prog = ThreadProgram::new(vec![tx(vec![TxOp::Compute(40)])]);
-        let mut p = Processor::new(NodeId(0), one_proc_cfg(), prog);
-        p.start(Cycle(0));
-        p.step(Cycle(0));
-        let fx = p.on_tid_reply(Cycle(55), Tid(0));
+        let cfg = one_proc_cfg();
+        let mut p = Processor::new(NodeId(0), &cfg, prog);
+        p.start(&cfg, Cycle(0));
+        p.step(&cfg, Cycle(0));
+        let fx = p.on_tid_reply(&cfg, Cycle(55), Tid(0));
         assert!(fx.finished);
         let b = p.breakdown();
         assert_eq!(b.total(), 55);

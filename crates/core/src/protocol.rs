@@ -39,14 +39,16 @@
 //! lease-based reads and no invalidation multicasts). [`Machine`] is
 //! the statically-dispatched sum the simulator stores.
 
-use tcc_directory::{DirAction, Directory};
+use tcc_directory::{DirAction, DirConfig, Directory};
 use tcc_trace::Tracer;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid};
+use tcc_types::{Cycle, DirId, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid};
 
 use crate::config::SystemConfig;
-use crate::processor::{Effects, ProcCounters, Processor};
+use crate::driver::{Driver, Effects, ProcCounters};
+use crate::processor::{Processor, TccState};
 use crate::profiling::ProfileReport;
+use crate::program::ThreadProgram;
 use crate::serialized::SerializedMachine;
 use crate::sim::VENDOR_SERVICE;
 use crate::stall::StallReason;
@@ -199,10 +201,12 @@ pub trait Protocol {
 /// The per-node handlers (`TccMachine::on_home`,
 /// `TccMachine::on_node`) are associated functions over one node's
 /// components, so the sharded engine runs the same code against its
-/// shards; the [`Protocol`] methods below are thin calls into them.
+/// shards; the [`Protocol`] methods below are thin calls into them. The
+/// methods that only drive or read processors come from the program
+/// driver shared with the other backends (`protocol_plumbing!`).
 #[derive(Debug)]
 pub struct TccMachine {
-    pub(crate) procs: Vec<Processor>,
+    pub(crate) drv: Driver<TccState>,
     pub(crate) dirs: Vec<Directory>,
     /// Next TID the vendor (node 0) will hand out.
     pub(crate) vendor_next: u64,
@@ -211,14 +215,40 @@ pub struct TccMachine {
 }
 
 impl TccMachine {
-    pub(crate) fn new(procs: Vec<Processor>, dirs: Vec<Directory>, tracer: Tracer) -> TccMachine {
+    pub(crate) fn new(
+        cfg: SystemConfig,
+        programs: Vec<ThreadProgram>,
+        tracer: &Tracer,
+    ) -> TccMachine {
+        let mut drv: Driver<TccState> = Driver::new(cfg, programs);
+        for p in &mut drv.procs {
+            p.x.tracer = tracer.clone();
+        }
+        let cfg = &drv.cfg;
+        let dirs = (0..cfg.n_procs)
+            .map(|i| {
+                let mut d = Directory::new(DirConfig {
+                    id: DirId(i as u16),
+                    words_per_line: cfg.cache.geometry.words_per_line() as usize,
+                    bugs: cfg.bugs,
+                });
+                d.set_tracer(tracer.clone());
+                d
+            })
+            .collect();
         TccMachine {
-            procs,
+            drv,
             dirs,
             vendor_next: 0,
-            tracer,
+            tracer: tracer.clone(),
             fault: None,
         }
+    }
+
+    /// Body complete: enter validation.
+    fn tx_end(&mut self, at: Cycle, delay: u64, node: NodeId, fx: &mut Effects) {
+        let p = &mut self.drv.procs[node.index()];
+        fx.merge(p.begin_validation(&self.drv.cfg, at, delay));
     }
 
     /// Occupancy timing of a TCC home (directory-controller) message;
@@ -381,21 +411,25 @@ impl TccMachine {
             }
             Payload::LoadReply {
                 line, values, req, ..
-            } => proc_.on_load_reply(now, line, values, req),
-            Payload::TidReply { tid } => proc_.on_tid_reply(now, tid),
+            } => {
+                let mut fx = Effects::default();
+                proc_.on_fill(cfg, now, line, values, req, &mut fx);
+                fx
+            }
+            Payload::TidReply { tid } => proc_.on_tid_reply(cfg, now, tid),
             Payload::ProbeReply {
                 dir,
                 now_serving,
                 probe_tid,
                 for_write,
-            } => proc_.on_probe_reply(now, dir, now_serving, probe_tid, for_write),
-            Payload::DataRequest { line } => proc_.on_data_request(now, line),
+            } => proc_.on_probe_reply(cfg, now, dir, now_serving, probe_tid, for_write),
+            Payload::DataRequest { line } => proc_.on_data_request(cfg, line),
             Payload::Invalidate {
                 line,
                 words,
                 committer_tid,
                 dir,
-            } => proc_.on_invalidate(now, line, words, committer_tid, dir),
+            } => proc_.on_invalidate(cfg, now, line, words, committer_tid, dir),
             _ => unreachable!("foreign-protocol message in the scalable TCC protocol"),
         }
     }
@@ -407,32 +441,10 @@ impl Protocol for TccMachine {
     type ProcState = Processor;
     type LineState = tcc_directory::DirEntry;
 
-    fn proc_state(&self, node: NodeId) -> &Processor {
-        &self.procs[node.index()]
-    }
+    crate::driver::protocol_plumbing!(tx_end);
 
     fn line_state(&self, home: NodeId, line: LineAddr) -> Option<&tcc_directory::DirEntry> {
         self.dirs[home.index()].entry(line)
-    }
-
-    fn start(&mut self, now: Cycle, node: NodeId) -> Effects {
-        self.procs[node.index()].start(now)
-    }
-
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
-        self.procs[node.index()].step(now)
-    }
-
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
-        self.procs[node.index()].release_barrier(now)
-    }
-
-    fn wake_seq(&self, node: NodeId) -> u64 {
-        self.procs[node.index()].wake_seq()
-    }
-
-    fn state_name(&self, node: NodeId) -> &'static str {
-        self.procs[node.index()].state_name()
     }
 
     fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
@@ -453,7 +465,7 @@ impl Protocol for TccMachine {
     }
 
     fn on_node_message(&mut self, now: Cycle, cfg: &SystemConfig, msg: Message) -> Effects {
-        let proc_ = &mut self.procs[msg.dst.index()];
+        let proc_ = &mut self.drv.procs[msg.dst.index()];
         Self::on_node(proc_, &mut self.vendor_next, &self.tracer, now, cfg, msg)
     }
 
@@ -467,39 +479,18 @@ impl Protocol for TccMachine {
 
     fn progress_signature(&self, extra: [u64; 3]) -> u64 {
         let words = self
+            .drv
             .procs
             .iter()
-            .map(|p| p.counters().commits)
+            .map(|p| p.commits)
             .chain(self.dirs.iter().map(|d| d.now_serving().0))
             .chain([self.vendor_next])
             .chain(extra);
         tcc_engine::progress_signature(words)
     }
 
-    fn done_at_max(&self) -> Cycle {
-        self.procs
-            .iter()
-            .filter_map(Processor::done_at)
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    fn pad_idle_to(&mut self, end: Cycle) {
-        for p in &mut self.procs {
-            p.pad_idle_to(end);
-        }
-    }
-
-    fn breakdowns(&self) -> Vec<crate::breakdown::Breakdown> {
-        self.procs.iter().map(|p| p.breakdown()).collect()
-    }
-
-    fn proc_counters(&self) -> Vec<ProcCounters> {
-        self.procs.iter().map(|p| p.counters()).collect()
-    }
-
     fn take_profile(&mut self, report: &mut ProfileReport) {
-        for p in &mut self.procs {
+        for p in &mut self.drv.procs {
             let (v, s) = p.take_profile();
             report.violations.extend(v);
             report.starvation.extend(s);
@@ -522,9 +513,7 @@ impl Protocol for TccMachine {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        for p in &self.procs {
-            p.save_state(w);
-        }
+        self.drv.save_state(w);
         for d in &self.dirs {
             d.save_state(w);
         }
@@ -532,8 +521,9 @@ impl Protocol for TccMachine {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for p in &mut self.procs {
-            p.restore_state(r)?;
+        self.drv.restore_state(r)?;
+        for p in &mut self.drv.procs {
+            p.x.tracer = self.tracer.clone();
         }
         for d in &mut self.dirs {
             d.restore_state(r)?;
@@ -552,7 +542,7 @@ impl Protocol for TccMachine {
             d.assert_quiescent(expected);
             for (line, entry) in d.entries() {
                 if let Some(owner) = entry.owner {
-                    let p = &self.procs[owner.index()];
+                    let p = &self.drv.procs[owner.index()];
                     assert!(
                         p.cache().is_dirty(line) || p.has_dirty_spill(line),
                         "{owner} is recorded as owner of {line} but holds no dirty copy"

@@ -24,8 +24,7 @@ use tcc_types::{
 };
 
 use crate::config::SystemConfig;
-use crate::driver::{Backend, Driver, Phase, Proc};
-use crate::processor::Effects;
+use crate::driver::{Backend, Driver, Effects, Phase, Proc};
 use crate::program::ThreadProgram;
 use crate::protocol::{HomeTiming, Protocol};
 
@@ -122,7 +121,6 @@ impl Backend for TokenState {
         cfg: &SystemConfig,
         now: Cycle,
         delay: u64,
-        n: NodeId,
         fx: &mut Effects,
     ) -> bool {
         if !cfg.serial_execution || p.x.has_token {
@@ -130,7 +128,7 @@ impl Backend for TokenState {
         }
         p.phase = Phase::Backend(TokenPhase::WaitTokenStart);
         p.commit_start = now; // the token wait counts as commit time
-        request_token(p, n, delay, fx);
+        request_token(p, delay, fx);
         true
     }
 }
@@ -148,10 +146,11 @@ fn emit(fx: &mut Effects, offset: u64, delay: u64, msg: Message) {
     }
 }
 
-/// Queues `n` at the token arbiter unless it already is.
-fn request_token(p: &mut SerializedProc, n: NodeId, delay: u64, fx: &mut Effects) {
+/// Queues `p` at the token arbiter unless it already is.
+fn request_token(p: &mut SerializedProc, delay: u64, fx: &mut Effects) {
     if !p.x.token_requested {
         p.x.token_requested = true;
+        let n = p.id;
         let msg = Message::new(n, NodeId(0), Payload::TokenRequest { requester: n });
         emit(fx, delay, 0, msg);
     }
@@ -192,7 +191,7 @@ impl SerializedMachine {
             return;
         }
         p.phase = Phase::Backend(TokenPhase::WaitToken);
-        request_token(p, n, delay, fx);
+        request_token(p, delay, fx);
     }
 
     /// Token-holder commits: push the write-set to every other node.
@@ -200,8 +199,11 @@ impl SerializedMachine {
         let seq = Tid(self.commit_seq);
         self.commit_seq += 1;
         let write_set = self.drv.procs[n.index()].cache.write_set();
-        // Stamp values locally (commit order = token order).
-        self.drv.retire(n, seq, &write_set, fx);
+        // Stamp values locally (commit order = token order); the
+        // write-through commit leaves the cached copies clean.
+        let p = &mut self.drv.procs[n.index()];
+        p.retire(&self.drv.cfg, seq, &write_set, fx);
+        p.cache.clear_dirty_bits();
         // Gather the committed data to broadcast.
         let n_procs = self.drv.cfg.n_procs;
         let words = self.drv.cfg.cache.geometry.words_per_line() as usize;
@@ -247,7 +249,7 @@ impl SerializedMachine {
         p.x.token_requested = false;
         let release = Message::new(n, NodeId(0), Payload::TokenRelease);
         emit(fx, delay, 0, release);
-        self.drv.next_item(now, delay, n, fx);
+        p.next_item(&self.drv.cfg, now, delay, fx);
     }
 
     /// A token grant arrived at `n`.
@@ -262,7 +264,7 @@ impl SerializedMachine {
                 p.totals.commit += now.since(p.commit_start);
                 p.tx_start = now;
                 p.phase = Phase::Running;
-                self.drv.wake(n, 0, fx);
+                p.wake(0, fx);
             }
             // A violation restarted the transaction while queued: the
             // token is held and the commit happens at the next tx_end.
@@ -320,7 +322,7 @@ impl SerializedMachine {
             );
             // Keep the token-queue position (token_requested stays set);
             // resume execution immediately.
-            self.drv.restart(now, n, fx);
+            self.drv.procs[n.index()].restart(now, fx);
         }
     }
 }
@@ -393,7 +395,8 @@ impl Protocol for SerializedMachine {
             Payload::LoadReply {
                 line, values, req, ..
             } => {
-                self.drv.on_fill(now, dst, line, values, req, &mut fx);
+                let p = &mut self.drv.procs[dst.index()];
+                p.on_fill(&self.drv.cfg, now, line, values, req, &mut fx);
             }
             Payload::TokenRequest { requester } => {
                 debug_assert_eq!(dst, NodeId(0));

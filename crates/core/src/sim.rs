@@ -4,7 +4,6 @@
 use std::collections::VecDeque;
 use tcc_types::hash::{fnv1a, FxHashSet};
 
-use tcc_directory::{DirConfig, Directory};
 use tcc_engine::{EventQueue, ProgressWatchdog, TieBreak};
 use tcc_network::{
     Network, SeededInjector, TrafficStats, Transport, TransportAction, TransportStats,
@@ -12,12 +11,12 @@ use tcc_network::{
 use tcc_snapshot::{Snapshot, SnapshotError};
 use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, DirId, Frame, LineAddr, Message, NodeId};
+use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId};
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
 use crate::config::{ConfigError, SystemConfig};
-use crate::processor::{Effects, ProcCounters, Processor};
+use crate::driver::{Effects, ProcCounters};
 use crate::profiling::ProfileReport;
 use crate::program::ThreadProgram;
 use crate::protocol::{HomeTiming, Machine, TccMachine};
@@ -658,7 +657,6 @@ impl Simulator {
         programs: Vec<ThreadProgram>,
         tracer: Option<Tracer>,
     ) -> Simulator {
-        let words = cfg.cache.geometry.words_per_line() as usize;
         let tracer = tracer.unwrap_or_else(|| Tracer::new(&cfg.trace));
         // Workload identity, for snapshot gating: resume() rebuilds the
         // machine from caller-supplied programs, and this digest proves
@@ -666,27 +664,7 @@ impl Simulator {
         let program_digest = fnv1a(format!("{programs:?}").as_bytes());
         let machine = match cfg.protocol {
             tcc_types::ProtocolKind::Tcc => {
-                let procs: Vec<Processor> = programs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let mut proc = Processor::new(NodeId(i as u16), cfg.clone(), p);
-                        proc.set_tracer(tracer.clone());
-                        proc
-                    })
-                    .collect();
-                let dirs: Vec<Directory> = (0..cfg.n_procs)
-                    .map(|i| {
-                        let mut d = Directory::new(DirConfig {
-                            id: DirId(i as u16),
-                            words_per_line: words,
-                            bugs: cfg.bugs,
-                        });
-                        d.set_tracer(tracer.clone());
-                        d
-                    })
-                    .collect();
-                Machine::Tcc(TccMachine::new(procs, dirs, tracer.clone()))
+                Machine::Tcc(TccMachine::new(cfg.clone(), programs, &tracer))
             }
             tcc_types::ProtocolKind::SerializedCommit => Machine::Serialized(
                 crate::serialized::SerializedMachine::new(cfg.clone(), programs),

@@ -45,8 +45,7 @@ use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid, WordMask};
 
 use crate::config::SystemConfig;
-use crate::driver::{Backend, Driver, Phase, Proc};
-use crate::processor::Effects;
+use crate::driver::{Backend, Driver, Effects, Phase, Proc};
 use crate::program::ThreadProgram;
 use crate::protocol::{HomeTiming, Protocol};
 
@@ -221,7 +220,7 @@ impl TardisMachine {
         let Phase::Backend(LeasePhase::Locking { idx }) = p.phase else {
             panic!("lock grant while not locking");
         };
-        debug_assert_eq!(line, p.x.write_lines[idx].0, "locks grant in request order");
+        assert_eq!(line, p.x.write_lines[idx].0, "locks grant in request order");
         // A line both read and written validates here: if its `wts`
         // moved since our fill, our read observed a superseded version
         // and no renewal can save it (we are about to overwrite `wts`
@@ -330,10 +329,12 @@ impl TardisMachine {
         let ts = p.x.commit_ts;
         let tid = Tid(ts * n_procs + u64::from(n.0));
         let writes = p.x.write_lines.clone();
-        self.drv.retire(n, tid, &writes, fx);
+        // The write-through publish leaves the cached copies clean.
+        let p = &mut self.drv.procs[n.index()];
+        p.retire(&self.drv.cfg, tid, &writes, fx);
+        p.cache.clear_dirty_bits();
         // Own publishes refresh the local lease view: our copy *is* the
         // `commit_ts` version, valid exactly at its write time.
-        let p = &mut self.drv.procs[n.index()];
         for &(l, _) in &writes {
             p.x.lease.insert(l, (ts, ts));
         }
@@ -372,11 +373,11 @@ impl TardisMachine {
     }
 
     fn finish_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
-        let x = &mut self.drv.procs[n.index()].x;
-        x.pts = x.commit_ts;
-        x.write_lines.clear();
-        x.lock_ts.clear();
-        self.drv.next_item(now, delay, n, fx);
+        let p = &mut self.drv.procs[n.index()];
+        p.x.pts = p.x.commit_ts;
+        p.x.write_lines.clear();
+        p.x.lock_ts.clear();
+        p.next_item(&self.drv.cfg, now, delay, fx);
     }
 
     /// A commit attempt failed (stale read or refused renewal): release
@@ -403,8 +404,8 @@ impl TardisMachine {
             );
             fx.sends.push((0, msg));
         }
-        self.drv.restart(now, n, fx);
         let p = &mut self.drv.procs[n.index()];
+        p.restart(now, fx);
         p.x.attempt += 1; // straggling renew verdicts drop
         if let Some(line) = stale {
             p.cache.invalidate(line, WordMask::ALL);
@@ -504,8 +505,9 @@ impl Protocol for TardisMachine {
                 rts,
                 req,
             } => {
-                if self.drv.on_fill(now, dst, line, values, req, &mut fx) {
-                    self.drv.procs[dst.index()].x.lease.insert(line, (wts, rts));
+                let p = &mut self.drv.procs[dst.index()];
+                if p.on_fill(&self.drv.cfg, now, line, values, req, &mut fx) {
+                    p.x.lease.insert(line, (wts, rts));
                 }
             }
             Payload::TsLockAck { line, wts, rts } => {

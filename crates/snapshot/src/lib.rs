@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"TCCSNAP1"
-//!      8     2  version          u16 LE (currently 2)
+//!      8     2  version          u16 LE (currently 3)
 //!     10     8  config_digest    u64 LE — digest of the SystemConfig
 //!     18     8  at_cycle         u64 LE — simulated cycle of capture
 //!     26     8  body_len         u64 LE
@@ -54,9 +54,11 @@ pub const MAGIC: &[u8; 8] = b"TCCSNAP1";
 
 /// Current container format version. Version 2 changed the body: the
 /// serialized-commit and Tardis processors save their shared program-
-/// driver fields first and share the driver's phase tags, so a
-/// version-1 body would misparse and is refused instead.
-pub const FORMAT_VERSION: u16 = 2;
+/// driver fields first and share the driver's phase tags. Version 3
+/// moved the TCC processor onto the same layout (driver fields first,
+/// TCC phases as backend phases). An older body would misparse and is
+/// refused instead.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_BYTES: usize = 8 + 2 + 8 + 8 + 8 + 8 + 8;
@@ -542,6 +544,15 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&with_version(1)),
             Err(SnapshotError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
+    fn version_2_containers_are_refused() {
+        // Version-2 bodies predate the TCC processor's driver layout.
+        assert!(matches!(
+            Snapshot::from_bytes(&with_version(2)),
+            Err(SnapshotError::UnsupportedVersion(2))
         ));
     }
 
