@@ -22,14 +22,13 @@
 //! *deferred* and replayed at the window join (Phase B) in canonical
 //! order, so they evolve exactly as in the classic engine.
 //!
-//! This module carries no protocol logic. A shard delivers through the
-//! same steps as the classic loop: the TCC per-node handlers
-//! ([`TccMachine::on_home`] over its directory, [`TccMachine::on_node`]
-//! over its processor and the vendor counter), the home-occupancy step
-//! ([`occupy_home`]) and the transport step ([`transport_step`]). Each
-//! engine only schedules what those steps return: the shard with
-//! in-window keys (`Shard::sched`), the merged path with canonical ones
-//! (`Engine::seq_sched`).
+//! This module carries no protocol logic and no event step of its own.
+//! Both window modes run the classic loop's one event step
+//! (`sim::handle`) over their own `sim::Host`: a `Shard` delivers to
+//! its own processor, directory and transport end, keys its creations
+//! in-window and defers mesh and wire operations to the join; the
+//! merged window (`Merged`, the engine plus every shard) routes inline
+//! and keys every creation canonically into its owner shard.
 //!
 //! # Canonical keys
 //!
@@ -43,14 +42,14 @@
 //! (anything arriving past the window end is staged and canonicalized
 //! at the join). Rank resolution runs in waves per cycle so same-cycle
 //! parent/child chains resolve without circularity; see
-//! `resolve_cycle` for the argument.
+//! `Engine::resolve_ranks` for the argument.
 //!
 //! # Adaptive windows
 //!
 //! Barrier arrival/release mutates global state at arbitrary times, so
 //! any window in which a processor *could* reach a barrier (a
 //! conservative program lookahead, `barrier_depth`) — and any window
-//! with at most one worker *unit* holding events — is processed on the
+//! in which fewer than two shards hold events — is processed on the
 //! main thread in globally merged classic order instead. Both window
 //! modes assign the same canonical keys, so results are independent of
 //! which mode each window used and of the worker count.
@@ -64,15 +63,12 @@
 //! * with one effective worker there is nothing to join, so the whole
 //!   run is a single merged window (no window setup, no rank
 //!   resolution, no deferred-op replay);
-//! * a merged window entered because only one unit holds work extends
-//!   to the earliest event owned by any *other* unit — quiet periods
-//!   cost one window instead of `span / B` of them;
-//! * shards whose deferred cross-traffic is exclusively mutual (a
-//!   closed component of the traffic graph observed at joins) *fuse*
-//!   into one worker unit, so phases where only that clique is active
-//!   run merged-and-extended instead of joining every `B` cycles.
-//!   Counters reset at every fusion decision, so fission is automatic
-//!   when the pattern shifts.
+//! * a merged window entered because only one shard holds work extends
+//!   to the earliest event owned by any *other* shard — quiet periods
+//!   cost one window instead of `span / B` of them.
+//!
+//! The tracer counts `par.windows.parallel`, `par.windows.merged` and
+//! `par.joins` (observation-only, free when tracing is off).
 //!
 //! Parallel (Phase A) windows deliberately stay at the conservative
 //! width `B`. Extending a shard's Phase A horizon past its siblings'
@@ -105,19 +101,19 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use tcc_directory::Directory;
 use tcc_engine::{mix64, progress_signature, EventQueue, ProgressWatchdog, TieBreak, WorkerBudget};
-use tcc_network::{Network, Transport, TransportAction, TransportStats};
-use tcc_trace::{TraceEvent, Tracer};
+use tcc_network::{trace_send, Network, Transport, TransportStats};
+use tcc_trace::Tracer;
 use tcc_types::hash::FxHashMap;
-use tcc_types::{Cycle, Frame, Message, NodeId};
+use tcc_types::{Cycle, Frame, Message, NodeId, Payload};
 
 use crate::breakdown::TxCharacteristics;
 use crate::checker::{Checker, TxRecord};
 use crate::config::SystemConfig;
 use crate::driver::{Driver, Effects};
 use crate::processor::Processor;
-use crate::protocol::{Machine, TccMachine};
+use crate::protocol::{HomeTiming, Machine, TccMachine};
 use crate::sim::{
-    occupy_home, trace_delivery, transport_step, DirCache, Event, SimResult, Simulator,
+    apply, arrive_at_barrier, handle, occupy_home, DirCache, Event, Host, SimResult, Simulator,
     VENDOR_SERVICE,
 };
 use crate::stall::{RunError, RunProvenance, StallDiagnostic, StallReason};
@@ -132,15 +128,6 @@ const SUB_BITS: u32 = 12;
 const PROV: u64 = 1 << 63;
 const IDX_MASK: u64 = (1 << (63 - EM_BITS)) - 1;
 const EM_MASK: u64 = (1 << EM_BITS) - 1;
-
-/// Rebalance the shard→unit assignment every this many parallel
-/// windows (fusion decisions are made from the traffic observed at
-/// the joins in between).
-const FUSE_INTERVAL: u32 = 32;
-/// Largest closed traffic component that fuses into one worker unit;
-/// bigger cliques stay sharded so one hub topology cannot collapse
-/// the whole machine into a single unit.
-const FUSE_MAX: usize = 4;
 
 /// Emission field of a canonical key: `slot << SUB_BITS | sub`,
 /// saturating to `u64::MAX` — which [`try_pack`] rejects — when
@@ -164,15 +151,6 @@ fn try_pack(hi: u64, rank: u64, em: u64) -> Result<u128, StallReason> {
         return Err(StallReason::KeyOverflow { rank, em });
     }
     Ok((u128::from(hi) << 64) | u128::from((rank << EM_BITS) | em))
-}
-
-/// Undirected traffic-graph edge between two shards.
-fn edge(a: u16, b: u16) -> (u16, u16) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 /// Recovers poison-free access to a shard: a worker panic is re-raised
@@ -231,10 +209,6 @@ pub(crate) struct Shard {
     transport: Option<Transport>,
     /// TID vendor sequence; only the vendor node's shard advances it.
     vendor_next: u64,
-    line_bytes: u32,
-    local_latency: u64,
-    chaos: bool,
-    seed: Option<u64>,
     /// Seeded-mode creation counter (key material).
     creations: u64,
     // ---- per-window state ----
@@ -267,44 +241,6 @@ impl Shard {
         self.creations += 1;
         let low = mix64(((u64::from(self.node.0) << 48) | c) ^ salt);
         (u128::from(hi) << 64) | u128::from(low)
-    }
-
-    /// Schedules an in-window creation of the current pop: provisional
-    /// key if it arrives inside the window, staged otherwise (FIFO);
-    /// seeded keys are complete and schedule directly either way.
-    fn sched(&mut self, at: Cycle, ev: Event) {
-        let slot = self.claim_slot();
-        if let Some(salt) = self.seed {
-            let key = self.seeded_key(salt, self.cur_cycle.0 + 1);
-            self.queue.schedule_with_key(at, key, ev);
-            return;
-        }
-        let em = em_of(slot, 0);
-        if at < self.window_end {
-            if self.cur_idx > IDX_MASK || em > EM_MASK {
-                self.set_fault(
-                    self.cur_cycle,
-                    StallReason::KeyOverflow {
-                        rank: self.cur_idx,
-                        em,
-                    },
-                );
-                return;
-            }
-            let low = PROV | (self.cur_idx << EM_BITS) | em;
-            let key = (u128::from(self.cur_cycle.0 + 1) << 64) | u128::from(low);
-            self.queue.schedule_with_key(at, key, ev);
-        } else {
-            // A saturated `em` is rejected by `try_pack` when the join
-            // canonicalizes this entry.
-            self.staged.push(Staged {
-                at,
-                t_create: self.cur_cycle,
-                parent_idx: self.cur_idx,
-                em,
-                ev,
-            });
-        }
     }
 
     /// Defers a global-resource operation to the join, claiming its
@@ -355,150 +291,151 @@ impl Shard {
             } else {
                 self.cur_idx = 0;
             }
+            assert_eq!(ev.owner(), self.node, "event delivered to the wrong shard");
             self.cur_cycle = at;
             self.next_slot = 0;
             self.pops.push((at, key));
-            self.handle(at, ev);
+            handle(self, at, ev);
         }
     }
+}
 
-    fn handle(&mut self, now: Cycle, ev: Event) {
-        match ev {
-            Event::ProcStep(n, seq) => {
-                debug_assert_eq!(n, self.node);
-                if self.proc.wake_seq() == seq {
-                    let fx = self.proc.step(&self.cfg, now);
-                    self.apply(now, fx);
-                }
+/// A shard's side of the event step: its own processor, directory and
+/// transport end; in-window keys; mesh and wire operations deferred to
+/// the join. It refuses a barrier arrival (the planner keeps barriers
+/// out of parallel windows) and an immediate send (TCC never emits
+/// one).
+impl Host for Shard {
+    /// Schedules an in-window creation of the current pop: provisional
+    /// key if it arrives inside the window, staged otherwise (FIFO);
+    /// seeded keys are complete and schedule directly either way.
+    fn sched(&mut self, at: Cycle, ev: Event) {
+        let slot = self.claim_slot();
+        if let Some(salt) = self.cfg.tie_break_seed {
+            let key = self.seeded_key(salt, self.cur_cycle.0 + 1);
+            self.queue.schedule_with_key(at, key, ev);
+            return;
+        }
+        let em = em_of(slot, 0);
+        if at < self.window_end {
+            if self.cur_idx > IDX_MASK || em > EM_MASK {
+                self.set_fault(
+                    self.cur_cycle,
+                    StallReason::KeyOverflow {
+                        rank: self.cur_idx,
+                        em,
+                    },
+                );
+                return;
             }
-            Event::Inject(msg) => self.dispatch_send(now, msg),
-            Event::Deliver(msg) => self.deliver(now, msg),
-            ev => match transport_step(self.transport.as_mut(), now, ev) {
-                Ok((delivered, actions)) => {
-                    self.apply_transport_actions(now, actions);
-                    for m in delivered {
-                        self.deliver(now, m);
-                    }
-                }
-                Err(reason) => self.set_fault(now, reason),
-            },
+            let low = PROV | (self.cur_idx << EM_BITS) | em;
+            let key = (u128::from(self.cur_cycle.0 + 1) << 64) | u128::from(low);
+            self.queue.schedule_with_key(at, key, ev);
+        } else {
+            // A saturated `em` is rejected by `try_pack` when the join
+            // canonicalizes this entry.
+            self.staged.push(Staged {
+                at,
+                t_create: self.cur_cycle,
+                parent_idx: self.cur_idx,
+                em,
+                ev,
+            });
         }
     }
 
-    /// Puts a message in flight. Transport sequencing is node-local
-    /// (this shard owns the channel state) and runs inline; chaos-free
-    /// local messages bypass the mesh with the fixed local latency,
-    /// also inline; everything that touches the mesh, the traffic
-    /// stats, or the chaos RNG defers.
-    fn dispatch_send(&mut self, now: Cycle, msg: Message) {
-        if self.transport.is_some() && msg.src != msg.dst {
-            let actions = self.transport.as_mut().expect("checked above").send(msg);
-            self.apply_transport_actions(now, actions);
-        } else if msg.src == msg.dst && !self.chaos {
-            // Inline replica of Network::send's local path (identical
-            // for send_multicast): trace accounting, no traffic stats,
-            // fixed local latency, no chaos.
-            let size = msg.size_bytes(self.line_bytes);
-            self.tracer.count("net.messages", 1);
-            self.tracer.count("net.bytes", u64::from(size));
-            self.tracer.record(now, || TraceEvent::MsgSend {
-                kind: msg.payload.kind_name(),
-                src: msg.src,
-                dst: msg.dst,
-                bytes: u64::from(size),
-            });
-            let arrival = now + self.local_latency;
-            self.sched(arrival, Event::Deliver(msg));
+    /// Chaos-free node-local messages bypass the mesh at the fixed
+    /// local latency, inline (no link, traffic or RNG state); everything
+    /// that touches the mesh, the traffic stats or the chaos RNG defers.
+    fn route(&mut self, now: Cycle, msg: Message) {
+        if msg.src == msg.dst && self.cfg.chaos.is_none() {
+            let size = msg.size_bytes(self.cfg.cache.geometry.line_bytes());
+            trace_send(
+                &self.tracer,
+                now,
+                msg.payload.kind_name(),
+                msg.src,
+                msg.dst,
+                size,
+            );
+            self.sched(now + self.cfg.network.local_latency, Event::Deliver(msg));
         } else {
             self.defer(OpKind::Route(msg));
         }
     }
 
-    fn apply_transport_actions(&mut self, now: Cycle, actions: Vec<TransportAction>) {
-        for a in actions {
-            match a {
-                TransportAction::Wire(frame) => self.defer(OpKind::Frame(frame)),
-                TransportAction::RetxTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => self.sched(now + delay, Event::RetxTimer { src, dst, epoch }),
-                TransportAction::AckTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => self.sched(now + delay, Event::AckTimer { src, dst, epoch }),
-            }
-        }
+    fn wire(&mut self, _now: Cycle, frame: Frame) {
+        self.defer(OpKind::Frame(frame));
     }
 
-    fn apply(&mut self, now: Cycle, fx: Effects) {
-        assert!(
-            fx.immediate_sends.is_empty(),
+    fn transport(&mut self, _node: NodeId) -> Option<&mut Transport> {
+        self.transport.as_mut()
+    }
+
+    fn immediate_send(&mut self, _at: Cycle, _msg: Message) {
+        panic!(
             "immediate sends are a serialized-baseline channel; the TCC \
              shard engine never emits them"
         );
-        for (delay, msg) in fx.sends {
-            if delay == 0 {
-                self.dispatch_send(now, msg);
-            } else {
-                self.sched(now + delay, Event::Inject(msg));
-            }
-        }
-        if let Some(d) = fx.wake_in {
-            let seq = self.proc.wake_seq();
-            self.sched(now + d, Event::ProcStep(self.node, seq));
-        }
-        if let Some((record, chars)) = fx.committed {
-            self.committed
-                .push((self.cur_cycle, self.cur_idx, record, chars));
-        }
-        assert!(
-            !fx.reached_barrier,
-            "{} reached a barrier inside a parallel window: the barrier \
-             imminence lookahead is not conservative enough",
-            self.node
-        );
-        if fx.finished {
-            self.finished += 1;
-        }
     }
 
-    /// Delivers a message to this node through the TCC per-node
-    /// handlers; home replies leave at the service-complete cycle and
-    /// schedule in-window (they are self-owned).
-    fn deliver(&mut self, now: Cycle, msg: Message) {
-        trace_delivery(now, &msg);
-        debug_assert_eq!(msg.dst, self.node, "event delivered to the wrong shard");
-        let Some(timing) = TccMachine::timing_for(&self.cfg, &msg.payload) else {
-            let fx = TccMachine::on_node(
-                &mut self.proc,
-                &mut self.vendor_next,
-                &self.tracer,
-                now,
-                &self.cfg,
-                msg,
-            );
-            self.apply(now, fx);
-            return;
-        };
-        let done = occupy_home(
-            &mut self.dir_busy,
-            self.dir_cache.as_mut(),
-            &self.cfg,
-            now,
-            timing,
+    fn wake_seq(&self, _node: NodeId) -> u64 {
+        self.proc.wake_seq()
+    }
+
+    fn step(&mut self, now: Cycle, _node: NodeId) -> Effects {
+        self.proc.step(&self.cfg, now)
+    }
+
+    fn release_barrier(&mut self, now: Cycle, _node: NodeId) -> Effects {
+        self.proc.release_barrier(&self.cfg, now)
+    }
+
+    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming> {
+        TccMachine::timing_for(&self.cfg, payload)
+    }
+
+    fn occupy(&mut self, _home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle {
+        let cache = self.dir_cache.as_mut();
+        occupy_home(&mut self.dir_busy, cache, &self.cfg, now, timing)
+    }
+
+    fn on_home(
+        &mut self,
+        done: Cycle,
+        msg: Message,
+        out: &mut Vec<(u64, Message)>,
+    ) -> Option<StallReason> {
+        TccMachine::on_home(&mut self.dir, done, &self.cfg, msg, out)
+    }
+
+    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects {
+        let vendor = &mut self.vendor_next;
+        TccMachine::on_node(&mut self.proc, vendor, &self.tracer, now, &self.cfg, msg)
+    }
+
+    fn home_out(&mut self) -> &mut Vec<(u64, Message)> {
+        &mut self.out
+    }
+
+    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics) {
+        self.committed
+            .push((self.cur_cycle, self.cur_idx, record, chars));
+    }
+
+    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId> {
+        panic!(
+            "{node} reached a barrier inside a parallel window: the barrier \
+             imminence lookahead is not conservative enough"
         );
-        let mut out = std::mem::take(&mut self.out);
-        if let Some(reason) = TccMachine::on_home(&mut self.dir, done, &self.cfg, msg, &mut out) {
-            self.set_fault(now, reason);
-        }
-        for (extra, reply) in out.drain(..) {
-            self.sched(done + extra, Event::Inject(reply));
-        }
-        self.out = out;
+    }
+
+    fn proc_finished(&mut self) {
+        self.finished += 1;
+    }
+
+    fn raise(&mut self, now: Cycle, reason: StallReason) {
+        self.set_fault(now, reason);
     }
 }
 
@@ -538,17 +475,6 @@ struct Engine {
     /// Last head published into `heads` per shard; `fix_head` diffs
     /// against it so untouched shards cost nothing.
     head_cache: Vec<Option<(Cycle, u128)>>,
-    // ---- shard fusion ----
-    /// Shard → worker-unit index (rebuilt by `rebalance`).
-    unit_of: Vec<u16>,
-    /// Current worker units (each a set of shards claimed together).
-    units: Arc<Vec<Vec<u16>>>,
-    /// Cross-shard deferred-op counts since the last fusion decision,
-    /// keyed by undirected shard pair.
-    traffic: BTreeMap<(u16, u16), u64>,
-    windows_since_fuse: u32,
-    /// Per-window scratch for distinct-active-unit counting.
-    unit_seen: Vec<bool>,
     // ---- reusable join buffers (batched cross-shard handoff) ----
     jpops: Vec<Vec<(Cycle, u128)>>,
     jstaged: Vec<Vec<Staged>>,
@@ -560,18 +486,6 @@ struct Engine {
     seq_rank: u64,
     seq_slot: u64,
     seq_shard: usize,
-}
-
-/// Owner shard of an event: the node whose state handling it mutates.
-fn owner(ev: &Event) -> usize {
-    match ev {
-        Event::Deliver(m) => m.dst.index(),
-        Event::Inject(m) => m.src.index(),
-        Event::ProcStep(n, _) => n.index(),
-        Event::Wire(f) => f.dst().index(),
-        Event::RetxTimer { src, .. } => src.index(),
-        Event::AckTimer { dst, .. } => dst.index(),
-    }
 }
 
 impl Engine {
@@ -592,156 +506,6 @@ impl Engine {
         self.head_cache[i] = new;
     }
 
-    /// Mints the canonical key for a creation of the current
-    /// sequential-context pop and advances the emission slot. On
-    /// bit-field overflow the typed fault is recorded and a saturated
-    /// placeholder returned: the run aborts with the stall before the
-    /// placeholder's order can matter.
-    fn seq_key(&mut self, shards: &mut [&mut Shard]) -> u128 {
-        let slot = self.seq_slot;
-        self.seq_slot += 1;
-        match self.cfg.tie_break_seed {
-            Some(salt) => shards[self.seq_shard].seeded_key(salt, self.seq_hi),
-            None => match try_pack(self.seq_hi, self.seq_rank, em_of(slot, 0)) {
-                Ok(k) => k,
-                Err(r) => {
-                    self.fault.get_or_insert(r);
-                    (u128::from(self.seq_hi) << 64) | u128::from(u64::MAX >> 1)
-                }
-            },
-        }
-    }
-
-    /// Schedules a creation of the current sequential-context pop into
-    /// its owner shard and keeps the head index in sync.
-    fn seq_sched(&mut self, shards: &mut [&mut Shard], at: Cycle, ev: Event) {
-        let key = self.seq_key(shards);
-        let own = owner(&ev);
-        shards[own].queue.schedule_with_key(at, key, ev);
-        self.fix_head(shards, own);
-    }
-
-    fn dispatch_send_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, msg: Message) {
-        if self.cfg.transport.is_some() && msg.src != msg.dst {
-            let actions = shards[msg.src.index()]
-                .transport
-                .as_mut()
-                .expect("transport configured")
-                .send(msg);
-            self.apply_transport_actions_seq(shards, now, actions);
-        } else {
-            let arrival = self.net.route(now, &msg);
-            self.seq_sched(shards, arrival, Event::Deliver(msg));
-        }
-    }
-
-    fn apply_transport_actions_seq(
-        &mut self,
-        shards: &mut [&mut Shard],
-        now: Cycle,
-        actions: Vec<TransportAction>,
-    ) {
-        for a in actions {
-            match a {
-                TransportAction::Wire(frame) => {
-                    for at in self.net.send_frame(now, &frame) {
-                        self.seq_sched(shards, at, Event::Wire(frame.clone()));
-                    }
-                }
-                TransportAction::RetxTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => self.seq_sched(shards, now + delay, Event::RetxTimer { src, dst, epoch }),
-                TransportAction::AckTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => self.seq_sched(shards, now + delay, Event::AckTimer { src, dst, epoch }),
-            }
-        }
-    }
-
-    fn apply_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, node: NodeId, fx: Effects) {
-        assert!(
-            fx.immediate_sends.is_empty(),
-            "immediate sends are a serialized-baseline channel; the TCC \
-             shard engine never emits them"
-        );
-        for (delay, msg) in fx.sends {
-            if delay == 0 {
-                self.dispatch_send_seq(shards, now, msg);
-            } else {
-                self.seq_sched(shards, now + delay, Event::Inject(msg));
-            }
-        }
-        if let Some(d) = fx.wake_in {
-            let seq = shards[node.index()].proc.wake_seq();
-            self.seq_sched(shards, now + d, Event::ProcStep(node, seq));
-        }
-        if let Some((record, chars)) = fx.committed {
-            if let Some(c) = &mut self.checker {
-                c.record(record);
-            }
-            self.tx_chars.push(chars);
-        }
-        if fx.reached_barrier {
-            self.barrier_arrive_seq(shards, now, node);
-        }
-        if fx.finished {
-            self.active -= 1;
-        }
-    }
-
-    fn barrier_arrive_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, node: NodeId) {
-        self.barrier_waiting.push(node);
-        if self.barrier_waiting.len() == self.cfg.n_procs {
-            let waiting = std::mem::take(&mut self.barrier_waiting);
-            for n in waiting {
-                let fx = shards[n.index()].proc.release_barrier(&self.cfg, now);
-                self.apply_seq(shards, now, n, fx);
-            }
-        }
-    }
-
-    /// Delivers a message through the TCC per-node handlers against
-    /// its owner shard; outputs schedule once the shard is released
-    /// (scheduling needs the full slice for ownership routing).
-    fn deliver_seq(&mut self, shards: &mut [&mut Shard], now: Cycle, msg: Message) {
-        trace_delivery(now, &msg);
-        let dst = msg.dst;
-        let g = &mut *shards[dst.index()];
-        let Some(timing) = TccMachine::timing_for(&self.cfg, &msg.payload) else {
-            let fx = TccMachine::on_node(
-                &mut g.proc,
-                &mut g.vendor_next,
-                &self.tracer,
-                now,
-                &self.cfg,
-                msg,
-            );
-            self.apply_seq(shards, now, dst, fx);
-            return;
-        };
-        let done = occupy_home(
-            &mut g.dir_busy,
-            g.dir_cache.as_mut(),
-            &self.cfg,
-            now,
-            timing,
-        );
-        let mut out = std::mem::take(&mut self.out);
-        if let Some(reason) = TccMachine::on_home(&mut g.dir, done, &self.cfg, msg, &mut out) {
-            self.fault.get_or_insert(reason);
-        }
-        for (extra, reply) in out.drain(..) {
-            self.seq_sched(shards, done + extra, Event::Inject(reply));
-        }
-        self.out = out;
-    }
-
     /// Processes `[current, window_end)` in globally merged classic
     /// order on the main thread: same pops, same key assignment, same
     /// global-op interleaving as the classic engine. The head index
@@ -752,6 +516,7 @@ impl Engine {
         shards: &mut [&mut Shard],
         window_end: Cycle,
     ) -> Result<(), RunError> {
+        self.tracer.count("par.windows.merged", 1);
         loop {
             let Some(&(at, _key, si)) = self.heads.first() else {
                 return Ok(());
@@ -788,44 +553,19 @@ impl Engine {
             self.seq_hi = at.0 + 1;
             self.seq_slot = 0;
             self.seq_shard = i;
-            self.handle_seq(shards, at, i, ev)?;
+            handle(
+                &mut Merged {
+                    eng: self,
+                    shards: &mut *shards,
+                },
+                at,
+                ev,
+            );
             self.fix_head(shards, i);
             if let Some(reason) = self.fault.take() {
                 return Err(self.stalled(shards, at, reason));
             }
         }
-    }
-
-    fn handle_seq(
-        &mut self,
-        shards: &mut [&mut Shard],
-        now: Cycle,
-        i: usize,
-        ev: Event,
-    ) -> Result<(), RunError> {
-        match ev {
-            Event::ProcStep(n, seq) => {
-                let fx = {
-                    let g = &mut *shards[n.index()];
-                    (g.proc.wake_seq() == seq).then(|| g.proc.step(&self.cfg, now))
-                };
-                if let Some(fx) = fx {
-                    self.apply_seq(shards, now, n, fx);
-                }
-            }
-            Event::Inject(msg) => self.dispatch_send_seq(shards, now, msg),
-            Event::Deliver(msg) => self.deliver_seq(shards, now, msg),
-            ev => match transport_step(shards[i].transport.as_mut(), now, ev) {
-                Ok((delivered, actions)) => {
-                    self.apply_transport_actions_seq(shards, now, actions);
-                    for m in delivered {
-                        self.deliver_seq(shards, now, m);
-                    }
-                }
-                Err(reason) => return Err(self.stalled(shards, now, reason)),
-            },
-        }
-        Ok(())
     }
 
     /// Assembles the stall diagnostic across all shards, field for
@@ -914,6 +654,7 @@ impl Engine {
     /// paths the buffers are simply abandoned; a stalled run never
     /// joins again.
     fn join(&mut self, shards: &mut [&mut Shard], window_end: Cycle) -> Result<(), RunError> {
+        self.tracer.count("par.joins", 1);
         let n = shards.len();
         let mut ops = std::mem::take(&mut self.jops);
         let mut committed = std::mem::take(&mut self.jcommitted);
@@ -970,7 +711,7 @@ impl Engine {
                         return Err(self.stalled(shards, st.t_create, reason));
                     }
                 };
-                debug_assert_eq!(owner(&st.ev), s, "staged event crossed shards");
+                assert_eq!(st.ev.owner().index(), s, "staged event crossed shards");
                 shards[s].queue.schedule_with_key(st.at, key, st.ev);
                 self.fix_head(shards, s);
             }
@@ -992,70 +733,7 @@ impl Engine {
         for v in &mut self.jpops {
             v.clear();
         }
-        self.rebalance(n);
         Ok(())
-    }
-
-    /// Re-derives the worker units from the cross-shard deferred
-    /// traffic observed at joins since the last decision: shards whose
-    /// traffic is exclusively mutual (a closed component of the
-    /// undirected traffic graph, up to [`FUSE_MAX`] members) fuse into
-    /// one unit. The counters reset on every decision, so fission is
-    /// automatic when the pattern shifts. Units only change *which*
-    /// shards a worker claims together and when the merged path is
-    /// chosen — both window modes assign identical canonical keys, so
-    /// fusion never affects results.
-    fn rebalance(&mut self, n: usize) {
-        self.windows_since_fuse += 1;
-        if self.windows_since_fuse < FUSE_INTERVAL {
-            return;
-        }
-        self.windows_since_fuse = 0;
-        fn find(parent: &mut [u16], mut x: u16) -> u16 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        let mut parent: Vec<u16> = (0..n as u16).collect();
-        for &(a, b) in self.traffic.keys() {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[rb as usize] = ra;
-            }
-        }
-        self.traffic.clear();
-        let mut members: BTreeMap<u16, Vec<u16>> = BTreeMap::new();
-        for i in 0..n as u16 {
-            let root = find(&mut parent, i);
-            members.entry(root).or_default().push(i);
-        }
-        let mut units: Vec<Vec<u16>> = Vec::with_capacity(n);
-        for (_, m) in members {
-            if (2..=FUSE_MAX).contains(&m.len()) {
-                units.push(m);
-            } else {
-                for s in m {
-                    units.push(vec![s]);
-                }
-            }
-        }
-        if units.len() < 2 {
-            // Fusing the whole machine into one unit would make every
-            // window sequential and — since fission decisions happen at
-            // joins — irreversible. The single-active-unit window
-            // extension already captures that case dynamically, so keep
-            // shards unfused instead of committing to it.
-            units = (0..n as u16).map(|i| vec![i]).collect();
-        }
-        self.unit_of = vec![0; n];
-        for (u, us) in units.iter().enumerate() {
-            for &s in us {
-                self.unit_of[s as usize] = u as u16;
-            }
-        }
-        self.units = Arc::new(units);
     }
 
     /// Assigns each pop of the window its global rank within its cycle,
@@ -1093,7 +771,7 @@ impl Engine {
                 // top low-word bit set by `mix64` — never treat them as
                 // provisional.
                 if seeded || lo & PROV == 0 {
-                    debug_assert!(seeded || hi <= t, "late canonical key at cycle {t}");
+                    assert!(seeded || hi <= t, "late canonical key at cycle {t}");
                     wave.push((key, s, i));
                 } else if hi <= t {
                     // Parent popped at an earlier cycle of this window:
@@ -1104,7 +782,7 @@ impl Engine {
                         Err(r) => return Err((t, r)),
                     }
                 } else {
-                    debug_assert_eq!(hi, t + 1, "provisional key skipped a cycle");
+                    assert_eq!(hi, t + 1, "provisional key skipped a cycle");
                     pending.push((key, s, i));
                 }
             }
@@ -1150,9 +828,7 @@ impl Engine {
     /// Replays the window's deferred global-resource operations in
     /// classic chronological order `(cycle, pop rank, emission slot)`,
     /// so mesh contention, traffic statistics, and the chaos injector's
-    /// RNG draws evolve exactly as in the single-threaded engine. Also
-    /// feeds the fusion traffic counters: each cross-shard op is an
-    /// edge of the observed traffic graph.
+    /// RNG draws evolve exactly as in the single-threaded engine.
     fn replay_ops(
         &mut self,
         shards: &mut [&mut Shard],
@@ -1165,9 +841,6 @@ impl Engine {
             let rank = self.rank_map[&(op.t.0, op.shard, op.idx)];
             match op.kind {
                 OpKind::Route(msg) => {
-                    if op.shard != msg.dst.0 {
-                        *self.traffic.entry(edge(op.shard, msg.dst.0)).or_insert(0) += 1;
-                    }
                     let arrival = self.net.route(op.t, &msg);
                     assert!(
                         arrival >= window_end,
@@ -1188,12 +861,6 @@ impl Engine {
                 }
                 OpKind::Frame(frame) => {
                     let dst = frame.dst().index();
-                    if op.shard != frame.dst().0 {
-                        *self
-                            .traffic
-                            .entry(edge(op.shard, frame.dst().0))
-                            .or_insert(0) += 1;
-                    }
                     for (j, at) in self.net.send_frame(op.t, &frame).into_iter().enumerate() {
                         assert!(
                             at >= window_end,
@@ -1218,6 +885,132 @@ impl Engine {
     }
 }
 
+/// The merged window's side of the event step: the engine's global
+/// state plus every shard, in classic order. Creations get canonical
+/// keys at once and go to their owner shard; the mesh, the wire, the
+/// checker and barriers are touched inline, as in the classic loop.
+struct Merged<'a, 'b> {
+    eng: &'a mut Engine,
+    shards: &'a mut [&'b mut Shard],
+}
+
+impl Host for Merged<'_, '_> {
+    /// Mints the canonical key for a creation of the current pop
+    /// (advancing its emission slot) and queues the event in its owner
+    /// shard. On bit-field overflow the typed fault is recorded and a
+    /// saturated placeholder key used: the run stalls before the
+    /// placeholder's order can matter.
+    fn sched(&mut self, at: Cycle, ev: Event) {
+        let eng = &mut *self.eng;
+        let slot = eng.seq_slot;
+        eng.seq_slot += 1;
+        let key = match eng.cfg.tie_break_seed {
+            Some(salt) => self.shards[eng.seq_shard].seeded_key(salt, eng.seq_hi),
+            None => match try_pack(eng.seq_hi, eng.seq_rank, em_of(slot, 0)) {
+                Ok(k) => k,
+                Err(r) => {
+                    eng.fault.get_or_insert(r);
+                    (u128::from(eng.seq_hi) << 64) | u128::from(u64::MAX >> 1)
+                }
+            },
+        };
+        let own = ev.owner().index();
+        self.shards[own].queue.schedule_with_key(at, key, ev);
+        eng.fix_head(self.shards, own);
+    }
+
+    fn route(&mut self, now: Cycle, msg: Message) {
+        let arrival = self.eng.net.route(now, &msg);
+        self.sched(arrival, Event::Deliver(msg));
+    }
+
+    fn wire(&mut self, now: Cycle, frame: Frame) {
+        for at in self.eng.net.send_frame(now, &frame) {
+            self.sched(at, Event::Wire(frame.clone()));
+        }
+    }
+
+    fn transport(&mut self, node: NodeId) -> Option<&mut Transport> {
+        self.shards[node.index()].transport.as_mut()
+    }
+
+    fn wake_seq(&self, node: NodeId) -> u64 {
+        self.shards[node.index()].proc.wake_seq()
+    }
+
+    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.shards[node.index()].proc.step(&self.eng.cfg, now)
+    }
+
+    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.shards[node.index()]
+            .proc
+            .release_barrier(&self.eng.cfg, now)
+    }
+
+    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming> {
+        TccMachine::timing_for(&self.eng.cfg, payload)
+    }
+
+    fn occupy(&mut self, home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle {
+        let g = &mut *self.shards[home.index()];
+        occupy_home(
+            &mut g.dir_busy,
+            g.dir_cache.as_mut(),
+            &self.eng.cfg,
+            now,
+            timing,
+        )
+    }
+
+    fn on_home(
+        &mut self,
+        done: Cycle,
+        msg: Message,
+        out: &mut Vec<(u64, Message)>,
+    ) -> Option<StallReason> {
+        let dir = &mut self.shards[msg.dst.index()].dir;
+        TccMachine::on_home(dir, done, &self.eng.cfg, msg, out)
+    }
+
+    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects {
+        let g = &mut *self.shards[msg.dst.index()];
+        let eng = &*self.eng;
+        TccMachine::on_node(
+            &mut g.proc,
+            &mut g.vendor_next,
+            &eng.tracer,
+            now,
+            &eng.cfg,
+            msg,
+        )
+    }
+
+    fn home_out(&mut self) -> &mut Vec<(u64, Message)> {
+        &mut self.eng.out
+    }
+
+    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics) {
+        if let Some(c) = &mut self.eng.checker {
+            c.record(record);
+        }
+        self.eng.tx_chars.push(chars);
+    }
+
+    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId> {
+        let n = self.eng.cfg.n_procs;
+        arrive_at_barrier(&mut self.eng.barrier_waiting, n, node)
+    }
+
+    fn proc_finished(&mut self) {
+        self.eng.active -= 1;
+    }
+
+    fn raise(&mut self, _now: Cycle, reason: StallReason) {
+        self.eng.fault.get_or_insert(reason);
+    }
+}
+
 /// Accumulates per-node transport stats into the machine-wide total.
 fn add_stats(acc: &mut Option<TransportStats>, s: TransportStats) {
     match acc {
@@ -1235,11 +1028,10 @@ fn add_stats(acc: &mut Option<TransportStats>, s: TransportStats) {
 }
 
 /// Shared state of the window worker pool. Workers park on `start`
-/// between windows; the main thread publishes the window plan (end
-/// cycle + current worker units), releases them, races them through
-/// the unit claim counter, and meets them at `done`. Panics inside a
-/// shard are parked in `panic_box` and re-raised on the main thread
-/// after the window.
+/// between windows; the main thread publishes the window end, releases
+/// them, races them through the shard claim counter, and meets them at
+/// `done`. Panics inside a shard are parked in `panic_box` and re-raised
+/// on the main thread after the window.
 struct Pool<'a> {
     shards: &'a [Mutex<Shard>],
     start: std::sync::Barrier,
@@ -1247,9 +1039,6 @@ struct Pool<'a> {
     plan_end: AtomicU64,
     claim: AtomicUsize,
     stop: AtomicBool,
-    /// Fused worker units for the upcoming window; workers clone the
-    /// `Arc` once per window after the start barrier.
-    units: Mutex<Arc<Vec<Vec<u16>>>>,
     panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -1260,36 +1049,26 @@ impl Pool<'_> {
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            let end = Cycle(self.plan_end.load(Ordering::Acquire));
-            let units = Arc::clone(&lock(&self.units));
-            self.drain(end, &units);
+            self.drain(Cycle(self.plan_end.load(Ordering::Acquire)));
             self.done.wait();
         }
     }
 
-    /// Publishes the fused units for the next window. Called by the
-    /// main thread only, between windows.
-    fn set_units(&self, units: &Arc<Vec<Vec<u16>>>) {
-        *lock(&self.units) = Arc::clone(units);
-    }
-
-    /// Claims and runs worker units until none remain. Which thread
-    /// runs which unit is the *only* nondeterminism in a parallel
+    /// Claims and runs shards by index until none remain. Which thread
+    /// runs which shard is the *only* nondeterminism in a parallel
     /// window, and it is invisible: shards share no state until the
     /// join.
-    fn drain(&self, end: Cycle, units: &[Vec<u16>]) {
+    fn drain(&self, end: Cycle) {
         loop {
-            let u = self.claim.fetch_add(1, Ordering::Relaxed);
-            let Some(unit) = units.get(u) else { return };
-            for &s in unit {
-                let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                    lock(&self.shards[s as usize]).run_window(end)
-                }));
-                if let Err(p) = r {
-                    let mut slot = lock(&self.panic_box);
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
+            let i = self.claim.fetch_add(1, Ordering::Relaxed);
+            let Some(shard) = self.shards.get(i) else {
+                return;
+            };
+            let r = panic::catch_unwind(AssertUnwindSafe(|| lock(shard).run_window(end)));
+            if let Err(p) = r {
+                let mut slot = lock(&self.panic_box);
+                if slot.is_none() {
+                    *slot = Some(p);
                 }
             }
         }
@@ -1300,8 +1079,7 @@ impl Pool<'_> {
         self.plan_end.store(end.0, Ordering::Release);
         self.claim.store(0, Ordering::Release);
         self.start.wait();
-        let units = Arc::clone(&lock(&self.units));
-        self.drain(end, &units);
+        self.drain(end);
         self.done.wait();
         if let Some(p) = lock(&self.panic_box).take() {
             self.shutdown();
@@ -1377,62 +1155,30 @@ fn main_loop(
             // within the limit, so a limit overrun stalls on exactly
             // the same pop as the classic engine.
             let base_end = Cycle((w.0 + b).min(max_cycles + 1));
-            let mut barrier = !eng.barrier_waiting.is_empty();
-            for s in shards.iter() {
-                if s.proc.barrier_within(depth) {
-                    barrier = true;
-                    break;
-                }
-            }
-            // Count distinct worker units with work inside the base
-            // window, off the head index (no queue locks or scans).
-            eng.unit_seen.clear();
-            eng.unit_seen.resize(eng.units.len(), false);
-            let mut active_units = 0usize;
-            let mut active_unit: Option<u16> = None;
-            for (i, hc) in eng.head_cache.iter().enumerate() {
-                if let Some((t, _)) = hc {
-                    if *t < base_end {
-                        let u = eng.unit_of[i];
-                        if !eng.unit_seen[u as usize] {
-                            eng.unit_seen[u as usize] = true;
-                            active_units += 1;
-                            active_unit = Some(u);
-                        }
-                    }
-                }
-            }
+            let barrier = !eng.barrier_waiting.is_empty()
+                || shards.iter().any(|s| s.proc.barrier_within(depth));
             if barrier {
                 eng.cur_window = Some((w.0, base_end.0));
                 eng.run_seq_window(shards, base_end)?;
                 continue 'run;
             }
-            if active_units <= 1 {
-                // Adaptive lookahead: only one unit has work in the
-                // base window, so extend the merged window to the
-                // earliest event owned by any *other* unit — the first
-                // point where parallelism could resume.
-                let mut ext = Cycle(max_cycles + 1);
-                if let Some(au) = active_unit {
-                    for (i, hc) in eng.head_cache.iter().enumerate() {
-                        if eng.unit_of[i] != au {
-                            if let Some((t, _)) = hc {
-                                if *t < ext {
-                                    ext = *t;
-                                }
-                            }
-                        }
-                    }
-                }
-                let window_end = Cycle(base_end.0.max(ext.0).min(max_cycles + 1));
+            // The head index holds one entry per shard with events, so
+            // its second entry is the earliest event of any shard other
+            // than the one at the horizon.
+            let next_other = eng.heads.iter().nth(1).map(|&(t, _, _)| t);
+            if next_other.is_none_or(|t| t >= base_end) {
+                // Adaptive lookahead: fewer than two shards have work in
+                // the base window, so extend the merged window to the
+                // earliest event of any *other* shard — the first point
+                // where parallelism could resume.
+                let ext = next_other.map_or(max_cycles + 1, |t| t.0);
+                let window_end = Cycle(ext.min(max_cycles + 1));
                 eng.cur_window = Some((w.0, window_end.0));
                 eng.run_seq_window(shards, window_end)?;
                 continue 'run;
             }
             eng.cur_window = Some((w.0, base_end.0));
-            if let Some(p) = pool {
-                p.set_units(&eng.units);
-            }
+            eng.tracer.count("par.windows.parallel", 1);
             break 'plan base_end;
             // Guards drop here: shards are unlocked for the drain.
         };
@@ -1480,7 +1226,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         program_seed,
         program_digest,
     } = sim;
-    debug_assert!(fault.is_none(), "adopted simulator carries a fault");
+    assert!(fault.is_none(), "adopted simulator carries a fault");
     // `try_run` keeps non-TCC backends on the classic loop, so the
     // sharded engine stays specialized to the TCC machine.
     let Machine::Tcc(tcc) = machine else {
@@ -1494,7 +1240,6 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
     } = tcc;
     let pcfg = cfg.parallel.expect("try_run dispatched on parallel");
     let n = procs.len();
-    let chaos = cfg.chaos.is_some();
     // Window width: the minimum latency of any deferred-to-the-join
     // creation. Remote mesh deliveries take at least one serialization
     // cycle plus one link hop; with chaos on, node-local sends defer
@@ -1502,7 +1247,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
     // by the local latency. Config validation guarantees the result is
     // nonzero.
     let remote_min = 1 + cfg.network.link_latency;
-    let b = if chaos {
+    let b = if cfg.chaos.is_some() {
         remote_min.min(cfg.network.local_latency)
     } else {
         remote_min
@@ -1553,10 +1298,6 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
             out: Vec::new(),
             transport: tparts[i].take(),
             vendor_next: if node == vendor { vendor_next } else { 0 },
-            line_bytes: cfg.cache.geometry.line_bytes(),
-            local_latency: cfg.network.local_latency,
-            chaos,
-            seed: cfg.tie_break_seed,
             creations: 0,
             window_end: Cycle::ZERO,
             cur_cycle: Cycle::ZERO,
@@ -1586,11 +1327,6 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         cur_window: None,
         heads: BTreeSet::new(),
         head_cache: vec![None; n],
-        unit_of: (0..n as u16).collect(),
-        units: Arc::new((0..n as u16).map(|i| vec![i]).collect()),
-        traffic: BTreeMap::new(),
-        windows_since_fuse: 0,
-        unit_seen: Vec::new(),
         jpops: (0..n).map(|_| Vec::new()).collect(),
         jstaged: (0..n).map(|_| Vec::new()).collect(),
         jops: Vec::new(),
@@ -1625,7 +1361,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
                     Err(r) => return Err(eng.stalled(shards, at, r)),
                 };
                 let ev = ev.clone();
-                let dst = owner(&ev);
+                let dst = ev.owner().index();
                 shards[dst].queue.schedule_with_key(at, key, ev);
             }
         } else {
@@ -1639,7 +1375,11 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
                 eng.seq_rank = i as u64;
                 eng.seq_slot = 0;
                 eng.seq_shard = i;
-                eng.apply_seq(shards, Cycle::ZERO, NodeId(i as u16), fx);
+                let mut merged = Merged {
+                    eng: &mut eng,
+                    shards: &mut *shards,
+                };
+                apply(&mut merged, Cycle::ZERO, NodeId(i as u16), fx);
             }
         }
         for i in 0..n {
@@ -1667,7 +1407,6 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
             plan_end: AtomicU64::new(0),
             claim: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            units: Mutex::new(Arc::clone(&eng.units)),
             panic_box: Mutex::new(None),
         };
         std::thread::scope(|scope| {
@@ -1700,7 +1439,7 @@ pub(crate) fn run(sim: Simulator) -> Result<SimResult, RunError> {
         let g = s
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        debug_assert_eq!(g.queue.len(), 0, "drained shard still holds events");
+        assert_eq!(g.queue.len(), 0, "drained shard still holds events");
         events += g.queue.events_processed();
         vendor_total += g.vendor_next;
         if let Some(t) = g.transport {
@@ -1809,11 +1548,5 @@ mod tests {
         let ok = em_of(EM_MASK >> SUB_BITS, (1 << SUB_BITS) - 1);
         assert_eq!(ok, EM_MASK);
         assert!(try_pack(1, 0, ok).is_ok());
-    }
-
-    #[test]
-    fn edge_is_undirected() {
-        assert_eq!(edge(3, 7), edge(7, 3));
-        assert_eq!(edge(3, 7), (3, 7));
     }
 }

@@ -1,5 +1,6 @@
-//! The full-system simulator: event loop, message routing, vendor,
-//! barriers, and result assembly.
+//! The full-system simulator: the classic event loop, the one event
+//! step every loop runs (`handle` over a `Host`, shared with the sharded
+//! engine's windows), barriers, snapshots, and result assembly.
 
 use std::collections::VecDeque;
 use tcc_types::hash::{fnv1a, FxHashSet};
@@ -11,7 +12,7 @@ use tcc_network::{
 use tcc_snapshot::{Snapshot, SnapshotError};
 use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId};
+use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId, Payload};
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
@@ -204,6 +205,207 @@ pub(crate) enum Event {
         dst: NodeId,
         epoch: u64,
     },
+}
+
+impl Event {
+    /// The node whose state handling this event mutates: the
+    /// destination of a delivery, the sender of an injection, the
+    /// stepping processor, and the channel end a transport event runs
+    /// against. The sharded engine keeps every event in its owner's
+    /// shard.
+    pub(crate) fn owner(&self) -> NodeId {
+        match self {
+            Event::Deliver(m) => m.dst,
+            Event::Inject(m) => m.src,
+            Event::ProcStep(n, _) => *n,
+            Event::Wire(f) => f.dst(),
+            Event::RetxTimer { src, .. } => *src,
+            Event::AckTimer { dst, .. } => *dst,
+        }
+    }
+}
+
+/// What the event step needs from the loop that runs it: exactly the
+/// parts that differ between the classic loop ([`Simulator`]), a
+/// shard's parallel window and the sharded engine's merged window
+/// (both in `crate::par`). Everything else — handling an event,
+/// applying a processor's [`Effects`], putting a message in flight,
+/// applying transport actions, delivering to a home or a node — is
+/// written once, in [`handle`] and the functions it calls.
+pub(crate) trait Host: Sized {
+    /// Queues an event the current pop created, keyed the way this loop
+    /// keys creations.
+    fn sched(&mut self, at: Cycle, ev: Event);
+    /// Puts `msg` on the mesh (without the reliable transport, or
+    /// node-local) and queues its delivery — now, or at the join.
+    fn route(&mut self, now: Cycle, msg: Message);
+    /// Puts a transport frame on the (possibly faulty) wire and queues
+    /// every copy that survives it — now, or at the join.
+    fn wire(&mut self, now: Cycle, frame: Frame);
+    /// `node`'s reliable-transport state, when the transport is on.
+    fn transport(&mut self, node: NodeId) -> Option<&mut Transport>;
+    /// A serialized-baseline send that claims the mesh at apply time
+    /// (see [`Effects::immediate_sends`]).
+    fn immediate_send(&mut self, at: Cycle, msg: Message) {
+        send(self, at, msg);
+    }
+    /// `node`'s wake sequence number (stale `ProcStep`s are dropped).
+    fn wake_seq(&self, node: NodeId) -> u64;
+    /// Runs `node`'s processor.
+    fn step(&mut self, now: Cycle, node: NodeId) -> Effects;
+    /// Releases `node` from the barrier everyone reached.
+    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects;
+    /// Occupancy timing of a home message; `None` marks a node message.
+    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming>;
+    /// The occupancy step ([`occupy_home`]) on `home`'s controller.
+    fn occupy(&mut self, home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle;
+    /// The home handler at the service-complete cycle `done`; returns a
+    /// component fault, if one was raised.
+    fn on_home(
+        &mut self,
+        done: Cycle,
+        msg: Message,
+        out: &mut Vec<(u64, Message)>,
+    ) -> Option<StallReason>;
+    /// The node handler at arrival.
+    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects;
+    /// Reusable home-reply buffer (empty between events).
+    fn home_out(&mut self) -> &mut Vec<(u64, Message)>;
+    /// A transaction committed.
+    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics);
+    /// `node` reached a barrier; returns every waiting node once all
+    /// have arrived, nothing before.
+    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId>;
+    /// A processor finished its program.
+    fn proc_finished(&mut self);
+    /// A typed fault raised by the event popped at `now`; the loop
+    /// stalls on it right after the event.
+    fn raise(&mut self, now: Cycle, reason: StallReason);
+}
+
+/// The event step: turns one popped event into effects against `h`.
+pub(crate) fn handle<H: Host>(h: &mut H, now: Cycle, ev: Event) {
+    match ev {
+        Event::ProcStep(n, seq) => {
+            if h.wake_seq(n) == seq {
+                let fx = h.step(now, n);
+                apply(h, now, n, fx);
+            }
+        }
+        Event::Inject(msg) => send(h, now, msg),
+        Event::Deliver(msg) => deliver(h, now, msg),
+        ev => match transport_step(h.transport(ev.owner()), now, ev) {
+            Ok((delivered, actions)) => {
+                apply_transport_actions(h, now, actions);
+                for m in delivered {
+                    deliver(h, now, m);
+                }
+            }
+            Err(reason) => h.raise(now, reason),
+        },
+    }
+}
+
+/// The single choke point for putting a message in flight: with the
+/// reliable transport on, every remote message is sequenced into a
+/// frame and subjected to the chaos wire; without it (or for node-local
+/// messages) the mesh's native exactly-once path is used unchanged.
+fn send<H: Host>(h: &mut H, now: Cycle, msg: Message) {
+    if msg.src != msg.dst {
+        if let Some(t) = h.transport(msg.src) {
+            let actions = t.send(msg);
+            apply_transport_actions(h, now, actions);
+            return;
+        }
+    }
+    h.route(now, msg);
+}
+
+/// Turns transport actions into queued events: frames go through the
+/// wire, timers arm directly.
+fn apply_transport_actions<H: Host>(h: &mut H, now: Cycle, actions: Vec<TransportAction>) {
+    for a in actions {
+        match a {
+            TransportAction::Wire(frame) => h.wire(now, frame),
+            TransportAction::RetxTimer {
+                src,
+                dst,
+                delay,
+                epoch,
+            } => h.sched(now + delay, Event::RetxTimer { src, dst, epoch }),
+            TransportAction::AckTimer {
+                src,
+                dst,
+                delay,
+                epoch,
+            } => h.sched(now + delay, Event::AckTimer { src, dst, epoch }),
+        }
+    }
+}
+
+/// Applies `node`'s processor [`Effects`]; the last barrier arrival
+/// releases everyone.
+pub(crate) fn apply<H: Host>(h: &mut H, now: Cycle, node: NodeId, fx: Effects) {
+    for (offset, msg) in fx.immediate_sends {
+        h.immediate_send(now + offset, msg);
+    }
+    for (delay, msg) in fx.sends {
+        if delay == 0 {
+            send(h, now, msg);
+        } else {
+            h.sched(now + delay, Event::Inject(msg));
+        }
+    }
+    if let Some(d) = fx.wake_in {
+        let seq = h.wake_seq(node);
+        h.sched(now + d, Event::ProcStep(node, seq));
+    }
+    if let Some((record, chars)) = fx.committed {
+        h.record_commit(record, chars);
+    }
+    if fx.reached_barrier {
+        for n in h.barrier_arrive(node) {
+            let fx = h.release_barrier(now, n);
+            apply(h, now, n, fx);
+        }
+    }
+    if fx.finished {
+        h.proc_finished();
+    }
+}
+
+/// Routes a delivered message: a home (directory-controller) message
+/// goes through the shared occupancy step, then the home handler, whose
+/// replies leave at the service-complete cycle; a node message runs at
+/// arrival.
+fn deliver<H: Host>(h: &mut H, now: Cycle, msg: Message) {
+    trace_delivery(now, &msg);
+    let Some(timing) = h.home_timing(&msg.payload) else {
+        let dst = msg.dst;
+        let fx = h.on_node(now, msg);
+        apply(h, now, dst, fx);
+        return;
+    };
+    let done = h.occupy(msg.dst, now, timing);
+    let mut out = std::mem::take(h.home_out());
+    if let Some(reason) = h.on_home(done, msg, &mut out) {
+        h.raise(now, reason);
+    }
+    for (extra, reply) in out.drain(..) {
+        h.sched(done + extra, Event::Inject(reply));
+    }
+    *h.home_out() = out;
+}
+
+/// Records `node` at the barrier; once all `n` nodes wait, empties the
+/// list and returns them.
+pub(crate) fn arrive_at_barrier(waiting: &mut Vec<NodeId>, n: usize, node: NodeId) -> Vec<NodeId> {
+    waiting.push(node);
+    if waiting.len() == n {
+        std::mem::take(waiting)
+    } else {
+        Vec::new()
+    }
 }
 
 impl Snap for Event {
@@ -820,7 +1022,7 @@ impl Simulator {
             for i in 0..self.cfg.n_procs {
                 let n = NodeId(i as u16);
                 let fx = self.machine.start(Cycle::ZERO, n);
-                self.apply(Cycle::ZERO, n, fx);
+                apply(&mut self, Cycle::ZERO, n, fx);
             }
         }
         loop {
@@ -852,25 +1054,7 @@ impl Simulator {
                     return Err(self.stalled(now, StallReason::NoProgress { window }));
                 }
             }
-            match ev {
-                Event::ProcStep(n, seq) => {
-                    if self.machine.wake_seq(n) == seq {
-                        let fx = self.machine.step(now, n);
-                        self.apply(now, n, fx);
-                    }
-                }
-                Event::Inject(msg) => self.dispatch_send(now, msg),
-                Event::Deliver(msg) => self.deliver(now, msg),
-                ev => match transport_step(self.transport.as_mut(), now, ev) {
-                    Ok((delivered, actions)) => {
-                        self.apply_transport_actions(now, actions);
-                        for m in delivered {
-                            self.deliver(now, m);
-                        }
-                    }
-                    Err(reason) => return Err(self.stalled(now, reason)),
-                },
-            }
+            handle(&mut self, now, ev);
             if let Some(reason) = self.fault.take() {
                 return Err(self.stalled(now, reason));
             }
@@ -929,136 +1113,6 @@ impl Simulator {
             self.barrier_waiting.len() as u64,
             self.transport.as_ref().map_or(0, |t| t.stats().delivered),
         ])
-    }
-
-    /// The single choke point for putting a message in flight: with the
-    /// reliable transport on, every remote message is sequenced into a
-    /// frame and subjected to the chaos wire; without it (or for
-    /// node-local messages) the mesh's native exactly-once path is used
-    /// unchanged.
-    fn dispatch_send(&mut self, now: Cycle, msg: Message) {
-        if self.transport.is_some() && msg.src != msg.dst {
-            let actions = self.transport.as_mut().expect("checked above").send(msg);
-            self.apply_transport_actions(now, actions);
-        } else {
-            let arrival = self.net.route(now, &msg);
-            self.queue.schedule(arrival, Event::Deliver(msg));
-        }
-    }
-
-    /// Turns transport actions into scheduled events: frames go through
-    /// the chaos wire (which may drop, duplicate, or reorder them),
-    /// timers arm directly.
-    fn apply_transport_actions(&mut self, now: Cycle, actions: Vec<TransportAction>) {
-        for a in actions {
-            match a {
-                TransportAction::Wire(frame) => {
-                    for at in self.net.send_frame(now, &frame) {
-                        self.queue.schedule(at, Event::Wire(frame.clone()));
-                    }
-                }
-                TransportAction::RetxTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => {
-                    self.queue
-                        .schedule(now + delay, Event::RetxTimer { src, dst, epoch });
-                }
-                TransportAction::AckTimer {
-                    src,
-                    dst,
-                    delay,
-                    epoch,
-                } => {
-                    self.queue
-                        .schedule(now + delay, Event::AckTimer { src, dst, epoch });
-                }
-            }
-        }
-    }
-
-    /// Applies a processor's [`Effects`].
-    fn apply(&mut self, now: Cycle, node: NodeId, fx: Effects) {
-        for (offset, msg) in fx.immediate_sends {
-            self.dispatch_send(now + offset, msg);
-        }
-        for (delay, msg) in fx.sends {
-            if delay == 0 {
-                self.dispatch_send(now, msg);
-            } else {
-                self.queue.schedule(now + delay, Event::Inject(msg));
-            }
-        }
-        if let Some(d) = fx.wake_in {
-            let seq = self.machine.wake_seq(node);
-            self.queue.schedule(now + d, Event::ProcStep(node, seq));
-        }
-        if let Some((record, chars)) = fx.committed {
-            if let Some(c) = &mut self.checker {
-                c.record(record);
-            }
-            self.tx_chars.push(chars);
-        }
-        if fx.reached_barrier {
-            self.barrier_arrive(now, node);
-        }
-        if fx.finished {
-            self.active -= 1;
-        }
-    }
-
-    /// A processor reached a barrier; release everyone once all arrive.
-    fn barrier_arrive(&mut self, now: Cycle, node: NodeId) {
-        self.barrier_waiting.push(node);
-        if self.barrier_waiting.len() == self.cfg.n_procs {
-            let waiting = std::mem::take(&mut self.barrier_waiting);
-            for n in waiting {
-                let fx = self.machine.release_barrier(now, n);
-                self.apply(now, n, fx);
-            }
-        }
-    }
-
-    /// Routes a delivered message to the active protocol backend: home
-    /// (directory-controller) messages go through the shared occupancy
-    /// model, node messages run at arrival.
-    fn deliver(&mut self, now: Cycle, msg: Message) {
-        trace_delivery(now, &msg);
-        match self.machine.home_timing(&self.cfg, &msg.payload) {
-            Some(timing) => self.deliver_home(now, msg, timing),
-            None => {
-                let dst = msg.dst;
-                let fx = self.machine.on_node_message(now, &self.cfg, msg);
-                self.apply(now, dst, fx);
-                if let Some(f) = self.machine.take_fault() {
-                    self.fault.get_or_insert(f);
-                }
-            }
-        }
-    }
-
-    /// Home-side delivery, shared by every backend: the occupancy step,
-    /// then the backend's home state machine, then its replies.
-    fn deliver_home(&mut self, now: Cycle, msg: Message, timing: HomeTiming) {
-        let d = msg.dst.index();
-        let done = occupy_home(
-            &mut self.dir_busy[d],
-            self.dir_caches[d].as_mut(),
-            &self.cfg,
-            now,
-            timing,
-        );
-        let mut out = std::mem::take(&mut self.home_out);
-        self.machine.on_home_message(done, &self.cfg, msg, &mut out);
-        for (extra, reply) in out.drain(..) {
-            self.queue.schedule(done + extra, Event::Inject(reply));
-        }
-        self.home_out = out;
-        if let Some(f) = self.machine.take_fault() {
-            self.fault.get_or_insert(f);
-        }
     }
 
     /// Captures the machine's complete mutable state as a
@@ -1420,6 +1474,90 @@ impl Simulator {
             trace,
             transport,
         }
+    }
+}
+
+impl Host for Simulator {
+    fn sched(&mut self, at: Cycle, ev: Event) {
+        self.queue.schedule(at, ev);
+    }
+
+    fn route(&mut self, now: Cycle, msg: Message) {
+        let arrival = self.net.route(now, &msg);
+        self.queue.schedule(arrival, Event::Deliver(msg));
+    }
+
+    fn wire(&mut self, now: Cycle, frame: Frame) {
+        for at in self.net.send_frame(now, &frame) {
+            self.queue.schedule(at, Event::Wire(frame.clone()));
+        }
+    }
+
+    fn transport(&mut self, _node: NodeId) -> Option<&mut Transport> {
+        self.transport.as_mut()
+    }
+
+    fn wake_seq(&self, node: NodeId) -> u64 {
+        self.machine.wake_seq(node)
+    }
+
+    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.machine.step(now, node)
+    }
+
+    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.machine.release_barrier(now, node)
+    }
+
+    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming> {
+        self.machine.home_timing(&self.cfg, payload)
+    }
+
+    fn occupy(&mut self, home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle {
+        let d = home.index();
+        let cache = self.dir_caches[d].as_mut();
+        occupy_home(&mut self.dir_busy[d], cache, &self.cfg, now, timing)
+    }
+
+    fn on_home(
+        &mut self,
+        done: Cycle,
+        msg: Message,
+        out: &mut Vec<(u64, Message)>,
+    ) -> Option<StallReason> {
+        self.machine.on_home_message(done, &self.cfg, msg, out);
+        self.machine.take_fault()
+    }
+
+    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects {
+        let fx = self.machine.on_node_message(now, &self.cfg, msg);
+        if let Some(f) = self.machine.take_fault() {
+            self.fault.get_or_insert(f);
+        }
+        fx
+    }
+
+    fn home_out(&mut self) -> &mut Vec<(u64, Message)> {
+        &mut self.home_out
+    }
+
+    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics) {
+        if let Some(c) = &mut self.checker {
+            c.record(record);
+        }
+        self.tx_chars.push(chars);
+    }
+
+    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId> {
+        arrive_at_barrier(&mut self.barrier_waiting, self.cfg.n_procs, node)
+    }
+
+    fn proc_finished(&mut self) {
+        self.active -= 1;
+    }
+
+    fn raise(&mut self, _now: Cycle, reason: StallReason) {
+        self.fault.get_or_insert(reason);
     }
 }
 

@@ -12,6 +12,7 @@ use tcc_core::{
     Transaction, TransportConfig, TxOp, WatchdogConfig, WorkItem, WorkerBudget,
 };
 use tcc_network::{ChaosConfig, DropRule, DupRule};
+use tcc_trace::TraceConfig;
 use tcc_types::rng::SmallRng;
 use tcc_types::Addr;
 
@@ -41,15 +42,23 @@ fn run(cfg: SystemConfig, programs: &[ThreadProgram]) -> SimResult {
 
 /// Runs `cfg` classic and parallel at every worker count; asserts all
 /// fingerprints are byte-identical and the history is serializable
-/// when the checker is on.
-fn assert_differential(cfg: &SystemConfig, programs: &[ThreadProgram], tag: &str) {
+/// when the checker is on. The multi-worker runs carry a metrics-only
+/// tracer; returns the fewest parallel windows any of them ran, so a
+/// case can prove it exercised the threaded path and not only merged
+/// windows.
+fn assert_differential(cfg: &SystemConfig, programs: &[ThreadProgram], tag: &str) -> u64 {
     assert!(cfg.parallel.is_none(), "base config must be classic");
     let classic = run(cfg.clone(), programs);
     if cfg.check_serializability {
         classic.assert_serializable();
     }
+    let mut parallel_windows = u64::MAX;
     for workers in WORKER_COUNTS {
-        let par = run(parallel_cfg(cfg, workers), programs);
+        let mut pcfg = parallel_cfg(cfg, workers);
+        if workers >= 2 {
+            pcfg.trace = TraceConfig::metrics_only();
+        }
+        let par = run(pcfg, programs);
         assert_eq!(
             classic.fingerprint(),
             par.fingerprint(),
@@ -70,7 +79,12 @@ fn assert_differential(cfg: &SystemConfig, programs: &[ThreadProgram], tag: &str
         if cfg.check_serializability {
             par.assert_serializable();
         }
+        if let Some(trace) = &par.trace {
+            let windows = trace.metrics.counter("par.windows.parallel");
+            parallel_windows = parallel_windows.min(windows);
+        }
     }
+    parallel_windows
 }
 
 // ---------------------------------------------------------------------
@@ -143,7 +157,9 @@ fn hot_contention_matches_classic() {
             barrier_every: None,
         };
         let programs = random_programs(&spec, seed);
-        assert_differential(&checked_cfg(4), &programs, &format!("hot/{seed}"));
+        let tag = format!("hot/{seed}");
+        let windows = assert_differential(&checked_cfg(4), &programs, &tag);
+        assert!(windows > 0, "{tag}: no parallel window ran");
     }
 }
 
@@ -161,7 +177,9 @@ fn barriers_match_classic() {
             barrier_every: Some(2),
         };
         let programs = random_programs(&spec, seed);
-        assert_differential(&checked_cfg(8), &programs, &format!("barrier/{seed}"));
+        let tag = format!("barrier/{seed}");
+        let windows = assert_differential(&checked_cfg(8), &programs, &tag);
+        assert!(windows > 0, "{tag}: no parallel window ran");
     }
 }
 
@@ -544,18 +562,16 @@ fn non_tcc_backends_match_classic_under_parallel() {
 }
 
 // ---------------------------------------------------------------------
-// Shard fusion: sustained pairwise traffic drives the fusion/fission
-// rebalancer through many parallel windows.
+// Sustained pairwise traffic through many parallel windows.
 // ---------------------------------------------------------------------
 
 #[test]
-fn fusion_under_sustained_pairwise_traffic_matches_classic() {
+fn sustained_pairwise_traffic_matches_classic() {
     // Eight shards whose cross-traffic is exclusively mutual within
-    // disjoint pairs (2i <-> 2i+1): the traffic graph decomposes into
-    // two-shard components, exactly the shape the fusion rebalancer
-    // merges into worker units. Enough transactions to cross several
-    // FUSE_INTERVAL rebalances; fingerprints must stay classic-exact
-    // through fusion and fission alike.
+    // disjoint pairs (2i <-> 2i+1): every join replays deferred ops
+    // between the same shard pairs, window after window, for 40
+    // transactions per processor; fingerprints must stay
+    // classic-exact throughout.
     let n = 8u64;
     let programs: Vec<ThreadProgram> = (0..n)
         .map(|p| {
@@ -572,7 +588,8 @@ fn fusion_under_sustained_pairwise_traffic_matches_classic() {
             ThreadProgram::new(items)
         })
         .collect();
-    assert_differential(&checked_cfg(n as usize), &programs, "fusion/pairs");
+    let windows = assert_differential(&checked_cfg(n as usize), &programs, "pairs");
+    assert!(windows > 0, "pairs: no parallel window ran");
 }
 
 // ---------------------------------------------------------------------

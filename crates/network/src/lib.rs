@@ -104,29 +104,17 @@ impl Network {
         perturbed
     }
 
-    /// Records one message injection in the trace (all sends funnel
-    /// through here).
-    fn trace_send(&self, now: Cycle, msg: &Message, size: u32) {
-        self.tracer.count("net.messages", 1);
-        self.tracer.count("net.bytes", u64::from(size));
-        self.tracer.record(now, || TraceEvent::MsgSend {
-            kind: msg.payload.kind_name(),
-            src: msg.src,
-            dst: msg.dst,
-            bytes: u64::from(size),
-        });
-    }
-
     /// Times `msg` from its source to its destination starting at `now`,
     /// updating link occupancy and traffic statistics. Returns the
     /// delivery time.
     pub fn send(&mut self, now: Cycle, msg: &Message) -> Cycle {
         let size = msg.size_bytes(self.line_bytes);
-        self.trace_send(now, msg, size);
+        let kind = msg.payload.kind_name();
+        trace_send(&self.tracer, now, kind, msg.src, msg.dst, size);
         if msg.src != msg.dst {
             self.stats
                 .record(msg.src, msg.dst, msg.payload.category(), size);
-            self.stats.record_kind(msg.payload.kind_name());
+            self.stats.record_kind(kind);
         }
         let arrival = self.mesh.send(now, msg.src, msg.dst, size);
         self.apply_chaos(now, msg, arrival)
@@ -152,14 +140,15 @@ impl Network {
     /// delivered (the receive-side view Figure 9 reports).
     pub fn send_multicast(&mut self, now: Cycle, msg: &Message) -> Cycle {
         let size = msg.size_bytes(self.line_bytes);
-        self.trace_send(now, msg, size);
+        let kind = msg.payload.kind_name();
+        trace_send(&self.tracer, now, kind, msg.src, msg.dst, size);
         if msg.src == msg.dst {
             let arrival = self.mesh.send(now, msg.src, msg.dst, size);
             return self.apply_chaos(now, msg, arrival);
         }
         self.stats
             .record(msg.src, msg.dst, msg.payload.category(), size);
-        self.stats.record_kind(msg.payload.kind_name());
+        self.stats.record_kind(kind);
         let hops = self.mesh.hops(msg.src, msg.dst);
         let arrival = now + self.mesh.uncontended_latency(hops, size);
         self.apply_chaos(now, msg, arrival)
@@ -181,14 +170,7 @@ impl Network {
         let size = frame.size_bytes(self.line_bytes);
         let (src, dst) = (frame.src(), frame.dst());
         let kind = frame.kind_name();
-        self.tracer.count("net.messages", 1);
-        self.tracer.count("net.bytes", u64::from(size));
-        self.tracer.record(now, || TraceEvent::MsgSend {
-            kind,
-            src,
-            dst,
-            bytes: u64::from(size),
-        });
+        trace_send(&self.tracer, now, kind, src, dst, size);
         debug_assert_ne!(src, dst, "local messages bypass the transport");
         self.stats.record(src, dst, frame.category(), size);
         self.stats.record_kind(kind);
@@ -287,6 +269,29 @@ impl Network {
     pub fn config(&self) -> &NetworkConfig {
         self.mesh.config()
     }
+}
+
+/// Records one message injection in the trace: the `net.messages` and
+/// `net.bytes` counters and a `MsgSend` event. Every send funnels
+/// through here, including sends an engine times without the mesh
+/// (node-local messages at the fixed local latency).
+#[inline]
+pub fn trace_send(
+    tracer: &Tracer,
+    now: Cycle,
+    kind: &'static str,
+    src: NodeId,
+    dst: NodeId,
+    bytes: u32,
+) {
+    tracer.count("net.messages", 1);
+    tracer.count("net.bytes", u64::from(bytes));
+    tracer.record(now, || TraceEvent::MsgSend {
+        kind,
+        src,
+        dst,
+        bytes: u64::from(bytes),
+    });
 }
 
 /// Skip/Commit/Abort are fabric-replicated multicasts (§2.2); every
