@@ -11,7 +11,6 @@ use tcc_workloads::apps;
 fn main() {
     let args = HarnessArgs::parse();
     let mut report = RunReport::new("fig6");
-    report.set_workers(args.workers() as u64);
     report.set(
         "harness",
         harness_json(&args, args.seed.unwrap_or(HARNESS_SEED)),

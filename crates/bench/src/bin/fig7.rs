@@ -16,7 +16,7 @@ fn main() {
     let mut summary: Vec<(String, f64, f64)> = Vec::new();
     let mut csv: Vec<Vec<String>> = Vec::new();
     let mut report = RunReport::new("fig7");
-    report.set_workers(args.workers() as u64);
+    report.set_workers(args.jobs() as u64);
     report.set("harness", harness_json(&args, seed));
     report.set(
         "sizes",
@@ -29,7 +29,7 @@ fn main() {
             continue;
         }
         let results = par_map(&FIG7_SIZES, args.jobs(), |&n| {
-            let r = run_app_seeded(&app, n, args.scale(), seed, |cfg| args.apply_workers(cfg));
+            let r = run_app_seeded(&app, n, args.scale(), seed, |_| {});
             eprintln!("  {}: p={n} done ({} cycles)", app.name, r.total_cycles);
             maybe_write_chrome(&r, &format!("fig7_{}_p{n}", app.name));
             r

@@ -23,7 +23,7 @@ fn main() {
     let seed = args.seed.unwrap_or(HARNESS_SEED);
     let app = apps::by_name("radix").expect("radix profile");
     let mut report = RunReport::new("loss");
-    report.set_workers(args.workers() as u64);
+    report.set_workers(args.jobs() as u64);
     report.set("harness", harness_json(&args, seed));
     report.set("app", app.name.into());
     report.set("cpus", (CPUS as u64).into());

@@ -126,10 +126,9 @@ struct Measurement {
     commits: u64,
 }
 
-fn run_cell(cell: &Cell, reps: usize, args: &HarnessArgs) -> Measurement {
+fn run_cell(cell: &Cell, reps: usize) -> Measurement {
     let run_once = || -> (SimResult, f64, u64, u64) {
-        let mut cfg = SystemConfig::with_procs(cell.cpus);
-        args.apply_workers(&mut cfg);
+        let cfg = SystemConfig::with_procs(cell.cpus);
         let programs = cell
             .app
             .generate_scaled(cell.cpus, HARNESS_SEED, cell.scale);
@@ -282,7 +281,6 @@ fn main() {
     let mut reps = 3usize;
     let mut smoke = false;
     let mut filter: Option<String> = None;
-    let mut workers: Option<usize> = None;
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
         match a.as_str() {
@@ -290,7 +288,6 @@ fn main() {
             "--write-golden" => write_golden = iter.next(),
             "--reps" => reps = iter.next().and_then(|v| v.parse().ok()).unwrap_or(3),
             "--smoke" => smoke = true,
-            "--workers" => workers = iter.next().and_then(|v| v.parse().ok()),
             other if !other.starts_with("--") => filter = Some(other.to_string()),
             _ => {}
         }
@@ -298,7 +295,6 @@ fn main() {
     let args = HarnessArgs {
         filter,
         smoke,
-        workers,
         ..HarnessArgs::default()
     };
 
@@ -313,7 +309,7 @@ fn main() {
         if !args.selects(cell.app.name) {
             continue;
         }
-        let m = run_cell(cell, reps, &args);
+        let m = run_cell(cell, reps);
         println!(
             "{:<18} {:>10.1} {:>12.0} {:>12} {:>12.1}  {}",
             m.label,
@@ -327,17 +323,11 @@ fn main() {
     }
 
     let mut report = RunReport::new("perf");
-    report.set_workers(args.workers() as u64);
-    let mut harness = vec![
+    let harness = vec![
         ("seed", Json::from(HARNESS_SEED)),
         ("scale", if args.smoke { "smoke" } else { "full" }.into()),
         ("reps", (reps as u64).into()),
     ];
-    // Only recorded for parallel-engine runs, keeping the default
-    // (classic-engine) artifact byte-identical across versions.
-    if args.workers() > 1 {
-        harness.push(("workers", (args.workers() as u64).into()));
-    }
     report.set("harness", Json::obj(harness));
     report.set(
         "cells",

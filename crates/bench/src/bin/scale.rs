@@ -1,32 +1,19 @@
-//! Parallel-engine scaling study (`BENCH_scale.json`).
+//! Large-machine scaling study (`BENCH_scale.json`).
 //!
-//! Per cell (application @ CPU count) this harness first runs the
-//! classic sequential engine as the baseline row, then sweeps the
-//! sharded parallel engine across worker counts — *including*
-//! `workers == 1`, which isolates the pure windowing overhead the
-//! adaptive-lookahead planner exists to eliminate. Per row it records
-//! wall-clock, simulator events per second, heap allocations (count
-//! and bytes, via a counting global allocator compiled into this
-//! binary only), wall-clock speedup over the classic baseline, and the
-//! deterministic result fingerprint — and it *asserts* the fingerprint
-//! is byte-identical to the classic baseline at every worker count,
-//! which is the parallel engine's core claim.
-//!
-//! Honest-measurement note: the parallel engine leases its threads
-//! from the shared worker budget, so on a host with fewer CPUs than
-//! requested workers the extra workers are simply not granted and the
-//! wall-clock columns measure windowing overhead, not speedup. The
-//! report records `host_cpus` so a reader can tell which regime a
-//! given artifact was generated in.
+//! Per cell (application @ CPU count) this harness runs the simulator
+//! once and records wall-clock, simulator events per second, heap
+//! allocations (count and bytes, via a counting global allocator
+//! compiled into this binary only), and the deterministic result
+//! fingerprint. The report's `host` block records `host_cpus` beside
+//! the wall-clock figures.
 //!
 //! Modes:
 //!
 //! * `scale` — the full 64/128-CPU cells; writes `BENCH_scale.json`.
-//! * `scale --smoke` — small 16-CPU cells with a reduced sweep, for CI.
+//! * `scale --smoke` — small 16-CPU cells, for CI.
 //! * `scale --smoke --check <golden.json>` — assert per-cell
-//!   fingerprint identity and classic-row allocation counts within
-//!   tolerance against a checked-in golden; exits non-zero on any
-//!   regression.
+//!   fingerprint identity and allocation counts within tolerance
+//!   against a checked-in golden; exits non-zero on any regression.
 //! * `scale --smoke --write-golden <golden.json>` — regenerate the
 //!   golden after an intentional behaviour change.
 
@@ -36,7 +23,7 @@ use std::time::Instant;
 
 use tcc_bench::report::write_report;
 use tcc_bench::{HarnessArgs, HARNESS_SEED};
-use tcc_core::{ParallelConfig, SimResult, Simulator, SystemConfig};
+use tcc_core::{SimResult, Simulator, SystemConfig};
 use tcc_stats::render::TextTable;
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::{apps, AppProfile, Scale};
@@ -76,22 +63,12 @@ fn allocs() -> (u64, u64) {
     )
 }
 
-/// The simulated machine size: past the paper's largest (64) to show
-/// the engine handles more shards than any evaluated configuration.
+/// The simulated machine size: past the paper's largest (64).
 const SCALE_CPUS: usize = 128;
 
-/// Engine worker counts swept per application (full mode). The sweep
-/// starts at 1: a `workers == 1` *parallel* row is the windowing
-/// overhead a reader should compare against the classic baseline row.
-const WORKER_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Reduced sweep for `--smoke` (CI).
-const SMOKE_SWEEP: [usize; 3] = [1, 2, 4];
-
-/// The swept cells. Full: the radix @ 64 acceptance cell (the Figure 7
-/// machine size the speedup target is stated against) plus a 128-CPU
-/// sweep of four applications. Smoke: three 16-CPU cells small enough
-/// for a CI gate.
+/// The measured cells. Full: radix @ 64 (the largest Figure 7 machine)
+/// plus four applications at 128 CPUs. Smoke: three 16-CPU cells small
+/// enough for a CI gate.
 fn cells(smoke: bool) -> Vec<(AppProfile, usize)> {
     if smoke {
         vec![
@@ -110,10 +87,9 @@ fn cells(smoke: bool) -> Vec<(AppProfile, usize)> {
     }
 }
 
-/// One measured row: the classic baseline (`workers == None`) or a
-/// parallel-engine run at a worker count.
+/// One measured cell.
 struct Row {
-    workers: Option<usize>,
+    label: String,
     wall_ms: f64,
     events: u64,
     alloc_count: u64,
@@ -123,13 +99,9 @@ struct Row {
     commits: u64,
 }
 
-fn run_row(app: &AppProfile, cpus: usize, workers: Option<usize>, seed: u64, scale: Scale) -> Row {
-    let mut cfg = SystemConfig::with_procs(cpus);
-    if let Some(w) = workers {
-        cfg.parallel = Some(ParallelConfig::with_workers(w));
-    }
+fn run_row(app: &AppProfile, cpus: usize, seed: u64, scale: Scale) -> Row {
     let programs = app.generate_scaled(cpus, seed, scale);
-    let sim = Simulator::builder(cfg)
+    let sim = Simulator::builder(SystemConfig::with_procs(cpus))
         .programs(programs)
         .build()
         .expect("valid config");
@@ -139,7 +111,7 @@ fn run_row(app: &AppProfile, cpus: usize, workers: Option<usize>, seed: u64, sca
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (a1, b1) = allocs();
     Row {
-        workers,
+        label: format!("{}@{cpus}", app.name),
         wall_ms,
         events: r.events,
         alloc_count: a1 - a0,
@@ -150,18 +122,11 @@ fn run_row(app: &AppProfile, cpus: usize, workers: Option<usize>, seed: u64, sca
     }
 }
 
-/// One fully-measured cell: the classic row plus the parallel sweep.
-struct CellResult {
-    label: String,
-    rows: Vec<Row>,
-}
-
 /// Allowed relative allocation-count growth before `--check` fails.
-/// Only the classic row is gated: the parallel engine's thread-local
-/// message pools make parallel-row counts scheduling-dependent.
 const ALLOC_TOLERANCE: f64 = 0.10;
 
-fn check_golden(path: &str, cells: &[CellResult]) -> Result<(), String> {
+/// The golden keeps the `classic_alloc_count` key it was written with.
+fn check_golden(path: &str, cells: &[Row]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let golden = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let Some(Json::Arr(want)) = golden.get("cells") else {
@@ -182,13 +147,12 @@ fn check_golden(path: &str, cells: &[CellResult]) -> Result<(), String> {
                 got.label
             ));
         }
-        let classic = got.rows.first().expect("classic row always measured");
         let want_fp = w.get("fingerprint").and_then(Json::as_str).unwrap_or("?");
-        if want_fp != classic.fingerprint {
+        if want_fp != got.fingerprint {
             return Err(format!(
                 "{cell}: result fingerprint changed: golden {want_fp}, run {} \
                  (simulation results must be byte-identical)",
-                classic.fingerprint
+                got.fingerprint
             ));
         }
         let want_allocs = w
@@ -196,11 +160,11 @@ fn check_golden(path: &str, cells: &[CellResult]) -> Result<(), String> {
             .and_then(Json::as_f64)
             .unwrap_or(f64::MAX);
         let limit = want_allocs * (1.0 + ALLOC_TOLERANCE);
-        if classic.alloc_count as f64 > limit {
+        if got.alloc_count as f64 > limit {
             return Err(format!(
                 "{cell}: allocation regression: {} allocs > {:.0} \
                  (golden {want_allocs:.0} + {:.0}% tolerance)",
-                classic.alloc_count,
+                got.alloc_count,
                 limit,
                 ALLOC_TOLERANCE * 100.0
             ));
@@ -209,7 +173,7 @@ fn check_golden(path: &str, cells: &[CellResult]) -> Result<(), String> {
     Ok(())
 }
 
-fn golden_json(cells: &[CellResult]) -> Json {
+fn golden_json(cells: &[Row]) -> Json {
     Json::obj(vec![
         ("schema", "tcc-scale-golden/v1".into()),
         (
@@ -218,13 +182,12 @@ fn golden_json(cells: &[CellResult]) -> Json {
                 cells
                     .iter()
                     .map(|c| {
-                        let classic = c.rows.first().expect("classic row always measured");
                         Json::obj(vec![
                             ("cell", Json::from(c.label.clone())),
-                            ("fingerprint", classic.fingerprint.clone().into()),
-                            ("classic_alloc_count", classic.alloc_count.into()),
-                            ("total_cycles", classic.total_cycles.into()),
-                            ("commits", classic.commits.into()),
+                            ("fingerprint", c.fingerprint.clone().into()),
+                            ("classic_alloc_count", c.alloc_count.into()),
+                            ("total_cycles", c.total_cycles.into()),
+                            ("commits", c.commits.into()),
                         ])
                     })
                     .collect(),
@@ -259,121 +222,60 @@ fn main() {
         ..HarnessArgs::default()
     };
     let seed = seed.unwrap_or(HARNESS_SEED);
-    let sweep: &[usize] = if smoke { &SMOKE_SWEEP } else { &WORKER_SWEEP };
-    let host_cpus = tcc_trace::report::host_cpus() as usize;
     let mut report = RunReport::new("scale");
-    // This bin sweeps the engine worker count itself; the host block
-    // records the largest count the run actually spun up.
-    report.set_workers(*sweep.iter().max().expect("non-empty sweep") as u64);
     report.set(
         "harness",
         Json::obj(vec![
             ("seed", seed.into()),
             ("scale", if smoke { "smoke" } else { "full" }.into()),
-            ("host_cpus", (host_cpus as u64).into()),
-            (
-                "workers",
-                Json::Arr(sweep.iter().map(|&w| (w as u64).into()).collect()),
-            ),
         ]),
     );
-    let mut measured: Vec<CellResult> = Vec::new();
-    let mut apps_json: Vec<Json> = Vec::new();
+    let mut t = TextTable::new(vec![
+        "Cell",
+        "Cycles",
+        "Wall ms",
+        "Events/s",
+        "Allocs",
+        "Fingerprint",
+    ]);
+    let mut measured: Vec<Row> = Vec::new();
     for (app, cpus) in cells(smoke) {
         if !args.selects(app.name) {
             continue;
         }
-        println!(
-            "\n{} — {cpus}-CPU machine, classic baseline + engine worker sweep",
-            app.name
+        let row = run_row(&app, cpus, seed, args.scale());
+        eprintln!(
+            "  {} done ({} cycles, {:.0} ms)",
+            row.label, row.total_cycles, row.wall_ms
         );
-        let mut t = TextTable::new(vec![
-            "Workers",
-            "Engine",
-            "Wall ms",
-            "Events/s",
-            "Allocs",
-            "Speedup",
-            "Fingerprint",
+        t.row(vec![
+            row.label.clone(),
+            row.total_cycles.to_string(),
+            format!("{:.1}", row.wall_ms),
+            format!("{:.0}", row.events as f64 / (row.wall_ms / 1e3)),
+            row.alloc_count.to_string(),
+            row.fingerprint.clone(),
         ]);
-        let mut rows: Vec<Row> = Vec::new();
-        // The classic sequential engine is the baseline row; every
-        // parallel row (including workers == 1) is compared to it.
-        rows.push(run_row(&app, cpus, None, seed, args.scale()));
-        for &workers in sweep {
-            rows.push(run_row(&app, cpus, Some(workers), seed, args.scale()));
-        }
-        let base_wall = rows[0].wall_ms;
-        let base_fp = rows[0].fingerprint.clone();
-        let mut points: Vec<Json> = Vec::new();
-        for row in &rows {
-            assert_eq!(
-                base_fp, row.fingerprint,
-                "{}: parallel engine at {:?} workers diverged from classic",
-                app.name, row.workers
-            );
-            let speedup = base_wall / row.wall_ms;
-            let engine = if row.workers.is_some() {
-                "parallel"
-            } else {
-                "classic"
-            };
-            eprintln!(
-                "  {}: {engine} workers={} done ({} cycles, {:.0} ms)",
-                app.name,
-                row.workers.map_or_else(|| "-".into(), |w| w.to_string()),
-                row.total_cycles,
-                row.wall_ms
-            );
-            t.row(vec![
-                row.workers.map_or_else(|| "-".into(), |w| w.to_string()),
-                engine.to_string(),
-                format!("{:.1}", row.wall_ms),
-                format!("{:.0}", row.events as f64 / (row.wall_ms / 1e3)),
-                row.alloc_count.to_string(),
-                format!("{speedup:.2}"),
-                row.fingerprint.clone(),
-            ]);
-            let mut fields = vec![
-                ("engine", Json::from(engine)),
+        measured.push(row);
+    }
+    println!("{}", t.render());
+    let cells_json = measured
+        .iter()
+        .map(|row| {
+            Json::obj(vec![
+                ("cell", Json::from(row.label.clone())),
                 ("wall_ms", Json::Num(row.wall_ms)),
                 ("events", row.events.into()),
                 ("alloc_count", row.alloc_count.into()),
                 ("alloc_bytes", row.alloc_bytes.into()),
-                ("speedup_vs_classic", Json::Num(speedup)),
                 ("fingerprint", row.fingerprint.clone().into()),
                 ("total_cycles", row.total_cycles.into()),
                 ("commits", row.commits.into()),
-            ];
-            if let Some(w) = row.workers {
-                fields.insert(0, ("workers", (w as u64).into()));
-                // Overhead is the honest 1-CPU-host reading of the
-                // wall-clock column: parallel wall over classic wall.
-                fields.push(("overhead_vs_classic", Json::Num(row.wall_ms / base_wall)));
-            }
-            points.push(Json::obj(fields));
-        }
-        println!("{}", t.render());
-        apps_json.push(Json::obj(vec![
-            ("app", app.name.into()),
-            ("cpus", (cpus as u64).into()),
-            ("points", Json::Arr(points)),
-        ]));
-        measured.push(CellResult {
-            label: format!("{}@{cpus}", app.name),
-            rows,
-        });
-    }
-    report.set("apps", Json::Arr(apps_json));
+            ])
+        })
+        .collect();
+    report.set("cells", Json::Arr(cells_json));
     write_report(&report);
-    println!("\nFingerprints are byte-identical across all worker counts (asserted).");
-    if host_cpus < *sweep.last().expect("non-empty sweep") {
-        println!(
-            "Note: host has {host_cpus} CPU(s); worker counts above that are \
-             capped by the shared worker budget, so wall-clock columns \
-             measure engine overhead rather than speedup."
-        );
-    }
 
     if let Some(path) = write_golden {
         std::fs::write(&path, golden_json(&measured).to_pretty()).expect("write golden");

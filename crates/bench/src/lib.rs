@@ -46,11 +46,6 @@ pub struct HarnessArgs {
     /// deterministic, so the rendered output is byte-identical for any
     /// job count; only wall-clock changes. Defaults to 1.
     pub jobs: Option<usize>,
-    /// Worker threads *inside* each simulation (`--workers <n>`):
-    /// values above 1 run the sharded parallel engine, whose results
-    /// are byte-identical to the classic sequential engine at any
-    /// worker count. Defaults to 1 (classic engine).
-    pub workers: Option<usize>,
 }
 
 impl HarnessArgs {
@@ -69,8 +64,6 @@ impl HarnessArgs {
                 args.seed = iter.next().and_then(|v| v.parse().ok());
             } else if a == "--jobs" {
                 args.jobs = iter.next().and_then(|v| v.parse().ok());
-            } else if a == "--workers" {
-                args.workers = iter.next().and_then(|v| v.parse().ok());
             } else if !a.starts_with("--") {
                 args.filter = Some(a);
             }
@@ -114,24 +107,6 @@ impl HarnessArgs {
         self.jobs.unwrap_or(1).max(1)
     }
 
-    /// The in-simulation worker count selected by `--workers`.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1).max(1)
-    }
-
-    /// Applies the `--workers` selection to a simulation config:
-    /// above 1, the run uses the sharded parallel engine (results are
-    /// byte-identical to the classic engine, only wall-clock differs).
-    /// The engine leases its threads from the shared [`WorkerBudget`],
-    /// so combining `--jobs` with `--workers` degrades gracefully
-    /// instead of oversubscribing the machine.
-    pub fn apply_workers(&self, cfg: &mut SystemConfig) {
-        if self.workers() > 1 {
-            cfg.parallel = Some(tcc_core::ParallelConfig::with_workers(self.workers()));
-        }
-    }
-
     /// Whether `name` passes the filter.
     #[must_use]
     pub fn selects(&self, name: &str) -> bool {
@@ -150,9 +125,9 @@ impl HarnessArgs {
 /// every job count.
 ///
 /// The fan-out is leased from the shared [`tcc_core::WorkerBudget`], so
-/// a `--jobs` sweep whose simulations themselves run the parallel
-/// engine (`--workers`) degrades the thread counts instead of
-/// oversubscribing the machine; a reduced grant never changes results.
+/// a sweep nested inside another leased fan-out degrades the thread
+/// count instead of oversubscribing the machine; a reduced grant never
+/// changes results.
 pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -52,7 +52,7 @@ pub fn maybe_write_chrome(r: &SimResult, tag: &str) {
 /// The `harness` header block every run report carries.
 #[must_use]
 pub fn harness_json(args: &HarnessArgs, seed: u64) -> Json {
-    let mut fields = vec![
+    Json::obj(vec![
         ("seed", Json::from(seed)),
         ("scale", if args.smoke { "smoke" } else { "full" }.into()),
         (
@@ -61,13 +61,7 @@ pub fn harness_json(args: &HarnessArgs, seed: u64) -> Json {
                 .as_ref()
                 .map_or(Json::Null, |f| f.clone().into()),
         ),
-    ];
-    // Recorded only when the parallel engine is on, so default
-    // (classic-engine) artifacts stay byte-identical across versions.
-    if args.workers() > 1 {
-        fields.push(("workers", (args.workers() as u64).into()));
-    }
-    Json::obj(fields)
+    ])
 }
 
 /// Machine-wide cycle breakdown (sum over processors) of one run.

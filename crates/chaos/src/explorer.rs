@@ -297,7 +297,7 @@ fn install_quiet_panic_hook() {
 ///
 /// The fan-out is leased from the process-wide [`tcc_core::WorkerBudget`],
 /// so composing this sweep with other thread pools (a bench `--jobs`
-/// fan-out, the parallel simulation engine) degrades the worker count
+/// fan-out) degrades the worker count
 /// instead of oversubscribing the machine — and since the report is
 /// `jobs`-invariant, a reduced grant never changes the result.
 #[must_use]

@@ -262,8 +262,8 @@ impl Scenario {
     }
 
     /// The materialized per-thread programs this scenario executes.
-    /// Exposed so differential harnesses can re-run the same workload
-    /// under a modified config (e.g. the parallel engine).
+    /// Exposed so a harness can re-run the same workload, e.g. resumed
+    /// from a snapshot.
     #[must_use]
     pub fn programs(&self) -> Vec<ThreadProgram> {
         self.threads

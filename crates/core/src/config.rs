@@ -107,51 +107,28 @@ pub struct SystemConfig {
     /// only via `max_cycles`/deadlock; the watchdog is observation-only
     /// and never perturbs results.
     pub watchdog: Option<WatchdogConfig>,
-    /// Deterministic sharded parallel execution. `None` (the default)
-    /// runs the classic single-threaded event loop. `Some` partitions
-    /// the machine into one shard per node and advances shards
-    /// concurrently in conservative time windows bounded by the minimum
-    /// cross-node delivery latency; cross-shard effects are exchanged
-    /// only at window barriers, merged in a canonical order, so results
-    /// — including [`crate::SimResult::fingerprint`] — are
-    /// byte-identical at any worker count (and, under the default FIFO
-    /// tie-break, identical to the classic engine).
+    /// Accepted and result-neutral: the simulator has one event loop,
+    /// and every run uses it whatever this field says (DESIGN.md §11).
+    /// The field stays so configs that set it keep building; the
+    /// resume digest ignores it, so a snapshot resumes under either
+    /// value.
     pub parallel: Option<ParallelConfig>,
 }
 
-/// Configuration of the windowed parallel execution engine.
+/// A requested worker count; accepted and ignored (see
+/// [`SystemConfig::parallel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads *requested* for shard execution (including the
-    /// calling thread). The engine leases from the process-wide
-    /// [`tcc_engine::WorkerBudget`], so the grant may be smaller; a
-    /// depleted budget degrades to one worker without changing any
-    /// result.
+    /// Worker threads requested. Any value, zero included, runs the
+    /// one event loop.
     pub workers: usize,
-    /// Bypass the [`tcc_engine::WorkerBudget`] and spawn exactly
-    /// `workers` threads even on machines with fewer cores. Meant for
-    /// determinism tests that must exercise real concurrency on small
-    /// containers; production runs should leave this `false` so nested
-    /// parallelism (bench jobs × engine workers × chaos explorer)
-    /// cannot oversubscribe the machine. Results are identical either
-    /// way.
-    pub oversubscribe: bool,
 }
 
 impl ParallelConfig {
-    /// Parallel execution with `workers` requested worker threads.
+    /// A request for `workers` worker threads.
     #[must_use]
     pub fn with_workers(workers: usize) -> ParallelConfig {
-        ParallelConfig {
-            workers,
-            oversubscribe: false,
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig::with_workers(1)
+        ParallelConfig { workers }
     }
 }
 
@@ -177,9 +154,8 @@ pub enum ConfigError {
         hint: &'static str,
     },
     /// The value is coherent but the selected protocol backend cannot
-    /// honor it (e.g. TCC-only `ProtocolBugs` knobs under Tardis, the
-    /// sharded parallel engine under the serialized baseline). Refused
-    /// up front instead of silently no-opping.
+    /// honor it (e.g. TCC-only `ProtocolBugs` knobs under Tardis).
+    /// Refused up front instead of silently no-opping.
     UnsupportedByProtocol {
         /// The backend that cannot honor the setting.
         protocol: ProtocolKind,
@@ -359,26 +335,6 @@ impl SystemConfig {
                 "choose line_bytes/word_bytes with 1..=64 words per line",
             ));
         }
-        if let Some(par) = &self.parallel {
-            if par.workers == 0 {
-                return Err(ConfigError::invalid(
-                    "parallel.workers",
-                    "zero workers cannot execute anything",
-                    "request workers >= 1 (the grant always includes the caller)",
-                ));
-            }
-            if self.chaos.is_some() && self.network.local_latency == 0 {
-                return Err(ConfigError::invalid(
-                    "network.local_latency",
-                    "chaos + parallel windows need local sends to take at \
-                     least one cycle: every send defers to the window join \
-                     (the injector's RNG is order-sensitive), so the window \
-                     width is bounded by the local latency",
-                    "set network.local_latency >= 1 (Table 2 uses 2), or \
-                     drop chaos or parallel",
-                ));
-            }
-        }
         if let Some(wd) = &self.watchdog {
             if wd.interval == 0 {
                 return Err(ConfigError::invalid(
@@ -402,11 +358,6 @@ impl SystemConfig {
                 ));
             }
         }
-        // `parallel` is accepted for every backend: the TCC machine
-        // runs on the sharded window engine, while the serialized
-        // baseline and Tardis run the classic loop (a degenerate
-        // single merged window) — results are identical either way,
-        // so the knob is honored rather than refused.
         if self.protocol != ProtocolKind::Tcc {
             if self.profile {
                 return Err(ConfigError::unsupported(
@@ -547,8 +498,7 @@ mod tests {
 
     #[test]
     fn protocol_incompatible_knobs_are_refused() {
-        // `parallel` is accepted for every backend (non-TCC backends
-        // run the classic loop under it).
+        // `parallel` is accepted for every backend (it is inert).
         let mut c = SystemConfig::with_procs(4);
         c.protocol = ProtocolKind::Tardis;
         c.parallel = Some(ParallelConfig::with_workers(2));

@@ -361,30 +361,6 @@ impl<X: Backend> Proc<X> {
         }
     }
 
-    /// Conservative barrier-imminence test for the windowed parallel
-    /// engine: could this processor *arrive at a barrier* within a
-    /// window in which at most `depth` work items complete? True when
-    /// the processor is already waiting at a barrier, or when a barrier
-    /// sits within the next `depth + 1` program items (the in-flight
-    /// item may complete any moment; each later item needs at least a
-    /// full fresh-transaction lifetime). A false negative here would
-    /// let a barrier arrival — a global, zero-latency rendezvous —
-    /// happen inside a parallel window, so over-approximation is the
-    /// contract: windows that might see an arrival run sequentially.
-    #[must_use]
-    pub fn barrier_within(&self, depth: usize) -> bool {
-        if matches!(self.phase, Phase::AtBarrier { .. }) {
-            return true;
-        }
-        self.program
-            .items
-            .get(self.item..)
-            .unwrap_or(&[])
-            .iter()
-            .take(depth + 1)
-            .any(|it| matches!(it, WorkItem::Barrier))
-    }
-
     /// Supersedes any earlier wake and schedules the next continuation
     /// `delay` cycles out.
     pub(crate) fn wake(&mut self, delay: u64, fx: &mut Effects) {

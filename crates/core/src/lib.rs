@@ -71,7 +71,6 @@ mod breakdown;
 mod checker;
 mod config;
 mod driver;
-mod par;
 mod processor;
 mod profiling;
 mod program;

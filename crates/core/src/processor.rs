@@ -716,7 +716,7 @@ impl Processor {
             }
             // Clean read-only spills are simply forgotten.
         }
-        debug_assert_eq!(
+        assert_eq!(
             self.attempt_useful + self.attempt_miss + self.x.attempt_commit_extra,
             self.commit_start.since(self.tx_start),
             "{}: attempt segments do not tile: useful={} miss={} extra={} tx_start={} commit_start={}",

@@ -200,10 +200,10 @@ pub trait Protocol {
 ///
 /// The per-node handlers (`TccMachine::on_home`,
 /// `TccMachine::on_node`) are associated functions over one node's
-/// components, so the sharded engine runs the same code against its
-/// shards; the [`Protocol`] methods below are thin calls into them. The
-/// methods that only drive or read processors come from the program
-/// driver shared with the other backends (`protocol_plumbing!`).
+/// components, so unit tests can drive a lone directory; the
+/// [`Protocol`] methods below are thin calls into them. The methods
+/// that only drive or read processors come from the program driver
+/// shared with the other backends (`protocol_plumbing!`).
 #[derive(Debug)]
 pub struct TccMachine {
     pub(crate) drv: Driver<TccState>,
@@ -251,40 +251,11 @@ impl TccMachine {
         fx.merge(p.begin_validation(&self.drv.cfg, at, delay));
     }
 
-    /// Occupancy timing of a TCC home (directory-controller) message;
-    /// `None` marks a node message.
-    pub(crate) fn timing_for(cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
-        match payload {
-            // Line-state operations walk the directory cache.
-            Payload::LoadRequest { line, .. }
-            | Payload::Mark { line, .. }
-            | Payload::WriteBack { line, .. }
-            | Payload::Flush { line, .. } => Some(HomeTiming {
-                service: cfg.dir_line_latency,
-                touch: Some(*line),
-            }),
-            Payload::Commit { .. } => Some(HomeTiming {
-                service: cfg.dir_line_latency,
-                touch: None,
-            }),
-            // Register-only operations are cheap.
-            Payload::Skip { .. }
-            | Payload::Probe { .. }
-            | Payload::Abort { .. }
-            | Payload::InvAck { .. } => Some(HomeTiming {
-                service: cfg.dir_ctrl_latency,
-                touch: None,
-            }),
-            _ => None,
-        }
-    }
-
     /// One directory's reaction to a home message at its
     /// service-complete cycle `done`. Replies are pushed to `out` as
     /// `(extra_delay, message)`; a memory fill pays `mem_latency` on
     /// top of the lookup. Returns the directory's skip refusal as a
-    /// typed stall, if it has recorded one. Both engines deliver every
-    /// TCC home message through here.
+    /// typed stall, if it has recorded one.
     pub(crate) fn on_home(
         dir: &mut Directory,
         done: Cycle,
@@ -386,8 +357,7 @@ impl TccMachine {
 
     /// One node's reaction to a node message at its arrival cycle:
     /// the TID vendor (`vendor_next` is only advanced on the vendor
-    /// node) or `proc_`'s transaction state machine. Both engines
-    /// deliver every TCC node message through here.
+    /// node) or `proc_`'s transaction state machine.
     pub(crate) fn on_node(
         proc_: &mut Processor,
         vendor_next: &mut u64,
@@ -448,7 +418,29 @@ impl Protocol for TccMachine {
     }
 
     fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
-        Self::timing_for(cfg, payload)
+        match payload {
+            // Line-state operations walk the directory cache.
+            Payload::LoadRequest { line, .. }
+            | Payload::Mark { line, .. }
+            | Payload::WriteBack { line, .. }
+            | Payload::Flush { line, .. } => Some(HomeTiming {
+                service: cfg.dir_line_latency,
+                touch: Some(*line),
+            }),
+            Payload::Commit { .. } => Some(HomeTiming {
+                service: cfg.dir_line_latency,
+                touch: None,
+            }),
+            // Register-only operations are cheap.
+            Payload::Skip { .. }
+            | Payload::Probe { .. }
+            | Payload::Abort { .. }
+            | Payload::InvAck { .. } => Some(HomeTiming {
+                service: cfg.dir_ctrl_latency,
+                touch: None,
+            }),
+            _ => None,
+        }
     }
 
     fn on_home_message(

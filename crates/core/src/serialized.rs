@@ -316,7 +316,7 @@ impl SerializedMachine {
         let ack = Message::new(n, committer, Payload::BaselineAck { from: n });
         fx.sends.push((1, ack));
         if conflict {
-            debug_assert!(
+            assert!(
                 !self.drv.procs[n.index()].x.has_token,
                 "token holder violated"
             );

@@ -1,6 +1,5 @@
-//! The full-system simulator: the classic event loop, the one event
-//! step every loop runs (`handle` over a `Host`, shared with the sharded
-//! engine's windows), barriers, snapshots, and result assembly.
+//! The full-system simulator: the event loop and its event step,
+//! barriers, snapshots, and result assembly.
 
 use std::collections::VecDeque;
 use tcc_types::hash::{fnv1a, FxHashSet};
@@ -12,7 +11,7 @@ use tcc_network::{
 use tcc_snapshot::{Snapshot, SnapshotError};
 use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId, Payload};
+use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId};
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
 use crate::checker::{Checker, SerializabilityError, TxRecord};
@@ -30,7 +29,7 @@ pub(crate) const VENDOR_SERVICE: u64 = 2;
 /// resident. Misses cost an extra memory access (the sharers vector and
 /// state bits live in a dedicated DRAM region when they spill).
 #[derive(Debug)]
-pub(crate) struct DirCache {
+struct DirCache {
     cap: usize,
     resident: FxHashSet<LineAddr>,
     fifo: VecDeque<LineAddr>,
@@ -44,7 +43,7 @@ pub(crate) struct DirCache {
 }
 
 impl DirCache {
-    pub(crate) fn new(cap: usize) -> DirCache {
+    fn new(cap: usize) -> DirCache {
         DirCache {
             cap: cap.max(1),
             resident: FxHashSet::default(),
@@ -57,7 +56,7 @@ impl DirCache {
 
     /// Touches `line`'s entry; returns true unless the state must be
     /// fetched back from memory.
-    pub(crate) fn touch(&mut self, line: LineAddr) -> bool {
+    fn touch(&mut self, line: LineAddr) -> bool {
         if self.resident.contains(&line) {
             self.hits += 1;
             return true;
@@ -83,7 +82,7 @@ impl DirCache {
     /// the FIFO (every inserted line enters both, every eviction leaves
     /// both), so only the FIFO order is stored; the unordered spilled
     /// set is sorted so the bytes are a pure function of state.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut SnapWriter) {
         self.fifo.save(w);
         let mut spilled: Vec<LineAddr> = self.spilled.iter().copied().collect();
         spilled.sort_unstable();
@@ -92,7 +91,7 @@ impl DirCache {
         self.misses.save(w);
     }
 
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let fifo: VecDeque<LineAddr> = r.get()?;
         if fifo.len() > self.cap {
             return Err(SnapError::invalid(
@@ -110,13 +109,13 @@ impl DirCache {
     }
 }
 
-/// The home-occupancy step, the one home-delivery path of every backend
-/// and both engines: a message serializes on its controller behind
+/// The home-occupancy step, the one home-delivery path of every
+/// backend: a message serializes on its controller behind
 /// `busy`, and a capacity-limited directory cache that misses on the
 /// line the message walks fetches its state from memory first
 /// (`mem_latency` on top of the service time). Returns the
 /// service-complete cycle, which is also the controller's new `busy`.
-pub(crate) fn occupy_home(
+fn occupy_home(
     busy: &mut Cycle,
     cache: Option<&mut DirCache>,
     cfg: &SystemConfig,
@@ -135,11 +134,11 @@ pub(crate) fn occupy_home(
 }
 
 /// The transport step: one reliable-transport event (a frame off the
-/// wire, or a retransmission/ack timer) against the owning node's
-/// transport state. Returns the messages it delivers in order and the
-/// actions to schedule; each engine schedules the actions first, then
-/// delivers the messages, and reports an error as its own stall.
-pub(crate) fn transport_step(
+/// wire, or a retransmission/ack timer) against the transport state.
+/// Returns the messages it delivers in order and the actions to
+/// schedule; the loop schedules the actions first, then delivers the
+/// messages, and reports an error as a stall.
+fn transport_step(
     t: Option<&mut Transport>,
     now: Cycle,
     ev: Event,
@@ -168,16 +167,8 @@ pub(crate) fn transport_step(
     })
 }
 
-/// The `TCC_TRACE` per-delivery dump (stderr), shared by both engines
-/// and every backend.
-pub(crate) fn trace_delivery(now: Cycle, msg: &Message) {
-    if crate::tcc_trace_enabled() {
-        eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
-    }
-}
-
 #[derive(Debug, Clone)]
-pub(crate) enum Event {
+enum Event {
     /// A message arrives at its destination node.
     Deliver(Message),
     /// A message is injected into the network now (used for sends that
@@ -205,207 +196,6 @@ pub(crate) enum Event {
         dst: NodeId,
         epoch: u64,
     },
-}
-
-impl Event {
-    /// The node whose state handling this event mutates: the
-    /// destination of a delivery, the sender of an injection, the
-    /// stepping processor, and the channel end a transport event runs
-    /// against. The sharded engine keeps every event in its owner's
-    /// shard.
-    pub(crate) fn owner(&self) -> NodeId {
-        match self {
-            Event::Deliver(m) => m.dst,
-            Event::Inject(m) => m.src,
-            Event::ProcStep(n, _) => *n,
-            Event::Wire(f) => f.dst(),
-            Event::RetxTimer { src, .. } => *src,
-            Event::AckTimer { dst, .. } => *dst,
-        }
-    }
-}
-
-/// What the event step needs from the loop that runs it: exactly the
-/// parts that differ between the classic loop ([`Simulator`]), a
-/// shard's parallel window and the sharded engine's merged window
-/// (both in `crate::par`). Everything else — handling an event,
-/// applying a processor's [`Effects`], putting a message in flight,
-/// applying transport actions, delivering to a home or a node — is
-/// written once, in [`handle`] and the functions it calls.
-pub(crate) trait Host: Sized {
-    /// Queues an event the current pop created, keyed the way this loop
-    /// keys creations.
-    fn sched(&mut self, at: Cycle, ev: Event);
-    /// Puts `msg` on the mesh (without the reliable transport, or
-    /// node-local) and queues its delivery — now, or at the join.
-    fn route(&mut self, now: Cycle, msg: Message);
-    /// Puts a transport frame on the (possibly faulty) wire and queues
-    /// every copy that survives it — now, or at the join.
-    fn wire(&mut self, now: Cycle, frame: Frame);
-    /// `node`'s reliable-transport state, when the transport is on.
-    fn transport(&mut self, node: NodeId) -> Option<&mut Transport>;
-    /// A serialized-baseline send that claims the mesh at apply time
-    /// (see [`Effects::immediate_sends`]).
-    fn immediate_send(&mut self, at: Cycle, msg: Message) {
-        send(self, at, msg);
-    }
-    /// `node`'s wake sequence number (stale `ProcStep`s are dropped).
-    fn wake_seq(&self, node: NodeId) -> u64;
-    /// Runs `node`'s processor.
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects;
-    /// Releases `node` from the barrier everyone reached.
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects;
-    /// Occupancy timing of a home message; `None` marks a node message.
-    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming>;
-    /// The occupancy step ([`occupy_home`]) on `home`'s controller.
-    fn occupy(&mut self, home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle;
-    /// The home handler at the service-complete cycle `done`; returns a
-    /// component fault, if one was raised.
-    fn on_home(
-        &mut self,
-        done: Cycle,
-        msg: Message,
-        out: &mut Vec<(u64, Message)>,
-    ) -> Option<StallReason>;
-    /// The node handler at arrival.
-    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects;
-    /// Reusable home-reply buffer (empty between events).
-    fn home_out(&mut self) -> &mut Vec<(u64, Message)>;
-    /// A transaction committed.
-    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics);
-    /// `node` reached a barrier; returns every waiting node once all
-    /// have arrived, nothing before.
-    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId>;
-    /// A processor finished its program.
-    fn proc_finished(&mut self);
-    /// A typed fault raised by the event popped at `now`; the loop
-    /// stalls on it right after the event.
-    fn raise(&mut self, now: Cycle, reason: StallReason);
-}
-
-/// The event step: turns one popped event into effects against `h`.
-pub(crate) fn handle<H: Host>(h: &mut H, now: Cycle, ev: Event) {
-    match ev {
-        Event::ProcStep(n, seq) => {
-            if h.wake_seq(n) == seq {
-                let fx = h.step(now, n);
-                apply(h, now, n, fx);
-            }
-        }
-        Event::Inject(msg) => send(h, now, msg),
-        Event::Deliver(msg) => deliver(h, now, msg),
-        ev => match transport_step(h.transport(ev.owner()), now, ev) {
-            Ok((delivered, actions)) => {
-                apply_transport_actions(h, now, actions);
-                for m in delivered {
-                    deliver(h, now, m);
-                }
-            }
-            Err(reason) => h.raise(now, reason),
-        },
-    }
-}
-
-/// The single choke point for putting a message in flight: with the
-/// reliable transport on, every remote message is sequenced into a
-/// frame and subjected to the chaos wire; without it (or for node-local
-/// messages) the mesh's native exactly-once path is used unchanged.
-fn send<H: Host>(h: &mut H, now: Cycle, msg: Message) {
-    if msg.src != msg.dst {
-        if let Some(t) = h.transport(msg.src) {
-            let actions = t.send(msg);
-            apply_transport_actions(h, now, actions);
-            return;
-        }
-    }
-    h.route(now, msg);
-}
-
-/// Turns transport actions into queued events: frames go through the
-/// wire, timers arm directly.
-fn apply_transport_actions<H: Host>(h: &mut H, now: Cycle, actions: Vec<TransportAction>) {
-    for a in actions {
-        match a {
-            TransportAction::Wire(frame) => h.wire(now, frame),
-            TransportAction::RetxTimer {
-                src,
-                dst,
-                delay,
-                epoch,
-            } => h.sched(now + delay, Event::RetxTimer { src, dst, epoch }),
-            TransportAction::AckTimer {
-                src,
-                dst,
-                delay,
-                epoch,
-            } => h.sched(now + delay, Event::AckTimer { src, dst, epoch }),
-        }
-    }
-}
-
-/// Applies `node`'s processor [`Effects`]; the last barrier arrival
-/// releases everyone.
-pub(crate) fn apply<H: Host>(h: &mut H, now: Cycle, node: NodeId, fx: Effects) {
-    for (offset, msg) in fx.immediate_sends {
-        h.immediate_send(now + offset, msg);
-    }
-    for (delay, msg) in fx.sends {
-        if delay == 0 {
-            send(h, now, msg);
-        } else {
-            h.sched(now + delay, Event::Inject(msg));
-        }
-    }
-    if let Some(d) = fx.wake_in {
-        let seq = h.wake_seq(node);
-        h.sched(now + d, Event::ProcStep(node, seq));
-    }
-    if let Some((record, chars)) = fx.committed {
-        h.record_commit(record, chars);
-    }
-    if fx.reached_barrier {
-        for n in h.barrier_arrive(node) {
-            let fx = h.release_barrier(now, n);
-            apply(h, now, n, fx);
-        }
-    }
-    if fx.finished {
-        h.proc_finished();
-    }
-}
-
-/// Routes a delivered message: a home (directory-controller) message
-/// goes through the shared occupancy step, then the home handler, whose
-/// replies leave at the service-complete cycle; a node message runs at
-/// arrival.
-fn deliver<H: Host>(h: &mut H, now: Cycle, msg: Message) {
-    trace_delivery(now, &msg);
-    let Some(timing) = h.home_timing(&msg.payload) else {
-        let dst = msg.dst;
-        let fx = h.on_node(now, msg);
-        apply(h, now, dst, fx);
-        return;
-    };
-    let done = h.occupy(msg.dst, now, timing);
-    let mut out = std::mem::take(h.home_out());
-    if let Some(reason) = h.on_home(done, msg, &mut out) {
-        h.raise(now, reason);
-    }
-    for (extra, reply) in out.drain(..) {
-        h.sched(done + extra, Event::Inject(reply));
-    }
-    *h.home_out() = out;
-}
-
-/// Records `node` at the barrier; once all `n` nodes wait, empties the
-/// list and returns them.
-pub(crate) fn arrive_at_barrier(waiting: &mut Vec<NodeId>, n: usize, node: NodeId) -> Vec<NodeId> {
-    waiting.push(node);
-    if waiting.len() == n {
-        std::mem::take(waiting)
-    } else {
-        Vec::new()
-    }
 }
 
 impl Snap for Event {
@@ -700,43 +490,43 @@ impl From<SnapError> for ResumeError {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    pub(crate) cfg: SystemConfig,
-    pub(crate) queue: EventQueue<Event>,
+    cfg: SystemConfig,
+    queue: EventQueue<Event>,
     /// The active protocol backend: all per-processor and per-home
     /// protocol state, selected by `cfg.protocol`.
-    pub(crate) machine: Machine,
-    pub(crate) net: Network,
+    machine: Machine,
+    net: Network,
     /// Earliest cycle each directory controller is free (occupancy).
-    pub(crate) dir_busy: Vec<Cycle>,
+    dir_busy: Vec<Cycle>,
     /// Per-node directory caches, when capacity-limited.
-    pub(crate) dir_caches: Vec<Option<DirCache>>,
+    dir_caches: Vec<Option<DirCache>>,
     /// Reusable scratch buffer for home-message replies (always empty
     /// between events; never snapshotted).
-    pub(crate) home_out: Vec<(u64, Message)>,
-    pub(crate) barrier_waiting: Vec<NodeId>,
-    pub(crate) checker: Option<Checker>,
-    pub(crate) tx_chars: Vec<TxCharacteristics>,
-    pub(crate) active: usize,
-    pub(crate) tracer: Tracer,
+    home_out: Vec<(u64, Message)>,
+    barrier_waiting: Vec<NodeId>,
+    checker: Option<Checker>,
+    tx_chars: Vec<TxCharacteristics>,
+    active: usize,
+    tracer: Tracer,
     /// Reliable transport over the unreliable wire; `None` keeps the
     /// mesh's native delivery guarantees (the pre-transport fast path).
-    pub(crate) transport: Option<Transport>,
+    transport: Option<Transport>,
     /// Commit-progress watchdog (observation-only).
-    pub(crate) watchdog: Option<ProgressWatchdog>,
+    watchdog: Option<ProgressWatchdog>,
     /// Sticky fault raised by a component mid-delivery (e.g. a
     /// directory's bounded skip-vector refusal); the event loop turns
     /// it into a typed stall right after the current event.
-    pub(crate) fault: Option<StallReason>,
+    fault: Option<StallReason>,
     /// Whether the initial `start()` pass over the processors has run.
     /// A paused or resumed simulator must not restart its programs.
-    pub(crate) started: bool,
+    started: bool,
     /// Workload-generator seed registered by the caller (provenance
     /// only; see [`Simulator::set_program_seed`]).
-    pub(crate) program_seed: Option<u64>,
+    program_seed: Option<u64>,
     /// FNV-1a digest of the programs this machine was built with;
     /// [`Simulator::resume`] refuses a snapshot from a different
     /// workload.
-    pub(crate) program_digest: u64,
+    program_digest: u64,
 }
 
 /// Fluent, validating constructor for [`Simulator`], whichever
@@ -973,16 +763,6 @@ impl Simulator {
     /// violations (broken asserts) still panic — those are bugs, not
     /// outcomes.
     pub fn try_run(self) -> Result<SimResult, RunError> {
-        // Central-mode dispatch: only the TCC machine runs on the
-        // sharded window engine. The serialized baseline broadcasts
-        // every commit through one global memory image (it cannot
-        // shard), and the Tardis backend stays on the classic loop for
-        // now; both run any `parallel` config as a degenerate single
-        // merged window — the classic loop — so fingerprints are
-        // trivially identical at every worker count.
-        if self.cfg.parallel.is_some() && matches!(self.machine, Machine::Tcc(_)) {
-            return crate::par::run(self);
-        }
         match self.try_run_until(None)? {
             Step::Done(r) => Ok(r),
             Step::Paused(_) => unreachable!("no pause cycle was given"),
@@ -1003,26 +783,13 @@ impl Simulator {
     /// # Errors
     ///
     /// The same typed stalls as [`Simulator::try_run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config selects the sharded engine (`parallel` set
-    /// on the TCC machine) — the sharded run cannot pause at an exact
-    /// event boundary; checkpoint from the sequential engine instead
-    /// (the checkpoint *resumes* fine under `parallel`). Non-TCC
-    /// backends always run the classic loop, so they pause normally
-    /// whatever `parallel` says.
     pub fn try_run_until(mut self, pause_at: Option<Cycle>) -> Result<Step, RunError> {
-        assert!(
-            self.cfg.parallel.is_none() || !matches!(self.machine, Machine::Tcc(_)),
-            "try_run_until requires the sequential engine (cfg.parallel = None)"
-        );
         if !self.started {
             self.started = true;
             for i in 0..self.cfg.n_procs {
                 let n = NodeId(i as u16);
                 let fx = self.machine.start(Cycle::ZERO, n);
-                apply(&mut self, Cycle::ZERO, n, fx);
+                self.apply(Cycle::ZERO, n, fx);
             }
         }
         loop {
@@ -1054,7 +821,7 @@ impl Simulator {
                     return Err(self.stalled(now, StallReason::NoProgress { window }));
                 }
             }
-            handle(&mut self, now, ev);
+            self.handle(now, ev);
             if let Some(reason) = self.fault.take() {
                 return Err(self.stalled(now, reason));
             }
@@ -1063,8 +830,7 @@ impl Simulator {
             let now = self.queue.now();
             return Err(self.stalled(now, StallReason::Deadlock));
         }
-        let events = self.queue.events_processed();
-        Ok(Step::Done(self.finish(events)))
+        Ok(Step::Done(self.finish()))
     }
 
     /// Assembles the stall diagnostic for a run that stopped making
@@ -1075,7 +841,6 @@ impl Simulator {
             protocol: self.cfg.protocol,
             provenance: self.provenance(),
             at: now.0,
-            window_bounds: None,
             commits: self.machine.commits_total(),
             active_procs: self.active,
             proc_states: (0..self.cfg.n_procs)
@@ -1129,17 +894,10 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the config selects the sharded engine (`parallel` on
-    /// the TCC machine — checkpoint from the sequential engine; the
-    /// snapshot can still be *resumed* under `parallel`) or a
-    /// component fault is pending (the run is about to stall; there is
-    /// no consistent state to save).
+    /// Panics if a component fault is pending (the run is about to
+    /// stall; there is no consistent state to save).
     #[must_use]
     pub fn checkpoint(&self) -> Snapshot {
-        assert!(
-            self.cfg.parallel.is_none() || !matches!(self.machine, Machine::Tcc(_)),
-            "checkpoint requires the sequential engine (cfg.parallel = None)"
-        );
         assert!(
             self.fault.is_none(),
             "checkpoint with a component fault pending"
@@ -1154,10 +912,8 @@ impl Simulator {
     }
 
     /// Config digest used to gate resume, normalized with
-    /// `parallel = None`: a snapshot captured by the sequential engine
-    /// may be resumed under any worker count (the run is
-    /// engine-invariant), so the engine choice is not part of the
-    /// captured machine's identity.
+    /// `parallel = None`: `parallel` does not change the run, so a
+    /// snapshot resumes whatever either config says about it.
     fn resume_digest(cfg: &SystemConfig) -> u64 {
         if cfg.parallel.is_none() {
             return cfg.digest();
@@ -1177,13 +933,9 @@ impl Simulator {
     ///
     /// [`ResumeError::Container`] if the snapshot's config digest does
     /// not match `cfg` (the digest is normalized with
-    /// `parallel = None`, so resuming a sequential snapshot under a
-    /// parallel config is allowed — the sharded engine adopts the
-    /// restored queue); [`ResumeError::Config`] on any normal
-    /// construction refusal, or on a *seeded* parallel resume — the
-    /// seeded tie-break mints keys from per-shard creation counters
-    /// that the snapshot does not capture; [`ResumeError::ProgramMismatch`]
-    /// if `programs` differ from the capturing run's;
+    /// `parallel = None`); [`ResumeError::Config`] on any normal
+    /// construction refusal; [`ResumeError::ProgramMismatch`] if
+    /// `programs` differ from the capturing run's;
     /// [`ResumeError::State`] on any body decode inconsistency.
     pub fn resume(
         cfg: SystemConfig,
@@ -1191,16 +943,6 @@ impl Simulator {
         snapshot: &Snapshot,
     ) -> Result<Simulator, ResumeError> {
         snapshot.check_config(Self::resume_digest(&cfg))?;
-        if cfg.parallel.is_some()
-            && cfg.tie_break_seed.is_some()
-            && matches!(cfg.protocol, tcc_types::ProtocolKind::Tcc)
-        {
-            return Err(ResumeError::Config(ConfigError::invalid(
-                "parallel",
-                "seeded tie-breaking cannot resume on the sharded engine",
-                "clear cfg.parallel or cfg.tie_break_seed before resuming",
-            )));
-        }
         let mut sim = Simulator::builder(cfg).programs(programs).build()?;
         sim.restore_body(&snapshot.body)?;
         Ok(sim)
@@ -1423,10 +1165,8 @@ impl Simulator {
         self.machine.assert_quiescent();
     }
 
-    /// Assembles the final [`SimResult`]. `events` is the total event
-    /// count for the run (the caller's queue counter — or, for the
-    /// windowed parallel engine, the sum over shard queues).
-    pub(crate) fn finish(mut self, events: u64) -> SimResult {
+    /// Assembles the final [`SimResult`].
+    fn finish(mut self) -> SimResult {
         self.assert_quiescent();
         let end = self.machine.done_at_max();
         self.machine.pad_idle_to(end);
@@ -1435,7 +1175,7 @@ impl Simulator {
         // attributed to exactly one breakdown component, so each row
         // sums to the makespan.
         for (i, b) in breakdowns.iter().enumerate() {
-            debug_assert_eq!(
+            assert_eq!(
                 b.total(),
                 end.0,
                 "P{i}: breakdown {b:?} does not sum to the makespan {end}"
@@ -1468,7 +1208,7 @@ impl Simulator {
             tx_chars: self.tx_chars,
             dir_occupancy,
             dir_working_set,
-            events,
+            events: self.queue.events_processed(),
             serializability,
             profile,
             trace,
@@ -1477,87 +1217,147 @@ impl Simulator {
     }
 }
 
-impl Host for Simulator {
-    fn sched(&mut self, at: Cycle, ev: Event) {
-        self.queue.schedule(at, ev);
+/// The event step: what one popped event does to the machine.
+impl Simulator {
+    fn handle(&mut self, now: Cycle, ev: Event) {
+        match ev {
+            Event::ProcStep(n, seq) => {
+                if self.machine.wake_seq(n) == seq {
+                    let fx = self.machine.step(now, n);
+                    self.apply(now, n, fx);
+                }
+            }
+            Event::Inject(msg) => self.send(now, msg),
+            Event::Deliver(msg) => self.deliver(now, msg),
+            ev => match transport_step(self.transport.as_mut(), now, ev) {
+                Ok((delivered, actions)) => {
+                    self.apply_transport_actions(now, actions);
+                    for m in delivered {
+                        self.deliver(now, m);
+                    }
+                }
+                Err(reason) => {
+                    self.fault.get_or_insert(reason);
+                }
+            },
+        }
     }
 
-    fn route(&mut self, now: Cycle, msg: Message) {
+    /// The single choke point for putting a message in flight: with the
+    /// reliable transport on, every remote message is sequenced into a
+    /// frame and subjected to the chaos wire; without it (or for
+    /// node-local messages) the mesh's native exactly-once path is used
+    /// unchanged.
+    fn send(&mut self, now: Cycle, msg: Message) {
+        if msg.src != msg.dst {
+            if let Some(t) = &mut self.transport {
+                let actions = t.send(msg);
+                self.apply_transport_actions(now, actions);
+                return;
+            }
+        }
         let arrival = self.net.route(now, &msg);
         self.queue.schedule(arrival, Event::Deliver(msg));
     }
 
-    fn wire(&mut self, now: Cycle, frame: Frame) {
-        for at in self.net.send_frame(now, &frame) {
-            self.queue.schedule(at, Event::Wire(frame.clone()));
+    /// Turns transport actions into queued events: frames go through
+    /// the (possibly faulty) wire, one delivery per surviving copy;
+    /// timers arm directly.
+    fn apply_transport_actions(&mut self, now: Cycle, actions: Vec<TransportAction>) {
+        for a in actions {
+            match a {
+                TransportAction::Wire(frame) => {
+                    for at in self.net.send_frame(now, &frame) {
+                        self.queue.schedule(at, Event::Wire(frame.clone()));
+                    }
+                }
+                TransportAction::RetxTimer {
+                    src,
+                    dst,
+                    delay,
+                    epoch,
+                } => self
+                    .queue
+                    .schedule(now + delay, Event::RetxTimer { src, dst, epoch }),
+                TransportAction::AckTimer {
+                    src,
+                    dst,
+                    delay,
+                    epoch,
+                } => self
+                    .queue
+                    .schedule(now + delay, Event::AckTimer { src, dst, epoch }),
+            }
         }
     }
 
-    fn transport(&mut self, _node: NodeId) -> Option<&mut Transport> {
-        self.transport.as_mut()
+    /// Applies `node`'s processor [`Effects`]; the last barrier arrival
+    /// releases everyone.
+    fn apply(&mut self, now: Cycle, node: NodeId, fx: Effects) {
+        for (offset, msg) in fx.immediate_sends {
+            self.send(now + offset, msg);
+        }
+        for (delay, msg) in fx.sends {
+            if delay == 0 {
+                self.send(now, msg);
+            } else {
+                self.queue.schedule(now + delay, Event::Inject(msg));
+            }
+        }
+        if let Some(d) = fx.wake_in {
+            let seq = self.machine.wake_seq(node);
+            self.queue.schedule(now + d, Event::ProcStep(node, seq));
+        }
+        if let Some((record, chars)) = fx.committed {
+            if let Some(c) = &mut self.checker {
+                c.record(record);
+            }
+            self.tx_chars.push(chars);
+        }
+        if fx.reached_barrier {
+            self.barrier_waiting.push(node);
+            if self.barrier_waiting.len() == self.cfg.n_procs {
+                for n in std::mem::take(&mut self.barrier_waiting) {
+                    let fx = self.machine.release_barrier(now, n);
+                    self.apply(now, n, fx);
+                }
+            }
+        }
+        if fx.finished {
+            self.active -= 1;
+        }
     }
 
-    fn wake_seq(&self, node: NodeId) -> u64 {
-        self.machine.wake_seq(node)
-    }
-
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
-        self.machine.step(now, node)
-    }
-
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
-        self.machine.release_barrier(now, node)
-    }
-
-    fn home_timing(&self, payload: &Payload) -> Option<HomeTiming> {
-        self.machine.home_timing(&self.cfg, payload)
-    }
-
-    fn occupy(&mut self, home: NodeId, now: Cycle, timing: HomeTiming) -> Cycle {
-        let d = home.index();
+    /// Routes a delivered message: a home (directory-controller) message
+    /// goes through the occupancy step, then the home handler, whose
+    /// replies leave at the service-complete cycle; a node message runs
+    /// at arrival. A component fault raised by either handler stalls
+    /// the run right after this event.
+    fn deliver(&mut self, now: Cycle, msg: Message) {
+        if crate::tcc_trace_enabled() {
+            eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
+        }
+        let Some(timing) = self.machine.home_timing(&self.cfg, &msg.payload) else {
+            let dst = msg.dst;
+            let fx = self.machine.on_node_message(now, &self.cfg, msg);
+            if let Some(f) = self.machine.take_fault() {
+                self.fault.get_or_insert(f);
+            }
+            self.apply(now, dst, fx);
+            return;
+        };
+        let d = msg.dst.index();
         let cache = self.dir_caches[d].as_mut();
-        occupy_home(&mut self.dir_busy[d], cache, &self.cfg, now, timing)
-    }
-
-    fn on_home(
-        &mut self,
-        done: Cycle,
-        msg: Message,
-        out: &mut Vec<(u64, Message)>,
-    ) -> Option<StallReason> {
-        self.machine.on_home_message(done, &self.cfg, msg, out);
-        self.machine.take_fault()
-    }
-
-    fn on_node(&mut self, now: Cycle, msg: Message) -> Effects {
-        let fx = self.machine.on_node_message(now, &self.cfg, msg);
+        let done = occupy_home(&mut self.dir_busy[d], cache, &self.cfg, now, timing);
+        let mut out = std::mem::take(&mut self.home_out);
+        self.machine.on_home_message(done, &self.cfg, msg, &mut out);
         if let Some(f) = self.machine.take_fault() {
             self.fault.get_or_insert(f);
         }
-        fx
-    }
-
-    fn home_out(&mut self) -> &mut Vec<(u64, Message)> {
-        &mut self.home_out
-    }
-
-    fn record_commit(&mut self, record: TxRecord, chars: TxCharacteristics) {
-        if let Some(c) = &mut self.checker {
-            c.record(record);
+        for (extra, reply) in out.drain(..) {
+            self.queue.schedule(done + extra, Event::Inject(reply));
         }
-        self.tx_chars.push(chars);
-    }
-
-    fn barrier_arrive(&mut self, node: NodeId) -> Vec<NodeId> {
-        arrive_at_barrier(&mut self.barrier_waiting, self.cfg.n_procs, node)
-    }
-
-    fn proc_finished(&mut self) {
-        self.active -= 1;
-    }
-
-    fn raise(&mut self, _now: Cycle, reason: StallReason) {
-        self.fault.get_or_insert(reason);
+        self.home_out = out;
     }
 }
 

@@ -59,20 +59,6 @@ pub enum StallReason {
         now_serving: Tid,
         window: u64,
     },
-    /// A canonical ordering key of the windowed parallel engine could
-    /// not be constructed: the pop rank or the emission index of one
-    /// cycle outgrew its bit field (see `tcc-core`'s parallel module).
-    /// In release builds this used to silently corrupt the key order —
-    /// a determinism bug no oracle would attribute correctly; it is now
-    /// a hard stop.
-    KeyOverflow {
-        /// Global pop rank (or shard-local pop index) that overflowed
-        /// its field, if that was the overflowing coordinate.
-        rank: u64,
-        /// Emission index that overflowed its field, if that was the
-        /// overflowing coordinate.
-        em: u64,
-    },
 }
 
 impl std::fmt::Display for StallReason {
@@ -111,11 +97,6 @@ impl std::fmt::Display for StallReason {
                  now-serving {now_serving} (window bound {window})",
                 tid.0.saturating_sub(now_serving.0)
             ),
-            StallReason::KeyOverflow { rank, em } => write!(
-                f,
-                "parallel canonical key overflow: pop rank {rank} / \
-                 emission index {em} exceeds the key bit fields"
-            ),
         }
     }
 }
@@ -132,7 +113,6 @@ impl StallReason {
             StallReason::QueueCorrupt { .. } => "queue_corrupt",
             StallReason::MissingTransport { .. } => "missing_transport",
             StallReason::SkipRefused { .. } => "skip_refused",
-            StallReason::KeyOverflow { .. } => "key_overflow",
         }
     }
 }
@@ -173,19 +153,8 @@ pub struct StallDiagnostic {
     pub protocol: ProtocolKind,
     /// Replay coordinates of the stalled run.
     pub provenance: RunProvenance,
-    /// Cycle at which the fault actually occurred. For faults raised
-    /// inside a parallel window this is the *true* faulting cycle
-    /// recorded by the shard at the moment it tripped — not the (much
-    /// later, under adaptive windows) cycle at which sibling shards
-    /// finished the window and the join surfaced the fault.
+    /// Cycle at which the fault occurred.
     pub at: u64,
-    /// Bounds `[start, end)` of the engine window that was active when
-    /// the fault tripped. `None` for the classic single-queue engine,
-    /// which has no windows. With adaptive lookahead a window can span
-    /// far more than the worst-case cross-shard latency, so the bounds
-    /// are essential context for placing `at` relative to what the
-    /// engine was doing.
-    pub window_bounds: Option<(u64, u64)>,
     /// Transactions committed machine-wide before the stall.
     pub commits: u64,
     /// Processors that had not finished their programs.
@@ -218,13 +187,6 @@ impl StallDiagnostic {
             ("protocol", self.protocol.as_str().into()),
             ("detail", self.reason.to_string().as_str().into()),
             ("at", self.at.into()),
-            (
-                "window_bounds",
-                match self.window_bounds {
-                    Some((s, e)) => Json::Arr(vec![s.into(), e.into()]),
-                    None => Json::Null,
-                },
-            ),
             ("commits", self.commits.into()),
             ("active_procs", (self.active_procs as u64).into()),
             (
@@ -289,9 +251,6 @@ impl std::fmt::Display for StallDiagnostic {
             "[{} protocol] {} (at cycle {})",
             self.protocol, self.reason, self.at
         )?;
-        if let Some((s, e)) = self.window_bounds {
-            writeln!(f, "  engine window at fault: [{s}, {e})")?;
-        }
         writeln!(
             f,
             "  commits: {}, active processors: {}, queued events: {}",

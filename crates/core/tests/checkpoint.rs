@@ -8,8 +8,8 @@
 //! paths (wrong config, wrong workload, damaged bytes).
 
 use tcc_core::{
-    ResumeError, Simulator, Snapshot, Step, SystemConfig, ThreadProgram, Transaction,
-    TransportConfig, TxOp, WatchdogConfig, WorkItem,
+    ParallelConfig, ProtocolKind, ResumeError, Simulator, Snapshot, Step, SystemConfig,
+    ThreadProgram, Transaction, TransportConfig, TxOp, WatchdogConfig, WorkItem,
 };
 use tcc_network::{ChaosConfig, DropRule, DupRule};
 use tcc_types::rng::SmallRng;
@@ -311,79 +311,48 @@ fn early_checkpoint_before_any_event_resumes() {
 }
 
 // ---------------------------------------------------------------------
-// Resume into the sharded parallel engine: a classic mid-run snapshot
-// adopted by the adaptive-window engine must finish with the
-// uninterrupted classic fingerprint at every worker count.
+// `parallel` is inert: every run uses the one event loop, so setting it
+// changes no result, and a snapshot taken under either value resumes
+// under the other.
 // ---------------------------------------------------------------------
 
 #[test]
-fn resume_into_parallel_matches_uninterrupted_classic() {
-    let mut chaotic_fifo = SystemConfig::with_procs(4);
-    chaotic_fifo.check_serializability = true;
-    chaotic_fifo.chaos = Some(lossy_chaos(17));
-    chaotic_fifo.transport = Some(TransportConfig::default());
-    chaotic_fifo.watchdog = Some(WatchdogConfig::default());
-    let mut plain = SystemConfig::with_procs(4);
-    plain.check_serializability = true;
-    for (name, cfg) in [("plain", plain), ("chaotic-fifo", chaotic_fifo)] {
-        let programs = random_programs(4, 6, 99);
-        let baseline = build(&cfg, &programs).try_run().expect("baseline");
-        let expect = baseline.fingerprint();
-        let total = baseline.total_cycles;
-        for frac in [8, 3, 2] {
-            let at = total / frac;
-            let Step::Paused(paused) = build(&cfg, &programs)
-                .try_run_until(Some(Cycle(at)))
-                .expect("run must not stall")
-            else {
-                panic!("{name}: run finished before pause cycle {at}");
-            };
-            let snap = paused.checkpoint();
-            for workers in [1usize, 2, 4, 8] {
-                let mut pcfg = cfg.clone();
-                pcfg.parallel = Some(tcc_core::ParallelConfig {
-                    workers,
-                    oversubscribe: true,
-                });
-                let resumed = Simulator::resume(pcfg, programs.clone(), &snap)
-                    .expect("parallel resume must be accepted");
-                let r = resumed.try_run().expect("resumed parallel run");
-                r.assert_serializable();
+fn parallel_config_is_inert_fresh_and_resumed_for_every_protocol() {
+    for kind in ProtocolKind::ALL {
+        for seed in [None, Some(0xfeed)] {
+            let mut cfg = SystemConfig::with_procs(4);
+            cfg.protocol = kind;
+            cfg.tie_break_seed = seed;
+            let mut pcfg = cfg.clone();
+            pcfg.parallel = Some(ParallelConfig::with_workers(2));
+            let tag = format!("{kind}/seed {seed:?}");
+            let programs = random_programs(4, 6, 99);
+            let classic = build(&cfg, &programs).try_run().expect("classic run");
+            let expect = classic.fingerprint();
+            let fresh = build(&pcfg, &programs).try_run().expect("parallel run");
+            assert_eq!(fresh.fingerprint(), expect, "{tag}: fresh run");
+            let at = Cycle(classic.total_cycles / 2);
+            for (capture, resume) in [(&cfg, &pcfg), (&pcfg, &cfg)] {
+                let Step::Paused(paused) = build(capture, &programs)
+                    .try_run_until(Some(at))
+                    .expect("run must not stall")
+                else {
+                    panic!("{tag}: run finished before pause cycle {at}");
+                };
+                let snap = paused.checkpoint();
+                let r = Simulator::resume(resume.clone(), programs.clone(), &snap)
+                    .expect("resume must be accepted")
+                    .try_run()
+                    .expect("resumed run");
                 assert_eq!(
                     r.fingerprint(),
                     expect,
-                    "{name}: resume at cycle {at} of {total} under workers={workers} \
-                     diverged from the uninterrupted classic run"
+                    "{tag}: snapshot at {at} captured with parallel={:?}, \
+                     resumed with parallel={:?}",
+                    capture.parallel,
+                    resume.parallel
                 );
             }
         }
     }
-}
-
-#[test]
-fn seeded_resume_into_parallel_is_refused() {
-    // Seeded tie-breaking mints keys from per-shard creation counters
-    // the snapshot does not capture; the sharded engine must refuse
-    // rather than silently diverge.
-    let mut cfg = SystemConfig::with_procs(4);
-    cfg.check_serializability = true;
-    cfg.tie_break_seed = Some(0xfeed);
-    let programs = random_programs(4, 6, 99);
-    let Step::Paused(paused) = build(&cfg, &programs)
-        .try_run_until(Some(Cycle(120)))
-        .expect("run")
-    else {
-        panic!("run finished before the pause cycle");
-    };
-    let snap = paused.checkpoint();
-    let mut pcfg = cfg.clone();
-    pcfg.parallel = Some(tcc_core::ParallelConfig {
-        workers: 2,
-        oversubscribe: true,
-    });
-    let err = Simulator::resume(pcfg, programs, &snap).unwrap_err();
-    assert!(
-        matches!(err, ResumeError::Config(_)),
-        "expected a typed config refusal, got: {err}"
-    );
 }

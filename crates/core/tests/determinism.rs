@@ -6,12 +6,10 @@
 //! makes two identically-seeded runs diverge — most visibly in the
 //! per-processor breakdowns, which fold in every cycle of every
 //! processor. Two fresh builds of the same config + workload must
-//! agree on the full result surface, for every `ProtocolKind`, with
-//! and without the parallel engine.
+//! agree on the full result surface, for every `ProtocolKind`.
 
 use tcc_core::{
-    ParallelConfig, ProtocolKind, SimResult, Simulator, SystemConfig, ThreadProgram, Transaction,
-    TxOp, WorkItem,
+    ProtocolKind, SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,
 };
 use tcc_types::rng::SmallRng;
 use tcc_types::Addr;
@@ -83,27 +81,5 @@ fn identically_seeded_runs_agree_per_processor_for_every_protocol() {
         let a = run(&cfg, &programs);
         let b = run(&cfg, &programs);
         assert_identical(&a, &b, kind.as_str());
-    }
-}
-
-#[test]
-fn identically_seeded_parallel_runs_agree_per_processor_for_every_protocol() {
-    // Same contract under `parallel`: the TCC machine runs the sharded
-    // adaptive-window engine, non-TCC backends the classic loop — both
-    // must be bit-stable run over run.
-    for kind in ProtocolKind::ALL {
-        for workers in [1, 4] {
-            let mut cfg = SystemConfig::with_procs(4);
-            cfg.protocol = kind;
-            cfg.check_serializability = true;
-            cfg.parallel = Some(ParallelConfig {
-                workers,
-                oversubscribe: true,
-            });
-            let programs = random_programs(4, 6, 0xD5E7);
-            let a = run(&cfg, &programs);
-            let b = run(&cfg, &programs);
-            assert_identical(&a, &b, &format!("{}/w{workers}", kind.as_str()));
-        }
     }
 }

@@ -1,22 +1,20 @@
 //! A process-wide worker budget: every layer that fans out onto
-//! threads leases its workers here, so nested parallelism cannot
-//! oversubscribe the machine.
+//! threads leases its workers here, so nested fan-outs never put more
+//! runnable threads on the machine than it has CPUs.
 //!
-//! Three layers can each multiply thread counts: `tcc-bench --jobs`
-//! runs grid cells in parallel, each cell's simulator may run the
-//! windowed parallel engine with `--workers`, and the chaos explorer
-//! fans schedule probes out onto its own pool. Uncoordinated, a
-//! `--jobs 8 --workers 8` run would put 64 runnable threads on an
-//! 8-way machine. Instead, every layer asks [`WorkerBudget::lease`]
-//! for the parallelism it *wants* and runs with what it is *granted*;
-//! the grant always includes the calling thread (which its parent
-//! already accounted for), so a depleted budget degrades each layer to
-//! sequential execution instead of failing.
+//! More than one layer fans out onto threads: `tcc-bench --jobs` runs
+//! grid cells in parallel, and the chaos explorer fans scenarios out
+//! onto its own pool. Uncoordinated, nested fan-outs multiply: two
+//! layers of 8 would put 64 runnable threads on an 8-way machine. Instead,
+//! every layer asks [`WorkerBudget::lease`] for the parallelism it
+//! *wants* and runs with what it is *granted*; the grant always
+//! includes the calling thread (which its parent already accounted
+//! for), so a depleted budget degrades each layer to sequential
+//! execution instead of failing.
 //!
 //! Determinism note: a lease changes only how many worker threads
-//! *execute* shards, never how work is partitioned or merged — the
-//! windowed engine's results are identical at any worker count, so
-//! budget-driven degradation is invisible in every fingerprint.
+//! run independent simulations, never what any one of them computes,
+//! so budget-driven degradation is invisible in every fingerprint.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -158,32 +156,31 @@ mod tests {
         assert_eq!(b.available(), 7);
     }
 
-    /// The satellite regression: bench-jobs × engine-workers ×
-    /// explorer-workers nesting can never exceed the budget, whatever
-    /// each layer asks for.
+    /// Three nested layers of leases can never exceed the budget,
+    /// whatever each layer asks for.
     #[test]
     fn nested_leases_stay_within_budget() {
         let b = WorkerBudget::new(8);
         // Outer layer: a bench harness wanting 4 jobs.
         let jobs = b.lease(4);
         // Middle layer: each of the 4 job threads wants an 8-worker
-        // engine; together they may only consume what is left.
-        let engines: Vec<_> = (0..jobs.workers()).map(|_| b.lease(8)).collect();
-        // Inner layer: a chaos explorer under one engine wants 8 more.
+        // pool; together they may only consume what is left.
+        let pools: Vec<_> = (0..jobs.workers()).map(|_| b.lease(8)).collect();
+        // Inner layer: a chaos explorer under one pool wants 8 more.
         let explorer = b.lease(8);
         let threads: usize = jobs.workers()
-            + engines.iter().map(|l| l.workers() - 1).sum::<usize>()
+            + pools.iter().map(|l| l.workers() - 1).sum::<usize>()
             + (explorer.workers() - 1);
         assert!(
             threads <= b.total(),
-            "nested leases oversubscribed: {threads} > {}",
+            "nested leases exceed the budget: {threads} > {}",
             b.total()
         );
         // Every layer still makes progress.
-        assert!(engines.iter().all(|l| l.workers() >= 1));
+        assert!(pools.iter().all(|l| l.workers() >= 1));
         assert!(explorer.workers() >= 1);
         drop(explorer);
-        drop(engines);
+        drop(pools);
         drop(jobs);
         assert_eq!(b.available(), 7, "all extras returned");
     }

@@ -136,10 +136,8 @@ impl std::fmt::Display for QueueCorruption {
 /// (see module docs), so ordering within a slot is `(key, seq)` only;
 /// the payload lives in the queue's slab behind `id`.
 ///
-/// Keys are `u128`: the classic scheduler uses the insertion sequence
-/// (or its salted hash) and fits in 64 bits, while the windowed
-/// parallel mode packs causal `(create-cycle, rank, emission)`
-/// coordinates into the full width (see `tcc-core`'s parallel module).
+/// A key is the insertion sequence (or its salted hash); it is stored
+/// as `u128` because checkpoints carry keys at that width.
 #[derive(Debug, Clone, Copy)]
 struct SlotEntry {
     key: u128,
@@ -329,27 +327,6 @@ impl<E> EventQueue<E> {
         self.insert(at, key, event);
     }
 
-    /// Schedules `event` with a caller-supplied same-cycle ordering key
-    /// instead of the queue's tie-break policy. The windowed parallel
-    /// engine uses this to carry *causal* creation coordinates
-    /// (creation cycle, global pop rank, emission index) that are
-    /// identical whichever worker thread performs the insertion —
-    /// the foundation of its determinism guarantee. Insertion order
-    /// still breaks exact key ties.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `at` is before [`EventQueue::now`].
-    pub fn schedule_with_key(&mut self, at: Cycle, key: u128, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: {at} < now {}",
-            self.now
-        );
-        let at = at.max(self.now);
-        self.insert(at, key, event);
-    }
-
     #[inline]
     fn insert(&mut self, at: Cycle, key: u128, event: E) {
         let seq = self.seq;
@@ -360,11 +337,6 @@ impl<E> EventQueue<E> {
         } else {
             self.far.push(Reverse(FarEntry { at, key, seq, id }));
         }
-    }
-
-    /// Schedules `event` to fire `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now + delay, event);
     }
 
     #[inline]
@@ -441,18 +413,6 @@ impl<E> EventQueue<E> {
     /// Returns [`QueueCorruption`] when the occupancy bitmap, a wheel
     /// slot, and the payload slab disagree.
     pub fn try_pop(&mut self) -> Result<Option<(Cycle, E)>, QueueCorruption> {
-        Ok(self.try_pop_keyed()?.map(|(at, _key, ev)| (at, ev)))
-    }
-
-    /// [`EventQueue::try_pop`], additionally returning the popped
-    /// event's ordering key. The windowed parallel engine records the
-    /// key of every pop to resolve provisional keys into canonical
-    /// global ranks at window joins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueCorruption`] as for [`EventQueue::try_pop`].
-    pub fn try_pop_keyed(&mut self) -> Result<Option<(Cycle, u128, E)>, QueueCorruption> {
         // Window anchor: the wheel covers [base, base + WHEEL_SLOTS).
         // Normally base == now; if the wheel is empty, jump straight to
         // the earliest far event.
@@ -484,52 +444,7 @@ impl<E> EventQueue<E> {
         self.now = at;
         self.popped += 1;
         self.tracer.count("engine.events_dispatched", 1);
-        Ok(Some((at, entry.key, event)))
-    }
-
-    /// Pops the earliest event only if it fires strictly before
-    /// `limit`, returning it with its ordering key. The windowed
-    /// parallel engine drains each shard's queue up to the window
-    /// boundary with this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueCorruption`] as for [`EventQueue::try_pop`].
-    pub fn pop_before(
-        &mut self,
-        limit: Cycle,
-    ) -> Result<Option<(Cycle, u128, E)>, QueueCorruption> {
-        match self.peek_time() {
-            Some(t) if t < limit => self.try_pop_keyed(),
-            _ => Ok(None),
-        }
-    }
-
-    /// The `(timestamp, key)` of the event [`EventQueue::pop`] would
-    /// return, if any. The windowed engine's sequential merge picks the
-    /// globally least `(time, key)` across shard queues with this.
-    #[must_use]
-    pub fn peek_key(&self) -> Option<(Cycle, u128)> {
-        let wheel = if self.wheel_len > 0 {
-            let slot = self.scan_from((self.now.0 & WHEEL_MASK) as usize);
-            let dt = (slot as u64).wrapping_sub(self.now.0) & WHEEL_MASK;
-            self.slots[slot]
-                .first()
-                .map(|e| (Cycle(self.now.0 + dt), e.key))
-        } else {
-            None
-        };
-        let far = self.far.peek().map(|&Reverse(e)| (e.at, e.key));
-        match (wheel, far) {
-            (Some(w), Some(f)) => Some(w.min(f)),
-            (w, f) => w.or(f),
-        }
-    }
-
-    /// The same-cycle ordering policy this queue was built with.
-    #[must_use]
-    pub fn tie_break(&self) -> TieBreak {
-        self.tie_break
+        Ok(Some((at, event)))
     }
 
     /// The next insertion sequence number. Part of the queue's
@@ -668,10 +583,10 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), Cycle::ZERO);
-        q.schedule_in(5, ());
+        q.schedule(Cycle(5), ());
         q.pop();
         assert_eq!(q.now(), Cycle(5));
-        q.schedule_in(3, ());
+        q.schedule(q.now() + 3, ());
         assert_eq!(q.peek_time(), Some(Cycle(8)));
         q.pop();
         assert_eq!(q.now(), Cycle(8));
@@ -767,34 +682,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn caller_keys_order_same_cycle_events() {
-        let mut q = EventQueue::new();
-        // Insert out of key order; pops must follow the keys, not
-        // insertion order — the property the windowed parallel engine
-        // builds its canonical causal ordering on.
-        q.schedule_with_key(Cycle(7), 30, "c");
-        q.schedule_with_key(Cycle(7), 10, "a");
-        q.schedule_with_key(Cycle(7), 20, "b");
-        q.schedule_with_key(Cycle(3), u128::MAX, "first-by-time");
-        assert_eq!(q.peek_key(), Some((Cycle(3), u128::MAX)));
-        assert_eq!(q.pop(), Some((Cycle(3), "first-by-time")));
-        assert_eq!(q.peek_key(), Some((Cycle(7), 10)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn pop_before_respects_the_limit() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(5), "in-window");
-        q.schedule(Cycle(9), "at-limit");
-        assert_eq!(q.pop_before(Cycle(9)), Ok(Some((Cycle(5), 0, "in-window"))));
-        assert_eq!(q.pop_before(Cycle(9)), Ok(None), "limit is exclusive");
-        assert_eq!(q.pop_before(Cycle(10)), Ok(Some((Cycle(9), 1, "at-limit"))));
-        assert_eq!(q.pop_before(Cycle(u64::MAX)), Ok(None));
-    }
-
     /// Every scheduled event is popped exactly once.
     #[test]
     fn prop_no_event_lost() {
@@ -868,13 +755,8 @@ mod tests {
             assert!(entries
                 .windows(2)
                 .all(|w| { (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2) }));
-            let mut restored = EventQueue::restore(
-                q.tie_break(),
-                q.now(),
-                q.next_seq(),
-                q.events_processed(),
-                entries,
-            );
+            let mut restored =
+                EventQueue::restore(tb, q.now(), q.next_seq(), q.events_processed(), entries);
             assert_eq!(restored.len(), q.len());
             assert_eq!(restored.now(), q.now());
             // Post-restore scheduling must continue the key stream.

@@ -126,11 +126,6 @@ impl<E> ReferenceQueue<E> {
         self.heap.push(Reverse(entry));
     }
 
-    /// Schedules `event` to fire `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let Reverse(e) = self.heap.pop()?;

@@ -273,10 +273,9 @@ impl Network {
 
 /// Records one message injection in the trace: the `net.messages` and
 /// `net.bytes` counters and a `MsgSend` event. Every send funnels
-/// through here, including sends an engine times without the mesh
-/// (node-local messages at the fixed local latency).
+/// through here.
 #[inline]
-pub fn trace_send(
+fn trace_send(
     tracer: &Tracer,
     now: Cycle,
     kind: &'static str,

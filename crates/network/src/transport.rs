@@ -205,43 +205,6 @@ impl Transport {
         self.tracer = tracer;
     }
 
-    /// Splits a (typically checkpoint-restored) global transport into
-    /// per-node parts: node `i` receives the sender state of every
-    /// channel it sends on and the receiver state of every channel it
-    /// receives on — the same ownership partition the sharded parallel
-    /// engine uses for fresh runs, where each event's owner node holds
-    /// the channel state that event mutates. The aggregate counters go
-    /// to node 0's part, so summing per-node stats at the end of a
-    /// resumed run reproduces an uninterrupted run's totals exactly.
-    #[must_use]
-    pub fn into_node_parts(self, n: usize) -> Vec<Transport> {
-        let Transport {
-            cfg,
-            bugs,
-            tx,
-            rx,
-            stats,
-            tracer,
-        } = self;
-        let mut parts: Vec<Transport> = (0..n)
-            .map(|_| {
-                let mut t = Transport::new(cfg, bugs);
-                t.set_tracer(tracer.clone());
-                t
-            })
-            .collect();
-        for ((src, dst), ch) in tx {
-            parts[src.index()].tx.insert((src, dst), ch);
-        }
-        for ((src, dst), ch) in rx {
-            parts[dst.index()].rx.insert((src, dst), ch);
-        }
-        if let Some(p0) = parts.first_mut() {
-            p0.stats = stats;
-        }
-        parts
-    }
-
     #[must_use]
     pub fn stats(&self) -> TransportStats {
         self.stats

@@ -24,7 +24,7 @@
 //!   like [`RealShim`].
 //!
 //! Spin-wait sites call [`Shim::pause`] rather than looping hot: the
-//! real shim yields the CPU (essential on oversubscribed hosts — a
+//! real shim yields the CPU (essential on overcommitted hosts — a
 //! committer that spins through its quantum while holding the lowest
 //! TID would stall the whole system), and the model shim reports
 //! "blocked" to the scheduler so exploration switches threads instead
@@ -98,7 +98,7 @@ impl Shim for RealShim {
     #[inline]
     fn pause() {
         // A few pipeline pauses then a scheduler yield: on an
-        // oversubscribed host the thread we are waiting on may not be
+        // overcommitted host the thread we are waiting on may not be
         // running at all, so spinning without yielding is a livelock.
         std::hint::spin_loop();
         std::thread::yield_now();

@@ -456,7 +456,7 @@ impl Drop for EarlyTidGuard<'_> {
 }
 
 fn backoff(attempts: u32) {
-    // Yield-heavy: on an oversubscribed host the conflicting committer
+    // Yield-heavy: on an overcommitted host the conflicting committer
     // needs our quantum more than we need to spin.
     for _ in 0..(1u32 << attempts.min(4)) {
         std::thread::yield_now();

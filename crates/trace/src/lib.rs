@@ -74,9 +74,11 @@ struct TraceCore {
 
 /// Shared tracing handle. Cloning shares the underlying sink; all
 /// instrumented components of one simulator hold clones of one tracer.
-/// The sink is behind a `Mutex` so components may live on different
-/// worker threads (parallel execution mode); the disabled path stays a
-/// `None` check and never touches the lock.
+/// The sink is behind a `Mutex` so a tracer is `Send + Sync`: a
+/// simulator and its tracer may run on any thread of a `--jobs` sweep
+/// or the chaos explorer, and one tracer may be shared by runs on
+/// several threads. The disabled path stays a `None` check and never
+/// touches the lock.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<TraceCore>>>,

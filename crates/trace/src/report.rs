@@ -28,7 +28,7 @@ pub const SCHEMA: &str = "tcc-run-report/v1";
 ///
 /// Recorded in every report's `host` block: throughput and scaling
 /// artifacts are meaningless without knowing how much hardware
-/// parallelism the producing host actually had (a `--workers 8` sweep
+/// parallelism the producing host actually had (a `--jobs 8` sweep
 /// regenerated on a 1-CPU container measures time-slicing, not
 /// scaling).
 #[must_use]

@@ -105,9 +105,8 @@ pub struct LineValues {
 /// allocation-free in steady state while leaving the `LineValues` API
 /// (and its snapshot format) completely unchanged. A slab-handle
 /// representation was rejected: payload handles would have to resolve
-/// against thread-local slabs across the sharded parallel engine's
-/// worker threads and inside serialized snapshots, neither of which a
-/// generational key can survive.
+/// inside serialized snapshots, which a generational key cannot
+/// survive.
 ///
 /// The pool is bounded so a pathological run cannot hoard memory, and
 /// `Drop` uses `try_with` so buffers released during thread teardown
