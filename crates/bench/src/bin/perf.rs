@@ -7,6 +7,9 @@
 //! * heap allocations (count and bytes) via a counting global
 //!   allocator — compiled into *this binary only*, so the tracked
 //!   numbers cannot perturb any other build artifact,
+//! * the time and allocation count of building the simulator from
+//!   generated programs (`build_ms`, `build_alloc_count`; reported in
+//!   the JSON, never gated),
 //! * the deterministic result fingerprint
 //!   ([`tcc_core::SimResult::fingerprint`]).
 //!
@@ -31,7 +34,7 @@ use std::time::Instant;
 
 use tcc_bench::report::write_report;
 use tcc_bench::{HarnessArgs, HARNESS_SEED};
-use tcc_core::{SimResult, Simulator, SystemConfig};
+use tcc_core::{Simulator, SystemConfig};
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::{apps, AppProfile, Scale};
 
@@ -121,48 +124,51 @@ struct Measurement {
     events_per_sec: f64,
     alloc_count: u64,
     alloc_bytes: u64,
+    /// Building the simulator (programs already generated); reported,
+    /// not gated.
+    build_ms: f64,
+    build_alloc_count: u64,
     fingerprint: String,
     total_cycles: u64,
     commits: u64,
 }
 
 fn run_cell(cell: &Cell, reps: usize) -> Measurement {
-    let run_once = || -> (SimResult, f64, u64, u64) {
+    let run_once = || -> Measurement {
         let cfg = SystemConfig::with_procs(cell.cpus);
         let programs = cell
             .app
             .generate_scaled(cell.cpus, HARNESS_SEED, cell.scale);
+        let (build_a0, _) = allocs();
+        let build_t0 = Instant::now();
         let sim = Simulator::builder(cfg)
             .programs(programs)
             .build()
             .expect("valid config");
+        let build_ms = build_t0.elapsed().as_secs_f64() * 1e3;
         let (a0, b0) = allocs();
         let t0 = Instant::now();
         let r = sim.run();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (a1, b1) = allocs();
-        (r, wall, a1 - a0, b1 - b0)
-    };
-    let mut best: Option<(SimResult, f64, u64, u64)> = None;
-    for _ in 0..reps.max(1) {
-        let m = run_once();
-        let better = best.as_ref().is_none_or(|b| m.1 < b.1);
-        if better {
-            best = Some(m);
+        Measurement {
+            label: cell.label(),
+            wall_ms,
+            events: r.events,
+            events_per_sec: r.events as f64 / (wall_ms / 1e3),
+            alloc_count: a1 - a0,
+            alloc_bytes: b1 - b0,
+            build_ms,
+            build_alloc_count: a0 - build_a0,
+            fingerprint: r.fingerprint(),
+            total_cycles: r.total_cycles,
+            commits: r.commits,
         }
-    }
-    let (r, wall_ms, alloc_count, alloc_bytes) = best.expect("at least one rep");
-    Measurement {
-        label: cell.label(),
-        wall_ms,
-        events: r.events,
-        events_per_sec: r.events as f64 / (wall_ms / 1e3),
-        alloc_count,
-        alloc_bytes,
-        fingerprint: r.fingerprint(),
-        total_cycles: r.total_cycles,
-        commits: r.commits,
-    }
+    };
+    (0..reps.max(1))
+        .map(|_| run_once())
+        .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+        .expect("at least one rep")
 }
 
 fn measurement_json(m: &Measurement, seed_ref: Option<&Json>) -> Json {
@@ -173,6 +179,8 @@ fn measurement_json(m: &Measurement, seed_ref: Option<&Json>) -> Json {
         ("events_per_sec", Json::Num(m.events_per_sec)),
         ("alloc_count", m.alloc_count.into()),
         ("alloc_bytes", m.alloc_bytes.into()),
+        ("build_ms", Json::Num(m.build_ms)),
+        ("build_alloc_count", m.build_alloc_count.into()),
         ("fingerprint", m.fingerprint.clone().into()),
         ("total_cycles", m.total_cycles.into()),
         ("commits", m.commits.into()),
@@ -302,8 +310,8 @@ fn main() {
     let seed_ref = load_seed_reference();
     let mut measured = Vec::new();
     println!(
-        "{:<18} {:>10} {:>12} {:>12} {:>12}  fingerprint",
-        "cell", "wall ms", "events/s", "allocs", "alloc MB"
+        "{:<18} {:>10} {:>12} {:>12} {:>12} {:>9} {:>12}  fingerprint",
+        "cell", "wall ms", "events/s", "allocs", "alloc MB", "build ms", "build allocs"
     );
     for cell in &cells {
         if !args.selects(cell.app.name) {
@@ -311,12 +319,14 @@ fn main() {
         }
         let m = run_cell(cell, reps);
         println!(
-            "{:<18} {:>10.1} {:>12.0} {:>12} {:>12.1}  {}",
+            "{:<18} {:>10.1} {:>12.0} {:>12} {:>12.1} {:>9.1} {:>12}  {}",
             m.label,
             m.wall_ms,
             m.events_per_sec,
             m.alloc_count,
             m.alloc_bytes as f64 / 1e6,
+            m.build_ms,
+            m.build_alloc_count,
             m.fingerprint
         );
         measured.push(m);

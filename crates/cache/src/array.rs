@@ -2,6 +2,10 @@
 
 use tcc_types::LineAddr;
 
+/// Largest associativity a [`SetArray`] supports (set lengths are
+/// stored as `u8`).
+pub const MAX_WAYS: usize = u8::MAX as usize;
+
 /// Checkpoint view of one array: per set, every way's
 /// `(line, stamp, payload)` in physical slot order.
 pub type ExportedWays<'a, T> = Vec<Vec<(LineAddr, u64, &'a T)>>;
@@ -19,9 +23,19 @@ struct Way<T> {
 /// Used for both cache levels: the L2 stores full [`crate::LineState`]
 /// payloads, the L1 is a tag-only presence filter (`T = ()`) over the
 /// inclusive L2.
+///
+/// Storage scales with the lines resident, not with the capacity: the
+/// ways live densely in one pool, and each set holds only the pool
+/// indices of its ways, in slot order. Whole-array walks (`iter`,
+/// `drain_filter`, `len`) visit resident lines only. Pool order is an
+/// artifact of the insert/remove history and is not preserved by
+/// checkpoints; no result may depend on it.
 #[derive(Debug, Clone)]
 pub struct SetArray<T> {
-    sets: Vec<Vec<Way<T>>>,
+    pool: Vec<Way<T>>,
+    /// `ways` pool indices per set; the first `lens[set]` are live.
+    slots: Vec<u32>,
+    lens: Vec<u8>,
     ways: usize,
     tick: u64,
 }
@@ -31,12 +45,20 @@ impl<T> SetArray<T> {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, `ways` exceeds
+    /// [`MAX_WAYS`], or the capacity exceeds `u32::MAX` lines.
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> SetArray<T> {
         assert!(sets > 0 && ways > 0, "cache dimensions must be nonzero");
+        assert!(ways <= MAX_WAYS, "{ways} ways exceed MAX_WAYS");
+        let capacity = sets
+            .checked_mul(ways)
+            .filter(|&c| u32::try_from(c).is_ok())
+            .expect("cache capacity must fit u32 pool indices");
         SetArray {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            pool: Vec::new(),
+            slots: vec![0; capacity],
+            lens: vec![0; sets],
             ways,
             tick: 0,
         }
@@ -45,7 +67,7 @@ impl<T> SetArray<T> {
     /// Number of sets.
     #[must_use]
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Associativity.
@@ -57,13 +79,13 @@ impl<T> SetArray<T> {
     /// Total lines currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.pool.len()
     }
 
     /// True if no lines are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.pool.is_empty()
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
@@ -72,7 +94,29 @@ impl<T> SetArray<T> {
         // whose lines stride by a multiple of the set count — exactly
         // what NUMA-interleaved home placement produces.
         let h = line.0 ^ (line.0 >> 12);
-        (h % self.sets.len() as u64) as usize
+        (h % self.lens.len() as u64) as usize
+    }
+
+    /// The live pool indices of `set`, in slot order.
+    fn set_slots(&self, set: usize) -> &[u32] {
+        let base = set * self.ways;
+        &self.slots[base..base + usize::from(self.lens[set])]
+    }
+
+    /// `(set, slot)` of `line`, if resident.
+    fn slot_of(&self, line: LineAddr) -> Option<(usize, usize)> {
+        let set = self.set_of(line);
+        let k = self
+            .set_slots(set)
+            .iter()
+            .position(|&i| self.pool[i as usize].line == line)?;
+        Some((set, k))
+    }
+
+    /// Pool index of `line`, if resident.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let (set, k) = self.slot_of(line)?;
+        Some(self.set_slots(set)[k] as usize)
     }
 
     fn bump(&mut self) -> u64 {
@@ -83,8 +127,8 @@ impl<T> SetArray<T> {
     /// Looks up `line`, refreshing its LRU position on a hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         let stamp = self.bump();
-        let set = self.set_of(line);
-        let way = self.sets[set].iter_mut().find(|w| w.line == line)?;
+        let i = self.find(line)?;
+        let way = &mut self.pool[i];
         way.stamp = stamp;
         Some(&mut way.data)
     }
@@ -92,17 +136,13 @@ impl<T> SetArray<T> {
     /// Looks up `line` without disturbing LRU state.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        let set = self.set_of(line);
-        self.sets[set]
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| &w.data)
+        self.find(line).map(|i| &self.pool[i].data)
     }
 
     /// Whether `line` is resident (no LRU update).
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.peek(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Inserts `line`; if its set is full, evicts a victim first.
@@ -124,64 +164,92 @@ impl<T> SetArray<T> {
         may_evict: impl Fn(&T) -> bool,
     ) -> Result<Option<(LineAddr, T)>, T> {
         let stamp = self.bump();
-        let set_idx = self.set_of(line);
-        let ways = self.ways;
-        let set = &mut self.sets[set_idx];
         assert!(
-            set.iter().all(|w| w.line != line),
+            self.find(line).is_none(),
             "line {line} already resident; update in place"
         );
-        if set.len() < ways {
-            set.push(Way { line, stamp, data });
+        let set = self.set_of(line);
+        let way = Way { line, stamp, data };
+        let len = usize::from(self.lens[set]);
+        if len < self.ways {
+            self.slots[set * self.ways + len] = self.pool.len() as u32;
+            self.lens[set] += 1;
+            self.pool.push(way);
             return Ok(None);
         }
-        // Full set: evict the LRU way that the caller permits.
-        let victim = set
+        // Full set: evict the LRU way that the caller permits; the
+        // newcomer takes over the victim's slot and pool entry.
+        let victim = self
+            .set_slots(set)
             .iter()
-            .enumerate()
-            .filter(|(_, w)| may_evict(&w.data))
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i);
+            .map(|&i| i as usize)
+            .filter(|&i| may_evict(&self.pool[i].data))
+            .min_by_key(|&i| self.pool[i].stamp);
         match victim {
             Some(i) => {
-                let old = std::mem::replace(&mut set[i], Way { line, stamp, data });
+                let old = std::mem::replace(&mut self.pool[i], way);
                 Ok(Some((old.line, old.data)))
             }
-            None => Err(data),
+            None => Err(way.data),
         }
+    }
+
+    /// Removes the way in slot `k` of `set`: the set's last slot moves
+    /// into `k`, and the pool's last entry moves into the freed pool
+    /// index (its own slot is repointed).
+    fn unlink(&mut self, set: usize, k: usize) -> (LineAddr, T) {
+        let base = set * self.ways;
+        let last_slot = base + usize::from(self.lens[set]) - 1;
+        let i = self.slots[base + k] as usize;
+        self.slots[base + k] = self.slots[last_slot];
+        self.lens[set] -= 1;
+        let way = self.pool.swap_remove(i);
+        if let Some(moved) = self.pool.get(i) {
+            let moved_set = self.set_of(moved.line);
+            let from = self.pool.len() as u32;
+            let base = moved_set * self.ways;
+            let live = &mut self.slots[base..base + usize::from(self.lens[moved_set])];
+            let slot = live.iter_mut().find(|s| **s == from);
+            *slot.expect("every pool entry is linked from its set") = i as u32;
+        }
+        (way.line, way.data)
     }
 
     /// Removes `line`, returning its payload if present.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let set = self.set_of(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line)?;
-        Some(self.sets[set].swap_remove(pos).data)
+        let (set, k) = self.slot_of(line)?;
+        Some(self.unlink(set, k).1)
     }
 
     /// Iterates over all resident lines (no LRU effect, arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.sets.iter().flatten().map(|w| (w.line, &w.data))
+        self.pool.iter().map(|w| (w.line, &w.data))
     }
 
-    /// Mutably iterates over all resident lines (no LRU effect).
+    /// Mutably iterates over all resident lines (no LRU effect,
+    /// arbitrary order).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut T)> {
-        self.sets
-            .iter_mut()
-            .flatten()
-            .map(|w| (w.line, &mut w.data))
+        self.pool.iter_mut().map(|w| (w.line, &mut w.data))
     }
 
     /// Checkpoint view: the LRU tick plus, per set, every way's
     /// `(line, stamp, payload)` in physical slot order. Slot order is
     /// preserved (not just the stamp order) so a restored array is
-    /// byte-identical in layout, not merely LRU-equivalent — eviction
-    /// scans and `iter()` order then replay exactly.
+    /// byte-identical in layout, not merely LRU-equivalent: eviction
+    /// scans, removals and re-exports replay exactly. `iter()` order
+    /// follows the pool and is not preserved.
     #[must_use]
     pub fn export_ways(&self) -> (u64, ExportedWays<'_, T>) {
-        let sets = self
-            .sets
-            .iter()
-            .map(|set| set.iter().map(|w| (w.line, w.stamp, &w.data)).collect())
+        let sets = (0..self.n_sets())
+            .map(|set| {
+                self.set_slots(set)
+                    .iter()
+                    .map(|&i| {
+                        let w = &self.pool[i as usize];
+                        (w.line, w.stamp, &w.data)
+                    })
+                    .collect()
+            })
             .collect();
         (self.tick, sets)
     }
@@ -189,38 +257,84 @@ impl<T> SetArray<T> {
     /// Overwrites this array's contents with state captured by
     /// [`SetArray::export_ways`] from an identically-dimensioned array.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the set count differs, a set exceeds the
-    /// associativity, or a stamp is ahead of `tick` (the snapshot does
-    /// not belong to this geometry).
-    pub fn restore_ways(&mut self, tick: u64, sets: Vec<Vec<(LineAddr, u64, T)>>) {
-        assert_eq!(sets.len(), self.sets.len(), "set count mismatch");
-        self.tick = tick;
-        for (dst, src) in self.sets.iter_mut().zip(sets) {
-            assert!(src.len() <= self.ways, "set exceeds associativity");
-            dst.clear();
-            for (line, stamp, data) in src {
-                assert!(stamp <= tick, "way stamp {stamp} ahead of tick {tick}");
-                dst.push(Way { line, stamp, data });
+    /// Refuses, leaving the array unchanged, if the set count differs, a
+    /// set exceeds the associativity, a stamp is ahead of `tick`, a line
+    /// sits in a set it does not hash to, or a line appears twice (the
+    /// snapshot does not belong to this geometry).
+    pub fn restore_ways(
+        &mut self,
+        tick: u64,
+        sets: Vec<Vec<(LineAddr, u64, T)>>,
+    ) -> Result<(), String> {
+        if sets.len() != self.n_sets() {
+            return Err(format!("{} sets, array has {}", sets.len(), self.n_sets()));
+        }
+        for (set, ways) in sets.iter().enumerate() {
+            if ways.len() > self.ways {
+                return Err(format!(
+                    "set {set} holds {} ways of {}",
+                    ways.len(),
+                    self.ways
+                ));
+            }
+            for (k, &(line, stamp, _)) in ways.iter().enumerate() {
+                if stamp > tick {
+                    return Err(format!("way stamp {stamp} ahead of tick {tick}"));
+                }
+                if self.set_of(line) != set {
+                    return Err(format!(
+                        "line {line} in set {set}, hashes to {}",
+                        self.set_of(line)
+                    ));
+                }
+                if ways[..k].iter().any(|w| w.0 == line) {
+                    return Err(format!("line {line} appears twice in set {set}"));
+                }
             }
         }
+        self.tick = tick;
+        self.pool.clear();
+        for (set, ways) in sets.into_iter().enumerate() {
+            self.lens[set] = ways.len() as u8;
+            for (k, (line, stamp, data)) in ways.into_iter().enumerate() {
+                self.slots[set * self.ways + k] = self.pool.len() as u32;
+                self.pool.push(Way { line, stamp, data });
+            }
+        }
+        Ok(())
     }
 
-    /// Removes every line for which `pred` holds, returning them.
+    /// Removes every line for which `pred` holds, returning them set by
+    /// set in ascending set order, each set scanned by slot with the
+    /// same swap-removal as [`SetArray::remove`]. `pred` is called once
+    /// per resident line, in arbitrary order.
     pub fn drain_filter(
         &mut self,
         mut pred: impl FnMut(LineAddr, &T) -> bool,
     ) -> Vec<(LineAddr, T)> {
+        // `hit` is indexed like the pool and mirrors its swap-removals.
+        let mut hit: Vec<bool> = self.pool.iter().map(|w| pred(w.line, &w.data)).collect();
+        let mut sets: Vec<usize> = self
+            .pool
+            .iter()
+            .zip(&hit)
+            .filter(|(_, &h)| h)
+            .map(|(w, _)| self.set_of(w.line))
+            .collect();
+        sets.sort_unstable();
+        sets.dedup();
         let mut out = Vec::new();
-        for set in &mut self.sets {
-            let mut i = 0;
-            while i < set.len() {
-                if pred(set[i].line, &set[i].data) {
-                    let w = set.swap_remove(i);
-                    out.push((w.line, w.data));
+        for set in sets {
+            let mut k = 0;
+            while k < usize::from(self.lens[set]) {
+                let i = self.slots[set * self.ways + k] as usize;
+                if hit[i] {
+                    hit.swap_remove(i);
+                    out.push(self.unlink(set, k));
                 } else {
-                    i += 1;
+                    k += 1;
                 }
             }
         }
@@ -312,6 +426,152 @@ mod tests {
         let ev = a.insert(LineAddr(4), 4, |_| true).unwrap();
         assert_eq!(ev, Some((LineAddr(0), 0)));
         assert!(a.contains(LineAddr(1)));
+    }
+
+    type Sets = Vec<Vec<(LineAddr, u64, u64)>>;
+
+    /// The per-set layout, one `Vec` of ways per set, as the reference:
+    /// append on insert, in-place replacement on eviction, swap-removal
+    /// on removal, and a per-set slot scan for `drain_filter`.
+    struct Model {
+        sets: Sets,
+        ways: usize,
+        tick: u64,
+    }
+
+    impl Model {
+        fn set(&mut self, line: LineAddr) -> &mut Vec<(LineAddr, u64, u64)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[((line.0 ^ (line.0 >> 12)) % n) as usize]
+        }
+        fn get_mut(&mut self, line: LineAddr) -> Option<u64> {
+            self.tick += 1;
+            let tick = self.tick;
+            let w = self.set(line).iter_mut().find(|w| w.0 == line)?;
+            w.1 = tick;
+            Some(w.2)
+        }
+        fn insert(
+            &mut self,
+            line: LineAddr,
+            data: u64,
+            pin: u64,
+        ) -> Result<Option<(LineAddr, u64)>, u64> {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            let set = self.set(line);
+            if set.len() < ways {
+                set.push((line, tick, data));
+                return Ok(None);
+            }
+            let victim = set
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.2 % 4 != pin)
+                .min_by_key(|(_, w)| w.1);
+            let i = victim.ok_or(data)?.0;
+            let old = std::mem::replace(&mut set[i], (line, tick, data));
+            Ok(Some((old.0, old.2)))
+        }
+        fn remove(&mut self, line: LineAddr) -> Option<u64> {
+            let set = self.set(line);
+            let i = set.iter().position(|w| w.0 == line)?;
+            Some(set.swap_remove(i).2)
+        }
+        fn drain(&mut self, modulus: u64) -> Vec<(LineAddr, u64)> {
+            let mut out = Vec::new();
+            for set in &mut self.sets {
+                let mut i = 0;
+                while i < set.len() {
+                    if set[i].0 .0 % modulus == 0 {
+                        let w = set.swap_remove(i);
+                        out.push((w.0, w.2));
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// Every live slot points at a distinct pool entry that hashes to
+    /// its set, and every pool entry is linked exactly once.
+    fn assert_links<T>(a: &SetArray<T>) {
+        let mut linked = vec![0u32; a.pool.len()];
+        for set in 0..a.n_sets() {
+            for &i in a.set_slots(set) {
+                assert_eq!(
+                    a.set_of(a.pool[i as usize].line),
+                    set,
+                    "pool {i} linked from a foreign set"
+                );
+                linked[i as usize] += 1;
+            }
+        }
+        assert!(linked.iter().all(|&n| n == 1), "pool links {linked:?}");
+    }
+
+    fn owned(a: &SetArray<u64>) -> (u64, Sets) {
+        let (tick, sets) = a.export_ways();
+        let sets = sets
+            .into_iter()
+            .map(|set| set.into_iter().map(|(l, s, &d)| (l, s, d)).collect())
+            .collect();
+        (tick, sets)
+    }
+
+    /// The dense pool behaves exactly like the per-set reference under
+    /// random lookups, pinned inserts, removals, drains and
+    /// export/restore round trips: same results, same evictions and
+    /// overflow refusals, same exported slot layout.
+    #[test]
+    fn prop_dense_pool_matches_per_set_reference() {
+        let mut rng = SmallRng::seed_from_u64(0xa44a_0003);
+        for _ in 0..64 {
+            let (sets, ways) = (rng.gen_range(1usize..6), rng.gen_range(1usize..5));
+            let mut a: SetArray<u64> = SetArray::new(sets, ways);
+            let mut m = Model {
+                sets: vec![Vec::new(); sets],
+                ways,
+                tick: 0,
+            };
+            for step in 0..400u64 {
+                // Lines past 4096 exercise the XOR fold of the set hash.
+                let line = LineAddr(rng.gen_range(0u64..40) + 4096 * rng.gen_range(0u64..2));
+                match rng.gen_range(0u32..100) {
+                    0..=29 => assert_eq!(a.get_mut(line).copied(), m.get_mut(line)),
+                    30..=64 => {
+                        if a.contains(line) {
+                            continue;
+                        }
+                        let pin = rng.gen_range(0u64..5);
+                        let got = a.insert(line, step, |&d| d % 4 != pin);
+                        assert_eq!(got, m.insert(line, step, pin));
+                    }
+                    65..=84 => assert_eq!(a.remove(line), m.remove(line)),
+                    85..=89 => {
+                        let modulus = rng.gen_range(2u64..5);
+                        assert_eq!(a.drain_filter(|l, _| l.0 % modulus == 0), m.drain(modulus));
+                    }
+                    90..=94 => {
+                        let (tick, sets) = owned(&a);
+                        let mut b = SetArray::new(a.n_sets(), a.n_ways());
+                        b.restore_ways(tick, sets).expect("own export restores");
+                        a = b;
+                    }
+                    _ => assert_eq!(
+                        a.peek(line),
+                        m.set(line).iter().find(|w| w.0 == line).map(|w| &w.2)
+                    ),
+                }
+                assert_links(&a);
+                let (tick, exported) = owned(&a);
+                assert_eq!(tick, m.tick);
+                assert_eq!(exported, m.sets);
+                assert_eq!(a.len(), m.sets.iter().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 
     /// Capacity is never exceeded and every resident line is findable.

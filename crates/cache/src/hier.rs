@@ -616,12 +616,8 @@ impl HierCache {
     /// # Errors
     ///
     /// Returns [`SnapError`] on truncated or structurally invalid
-    /// input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's array dimensions disagree with this
-    /// hierarchy's configuration.
+    /// input, including array contents that disagree with this
+    /// hierarchy's geometry (see [`SetArray::restore_ways`]).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stats = CacheStats {
             l1_load_hits: r.get()?,
@@ -646,7 +642,9 @@ impl HierCache {
             }
             l1_sets.push(set);
         }
-        self.l1.restore_ways(l1_tick, l1_sets);
+        self.l1
+            .restore_ways(l1_tick, l1_sets)
+            .map_err(|e| SnapError::invalid("HierCache.l1", e))?;
         let l2_tick: u64 = r.get()?;
         let n2 = r.get_len(8)?;
         let mut l2_sets = Vec::with_capacity(n2);
@@ -670,7 +668,9 @@ impl HierCache {
             }
             l2_sets.push(set);
         }
-        self.l2.restore_ways(l2_tick, l2_sets);
+        self.l2
+            .restore_ways(l2_tick, l2_sets)
+            .map_err(|e| SnapError::invalid("HierCache.l2", e))?;
         Ok(())
     }
 

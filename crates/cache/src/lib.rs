@@ -39,7 +39,7 @@ mod config;
 mod hier;
 mod line;
 
-pub use array::SetArray;
+pub use array::{SetArray, MAX_WAYS};
 pub use config::{CacheConfig, Granularity, Level};
 pub use hier::{
     CacheStats, Eviction, FillResult, ForcedFillResult, HierCache, InvalidateOutcome, LoadOutcome,

@@ -1,6 +1,6 @@
 //! Full-system configuration (Table 2 of the paper).
 
-use tcc_cache::CacheConfig;
+use tcc_cache::{CacheConfig, MAX_WAYS};
 use tcc_engine::WatchdogConfig;
 use tcc_network::{ChaosConfig, NetworkConfig, TransportConfig};
 use tcc_trace::TraceConfig;
@@ -287,7 +287,9 @@ impl SystemConfig {
     /// processor could never advance), a zero cycle limit (every run
     /// would be declared stalled at cycle 0), a zero-entry directory
     /// cache (every operation would miss forever), a line geometry
-    /// wider than the 64-bit word masks, and chaos wire faults
+    /// wider than the 64-bit word masks, a cache level with zero or
+    /// more than [`MAX_WAYS`] ways or a capacity that is not a nonzero
+    /// whole number of sets, and chaos wire faults
     /// (drop/dup/reorder) configured without the reliable transport
     /// that makes lost messages a schedule rather than a different
     /// machine.
@@ -334,6 +336,39 @@ impl SystemConfig {
                 format!("{words} words per line; word masks are 64-bit"),
                 "choose line_bytes/word_bytes with 1..=64 words per line",
             ));
+        }
+        let line = u64::from(self.cache.geometry.line_bytes());
+        let c = &self.cache;
+        for (level, (bytes_field, bytes), (ways_field, ways)) in [
+            (
+                "L1",
+                ("cache.l1_bytes", c.l1_bytes),
+                ("cache.l1_ways", c.l1_ways),
+            ),
+            (
+                "L2",
+                ("cache.l2_bytes", c.l2_bytes),
+                ("cache.l2_ways", c.l2_ways),
+            ),
+        ] {
+            if ways == 0 || ways as usize > MAX_WAYS {
+                return Err(ConfigError::invalid(
+                    ways_field,
+                    format!("{level} has {ways} ways"),
+                    "choose 1..=255 ways (set lengths are stored as u8)",
+                ));
+            }
+            let set_bytes = line * u64::from(ways);
+            if bytes == 0 || u64::from(bytes) % set_bytes != 0 {
+                return Err(ConfigError::invalid(
+                    bytes_field,
+                    format!(
+                        "{bytes} bytes is not a nonzero whole number of \
+                         {level} sets ({ways} ways x {line}-byte lines)"
+                    ),
+                    "make the capacity a nonzero multiple of ways x line_bytes",
+                ));
+            }
         }
         if let Some(wd) = &self.watchdog {
             if wd.interval == 0 {
@@ -553,6 +588,24 @@ mod tests {
         };
         c.validate()
             .expect("condition 1 is a serialized-backend mode");
+    }
+
+    #[test]
+    fn inconsistent_cache_geometry_is_refused_with_its_field() {
+        let refused = |edit: fn(&mut SystemConfig)| {
+            let mut c = SystemConfig::with_procs(2);
+            edit(&mut c);
+            c.validate().unwrap_err().field()
+        };
+        assert_eq!(refused(|c| c.cache.l1_ways = 0), "cache.l1_ways");
+        assert_eq!(refused(|c| c.cache.l2_ways = 256), "cache.l2_ways");
+        assert_eq!(refused(|c| c.cache.l1_bytes = 1000), "cache.l1_bytes");
+        assert_eq!(refused(|c| c.cache.l2_bytes = 0), "cache.l2_bytes");
+        // 255 ways of 32-byte lines, one set: the largest associativity.
+        let mut c = SystemConfig::with_procs(2);
+        c.cache.l2_ways = 255;
+        c.cache.l2_bytes = 255 * 32;
+        c.validate().expect("255 ways fit the set-length byte");
     }
 
     #[test]

@@ -585,6 +585,11 @@ impl Machine {
         dispatch!(self, m => m.start(now, node))
     }
 
+    /// The programs the machine was built with, in processor order.
+    pub(crate) fn programs(&self) -> Vec<&ThreadProgram> {
+        dispatch!(self, m => m.drv.procs.iter().map(|p| &p.program).collect())
+    }
+
     pub(crate) fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
         dispatch!(self, m => m.step(now, node))
     }

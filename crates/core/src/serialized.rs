@@ -159,7 +159,7 @@ fn request_token(p: &mut SerializedProc, delay: u64, fx: &mut Effects) {
 /// The serialized-commit (small-scale TCC) backend.
 #[derive(Debug)]
 pub struct SerializedMachine {
-    drv: Driver<TokenState>,
+    pub(crate) drv: Driver<TokenState>,
     /// Flat global memory at the home nodes; write-through commits keep
     /// it always current.
     memory: BTreeMap<LineAddr, LineValues>,

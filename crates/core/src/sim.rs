@@ -2,7 +2,7 @@
 //! barriers, snapshots, and result assembly.
 
 use std::collections::VecDeque;
-use tcc_types::hash::{fnv1a, FxHashSet};
+use tcc_types::hash::{fnv1a, Fnv1a, FxHashSet};
 
 use tcc_engine::{EventQueue, ProgressWatchdog, TieBreak};
 use tcc_network::{
@@ -523,10 +523,6 @@ pub struct Simulator {
     /// Workload-generator seed registered by the caller (provenance
     /// only; see [`Simulator::set_program_seed`]).
     program_seed: Option<u64>,
-    /// FNV-1a digest of the programs this machine was built with;
-    /// [`Simulator::resume`] refuses a snapshot from a different
-    /// workload.
-    program_digest: u64,
 }
 
 /// Fluent, validating constructor for [`Simulator`], whichever
@@ -650,10 +646,6 @@ impl Simulator {
         tracer: Option<Tracer>,
     ) -> Simulator {
         let tracer = tracer.unwrap_or_else(|| Tracer::new(&cfg.trace));
-        // Workload identity, for snapshot gating: resume() rebuilds the
-        // machine from caller-supplied programs, and this digest proves
-        // they are the programs the checkpoint came from.
-        let program_digest = fnv1a(format!("{programs:?}").as_bytes());
         let machine = match cfg.protocol {
             tcc_types::ProtocolKind::Tcc => {
                 Machine::Tcc(TccMachine::new(cfg.clone(), programs, &tracer))
@@ -711,7 +703,6 @@ impl Simulator {
             fault: None,
             started: false,
             program_seed: None,
-            program_digest,
         }
     }
 
@@ -948,6 +939,19 @@ impl Simulator {
         Ok(sim)
     }
 
+    /// Workload identity, for snapshot gating: FNV-1a of the `Debug`
+    /// rendering of the machine's programs (a `Vec<ThreadProgram>`).
+    /// [`Simulator::resume`] rebuilds the machine from caller-supplied
+    /// programs, and this digest proves they are the programs the
+    /// checkpoint came from. Computed on demand, streamed: only
+    /// checkpoint and resume read it.
+    fn program_digest(&self) -> u64 {
+        use std::fmt::Write;
+        let mut h = Fnv1a::default();
+        write!(h, "{:?}", self.machine.programs()).expect("FNV sink never fails");
+        h.finish()
+    }
+
     /// Body layout (order is the format): program digest, protocol
     /// tag, started flag, event queue (clock, counters, entries with
     /// original ordering keys), the protocol backend's state, network,
@@ -955,7 +959,7 @@ impl Simulator {
     /// characteristics, active count, transport, watchdog, program
     /// seed.
     fn save_body(&self, w: &mut SnapWriter) {
-        self.program_digest.save(w);
+        self.program_digest().save(w);
         self.cfg.protocol.save(w);
         self.started.save(w);
         self.queue.now().save(w);
@@ -1018,10 +1022,11 @@ impl Simulator {
     fn restore_body(&mut self, body: &[u8]) -> Result<(), ResumeError> {
         let mut r = SnapReader::new(body);
         let program_digest: u64 = r.get().map_err(ResumeError::State)?;
-        if program_digest != self.program_digest {
+        let current = self.program_digest();
+        if program_digest != current {
             return Err(ResumeError::ProgramMismatch {
                 snapshot: program_digest,
-                current: self.program_digest,
+                current,
             });
         }
         // Backend-tagged state: a snapshot only restores onto the

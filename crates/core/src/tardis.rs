@@ -167,7 +167,7 @@ impl Backend for LeaseState {
 /// The Tardis timestamp-ordered backend.
 #[derive(Debug)]
 pub struct TardisMachine {
-    drv: Driver<LeaseState>,
+    pub(crate) drv: Driver<LeaseState>,
     /// One timestamp-home slice per node.
     homes: Vec<TardisHome>,
 }

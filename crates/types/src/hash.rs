@@ -100,12 +100,44 @@ pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 /// would change every digest.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: bytes fed in pieces digest as their
+/// concatenation would. As a [`std::fmt::Write`] sink it digests a
+/// `Debug` rendering without materializing the string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Feeds `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -119,6 +151,17 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+    }
+
+    #[test]
+    fn streamed_fnv1a_matches_the_one_shot_digest() {
+        use std::fmt::Write;
+        let mut h = Fnv1a::default();
+        write!(h, "{:?}", (b"foo", 42, "bar")).unwrap();
+        assert_eq!(
+            h.finish(),
+            fnv1a(format!("{:?}", (b"foo", 42, "bar")).as_bytes())
+        );
     }
 
     #[test]
