@@ -395,7 +395,7 @@ impl BaselineSimulator {
             let Some(WorkItem::Tx(tx)) = p.program.items.get(p.item) else {
                 unreachable!("running outside a transaction")
             };
-            let Some(&op) = tx.ops.get(p.op) else {
+            let Some(op) = tx.op(p.op) else {
                 // Body complete: arbitrate for the commit token.
                 self.tx_end(now + elapsed, n);
                 return;

@@ -473,7 +473,7 @@ impl<X: Backend> Proc<X> {
             let Some(WorkItem::Tx(tx)) = self.program.items.get(self.item) else {
                 unreachable!("running outside a transaction")
             };
-            let Some(&op) = tx.ops.get(self.op) else {
+            let Some(op) = tx.op(self.op) else {
                 return Some((now + elapsed, elapsed));
             };
             let (cycles, instr) = match op {

@@ -696,7 +696,7 @@ mod tests {
                     let Some(WorkItem::Tx(t)) = items.last_mut() else {
                         panic!("operation outside a transaction")
                     };
-                    t.ops.push(op);
+                    t.push(op);
                 }
                 let program = ThreadProgram::new(items);
                 assert_eq!(format!("{program:?}"), debug, "program round trip");

@@ -31,9 +31,9 @@
 //!   the lock state — the assert is kept as an exactly-once-violation
 //!   detector).
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
+use tcc_types::hash::FxHashMap;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{LineAddr, LineValues, NodeId, Payload, Tid, WordMask};
 
@@ -142,7 +142,7 @@ pub struct TardisHome {
     words_per_line: usize,
     /// Extra delay a data reply pays for the memory read.
     mem_latency: u64,
-    lines: HashMap<LineAddr, TardisLine>,
+    lines: FxHashMap<LineAddr, TardisLine>,
     /// Highest commit time published at this home (progress telemetry).
     max_ts: u64,
     /// Event counters.
@@ -157,7 +157,7 @@ impl TardisHome {
             lease,
             words_per_line,
             mem_latency,
-            lines: HashMap::new(),
+            lines: FxHashMap::default(),
             max_ts: 0,
             stats: TardisHomeStats::default(),
         }

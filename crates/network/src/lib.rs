@@ -114,7 +114,7 @@ impl Network {
         if msg.src != msg.dst {
             self.stats
                 .record(msg.src, msg.dst, msg.payload.category(), size);
-            self.stats.record_kind(kind);
+            self.stats.record_kind(msg.payload.kind_index());
         }
         let arrival = self.mesh.send(now, msg.src, msg.dst, size);
         self.apply_chaos(now, msg, arrival)
@@ -148,7 +148,7 @@ impl Network {
         }
         self.stats
             .record(msg.src, msg.dst, msg.payload.category(), size);
-        self.stats.record_kind(kind);
+        self.stats.record_kind(msg.payload.kind_index());
         let hops = self.mesh.hops(msg.src, msg.dst);
         let arrival = now + self.mesh.uncontended_latency(hops, size);
         self.apply_chaos(now, msg, arrival)
@@ -173,7 +173,7 @@ impl Network {
         trace_send(&self.tracer, now, kind, src, dst, size);
         debug_assert_ne!(src, dst, "local messages bypass the transport");
         self.stats.record(src, dst, frame.category(), size);
-        self.stats.record_kind(kind);
+        self.stats.record_kind(frame.kind_index());
         let arrival = if matches!(frame, Frame::Data { msg, .. } if is_multicast(&msg.payload)) {
             let hops = self.mesh.hops(src, dst);
             now + self.mesh.uncontended_latency(hops, size)

@@ -1,7 +1,6 @@
 //! Remote-traffic accounting in the categories of Figure 9.
 
-use std::collections::BTreeMap;
-
+use tcc_types::msg::{kind_index_of, KIND_NAMES, N_KINDS};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{NodeId, TrafficCategory};
 
@@ -33,8 +32,8 @@ pub struct TrafficStats {
     /// Global message count per category.
     messages: [u64; N_CATS],
     /// Census: remote message count per protocol message kind (the
-    /// Table 1 vocabulary plus replies/acks).
-    by_kind: BTreeMap<&'static str, u64>,
+    /// Table 1 vocabulary plus replies/acks), by kind index.
+    by_kind: [u64; N_KINDS],
     /// Total messages timed (including local ones is the caller's
     /// choice; [`crate::Network`] only records remote messages here).
     total_messages: u64,
@@ -47,7 +46,7 @@ impl TrafficStats {
         TrafficStats {
             received: vec![[0; N_CATS]; n_nodes],
             messages: [0; N_CATS],
-            by_kind: BTreeMap::new(),
+            by_kind: [0; N_KINDS],
             total_messages: 0,
         }
     }
@@ -60,17 +59,29 @@ impl TrafficStats {
         self.total_messages += 1;
     }
 
-    /// Records one message in the per-kind census (call alongside
-    /// [`TrafficStats::record`]).
-    pub fn record_kind(&mut self, kind: &'static str) {
-        *self.by_kind.entry(kind).or_default() += 1;
+    /// Records one message of kind index `kind`
+    /// ([`tcc_types::Payload::kind_index`]) in the per-kind census
+    /// (call alongside [`TrafficStats::record`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is not below [`N_KINDS`].
+    pub fn record_kind(&mut self, kind: usize) {
+        self.by_kind[kind] += 1;
     }
 
-    /// The remote-message census: `(message kind, count)` in
-    /// alphabetical order.
+    /// The remote-message census: `(message kind, count)` for every
+    /// kind seen, in alphabetical order.
     #[must_use]
     pub fn message_census(&self) -> Vec<(&'static str, u64)> {
-        self.by_kind.iter().map(|(&k, &v)| (k, v)).collect()
+        let mut census: Vec<(&'static str, u64)> = KIND_NAMES
+            .iter()
+            .zip(self.by_kind)
+            .filter(|&(_, n)| n > 0)
+            .map(|(&k, n)| (k, n))
+            .collect();
+        census.sort_unstable();
+        census
     }
 
     /// Total bytes delivered across the whole machine.
@@ -115,13 +126,14 @@ impl TrafficStats {
     }
 
     /// Serializes the accumulated counters for a checkpoint. The
-    /// per-kind census stores owned kind names; restore re-interns them
-    /// against the protocol vocabulary.
+    /// per-kind census stores owned kind names in alphabetical order;
+    /// restore maps them back to kind indices.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.received.save(w);
         self.messages.save(w);
-        (self.by_kind.len() as u64).save(w);
-        for (&kind, &count) in &self.by_kind {
+        let census = self.message_census();
+        (census.len() as u64).save(w);
+        for (kind, count) in census {
             kind.to_string().save(w);
             count.save(w);
         }
@@ -145,14 +157,14 @@ impl TrafficStats {
         self.received = received;
         self.messages = r.get()?;
         let n = r.get_len(2)?;
-        self.by_kind.clear();
+        self.by_kind = [0; N_KINDS];
         for _ in 0..n {
             let name: String = r.get()?;
             let count: u64 = r.get()?;
-            let kind = tcc_types::msg::intern_kind_name(&name).ok_or_else(|| {
+            let kind = kind_index_of(&name).ok_or_else(|| {
                 SnapError::invalid("TrafficStats.by_kind", format!("unknown kind {name:?}"))
             })?;
-            self.by_kind.insert(kind, count);
+            self.by_kind[kind] = count;
         }
         self.total_messages = r.get()?;
         Ok(())
@@ -184,6 +196,22 @@ mod tests {
         s.record(NodeId(0), NodeId(1), TrafficCategory::Shared, 100);
         assert_eq!(s.avg_bytes_per_node(TrafficCategory::Shared), 25.0);
         assert_eq!(s.avg_bytes_per_node(TrafficCategory::Miss), 0.0);
+    }
+
+    #[test]
+    fn census_is_alphabetical_and_survives_a_checkpoint() {
+        let mut s = TrafficStats::new(1);
+        for name in ["Probe", "Ack", "Probe", "LoadRequest"] {
+            s.record_kind(kind_index_of(name).unwrap());
+        }
+        let census = vec![("Ack", 1), ("LoadRequest", 1), ("Probe", 2)];
+        assert_eq!(s.message_census(), census);
+        let mut w = SnapWriter::new();
+        s.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = TrafficStats::new(1);
+        back.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.message_census(), census);
     }
 
     #[test]

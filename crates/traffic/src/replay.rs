@@ -106,21 +106,21 @@ pub fn sim_programs(
         let p = i % n_procs;
         let gap_cycles = (tx.at - last_at[p]).saturating_mul(cycles_per_tick);
         last_at[p] = tx.at;
-        let mut ops = Vec::with_capacity(tx.ops.len() * 2 + 1);
+        let mut t = Transaction::with_capacity(tx.ops.len() * 2 + 1);
         if gap_cycles > 0 {
-            ops.push(TxOp::Compute(u32::try_from(gap_cycles).unwrap_or(u32::MAX)));
+            t.push(TxOp::Compute(u32::try_from(gap_cycles).unwrap_or(u32::MAX)));
         }
         for op in &tx.ops {
             let addr = key_addr(op.key());
             match op {
-                TrafficOp::Read(_) => ops.push(TxOp::Load(addr)),
+                TrafficOp::Read(_) => t.push(TxOp::Load(addr)),
                 TrafficOp::Write(_) => {
-                    ops.push(TxOp::Load(addr));
-                    ops.push(TxOp::Store(addr));
+                    t.push(TxOp::Load(addr));
+                    t.push(TxOp::Store(addr));
                 }
             }
         }
-        items[p].push(WorkItem::Tx(Transaction::new(ops)));
+        items[p].push(WorkItem::Tx(t));
     }
     items.into_iter().map(ThreadProgram::new).collect()
 }
@@ -311,9 +311,9 @@ mod tests {
         assert_eq!(total, 200, "every record lowers to exactly one tx");
         // Pacing gaps exist: some transaction must lead with Compute.
         let has_pacing = programs.iter().any(|p| {
-            p.items.iter().any(
-                |i| matches!(i, WorkItem::Tx(t) if matches!(t.ops.first(), Some(TxOp::Compute(_)))),
-            )
+            p.items
+                .iter()
+                .any(|i| matches!(i, WorkItem::Tx(t) if matches!(t.op(0), Some(TxOp::Compute(_)))))
         });
         assert!(has_pacing, "open-loop pacing vanished in lowering");
     }

@@ -577,82 +577,98 @@ impl Payload {
     /// A short, stable name for logging and statistics.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
+        KIND_NAMES[self.kind_index()]
+    }
+
+    /// This payload's kind as an index into [`KIND_NAMES`]: a dense
+    /// key for per-kind counters.
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
         match self {
-            Payload::LoadRequest { .. } => "LoadRequest",
-            Payload::LoadReply { .. } => "LoadReply",
-            Payload::TidRequest { .. } => "TidRequest",
-            Payload::TidReply { .. } => "TidReply",
-            Payload::Skip { .. } => "Skip",
-            Payload::Probe { .. } => "Probe",
-            Payload::ProbeReply { .. } => "ProbeReply",
-            Payload::Mark { .. } => "Mark",
-            Payload::Commit { .. } => "Commit",
-            Payload::Abort { .. } => "Abort",
-            Payload::WriteBack { .. } => "WriteBack",
-            Payload::Flush { .. } => "Flush",
-            Payload::DataRequest { .. } => "DataRequest",
-            Payload::Invalidate { .. } => "Invalidate",
-            Payload::InvAck { .. } => "InvAck",
-            Payload::TokenRequest { .. } => "TokenRequest",
-            Payload::TokenGrant => "TokenGrant",
-            Payload::TokenRelease => "TokenRelease",
-            Payload::BaselineCommit { .. } => "BaselineCommit",
-            Payload::BaselineAck { .. } => "BaselineAck",
-            Payload::TsLoadRequest { .. } => "TsLoadRequest",
-            Payload::TsLoadReply { .. } => "TsLoadReply",
-            Payload::TsLock { .. } => "TsLock",
-            Payload::TsLockAck { .. } => "TsLockAck",
-            Payload::TsRenew { .. } => "TsRenew",
-            Payload::TsRenewAck { .. } => "TsRenewAck",
-            Payload::TsPublish { .. } => "TsPublish",
-            Payload::TsPublishAck { .. } => "TsPublishAck",
-            Payload::TsRelease { .. } => "TsRelease",
+            Payload::LoadRequest { .. } => 0,
+            Payload::LoadReply { .. } => 1,
+            Payload::TidRequest { .. } => 2,
+            Payload::TidReply { .. } => 3,
+            Payload::Skip { .. } => 4,
+            Payload::Probe { .. } => 5,
+            Payload::ProbeReply { .. } => 6,
+            Payload::Mark { .. } => 7,
+            Payload::Commit { .. } => 8,
+            Payload::Abort { .. } => 9,
+            Payload::WriteBack { .. } => 10,
+            Payload::Flush { .. } => 11,
+            Payload::DataRequest { .. } => 12,
+            Payload::Invalidate { .. } => 13,
+            Payload::InvAck { .. } => 14,
+            Payload::TokenRequest { .. } => 15,
+            Payload::TokenGrant => 16,
+            Payload::TokenRelease => 17,
+            Payload::BaselineCommit { .. } => 18,
+            Payload::BaselineAck { .. } => 19,
+            Payload::TsLoadRequest { .. } => 20,
+            Payload::TsLoadReply { .. } => 21,
+            Payload::TsLock { .. } => 22,
+            Payload::TsLockAck { .. } => 23,
+            Payload::TsRenew { .. } => 24,
+            Payload::TsRenewAck { .. } => 25,
+            Payload::TsPublish { .. } => 26,
+            Payload::TsPublishAck { .. } => 27,
+            Payload::TsRelease { .. } => 28,
         }
     }
 }
 
-/// Maps a message-kind name back to its canonical `&'static str`.
+/// Message kinds the traffic census distinguishes: every [`Payload`]
+/// variant plus the transport's standalone ack.
+pub const N_KINDS: usize = 30;
+
+/// Kind index of a standalone transport ack (`Frame::kind_index`).
+pub const ACK_KIND: usize = 29;
+
+/// Kind names by kind index ([`Payload::kind_index`], [`ACK_KIND`]).
+pub const KIND_NAMES: [&str; N_KINDS] = [
+    "LoadRequest",
+    "LoadReply",
+    "TidRequest",
+    "TidReply",
+    "Skip",
+    "Probe",
+    "ProbeReply",
+    "Mark",
+    "Commit",
+    "Abort",
+    "WriteBack",
+    "Flush",
+    "DataRequest",
+    "Invalidate",
+    "InvAck",
+    "TokenRequest",
+    "TokenGrant",
+    "TokenRelease",
+    "BaselineCommit",
+    "BaselineAck",
+    "TsLoadRequest",
+    "TsLoadReply",
+    "TsLock",
+    "TsLockAck",
+    "TsRenew",
+    "TsRenewAck",
+    "TsPublish",
+    "TsPublishAck",
+    "TsRelease",
+    "Ack",
+];
+
+/// Maps a message-kind name back to its kind index.
 ///
-/// Statistics tables key per-kind counters by the `&'static str` from
-/// [`Payload::kind_name`] (or `"Ack"` for standalone transport acks).
-/// Snapshot restore reads those names back as owned strings; this is
-/// the inverse mapping. Returns `None` for unknown names so a corrupt
-/// snapshot surfaces as a typed error instead of a bogus counter key.
+/// Statistics tables count messages per kind index and name them by
+/// [`KIND_NAMES`]. Snapshot restore reads those names back as owned
+/// strings; this is the inverse mapping. Returns `None` for unknown
+/// names so a corrupt snapshot surfaces as a typed error instead of a
+/// bogus counter key.
 #[must_use]
-pub fn intern_kind_name(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "LoadRequest" => "LoadRequest",
-        "LoadReply" => "LoadReply",
-        "TidRequest" => "TidRequest",
-        "TidReply" => "TidReply",
-        "Skip" => "Skip",
-        "Probe" => "Probe",
-        "ProbeReply" => "ProbeReply",
-        "Mark" => "Mark",
-        "Commit" => "Commit",
-        "Abort" => "Abort",
-        "WriteBack" => "WriteBack",
-        "Flush" => "Flush",
-        "DataRequest" => "DataRequest",
-        "Invalidate" => "Invalidate",
-        "InvAck" => "InvAck",
-        "TokenRequest" => "TokenRequest",
-        "TokenGrant" => "TokenGrant",
-        "TokenRelease" => "TokenRelease",
-        "BaselineCommit" => "BaselineCommit",
-        "BaselineAck" => "BaselineAck",
-        "TsLoadRequest" => "TsLoadRequest",
-        "TsLoadReply" => "TsLoadReply",
-        "TsLock" => "TsLock",
-        "TsLockAck" => "TsLockAck",
-        "TsRenew" => "TsRenew",
-        "TsRenewAck" => "TsRenewAck",
-        "TsPublish" => "TsPublish",
-        "TsPublishAck" => "TsPublishAck",
-        "TsRelease" => "TsRelease",
-        "Ack" => "Ack",
-        _ => return None,
-    })
+pub fn kind_index_of(name: &str) -> Option<usize> {
+    KIND_NAMES.iter().position(|&k| k == name)
 }
 
 /// A routed message: a [`Payload`] travelling from `src` to `dst`.
@@ -774,14 +790,16 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_intern_back_to_themselves() {
-        for p in all_payloads() {
-            let name = p.kind_name();
-            assert_eq!(intern_kind_name(name), Some(name));
+    fn kind_indices_are_distinct_and_name_back_to_themselves() {
+        for (i, name) in KIND_NAMES.iter().enumerate() {
+            assert_eq!(kind_index_of(name), Some(i), "{name} is named twice");
         }
-        assert_eq!(intern_kind_name("Ack"), Some("Ack"));
-        assert_eq!(intern_kind_name("TokenGrant"), Some("TokenGrant"));
-        assert_eq!(intern_kind_name("NotAMessageKind"), None);
+        for p in all_payloads() {
+            assert_ne!(p.kind_index(), ACK_KIND);
+            assert_eq!(kind_index_of(p.kind_name()), Some(p.kind_index()));
+        }
+        assert_eq!(kind_index_of("Ack"), Some(ACK_KIND));
+        assert_eq!(kind_index_of("NotAMessageKind"), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! frames, a bare header plus [`ACK_BYTES`] for standalone acks.
 
 use crate::ids::NodeId;
-use crate::msg::{Message, TrafficCategory, HEADER_BYTES};
+use crate::msg::{Message, TrafficCategory, ACK_KIND, HEADER_BYTES, KIND_NAMES};
 
 /// On-wire bytes for a channel sequence number.
 pub const SEQ_BYTES: u32 = 8;
@@ -80,9 +80,16 @@ impl Frame {
     /// breakdowns. Standalone acks report `"Ack"`.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
+        KIND_NAMES[self.kind_index()]
+    }
+
+    /// Kind index of the carried message ([`KIND_NAMES`]);
+    /// standalone acks report [`ACK_KIND`].
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
         match self {
-            Frame::Data { msg, .. } => msg.payload.kind_name(),
-            Frame::Ack { .. } => "Ack",
+            Frame::Data { msg, .. } => msg.payload.kind_index(),
+            Frame::Ack { .. } => ACK_KIND,
         }
     }
 

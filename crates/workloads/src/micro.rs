@@ -44,8 +44,8 @@ pub fn contended_counter(n_procs: usize, txs: usize) -> Vec<ThreadProgram> {
 #[must_use]
 pub fn producer_consumer(n_procs: usize, lines: u64) -> Vec<ThreadProgram> {
     assert!(n_procs >= 2, "need a producer and at least one consumer");
-    let produce = Transaction::new((0..lines).map(|l| TxOp::Store(addr(1000 + l, l))).collect());
-    let consume = Transaction::new((0..lines).map(|l| TxOp::Load(addr(1000 + l, l))).collect());
+    let produce: Transaction = (0..lines).map(|l| TxOp::Store(addr(1000 + l, l))).collect();
+    let consume: Transaction = (0..lines).map(|l| TxOp::Load(addr(1000 + l, l))).collect();
     let idle = Transaction::new(vec![TxOp::Compute(1)]);
     (0..n_procs)
         .map(|p| {

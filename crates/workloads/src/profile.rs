@@ -16,6 +16,17 @@ const PRIVATE_BASE: u64 = 1 << 20;
 /// First line of the globally shared region.
 const SHARED_BASE: u64 = 1 << 10;
 
+/// `x % n`, without the division when `x < n` (most calls: a
+/// transaction's private reads stay within the private span, and a
+/// cluster offset passes `n` at most once).
+fn wrap(x: u64, n: u64) -> u64 {
+    if x < n {
+        x
+    } else {
+        x % n
+    }
+}
+
 /// Run-length scaling for a workload (tests use [`Scale::Smoke`],
 /// the figure harness uses [`Scale::Full`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -121,7 +132,7 @@ impl AppProfile {
     ) -> ThreadProgram {
         let mut rng =
             SmallRng::seed_from_u64(seed ^ (proc as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut items = Vec::new();
+        let mut items = Vec::with_capacity((txs_per_phase * phases + phases - 1) as usize);
         for phase in 0..phases {
             for _ in 0..txs_per_phase {
                 items.push(WorkItem::Tx(self.generate_tx(&mut rng, proc, n_procs)));
@@ -155,15 +166,15 @@ impl AppProfile {
         let chunk = (instr - mem_ops) / (mem_ops + 1);
         let mut extra = (instr - mem_ops) % (mem_ops + 1);
 
-        let mut ops = Vec::with_capacity((2 * mem_ops + 2) as usize);
-        let push_compute = |ops: &mut Vec<TxOp>, extra: &mut u32| {
+        let mut tx = Transaction::with_capacity((2 * mem_ops + 1) as usize);
+        let push_compute = |tx: &mut Transaction, extra: &mut u32| {
             let mut c = chunk;
             if *extra > 0 {
                 c += 1;
                 *extra -= 1;
             }
             if c > 0 {
-                ops.push(TxOp::Compute(c));
+                tx.push(TxOp::Compute(c));
             }
         };
 
@@ -171,15 +182,15 @@ impl AppProfile {
         // reads lead (gather), writes trail (scatter), roughly as the
         // paper's loop-structured benchmarks behave.
         for i in 0..n_reads {
-            push_compute(&mut ops, &mut extra);
-            ops.push(TxOp::Load(self.read_addr(rng, proc, n_procs, i, cluster)));
+            push_compute(&mut tx, &mut extra);
+            tx.push(TxOp::Load(self.read_addr(rng, proc, n_procs, i, cluster)));
         }
         for i in 0..n_writes {
-            push_compute(&mut ops, &mut extra);
-            ops.push(TxOp::Store(self.write_addr(rng, proc, n_procs, i, cluster)));
+            push_compute(&mut tx, &mut extra);
+            tx.push(TxOp::Store(self.write_addr(rng, proc, n_procs, i, cluster)));
         }
-        push_compute(&mut ops, &mut extra);
-        Transaction::new(ops)
+        push_compute(&mut tx, &mut extra);
+        tx
     }
 
     /// Byte address of word `word` of `line`.
@@ -190,7 +201,7 @@ impl AppProfile {
     /// A line in `proc`'s private region, homed at node `proc`.
     fn private_line(&self, proc: usize, index: u64, n_procs: usize) -> u64 {
         let span = u64::from(self.private_lines.max(1));
-        PRIVATE_BASE + (index % span) * n_procs as u64 + proc as u64
+        PRIVATE_BASE + wrap(index, span) * n_procs as u64 + proc as u64
     }
 
     /// A line in the shared region whose home falls inside this
@@ -199,7 +210,7 @@ impl AppProfile {
         let n = n_procs as u64;
         let rows = (u64::from(self.shared_lines.max(1)) / n).max(1);
         let k = u64::from(self.shared_dirs_per_tx.max(1)).min(n);
-        let home = (cluster + rng.gen_range(0..k)) % n;
+        let home = wrap(cluster + rng.gen_range(0..k), n);
         SHARED_BASE + rng.gen_range(0..rows) * n + home
     }
 
@@ -351,9 +362,9 @@ mod tests {
         for (p, prog) in programs.iter().enumerate() {
             for item in &prog.items {
                 if let WorkItem::Tx(t) = item {
-                    for op in &t.ops {
+                    for op in t.ops() {
                         if let TxOp::Load(a) = op {
-                            let home = geom.home_of(geom.line_of(*a), n);
+                            let home = geom.home_of(geom.line_of(a), n);
                             assert_eq!(home.index(), p, "private read must be local");
                         }
                     }
@@ -374,9 +385,9 @@ mod tests {
         let programs = prof.generate(n, 3);
         let mut homes = std::collections::HashSet::new();
         if let WorkItem::Tx(t) = &programs[0].items[0] {
-            for op in &t.ops {
+            for op in t.ops() {
                 if let TxOp::Store(a) = op {
-                    homes.insert(geom.home_of(geom.line_of(*a), n));
+                    homes.insert(geom.home_of(geom.line_of(a), n));
                 }
             }
         }
