@@ -3,9 +3,9 @@
 //! Every generator in the workspace draws from the same two building
 //! blocks, so they live here exactly once:
 //!
-//! * [`Zipf`] — an exact Zipfian(θ) sampler over `0..n` via an explicit
-//!   cumulative table and binary search (no rejection, no
-//!   approximation). Used by the STM bench profiles and the
+//! * [`Zipf`] — an exact Zipfian(θ) sampler over `0..n`: an explicit
+//!   cumulative table, searched through a guide table (no rejection,
+//!   no approximation). Used by the STM bench profiles and the
 //!   `tcc-traffic` popularity models.
 //! * [`stream_rng`] — the per-stream seed-derivation rule (`seed ⊕
 //!   (stream+1)·φ64`): independent deterministic substreams from one
@@ -29,27 +29,52 @@ pub fn stream_rng(seed: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ stream.wrapping_add(1).wrapping_mul(STREAM_SALT))
 }
 
-/// Zipfian sampler over `0..n` with exponent `theta`, via an explicit
-/// cumulative table and binary search — exact (no rejection, no
-/// approximation), fine for the key-space sizes the benches and traffic
-/// generators use. Rank 0 is the hottest key.
+/// Zipfian sampler over `0..n` with exponent `theta`, exact (no
+/// rejection, no approximation): rank 0 is the hottest key.
+///
+/// A draw `u ∈ [0, 1)` maps to the first rank whose cumulative
+/// probability is `>= u` — an inverse-CDF lookup in `cumulative`. A
+/// guide table (Chen & Asau, 1974) answers it in about one comparison
+/// instead of a full binary search: with `m` a power of two,
+/// `guide[j]` is the first rank whose cumulative value is `>= j/m`,
+/// and `guide[m] = n`. For `j = ⌊u·m⌋` we have `j/m <= u < (j+1)/m`,
+/// so every rank below `guide[j]` has cumulative value `< u` and rank
+/// `guide[j+1]` (if any) has one `>= u`: the answer lies in
+/// `[guide[j], guide[j+1]]`, and a binary search of that bucket finds
+/// it. Since `m` is a power of two, `u·m` and `j/m` are exact in
+/// `f64`, so this is the same rank a binary search over the whole
+/// table returns, for every `u`.
+///
+/// An alias table or a rejection sampler would also draw in O(1), but
+/// maps each `u` to a different rank, which would change every
+/// generated script and trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     cumulative: Vec<f64>,
+    /// `m + 1` entries; see the type docs.
+    guide: Vec<u32>,
 }
 
+/// Guide-table entries per rank, before rounding up to a power of two.
+const GUIDE_PER_RANK: usize = 16;
+/// Largest guide table, in entries (256 KiB of `u32`s).
+const GUIDE_MAX: usize = 1 << 16;
+
 impl Zipf {
-    /// Builds the cumulative table for `n` ranks with exponent `theta`.
+    /// Builds the cumulative and guide tables for `n` ranks with
+    /// exponent `theta`.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative (`theta == 0` is
-    /// the uniform distribution, which is legal here; callers that
-    /// consider it degenerate reject it in their own validation).
+    /// Panics if `n` is zero or exceeds `u32::MAX`, or if `theta` is
+    /// negative (`theta == 0` is the uniform distribution, which is
+    /// legal here; callers that consider it degenerate reject it in
+    /// their own validation).
     #[must_use]
     pub fn new(n: usize, theta: f64) -> Zipf {
         assert!(n > 0, "Zipf over an empty domain");
         assert!(theta >= 0.0, "negative skew is meaningless");
+        let n32 = u32::try_from(n).expect("Zipf domain exceeds u32 ranks");
         let mut cumulative = Vec::with_capacity(n);
         let mut total = 0.0f64;
         for k in 1..=n {
@@ -59,7 +84,18 @@ impl Zipf {
         for c in &mut cumulative {
             *c /= total;
         }
-        Zipf { cumulative }
+        let m = (n * GUIDE_PER_RANK).next_power_of_two().min(GUIDE_MAX);
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut rank = 0usize;
+        for j in 0..m {
+            let edge = j as f64 / m as f64;
+            while rank < n && cumulative[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        guide.push(n32);
+        Zipf { cumulative, guide }
     }
 
     /// Number of ranks in the domain.
@@ -77,10 +113,17 @@ impl Zipf {
     /// Samples a rank in `0..len()`; rank 0 is the hottest.
     #[must_use]
     pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let u = rng.gen_range(0.0f64..1.0);
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.cumulative.len() - 1)
+        self.rank_of(rng.gen_range(0.0f64..1.0))
+    }
+
+    /// The first rank whose cumulative probability is `>= u`, clamped
+    /// to the last rank, for `u ∈ [0, 1)`.
+    fn rank_of(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        let j = (u * m as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let rank = lo + self.cumulative[lo..hi].partition_point(|&c| c < u);
+        rank.min(self.cumulative.len() - 1)
     }
 }
 
@@ -163,6 +206,63 @@ mod tests {
                 "raw tail diverged at word {i}"
             );
         }
+    }
+
+    /// The rank a binary search of the whole cumulative table returns:
+    /// the sampler's definition, before the guide table.
+    fn reference_rank(z: &Zipf, u: f64) -> usize {
+        z.cumulative.partition_point(|&c| c < u).min(z.len() - 1)
+    }
+
+    const EXACTNESS_CASES: [usize; 5] = [1, 7, 256, 1000, 100_000];
+    const EXACTNESS_THETAS: [f64; 4] = [0.0, 0.9, 0.99, 2.0];
+
+    #[test]
+    fn guide_table_draws_match_a_full_binary_search() {
+        for (i, &n) in EXACTNESS_CASES.iter().enumerate() {
+            for (k, &theta) in EXACTNESS_THETAS.iter().enumerate() {
+                let z = Zipf::new(n, theta);
+                let stream = (i * EXACTNESS_THETAS.len() + k) as u64;
+                let mut draws = stream_rng(0x5eed, stream);
+                let mut us = stream_rng(0x5eed, stream);
+                for d in 0..1_000_000 {
+                    let u = us.gen_range(0.0f64..1.0);
+                    assert_eq!(
+                        z.sample(&mut draws),
+                        reference_rank(&z, u),
+                        "n={n} θ={theta}: draw {d} (u={u}) left the reference"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_is_exact_at_every_bucket_edge() {
+        for &n in &EXACTNESS_CASES {
+            for &theta in &EXACTNESS_THETAS {
+                let z = Zipf::new(n, theta);
+                let m = z.guide.len() - 1;
+                assert!(m.is_power_of_two() && m <= GUIDE_MAX);
+                assert_eq!(z.guide[m] as usize, n);
+                for j in 0..m {
+                    let edge = j as f64 / m as f64;
+                    let below = (j > 0).then(|| edge.next_down());
+                    for u in std::iter::once(edge).chain(below) {
+                        assert_eq!(
+                            z.rank_of(u),
+                            reference_rank(&z, u),
+                            "n={n} θ={theta}: u={u} at edge {j}/{m}"
+                        );
+                    }
+                }
+                let last = 1.0f64.next_down();
+                assert_eq!(z.rank_of(last), reference_rank(&z, last));
+            }
+        }
+        // 100 000 ranks reach the cap; 256 ranks take 16 entries each.
+        assert_eq!(Zipf::new(100_000, 0.9).guide.len(), GUIDE_MAX + 1);
+        assert_eq!(Zipf::new(256, 0.9).guide.len(), 4_097);
     }
 
     #[test]

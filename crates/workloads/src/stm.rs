@@ -116,6 +116,8 @@ impl StmProfile {
             Access::Zipfian { theta } => Some(Zipf::new(self.n_cells, theta)),
             Access::Disjoint { .. } => None,
         };
+        // Each write is a read-modify-write: two ops.
+        let tx_len = self.reads_per_tx + 2 * self.writes_per_tx;
         (0..threads)
             .map(|t| {
                 // Per-thread stream: thread counts don't perturb each
@@ -129,7 +131,7 @@ impl StmProfile {
                             }
                             Access::Disjoint { stride } => t * stride + rng.gen_range(0..stride),
                         };
-                        let mut ops = Vec::with_capacity(self.reads_per_tx + self.writes_per_tx);
+                        let mut ops = Vec::with_capacity(tx_len);
                         for _ in 0..self.reads_per_tx {
                             let c = pick(&mut rng);
                             ops.push(StmOp::Read(c));
@@ -211,6 +213,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// FNV-1a 64 over every op as a little-endian `u64` (`2·cell` for a
+    /// read, `2·cell + 1` for a write), threads in order. It uses the
+    /// published FNV prime, unlike `tcc_types::hash::fnv1a`.
+    fn script_digest(scripts: &[Vec<StmTx>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for op in scripts.iter().flatten().flat_map(|tx| &tx.ops) {
+            let word = match *op {
+                StmOp::Read(c) => 2 * c as u64,
+                StmOp::Write(c) => 2 * c as u64 + 1,
+            };
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_scripts_are_pinned() {
+        for (profile, seed, digest) in [
+            (StmProfile::zipfian(256, 0.9), 0, 0x47cb_72c6_90cc_d3c1),
+            (StmProfile::zipfian(256, 0.9), 977, 0xeddc_b756_c2a5_00ff),
+            (StmProfile::disjoint(64), 0, 0xfa31_0c8e_5da2_e72b),
+        ] {
+            let got = script_digest(&profile.generate(2, 100_000, seed));
+            assert_eq!(
+                got, digest,
+                "{} seed {seed}: scripts changed (digest {got:#018x})",
+                profile.name
+            );
         }
     }
 
