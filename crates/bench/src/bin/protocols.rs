@@ -1,7 +1,7 @@
 //! Cross-protocol comparison harness (`BENCH_protocols.json`).
 //!
 //! Runs the same synthetic workloads through every coherence backend
-//! behind the `Protocol` trait — scalable TCC, the serialized-commit
+//! the simulator ships — scalable TCC, the serialized-commit
 //! baseline, and timestamp-ordered Tardis — with the serializability
 //! checker as oracle, and reports per cell: makespan, commits,
 //! violations, traffic volume, and the message-census counters that

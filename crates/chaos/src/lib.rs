@@ -15,7 +15,7 @@
 //!    config) grids swept through the full simulator in parallel on
 //!    `std::thread` workers, with the serializability checker (plus
 //!    commit counting and panic capture) as oracle.
-//! 3. **Shrinking** ([`shrink`]) — failing cases are minimized along
+//! 3. **Shrinking** ([`mod@shrink`]) — failing cases are minimized along
 //!    both axes to a replayable JSON [`Scenario`] artifact, and the
 //!    [`corpus`] loader turns checked-in artifacts into permanent
 //!    regression tests.

@@ -4,13 +4,14 @@
 //! way: walk the [`ThreadProgram`], execute bodies in `exec_chunk`
 //! slices over a private [`HierCache`], stall on misses, park at
 //! barriers, and book every cycle into a [`Breakdown`]. [`Proc`] owns
-//! that loop; a backend supplies the hooks of [`Backend`], starts its
-//! commit when [`Proc::run_chunk`] reports a completed body, and gets
-//! its shared `Protocol` methods from [`protocol_plumbing!`]. The hook
-//! defaults are the write-through behaviour of the serialized and
-//! Tardis backends; the TCC [`Processor`](crate::Processor) overrides
-//! them with its victim buffer, early TIDs and dirty-data write-backs
-//! (DESIGN.md §15.4).
+//! that loop and [`Driver`] holds a machine's processors; a backend
+//! supplies the hooks of [`Backend`] and starts its commit when
+//! [`Driver::run_chunk`] reports a completed body. The `Machine` enum
+//! reaches each backend's `drv` field directly for everything that only
+//! drives or reads processors. The hook defaults are the write-through
+//! behaviour of the serialized and Tardis backends; the TCC
+//! `Processor` overrides them with its victim buffer, early TIDs and
+//! dirty-data write-backs (DESIGN.md §15.4).
 
 use tcc_cache::{Eviction, HierCache, LoadOutcome, StoreOutcome};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -300,52 +301,14 @@ impl<X: Backend> Proc<X> {
         }
     }
 
-    /// This processor's node.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The cache hierarchy (for statistics and invariant checks).
-    #[must_use]
-    pub fn cache(&self) -> &HierCache {
-        &self.cache
-    }
-
-    /// Execution-time breakdown accumulated so far.
-    #[must_use]
-    pub fn breakdown(&self) -> Breakdown {
-        self.totals
-    }
-
     /// Lifetime counters.
-    #[must_use]
-    pub fn counters(&self) -> ProcCounters {
+    pub(crate) fn counters(&self) -> ProcCounters {
         ProcCounters {
             commits: self.commits,
             violations: self.violations,
             instructions: self.instructions,
             ..self.x.counters()
         }
-    }
-
-    /// Cycle at which the program finished, if it has.
-    #[must_use]
-    pub fn done_at(&self) -> Option<Cycle> {
-        self.done_at
-    }
-
-    /// Whether the processor finished its program.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// Current wake-up sequence number; the scheduler tags `ProcStep`
-    /// events with this and discards events whose tag is stale.
-    #[must_use]
-    pub fn wake_seq(&self) -> u64 {
-        self.wake_seq
     }
 
     /// Human-readable phase tag for stall diagnostics.
@@ -729,6 +692,55 @@ impl<X: Backend> Driver<X> {
         home_of(&self.cfg, line).node()
     }
 
+    /// The programs the processors run, in processor order.
+    pub(crate) fn programs(&self) -> Vec<&ThreadProgram> {
+        self.procs.iter().map(|p| &p.program).collect()
+    }
+
+    /// Starts `node`'s program at cycle `now`.
+    pub(crate) fn start(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.procs[node.index()].start(&self.cfg, now)
+    }
+
+    /// Runs up to one `exec_chunk` of `node`'s body (see
+    /// [`Proc::run_chunk`]): `Some((at, delay))` once the body completed.
+    pub(crate) fn run_chunk(
+        &mut self,
+        now: Cycle,
+        node: NodeId,
+        fx: &mut Effects,
+    ) -> Option<(Cycle, u64)> {
+        self.procs[node.index()].run_chunk(&self.cfg, now, fx)
+    }
+
+    /// Releases `node` from the barrier every processor reached.
+    pub(crate) fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
+        self.procs[node.index()].release_barrier(&self.cfg, now)
+    }
+
+    /// Cycle at which the last processor finished (the makespan).
+    pub(crate) fn done_at_max(&self) -> Cycle {
+        let done = self.procs.iter().filter_map(|p| p.done_at);
+        done.max().unwrap_or(Cycle::ZERO)
+    }
+
+    /// Pads every processor's breakdown with idle time up to `end`.
+    pub(crate) fn pad_idle_to(&mut self, end: Cycle) {
+        for p in &mut self.procs {
+            p.pad_idle_to(end);
+        }
+    }
+
+    /// Per-processor execution-time breakdowns.
+    pub(crate) fn breakdowns(&self) -> Vec<Breakdown> {
+        self.procs.iter().map(|p| p.totals).collect()
+    }
+
+    /// Per-processor lifetime counters.
+    pub(crate) fn proc_counters(&self) -> Vec<ProcCounters> {
+        self.procs.iter().map(Proc::counters).collect()
+    }
+
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         for p in &self.procs {
             p.save_state(w);
@@ -786,67 +798,6 @@ fn characteristics(
         dirs_touched: homes.len() as u32,
     }
 }
-
-/// Defines, inside a backend's `impl Protocol` block, the `Protocol`
-/// methods that only read or drive its processors. The machine keeps
-/// them in a `drv: Driver<_>` field; `$body_end` names its method that
-/// starts a commit once a body completes.
-macro_rules! protocol_plumbing {
-    ($body_end:ident) => {
-        fn proc_state(&self, node: ::tcc_types::NodeId) -> &Self::ProcState {
-            &self.drv.procs[node.index()]
-        }
-
-        fn start(&mut self, now: ::tcc_types::Cycle, node: ::tcc_types::NodeId) -> $crate::Effects {
-            self.drv.procs[node.index()].start(&self.drv.cfg, now)
-        }
-
-        fn step(&mut self, now: ::tcc_types::Cycle, node: ::tcc_types::NodeId) -> $crate::Effects {
-            let mut fx = $crate::Effects::default();
-            let p = &mut self.drv.procs[node.index()];
-            if let Some((at, delay)) = p.run_chunk(&self.drv.cfg, now, &mut fx) {
-                self.$body_end(at, delay, node, &mut fx);
-            }
-            fx
-        }
-
-        fn release_barrier(
-            &mut self,
-            now: ::tcc_types::Cycle,
-            node: ::tcc_types::NodeId,
-        ) -> $crate::Effects {
-            self.drv.procs[node.index()].release_barrier(&self.drv.cfg, now)
-        }
-
-        fn wake_seq(&self, node: ::tcc_types::NodeId) -> u64 {
-            self.drv.procs[node.index()].wake_seq
-        }
-
-        fn state_name(&self, node: ::tcc_types::NodeId) -> &'static str {
-            self.drv.procs[node.index()].state_name()
-        }
-
-        fn done_at_max(&self) -> ::tcc_types::Cycle {
-            let done = self.drv.procs.iter().filter_map(|p| p.done_at);
-            done.max().unwrap_or(::tcc_types::Cycle::ZERO)
-        }
-
-        fn pad_idle_to(&mut self, end: ::tcc_types::Cycle) {
-            for p in &mut self.drv.procs {
-                p.pad_idle_to(end);
-            }
-        }
-
-        fn breakdowns(&self) -> Vec<$crate::Breakdown> {
-            self.drv.procs.iter().map(|p| p.totals).collect()
-        }
-
-        fn proc_counters(&self) -> Vec<$crate::ProcCounters> {
-            self.drv.procs.iter().map(|p| p.counters()).collect()
-        }
-    };
-}
-pub(crate) use protocol_plumbing;
 
 #[cfg(test)]
 mod tests {
@@ -1046,7 +997,7 @@ mod tests {
         assert!(fx.reached_barrier);
         let fx = p.release_barrier(&cfg, Cycle(100));
         assert!(fx.finished);
-        assert!(p.is_done());
+        assert_eq!(p.phase, Phase::Done);
         assert_eq!((p.done_at, p.totals.idle), (Some(Cycle(100)), 100));
     }
 

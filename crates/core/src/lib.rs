@@ -12,7 +12,7 @@
 //! * [`SystemConfig`] — the simulated machine (Table 2 defaults).
 //! * [`ThreadProgram`] / [`Transaction`] / [`TxOp`] — the workload
 //!   abstraction: continuous transactions separated by barriers.
-//! * [`Processor`] — the per-node TCC protocol engine: the shared
+//! * The TCC processor — the per-node protocol engine: the shared
 //!   program driver (speculative execution over a `tcc-cache`
 //!   hierarchy, miss stalls, barriers, cycle accounting) with the TCC
 //!   backend plugged in — the two-phase parallel commit (TID
@@ -22,12 +22,13 @@
 //! * [`Simulator`] — wires processors, `tcc-directory` controllers, the
 //!   `tcc-network` mesh, and the gap-free TID vendor into one
 //!   deterministic event-driven simulation; produces [`SimResult`].
-//! * [`serialized`] / [`tardis`] — the small-scale TCC protocol (global
+//! * Two comparison backends — the small-scale TCC protocol (global
 //!   commit token + write-through broadcast commit, OCC condition 2, or
 //!   condition 1 with [`SystemConfig::serial_execution`]) used as the
 //!   scalability baseline, and timestamp-ordered Tardis coherence. Like
-//!   the TCC machine, both run programs through the one shared driver
-//!   and plug into the [`Simulator`] via the [`Protocol`] trait.
+//!   the TCC machine, both run programs through the one shared driver;
+//!   [`SystemConfig::protocol`] (a [`ProtocolKind`]) picks the backend
+//!   a [`Simulator`] runs.
 //! * [`Checker`] — a serializability oracle that validates every
 //!   committed execution against a serial replay in TID order.
 //!
@@ -74,34 +75,19 @@ mod driver;
 mod processor;
 mod profiling;
 mod program;
-pub mod protocol;
-pub mod serialized;
+mod protocol;
+mod serialized;
 mod sim;
 mod stall;
-pub mod tardis;
-
-/// Cached check of the `TCC_TRACE` debug env var.
-///
-/// The raw `env::var_os` lookup is a linear scan of the process
-/// environment — far too slow for once-per-event use on the simulation
-/// hot path, so the result is read once per process and memoized.
-pub(crate) fn tcc_trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TCC_TRACE").is_some())
-}
+mod tardis;
 
 pub use breakdown::{Breakdown, TxCharacteristics};
 pub use checker::{Checker, SerializabilityError, TxRecord};
 pub use config::{ConfigError, ParallelConfig, SystemConfig};
-pub use driver::{Effects, ProcCounters};
-pub use processor::Processor;
+pub use driver::ProcCounters;
 pub use profiling::{LineConflicts, ProfileReport, StarvationEvent, ViolationEvent};
 pub use program::{ThreadProgram, Transaction, TxOp, WorkItem};
-pub use protocol::{HomeTiming, Machine, Protocol, TccMachine};
-pub use serialized::SerializedMachine;
 pub use sim::{ResumeError, SimResult, Simulator, SimulatorBuilder, Step};
-pub use tardis::TardisMachine;
 // Re-exported so backend selection does not require a tcc-types import.
 pub use stall::{RunError, RunProvenance, StallDiagnostic, StallReason};
 pub use tcc_types::ProtocolKind;

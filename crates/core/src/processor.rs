@@ -812,14 +812,6 @@ impl Processor {
         dir: DirId,
     ) -> Effects {
         let mut fx = Effects::default();
-        if crate::tcc_trace_enabled() {
-            eprintln!(
-                "{} INV@{} line={} words={:b} from={} state={} dirty={} sr={:b} sm={:b} contains={}",
-                now, self.id, line, words.0, committer_tid, self.state_name(),
-                self.cache.is_dirty(line), self.cache.sr_mask(line).0,
-                self.cache.sm_mask(line).0, self.cache.contains(line)
-            );
-        }
         let home = home_of(cfg, line).node();
         // If a fill for this very line is in flight, the data it will
         // return predates this commit: supersede the request with a
@@ -1248,8 +1240,8 @@ mod tests {
         let mut p = Processor::new(NodeId(0), &cfg, ThreadProgram::empty());
         let fx = p.start(&cfg, Cycle(0));
         assert!(fx.finished);
-        assert!(p.is_done());
-        assert_eq!(p.done_at(), Some(Cycle(0)));
+        assert_eq!(p.phase, Phase::Done);
+        assert_eq!(p.done_at, Some(Cycle(0)));
     }
 
     #[test]
@@ -1275,7 +1267,7 @@ mod tests {
             .iter()
             .any(|(_, m)| matches!(m.payload, Payload::Skip { tid: Tid(0) })));
         assert!(fx.finished);
-        let b = p.breakdown();
+        let b = p.totals;
         assert_eq!(b.useful, 10);
         assert_eq!(b.commit, 10); // cycles 10..20 waiting for the TID
         assert_eq!(p.counters().commits, 1);
@@ -1298,7 +1290,7 @@ mod tests {
             .sends
             .iter()
             .any(|(_, m)| matches!(m.payload, Payload::TidRequest { .. })));
-        assert_eq!(p.breakdown().cache_miss, 0, "not folded until commit");
+        assert_eq!(p.totals.cache_miss, 0, "not folded until commit");
         let fx = p.on_tid_reply(&cfg, Cycle(120), Tid(0));
         // One directory, in the sharing vector: a probe goes out.
         assert!(fx.sends.iter().any(|(_, m)| matches!(
@@ -1316,7 +1308,7 @@ mod tests {
         assert_eq!(chars.instructions, 1);
         assert_eq!(chars.dirs_touched, 1);
         assert_eq!(chars.dirs_written, 0);
-        let b = p.breakdown();
+        let b = p.totals;
         assert_eq!(b.cache_miss, 100);
         assert_eq!(b.useful, 1);
         assert_eq!(b.commit, Cycle(130).since(Cycle(101)));
@@ -1364,7 +1356,7 @@ mod tests {
             .iter()
             .any(|(_, m)| matches!(m.payload, Payload::InvAck { .. })));
         assert_eq!(p.counters().violations, 1);
-        assert_eq!(p.breakdown().violation, 50);
+        assert_eq!(p.totals.violation, 50);
         assert_eq!(p.state_name(), "running", "restart is immediate");
     }
 
@@ -1442,7 +1434,7 @@ mod tests {
         assert!(fx.reached_barrier);
         assert_eq!(p.state_name(), "at-barrier");
         let fx = p.release_barrier(&cfg, Cycle(100));
-        assert_eq!(p.breakdown().idle, 100);
+        assert_eq!(p.totals.idle, 100);
         assert_eq!(fx.wake_in, Some(0));
         assert_eq!(p.state_name(), "running");
     }
@@ -1587,8 +1579,8 @@ mod tests {
         p.step(&cfg, Cycle(0));
         let fx = p.on_tid_reply(&cfg, Cycle(55), Tid(0));
         assert!(fx.finished);
-        let b = p.breakdown();
+        let b = p.totals;
         assert_eq!(b.total(), 55);
-        assert_eq!(p.done_at(), Some(Cycle(55)));
+        assert_eq!(p.done_at, Some(Cycle(55)));
     }
 }

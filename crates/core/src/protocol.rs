@@ -1,49 +1,54 @@
-//! The pluggable protocol boundary: every coherence/commit backend the
-//! simulator can run lives behind the [`Protocol`] trait.
+//! The backend boundary: [`Machine`], the statically dispatched sum of
+//! the three coherence/commit backends the simulator can run.
 //!
-//! The event loop in [`sim`](crate::sim) owns everything protocols have
-//! in common — the event queue, the mesh network and its traffic
-//! accounting, the reliable transport and chaos wire, directory-
-//! controller occupancy and the capacity-limited directory caches,
-//! barriers, the serializability checker, watchdog, tracer, and
-//! snapshot plumbing. A [`Protocol`] implementation owns what differs:
-//! the per-processor transaction state machine, the per-line home/
-//! directory state, and the message vocabulary flowing between them.
+//! The event loop (`sim.rs`) owns everything backends have in common —
+//! the event queue, the mesh network and its traffic accounting, the
+//! reliable transport and chaos wire, directory-controller occupancy
+//! and the capacity-limited directory caches, barriers, the
+//! serializability checker, watchdog, tracer, and snapshot plumbing. A
+//! backend owns what differs: the per-processor commit state machine,
+//! the per-line home state, and the message vocabulary flowing between
+//! them. Its processors run on the shared program driver (`driver.rs`),
+//! which the machine keeps in a `drv` field.
 //!
-//! Because the split is behind the trait, every backend inherits the
-//! surrounding machinery for free: checkpoint/resume (via
-//! [`Protocol::save_state`]/[`Protocol::restore_state`]), the chaos
-//! fault injector and schedule explorer, `tcc-trace` observability,
-//! and the stall diagnostics — none of those layers know which backend
-//! is running.
+//! The set of backends is closed — one per [`ProtocolKind`] — so
+//! `Machine` is the whole contract: each backend names its handlers as
+//! inherent methods of one shape, `dispatch!` forwards to them with a
+//! `match`, and the few hooks only some backends have are matched here
+//! with a default arm. Every backend thereby inherits checkpoint/resume,
+//! the chaos fault injector and schedule explorer, `tcc-trace`
+//! observability, and the stall diagnostics; none of those layers know
+//! which backend is running.
 //!
 //! # Delivery contract
 //!
-//! Message delivery is split by [`Protocol::home_timing`]:
+//! Message delivery is split by [`Machine::home_timing`]:
 //!
 //! * `Some(timing)` marks a *home* (directory-controller) message. The
 //!   simulator applies shared occupancy timing — serialize on the
 //!   controller (`dir_busy`), walk the directory cache if the payload
 //!   names a line, charge `mem_latency` on a miss — and then hands the
-//!   message to [`Protocol::on_home_message`] at the service-complete
+//!   message to [`Machine::on_home_message`] at the service-complete
 //!   cycle. Replies come back as `(extra_delay, message)` pairs and are
 //!   injected at `done + extra_delay`.
 //! * `None` marks a *node* message (processor replies, the TID vendor,
-//!   token arbitration): [`Protocol::on_node_message`] runs at the
+//!   token arbitration): [`Machine::on_node_message`] runs at the
 //!   arrival cycle and returns ordinary [`Effects`].
 //!
-//! The concrete backends are [`TccMachine`] (the paper's scalable
-//! non-blocking commit), [`SerializedMachine`](crate::serialized) (the
-//! §2.2 token-serialized baseline), and
-//! [`TardisMachine`](crate::tardis) (timestamp-ordered coherence with
-//! lease-based reads and no invalidation multicasts). [`Machine`] is
-//! the statically-dispatched sum the simulator stores.
+//! # Determinism contract
+//!
+//! Every handler is a pure function of the machine state and its
+//! arguments (no wall-clock, no ambient randomness), and
+//! `save_state`/`restore_state` round-trip exactly: a restored machine
+//! continues byte-identically. The chaos soak and checkpoint
+//! differential suites enforce this for every backend.
 
-use tcc_directory::{DirAction, DirConfig, Directory};
+use tcc_directory::{DirAction, DirConfig, Directory, TardisHome};
 use tcc_trace::Tracer;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, DirId, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid};
 
+use crate::breakdown::Breakdown;
 use crate::config::SystemConfig;
 use crate::driver::{Driver, Effects, ProcCounters};
 use crate::processor::{Processor, TccState};
@@ -55,162 +60,35 @@ use crate::stall::StallReason;
 use crate::tardis::TardisMachine;
 
 /// How long a home (directory-controller) message occupies the
-/// controller, as computed by [`Protocol::home_timing`].
+/// controller, as computed by [`Machine::home_timing`].
 #[derive(Debug, Clone, Copy)]
-pub struct HomeTiming {
+pub(crate) struct HomeTiming {
     /// Controller service time in cycles (before any directory-cache
     /// miss surcharge).
-    pub service: u64,
+    pub(crate) service: u64,
     /// Line whose home state the message walks, if any: the simulator
     /// touches the directory cache for it and adds `mem_latency` to the
     /// service on a miss.
-    pub touch: Option<LineAddr>,
-}
-
-/// A coherence/commit protocol backend.
-///
-/// One value of an implementing type is the whole machine's protocol
-/// state: all per-processor transaction state machines plus all
-/// per-node home state. The simulator drives it through this interface
-/// and never matches on protocol-specific payloads itself.
-///
-/// Determinism contract: every method must be a pure function of the
-/// machine state and its arguments (no wall-clock, no ambient
-/// randomness), and [`save_state`](Protocol::save_state) /
-/// [`restore_state`](Protocol::restore_state) must round-trip exactly —
-/// a restored machine continues byte-identically. The chaos soak and
-/// checkpoint differential suites enforce this for every backend.
-pub trait Protocol {
-    /// The configuration-level name of this backend.
-    const KIND: ProtocolKind;
-
-    /// Per-processor transaction state exposed to tests and
-    /// diagnostics via [`proc_state`](Protocol::proc_state).
-    type ProcState;
-    /// Per-line home/directory state exposed to tests and diagnostics
-    /// via [`line_state`](Protocol::line_state).
-    type LineState;
-
-    /// The per-processor component for `node` (state peeking only).
-    fn proc_state(&self, node: NodeId) -> &Self::ProcState;
-
-    /// The home-side state `home` holds for `line`, if any.
-    fn line_state(&self, home: NodeId, line: LineAddr) -> Option<&Self::LineState>;
-
-    /// Starts `node`'s program at cycle `now` (called exactly once per
-    /// processor, before any event).
-    fn start(&mut self, now: Cycle, node: NodeId) -> Effects;
-
-    /// One execution step of `node` (a `ProcStep` event fired).
-    fn step(&mut self, now: Cycle, node: NodeId) -> Effects;
-
-    /// All processors reached the barrier; release `node`.
-    fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects;
-
-    /// `node`'s wake-sequence number; a `ProcStep` event whose stamped
-    /// sequence differs is stale and dropped.
-    fn wake_seq(&self, node: NodeId) -> u64;
-
-    /// Human-readable protocol phase of `node` (stall diagnostics).
-    fn state_name(&self, node: NodeId) -> &'static str;
-
-    /// Classifies a payload: `Some` makes it a home message with the
-    /// given occupancy timing, `None` a node message.
-    fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming>;
-
-    /// Handles a home message at its service-complete cycle `done`.
-    /// Replies are pushed as `(extra_delay, message)` and injected at
-    /// `done + extra_delay`.
-    fn on_home_message(
-        &mut self,
-        done: Cycle,
-        cfg: &SystemConfig,
-        msg: Message,
-        out: &mut Vec<(u64, Message)>,
-    );
-
-    /// Handles a node message at its arrival cycle.
-    fn on_node_message(&mut self, now: Cycle, cfg: &SystemConfig, msg: Message) -> Effects;
-
-    /// Takes a component fault raised during a handler (e.g. the TCC
-    /// directory's bounded skip-vector refusal); the event loop turns
-    /// it into a typed stall. Backends without faulting components keep
-    /// the default.
-    fn take_fault(&mut self) -> Option<StallReason> {
-        None
-    }
-
-    /// Per-directory Now-Serving TIDs, or the closest per-home notion
-    /// of commit progress (stall diagnostics).
-    fn dir_nstids(&self) -> Vec<Tid>;
-
-    /// Folds the backend's progress-relevant words (commit counts,
-    /// per-home serving state, vended identifiers) with the simulator's
-    /// `extra` words into one watchdog signature.
-    fn progress_signature(&self, extra: [u64; 3]) -> u64;
-
-    /// Cycle at which the last processor finished (the makespan).
-    fn done_at_max(&self) -> Cycle;
-
-    /// Pads every processor's breakdown with idle time up to `end`.
-    fn pad_idle_to(&mut self, end: Cycle);
-
-    /// Per-processor execution-time breakdowns.
-    fn breakdowns(&self) -> Vec<crate::breakdown::Breakdown>;
-
-    /// Per-processor protocol counters.
-    fn proc_counters(&self) -> Vec<ProcCounters>;
-
-    /// Drains per-processor TAPE profiling events into `report`. The
-    /// hooks live in the TCC processor only (`SystemConfig::validate`
-    /// refuses `profile` elsewhere), so other backends have nothing to
-    /// drain.
-    fn take_profile(&mut self, _report: &mut ProfileReport) {}
-
-    /// Per-commit home-occupancy samples across all homes (Table 3);
-    /// empty for a backend without directory controllers.
-    fn dir_occupancy(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Per-home working-set size at end of run (Table 3); empty for a
-    /// backend without directory state.
-    fn dir_working_set(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Serializes the backend's complete mutable state.
-    fn save_state(&self, w: &mut SnapWriter);
-
-    /// Overlays a snapshot captured by
-    /// [`save_state`](Protocol::save_state) onto this freshly built
-    /// machine.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-
-    /// End-of-run invariants with the event queue drained; panics on
-    /// violation.
-    fn assert_quiescent(&self);
+    pub(crate) touch: Option<LineAddr>,
 }
 
 /// The paper's Scalable TCC backend: directory-based non-blocking
 /// commit with TID-vendor ordering, skip/probe arbitration, and
-/// invalidation multicasts. This is the protocol machinery that lived
-/// directly inside `Simulator` before the [`Protocol`] extraction; its
-/// behavior (and result fingerprints) are unchanged.
+/// invalidation multicasts.
 ///
-/// The per-node handlers (`TccMachine::on_home`,
-/// `TccMachine::on_node`) are associated functions over one node's
-/// components, so unit tests can drive a lone directory; the
-/// [`Protocol`] methods below are thin calls into them. The methods
-/// that only drive or read processors come from the program driver
-/// shared with the other backends (`protocol_plumbing!`).
+/// The per-node handlers ([`TccMachine::on_home`],
+/// [`TccMachine::on_node`]) are associated functions over one node's
+/// components, so unit tests can drive a lone directory; the machine's
+/// message handlers are thin calls into them.
 #[derive(Debug)]
-pub struct TccMachine {
+pub(crate) struct TccMachine {
     pub(crate) drv: Driver<TccState>,
     pub(crate) dirs: Vec<Directory>,
     /// Next TID the vendor (node 0) will hand out.
-    pub(crate) vendor_next: u64,
-    pub(crate) tracer: Tracer,
+    vendor_next: u64,
+    tracer: Tracer,
+    /// The first directory fault raised by a handler, until the event
+    /// loop takes it.
     pub(crate) fault: Option<StallReason>,
 }
 
@@ -246,7 +124,7 @@ impl TccMachine {
     }
 
     /// Body complete: enter validation.
-    fn tx_end(&mut self, at: Cycle, delay: u64, node: NodeId, fx: &mut Effects) {
+    fn body_end(&mut self, at: Cycle, delay: u64, node: NodeId, fx: &mut Effects) {
         let p = &mut self.drv.procs[node.index()];
         fx.merge(p.begin_validation(&self.drv.cfg, at, delay));
     }
@@ -264,14 +142,6 @@ impl TccMachine {
         out: &mut Vec<(u64, Message)>,
     ) -> Option<StallReason> {
         let home = msg.dst;
-        let trace_wb_line = if crate::tcc_trace_enabled() {
-            match &msg.payload {
-                Payload::WriteBack { line, .. } | Payload::Flush { line, .. } => Some(*line),
-                _ => None,
-            }
-        } else {
-            None
-        };
         // Flushes never prune the sharers list — even when the owner
         // dropped its copy (Fig. 2f mode). A load reply for the same
         // line may be in flight to the flusher, so eager pruning could
@@ -331,14 +201,6 @@ impl TccMachine {
             now_serving: r.now_serving,
             window: r.window,
         });
-        if let Some(line) = trace_wb_line {
-            let e = dir.entry(line);
-            eprintln!(
-                "  DIRSTATE after wb {}: {:?}",
-                line,
-                e.map(|e| (e.owner, e.tid_tag, e.owner_words, e.memory.words.clone()))
-            );
-        }
         for a in actions.drain(..) {
             let extra = match &a.payload {
                 Payload::LoadReply {
@@ -403,19 +265,6 @@ impl TccMachine {
             _ => unreachable!("foreign-protocol message in the scalable TCC protocol"),
         }
     }
-}
-
-impl Protocol for TccMachine {
-    const KIND: ProtocolKind = ProtocolKind::Tcc;
-
-    type ProcState = Processor;
-    type LineState = tcc_directory::DirEntry;
-
-    crate::driver::protocol_plumbing!(tx_end);
-
-    fn line_state(&self, home: NodeId, line: LineAddr) -> Option<&tcc_directory::DirEntry> {
-        self.dirs[home.index()].entry(line)
-    }
 
     fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
         match payload {
@@ -461,10 +310,6 @@ impl Protocol for TccMachine {
         Self::on_node(proc_, &mut self.vendor_next, &self.tracer, now, cfg, msg)
     }
 
-    fn take_fault(&mut self) -> Option<StallReason> {
-        self.fault.take()
-    }
-
     fn dir_nstids(&self) -> Vec<Tid> {
         self.dirs.iter().map(Directory::now_serving).collect()
     }
@@ -479,29 +324,6 @@ impl Protocol for TccMachine {
             .chain([self.vendor_next])
             .chain(extra);
         tcc_engine::progress_signature(words)
-    }
-
-    fn take_profile(&mut self, report: &mut ProfileReport) {
-        for p in &mut self.drv.procs {
-            let (v, s) = p.take_profile();
-            report.violations.extend(v);
-            report.starvation.extend(s);
-        }
-    }
-
-    fn dir_occupancy(&self) -> Vec<u64> {
-        let mut occupancy = Vec::new();
-        for d in &self.dirs {
-            occupancy.extend_from_slice(&d.stats().occupancy);
-        }
-        occupancy
-    }
-
-    fn dir_working_set(&self) -> Vec<usize> {
-        self.dirs
-            .iter()
-            .map(Directory::working_set_entries)
-            .collect()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -536,7 +358,7 @@ impl Protocol for TccMachine {
                 if let Some(owner) = entry.owner {
                     let p = &self.drv.procs[owner.index()];
                     assert!(
-                        p.cache().is_dirty(line) || p.has_dirty_spill(line),
+                        p.cache.is_dirty(line) || p.has_dirty_spill(line),
                         "{owner} is recorded as owner of {line} but holds no dirty copy"
                     );
                 }
@@ -545,11 +367,11 @@ impl Protocol for TccMachine {
     }
 }
 
-/// The statically-dispatched sum of all protocol backends. The
-/// simulator stores one of these; every trait call is a `match` on the
+/// The statically dispatched sum of all protocol backends. The
+/// simulator stores one of these; every call is a `match` on the
 /// variant, so there is no boxing or vtable in the event loop.
 #[derive(Debug)]
-pub enum Machine {
+pub(crate) enum Machine {
     /// Scalable TCC (the paper's protocol).
     Tcc(TccMachine),
     /// The §2.2 serialized-commit (small-scale TCC) baseline.
@@ -559,7 +381,7 @@ pub enum Machine {
     Tardis(TardisMachine),
 }
 
-/// Delegates a `Machine` method to the active backend.
+/// Forwards a `Machine` method to the active backend.
 macro_rules! dispatch {
     ($self:expr, $m:pat => $body:expr) => {
         match $self {
@@ -571,45 +393,63 @@ macro_rules! dispatch {
 }
 
 impl Machine {
-    /// The active backend's configuration-level name.
-    #[must_use]
-    pub fn kind(&self) -> ProtocolKind {
-        match self {
-            Machine::Tcc(_) => ProtocolKind::Tcc,
-            Machine::Serialized(_) => ProtocolKind::SerializedCommit,
-            Machine::Tardis(_) => ProtocolKind::Tardis,
+    /// Builds the backend `cfg.protocol` names, running `programs`.
+    pub(crate) fn new(cfg: SystemConfig, programs: Vec<ThreadProgram>, tracer: &Tracer) -> Machine {
+        match cfg.protocol {
+            ProtocolKind::Tcc => Machine::Tcc(TccMachine::new(cfg, programs, tracer)),
+            ProtocolKind::SerializedCommit => {
+                Machine::Serialized(SerializedMachine::new(cfg, programs))
+            }
+            ProtocolKind::Tardis => Machine::Tardis(TardisMachine::new(cfg, programs)),
         }
     }
 
+    /// Starts `node`'s program at cycle `now` (called exactly once per
+    /// processor, before any event).
     pub(crate) fn start(&mut self, now: Cycle, node: NodeId) -> Effects {
-        dispatch!(self, m => m.start(now, node))
+        dispatch!(self, m => m.drv.start(now, node))
     }
 
     /// The programs the machine was built with, in processor order.
     pub(crate) fn programs(&self) -> Vec<&ThreadProgram> {
-        dispatch!(self, m => m.drv.procs.iter().map(|p| &p.program).collect())
+        dispatch!(self, m => m.drv.programs())
     }
 
+    /// One execution step of `node` (a `ProcStep` event fired): a chunk
+    /// of its body, then the backend's commit once the body completes.
     pub(crate) fn step(&mut self, now: Cycle, node: NodeId) -> Effects {
-        dispatch!(self, m => m.step(now, node))
+        let mut fx = Effects::default();
+        dispatch!(self, m => if let Some((at, delay)) = m.drv.run_chunk(now, node, &mut fx) {
+            m.body_end(at, delay, node, &mut fx);
+        });
+        fx
     }
 
+    /// All processors reached the barrier; release `node`.
     pub(crate) fn release_barrier(&mut self, now: Cycle, node: NodeId) -> Effects {
-        dispatch!(self, m => m.release_barrier(now, node))
+        dispatch!(self, m => m.drv.release_barrier(now, node))
     }
 
+    /// `node`'s wake-sequence number; a `ProcStep` event whose stamped
+    /// sequence differs is stale and dropped.
     pub(crate) fn wake_seq(&self, node: NodeId) -> u64 {
-        dispatch!(self, m => m.wake_seq(node))
+        dispatch!(self, m => m.drv.procs[node.index()].wake_seq)
     }
 
+    /// Human-readable protocol phase of `node` (stall diagnostics).
     pub(crate) fn state_name(&self, node: NodeId) -> &'static str {
-        dispatch!(self, m => m.state_name(node))
+        dispatch!(self, m => m.drv.procs[node.index()].state_name())
     }
 
+    /// Classifies a payload: `Some` makes it a home message with the
+    /// given occupancy timing, `None` a node message.
     pub(crate) fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
         dispatch!(self, m => m.home_timing(cfg, payload))
     }
 
+    /// Handles a home message at its service-complete cycle `done`.
+    /// Replies are pushed as `(extra_delay, message)` and injected at
+    /// `done + extra_delay`.
     pub(crate) fn on_home_message(
         &mut self,
         done: Cycle,
@@ -620,6 +460,7 @@ impl Machine {
         dispatch!(self, m => m.on_home_message(done, cfg, msg, out));
     }
 
+    /// Handles a node message at its arrival cycle.
     pub(crate) fn on_node_message(
         &mut self,
         now: Cycle,
@@ -629,8 +470,14 @@ impl Machine {
         dispatch!(self, m => m.on_node_message(now, cfg, msg))
     }
 
+    /// Takes a component fault raised during a handler (the TCC
+    /// directory's bounded skip-vector refusal); the event loop turns
+    /// it into a typed stall.
     pub(crate) fn take_fault(&mut self) -> Option<StallReason> {
-        dispatch!(self, m => m.take_fault())
+        match self {
+            Machine::Tcc(m) => m.fault.take(),
+            _ => None,
+        }
     }
 
     /// Machine-wide committed-transaction count (stall diagnostics).
@@ -638,50 +485,89 @@ impl Machine {
         self.proc_counters().iter().map(|c| c.commits).sum()
     }
 
+    /// Per-directory Now-Serving TIDs, or the closest per-home notion
+    /// of commit progress (stall diagnostics).
     pub(crate) fn dir_nstids(&self) -> Vec<Tid> {
         dispatch!(self, m => m.dir_nstids())
     }
 
+    /// Folds the backend's progress-relevant words (commit counts,
+    /// per-home serving state, vended identifiers) with the simulator's
+    /// `extra` words into one watchdog signature.
     pub(crate) fn progress_signature(&self, extra: [u64; 3]) -> u64 {
         dispatch!(self, m => m.progress_signature(extra))
     }
 
+    /// Cycle at which the last processor finished (the makespan).
     pub(crate) fn done_at_max(&self) -> Cycle {
-        dispatch!(self, m => m.done_at_max())
+        dispatch!(self, m => m.drv.done_at_max())
     }
 
+    /// Pads every processor's breakdown with idle time up to `end`.
     pub(crate) fn pad_idle_to(&mut self, end: Cycle) {
-        dispatch!(self, m => m.pad_idle_to(end));
+        dispatch!(self, m => m.drv.pad_idle_to(end));
     }
 
-    pub(crate) fn breakdowns(&self) -> Vec<crate::breakdown::Breakdown> {
-        dispatch!(self, m => m.breakdowns())
+    /// Per-processor execution-time breakdowns.
+    pub(crate) fn breakdowns(&self) -> Vec<Breakdown> {
+        dispatch!(self, m => m.drv.breakdowns())
     }
 
+    /// Per-processor protocol counters.
     pub(crate) fn proc_counters(&self) -> Vec<ProcCounters> {
-        dispatch!(self, m => m.proc_counters())
+        dispatch!(self, m => m.drv.proc_counters())
     }
 
+    /// Drains per-processor TAPE profiling events into `report`. The
+    /// hooks live in the TCC processor only (`SystemConfig::validate`
+    /// refuses `profile` elsewhere).
     pub(crate) fn take_profile(&mut self, report: &mut ProfileReport) {
-        dispatch!(self, m => m.take_profile(report));
+        if let Machine::Tcc(m) = self {
+            for p in &mut m.drv.procs {
+                let (v, s) = p.take_profile();
+                report.violations.extend(v);
+                report.starvation.extend(s);
+            }
+        }
     }
 
+    /// Per-commit home-occupancy samples across all homes (Table 3);
+    /// empty for a backend without directory controllers.
     pub(crate) fn dir_occupancy(&self) -> Vec<u64> {
-        dispatch!(self, m => m.dir_occupancy())
+        match self {
+            Machine::Tcc(m) => m
+                .dirs
+                .iter()
+                .flat_map(|d| d.stats().occupancy.iter().copied())
+                .collect(),
+            Machine::Tardis(m) => m.homes.iter().map(|h| h.stats.loads).collect(),
+            _ => Vec::new(),
+        }
     }
 
+    /// Per-home working-set size at end of run (Table 3); empty for a
+    /// backend without directory state.
     pub(crate) fn dir_working_set(&self) -> Vec<usize> {
-        dispatch!(self, m => m.dir_working_set())
+        match self {
+            Machine::Tcc(m) => m.dirs.iter().map(Directory::working_set_entries).collect(),
+            Machine::Tardis(m) => m.homes.iter().map(TardisHome::working_set).collect(),
+            _ => Vec::new(),
+        }
     }
 
+    /// Serializes the backend's complete mutable state.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         dispatch!(self, m => m.save_state(w));
     }
 
+    /// Overlays a snapshot captured by [`Machine::save_state`] onto
+    /// this freshly built machine.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         dispatch!(self, m => m.restore_state(r))
     }
 
+    /// End-of-run invariants with the event queue drained; panics on
+    /// violation.
     pub(crate) fn assert_quiescent(&self) {
         dispatch!(self, m => m.assert_quiescent());
     }

@@ -1,4 +1,4 @@
-//! The serialized-commit baseline as a [`Protocol`] backend.
+//! The serialized-commit baseline backend.
 //!
 //! This is the §2.2 small-scale TCC machine — a single global commit
 //! token arbitrated FIFO on node 0, write-through broadcast commits,
@@ -19,14 +19,12 @@
 use std::collections::BTreeMap;
 
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{
-    Cycle, DataSource, LineAddr, LineValues, Message, NodeId, Payload, ProtocolKind, Tid, WordMask,
-};
+use tcc_types::{Cycle, DataSource, LineAddr, LineValues, Message, NodeId, Payload, Tid, WordMask};
 
 use crate::config::SystemConfig;
 use crate::driver::{Backend, Driver, Effects, Phase, Proc};
 use crate::program::ThreadProgram;
-use crate::protocol::{HomeTiming, Protocol};
+use crate::protocol::HomeTiming;
 
 /// Memory service time at the home node, in cycles (symmetric with the
 /// scalable protocol's directory-cache lookup).
@@ -158,7 +156,7 @@ fn request_token(p: &mut SerializedProc, delay: u64, fx: &mut Effects) {
 
 /// The serialized-commit (small-scale TCC) backend.
 #[derive(Debug)]
-pub struct SerializedMachine {
+pub(crate) struct SerializedMachine {
     pub(crate) drv: Driver<TokenState>,
     /// Flat global memory at the home nodes; write-through commits keep
     /// it always current.
@@ -183,7 +181,7 @@ impl SerializedMachine {
 
     /// Body complete: commit if the token is already held, otherwise
     /// arbitrate for it.
-    fn tx_end(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
+    pub(crate) fn body_end(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
         let p = &mut self.drv.procs[n.index()];
         p.commit_start = now;
         if p.x.has_token {
@@ -325,23 +323,8 @@ impl SerializedMachine {
             self.drv.procs[n.index()].restart(now, fx);
         }
     }
-}
 
-impl Protocol for SerializedMachine {
-    const KIND: ProtocolKind = ProtocolKind::SerializedCommit;
-
-    type ProcState = SerializedProc;
-    type LineState = LineValues;
-
-    crate::driver::protocol_plumbing!(tx_end);
-
-    /// Home state is the flat memory image; `home` is implied by the
-    /// line's address interleaving.
-    fn line_state(&self, _home: NodeId, line: LineAddr) -> Option<&LineValues> {
-        self.memory.get(&line)
-    }
-
-    fn home_timing(&self, _cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
+    pub(crate) fn home_timing(&self, _cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
         match payload {
             // Home nodes service loads from flat memory; no directory
             // cache exists (validate refuses `dir_cache_entries`), so no
@@ -354,7 +337,7 @@ impl Protocol for SerializedMachine {
         }
     }
 
-    fn on_home_message(
+    pub(crate) fn on_home_message(
         &mut self,
         _done: Cycle,
         cfg: &SystemConfig,
@@ -388,7 +371,12 @@ impl Protocol for SerializedMachine {
         out.push((cfg.mem_latency, reply));
     }
 
-    fn on_node_message(&mut self, now: Cycle, _cfg: &SystemConfig, msg: Message) -> Effects {
+    pub(crate) fn on_node_message(
+        &mut self,
+        now: Cycle,
+        _cfg: &SystemConfig,
+        msg: Message,
+    ) -> Effects {
         let mut fx = Effects::default();
         let dst = msg.dst;
         match msg.payload {
@@ -442,11 +430,11 @@ impl Protocol for SerializedMachine {
 
     /// There are no directories; the token-grant sequence is the
     /// machine-wide notion of commit progress.
-    fn dir_nstids(&self) -> Vec<Tid> {
+    pub(crate) fn dir_nstids(&self) -> Vec<Tid> {
         vec![Tid(self.commit_seq)]
     }
 
-    fn progress_signature(&self, extra: [u64; 3]) -> u64 {
+    pub(crate) fn progress_signature(&self, extra: [u64; 3]) -> u64 {
         let procs = &self.drv.procs;
         let words = procs
             .iter()
@@ -457,7 +445,7 @@ impl Protocol for SerializedMachine {
         tcc_engine::progress_signature(words)
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.drv.save_state(w);
         // Ordered map: iteration is already sorted by address, so the
         // bytes are a pure function of state.
@@ -467,7 +455,7 @@ impl Protocol for SerializedMachine {
         self.commit_seq.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.drv.restore_state(r)?;
         self.memory = r.get()?;
         self.token_holder = r.get()?;
@@ -478,7 +466,7 @@ impl Protocol for SerializedMachine {
 
     /// With the queue drained, the token must be free with nobody
     /// queued, and every processor must have finished its program.
-    fn assert_quiescent(&self) {
+    pub(crate) fn assert_quiescent(&self) {
         assert!(
             self.token_holder.is_none(),
             "token still held at quiescence by {:?}",
@@ -499,7 +487,7 @@ mod tests {
     use crate::baseline::{BaselineSimulator, OccCondition};
     use crate::program::{Transaction, TxOp, WorkItem};
     use crate::sim::Simulator;
-    use tcc_types::Addr;
+    use tcc_types::{Addr, ProtocolKind};
 
     const CONDITIONS: [OccCondition; 2] = [
         OccCondition::SerializedCommit,

@@ -19,7 +19,7 @@ use crate::config::{ConfigError, SystemConfig};
 use crate::driver::{Effects, ProcCounters};
 use crate::profiling::ProfileReport;
 use crate::program::ThreadProgram;
-use crate::protocol::{HomeTiming, Machine, TccMachine};
+use crate::protocol::{HomeTiming, Machine};
 use crate::stall::{RunError, RunProvenance, StallDiagnostic, StallReason};
 
 /// Vendor service time per TID request, in cycles.
@@ -464,8 +464,8 @@ impl From<SnapError> for ResumeError {
     }
 }
 
-/// The full-system simulator: one of the protocol backends behind the
-/// [`Protocol`](crate::Protocol) trait, driven by a shared event loop.
+/// The full-system simulator: one of the protocol backends, selected by
+/// [`SystemConfig::protocol`], driven by a shared event loop.
 ///
 /// # Example
 ///
@@ -646,17 +646,7 @@ impl Simulator {
         tracer: Option<Tracer>,
     ) -> Simulator {
         let tracer = tracer.unwrap_or_else(|| Tracer::new(&cfg.trace));
-        let machine = match cfg.protocol {
-            tcc_types::ProtocolKind::Tcc => {
-                Machine::Tcc(TccMachine::new(cfg.clone(), programs, &tracer))
-            }
-            tcc_types::ProtocolKind::SerializedCommit => Machine::Serialized(
-                crate::serialized::SerializedMachine::new(cfg.clone(), programs),
-            ),
-            tcc_types::ProtocolKind::Tardis => {
-                Machine::Tardis(crate::tardis::TardisMachine::new(cfg.clone(), programs))
-            }
-        };
+        let machine = Machine::new(cfg.clone(), programs, &tracer);
         let mut net = Network::new(
             cfg.n_procs,
             cfg.cache.geometry.line_bytes(),
@@ -1339,9 +1329,6 @@ impl Simulator {
     /// at arrival. A component fault raised by either handler stalls
     /// the run right after this event.
     fn deliver(&mut self, now: Cycle, msg: Message) {
-        if crate::tcc_trace_enabled() {
-            eprintln!("{} {} -> {}: {:?}", now, msg.src, msg.dst, msg.payload);
-        }
         let Some(timing) = self.machine.home_timing(&self.cfg, &msg.payload) else {
             let dst = msg.dst;
             let fx = self.machine.on_node_message(now, &self.cfg, msg);

@@ -1,4 +1,4 @@
-//! The Tardis timestamp-ordered backend as a [`Protocol`].
+//! The Tardis timestamp-ordered backend.
 //!
 //! Where TCC chases stale copies with invalidation multicasts and the
 //! serialized baseline broadcasts whole write-sets, Tardis orders
@@ -34,7 +34,7 @@
 //! Home-side state lives in [`tcc_directory::TardisHome`]. The program
 //! loop is the shared program driver (`driver.rs`); this module owns the
 //! commit protocol above, the lease bookkeeping a fill feeds it, and
-//! the [`Protocol`] plumbing. TIDs are `ts * n_procs + node`, so TID
+//! the home-message handlers. TIDs are `ts * n_procs + node`, so TID
 //! order — what the serializability checker replays — is exactly
 //! logical-time order.
 
@@ -42,12 +42,12 @@ use std::collections::BTreeMap;
 
 use tcc_directory::TardisHome;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, LineAddr, Message, NodeId, Payload, ProtocolKind, Tid, WordMask};
+use tcc_types::{Cycle, LineAddr, Message, NodeId, Payload, Tid, WordMask};
 
 use crate::config::SystemConfig;
-use crate::driver::{Backend, Driver, Effects, Phase, Proc};
+use crate::driver::{Backend, Driver, Effects, Phase};
 use crate::program::ThreadProgram;
-use crate::protocol::{HomeTiming, Protocol};
+use crate::protocol::HomeTiming;
 
 /// Logical lease length granted per fill: a load extends the line's
 /// `rts` to `wts + LEASE`. Short leases renew often; long leases make
@@ -140,9 +140,6 @@ impl Snap for LeaseState {
     }
 }
 
-/// One processor of the Tardis machine.
-pub type TardisProc = Proc<LeaseState>;
-
 impl Backend for LeaseState {
     type Phase = LeasePhase;
 
@@ -166,10 +163,10 @@ impl Backend for LeaseState {
 
 /// The Tardis timestamp-ordered backend.
 #[derive(Debug)]
-pub struct TardisMachine {
+pub(crate) struct TardisMachine {
     pub(crate) drv: Driver<LeaseState>,
     /// One timestamp-home slice per node.
-    homes: Vec<TardisHome>,
+    pub(crate) homes: Vec<TardisHome>,
 }
 
 impl TardisMachine {
@@ -193,7 +190,7 @@ impl TardisMachine {
 
     /// Body complete: capture the write-set and start locking (writers)
     /// or go straight to lease validation (read-only).
-    fn begin_commit(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
+    pub(crate) fn body_end(&mut self, now: Cycle, delay: u64, n: NodeId, fx: &mut Effects) {
         let p = &mut self.drv.procs[n.index()];
         p.commit_start = now;
         p.x.write_lines = p.cache.write_set();
@@ -414,21 +411,8 @@ impl TardisMachine {
         p.x.write_lines.clear();
         p.x.lock_ts.clear();
     }
-}
 
-impl Protocol for TardisMachine {
-    const KIND: ProtocolKind = ProtocolKind::Tardis;
-
-    type ProcState = TardisProc;
-    type LineState = tcc_directory::TardisLine;
-
-    crate::driver::protocol_plumbing!(begin_commit);
-
-    fn line_state(&self, home: NodeId, line: LineAddr) -> Option<&tcc_directory::TardisLine> {
-        self.homes[home.index()].line_state(line)
-    }
-
-    fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
+    pub(crate) fn home_timing(&self, cfg: &SystemConfig, payload: &Payload) -> Option<HomeTiming> {
         match payload {
             // Data-path operations: a fill reads the line (and its
             // interval); a publish merges words into it.
@@ -450,7 +434,7 @@ impl Protocol for TardisMachine {
         }
     }
 
-    fn on_home_message(
+    pub(crate) fn on_home_message(
         &mut self,
         _done: Cycle,
         _cfg: &SystemConfig,
@@ -494,7 +478,12 @@ impl Protocol for TardisMachine {
         }
     }
 
-    fn on_node_message(&mut self, now: Cycle, _cfg: &SystemConfig, msg: Message) -> Effects {
+    pub(crate) fn on_node_message(
+        &mut self,
+        now: Cycle,
+        _cfg: &SystemConfig,
+        msg: Message,
+    ) -> Effects {
         let mut fx = Effects::default();
         let dst = msg.dst;
         match msg.payload {
@@ -527,11 +516,11 @@ impl Protocol for TardisMachine {
 
     /// The per-home notion of commit progress is the highest published
     /// commit time.
-    fn dir_nstids(&self) -> Vec<Tid> {
+    pub(crate) fn dir_nstids(&self) -> Vec<Tid> {
         self.homes.iter().map(|h| Tid(h.max_ts())).collect()
     }
 
-    fn progress_signature(&self, extra: [u64; 3]) -> u64 {
+    pub(crate) fn progress_signature(&self, extra: [u64; 3]) -> u64 {
         let procs = &self.drv.procs;
         let words = procs
             .iter()
@@ -543,22 +532,14 @@ impl Protocol for TardisMachine {
         tcc_engine::progress_signature(words)
     }
 
-    fn dir_occupancy(&self) -> Vec<u64> {
-        self.homes.iter().map(|h| h.stats.loads).collect()
-    }
-
-    fn dir_working_set(&self) -> Vec<usize> {
-        self.homes.iter().map(TardisHome::working_set).collect()
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.drv.save_state(w);
         for h in &self.homes {
             h.save_state(w);
         }
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.drv.restore_state(r)?;
         for h in &mut self.homes {
             h.restore_state(r)?;
@@ -568,7 +549,7 @@ impl Protocol for TardisMachine {
 
     /// With the queue drained, no lock or deferred request may survive
     /// and every processor must have finished its program.
-    fn assert_quiescent(&self) {
+    pub(crate) fn assert_quiescent(&self) {
         for h in &self.homes {
             h.assert_quiescent();
         }
@@ -582,7 +563,7 @@ mod tests {
     use crate::program::{Transaction, TxOp, WorkItem};
     use crate::sim::Simulator;
     use tcc_network::{ChaosConfig, DropRule, TransportConfig};
-    use tcc_types::Addr;
+    use tcc_types::{Addr, ProtocolKind};
 
     fn tx(ops: Vec<TxOp>) -> WorkItem {
         WorkItem::Tx(Transaction::new(ops))

@@ -27,7 +27,7 @@
 //! Because all wheel-resident events lie in one half-open window of
 //! length `WHEEL_SLOTS`, each slot holds events of exactly one timestamp,
 //! so per-slot ordering only needs the tie-break key. Event payloads are
-//! interned in a generational [`Slab`](tcc_types::slab::Slab) and the
+//! interned in a generational [`Slab`] and the
 //! wheel/heap move 24-byte `(key, seq, id)` entries instead of full
 //! events — steady-state scheduling performs no heap allocation.
 //!

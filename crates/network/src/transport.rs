@@ -11,9 +11,9 @@
 //!
 //! * **Sequencing** — every protocol [`Message`] is wrapped in a
 //!   [`Frame::Data`] carrying a per-channel sequence number
-//!   ([`SendChannel`]); multicast fan-out sequences each destination
+//!   (`SendChannel`); multicast fan-out sequences each destination
 //!   copy independently on its own channel.
-//! * **Dedup + reorder window** — the receiver ([`RecvChannel`]) drops
+//! * **Dedup + reorder window** — the receiver (`RecvChannel`) drops
 //!   already-delivered sequence numbers (re-acking them, in case the
 //!   previous ack was lost) and buffers out-of-order frames until the
 //!   gap fills, releasing messages strictly in sequence order.

@@ -1,7 +1,7 @@
 //! Hand-rolled epoch-based reclamation for version nodes.
 //!
 //! Commit publishes a write by swapping a cell's version pointer
-//! ([`crate::stm`]); the displaced version may still be in use by a
+//! ([`Stm`](crate::Stm)); the displaced version may still be in use by a
 //! concurrent reader that loaded the pointer a moment earlier, so it
 //! cannot be freed inline. This is the classic three-epoch scheme
 //! (Fraser's EBR, the same shape as `crossbeam-epoch`, hand-rolled here

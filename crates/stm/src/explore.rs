@@ -1,9 +1,9 @@
 //! A hand-rolled loom-style interleaving explorer for the commit path.
 //!
 //! The protocol code in [`crate::proto`] is generic over the
-//! [`Shim`](crate::shim::Shim) atomics layer; instantiated over
-//! [`ModelShim`](crate::shim::ModelShim), every shared-memory operation
-//! first calls [`yieldpoint`], which hands control to a cooperative
+//! [`Shim`] atomics layer; instantiated over
+//! [`ModelShim`], every shared-memory operation
+//! first calls `yieldpoint`, which hands control to a cooperative
 //! **scheduler**: exactly one model thread runs at a time, and the
 //! scheduler decides — per schedule — where to preempt it. Because
 //! every access to shared protocol state is a scheduling point, the
@@ -21,7 +21,7 @@
 //! 4. **seeded-random walks**: at every yieldpoint, switch with
 //!    probability `switch_percent`.
 //!
-//! The oracle ([`check_history`]) asserts strict serializability the
+//! The oracle (`check_history`) asserts strict serializability the
 //! same way the simulator's checker does: every scripted transaction
 //! commits exactly once, TIDs are unique, and replaying the commits in
 //! TID order reproduces every stamp each transaction observed. A run

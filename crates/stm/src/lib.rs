@@ -13,7 +13,7 @@
 //! * the Skip/Probe/Mark race-elimination rules as atomic operations on
 //!   that sharded commit state ([`proto::commit`]);
 //! * write-back commit via ownership publication: one pointer swap
-//!   installs a committed version ([`stm`]).
+//!   installs a committed version ([`Stm`]).
 //!
 //! What makes the crate trustworthy is that the commit path is generic
 //! over an instrumented atomics layer ([`shim`]): the exact same code

@@ -344,7 +344,7 @@ impl Stm {
     /// than `tx` operations must be idempotent. If `f` panics, the
     /// panic propagates and the instance stays live: a starvation-mode
     /// early TID held at that point is resolved at every shard on
-    /// unwind (see [`EarlyTidGuard`]), so other threads keep
+    /// unwind (see `EarlyTidGuard`), so other threads keep
     /// committing.
     pub fn run<R>(&self, mut f: impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> (R, CommitReceipt) {
         let inner = &*self.inner;

@@ -35,7 +35,8 @@ pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use report::RunReport;
 pub use ring::EventRing;
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use tcc_types::Cycle;
 
@@ -74,14 +75,15 @@ struct TraceCore {
 
 /// Shared tracing handle. Cloning shares the underlying sink; all
 /// instrumented components of one simulator hold clones of one tracer.
-/// The sink is behind a `Mutex` so a tracer is `Send + Sync`: a
-/// simulator and its tracer may run on any thread of a `--jobs` sweep
-/// or the chaos explorer, and one tracer may be shared by runs on
-/// several threads. The disabled path stays a `None` check and never
-/// touches the lock.
+/// A simulator runs on one thread, so the sink is a single-threaded
+/// `Rc<RefCell<_>>`: a tracer is neither `Send` nor `Sync`, and a
+/// `--jobs` sweep or the chaos explorer builds each simulator and its
+/// tracer on the thread that runs it. Every hook holds the borrow only
+/// for its own push, so hooks never nest. The disabled path is a `None`
+/// check.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Mutex<TraceCore>>>,
+    inner: Option<Rc<RefCell<TraceCore>>>,
 }
 
 impl Tracer {
@@ -95,7 +97,7 @@ impl Tracer {
             return Self::disabled();
         }
         Tracer {
-            inner: Some(Arc::new(Mutex::new(TraceCore {
+            inner: Some(Rc::new(RefCell::new(TraceCore {
                 ring: EventRing::new(cfg.ring_capacity),
                 metrics: MetricsRegistry::default(),
             }))),
@@ -108,14 +110,14 @@ impl Tracer {
     }
 
     /// Record an event. The closure only runs when tracing is enabled,
-    /// so argument formatting costs nothing on the disabled path.
+    /// so argument formatting costs nothing on the disabled path. It
+    /// runs before the sink is borrowed, so it may itself use the
+    /// tracer.
     #[inline]
     pub fn record(&self, at: Cycle, event: impl FnOnce() -> TraceEvent) {
         if let Some(core) = &self.inner {
-            core.lock()
-                .expect("trace sink poisoned")
-                .ring
-                .push(TraceRecord { at, event: event() });
+            let event = event();
+            core.borrow_mut().ring.push(TraceRecord { at, event });
         }
     }
 
@@ -123,10 +125,7 @@ impl Tracer {
     #[inline]
     pub fn count(&self, name: &'static str, delta: u64) {
         if let Some(core) = &self.inner {
-            core.lock()
-                .expect("trace sink poisoned")
-                .metrics
-                .inc(name, delta);
+            core.borrow_mut().metrics.inc(name, delta);
         }
     }
 
@@ -134,18 +133,18 @@ impl Tracer {
     #[inline]
     pub fn observe(&self, name: &'static str, value: u64) {
         if let Some(core) = &self.inner {
-            core.lock()
-                .expect("trace sink poisoned")
-                .metrics
-                .observe(name, value);
+            core.borrow_mut().metrics.observe(name, value);
         }
     }
 
-    /// Extract everything recorded so far, leaving the tracer empty
-    /// (but still attached and enabled). Returns `None` when disabled.
+    /// Drains the retained events and snapshots the metrics. Only the
+    /// event ring is emptied: the counters and histograms keep their
+    /// values (the report holds a copy), so a later call reports them
+    /// again, together with any events recorded since. The tracer stays
+    /// attached and enabled. Returns `None` when disabled.
     pub fn take_report(&self) -> Option<TraceReport> {
         self.inner.as_ref().map(|core| {
-            let mut core = core.lock().expect("trace sink poisoned");
+            let mut core = core.borrow_mut();
             let recorded = core.ring.recorded();
             let dropped = core.ring.dropped();
             TraceReport {
@@ -217,6 +216,37 @@ mod tests {
         assert_eq!(report.events.len(), 1);
         assert_eq!(report.metrics.counter("commits"), 2);
         assert_eq!(report.dropped, 0);
+    }
+
+    #[test]
+    fn take_report_drains_the_ring_and_keeps_the_metrics() {
+        let t = Tracer::new(&TraceConfig::full());
+        t.record(Cycle(1), || TraceEvent::TidRequest { node: NodeId(0) });
+        t.count("commit.count", 3);
+        t.observe("commit.latency", 40);
+        let first = t.take_report().unwrap();
+        assert_eq!(first.events.len(), 1);
+        let second = t.take_report().unwrap();
+        assert!(second.events.is_empty(), "the ring is drained");
+        assert_eq!(second.metrics, first.metrics, "the metrics are kept");
+        assert_eq!(second.metrics.counter("commit.count"), 3);
+        assert_eq!(
+            second.metrics.histogram("commit.latency").unwrap().count(),
+            1
+        );
+        assert_eq!(second.recorded, 1, "recorded keeps counting across a take");
+    }
+
+    #[test]
+    fn an_event_constructor_may_use_the_tracer() {
+        let t = Tracer::new(&TraceConfig::full());
+        t.record(Cycle(2), || {
+            t.count("nested", 1);
+            TraceEvent::TidRequest { node: NodeId(0) }
+        });
+        let report = t.take_report().unwrap();
+        assert_eq!(report.events.len(), 1);
+        assert_eq!(report.metrics.counter("nested"), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Coherence/commit protocol backend selection.
 //!
 //! The simulator runs one of several interchangeable protocol machines
-//! behind the `Protocol` trait in `tcc-core`. This enum is the
+//! (the `Machine` enum inside `tcc-core`). This enum is the
 //! configuration-level name of a backend; it lives in `tcc-types` so
 //! the directory, chaos, and bench crates can refer to a backend
 //! without depending on the simulator crate.

@@ -1,15 +1,14 @@
 //! Protocol walkthrough: replays the paper's Figure 2 scenario —
 //! two processors share a line; one commits a write and the other is
-//! violated and re-executes — narrating every coherence message.
+//! violated and re-executes — narrating every coherence message, then
+//! listing the messages the run's tracer recorded.
 //!
 //! ```sh
 //! cargo run --release --example protocol_walkthrough
 //! ```
-//!
-//! Set `TCC_TRACE=1` to additionally dump the raw message trace the
-//! simulator emits (every `Deliver` event, on stderr).
 
 use scalable_tcc::prelude::*;
+use scalable_tcc::trace::TraceEvent;
 
 fn main() {
     // The line both processors touch, homed at node 0 (line 8 % 2 == 0).
@@ -32,6 +31,7 @@ fn main() {
 
     let mut cfg = SystemConfig::with_procs(2);
     cfg.check_serializability = true;
+    cfg.trace = TraceConfig::full();
     let result = Simulator::builder(cfg)
         .programs(programs)
         .build()
@@ -65,7 +65,28 @@ fn main() {
     println!("    re-executes, re-fetches X (forwarded from owner P0), and");
     println!("    commits with a TID ordered after P0's.");
     println!();
-    println!("Run with TCC_TRACE=1 to watch the raw message stream.");
+    println!("The message stream, as the tracer recorded it:");
+    println!(
+        "{:>8}  {:<14} {:>4} -> {:<4} {:>6}",
+        "cycle", "kind", "src", "dst", "bytes"
+    );
+    let trace = result.trace.as_ref().expect("tracing was enabled");
+    for rec in &trace.events {
+        if let TraceEvent::MsgSend {
+            kind,
+            src,
+            dst,
+            bytes,
+        } = &rec.event
+        {
+            println!(
+                "{:>8}  {kind:<14} {:>4} -> {:<4} {bytes:>6}",
+                rec.at.0,
+                src.to_string(),
+                dst.to_string()
+            );
+        }
+    }
     assert!(
         result.violations >= 1,
         "the reader should have been violated"

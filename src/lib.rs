@@ -49,8 +49,8 @@
 //! ## Choosing a coherence backend
 //!
 //! The simulator's event loop is protocol-agnostic: every commit/
-//! coherence state machine lives behind the
-//! [`Protocol`](core::Protocol) trait, selected per run with
+//! coherence state machine is one backend of a closed set inside
+//! [`core`], selected per run with
 //! [`ProtocolKind`](types::ProtocolKind) — `Tcc` (the paper's scalable
 //! non-blocking commit), `SerializedCommit` (the §2.2 token-serialized
 //! baseline), or `Tardis` (timestamp-ordered coherence with lease-based
@@ -87,29 +87,30 @@ pub use tcc_traffic as traffic;
 pub use tcc_types as types;
 pub use tcc_workloads as workloads;
 
-/// The names nearly every experiment, example, and test imports —
-/// construction ([`Simulator`], [`SystemConfig`], [`SimulatorBuilder`],
-/// [`ConfigError`]), backend selection ([`Protocol`], [`ProtocolKind`] —
-/// the serialized-commit baseline is `ProtocolKind::SerializedCommit`,
-/// with `SystemConfig::serial_execution` for OCC condition 1), results
-/// ([`SimResult`], [`RunError`]), workloads ([`apps`], [`Scale`],
-/// program-building types), and tracing ([`Tracer`], [`TraceConfig`]).
-///
-/// ```
-/// use scalable_tcc::prelude::*;
-///
-/// let cfg = SystemConfig::with_procs(2);
-/// let sim = Simulator::builder(cfg)
-///     .programs(apps::radix().generate(2, 1))
-///     .build()?;
-/// let result = sim.try_run()?;
-/// assert!(result.commits > 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 pub mod prelude {
+    //! The names nearly every experiment, example, and test imports —
+    //! construction ([`Simulator`], [`SystemConfig`], [`SimulatorBuilder`],
+    //! [`ConfigError`]), backend selection ([`ProtocolKind`] — the
+    //! serialized-commit baseline is `ProtocolKind::SerializedCommit`,
+    //! with `SystemConfig::serial_execution` for OCC condition 1), results
+    //! ([`SimResult`], [`RunError`]), workloads ([`apps`], [`Scale`],
+    //! program-building types), and tracing ([`Tracer`], [`TraceConfig`]).
+    //!
+    //! ```
+    //! use scalable_tcc::prelude::*;
+    //!
+    //! let cfg = SystemConfig::with_procs(2);
+    //! let sim = Simulator::builder(cfg)
+    //!     .programs(apps::radix().generate(2, 1))
+    //!     .build()?;
+    //! let result = sim.try_run()?;
+    //! assert!(result.commits > 0);
+    //! # Ok::<(), Box<dyn std::error::Error>>(())
+    //! ```
+
     pub use tcc_core::{
-        ConfigError, Protocol, ProtocolKind, RunError, SimResult, Simulator, SimulatorBuilder,
-        SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,
+        ConfigError, ProtocolKind, RunError, SimResult, Simulator, SimulatorBuilder, SystemConfig,
+        ThreadProgram, Transaction, TxOp, WorkItem,
     };
     pub use tcc_trace::{TraceConfig, Tracer};
     pub use tcc_types::Addr;
