@@ -15,8 +15,9 @@
 //!
 //! Modes:
 //!
-//! * `perf` — the full tracked cells (radix across the Figure 7 sweep
-//!   plus three 64-CPU apps); writes `BENCH_perf.json`.
+//! * `perf` — the full tracked cells (radix across the Figure 7 sweep,
+//!   three more 64-CPU apps, and four apps on a 128-CPU machine, past
+//!   the paper's largest); writes `BENCH_perf.json`.
 //! * `perf --smoke` — small fixed cells for CI.
 //! * `perf --smoke --check <golden.json>` — assert fingerprint identity
 //!   and allocation counts within tolerance against a checked-in
@@ -33,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tcc_bench::report::write_report;
-use tcc_bench::{HarnessArgs, HARNESS_SEED};
+use tcc_bench::{check_golden, GoldenCell, HarnessArgs, HARNESS_SEED};
 use tcc_core::{Simulator, SystemConfig};
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::{apps, AppProfile, Scale};
@@ -102,6 +103,8 @@ fn tracked_cells(smoke: bool) -> Vec<Cell> {
             mk(apps::radix(), 64, Scale::Smoke),
             mk(apps::specjbb(), 8, Scale::Smoke),
             mk(apps::volrend(), 8, Scale::Smoke),
+            mk(apps::volrend(), 16, Scale::Smoke),
+            mk(apps::equake(), 16, Scale::Smoke),
         ]
     } else {
         vec![
@@ -113,6 +116,10 @@ fn tracked_cells(smoke: bool) -> Vec<Cell> {
             mk(apps::specjbb(), 64, Scale::Full),
             mk(apps::volrend(), 64, Scale::Full),
             mk(apps::equake(), 64, Scale::Full),
+            mk(apps::radix(), 128, Scale::Full),
+            mk(apps::specjbb(), 128, Scale::Full),
+            mk(apps::volrend(), 128, Scale::Full),
+            mk(apps::equake(), 128, Scale::Full),
         ]
     }
 }
@@ -205,56 +212,6 @@ fn seed_cell_wall(seed: &Json, label: &str) -> Option<f64> {
 fn load_seed_reference() -> Option<Json> {
     let text = std::fs::read_to_string("results/BENCH_perf_seed.json").ok()?;
     Json::parse(&text).ok()
-}
-
-/// Allowed relative allocation-count growth before `--check` fails.
-const ALLOC_TOLERANCE: f64 = 0.10;
-
-fn check_golden(path: &str, cells: &[Measurement]) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let golden = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let Some(Json::Arr(want)) = golden.get("cells") else {
-        return Err(format!("{path}: no cells array"));
-    };
-    if want.len() != cells.len() {
-        return Err(format!(
-            "{path}: golden has {} cells, run produced {}",
-            want.len(),
-            cells.len()
-        ));
-    }
-    for (w, got) in want.iter().zip(cells) {
-        let cell = w.get("cell").and_then(Json::as_str).unwrap_or("?");
-        if cell != got.label {
-            return Err(format!(
-                "cell order mismatch: golden {cell}, run {}",
-                got.label
-            ));
-        }
-        let want_fp = w.get("fingerprint").and_then(Json::as_str).unwrap_or("?");
-        if want_fp != got.fingerprint {
-            return Err(format!(
-                "{cell}: result fingerprint changed: golden {want_fp}, run {} \
-                 (simulation results must be byte-identical)",
-                got.fingerprint
-            ));
-        }
-        let want_allocs = w
-            .get("alloc_count")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::MAX);
-        let limit = want_allocs * (1.0 + ALLOC_TOLERANCE);
-        if got.alloc_count as f64 > limit {
-            return Err(format!(
-                "{cell}: allocation regression: {} allocs > {:.0} \
-                 (golden {want_allocs:.0} + {:.0}% tolerance)",
-                got.alloc_count,
-                limit,
-                ALLOC_TOLERANCE * 100.0
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn golden_json(cells: &[Measurement]) -> Json {
@@ -355,10 +312,21 @@ fn main() {
         eprintln!("  wrote {path}");
     }
     if let Some(path) = check {
-        match check_golden(&path, &measured) {
+        let run: Vec<GoldenCell<'_>> = measured
+            .iter()
+            .map(|m| GoldenCell {
+                label: &m.label,
+                fingerprint: &m.fingerprint,
+                alloc_count: m.alloc_count,
+            })
+            .collect();
+        let verdict = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|golden| check_golden(&golden, &run));
+        match verdict {
             Ok(()) => println!("perf-smoke: OK ({} cells match {path})", measured.len()),
             Err(e) => {
-                eprintln!("perf-smoke FAILED: {e}");
+                eprintln!("perf-smoke FAILED: {path}: {e}");
                 std::process::exit(1);
             }
         }

@@ -24,6 +24,7 @@
 //!   after an intentional behaviour change.
 
 use tcc_bench::report::write_report;
+use tcc_bench::{check_golden, GoldenCell};
 use tcc_core::{Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
 use tcc_trace::{Json, RunReport};
 use tcc_types::{Addr, ProtocolKind};
@@ -210,39 +211,6 @@ fn golden_json(cells: &[Measurement]) -> Json {
     ])
 }
 
-fn check_golden(path: &str, cells: &[Measurement]) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let golden = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let Some(Json::Arr(want)) = golden.get("cells") else {
-        return Err(format!("{path}: no cells array"));
-    };
-    if want.len() != cells.len() {
-        return Err(format!(
-            "{path}: golden has {} cells, run produced {}",
-            want.len(),
-            cells.len()
-        ));
-    }
-    for (w, got) in want.iter().zip(cells) {
-        let cell = w.get("cell").and_then(Json::as_str).unwrap_or("?");
-        if cell != got.cell {
-            return Err(format!(
-                "cell order mismatch: golden {cell}, run {}",
-                got.cell
-            ));
-        }
-        let want_fp = w.get("fingerprint").and_then(Json::as_str).unwrap_or("?");
-        if want_fp != got.fingerprint {
-            return Err(format!(
-                "{cell}: result fingerprint changed: golden {want_fp}, run {} \
-                 (simulation results must be byte-identical)",
-                got.fingerprint
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn main() {
     let mut check: Option<String> = None;
     let mut write_golden: Option<String> = None;
@@ -301,13 +269,26 @@ fn main() {
         eprintln!("  wrote {path}");
     }
     if let Some(path) = check {
-        match check_golden(&path, &measured) {
+        // Allocations are not counted here; the protocols golden
+        // carries no `alloc_count`, so the checker gates results only.
+        let run: Vec<GoldenCell<'_>> = measured
+            .iter()
+            .map(|m| GoldenCell {
+                label: &m.cell,
+                fingerprint: &m.fingerprint,
+                alloc_count: 0,
+            })
+            .collect();
+        let verdict = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|golden| check_golden(&golden, &run));
+        match verdict {
             Ok(()) => println!(
                 "protocols-smoke: OK ({} cells match {path})",
                 measured.len()
             ),
             Err(e) => {
-                eprintln!("protocols-smoke FAILED: {e}");
+                eprintln!("protocols-smoke FAILED: {path}: {e}");
                 std::process::exit(1);
             }
         }

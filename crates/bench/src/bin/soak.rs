@@ -8,9 +8,10 @@
 //! invocation resumes from the latest journaled checkpoint and — by
 //! the simulator's byte-identical-resume guarantee — finishes with
 //! exactly the fingerprint and commit count of an uninterrupted run.
-//! Between generations it sweeps a small chaos grid and re-verifies a
-//! sharded traffic-replay fingerprint, so continuous operation also
-//! exercises the exploration and replay layers.
+//! Between generations it sweeps a small chaos grid and re-verifies
+//! that a traffic trace keeps its fingerprint through a serialization
+//! roundtrip, so continuous operation also exercises the exploration
+//! and trace layers.
 //!
 //! Modes:
 //!
@@ -33,7 +34,7 @@ use tcc_core::{
     Transaction, TransportConfig, TxOp, WatchdogConfig, WorkItem,
 };
 use tcc_network::{ChaosConfig, DropRule, DupRule};
-use tcc_traffic::{replay_fingerprint, scenarios, synthesize};
+use tcc_traffic::{scenarios, synthesize, Trace};
 use tcc_types::rng::SmallRng;
 use tcc_types::{Addr, Cycle};
 
@@ -227,7 +228,7 @@ fn run_generation(args: &Args, gen_seed: u64) -> Result<SimResult, RunError> {
 }
 
 /// Stateless side sweeps between generations: a small chaos grid and a
-/// sharded traffic-replay fingerprint check. Returns false on any
+/// traffic-trace serialization roundtrip check. Returns false on any
 /// failure.
 fn side_sweeps(gen_seed: u64, grid: u64) -> bool {
     let mut ok = true;
@@ -243,10 +244,10 @@ fn side_sweeps(gen_seed: u64, grid: u64) -> bool {
         ok &= report.passed();
     }
     let trace = synthesize(&scenarios::zipfian_steady(), 2_000).expect("preset is valid");
-    let fp1 = replay_fingerprint(&trace, 1);
-    let fp4 = replay_fingerprint(&trace, 4);
-    println!("traffic replay: fp(1w)==fp(4w): {}", fp1 == fp4);
-    ok && fp1 == fp4
+    let same = Trace::from_bytes(&trace.to_bytes())
+        .is_ok_and(|back| back.fingerprint() == trace.fingerprint());
+    println!("traffic trace: roundtrip fingerprint identical: {same}");
+    ok && same
 }
 
 fn mode_run(args: &Args) -> ExitCode {

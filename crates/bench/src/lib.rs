@@ -22,6 +22,7 @@
 pub mod report;
 
 use tcc_core::{SimResult, Simulator, SystemConfig};
+use tcc_trace::Json;
 use tcc_workloads::{AppProfile, Scale};
 
 /// Deterministic workload seed shared by all harness binaries, so every
@@ -193,6 +194,76 @@ pub fn run_app_seeded(
         .run()
 }
 
+/// Allowed relative allocation-count growth before [`check_golden`]
+/// fails a cell.
+pub const ALLOC_TOLERANCE: f64 = 0.10;
+
+/// One measured cell as [`check_golden`] sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct GoldenCell<'a> {
+    /// The cell's label, e.g. `radix@16/smoke`.
+    pub label: &'a str,
+    /// The run's [`SimResult::fingerprint`].
+    pub fingerprint: &'a str,
+    /// Heap allocations the run made.
+    pub alloc_count: u64,
+}
+
+/// Checks measured cells against a checked-in golden (`golden` is the
+/// golden file's text): the cell labels must match in order and every
+/// fingerprint exactly. A golden cell that carries `alloc_count` also
+/// bounds the run's allocations at that count plus
+/// [`ALLOC_TOLERANCE`]; a golden cell without it gates results only.
+///
+/// # Errors
+///
+/// Returns a message naming the first mismatch, or why the golden
+/// could not be read.
+pub fn check_golden(golden: &str, run: &[GoldenCell<'_>]) -> Result<(), String> {
+    let golden = Json::parse(golden)?;
+    let want = golden
+        .get("cells")
+        .and_then(Json::as_arr)
+        .ok_or("golden has no cells array")?;
+    if want.len() != run.len() {
+        return Err(format!(
+            "golden has {} cells, run produced {}",
+            want.len(),
+            run.len()
+        ));
+    }
+    for (w, got) in want.iter().zip(run) {
+        let cell = w.get("cell").and_then(Json::as_str).unwrap_or("?");
+        if cell != got.label {
+            return Err(format!(
+                "cell order mismatch: golden {cell}, run {}",
+                got.label
+            ));
+        }
+        let want_fp = w.get("fingerprint").and_then(Json::as_str).unwrap_or("?");
+        if want_fp != got.fingerprint {
+            return Err(format!(
+                "{cell}: result fingerprint changed: golden {want_fp}, run {} \
+                 (simulation results must be byte-identical)",
+                got.fingerprint
+            ));
+        }
+        let Some(want_allocs) = w.get("alloc_count").and_then(Json::as_f64) else {
+            continue;
+        };
+        let limit = want_allocs * (1.0 + ALLOC_TOLERANCE);
+        if got.alloc_count as f64 > limit {
+            return Err(format!(
+                "{cell}: allocation regression: {} allocs > {limit:.0} \
+                 (golden {want_allocs:.0} + {:.0}% tolerance)",
+                got.alloc_count,
+                ALLOC_TOLERANCE * 100.0
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The machine sizes Figure 7 sweeps.
 pub const FIG7_SIZES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
@@ -254,6 +325,52 @@ mod tests {
             ..HarnessArgs::default()
         };
         assert_eq!(a.jobs(), 8);
+    }
+
+    const GOLDEN: &str = r#"{"cells": [
+        {"cell": "a@1/smoke", "fingerprint": "00aa", "alloc_count": 100},
+        {"cell": "b@2/smoke", "fingerprint": "00bb"}
+    ]}"#;
+
+    fn cell<'a>(label: &'a str, fingerprint: &'a str, alloc_count: u64) -> GoldenCell<'a> {
+        GoldenCell {
+            label,
+            fingerprint,
+            alloc_count,
+        }
+    }
+
+    #[test]
+    fn golden_check_rejects_cells_out_of_order() {
+        let run = [cell("b@2/smoke", "00bb", 0), cell("a@1/smoke", "00aa", 0)];
+        let err = check_golden(GOLDEN, &run).unwrap_err();
+        assert!(err.contains("cell order mismatch"), "{err}");
+    }
+
+    #[test]
+    fn golden_check_rejects_a_changed_fingerprint() {
+        let run = [cell("a@1/smoke", "00ab", 100), cell("b@2/smoke", "00bb", 0)];
+        let err = check_golden(GOLDEN, &run).unwrap_err();
+        assert!(
+            err.contains("a@1/smoke: result fingerprint changed"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn golden_check_bounds_allocations_by_the_tolerance() {
+        let run = [cell("a@1/smoke", "00aa", 111), cell("b@2/smoke", "00bb", 0)];
+        let err = check_golden(GOLDEN, &run).unwrap_err();
+        assert!(err.contains("a@1/smoke: allocation regression"), "{err}");
+    }
+
+    #[test]
+    fn golden_check_skips_the_allocation_gate_without_a_golden_count() {
+        let run = [
+            cell("a@1/smoke", "00aa", 110),
+            cell("b@2/smoke", "00bb", u64::MAX),
+        ];
+        assert_eq!(check_golden(GOLDEN, &run), Ok(()));
     }
 
     #[test]

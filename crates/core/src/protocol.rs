@@ -531,8 +531,9 @@ impl Machine {
         }
     }
 
-    /// Per-commit home-occupancy samples across all homes (Table 3);
-    /// empty for a backend without directory controllers.
+    /// Per-commit directory-occupancy samples across all directories
+    /// (cycles per commit; Table 3). Only TCC directories time the
+    /// commits they serve: serialized and Tardis runs return none.
     pub(crate) fn dir_occupancy(&self) -> Vec<u64> {
         match self {
             Machine::Tcc(m) => m
@@ -540,7 +541,6 @@ impl Machine {
                 .iter()
                 .flat_map(|d| d.stats().occupancy.iter().copied())
                 .collect(),
-            Machine::Tardis(m) => m.homes.iter().map(|h| h.stats.loads).collect(),
             _ => Vec::new(),
         }
     }

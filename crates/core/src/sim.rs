@@ -275,7 +275,8 @@ pub struct SimResult {
     /// Per-committed-transaction characteristics (Table 3).
     pub tx_chars: Vec<TxCharacteristics>,
     /// Directory occupancy samples across all directories (cycles per
-    /// commit; Table 3).
+    /// commit; Table 3). Empty for the serialized and Tardis backends,
+    /// whose homes record no per-commit busy span.
     pub dir_occupancy: Vec<u64>,
     /// Directory working-set size (entries with remote sharers) at end
     /// of run, per directory (Table 3).
@@ -656,7 +657,7 @@ impl Simulator {
         // Wire faults without a transport are refused up front by
         // `SystemConfig::validate`.
         if let Some(chaos) = &cfg.chaos {
-            net.set_injector(Box::new(SeededInjector::new(chaos.clone())));
+            net.set_injector(SeededInjector::new(chaos.clone()));
         }
         let transport = cfg.transport.map(|tc| {
             let mut t = Transport::new(tc, cfg.bugs);

@@ -530,3 +530,31 @@ fn parallel_commits_overlap_in_time() {
         scalable.total_cycles
     );
 }
+
+#[test]
+fn directory_occupancy_samples_come_only_from_timed_commits() {
+    // TCC directories time each commit they serve; Tardis homes keep
+    // no per-commit busy span, so they report no occupancy samples.
+    let run_on = |protocol| {
+        let programs = (0..4u64)
+            .map(|p| {
+                ThreadProgram::new(vec![tx(vec![
+                    TxOp::Load(line_addr(p, 0)),
+                    TxOp::Compute(20),
+                    TxOp::Store(line_addr(p, 0)),
+                ])])
+            })
+            .collect();
+        Simulator::builder(cfg(4))
+            .protocol(protocol)
+            .programs(programs)
+            .build()
+            .expect("valid config")
+            .run()
+    };
+    let tcc = run_on(ProtocolKind::Tcc);
+    let tardis = run_on(ProtocolKind::Tardis);
+    assert_eq!(tardis.commits, 4);
+    assert!(!tcc.dir_occupancy.is_empty());
+    assert!(tardis.dir_occupancy.is_empty());
+}

@@ -5,7 +5,7 @@
 //! write-backs, request-id supersede on load/invalidate races) only
 //! earn their keep when messages are delayed and reordered badly. The
 //! mesh model itself is benign — latencies vary only with hop count and
-//! contention — so this module wraps it with a [`FaultInjector`] that
+//! contention — so this module wraps it with a [`SeededInjector`] that
 //! stretches message latencies adversarially:
 //!
 //! * **Per-message jitter** — each message independently gains up to
@@ -45,7 +45,7 @@
 //! (`crates/network/src/transport.rs`), every remote message travels as
 //! a sequenced [`Frame`](tcc_types::Frame) and the FIFO clamp above no
 //! longer applies — the transport restores per-channel order itself.
-//! On that path the injector is consulted through [`FaultInjector::wire_fate`],
+//! On that path the injector is consulted through [`SeededInjector::wire_fate`],
 //! which may *drop* a frame ([`DropRule`]), *duplicate* it
 //! ([`DupRule`]), or scatter its delivery time without any clamp
 //! (`reorder`/`reorder_prob`), on top of the latency rules. Rules are
@@ -61,49 +61,6 @@ use tcc_trace::Json;
 use tcc_types::rng::SmallRng;
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, Message, NodeId};
-
-/// Hook the [`Network`](crate::Network) calls for every message send.
-///
-/// Implementations return the (possibly later) delivery time; returning
-/// a time earlier than `arrival` is a contract violation (the engine
-/// cannot schedule into the past).
-pub trait FaultInjector: std::fmt::Debug {
-    /// Perturb one message injected at `now` whose natural delivery
-    /// time is `arrival`.
-    fn perturb(&mut self, now: Cycle, msg: &Message, arrival: Cycle) -> Cycle;
-
-    /// Decide the fate of one *transport frame* injected at `now` with
-    /// natural delivery time `arrival`: the returned vector holds the
-    /// delivery time of every copy put on the wire — empty means the
-    /// frame was dropped, two entries mean it was duplicated. Unlike
-    /// [`perturb`](FaultInjector::perturb) there is **no** per-channel
-    /// FIFO clamp (the reliable transport restores ordering), so
-    /// implementations may reorder freely; they still must not deliver
-    /// before `arrival`. The default is a faithful wire.
-    fn wire_fate(
-        &mut self,
-        _now: Cycle,
-        _kind: &str,
-        _src: NodeId,
-        _dst: NodeId,
-        arrival: Cycle,
-    ) -> Vec<Cycle> {
-        vec![arrival]
-    }
-
-    /// Serializes the injector's mutable state (RNG position, FIFO
-    /// clamp watermarks, counters) for a checkpoint. Stateless
-    /// injectors need not override the default no-op.
-    fn save_state(&self, _w: &mut SnapWriter) {}
-
-    /// Restores state saved by
-    /// [`save_state`](FaultInjector::save_state). The injector must
-    /// already be configured identically to the one that saved (the
-    /// snapshot's config digest guarantees this for [`SeededInjector`]).
-    fn restore_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
-}
 
 /// Extra latency for one message kind inside a cycle window.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,7 +80,7 @@ pub struct KindDelay {
 
 /// Drop matching transport frames with some probability inside a cycle
 /// window. Only consulted on the reliable-transport wire path
-/// ([`FaultInjector::wire_fate`]); `kind == "*"` matches every frame.
+/// ([`SeededInjector::wire_fate`]); `kind == "*"` matches every frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DropRule {
     /// Frame kind name (`Frame::kind_name()`), or `"*"` for all.
@@ -456,7 +413,8 @@ pub struct ChaosStats {
     pub duplicated: u64,
 }
 
-/// The deterministic [`FaultInjector`] driven by a [`ChaosConfig`].
+/// The deterministic fault injector driven by a [`ChaosConfig`]: the
+/// hook the [`Network`](crate::Network) calls for every message send.
 #[derive(Debug)]
 pub struct SeededInjector {
     cfg: ChaosConfig,
@@ -506,10 +464,11 @@ impl SeededInjector {
         }
         extra
     }
-}
 
-impl FaultInjector for SeededInjector {
-    fn perturb(&mut self, now: Cycle, msg: &Message, arrival: Cycle) -> Cycle {
+    /// Perturbs one message injected at `now` whose natural delivery
+    /// time is `arrival`, returning a delivery time no earlier than
+    /// `arrival` (the engine cannot schedule into the past).
+    pub fn perturb(&mut self, now: Cycle, msg: &Message, arrival: Cycle) -> Cycle {
         self.stats.messages += 1;
         let extra = self.extra_for(now, msg.payload.kind_name(), msg.dst);
         let mut t = arrival.0 + extra;
@@ -529,7 +488,14 @@ impl FaultInjector for SeededInjector {
         Cycle(t)
     }
 
-    fn wire_fate(
+    /// Decides the fate of one *transport frame* injected at `now` with
+    /// natural delivery time `arrival`: the returned vector holds the
+    /// delivery time of every copy put on the wire — empty means the
+    /// frame was dropped, two entries mean it was duplicated. Unlike
+    /// [`perturb`](SeededInjector::perturb) there is **no** per-channel
+    /// FIFO clamp (the reliable transport restores ordering), so copies
+    /// may reorder freely; none is delivered before `arrival`.
+    pub fn wire_fate(
         &mut self,
         now: Cycle,
         kind: &str,
@@ -575,7 +541,9 @@ impl FaultInjector for SeededInjector {
         fates
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    /// Serializes the injector's mutable state (RNG position, FIFO
+    /// clamp watermarks, counters) for a checkpoint.
+    pub fn save_state(&self, w: &mut SnapWriter) {
         self.rng.save(w);
         let mut clamp: Vec<((NodeId, NodeId), u64)> =
             self.last_arrival.iter().map(|(&k, &v)| (k, v)).collect();
@@ -588,7 +556,10 @@ impl FaultInjector for SeededInjector {
         self.stats.duplicated.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restores state saved by [`save_state`](SeededInjector::save_state).
+    /// The injector must already be configured identically to the one
+    /// that saved (the snapshot's config digest guarantees this).
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = r.get()?;
         let clamp: Vec<((NodeId, NodeId), u64)> = r.get()?;
         self.last_arrival = clamp.into_iter().collect();

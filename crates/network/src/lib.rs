@@ -34,9 +34,7 @@ mod mesh;
 mod stats;
 pub mod transport;
 
-pub use chaos::{
-    ChaosConfig, ChaosStats, DropRule, DupRule, FaultInjector, HotSpot, KindDelay, SeededInjector,
-};
+pub use chaos::{ChaosConfig, ChaosStats, DropRule, DupRule, HotSpot, KindDelay, SeededInjector};
 pub use mesh::{Mesh2D, NetworkConfig};
 pub use stats::TrafficStats;
 pub use transport::{RetryExhausted, Transport, TransportAction, TransportConfig, TransportStats};
@@ -53,7 +51,7 @@ pub struct Network {
     stats: TrafficStats,
     line_bytes: u32,
     tracer: Tracer,
-    injector: Option<Box<dyn FaultInjector>>,
+    injector: Option<SeededInjector>,
 }
 
 impl Network {
@@ -76,9 +74,9 @@ impl Network {
         self.tracer = tracer;
     }
 
-    /// Attaches an adversarial [`FaultInjector`]; every subsequent send
+    /// Attaches an adversarial [`SeededInjector`]; every subsequent send
     /// (unicast and multicast, local and remote) is routed through it.
-    pub fn set_injector(&mut self, injector: Box<dyn FaultInjector>) {
+    pub fn set_injector(&mut self, injector: SeededInjector) {
         self.injector = Some(injector);
     }
 
@@ -364,12 +362,12 @@ mod tests {
     fn save_restore_round_trips_links_stats_and_injector() {
         let mk = || {
             let mut net = Network::new(9, 32, NetworkConfig::default());
-            net.set_injector(Box::new(SeededInjector::new(ChaosConfig {
+            net.set_injector(SeededInjector::new(ChaosConfig {
                 seed: 77,
                 jitter: 30,
                 jitter_prob: 0.5,
                 ..ChaosConfig::default()
-            })));
+            }));
             net
         };
         let mut net = mk();

@@ -235,6 +235,7 @@ mod tests {
             1
         );
         assert_eq!(second.recorded, 1, "recorded keeps counting across a take");
+        assert_eq!(second.dropped, 0, "drained events are not dropped");
     }
 
     #[test]

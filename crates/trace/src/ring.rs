@@ -2,9 +2,11 @@
 //!
 //! The ring keeps the *most recent* `capacity` events: when full, the
 //! oldest record is dropped. `recorded()` counts every push ever made,
-//! so `dropped()` tells an exporter exactly how much history was lost.
-//! A zero-capacity ring discards everything while still counting —
-//! that is the "metrics only" tracing mode.
+//! and `dropped()` counts the records evicted or discarded on push, so
+//! an exporter knows exactly how much history was lost; records
+//! drained by `take()` are not lost. A zero-capacity ring discards
+//! everything while still counting — that is the "metrics only"
+//! tracing mode.
 
 use std::collections::VecDeque;
 
@@ -15,6 +17,7 @@ pub struct EventRing {
     buf: VecDeque<TraceRecord>,
     capacity: usize,
     recorded: u64,
+    dropped: u64,
 }
 
 impl EventRing {
@@ -23,6 +26,7 @@ impl EventRing {
             buf: VecDeque::with_capacity(capacity.min(1 << 20)),
             capacity,
             recorded: 0,
+            dropped: 0,
         }
     }
 
@@ -30,10 +34,12 @@ impl EventRing {
     pub fn push(&mut self, rec: TraceRecord) {
         self.recorded += 1;
         if self.capacity == 0 {
+            self.dropped += 1;
             return;
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
+            self.dropped += 1;
         }
         self.buf.push_back(rec);
     }
@@ -57,7 +63,7 @@ impl EventRing {
 
     /// Records lost to overflow (or to a zero-capacity ring).
     pub fn dropped(&self) -> u64 {
-        self.recorded - self.buf.len() as u64
+        self.dropped
     }
 
     /// Oldest-to-newest iteration over the retained window.

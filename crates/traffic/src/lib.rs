@@ -21,25 +21,23 @@
 //!   hot supernodes, and TPC-C-lite order/payment;
 //! * [`trace`] — the `tcc-traffic-trace/v1` compact binary format:
 //!   length-prefixed LEB128 records, delta-encoded timestamps,
-//!   checksummed header, shard-invariant replay fingerprint;
+//!   checksummed header, order-independent replay fingerprint;
 //! * [`replay`] — lowering to `tcc-core` simulator programs and
-//!   `tcc-stm` real-thread transactions, plus the sharded
-//!   fingerprint replay;
+//!   `tcc-stm` real-thread transactions;
 //! * [`scenarios`] — the four named presets the bench harness and CI
 //!   sweep.
 //!
 //! The contract throughout: the same `(config, seed)` synthesizes the
-//! byte-identical trace, and replaying a trace yields the identical
-//! fingerprint at any worker count.
+//! byte-identical trace, and with it the identical replay fingerprint.
 //!
 //! ```
-//! use tcc_traffic::{scenarios, synthesize, replay};
+//! use tcc_traffic::{scenarios, synthesize};
 //!
 //! let cfg = scenarios::zipfian_steady();
 //! let trace = synthesize(&cfg, 1_000).unwrap();
 //! assert_eq!(trace.n_records(), 1_000);
-//! // Sharded replay folds to the trace's own fingerprint.
-//! assert_eq!(replay::replay_fingerprint(&trace, 4), trace.fingerprint());
+//! // The same config and seed synthesize the same trace.
+//! assert_eq!(synthesize(&cfg, 1_000).unwrap().fingerprint(), trace.fingerprint());
 //! ```
 
 pub mod arrival;
@@ -53,7 +51,7 @@ pub mod trace;
 pub use arrival::ArrivalProcess;
 pub use config::{ArrivalConfig, PopularityConfig, ShapeConfig, TrafficConfig};
 pub use popularity::Popularity;
-pub use replay::{replay_fingerprint, run_sim_replay, run_stm_replay, SimReplay, StmReplay};
+pub use replay::{run_sim_replay, run_stm_replay, SimReplay, StmReplay};
 pub use shapes::{Shape, TrafficOp, TrafficTx};
 pub use trace::{Trace, TraceError, TraceWriter, TRACE_SCHEMA};
 

@@ -1,12 +1,8 @@
-//! Deterministic trace replay: sharding, and lowering to both
-//! execution backends.
+//! Deterministic trace replay: lowering to both execution backends.
 //!
-//! Three consumers read the same sealed [`Trace`]:
+//! Two consumers read the same sealed [`Trace`] (its pure replay, the
+//! fold of every record's digest, is [`Trace::fingerprint`]):
 //!
-//! * [`replay_fingerprint`] — the pure replay: every record's
-//!   position-dependent digest, folded commutatively, sharded
-//!   round-robin across any number of workers. Byte-identical output
-//!   at 1 and N workers is the gate CI holds (`traffic-smoke`).
 //! * [`sim_programs`] / [`run_sim_replay`] — lowering to
 //!   [`tcc_core`] `ThreadProgram`s: record *i* dispatches to processor
 //!   `i % n_procs` (a front-end load balancer), inter-arrival gaps
@@ -37,44 +33,6 @@ const SHARED_BASE_LINE: u64 = 1 << 10;
 /// words).
 const WORDS_PER_LINE: u64 = 8;
 const LINE_BYTES: u64 = 32;
-
-/// Folds one shard's records (`index % workers == shard`) into the
-/// commutative `(sum, xor)` digest pair.
-fn shard_digest(trace: &Trace, shard: u64, workers: u64) -> (u64, u64) {
-    trace
-        .raw_iter()
-        .filter_map(|r| {
-            let (i, body) = r.expect("verified trace decodes");
-            (i % workers == shard).then(|| Trace::record_digest(i, body))
-        })
-        .fold((0u64, 0u64), |(s, x), d| (s.wrapping_add(d), x ^ d))
-}
-
-/// Replays the trace across `workers` OS threads (round-robin shards)
-/// and returns the fold of every record digest. The fold is
-/// commutative, so the result is byte-identical for every worker
-/// count — the determinism contract `--jobs` sweeps and the parallel
-/// engine's shard counts rely on.
-#[must_use]
-pub fn replay_fingerprint(trace: &Trace, workers: usize) -> String {
-    let workers = workers.max(1) as u64;
-    let (sum, xor) = if workers == 1 {
-        shard_digest(trace, 0, 1)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || shard_digest(trace, w, workers)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .fold((0u64, 0u64), |(s, x), (ps, px)| {
-                    (s.wrapping_add(ps), x ^ px)
-                })
-        })
-    };
-    format!("{sum:016x}{xor:016x}")
-}
 
 /// Maps a logical key to a word address in the shared region. Eight
 /// keys share a cache line; the protocol's word-granularity conflict

@@ -22,10 +22,8 @@
 //! the stream detectable through the checksum.
 //!
 //! [`Trace::fingerprint`] digests every record *position-dependently*
-//! but combines the per-record digests *commutatively*, so shards
-//! processed by any number of workers in any order fold to the same
-//! value — the property the `--jobs` and parallel-engine sharding
-//! guarantees lean on (see `crate::replay`).
+//! but combines the per-record digests *commutatively*, so the value
+//! does not depend on the order the records are folded in.
 
 use tcc_types::hash::fnv1a;
 
@@ -404,8 +402,7 @@ impl Trace {
     /// Replay fingerprint: the commutative fold of every record's
     /// [`Trace::record_digest`] (wrapping sum ‖ xor, rendered as 32
     /// hex digits). Position-dependent per record, order-independent
-    /// across records — identical no matter how the records are
-    /// sharded across workers.
+    /// across records.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let (sum, xor) = self

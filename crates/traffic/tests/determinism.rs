@@ -1,7 +1,6 @@
 //! The determinism suite: the contract that `(config, seed)` fully
-//! determines the trace bytes, that replay fingerprints are invariant
-//! to sharding across `--jobs`-style worker counts, and that a lowered
-//! simulator replay is deterministic.
+//! determines the trace bytes and that a lowered simulator replay is
+//! deterministic.
 
 use tcc_core::{Simulator, SystemConfig};
 use tcc_traffic::{replay, scenarios, synthesize, Trace};
@@ -27,20 +26,6 @@ fn serialization_roundtrips_for_every_preset() {
         let back = Trace::from_bytes(&t.to_bytes()).expect("roundtrip");
         assert_eq!(back, t);
         assert_eq!(back.fingerprint(), t.fingerprint());
-    }
-}
-
-#[test]
-fn replay_fingerprint_is_worker_count_invariant() {
-    let cfg = scenarios::bursty_hot_migration();
-    let trace = synthesize(&cfg, 5_000).expect("valid");
-    let want = trace.fingerprint();
-    for workers in [1usize, 2, 3, 8] {
-        assert_eq!(
-            replay::replay_fingerprint(&trace, workers),
-            want,
-            "fingerprint diverged at {workers} workers"
-        );
     }
 }
 

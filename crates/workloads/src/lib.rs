@@ -34,7 +34,6 @@
 //! ```
 
 pub mod apps;
-pub mod micro;
 mod profile;
 pub mod sampling;
 pub mod stm;
