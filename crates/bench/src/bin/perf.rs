@@ -21,7 +21,9 @@
 //! * `perf --smoke` — small fixed cells for CI.
 //! * `perf --smoke --check <golden.json>` — assert fingerprint identity
 //!   and allocation counts within tolerance against a checked-in
-//!   golden; exits non-zero on any regression.
+//!   golden; exits non-zero on any regression. With an app filter
+//!   (`perf --smoke volrend --check ...`) only that app's golden cells
+//!   are compared.
 //! * `perf --smoke --write-golden <golden.json>` — regenerate the
 //!   golden after an intentional behaviour change.
 //!
@@ -322,7 +324,7 @@ fn main() {
             .collect();
         let verdict = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|golden| check_golden(&golden, &run));
+            .and_then(|golden| check_golden(&golden, &run, |app| args.selects(app)));
         match verdict {
             Ok(()) => println!("perf-smoke: OK ({} cells match {path})", measured.len()),
             Err(e) => {

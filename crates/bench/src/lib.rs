@@ -210,21 +210,37 @@ pub struct GoldenCell<'a> {
 }
 
 /// Checks measured cells against a checked-in golden (`golden` is the
-/// golden file's text): the cell labels must match in order and every
-/// fingerprint exactly. A golden cell that carries `alloc_count` also
-/// bounds the run's allocations at that count plus
-/// [`ALLOC_TOLERANCE`]; a golden cell without it gates results only.
+/// golden file's text). Only the golden cells whose app name (the label
+/// up to `@`) `selects` holds for are compared, so a run filtered to
+/// some apps checks just their cells. Those cells' labels must match
+/// the run's in order and every fingerprint exactly. A golden cell that
+/// carries `alloc_count` also bounds the run's allocations at that
+/// count plus [`ALLOC_TOLERANCE`]; a golden cell without it gates
+/// results only.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first mismatch, or why the golden
-/// could not be read.
-pub fn check_golden(golden: &str, run: &[GoldenCell<'_>]) -> Result<(), String> {
+/// could not be read, or that `selects` holds for no golden cell.
+pub fn check_golden(
+    golden: &str,
+    run: &[GoldenCell<'_>],
+    selects: impl Fn(&str) -> bool,
+) -> Result<(), String> {
     let golden = Json::parse(golden)?;
-    let want = golden
+    let want: Vec<&Json> = golden
         .get("cells")
         .and_then(Json::as_arr)
-        .ok_or("golden has no cells array")?;
+        .ok_or("golden has no cells array")?
+        .iter()
+        .filter(|w| {
+            let label = w.get("cell").and_then(Json::as_str).unwrap_or("?");
+            selects(label.split_once('@').map_or(label, |(app, _)| app))
+        })
+        .collect();
+    if want.is_empty() {
+        return Err("the app filter selects no golden cell".to_string());
+    }
     if want.len() != run.len() {
         return Err(format!(
             "golden has {} cells, run produced {}",
@@ -343,14 +359,14 @@ mod tests {
     #[test]
     fn golden_check_rejects_cells_out_of_order() {
         let run = [cell("b@2/smoke", "00bb", 0), cell("a@1/smoke", "00aa", 0)];
-        let err = check_golden(GOLDEN, &run).unwrap_err();
+        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
         assert!(err.contains("cell order mismatch"), "{err}");
     }
 
     #[test]
     fn golden_check_rejects_a_changed_fingerprint() {
         let run = [cell("a@1/smoke", "00ab", 100), cell("b@2/smoke", "00bb", 0)];
-        let err = check_golden(GOLDEN, &run).unwrap_err();
+        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
         assert!(
             err.contains("a@1/smoke: result fingerprint changed"),
             "{err}"
@@ -360,7 +376,7 @@ mod tests {
     #[test]
     fn golden_check_bounds_allocations_by_the_tolerance() {
         let run = [cell("a@1/smoke", "00aa", 111), cell("b@2/smoke", "00bb", 0)];
-        let err = check_golden(GOLDEN, &run).unwrap_err();
+        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
         assert!(err.contains("a@1/smoke: allocation regression"), "{err}");
     }
 
@@ -370,7 +386,17 @@ mod tests {
             cell("a@1/smoke", "00aa", 110),
             cell("b@2/smoke", "00bb", u64::MAX),
         ];
-        assert_eq!(check_golden(GOLDEN, &run), Ok(()));
+        assert_eq!(check_golden(GOLDEN, &run, |_| true), Ok(()));
+    }
+
+    #[test]
+    fn golden_check_compares_only_the_cells_the_filter_selects() {
+        let run = [cell("b@2/smoke", "00bb", 0)];
+        assert_eq!(check_golden(GOLDEN, &run, |app| app == "b"), Ok(()));
+        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
+        assert!(err.contains("golden has 2 cells, run produced 1"), "{err}");
+        let err = check_golden(GOLDEN, &[], |app| app == "c").unwrap_err();
+        assert!(err.contains("selects no golden cell"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! A generic set-associative array with true-LRU replacement.
 
+use std::ops::Range;
+
 use tcc_types::LineAddr;
 
 /// Largest associativity a [`SetArray`] supports (set lengths are
@@ -25,20 +27,33 @@ struct Way<T> {
 /// inclusive L2.
 ///
 /// Storage scales with the lines resident, not with the capacity: the
-/// ways live densely in one pool, and each set holds only the pool
-/// indices of its ways, in slot order. Whole-array walks (`iter`,
-/// `drain_filter`, `len`) visit resident lines only. Pool order is an
-/// artifact of the insert/remove history and is not preserved by
-/// checkpoints; no result may depend on it.
+/// ways live densely in one pool, and each set holds the pool indices
+/// of its ways, in slot order, in a chunk of `ways` slots that it owns
+/// only while it holds a line. Whole-array walks (`iter`,
+/// `drain_filter`, `len`) visit resident lines only. Pool and chunk
+/// order are artifacts of the insert/remove history and are not
+/// preserved by checkpoints; no result may depend on them.
 #[derive(Debug, Clone)]
 pub struct SetArray<T> {
     pool: Vec<Way<T>>,
-    /// `ways` pool indices per set; the first `lens[set]` are live.
-    slots: Vec<u32>,
+    /// Chunks of `ways` pool indices each; the first `lens[set]` slots
+    /// of a set's chunk are live.
+    arena: Vec<u32>,
+    /// The line of each arena slot's way, so a lookup scans its set's
+    /// tags without touching the pool.
+    tags: Vec<LineAddr>,
+    /// Per set, the chunk it owns, or [`NO_CHUNK`] while it is empty.
+    chunks: Vec<u32>,
     lens: Vec<u8>,
+    /// Chunks of the arena that no set owns.
+    free: Vec<u32>,
     ways: usize,
     tick: u64,
 }
+
+/// The chunk index of a set that holds no line. Chunk indices are
+/// below the set count, which is below `u32::MAX`.
+const NO_CHUNK: u32 = u32::MAX;
 
 impl<T> SetArray<T> {
     /// Creates an array of `sets` sets with `ways` ways each.
@@ -51,14 +66,18 @@ impl<T> SetArray<T> {
     pub fn new(sets: usize, ways: usize) -> SetArray<T> {
         assert!(sets > 0 && ways > 0, "cache dimensions must be nonzero");
         assert!(ways <= MAX_WAYS, "{ways} ways exceed MAX_WAYS");
-        let capacity = sets
-            .checked_mul(ways)
-            .filter(|&c| u32::try_from(c).is_ok())
-            .expect("cache capacity must fit u32 pool indices");
+        assert!(
+            sets.checked_mul(ways)
+                .is_some_and(|c| u32::try_from(c).is_ok()),
+            "cache capacity must fit u32 pool indices"
+        );
         SetArray {
             pool: Vec::new(),
-            slots: vec![0; capacity],
+            arena: Vec::new(),
+            tags: Vec::new(),
+            chunks: vec![NO_CHUNK; sets],
             lens: vec![0; sets],
+            free: Vec::new(),
             ways,
             tick: 0,
         }
@@ -97,19 +116,38 @@ impl<T> SetArray<T> {
         (h % self.lens.len() as u64) as usize
     }
 
+    /// The arena range of `set`'s live slots, in slot order (empty
+    /// while the set owns no chunk).
+    fn live(&self, set: usize) -> Range<usize> {
+        let len = usize::from(self.lens[set]);
+        if len == 0 {
+            return 0..0;
+        }
+        let base = self.chunks[set] as usize * self.ways;
+        base..base + len
+    }
+
     /// The live pool indices of `set`, in slot order.
     fn set_slots(&self, set: usize) -> &[u32] {
-        let base = set * self.ways;
-        &self.slots[base..base + usize::from(self.lens[set])]
+        &self.arena[self.live(set)]
+    }
+
+    /// Gives empty `set` a chunk: a free one, else `ways` new arena
+    /// slots.
+    fn claim_chunk(&mut self, set: usize) {
+        debug_assert_eq!(self.chunks[set], NO_CHUNK);
+        self.chunks[set] = self.free.pop().unwrap_or_else(|| {
+            let chunk = (self.arena.len() / self.ways) as u32;
+            self.arena.resize(self.arena.len() + self.ways, 0);
+            self.tags.resize(self.arena.len(), LineAddr(0));
+            chunk
+        });
     }
 
     /// `(set, slot)` of `line`, if resident.
     fn slot_of(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
-        let k = self
-            .set_slots(set)
-            .iter()
-            .position(|&i| self.pool[i as usize].line == line)?;
+        let k = self.tags[self.live(set)].iter().position(|&t| t == line)?;
         Some((set, k))
     }
 
@@ -172,7 +210,12 @@ impl<T> SetArray<T> {
         let way = Way { line, stamp, data };
         let len = usize::from(self.lens[set]);
         if len < self.ways {
-            self.slots[set * self.ways + len] = self.pool.len() as u32;
+            if len == 0 {
+                self.claim_chunk(set);
+            }
+            let at = self.chunks[set] as usize * self.ways + len;
+            self.arena[at] = self.pool.len() as u32;
+            self.tags[at] = line;
             self.lens[set] += 1;
             self.pool.push(way);
             return Ok(None);
@@ -182,11 +225,14 @@ impl<T> SetArray<T> {
         let victim = self
             .set_slots(set)
             .iter()
-            .map(|&i| i as usize)
-            .filter(|&i| may_evict(&self.pool[i].data))
-            .min_by_key(|&i| self.pool[i].stamp);
+            .enumerate()
+            .map(|(k, &i)| (k, i as usize))
+            .filter(|&(_, i)| may_evict(&self.pool[i].data))
+            .min_by_key(|&(_, i)| self.pool[i].stamp);
         match victim {
-            Some(i) => {
+            Some((k, i)) => {
+                let at = self.live(set).start + k;
+                self.tags[at] = line;
                 let old = std::mem::replace(&mut self.pool[i], way);
                 Ok(Some((old.line, old.data)))
             }
@@ -196,20 +242,25 @@ impl<T> SetArray<T> {
 
     /// Removes the way in slot `k` of `set`: the set's last slot moves
     /// into `k`, and the pool's last entry moves into the freed pool
-    /// index (its own slot is repointed).
+    /// index (its own slot is repointed). A set left empty frees its
+    /// chunk.
     fn unlink(&mut self, set: usize, k: usize) -> (LineAddr, T) {
-        let base = set * self.ways;
-        let last_slot = base + usize::from(self.lens[set]) - 1;
-        let i = self.slots[base + k] as usize;
-        self.slots[base + k] = self.slots[last_slot];
+        let live = self.live(set);
+        let (at, last) = (live.start + k, live.end - 1);
+        let i = self.arena[at] as usize;
+        self.arena[at] = self.arena[last];
+        self.tags[at] = self.tags[last];
         self.lens[set] -= 1;
+        if self.lens[set] == 0 {
+            self.free.push(self.chunks[set]);
+            self.chunks[set] = NO_CHUNK;
+        }
         let way = self.pool.swap_remove(i);
         if let Some(moved) = self.pool.get(i) {
             let moved_set = self.set_of(moved.line);
             let from = self.pool.len() as u32;
-            let base = moved_set * self.ways;
-            let live = &mut self.slots[base..base + usize::from(self.lens[moved_set])];
-            let slot = live.iter_mut().find(|s| **s == from);
+            let live = self.live(moved_set);
+            let slot = self.arena[live].iter_mut().find(|s| **s == from);
             *slot.expect("every pool entry is linked from its set") = i as u32;
         }
         (way.line, way.data)
@@ -296,10 +347,20 @@ impl<T> SetArray<T> {
         }
         self.tick = tick;
         self.pool.clear();
+        self.arena.clear();
+        self.tags.clear();
+        self.free.clear();
+        self.chunks.fill(NO_CHUNK);
         for (set, ways) in sets.into_iter().enumerate() {
             self.lens[set] = ways.len() as u8;
+            if ways.is_empty() {
+                continue;
+            }
+            self.claim_chunk(set);
             for (k, (line, stamp, data)) in ways.into_iter().enumerate() {
-                self.slots[set * self.ways + k] = self.pool.len() as u32;
+                let at = self.chunks[set] as usize * self.ways + k;
+                self.arena[at] = self.pool.len() as u32;
+                self.tags[at] = line;
                 self.pool.push(Way { line, stamp, data });
             }
         }
@@ -329,7 +390,7 @@ impl<T> SetArray<T> {
         for set in sets {
             let mut k = 0;
             while k < usize::from(self.lens[set]) {
-                let i = self.slots[set * self.ways + k] as usize;
+                let i = self.set_slots(set)[k] as usize;
                 if hit[i] {
                     hit.swap_remove(i);
                     out.push(self.unlink(set, k));
@@ -496,7 +557,10 @@ mod tests {
     }
 
     /// Every live slot points at a distinct pool entry that hashes to
-    /// its set, and every pool entry is linked exactly once.
+    /// its set, and every pool entry is linked exactly once. Every
+    /// non-empty set owns one chunk and an empty set none, no chunk is
+    /// both owned and free or owned twice, and the arena holds exactly
+    /// the owned and free chunks.
     fn assert_links<T>(a: &SetArray<T>) {
         let mut linked = vec![0u32; a.pool.len()];
         for set in 0..a.n_sets() {
@@ -510,6 +574,29 @@ mod tests {
             }
         }
         assert!(linked.iter().all(|&n| n == 1), "pool links {linked:?}");
+        for set in 0..a.n_sets() {
+            for at in a.live(set) {
+                let i = a.arena[at] as usize;
+                assert_eq!(a.tags[at], a.pool[i].line, "slot {at} tags another line");
+            }
+        }
+        assert_eq!(a.tags.len(), a.arena.len(), "one tag per arena slot");
+        let mut held = a.free.clone();
+        for set in 0..a.n_sets() {
+            let owns = a.chunks[set] != NO_CHUNK;
+            assert_eq!(owns, a.lens[set] > 0, "set {set} chunk {}", a.chunks[set]);
+            if owns {
+                held.push(a.chunks[set]);
+            }
+        }
+        held.sort_unstable();
+        let n_chunks = a.arena.len() / a.ways;
+        assert_eq!(a.arena.len(), n_chunks * a.ways, "arena holds whole chunks");
+        assert_eq!(
+            held,
+            (0..n_chunks as u32).collect::<Vec<_>>(),
+            "every chunk is owned by one set or free, never both"
+        );
     }
 
     fn owned(a: &SetArray<u64>) -> (u64, Sets) {
@@ -554,11 +641,16 @@ mod tests {
                         let modulus = rng.gen_range(2u64..5);
                         assert_eq!(a.drain_filter(|l, _| l.0 % modulus == 0), m.drain(modulus));
                     }
-                    90..=94 => {
+                    90..=92 => {
                         let (tick, sets) = owned(&a);
                         let mut b = SetArray::new(a.n_sets(), a.n_ways());
                         b.restore_ways(tick, sets).expect("own export restores");
                         a = b;
+                    }
+                    93..=94 => {
+                        let (tick, sets) = owned(&a);
+                        a.restore_ways(tick, sets)
+                            .expect("own export restores in place");
                     }
                     _ => assert_eq!(
                         a.peek(line),

@@ -240,10 +240,15 @@ impl HierCache {
             entry.state.sr = entry.state.sr.union(track);
         }
         match level {
-            Level::L1 => self.stats.l1_load_hits += 1,
-            Level::L2 => self.stats.l2_load_hits += 1,
+            Level::L1 => {
+                self.stats.l1_load_hits += 1;
+                self.l1.get_mut(line); // refresh LRU
+            }
+            Level::L2 => {
+                self.stats.l2_load_hits += 1;
+                self.promote_to_l1(line);
+            }
         }
-        self.promote_to_l1(line);
         LoadOutcome::Hit {
             level,
             value,
@@ -279,10 +284,15 @@ impl HierCache {
         }
         entry.state.sm = entry.state.sm.union(track);
         match level {
-            Level::L1 => self.stats.l1_store_hits += 1,
-            Level::L2 => self.stats.l2_store_hits += 1,
+            Level::L1 => {
+                self.stats.l1_store_hits += 1;
+                self.l1.get_mut(line); // refresh LRU
+            }
+            Level::L2 => {
+                self.stats.l2_store_hits += 1;
+                self.promote_to_l1(line);
+            }
         }
-        self.promote_to_l1(line);
         StoreOutcome::Hit {
             level,
             pre_writeback,

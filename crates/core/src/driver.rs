@@ -43,8 +43,9 @@ pub struct Effects {
     pub reached_barrier: bool,
     /// The processor finished its program.
     pub finished: bool,
-    /// A transaction committed (checker record + Table 3 characteristics).
-    pub committed: Option<(TxRecord, TxCharacteristics)>,
+    /// A transaction committed: its checker record, built only when
+    /// `check_serializability` is on, and its Table 3 characteristics.
+    pub committed: Option<(Option<TxRecord>, TxCharacteristics)>,
 }
 
 impl Effects {
@@ -561,8 +562,9 @@ impl<X: Backend> Proc<X> {
     }
 
     /// The transaction commits as `tid` with write-set `writes`: stamp
-    /// the cached values, report the checker record and Table 3
-    /// characteristics, and book the attempt as useful work.
+    /// the cached values, report the checker record (when the checker
+    /// runs) and Table 3 characteristics, and book the attempt as useful
+    /// work.
     pub(crate) fn retire(
         &mut self,
         cfg: &SystemConfig,
@@ -571,16 +573,22 @@ impl<X: Backend> Proc<X> {
         fx: &mut Effects,
     ) {
         self.cache.commit_tx(tid);
-        let reads = std::mem::take(&mut self.reads_log);
         let chars = characteristics(
             self.tx_instr,
-            &reads,
+            &self.reads_log,
             writes,
             cfg.cache.geometry,
             cfg.n_procs,
         );
-        let writes = writes.to_vec();
-        fx.committed = Some((TxRecord { tid, reads, writes }, chars));
+        let record = cfg.check_serializability.then(|| TxRecord {
+            tid,
+            reads: std::mem::take(&mut self.reads_log),
+            writes: writes.to_vec(),
+        });
+        // Without the checker the log keeps its buffer for the next
+        // transaction.
+        self.reads_log.clear();
+        fx.committed = Some((record, chars));
         self.commits += 1;
         self.instructions += self.tx_instr;
         self.totals.useful += self.attempt_useful;
@@ -975,7 +983,8 @@ mod tests {
         p.commit_start = Cycle(80);
         p.retire(&cfg, Tid(9), &[], &mut fx);
         let (record, chars) = fx.committed.take().expect("commit reported");
-        assert_eq!((record.tid, chars.instructions), (Tid(9), 40));
+        assert!(record.is_none(), "no checker record without the checker");
+        assert_eq!(chars.instructions, 40);
         p.next_item(&cfg, Cycle(90), 0, &mut fx);
         assert_eq!((p.commits, p.totals.useful, p.totals.commit), (1, 40, 10));
         assert_eq!((p.item, p.instructions), (1, 40));

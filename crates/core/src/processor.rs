@@ -506,7 +506,10 @@ impl Processor {
     /// Sends the Skip multicast and the probes (phase 1 of the commit)
     /// at cycle `at`, `delay` cycles into the current event.
     fn announce_commit(&mut self, cfg: &SystemConfig, at: Cycle, delay: u64) -> Effects {
-        let mut fx = Effects::default();
+        let mut fx = Effects {
+            sends: Vec::with_capacity(cfg.n_procs),
+            ..Effects::default()
+        };
         let val = self
             .x
             .val
@@ -1093,7 +1096,10 @@ impl Processor {
 
     /// Releases `tid` by skipping every directory in the machine.
     fn skip_everywhere(&self, cfg: &SystemConfig, tid: Tid) -> Effects {
-        let mut fx = Effects::default();
+        let mut fx = Effects {
+            sends: Vec::with_capacity(cfg.n_procs),
+            ..Effects::default()
+        };
         for d in 0..cfg.n_procs {
             fx.sends.push((
                 0,
@@ -1303,6 +1309,8 @@ mod tests {
         let fx = p.on_probe_reply(&cfg, Cycle(130), DirId(0), Tid(0), Tid(0), false);
         assert!(fx.committed.is_some());
         let (record, chars) = fx.committed.unwrap();
+        let record = record.expect("the checker is on");
+        assert_eq!(record.tid, Tid(0));
         assert_eq!(record.reads.len(), 1);
         assert_eq!(record.reads[0].2, None);
         assert_eq!(chars.instructions, 1);

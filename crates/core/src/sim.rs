@@ -1305,7 +1305,7 @@ impl Simulator {
             self.queue.schedule(now + d, Event::ProcStep(node, seq));
         }
         if let Some((record, chars)) = fx.committed {
-            if let Some(c) = &mut self.checker {
+            if let (Some(c), Some(record)) = (&mut self.checker, record) {
                 c.record(record);
             }
             self.tx_chars.push(chars);

@@ -1,11 +1,12 @@
 //! Allocation gates for the paper's full-scale 64-processor machine.
 //!
-//! Building it costs a few hundred allocations, independent of cache
-//! capacity. Each processor's two set-associative arrays allocate their
-//! slot tables once and grow their way pools only as lines are filled,
-//! so construction never touches the 2,304 sets of a processor one by
-//! one, and the program digest snapshots gate on is computed only when
-//! a checkpoint asks for it.
+//! Building it costs a few hundred allocations and under a megabyte of
+//! heap, independent of cache capacity. Each processor's two
+//! set-associative arrays allocate one word and one length byte per
+//! set, and give a set its way slots and its pool entries only as lines
+//! are filled, so construction never touches the 2,304 sets of a
+//! processor one by one, and the program digest snapshots gate on is
+//! computed only when a checkpoint asks for it.
 //!
 //! Its programs cost what they hold: one allocation per transaction
 //! and per thread, and about 8.5 heap bytes per operation
@@ -74,6 +75,12 @@ fn live_bytes() -> i64 {
 /// or renders the programs at build time takes ~147,600.
 const BUILD_ALLOC_BOUND: u64 = 400;
 
+/// Heap bytes a freshly built volrend@64 machine may hold. TCC holds
+/// 865,280 and Tardis 829,952, 590 KB of it the per-set chunk words of
+/// the cache arrays. Way slots sized by capacity (`sets × ways` per
+/// array) held 4,722,688; those of the L1s alone would add 262,144.
+const BUILD_BYTES_BOUND: i64 = 1_000_000;
+
 #[test]
 fn full_scale_volrend_at_64_builds_in_a_few_hundred_allocations() {
     let programs = tcc_workloads::apps::volrend().generate(64, 0);
@@ -81,13 +88,18 @@ fn full_scale_volrend_at_64_builds_in_a_few_hundred_allocations() {
         let mut cfg = SystemConfig::with_procs(64);
         cfg.protocol = kind;
         let builder = Simulator::builder(cfg).programs(programs.clone());
-        let before = allocs();
+        let (allocs_before, bytes_before) = (allocs(), live_bytes());
         let sim = builder.build().expect("volrend@64 is a valid machine");
-        let n = allocs() - before;
-        eprintln!("{kind}: {n} allocations to build volrend@64");
+        let n = allocs() - allocs_before;
+        let bytes = live_bytes() - bytes_before;
+        eprintln!("{kind}: {n} allocations and {bytes} heap bytes to build volrend@64");
         assert!(
             n <= BUILD_ALLOC_BOUND,
             "{kind}: building volrend@64 took {n} allocations (bound {BUILD_ALLOC_BOUND})"
+        );
+        assert!(
+            bytes <= BUILD_BYTES_BOUND,
+            "{kind}: building volrend@64 holds {bytes} heap bytes (bound {BUILD_BYTES_BOUND})"
         );
         drop(sim);
     }
