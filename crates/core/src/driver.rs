@@ -244,6 +244,13 @@ impl<B: Snap> Snap for Phase<B> {
     }
 }
 
+/// Read-log entries a processor keeps room for after a transaction
+/// whose log grew past [`READS_LOG_SHRINK_AT`]; below that, the buffer
+/// is kept as it is. The Table 2 workloads' logs stay within 1,024
+/// entries, so neither bound fires on them.
+const READS_LOG_FLOOR: usize = 256;
+const READS_LOG_SHRINK_AT: usize = 4 * READS_LOG_FLOOR;
+
 /// One driven processor: program cursor, attempt bookkeeping, and
 /// lifetime counters, plus the backend's own state in `x`.
 #[derive(Debug)]
@@ -586,8 +593,12 @@ impl<X: Backend> Proc<X> {
             writes: writes.to_vec(),
         });
         // Without the checker the log keeps its buffer for the next
-        // transaction.
+        // transaction, unless one long transaction grew it far past
+        // what the usual one needs.
         self.reads_log.clear();
+        if self.reads_log.capacity() > READS_LOG_SHRINK_AT {
+            self.reads_log.shrink_to(READS_LOG_FLOOR);
+        }
         fx.committed = Some((record, chars));
         self.commits += 1;
         self.instructions += self.tx_instr;
@@ -988,6 +999,23 @@ mod tests {
         p.next_item(&cfg, Cycle(90), 0, &mut fx);
         assert_eq!((p.commits, p.totals.useful, p.totals.commit), (1, 40, 10));
         assert_eq!((p.item, p.instructions), (1, 40));
+    }
+
+    /// A long transaction's read log does not stay with the processor
+    /// for the rest of the run; a short one's buffer is kept.
+    #[test]
+    fn retire_trims_only_a_read_log_far_above_the_floor() {
+        let (cfg, mut p) = proc_::<Probe>(vec![tx(vec![]), tx(vec![])]);
+        let mut fx = Effects::default();
+        p.reads_log = Vec::with_capacity(READS_LOG_SHRINK_AT);
+        p.reads_log.push((LineAddr(0), 0, None));
+        p.retire(&cfg, Tid(0), &[], &mut fx);
+        assert_eq!(p.reads_log.capacity(), READS_LOG_SHRINK_AT, "kept");
+        p.reads_log
+            .extend((0..=READS_LOG_SHRINK_AT as u64).map(|l| (LineAddr(l), 0, None)));
+        p.retire(&cfg, Tid(1), &[], &mut fx);
+        assert!(p.reads_log.is_empty());
+        assert!(p.reads_log.capacity() <= READS_LOG_FLOOR, "trimmed");
     }
 
     #[test]

@@ -30,8 +30,22 @@
 //! line and never another thread's. The hint is keyed by a collector id
 //! that is never reused, so a hint left over from a dropped collector
 //! matches no live one and its dangling pointer is never followed.
+//!
+//! Reclamation recycles. A retired block is described by a
+//! [`BlockKind`] (its layout and how to drop what it holds), and when
+//! its bag drains the collector drops the contents in place and keeps
+//! the block on the draining participant's spare list instead of
+//! returning it to the allocator. [`Guard::alloc`] takes a block of the
+//! same layout from that list before it calls the allocator, so a
+//! thread that allocates about as many blocks as it retires — a
+//! committer, whose every publication displaces one version — stops
+//! calling the allocator at all. A block is reused exactly where it
+//! would have been freed, and a spare list, like the bags, is touched
+//! only by the thread that owns its participant.
 
+use std::alloc::{self, Layout};
 use std::cell::{Cell, UnsafeCell};
+use std::ptr::NonNull;
 use std::sync::atomic::{
     AtomicBool, AtomicPtr, AtomicU64,
     Ordering::{Relaxed, SeqCst},
@@ -41,10 +55,42 @@ use std::sync::atomic::{
 /// the global epoch so the bag can empty soon.
 const ADVANCE_THRESHOLD: usize = 64;
 
-/// One deferred deallocation.
+/// Spare blocks a participant keeps per layout; a drained block beyond
+/// this goes back to the allocator.
+const SPARE_CAP: usize = 1024;
+
+/// What the collector needs to know about a kind of heap block: how it
+/// was allocated and how to drop what it holds. One `'static` table per
+/// stored type, so a block can carry a pointer to it and be reclaimed
+/// without knowing the type.
+pub struct BlockKind {
+    /// The layout the block was allocated with by the global allocator.
+    pub layout: Layout,
+    /// Drops the block's contents in place and leaves the block
+    /// allocated.
+    pub drop_contents: unsafe fn(NonNull<u8>),
+}
+
+impl BlockKind {
+    /// Drops `p`'s contents and returns the block to the allocator.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be a live block of this kind, allocated by the global
+    /// allocator with `self.layout`, that nobody uses afterwards.
+    pub unsafe fn free(&self, p: NonNull<u8>) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            (self.drop_contents)(p);
+            alloc::dealloc(p.as_ptr(), self.layout);
+        }
+    }
+}
+
+/// One deferred reclamation.
 struct Garbage {
-    ptr: *mut (),
-    free: unsafe fn(*mut ()),
+    ptr: NonNull<u8>,
+    kind: &'static BlockKind,
 }
 
 // Garbage travels from the retiring thread's stack into a bag that a
@@ -57,10 +103,74 @@ struct Bag {
     items: Vec<Garbage>,
 }
 
-impl Bag {
-    fn drain(&mut self) {
-        for g in self.items.drain(..) {
-            unsafe { (g.free)(g.ptr) };
+/// Empty blocks of one layout, kept for reuse.
+struct SpareBucket {
+    layout: Layout,
+    /// Reserved at [`SPARE_CAP`] when the bucket is made, so keeping a
+    /// block never allocates.
+    blocks: Vec<NonNull<u8>>,
+}
+
+/// A participant's blocks: the three epoch bags and the spare list
+/// their drained blocks go to, a bucket per layout.
+struct Local {
+    bags: [Bag; 3],
+    spares: Vec<SpareBucket>,
+}
+
+impl Local {
+    /// Keeps the empty block `p` of `layout` for reuse, or frees it if
+    /// its bucket is full.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be allocated by the global allocator with `layout`,
+    /// hold no live value, and be unreachable by any other thread.
+    unsafe fn keep(&mut self, p: NonNull<u8>, layout: Layout) {
+        let i = match self.spares.iter().position(|b| b.layout == layout) {
+            Some(i) => i,
+            None => {
+                self.spares.push(SpareBucket {
+                    layout,
+                    blocks: Vec::with_capacity(SPARE_CAP),
+                });
+                self.spares.len() - 1
+            }
+        };
+        let bucket = &mut self.spares[i];
+        if bucket.blocks.len() < SPARE_CAP {
+            bucket.blocks.push(p);
+        } else {
+            // SAFETY: the caller's contract.
+            unsafe { alloc::dealloc(p.as_ptr(), layout) };
+        }
+    }
+
+    /// Reclaims every item of bag `i`: drops its contents and keeps
+    /// the block.
+    fn drain(&mut self, i: usize) {
+        let mut items = std::mem::take(&mut self.bags[i].items);
+        for g in items.drain(..) {
+            // SAFETY: a bag holds only blocks whose `defer` contract
+            // made them unreachable, and it drains once no pin that
+            // could still hold them remains.
+            unsafe {
+                (g.kind.drop_contents)(g.ptr);
+                self.keep(g.ptr, g.kind.layout);
+            }
+        }
+        // Hand the emptied buffer back, so the bag keeps its capacity.
+        self.bags[i].items = items;
+    }
+
+    /// Returns every spare block to the allocator.
+    fn free_spares(&mut self) {
+        for bucket in self.spares.drain(..) {
+            for p in bucket.blocks {
+                // SAFETY: kept by `keep`, whose contract says `p` was
+                // allocated with this layout and holds nothing.
+                unsafe { alloc::dealloc(p.as_ptr(), bucket.layout) };
+            }
         }
     }
 }
@@ -72,10 +182,10 @@ struct Participant {
     /// `0` = quiescent; otherwise `(epoch << 1) | 1`.
     active: AtomicU64,
     /// Ownership flag: a pin CASes this `false → true` to claim the
-    /// slot, so `bags` is only ever touched by one thread at a time.
+    /// slot, so `local` is only ever touched by one thread at a time.
     owned: AtomicBool,
     next: *mut Participant,
-    bags: UnsafeCell<[Bag; 3]>,
+    local: UnsafeCell<Local>,
 }
 
 /// Source of [`Collector`] ids; starts at 1 so the empty hint (id 0)
@@ -100,7 +210,7 @@ pub struct Collector {
 }
 
 // `head` chains heap nodes only this collector frees; all cross-thread
-// state in a node is atomic, and `bags` is guarded by `owned`.
+// state in a node is atomic, and `local` is guarded by `owned`.
 unsafe impl Send for Collector {}
 unsafe impl Sync for Collector {}
 
@@ -145,10 +255,11 @@ impl Collector {
         }
         // Opportunistically drain any of our bags whose contents are
         // already two epochs stale.
-        let bags = unsafe { &mut *p.bags.get() };
-        for bag in bags.iter_mut() {
+        let local = unsafe { &mut *p.local.get() };
+        for i in 0..3 {
+            let bag = &local.bags[i];
             if !bag.items.is_empty() && e >= bag.epoch + 2 {
-                bag.drain();
+                local.drain(i);
             }
         }
         Guard {
@@ -208,7 +319,10 @@ impl Collector {
             active: AtomicU64::new(0),
             owned: AtomicBool::new(true),
             next: std::ptr::null_mut(),
-            bags: UnsafeCell::new([make_bag(), make_bag(), make_bag()]),
+            local: UnsafeCell::new(Local {
+                bags: [make_bag(), make_bag(), make_bag()],
+                spares: Vec::new(),
+            }),
         }));
         loop {
             let head = self.head.load(SeqCst);
@@ -249,9 +363,11 @@ impl Drop for Collector {
         while !p.is_null() {
             let mut node = unsafe { Box::from_raw(p) };
             p = node.next;
-            for bag in node.bags.get_mut().iter_mut() {
-                bag.drain();
+            let local = node.local.get_mut();
+            for i in 0..3 {
+                local.drain(i);
             }
+            local.free_spares();
         }
     }
 }
@@ -264,16 +380,70 @@ pub struct Guard<'c> {
 }
 
 impl Guard<'_> {
-    /// Defers `free(ptr)` until every thread pinned at this moment has
-    /// unpinned.
+    /// This guard's participant's blocks.
+    ///
+    /// # Safety
+    ///
+    /// The caller must not hold the returned reference across another
+    /// call that takes it. (The guard owns the participant — `owned`
+    /// stays set until it drops — and is `!Send`, so no other thread
+    /// touches `local` meanwhile.)
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn local(&self) -> &mut Local {
+        // SAFETY: the guard owns the participant; the caller's contract
+        // keeps the borrow unique on this thread.
+        unsafe { &mut *(*self.part).local.get() }
+    }
+
+    /// A block of `layout`: a spare one if this participant keeps one,
+    /// otherwise a fresh one from the global allocator. The caller owns
+    /// it, uninitialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` has size zero.
+    pub fn alloc(&self, layout: Layout) -> NonNull<u8> {
+        assert!(layout.size() != 0, "zero-sized blocks are not pooled");
+        // SAFETY: the borrow ends before this function returns.
+        let local = unsafe { self.local() };
+        if let Some(bucket) = local.spares.iter_mut().find(|b| b.layout == layout) {
+            if let Some(p) = bucket.blocks.pop() {
+                return p;
+            }
+        }
+        // SAFETY: `layout` has a non-zero size (asserted above).
+        let p = unsafe { alloc::alloc(layout) };
+        NonNull::new(p).unwrap_or_else(|| alloc::handle_alloc_error(layout))
+    }
+
+    /// Reclaims a block nobody else ever saw: drops its contents now
+    /// and keeps the block for reuse.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a live block of `kind`, allocated by the global
+    /// allocator with `kind.layout`, that no other thread can reach and
+    /// that nobody uses afterwards.
+    pub unsafe fn recycle(&self, ptr: NonNull<u8>, kind: &'static BlockKind) {
+        // SAFETY: the caller's contract; the value's drop runs before
+        // `local` is borrowed, and the borrow ends with the call.
+        unsafe {
+            (kind.drop_contents)(ptr);
+            self.local().keep(ptr, kind.layout);
+        }
+    }
+
+    /// Defers reclaiming `ptr` until every thread pinned at this
+    /// moment has unpinned. The block is then dropped in place and kept
+    /// for reuse by whichever participant drains it.
     ///
     /// # Safety
     ///
     /// `ptr` must not be reachable by any thread that pins *after* this
     /// call (i.e. it has been unlinked from all shared locations), and
-    /// `free` must be safe to call on it exactly once.
-    pub unsafe fn defer(&self, ptr: *mut (), free: unsafe fn(*mut ())) {
-        let p = unsafe { &*self.part };
+    /// must be a live block of `kind`, allocated by the global
+    /// allocator with `kind.layout`, deferred exactly once.
+    pub unsafe fn defer(&self, ptr: NonNull<u8>, kind: &'static BlockKind) {
         // Stamp with the *global* epoch, not our pinned epoch. Our pin
         // may lag the global by one (pin at `e`, global advances to
         // `e + 1`, then we unlink), and a reader pinned at `e + 1` can
@@ -284,14 +454,16 @@ impl Guard<'_> {
         // that pinned before the unlink, and monotone across successive
         // defers, so bag reuse below stays ordered.
         let e = self.collector.global.load(SeqCst);
-        let bags = unsafe { &mut *p.bags.get() };
-        let bag = &mut bags[(e % 3) as usize];
-        if bag.epoch != e {
+        // SAFETY: the borrow ends before this function returns.
+        let local = unsafe { self.local() };
+        let i = (e % 3) as usize;
+        if local.bags[i].epoch != e {
             // Previous contents are from epoch ≤ e - 3: reclaimable.
-            bag.drain();
-            bag.epoch = e;
+            local.drain(i);
+            local.bags[i].epoch = e;
         }
-        bag.items.push(Garbage { ptr, free });
+        let bag = &mut local.bags[i];
+        bag.items.push(Garbage { ptr, kind });
         if bag.items.len() >= ADVANCE_THRESHOLD {
             self.collector.try_advance();
         }
@@ -309,29 +481,54 @@ impl Drop for Guard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    static FREED: AtomicUsize = AtomicUsize::new(0);
-
-    unsafe fn count_free(p: *mut ()) {
-        drop(unsafe { Box::from_raw(p.cast::<u64>()) });
-        FREED.fetch_add(1, SeqCst);
+    thread_local! {
+        /// Blocks of `COUNTED_U64` dropped on this thread: per thread,
+        /// so tests running in parallel do not see each other's drops.
+        /// Every test that reads it drains on its own thread.
+        static FREED: Cell<usize> = const { Cell::new(0) };
     }
 
-    fn retire_one(g: &Guard<'_>) {
-        let b = Box::into_raw(Box::new(0u64));
-        unsafe { g.defer(b.cast(), count_free) };
+    fn freed() -> usize {
+        FREED.with(Cell::get)
+    }
+
+    unsafe fn count_drop(_: NonNull<u8>) {
+        FREED.with(|c| c.set(c.get() + 1));
+    }
+
+    static COUNTED_U64: BlockKind = BlockKind {
+        layout: Layout::new::<u64>(),
+        drop_contents: count_drop,
+    };
+
+    fn boxed_u64() -> NonNull<u8> {
+        NonNull::from(Box::leak(Box::new(0u64))).cast()
+    }
+
+    fn retire_one(g: &Guard<'_>) -> NonNull<u8> {
+        let b = boxed_u64();
+        unsafe { g.defer(b, &COUNTED_U64) };
+        b
+    }
+
+    fn spares(g: &Guard<'_>, layout: Layout) -> usize {
+        let local = unsafe { &*(*g.part).local.get() };
+        local
+            .spares
+            .iter()
+            .find(|b| b.layout == layout)
+            .map_or(0, |b| b.blocks.len())
     }
 
     #[test]
     fn garbage_survives_while_pinned_and_frees_after_epochs() {
-        FREED.store(0, SeqCst);
         let c = Collector::new();
         {
             let g = c.pin();
             retire_one(&g);
-            assert_eq!(FREED.load(SeqCst), 0);
+            assert_eq!(freed(), 0);
         }
         // Advance two epochs with nobody pinned, then pin again: the
         // stale bag drains on pin.
@@ -339,7 +536,7 @@ mod tests {
         c.try_advance();
         {
             let _g = c.pin();
-            assert_eq!(FREED.load(SeqCst), 1);
+            assert_eq!(freed(), 1);
         }
     }
 
@@ -365,7 +562,6 @@ mod tests {
     /// with the global epoch (`e + 1`) keeps it alive.
     #[test]
     fn defer_after_global_advance_waits_for_lagging_epoch_reader() {
-        FREED.store(0, SeqCst);
         let c = Collector::new();
         let retirer = c.pin(); // pinned at epoch 0
         c.try_advance();
@@ -380,7 +576,7 @@ mod tests {
             // recycled slot; the garbage is stamped 1, and 2 < 1 + 2,
             // so it must survive while `reader` is still pinned.
             let _g = c.pin();
-            assert_eq!(FREED.load(SeqCst), 0, "freed under a live reader");
+            assert_eq!(freed(), 0, "freed under a live reader");
         }
         drop(reader);
         c.try_advance();
@@ -390,12 +586,11 @@ mod tests {
         // bag is now two epochs stale and drains.
         let _g1 = c.pin();
         let _g2 = c.pin();
-        assert_eq!(FREED.load(SeqCst), 1, "freed once the reader unpins");
+        assert_eq!(freed(), 1, "freed once the reader unpins");
     }
 
     #[test]
     fn collector_drop_frees_everything() {
-        FREED.store(0, SeqCst);
         {
             let c = Collector::new();
             let g = c.pin();
@@ -404,7 +599,7 @@ mod tests {
             }
             drop(g);
         }
-        assert_eq!(FREED.load(SeqCst), 10);
+        assert_eq!(freed(), 10);
     }
 
     #[test]
@@ -450,8 +645,61 @@ mod tests {
         assert_eq!(g.part, c.head.load(SeqCst), "registered fresh");
     }
 
+    /// A drained block is handed out again by the next `alloc` of its
+    /// layout, and a recycled one at once; neither reaches the
+    /// allocator.
+    #[test]
+    fn drained_and_recycled_blocks_are_reused() {
+        let c = Collector::new();
+        let retired = {
+            let g = c.pin();
+            retire_one(&g)
+        };
+        c.try_advance();
+        c.try_advance();
+        let g = c.pin();
+        assert_eq!(freed(), 1, "dropped in place on drain");
+        assert_eq!(spares(&g, COUNTED_U64.layout), 1);
+        let again = g.alloc(COUNTED_U64.layout);
+        assert_eq!(again, retired, "the drained block comes back");
+        assert_eq!(spares(&g, COUNTED_U64.layout), 0);
+        unsafe { g.recycle(again, &COUNTED_U64) };
+        assert_eq!(freed(), 2, "recycle drops at once");
+        assert_eq!(g.alloc(COUNTED_U64.layout), again);
+        // A different layout is not served from this bucket.
+        let other = Layout::new::<[u64; 2]>();
+        let fresh = g.alloc(other);
+        assert_ne!(fresh, again);
+        unsafe { alloc::dealloc(fresh.as_ptr(), other) };
+        unsafe { alloc::dealloc(again.as_ptr(), COUNTED_U64.layout) };
+    }
+
+    /// A spare bucket holds at most `SPARE_CAP` blocks; the rest of a
+    /// large drain goes back to the allocator.
+    #[test]
+    fn spare_list_is_bounded() {
+        let c = Collector::new();
+        {
+            let g = c.pin();
+            for _ in 0..SPARE_CAP + 10 {
+                retire_one(&g);
+            }
+        }
+        c.try_advance();
+        c.try_advance();
+        c.try_advance();
+        let g = c.pin();
+        assert_eq!(freed(), SPARE_CAP + 10, "every item dropped");
+        assert_eq!(spares(&g, COUNTED_U64.layout), SPARE_CAP);
+    }
+
     #[test]
     fn concurrent_pin_smoke() {
+        unsafe fn drop_u64(_: NonNull<u8>) {}
+        static U64: BlockKind = BlockKind {
+            layout: Layout::new::<u64>(),
+            drop_contents: drop_u64,
+        };
         let c = Arc::new(Collector::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -459,9 +707,10 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..200 {
                         let g = c.pin();
-                        let b = Box::into_raw(Box::new(7u64));
+                        let b = g.alloc(U64.layout);
                         unsafe {
-                            g.defer(b.cast(), |p| drop(Box::from_raw(p.cast::<u64>())));
+                            b.cast::<u64>().write(7);
+                            g.defer(b, &U64);
                         }
                     }
                 })

@@ -11,12 +11,15 @@
 //! ([`CommitMode::EarlyTid`]) after `starvation_threshold` failed
 //! attempts, after which it commits within two more executions.
 //!
-//! Cells are version pointers: a committed write allocates one
+//! Cells are version pointers: a committed write fills one
 //! [`Version<T>`] node (stamp + value) and publishes it with a single
 //! pointer swap — the software image of the paper's write-back commit
 //! via ownership publication, where commit communicates *who owns the
 //! line*, not the data. Displaced versions, and a cell whose last
-//! [`TVar`] handle dropped, are reclaimed through [`crate::ebr`]. Reads
+//! [`TVar`] handle dropped, are reclaimed through [`crate::ebr`], which
+//! keeps reclaimed nodes for the next writes: in steady state a
+//! transaction takes its nodes from its pinned participant's spare
+//! list and never calls the allocator. Reads
 //! are invisible — a read writes no shared word, not even a reference
 //! count, because the transaction's EBR pin alone keeps the cells it
 //! holds raw pointers to allocated. Consistency during execution is
@@ -32,9 +35,10 @@ use crate::proto::{
     WriteEntry, STAMP_INITIAL, TID_NONE,
 };
 use crate::shim::{RealShim, Shim, ShimU64};
+use std::alloc::Layout;
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::ptr::NonNull;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tcc_types::Tid;
@@ -50,9 +54,9 @@ use tcc_types::Tid;
 #[repr(C)]
 struct VersionHdr {
     stamp: u64,
-    /// Frees the whole `Version<T>` allocation; stored per-node so the
-    /// cell can be dropped and garbage reclaimed type-erased.
-    free: unsafe fn(*mut VersionHdr),
+    /// The `Version<T>` block's layout and value drop, so the cell can
+    /// be dropped and the node reclaimed or reused type-erased.
+    kind: &'static ebr::BlockKind,
 }
 
 #[repr(C)]
@@ -61,24 +65,35 @@ struct Version<T> {
     value: T,
 }
 
-unsafe fn free_version<T>(p: *mut VersionHdr) {
-    drop(unsafe { Box::from_raw(p.cast::<Version<T>>()) });
+/// # Safety
+///
+/// `p` must point at a live `Version<T>` whose value nobody uses
+/// afterwards.
+unsafe fn drop_version<T>(p: NonNull<u8>) {
+    // SAFETY: the caller's contract; the header needs no drop.
+    unsafe { ptr::drop_in_place(&raw mut (*p.cast::<Version<T>>().as_ptr()).value) };
 }
 
-fn alloc_version<T>(stamp: u64, value: T) -> *mut VersionHdr {
-    Box::into_raw(Box::new(Version {
-        hdr: VersionHdr {
-            stamp,
-            free: free_version::<T>,
-        },
-        value,
-    }))
-    .cast::<VersionHdr>()
+/// The one [`ebr::BlockKind`] of `Version<T>`.
+fn version_kind<T>() -> &'static ebr::BlockKind {
+    const {
+        &ebr::BlockKind {
+            layout: Layout::new::<Version<T>>(),
+            drop_contents: drop_version::<T>,
+        }
+    }
 }
 
-unsafe fn free_erased(p: *mut ()) {
-    let hdr = p.cast::<VersionHdr>();
-    unsafe { ((*hdr).free)(hdr) };
+/// A fresh `Version<T>` in a block from `guard`'s participant: a
+/// reclaimed one when it keeps one, else a new one. The caller owns
+/// the node until it publishes it.
+fn new_version<T>(guard: &ebr::Guard<'_>, stamp: u64, value: T) -> *mut VersionHdr {
+    let kind = version_kind::<T>();
+    let v = guard.alloc(kind.layout).cast::<Version<T>>().as_ptr();
+    let hdr = VersionHdr { stamp, kind };
+    // SAFETY: an unused block of `Version<T>`'s layout.
+    unsafe { v.write(Version { hdr, value }) };
+    v.cast()
 }
 
 // ---------------------------------------------------------------------
@@ -108,21 +123,29 @@ impl Drop for CellCore {
         // nobody can load `current` anymore, and all *previous*
         // versions were retired through EBR at publish time, so the
         // final version can be freed here.
-        let p = *self.current.get_mut();
-        if !p.is_null() {
-            unsafe { ((*p).free)(p) };
+        if let Some(p) = NonNull::new(*self.current.get_mut()) {
+            // SAFETY: the cell's own node, reachable from nowhere else
+            // now, allocated with the layout its kind records.
+            unsafe { (*p.as_ptr()).kind.free(p.cast()) };
         }
     }
 }
 
 /// # Safety
 ///
-/// `p` must be a `CellCore` leaked by [`Stm::new_tvar`] that no handle
-/// or pinned transaction can still reach, freed exactly once.
-unsafe fn free_core(p: *mut ()) {
-    // SAFETY: the caller's contract; the box came from `Box::leak`.
-    drop(unsafe { Box::from_raw(p.cast::<CellCore>()) });
+/// `p` must be a `CellCore` that no handle or pinned transaction can
+/// still reach, dropped exactly once.
+unsafe fn drop_core(p: NonNull<u8>) {
+    // SAFETY: the caller's contract.
+    unsafe { ptr::drop_in_place(p.cast::<CellCore>().as_ptr()) };
 }
+
+/// A cell's block: leaked from a `Box` by [`Stm::new_tvar`], so
+/// allocated with `CellCore`'s layout.
+static CELL_KIND: ebr::BlockKind = ebr::BlockKind {
+    layout: Layout::new::<CellCore>(),
+    drop_contents: drop_core,
+};
 
 /// A transactional variable: a `T`-typed cell readable and writable
 /// only inside [`Tx`] closures. Cloning is cheap (one counter bump) and
@@ -177,7 +200,7 @@ impl<T> Drop for TVar<T> {
         let guard = self.stm.collector.pin();
         // SAFETY: no handle remains, so no pin taken from now on can
         // reach the cell, and the count hit zero exactly once.
-        unsafe { guard.defer(self.core.as_ptr().cast(), free_core) };
+        unsafe { guard.defer(self.core.cast(), &CELL_KIND) };
     }
 }
 
@@ -324,10 +347,11 @@ impl Stm {
     /// shards round-robin.
     pub fn new_tvar<T: Clone + Send + Sync + 'static>(&self, init: T) -> TVar<T> {
         let idx = self.inner.next_cell.fetch_add(1, Ordering::Relaxed);
+        let first = new_version(&self.inner.collector.pin(), STAMP_INITIAL, init);
         let core = Box::new(CellCore {
             shard: idx % self.inner.config.shards,
             mark: AtomicU64::new(TID_NONE),
-            current: AtomicPtr::new(alloc_version(STAMP_INITIAL, init)),
+            current: AtomicPtr::new(first),
             handles: AtomicUsize::new(1),
         });
         TVar {
@@ -490,8 +514,9 @@ impl CellRef {
 }
 
 /// A read set and a write set. Each thread keeps one pair of buffers
-/// and lends it to its transactions in turn, so an attempt allocates
-/// nothing but the version nodes it writes.
+/// and lends it to its transactions in turn, so in steady state an
+/// attempt allocates nothing: its version nodes come from the
+/// collector's spare list too.
 #[derive(Default)]
 struct TxSets {
     reads: Vec<ReadEntry<CellRef>>,
@@ -633,7 +658,7 @@ impl<'s> Tx<'s> {
         self.sets.writes.push(WriteEntry {
             cell: CellRef {
                 core: ptr,
-                prepared: alloc_version(STAMP_INITIAL, value),
+                prepared: new_version(&self.guard, STAMP_INITIAL, value),
             },
             shard: core.shard,
         });
@@ -654,7 +679,7 @@ impl<'s> Tx<'s> {
             mode,
             &CommitTweaks::default(),
         )
-        // Tx drops here: unpublished prepared nodes are freed by the
+        // Tx drops here: unpublished prepared nodes are recycled by the
         // Drop impl, the pin is released.
     }
 }
@@ -671,8 +696,12 @@ impl Drop for Tx<'_> {
             // guard field drops after this body). Nobody writes a
             // node's stamp after publication.
             if unsafe { (*node).stamp } == STAMP_INITIAL {
-                // SAFETY: never published, so never shared; freed once.
-                unsafe { ((*node).free)(node) };
+                // SAFETY: never published, so never shared; recycled
+                // once, under the pin that allocated it.
+                unsafe {
+                    self.guard
+                        .recycle(NonNull::new_unchecked(node).cast(), (*node).kind);
+                }
             }
         }
         std::mem::take(&mut self.sets).give_back();
@@ -714,7 +743,13 @@ impl CellAccess for TxCells<'_> {
         let old = h.core().current.swap(h.prepared, Ordering::AcqRel);
         // The displaced version may still be under a concurrent
         // reader's pin; EBR decides when it is really dead.
-        unsafe { self.guard.defer(old.cast(), free_erased) };
+        // SAFETY: `old` was the cell's current node, so live and
+        // allocated with its kind's layout; the swap unlinked it, and
+        // only this swap got it back.
+        unsafe {
+            self.guard
+                .defer(NonNull::new_unchecked(old).cast(), (*old).kind);
+        }
     }
 }
 
