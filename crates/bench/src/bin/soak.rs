@@ -8,10 +8,8 @@
 //! invocation resumes from the latest journaled checkpoint and — by
 //! the simulator's byte-identical-resume guarantee — finishes with
 //! exactly the fingerprint and commit count of an uninterrupted run.
-//! Between generations it sweeps a small chaos grid and re-verifies
-//! that a traffic trace keeps its fingerprint through a serialization
-//! roundtrip, so continuous operation also exercises the exploration
-//! and trace layers.
+//! Between generations it sweeps a small chaos grid, so continuous
+//! operation also exercises the exploration layer.
 //!
 //! Modes:
 //!
@@ -34,7 +32,6 @@ use tcc_core::{
     Transaction, TransportConfig, TxOp, WatchdogConfig, WorkItem,
 };
 use tcc_network::{ChaosConfig, DropRule, DupRule};
-use tcc_traffic::{scenarios, synthesize, Trace};
 use tcc_types::rng::SmallRng;
 use tcc_types::{Addr, Cycle};
 
@@ -227,27 +224,21 @@ fn run_generation(args: &Args, gen_seed: u64) -> Result<SimResult, RunError> {
     }
 }
 
-/// Stateless side sweeps between generations: a small chaos grid and a
-/// traffic-trace serialization roundtrip check. Returns false on any
-/// failure.
+/// Stateless side sweep between generations: a small chaos grid.
+/// Returns false on any failure.
 fn side_sweeps(gen_seed: u64, grid: u64) -> bool {
-    let mut ok = true;
-    if grid > 0 {
-        let scenarios = GridSpec::new(gen_seed..gen_seed + grid, 0..grid).scenarios();
-        let report = run_scenarios(&scenarios, 2);
-        println!(
-            "chaos grid: {} runs, {} commits, {} failures",
-            report.runs,
-            report.commits,
-            report.failures.len()
-        );
-        ok &= report.passed();
+    if grid == 0 {
+        return true;
     }
-    let trace = synthesize(&scenarios::zipfian_steady(), 2_000).expect("preset is valid");
-    let same = Trace::from_bytes(&trace.to_bytes())
-        .is_ok_and(|back| back.fingerprint() == trace.fingerprint());
-    println!("traffic trace: roundtrip fingerprint identical: {same}");
-    ok && same
+    let scenarios = GridSpec::new(gen_seed..gen_seed + grid, 0..grid).scenarios();
+    let report = run_scenarios(&scenarios, 2);
+    println!(
+        "chaos grid: {} runs, {} commits, {} failures",
+        report.runs,
+        report.commits,
+        report.failures.len()
+    );
+    report.passed()
 }
 
 fn mode_run(args: &Args) -> ExitCode {

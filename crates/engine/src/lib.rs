@@ -56,6 +56,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tcc_trace::Tracer;
+use tcc_types::hash::mix64;
 use tcc_types::slab::{Slab, SlabKey};
 use tcc_types::Cycle;
 
@@ -84,14 +85,6 @@ pub enum TieBreak {
     /// Same-cycle events pop in salted-hash order (deterministic per
     /// salt; insertion order still breaks hash collisions).
     Seeded(u64),
-}
-
-/// SplitMix64 finalizer: cheap, well-mixed 64-bit hash for tie keys.
-#[inline]
-pub fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Number of single-cycle slots in the near wheel (must be a power of

@@ -12,9 +12,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use tcc_types::hash::mix64;
 use tcc_types::Cycle;
 
-use crate::{mix64, TieBreak};
+use crate::TieBreak;
 
 /// Heap entry: ordered by time, then tie key, then insertion sequence
 /// (`key == seq` under FIFO tie-breaking).

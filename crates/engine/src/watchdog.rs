@@ -113,13 +113,13 @@ impl ProgressWatchdog {
 }
 
 /// Folds an arbitrary stream of progress words into one signature with
-/// the kernel's SplitMix64 finalizer. Order-sensitive, so callers must
-/// feed fields in a fixed order.
+/// the workspace's SplitMix64 finalizer, [`tcc_types::hash::mix64`].
+/// Order-sensitive, so callers must feed fields in a fixed order.
 #[must_use]
 pub fn progress_signature(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut acc = 0x9e37_79b9_7f4a_7c15_u64;
     for w in words {
-        acc = crate::mix64(acc ^ w.wrapping_mul(0xff51_afd7_ed55_8ccd));
+        acc = tcc_types::hash::mix64(acc ^ w.wrapping_mul(0xff51_afd7_ed55_8ccd));
     }
     acc
 }

@@ -5,7 +5,9 @@
 //! open-loop [`ArrivalConfig`]), *which* keys they fight over (the
 //! [`PopularityConfig`] contention model), and *what* each transaction
 //! does (the [`ShapeConfig`] application shape). The same config and
-//! seed always synthesize the identical trace, byte for byte.
+//! seed always synthesize the identical trace. Arrival timestamps are
+//! abstract ticks; backends scale them (cycles per tick in the
+//! simulator, nanoseconds per tick on real threads).
 //!
 //! Validation follows the [`tcc_core::SystemConfig::validate`] style:
 //! degenerate parameters are rejected up front with a
@@ -14,11 +16,6 @@
 //! deep inside synthesis.
 
 use tcc_core::ConfigError;
-
-/// Ticks per simulated second. Arrival timestamps are abstract
-/// microsecond-granularity ticks; backends scale them (cycles per tick
-/// in the simulator, nanoseconds per tick on real threads).
-pub const TICKS_PER_SEC: f64 = 1_000_000.0;
 
 /// Open-loop arrival process: *when* requests arrive, independent of
 /// how fast the system retires them (the opposite of the closed-loop
@@ -126,7 +123,7 @@ pub enum ShapeConfig {
 /// One complete scenario: name, seed, and the three model axes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
-    /// Scenario name, recorded in the trace header and run reports.
+    /// Scenario name, recorded in the trace and in run reports.
     pub scenario: String,
     /// Master seed; every synthesis stream derives from it.
     pub seed: u64,

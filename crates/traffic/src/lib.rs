@@ -1,5 +1,5 @@
-//! `tcc-traffic`: production-traffic generation, compact binary
-//! traces, and deterministic replay for the TCC stack.
+//! `tcc-traffic`: production-traffic generation, in-memory traces,
+//! and deterministic replay for the TCC stack.
 //!
 //! The paper's workloads are closed-loop microbenchmarks: each
 //! processor issues its next transaction the instant the previous one
@@ -19,16 +19,15 @@
 //!   hot-key migration);
 //! * [`shapes`] — application shapes: KV mixes, graph traversal with
 //!   hot supernodes, and TPC-C-lite order/payment;
-//! * [`trace`] — the `tcc-traffic-trace/v1` compact binary format:
-//!   length-prefixed LEB128 records, delta-encoded timestamps,
-//!   checksummed header, order-independent replay fingerprint;
+//! * [`trace`] — the in-memory [`Trace`]: delta-encoded LEB128
+//!   records and the fingerprint the goldens pin;
 //! * [`replay`] — lowering to `tcc-core` simulator programs and
 //!   `tcc-stm` real-thread transactions;
 //! * [`scenarios`] — the four named presets the bench harness and CI
 //!   sweep.
 //!
 //! The contract throughout: the same `(config, seed)` synthesizes the
-//! byte-identical trace, and with it the identical replay fingerprint.
+//! identical trace, and with it the identical fingerprint.
 //!
 //! ```
 //! use tcc_traffic::{scenarios, synthesize};
@@ -53,7 +52,7 @@ pub use config::{ArrivalConfig, PopularityConfig, ShapeConfig, TrafficConfig};
 pub use popularity::Popularity;
 pub use replay::{run_sim_replay, run_stm_replay, SimReplay, StmReplay};
 pub use shapes::{Shape, TrafficOp, TrafficTx};
-pub use trace::{Trace, TraceError, TraceWriter, TRACE_SCHEMA};
+pub use trace::Trace;
 
 use tcc_core::ConfigError;
 use tcc_workloads::sampling::stream_rng;
@@ -64,8 +63,7 @@ const STREAM_ARRIVAL: u64 = 0;
 /// choices).
 const STREAM_OPS: u64 = 1;
 
-/// Synthesizes `n_txs` transactions of the scenario into a sealed,
-/// checksummed [`Trace`].
+/// Synthesizes `n_txs` transactions of the scenario into a [`Trace`].
 ///
 /// Arrival timing and op generation draw from two independent RNG
 /// streams derived from the scenario seed, so changing a shape
@@ -84,14 +82,14 @@ pub fn synthesize(cfg: &TrafficConfig, n_txs: usize) -> Result<Trace, ConfigErro
     let mut arrivals = ArrivalProcess::new(cfg.arrival.clone());
     let pop = Popularity::new(&cfg.popularity);
     let shape = Shape::new(&cfg.shape, cfg.popularity.n_keys());
-    let mut writer = TraceWriter::new();
+    let mut trace = Trace::new(&cfg.scenario, cfg.key_space() as u64);
     let mut ops = Vec::new();
     for _ in 0..n_txs {
         let at = arrivals.next_at(&mut arrival_rng);
         shape.generate(at, &pop, &mut ops_rng, &mut ops);
-        writer.push(at, &ops);
+        trace.push(at, &ops);
     }
-    Ok(writer.finish(&cfg.scenario, cfg.seed, cfg.key_space() as u64))
+    Ok(trace)
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Deterministic trace replay: lowering to both execution backends.
 //!
-//! Two consumers read the same sealed [`Trace`] (its pure replay, the
-//! fold of every record's digest, is [`Trace::fingerprint`]):
+//! Two consumers read the same synthesized [`Trace`]:
 //!
 //! * [`sim_programs`] / [`run_sim_replay`] — lowering to
 //!   [`tcc_core`] `ThreadProgram`s: record *i* dispatches to processor

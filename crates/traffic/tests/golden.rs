@@ -1,12 +1,12 @@
-//! Golden-trace gate: a small checked-in trace whose bytes, checksum,
-//! and replay fingerprint are pinned. CI replays it on every push; any
-//! drift in the format, the samplers, or the stream-derivation rule
-//! trips this suite. Run the `#[ignore]`d regeneration test after an
-//! *intentional* format change and commit the refreshed files.
+//! Golden-trace gate: the scenario, record count and fingerprint of a
+//! small synthesized trace are pinned in `golden/`. Any drift in the
+//! record encoding, the samplers, or the stream-derivation rule trips
+//! this suite. Run the `#[ignore]`d regeneration test after an
+//! *intentional* change and commit the refreshed expectations.
 
 use std::path::PathBuf;
 
-use tcc_traffic::{scenarios, synthesize, Trace};
+use tcc_traffic::{scenarios, synthesize};
 
 /// Records in the golden trace — small enough to keep the repo light,
 /// large enough to exercise every record-level code path.
@@ -34,50 +34,36 @@ fn expectations() -> std::collections::HashMap<String, String> {
 }
 
 #[test]
-fn golden_trace_bytes_are_pinned() {
-    let bytes = std::fs::read(golden_dir().join("bursty-hot-migration.trace"))
-        .expect("golden trace file is committed");
-    let want = synthesize(&golden_trace(), GOLDEN_RECORDS).expect("valid preset");
-    assert_eq!(
-        bytes,
-        want.to_bytes(),
-        "synthesis no longer reproduces the committed golden trace — \
-         if the format change is intentional, rerun the regenerate test"
-    );
-}
-
-#[test]
-fn golden_trace_verifies_and_matches_expectations() {
-    let bytes = std::fs::read(golden_dir().join("bursty-hot-migration.trace"))
-        .expect("golden trace file is committed");
-    let trace = Trace::from_bytes(&bytes).expect("checksum + structural verification");
+fn golden_trace_matches_expectations() {
+    let trace = synthesize(&golden_trace(), GOLDEN_RECORDS).expect("valid preset");
     let expect = expectations();
     assert_eq!(trace.scenario(), expect["scenario"]);
     assert_eq!(trace.n_records().to_string(), expect["n_records"]);
-    assert_eq!(format!("{:016x}", trace.checksum()), expect["checksum"]);
-    assert_eq!(trace.fingerprint(), expect["fingerprint"]);
+    assert_eq!(
+        trace.fingerprint(),
+        expect["fingerprint"],
+        "synthesis no longer reproduces the pinned golden trace — \
+         if the change is intentional, rerun the regenerate test"
+    );
 }
 
-/// Regenerates the golden files. Ignored in normal runs; invoke with
-/// `cargo test -p tcc-traffic --test golden -- --ignored` after an
-/// intentional format change, then commit the diff.
+/// Regenerates the golden expectations. Ignored in normal runs; invoke
+/// with `cargo test -p tcc-traffic --test golden -- --ignored` after an
+/// intentional change, then commit the diff.
 #[test]
-#[ignore = "regenerates committed golden files"]
+#[ignore = "regenerates the committed golden expectations"]
 fn regenerate_golden_files() {
     let trace = synthesize(&golden_trace(), GOLDEN_RECORDS).expect("valid preset");
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("golden dir");
-    std::fs::write(dir.join("bursty-hot-migration.trace"), trace.to_bytes()).expect("write trace");
     let expect = format!(
         "# Pinned expectations for the golden traffic trace.\n\
          # Regenerate with: cargo test -p tcc-traffic --test golden -- --ignored\n\
          scenario = {}\n\
          n_records = {}\n\
-         checksum = {:016x}\n\
          fingerprint = {}\n",
         trace.scenario(),
         trace.n_records(),
-        trace.checksum(),
         trace.fingerprint(),
     );
     std::fs::write(dir.join("bursty-hot-migration.expect"), expect).expect("write expectations");

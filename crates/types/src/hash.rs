@@ -1,5 +1,6 @@
-//! Fast, deterministic hashing for simulator-internal containers, and
-//! the workspace's stable [`fnv1a`] digest.
+//! Fast, deterministic hashing for simulator-internal containers, the
+//! workspace's stable [`fnv1a`] digest, and its one SplitMix64
+//! finalizer, [`mix64`].
 //!
 //! `std`'s default `RandomState` (SipHash-1-3 with per-instance random
 //! keys) is a DoS defence the simulator does not need: every key hashed
@@ -91,7 +92,7 @@ pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// FNV-1a-style digest over a byte slice: the workspace's one stable
 /// digest. Result fingerprints, config and program digests, snapshot
-/// checksums, and trace-record checksums all use it, so a mismatch in
+/// checksums, and traffic-trace fingerprints all use it, so a mismatch in
 /// any of them is comparable with the others across machines.
 ///
 /// The multiplier is `0x1000_0000_01b3` (2^44 + 0x1b3), not the
@@ -103,6 +104,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.update(bytes);
     h.finish()
+}
+
+/// SplitMix64 finalizer: a cheap, well-mixed 64-bit bijection. The
+/// seeded event tie-break, the watchdog's progress signature, the RNG
+/// seeding and the traffic-trace fingerprint all use it, so their
+/// goldens pin it.
+#[inline]
+#[must_use]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Streaming [`fnv1a`]: bytes fed in pieces digest as their

@@ -17,7 +17,7 @@
 //! * [`trace`] — protocol event tracing, metrics, and the
 //!   `BENCH_*.json` run-report / Chrome-trace exporters.
 //! * [`traffic`] — production-traffic generation: open-loop arrival
-//!   processes, key-popularity models, compact binary traces, and
+//!   processes, key-popularity models, in-memory traces, and
 //!   deterministic replay on both execution backends.
 //! * [`cache`], [`directory`], [`network`], [`engine`], [`types`] — the
 //!   hardware substrates.
