@@ -175,16 +175,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// `true` when no rule can ever add latency (the FIFO clamp may
-    /// still serialize same-cycle same-channel deliveries).
-    #[must_use]
-    pub fn is_benign(&self) -> bool {
-        self.jitter == 0
-            && self.kind_delays.is_empty()
-            && self.hotspots.is_empty()
-            && !self.has_wire_faults()
-    }
-
     /// `true` when any rule needs the unreliable wire path: dropping,
     /// duplicating, or unclamped reordering. The simulator requires the
     /// reliable transport to be enabled before honoring these.

@@ -70,12 +70,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Long-run offered rate, in transactions per tick.
-    #[must_use]
-    pub fn offered_rate_per_tick(&self) -> f64 {
-        1.0 / self.mean_interarrival_ticks()
-    }
-
     /// Advances to the next arrival and returns its tick.
     pub fn next_at(&mut self, rng: &mut SmallRng) -> u64 {
         let dt = match self.cfg {

@@ -221,12 +221,6 @@ impl LineGeometry {
         ((a.0 % u64::from(self.line_bytes)) / u64::from(self.word_bytes)) as usize
     }
 
-    /// Single-word mask for byte address `a`.
-    #[must_use]
-    pub fn word_mask(self, a: Addr) -> WordMask {
-        WordMask::single(self.word_index(a))
-    }
-
     /// The home directory of line `l` in a machine with `n_dirs`
     /// directories (line-interleaved).
     ///

@@ -9,11 +9,19 @@
 //! Each payload knows its on-wire size ([`Payload::size_bytes`]) and its
 //! traffic category ([`Payload::category`]), which feed the Figure 9
 //! bytes-per-instruction accounting.
+//!
+//! `Payload` is declared once, inside the `payloads!` macro, which also
+//! generates its census key ([`Payload::kind_index`], [`KIND_NAMES`],
+//! [`N_KINDS`], [`ACK_KIND`]) and its snapshot encoding: a one-byte tag
+//! equal to the kind index, then the fields in declaration order. Adding
+//! a kind means one new entry in that declaration plus its `size_bytes`
+//! and `category` arms.
 
 use std::fmt;
 
 use crate::addr::{LineAddr, WordMask};
 use crate::ids::{DirId, NodeId, Tid};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Bytes of routing/type header carried by every message.
 pub const HEADER_BYTES: u32 = 8;
@@ -188,313 +196,389 @@ impl LineValues {
     }
 }
 
-/// One coherence message of the Scalable TCC protocol.
-///
-/// The variants marked *(Table 1)* appear verbatim in the paper; the rest
-/// are the replies/acks any real implementation needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// *(Table 1)* Load a cache line. Sent processor → home directory for
-    /// both load misses and store misses (write-allocate caches).
-    LoadRequest {
-        /// Line being requested.
-        line: LineAddr,
-        /// Requesting processor (also the reply destination).
-        requester: NodeId,
-        /// Requester-local request id, echoed in the reply. Lets the
-        /// processor discard replies to requests issued by attempts it
-        /// has since rolled back — without it, a retry that misses on
-        /// the same line could consume the rolled-back attempt's stale
-        /// reply (§3.3 load/invalidate race, generalized).
-        req: u64,
-    },
-    /// Fill data, directory → processor. Completes a `LoadRequest`.
-    LoadReply {
-        /// Line being filled.
-        line: LineAddr,
-        /// Whether the data came from memory or an owner's cache.
-        source: DataSource,
-        /// Simulated contents (writer stamps) for the checker.
-        values: LineValues,
-        /// Echo of the request's `req` id.
-        req: u64,
-    },
-    /// *(Table 1)* Request a transaction identifier from the global vendor.
-    TidRequest {
-        /// Requesting processor (also the reply destination).
-        requester: NodeId,
-    },
-    /// Vendor → processor: the freshly vended TID.
-    TidReply {
-        /// The gap-free TID granted to the requester.
-        tid: Tid,
-    },
-    /// *(Table 1)* Instructs a directory to skip a given TID: the sender
-    /// has nothing to commit at that directory.
-    Skip {
-        /// TID to be marked as completed at the directory.
-        tid: Tid,
-    },
-    /// *(Table 1)* Probes a directory for its Now Serving TID. The
-    /// directory defers its reply until the probe's condition is met
-    /// (write-set probes: `NSTID == tid`; read-set probes: `NSTID >= tid`),
-    /// implementing the paper's "avoid repeated probing" optimization.
-    Probe {
-        /// The prober's TID.
-        tid: Tid,
-        /// Probing processor (reply destination).
-        requester: NodeId,
-        /// True if the prober intends to send Mark messages (the
-        /// directory is in its Writing Vector).
-        for_write: bool,
-    },
-    /// Directory → processor: answer to a [`Payload::Probe`], carrying the NSTID at
-    /// response time.
-    ProbeReply {
-        /// Responding directory.
-        dir: DirId,
-        /// The directory's Now Serving TID when it replied.
-        now_serving: Tid,
-        /// Echo of the probe's TID, so the processor can discard stale
-        /// replies belonging to an attempt it has since aborted.
-        probe_tid: Tid,
-        /// Echo of the probe's `for_write` flag.
-        for_write: bool,
-    },
-    /// *(Table 1)* Marks a line (pre-commit) as part of the committing
-    /// transaction's write-set at its home directory.
-    Mark {
-        /// TID performing the commit (must equal the directory's NSTID).
-        tid: Tid,
-        /// Line being pre-committed.
-        line: LineAddr,
-        /// Word-granularity write flags buffered at the directory.
-        words: WordMask,
-        /// The committing processor (becomes owner on commit).
-        committer: NodeId,
-    },
-    /// *(Table 1)* Instructs a directory to atomically commit all lines
-    /// marked by `tid`: gang-upgrade Marked → Owned and invalidate sharers.
-    Commit {
-        /// TID whose marked lines become owned.
-        tid: Tid,
-        /// The committing processor.
-        committer: NodeId,
-        /// Number of `Mark` messages the committer sent to this
-        /// directory. On an unordered interconnect the commit may
-        /// overtake in-flight marks; the directory defers the
-        /// gang-upgrade until all of them have arrived.
-        marks: u32,
-    },
-    /// *(Table 1)* Instructs a directory to abort a given TID,
-    /// gang-clearing its Marked bits. Also serves as the skip for that
-    /// TID at that directory.
-    Abort {
-        /// TID being aborted.
-        tid: Tid,
-    },
-    /// *(Table 1)* Writes back a committed cache line, removing it from
-    /// the owner's cache (eviction). Tagged with the evictor's most
-    /// recent TID so stale write-backs can be dropped (race elimination,
-    /// §3.3).
-    WriteBack {
-        /// Line being written back.
-        line: LineAddr,
-        /// TID tag for the out-of-order write-back race check.
-        tid: Tid,
-        /// Simulated contents.
-        values: LineValues,
-        /// Words of `values` that are valid in the writer's copy.
-        /// A dirty line can have holes: words invalidated by later
-        /// commits that transferred ownership away. Only valid words
-        /// may be merged into memory.
-        valid: WordMask,
-        /// The processor performing the write-back.
-        writer: NodeId,
-    },
-    /// *(Table 1)* Writes back a committed cache line, leaving it in the
-    /// owner's cache as a clean copy. Sent in response to a
-    /// [`Payload::DataRequest`].
-    Flush {
-        /// Line being flushed.
-        line: LineAddr,
-        /// TID tag, as for [`Payload::WriteBack`].
-        tid: Tid,
-        /// Simulated contents.
-        values: LineValues,
-        /// Valid words of the flushed copy (see [`Payload::WriteBack`]).
-        valid: WordMask,
-        /// The processor performing the flush.
-        writer: NodeId,
-        /// True if the owner dropped the line (Fig. 2f write-back
-        /// semantics) instead of keeping a clean copy.
-        dropped: bool,
-    },
-    /// *(Table 1)* Directory → owner: flush a given cache line to memory
-    /// so a pending load can be serviced.
-    DataRequest {
-        /// Line whose data the directory needs.
-        line: LineAddr,
-    },
-    /// Directory → sharer: a committed write superseded this line; drop
-    /// it, and violate if the current transaction speculatively read any
-    /// of the flagged words.
-    Invalidate {
-        /// Line being invalidated.
-        line: LineAddr,
-        /// Word flags of the committed write (word-granularity conflict
-        /// detection; `WordMask::ALL` under line granularity).
-        words: WordMask,
-        /// The committing transaction that caused the invalidation.
-        committer_tid: Tid,
-        /// Directory awaiting the acknowledgement.
-        dir: DirId,
-    },
-    /// Sharer → directory: invalidation processed. Directories must
-    /// collect all acks for a commit before advancing their NSTID
-    /// (race elimination, §3.3).
-    InvAck {
-        /// TID of the commit whose invalidation is being acknowledged.
-        tid: Tid,
-        /// The invalidated line (pruning is per line).
-        line: LineAddr,
-        /// Acknowledging processor.
-        from: NodeId,
-        /// Whether the processor still holds transactional interest in
-        /// the line (speculative SR/SM state). `false` lets the
-        /// directory prune it from the sharers list, keeping
-        /// invalidation fan-out proportional to the *active* sharers —
-        /// without the missed-conflict window that eager pruning would
-        /// open (see DESIGN.md).
-        retained: bool,
-    },
-    /// *(baseline)* Small-scale TCC: request the global commit token.
-    TokenRequest {
-        /// Requesting processor.
-        requester: NodeId,
-    },
-    /// *(baseline)* Arbiter → processor: the commit token is yours.
-    TokenGrant,
-    /// *(baseline)* Processor → arbiter: commit finished, pass the token
-    /// on.
-    TokenRelease,
-    /// *(baseline)* Small-scale TCC write-through commit broadcast:
-    /// the committer's whole write-set — addresses, word flags, *and
-    /// data* — pushed to every node over the (simulated) ordered bus.
-    BaselineCommit {
-        /// Written lines with their word flags and contents.
-        writes: Vec<(LineAddr, WordMask, LineValues)>,
-        /// The committing processor.
-        committer: NodeId,
-        /// Commit serial number (the baseline's analogue of a TID,
-        /// assigned by token-grant order).
-        seq: Tid,
-    },
-    /// *(baseline)* Receiver → committer: broadcast processed.
-    BaselineAck {
-        /// Acknowledging processor.
-        from: NodeId,
-    },
-    /// *(Tardis)* Processor → home: timestamped read request. The home
-    /// extends the line's read lease and replies with data plus the
-    /// current `(wts, rts)` interval.
-    TsLoadRequest {
-        /// Line being requested.
-        line: LineAddr,
-        /// Requesting processor (also the reply destination).
-        requester: NodeId,
-        /// Request id; replies to superseded requests are dropped.
-        req: u64,
-    },
-    /// *(Tardis)* Home → processor: timestamped fill. The value is
-    /// guaranteed current for logical times in `[wts, rts]`.
-    TsLoadReply {
-        /// Line being filled.
-        line: LineAddr,
-        /// Simulated contents (writer stamps) for the checker.
-        values: LineValues,
-        /// Logical time of the last committed write to the line.
-        wts: u64,
-        /// End of the read lease granted with this fill.
-        rts: u64,
-        /// Echo of the request's `req` id.
-        req: u64,
-    },
-    /// *(Tardis)* Processor → home: commit-time exclusive lock request
-    /// for one written line. Locks are requested one at a time in
-    /// ascending line order, so the global acquisition order is total
-    /// and deadlock-free.
-    TsLock {
-        /// Line being locked.
-        line: LineAddr,
-        /// Requesting committer (reply destination).
-        requester: NodeId,
-    },
-    /// *(Tardis)* Home → processor: write lock granted, carrying the
-    /// line's current timestamps so the committer can pick a commit
-    /// time above every outstanding lease.
-    TsLockAck {
-        /// The locked line.
-        line: LineAddr,
-        /// Logical time of the last committed write.
-        wts: u64,
-        /// End of the newest read lease.
-        rts: u64,
-    },
-    /// *(Tardis)* Processor → home: lease renewal. Validates a read of
-    /// `line` at commit time `ts`: succeeds iff the line's `wts` still
-    /// equals the `wts` observed at fill time (no intervening write),
-    /// in which case the home extends `rts` to at least `ts`.
-    TsRenew {
-        /// Line whose lease is being renewed.
-        line: LineAddr,
-        /// Renewing processor (reply destination).
-        requester: NodeId,
-        /// The `wts` observed when the line was filled.
-        wts: u64,
-        /// Proposed commit time; the lease must cover it.
-        ts: u64,
-        /// Commit-attempt id; stale verdicts are dropped.
-        req: u64,
-    },
-    /// *(Tardis)* Home → processor: lease renewal verdict.
-    TsRenewAck {
-        /// The line whose renewal was requested.
-        line: LineAddr,
-        /// `true` if the lease now covers the proposed commit time.
-        ok: bool,
-        /// Echo of the renewal's attempt id.
-        req: u64,
-    },
-    /// *(Tardis)* Processor → home: write-through publish of one
-    /// committed line. The home merges the flagged words, advances
-    /// `wts = rts = ts`, releases the committer's lock, and serves any
-    /// deferred requests.
-    TsPublish {
-        /// Line being published.
-        line: LineAddr,
-        /// Words written by the committed transaction.
-        words: WordMask,
-        /// Writer stamp recorded into memory (the committer's TID).
-        tid: Tid,
-        /// The transaction's commit time.
-        ts: u64,
-        /// The committing processor (ack destination).
-        committer: NodeId,
-    },
-    /// *(Tardis)* Home → processor: publish applied and lock released.
-    TsPublishAck {
-        /// The published line.
-        line: LineAddr,
-    },
-    /// *(Tardis)* Processor → home: release a write lock without
-    /// publishing (commit-attempt abort path).
-    TsRelease {
-        /// Line whose lock is released.
-        line: LineAddr,
-        /// The aborting lock holder.
-        requester: NodeId,
-    },
+/// Declares [`Payload`] once and generates its census key and snapshot
+/// encoding from that one list of kinds (see the module doc).
+macro_rules! payloads {
+    (
+        $(#[$meta:meta])*
+        pub enum Payload {
+            $(
+                $(#[$kind_meta:meta])*
+                $kind:ident $({
+                    $($(#[$field_meta:meta])* $field:ident: $ty:ty,)*
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Payload {
+            $(
+                $(#[$kind_meta])*
+                $kind $({
+                    $($(#[$field_meta])* $field: $ty,)*
+                })?,
+            )*
+        }
+
+        /// Fieldless mirror of [`Payload`] plus the transport's ack: the
+        /// discriminants are the kind indices.
+        enum Kind {
+            $($kind,)*
+            Ack,
+        }
+
+        /// Message kinds the traffic census distinguishes: every
+        /// [`Payload`] variant plus the transport's standalone ack.
+        pub const N_KINDS: usize = ACK_KIND + 1;
+
+        /// Kind index of a standalone transport ack (`Frame::kind_index`).
+        pub const ACK_KIND: usize = Kind::Ack as usize;
+
+        /// Kind names by kind index ([`Payload::kind_index`], [`ACK_KIND`]).
+        pub const KIND_NAMES: [&str; N_KINDS] = [$(stringify!($kind),)* "Ack"];
+
+        impl Payload {
+            /// This payload's kind as an index into [`KIND_NAMES`]: a
+            /// dense key for per-kind counters.
+            #[must_use]
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(Payload::$kind { .. } => Kind::$kind as usize,)*
+                }
+            }
+        }
+
+        impl Snap for Payload {
+            fn save(&self, w: &mut SnapWriter) {
+                match self {
+                    $(Payload::$kind $({ $($field,)* })? => {
+                        (Kind::$kind as u8).save(w);
+                        $($($field.save(w);)*)?
+                    })*
+                }
+            }
+
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                let tag = u8::load(r)?;
+                $(if tag == Kind::$kind as u8 {
+                    return Ok(Payload::$kind $({ $($field: r.get()?,)* })?);
+                })*
+                Err(SnapError::invalid("Payload", format!("tag {tag}")))
+            }
+        }
+    };
+}
+
+payloads! {
+    /// One coherence message of the Scalable TCC protocol.
+    ///
+    /// The variants marked *(Table 1)* appear verbatim in the paper; the rest
+    /// are the replies/acks any real implementation needs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Payload {
+        /// *(Table 1)* Load a cache line. Sent processor → home directory for
+        /// both load misses and store misses (write-allocate caches).
+        LoadRequest {
+            /// Line being requested.
+            line: LineAddr,
+            /// Requesting processor (also the reply destination).
+            requester: NodeId,
+            /// Requester-local request id, echoed in the reply. Lets the
+            /// processor discard replies to requests issued by attempts it
+            /// has since rolled back — without it, a retry that misses on
+            /// the same line could consume the rolled-back attempt's stale
+            /// reply (§3.3 load/invalidate race, generalized).
+            req: u64,
+        },
+        /// Fill data, directory → processor. Completes a `LoadRequest`.
+        LoadReply {
+            /// Line being filled.
+            line: LineAddr,
+            /// Whether the data came from memory or an owner's cache.
+            source: DataSource,
+            /// Simulated contents (writer stamps) for the checker.
+            values: LineValues,
+            /// Echo of the request's `req` id.
+            req: u64,
+        },
+        /// *(Table 1)* Request a transaction identifier from the global vendor.
+        TidRequest {
+            /// Requesting processor (also the reply destination).
+            requester: NodeId,
+        },
+        /// Vendor → processor: the freshly vended TID.
+        TidReply {
+            /// The gap-free TID granted to the requester.
+            tid: Tid,
+        },
+        /// *(Table 1)* Instructs a directory to skip a given TID: the sender
+        /// has nothing to commit at that directory.
+        Skip {
+            /// TID to be marked as completed at the directory.
+            tid: Tid,
+        },
+        /// *(Table 1)* Probes a directory for its Now Serving TID. The
+        /// directory defers its reply until the probe's condition is met
+        /// (write-set probes: `NSTID == tid`; read-set probes: `NSTID >= tid`),
+        /// implementing the paper's "avoid repeated probing" optimization.
+        Probe {
+            /// The prober's TID.
+            tid: Tid,
+            /// Probing processor (reply destination).
+            requester: NodeId,
+            /// True if the prober intends to send Mark messages (the
+            /// directory is in its Writing Vector).
+            for_write: bool,
+        },
+        /// Directory → processor: answer to a [`Payload::Probe`], carrying the NSTID at
+        /// response time.
+        ProbeReply {
+            /// Responding directory.
+            dir: DirId,
+            /// The directory's Now Serving TID when it replied.
+            now_serving: Tid,
+            /// Echo of the probe's TID, so the processor can discard stale
+            /// replies belonging to an attempt it has since aborted.
+            probe_tid: Tid,
+            /// Echo of the probe's `for_write` flag.
+            for_write: bool,
+        },
+        /// *(Table 1)* Marks a line (pre-commit) as part of the committing
+        /// transaction's write-set at its home directory.
+        Mark {
+            /// TID performing the commit (must equal the directory's NSTID).
+            tid: Tid,
+            /// Line being pre-committed.
+            line: LineAddr,
+            /// Word-granularity write flags buffered at the directory.
+            words: WordMask,
+            /// The committing processor (becomes owner on commit).
+            committer: NodeId,
+        },
+        /// *(Table 1)* Instructs a directory to atomically commit all lines
+        /// marked by `tid`: gang-upgrade Marked → Owned and invalidate sharers.
+        Commit {
+            /// TID whose marked lines become owned.
+            tid: Tid,
+            /// The committing processor.
+            committer: NodeId,
+            /// Number of `Mark` messages the committer sent to this
+            /// directory. On an unordered interconnect the commit may
+            /// overtake in-flight marks; the directory defers the
+            /// gang-upgrade until all of them have arrived.
+            marks: u32,
+        },
+        /// *(Table 1)* Instructs a directory to abort a given TID,
+        /// gang-clearing its Marked bits. Also serves as the skip for that
+        /// TID at that directory.
+        Abort {
+            /// TID being aborted.
+            tid: Tid,
+        },
+        /// *(Table 1)* Writes back a committed cache line, removing it from
+        /// the owner's cache (eviction). Tagged with the evictor's most
+        /// recent TID so stale write-backs can be dropped (race elimination,
+        /// §3.3).
+        WriteBack {
+            /// Line being written back.
+            line: LineAddr,
+            /// TID tag for the out-of-order write-back race check.
+            tid: Tid,
+            /// Simulated contents.
+            values: LineValues,
+            /// Words of `values` that are valid in the writer's copy.
+            /// A dirty line can have holes: words invalidated by later
+            /// commits that transferred ownership away. Only valid words
+            /// may be merged into memory.
+            valid: WordMask,
+            /// The processor performing the write-back.
+            writer: NodeId,
+        },
+        /// *(Table 1)* Writes back a committed cache line, leaving it in the
+        /// owner's cache as a clean copy. Sent in response to a
+        /// [`Payload::DataRequest`].
+        Flush {
+            /// Line being flushed.
+            line: LineAddr,
+            /// TID tag, as for [`Payload::WriteBack`].
+            tid: Tid,
+            /// Simulated contents.
+            values: LineValues,
+            /// Valid words of the flushed copy (see [`Payload::WriteBack`]).
+            valid: WordMask,
+            /// The processor performing the flush.
+            writer: NodeId,
+            /// True if the owner dropped the line (Fig. 2f write-back
+            /// semantics) instead of keeping a clean copy.
+            dropped: bool,
+        },
+        /// *(Table 1)* Directory → owner: flush a given cache line to memory
+        /// so a pending load can be serviced.
+        DataRequest {
+            /// Line whose data the directory needs.
+            line: LineAddr,
+        },
+        /// Directory → sharer: a committed write superseded this line; drop
+        /// it, and violate if the current transaction speculatively read any
+        /// of the flagged words.
+        Invalidate {
+            /// Line being invalidated.
+            line: LineAddr,
+            /// Word flags of the committed write (word-granularity conflict
+            /// detection; `WordMask::ALL` under line granularity).
+            words: WordMask,
+            /// The committing transaction that caused the invalidation.
+            committer_tid: Tid,
+            /// Directory awaiting the acknowledgement.
+            dir: DirId,
+        },
+        /// Sharer → directory: invalidation processed. Directories must
+        /// collect all acks for a commit before advancing their NSTID
+        /// (race elimination, §3.3).
+        InvAck {
+            /// TID of the commit whose invalidation is being acknowledged.
+            tid: Tid,
+            /// The invalidated line (pruning is per line).
+            line: LineAddr,
+            /// Acknowledging processor.
+            from: NodeId,
+            /// Whether the processor still holds transactional interest in
+            /// the line (speculative SR/SM state). `false` lets the
+            /// directory prune it from the sharers list, keeping
+            /// invalidation fan-out proportional to the *active* sharers —
+            /// without the missed-conflict window that eager pruning would
+            /// open (see DESIGN.md).
+            retained: bool,
+        },
+        /// *(baseline)* Small-scale TCC: request the global commit token.
+        TokenRequest {
+            /// Requesting processor.
+            requester: NodeId,
+        },
+        /// *(baseline)* Arbiter → processor: the commit token is yours.
+        TokenGrant,
+        /// *(baseline)* Processor → arbiter: commit finished, pass the token
+        /// on.
+        TokenRelease,
+        /// *(baseline)* Small-scale TCC write-through commit broadcast:
+        /// the committer's whole write-set — addresses, word flags, *and
+        /// data* — pushed to every node over the (simulated) ordered bus.
+        BaselineCommit {
+            /// Written lines with their word flags and contents.
+            writes: Vec<(LineAddr, WordMask, LineValues)>,
+            /// The committing processor.
+            committer: NodeId,
+            /// Commit serial number (the baseline's analogue of a TID,
+            /// assigned by token-grant order).
+            seq: Tid,
+        },
+        /// *(baseline)* Receiver → committer: broadcast processed.
+        BaselineAck {
+            /// Acknowledging processor.
+            from: NodeId,
+        },
+        /// *(Tardis)* Processor → home: timestamped read request. The home
+        /// extends the line's read lease and replies with data plus the
+        /// current `(wts, rts)` interval.
+        TsLoadRequest {
+            /// Line being requested.
+            line: LineAddr,
+            /// Requesting processor (also the reply destination).
+            requester: NodeId,
+            /// Request id; replies to superseded requests are dropped.
+            req: u64,
+        },
+        /// *(Tardis)* Home → processor: timestamped fill. The value is
+        /// guaranteed current for logical times in `[wts, rts]`.
+        TsLoadReply {
+            /// Line being filled.
+            line: LineAddr,
+            /// Simulated contents (writer stamps) for the checker.
+            values: LineValues,
+            /// Logical time of the last committed write to the line.
+            wts: u64,
+            /// End of the read lease granted with this fill.
+            rts: u64,
+            /// Echo of the request's `req` id.
+            req: u64,
+        },
+        /// *(Tardis)* Processor → home: commit-time exclusive lock request
+        /// for one written line. Locks are requested one at a time in
+        /// ascending line order, so the global acquisition order is total
+        /// and deadlock-free.
+        TsLock {
+            /// Line being locked.
+            line: LineAddr,
+            /// Requesting committer (reply destination).
+            requester: NodeId,
+        },
+        /// *(Tardis)* Home → processor: write lock granted, carrying the
+        /// line's current timestamps so the committer can pick a commit
+        /// time above every outstanding lease.
+        TsLockAck {
+            /// The locked line.
+            line: LineAddr,
+            /// Logical time of the last committed write.
+            wts: u64,
+            /// End of the newest read lease.
+            rts: u64,
+        },
+        /// *(Tardis)* Processor → home: lease renewal. Validates a read of
+        /// `line` at commit time `ts`: succeeds iff the line's `wts` still
+        /// equals the `wts` observed at fill time (no intervening write),
+        /// in which case the home extends `rts` to at least `ts`.
+        TsRenew {
+            /// Line whose lease is being renewed.
+            line: LineAddr,
+            /// Renewing processor (reply destination).
+            requester: NodeId,
+            /// The `wts` observed when the line was filled.
+            wts: u64,
+            /// Proposed commit time; the lease must cover it.
+            ts: u64,
+            /// Commit-attempt id; stale verdicts are dropped.
+            req: u64,
+        },
+        /// *(Tardis)* Home → processor: lease renewal verdict.
+        TsRenewAck {
+            /// The line whose renewal was requested.
+            line: LineAddr,
+            /// `true` if the lease now covers the proposed commit time.
+            ok: bool,
+            /// Echo of the renewal's attempt id.
+            req: u64,
+        },
+        /// *(Tardis)* Processor → home: write-through publish of one
+        /// committed line. The home merges the flagged words, advances
+        /// `wts = rts = ts`, releases the committer's lock, and serves any
+        /// deferred requests.
+        TsPublish {
+            /// Line being published.
+            line: LineAddr,
+            /// Words written by the committed transaction.
+            words: WordMask,
+            /// Writer stamp recorded into memory (the committer's TID).
+            tid: Tid,
+            /// The transaction's commit time.
+            ts: u64,
+            /// The committing processor (ack destination).
+            committer: NodeId,
+        },
+        /// *(Tardis)* Home → processor: publish applied and lock released.
+        TsPublishAck {
+            /// The published line.
+            line: LineAddr,
+        },
+        /// *(Tardis)* Processor → home: release a write lock without
+        /// publishing (commit-attempt abort path).
+        TsRelease {
+            /// Line whose lock is released.
+            line: LineAddr,
+            /// The aborting lock holder.
+            requester: NodeId,
+        },
+    }
+
 }
 
 impl Payload {
@@ -579,85 +663,7 @@ impl Payload {
     pub fn kind_name(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
     }
-
-    /// This payload's kind as an index into [`KIND_NAMES`]: a dense
-    /// key for per-kind counters.
-    #[must_use]
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Payload::LoadRequest { .. } => 0,
-            Payload::LoadReply { .. } => 1,
-            Payload::TidRequest { .. } => 2,
-            Payload::TidReply { .. } => 3,
-            Payload::Skip { .. } => 4,
-            Payload::Probe { .. } => 5,
-            Payload::ProbeReply { .. } => 6,
-            Payload::Mark { .. } => 7,
-            Payload::Commit { .. } => 8,
-            Payload::Abort { .. } => 9,
-            Payload::WriteBack { .. } => 10,
-            Payload::Flush { .. } => 11,
-            Payload::DataRequest { .. } => 12,
-            Payload::Invalidate { .. } => 13,
-            Payload::InvAck { .. } => 14,
-            Payload::TokenRequest { .. } => 15,
-            Payload::TokenGrant => 16,
-            Payload::TokenRelease => 17,
-            Payload::BaselineCommit { .. } => 18,
-            Payload::BaselineAck { .. } => 19,
-            Payload::TsLoadRequest { .. } => 20,
-            Payload::TsLoadReply { .. } => 21,
-            Payload::TsLock { .. } => 22,
-            Payload::TsLockAck { .. } => 23,
-            Payload::TsRenew { .. } => 24,
-            Payload::TsRenewAck { .. } => 25,
-            Payload::TsPublish { .. } => 26,
-            Payload::TsPublishAck { .. } => 27,
-            Payload::TsRelease { .. } => 28,
-        }
-    }
 }
-
-/// Message kinds the traffic census distinguishes: every [`Payload`]
-/// variant plus the transport's standalone ack.
-pub const N_KINDS: usize = 30;
-
-/// Kind index of a standalone transport ack (`Frame::kind_index`).
-pub const ACK_KIND: usize = 29;
-
-/// Kind names by kind index ([`Payload::kind_index`], [`ACK_KIND`]).
-pub const KIND_NAMES: [&str; N_KINDS] = [
-    "LoadRequest",
-    "LoadReply",
-    "TidRequest",
-    "TidReply",
-    "Skip",
-    "Probe",
-    "ProbeReply",
-    "Mark",
-    "Commit",
-    "Abort",
-    "WriteBack",
-    "Flush",
-    "DataRequest",
-    "Invalidate",
-    "InvAck",
-    "TokenRequest",
-    "TokenGrant",
-    "TokenRelease",
-    "BaselineCommit",
-    "BaselineAck",
-    "TsLoadRequest",
-    "TsLoadReply",
-    "TsLock",
-    "TsLockAck",
-    "TsRenew",
-    "TsRenewAck",
-    "TsPublish",
-    "TsPublishAck",
-    "TsRelease",
-    "Ack",
-];
 
 /// Maps a message-kind name back to its kind index.
 ///
@@ -698,45 +704,50 @@ impl Message {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn all_payloads() -> Vec<Payload> {
+    /// One payload of every kind, plus the owner-forwarded `LoadReply`.
+    /// Fields hold distinct, non-default values so an encoding that
+    /// swaps or drops a field cannot round-trip.
+    pub(crate) fn every_kind() -> Vec<Payload> {
         let line = LineAddr(4);
-        let vals = LineValues::fresh(8);
+        let vals = LineValues {
+            words: vec![None, Some(Tid(3)), Some(Tid(0)), None],
+        };
         vec![
             Payload::LoadRequest {
                 line,
                 requester: NodeId(1),
-                req: 0,
+                req: 7,
             },
             Payload::LoadReply {
                 line,
                 source: DataSource::Memory,
                 values: vals.clone(),
-                req: 0,
+                req: 7,
             },
             Payload::LoadReply {
                 line,
                 source: DataSource::Owner,
                 values: vals.clone(),
-                req: 0,
+                req: 8,
             },
             Payload::TidRequest {
-                requester: NodeId(1),
+                requester: NodeId(2),
             },
             Payload::TidReply { tid: Tid(9) },
-            Payload::Skip { tid: Tid(9) },
+            Payload::Skip { tid: Tid(10) },
             Payload::Probe {
                 tid: Tid(9),
                 requester: NodeId(1),
                 for_write: true,
             },
             Payload::ProbeReply {
-                dir: DirId(0),
-                now_serving: Tid(9),
+                dir: DirId(3),
+                now_serving: Tid(8),
                 probe_tid: Tid(9),
-                for_write: true,
+                for_write: false,
             },
             Payload::Mark {
                 tid: Tid(9),
@@ -747,43 +758,109 @@ mod tests {
             Payload::Commit {
                 tid: Tid(9),
                 committer: NodeId(1),
-                marks: 1,
+                marks: 2,
             },
-            Payload::Abort { tid: Tid(9) },
+            Payload::Abort { tid: Tid(11) },
             Payload::WriteBack {
                 line,
                 tid: Tid(9),
                 values: vals.clone(),
-                valid: WordMask::ALL,
+                valid: WordMask(0b1011),
                 writer: NodeId(1),
             },
             Payload::Flush {
                 line,
                 tid: Tid(9),
-                values: vals,
+                values: vals.clone(),
                 valid: WordMask::ALL,
                 writer: NodeId(1),
-                dropped: false,
+                dropped: true,
             },
             Payload::DataRequest { line },
             Payload::Invalidate {
                 line,
-                words: WordMask::ALL,
+                words: WordMask(0b110),
                 committer_tid: Tid(9),
-                dir: DirId(0),
+                dir: DirId(3),
             },
             Payload::InvAck {
                 tid: Tid(9),
                 line,
-                from: NodeId(1),
-                retained: false,
+                from: NodeId(2),
+                retained: true,
+            },
+            Payload::TokenRequest {
+                requester: NodeId(0),
+            },
+            Payload::TokenGrant,
+            Payload::TokenRelease,
+            Payload::BaselineCommit {
+                writes: vec![
+                    (line, WordMask(3), vals.clone()),
+                    (LineAddr(5), WordMask::ALL, LineValues::fresh(2)),
+                ],
+                committer: NodeId(0),
+                seq: Tid(1),
+            },
+            Payload::BaselineAck { from: NodeId(1) },
+            Payload::TsLoadRequest {
+                line,
+                requester: NodeId(1),
+                req: 12,
+            },
+            Payload::TsLoadReply {
+                line,
+                values: vals.clone(),
+                wts: 20,
+                rts: 30,
+                req: 12,
+            },
+            Payload::TsLock {
+                line,
+                requester: NodeId(2),
+            },
+            Payload::TsLockAck {
+                line,
+                wts: 21,
+                rts: 31,
+            },
+            Payload::TsRenew {
+                line,
+                requester: NodeId(2),
+                wts: 20,
+                ts: 40,
+                req: 13,
+            },
+            Payload::TsRenewAck {
+                line,
+                ok: true,
+                req: 13,
+            },
+            Payload::TsPublish {
+                line,
+                words: WordMask(0b101),
+                tid: Tid(9),
+                ts: 41,
+                committer: NodeId(2),
+            },
+            Payload::TsPublishAck { line },
+            Payload::TsRelease {
+                line,
+                requester: NodeId(3),
             },
         ]
     }
 
     #[test]
+    fn the_fixture_covers_every_kind() {
+        let seen: std::collections::BTreeSet<usize> =
+            every_kind().iter().map(Payload::kind_index).collect();
+        assert_eq!(seen, (0..ACK_KIND).collect());
+    }
+
+    #[test]
     fn every_payload_has_positive_size_and_a_name() {
-        for p in all_payloads() {
+        for p in every_kind() {
             assert!(p.size_bytes(32) >= HEADER_BYTES, "{}", p.kind_name());
             assert!(!p.kind_name().is_empty());
         }
@@ -794,7 +871,7 @@ mod tests {
         for (i, name) in KIND_NAMES.iter().enumerate() {
             assert_eq!(kind_index_of(name), Some(i), "{name} is named twice");
         }
-        for p in all_payloads() {
+        for p in every_kind() {
             assert_ne!(p.kind_index(), ACK_KIND);
             assert_eq!(kind_index_of(p.kind_name()), Some(p.kind_index()));
         }

@@ -404,13 +404,14 @@ impl<T: Snap + Default + Copy, const N: usize> Snap for [T; N] {
 
 // ---------------------------------------------------------------------
 // Domain types. Newtypes encode as their inner integer; enums carry a
-// one-byte tag in declaration order. Changing an encoding is a snapshot
-// format break — bump the container version in `tcc-snapshot`.
+// one-byte tag in declaration order (`Payload`'s impl is generated from
+// its declaration in `msg`). Changing an encoding is a snapshot format
+// break — bump the container version in `tcc-snapshot`.
 // ---------------------------------------------------------------------
 
 use crate::addr::{Addr, LineAddr, WordMask};
 use crate::ids::{Cycle, DirId, NodeId, Tid};
-use crate::msg::{DataSource, LineValues, Message, Payload};
+use crate::msg::{DataSource, LineValues, Message};
 use crate::rng::SmallRng;
 use crate::wire::Frame;
 
@@ -474,380 +475,6 @@ impl Snap for SmallRng {
     }
 }
 
-impl Snap for Payload {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Payload::LoadRequest {
-                line,
-                requester,
-                req,
-            } => {
-                0u8.save(w);
-                line.save(w);
-                requester.save(w);
-                req.save(w);
-            }
-            Payload::LoadReply {
-                line,
-                source,
-                values,
-                req,
-            } => {
-                1u8.save(w);
-                line.save(w);
-                source.save(w);
-                values.save(w);
-                req.save(w);
-            }
-            Payload::TidRequest { requester } => {
-                2u8.save(w);
-                requester.save(w);
-            }
-            Payload::TidReply { tid } => {
-                3u8.save(w);
-                tid.save(w);
-            }
-            Payload::Skip { tid } => {
-                4u8.save(w);
-                tid.save(w);
-            }
-            Payload::Probe {
-                tid,
-                requester,
-                for_write,
-            } => {
-                5u8.save(w);
-                tid.save(w);
-                requester.save(w);
-                for_write.save(w);
-            }
-            Payload::ProbeReply {
-                dir,
-                now_serving,
-                probe_tid,
-                for_write,
-            } => {
-                6u8.save(w);
-                dir.save(w);
-                now_serving.save(w);
-                probe_tid.save(w);
-                for_write.save(w);
-            }
-            Payload::Mark {
-                tid,
-                line,
-                words,
-                committer,
-            } => {
-                7u8.save(w);
-                tid.save(w);
-                line.save(w);
-                words.save(w);
-                committer.save(w);
-            }
-            Payload::Commit {
-                tid,
-                committer,
-                marks,
-            } => {
-                8u8.save(w);
-                tid.save(w);
-                committer.save(w);
-                marks.save(w);
-            }
-            Payload::Abort { tid } => {
-                9u8.save(w);
-                tid.save(w);
-            }
-            Payload::WriteBack {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-            } => {
-                10u8.save(w);
-                line.save(w);
-                tid.save(w);
-                values.save(w);
-                valid.save(w);
-                writer.save(w);
-            }
-            Payload::Flush {
-                line,
-                tid,
-                values,
-                valid,
-                writer,
-                dropped,
-            } => {
-                11u8.save(w);
-                line.save(w);
-                tid.save(w);
-                values.save(w);
-                valid.save(w);
-                writer.save(w);
-                dropped.save(w);
-            }
-            Payload::DataRequest { line } => {
-                12u8.save(w);
-                line.save(w);
-            }
-            Payload::Invalidate {
-                line,
-                words,
-                committer_tid,
-                dir,
-            } => {
-                13u8.save(w);
-                line.save(w);
-                words.save(w);
-                committer_tid.save(w);
-                dir.save(w);
-            }
-            Payload::InvAck {
-                tid,
-                line,
-                from,
-                retained,
-            } => {
-                14u8.save(w);
-                tid.save(w);
-                line.save(w);
-                from.save(w);
-                retained.save(w);
-            }
-            Payload::TokenRequest { requester } => {
-                15u8.save(w);
-                requester.save(w);
-            }
-            Payload::TokenGrant => 16u8.save(w),
-            Payload::TokenRelease => 17u8.save(w),
-            Payload::BaselineCommit {
-                writes,
-                committer,
-                seq,
-            } => {
-                18u8.save(w);
-                writes.save(w);
-                committer.save(w);
-                seq.save(w);
-            }
-            Payload::BaselineAck { from } => {
-                19u8.save(w);
-                from.save(w);
-            }
-            Payload::TsLoadRequest {
-                line,
-                requester,
-                req,
-            } => {
-                20u8.save(w);
-                line.save(w);
-                requester.save(w);
-                req.save(w);
-            }
-            Payload::TsLoadReply {
-                line,
-                values,
-                wts,
-                rts,
-                req,
-            } => {
-                21u8.save(w);
-                line.save(w);
-                values.save(w);
-                wts.save(w);
-                rts.save(w);
-                req.save(w);
-            }
-            Payload::TsLock { line, requester } => {
-                22u8.save(w);
-                line.save(w);
-                requester.save(w);
-            }
-            Payload::TsLockAck { line, wts, rts } => {
-                23u8.save(w);
-                line.save(w);
-                wts.save(w);
-                rts.save(w);
-            }
-            Payload::TsRenew {
-                line,
-                requester,
-                wts,
-                ts,
-                req,
-            } => {
-                24u8.save(w);
-                line.save(w);
-                requester.save(w);
-                wts.save(w);
-                ts.save(w);
-                req.save(w);
-            }
-            Payload::TsRenewAck { line, ok, req } => {
-                25u8.save(w);
-                line.save(w);
-                ok.save(w);
-                req.save(w);
-            }
-            Payload::TsPublish {
-                line,
-                words,
-                tid,
-                ts,
-                committer,
-            } => {
-                26u8.save(w);
-                line.save(w);
-                words.save(w);
-                tid.save(w);
-                ts.save(w);
-                committer.save(w);
-            }
-            Payload::TsPublishAck { line } => {
-                27u8.save(w);
-                line.save(w);
-            }
-            Payload::TsRelease { line, requester } => {
-                28u8.save(w);
-                line.save(w);
-                requester.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::load(r)? {
-            0 => Payload::LoadRequest {
-                line: r.get()?,
-                requester: r.get()?,
-                req: r.get()?,
-            },
-            1 => Payload::LoadReply {
-                line: r.get()?,
-                source: r.get()?,
-                values: r.get()?,
-                req: r.get()?,
-            },
-            2 => Payload::TidRequest {
-                requester: r.get()?,
-            },
-            3 => Payload::TidReply { tid: r.get()? },
-            4 => Payload::Skip { tid: r.get()? },
-            5 => Payload::Probe {
-                tid: r.get()?,
-                requester: r.get()?,
-                for_write: r.get()?,
-            },
-            6 => Payload::ProbeReply {
-                dir: r.get()?,
-                now_serving: r.get()?,
-                probe_tid: r.get()?,
-                for_write: r.get()?,
-            },
-            7 => Payload::Mark {
-                tid: r.get()?,
-                line: r.get()?,
-                words: r.get()?,
-                committer: r.get()?,
-            },
-            8 => Payload::Commit {
-                tid: r.get()?,
-                committer: r.get()?,
-                marks: r.get()?,
-            },
-            9 => Payload::Abort { tid: r.get()? },
-            10 => Payload::WriteBack {
-                line: r.get()?,
-                tid: r.get()?,
-                values: r.get()?,
-                valid: r.get()?,
-                writer: r.get()?,
-            },
-            11 => Payload::Flush {
-                line: r.get()?,
-                tid: r.get()?,
-                values: r.get()?,
-                valid: r.get()?,
-                writer: r.get()?,
-                dropped: r.get()?,
-            },
-            12 => Payload::DataRequest { line: r.get()? },
-            13 => Payload::Invalidate {
-                line: r.get()?,
-                words: r.get()?,
-                committer_tid: r.get()?,
-                dir: r.get()?,
-            },
-            14 => Payload::InvAck {
-                tid: r.get()?,
-                line: r.get()?,
-                from: r.get()?,
-                retained: r.get()?,
-            },
-            15 => Payload::TokenRequest {
-                requester: r.get()?,
-            },
-            16 => Payload::TokenGrant,
-            17 => Payload::TokenRelease,
-            18 => Payload::BaselineCommit {
-                writes: r.get()?,
-                committer: r.get()?,
-                seq: r.get()?,
-            },
-            19 => Payload::BaselineAck { from: r.get()? },
-            20 => Payload::TsLoadRequest {
-                line: r.get()?,
-                requester: r.get()?,
-                req: r.get()?,
-            },
-            21 => Payload::TsLoadReply {
-                line: r.get()?,
-                values: r.get()?,
-                wts: r.get()?,
-                rts: r.get()?,
-                req: r.get()?,
-            },
-            22 => Payload::TsLock {
-                line: r.get()?,
-                requester: r.get()?,
-            },
-            23 => Payload::TsLockAck {
-                line: r.get()?,
-                wts: r.get()?,
-                rts: r.get()?,
-            },
-            24 => Payload::TsRenew {
-                line: r.get()?,
-                requester: r.get()?,
-                wts: r.get()?,
-                ts: r.get()?,
-                req: r.get()?,
-            },
-            25 => Payload::TsRenewAck {
-                line: r.get()?,
-                ok: r.get()?,
-                req: r.get()?,
-            },
-            26 => Payload::TsPublish {
-                line: r.get()?,
-                words: r.get()?,
-                tid: r.get()?,
-                ts: r.get()?,
-                committer: r.get()?,
-            },
-            27 => Payload::TsPublishAck { line: r.get()? },
-            28 => Payload::TsRelease {
-                line: r.get()?,
-                requester: r.get()?,
-            },
-            t => return Err(SnapError::invalid("Payload", format!("tag {t}"))),
-        })
-    }
-}
-
 impl Snap for Message {
     fn save(&self, w: &mut SnapWriter) {
         self.src.save(w);
@@ -900,6 +527,7 @@ impl Snap for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{Payload, ACK_KIND};
 
     fn round_trip<T: Snap + PartialEq + std::fmt::Debug>(v: &T) {
         let mut w = SnapWriter::new();
@@ -1005,92 +633,13 @@ mod tests {
             r
         };
         round_trip(&rng);
-        let msgs = vec![
-            Payload::LoadRequest {
-                line: LineAddr(4),
-                requester: NodeId(1),
-                req: 9,
-            },
-            Payload::LoadReply {
-                line: LineAddr(4),
-                source: DataSource::Owner,
-                values: LineValues::fresh(8),
-                req: 9,
-            },
-            Payload::TidRequest {
-                requester: NodeId(2),
-            },
-            Payload::TidReply { tid: Tid(5) },
-            Payload::Skip { tid: Tid(5) },
-            Payload::Probe {
-                tid: Tid(5),
-                requester: NodeId(2),
-                for_write: true,
-            },
-            Payload::ProbeReply {
-                dir: DirId(1),
-                now_serving: Tid(4),
-                probe_tid: Tid(5),
-                for_write: false,
-            },
-            Payload::Mark {
-                tid: Tid(5),
-                line: LineAddr(4),
-                words: WordMask(3),
-                committer: NodeId(2),
-            },
-            Payload::Commit {
-                tid: Tid(5),
-                committer: NodeId(2),
-                marks: 2,
-            },
-            Payload::Abort { tid: Tid(5) },
-            Payload::WriteBack {
-                line: LineAddr(4),
-                tid: Tid(5),
-                values: LineValues::fresh(8),
-                valid: WordMask::ALL,
-                writer: NodeId(2),
-            },
-            Payload::Flush {
-                line: LineAddr(4),
-                tid: Tid(5),
-                values: LineValues::fresh(8),
-                valid: WordMask::ALL,
-                writer: NodeId(2),
-                dropped: true,
-            },
-            Payload::DataRequest { line: LineAddr(4) },
-            Payload::Invalidate {
-                line: LineAddr(4),
-                words: WordMask(1),
-                committer_tid: Tid(5),
-                dir: DirId(1),
-            },
-            Payload::InvAck {
-                tid: Tid(5),
-                line: LineAddr(4),
-                from: NodeId(3),
-                retained: true,
-            },
-            Payload::TokenRequest {
-                requester: NodeId(0),
-            },
-            Payload::TokenGrant,
-            Payload::TokenRelease,
-            Payload::BaselineCommit {
-                writes: vec![(LineAddr(4), WordMask(3), LineValues::fresh(8))],
-                committer: NodeId(0),
-                seq: Tid(1),
-            },
-            Payload::BaselineAck { from: NodeId(1) },
-        ];
-        for p in &msgs {
+        for p in crate::msg::tests::every_kind() {
             let mut w = SnapWriter::new();
             p.save(&mut w);
             let bytes = w.into_bytes();
+            assert_eq!(usize::from(bytes[0]), p.kind_index(), "{}", p.kind_name());
             let mut r = SnapReader::new(&bytes);
-            assert_eq!(&Payload::load(&mut r).unwrap(), p, "{}", p.kind_name());
+            assert_eq!(Payload::load(&mut r).unwrap(), p, "{}", p.kind_name());
             assert!(r.is_done());
         }
         let m = Message::new(NodeId(1), NodeId(2), Payload::Skip { tid: Tid(7) });
@@ -1119,6 +668,39 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(Message::load(&mut r).unwrap(), m);
+    }
+
+    /// Pins the format, not just self-consistency: a kind or field moved
+    /// in `Payload`'s declaration still round-trips but changes these
+    /// bytes. The value was taken from the hand-written encoder the
+    /// generated one replaced.
+    #[test]
+    fn every_payload_kind_encodes_to_pinned_bytes() {
+        let mut w = SnapWriter::new();
+        for p in crate::msg::tests::every_kind() {
+            p.save(&mut w);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 703);
+        assert_eq!(crate::hash::fnv1a(&bytes), 0xa3ab_a470_b2aa_ed3b);
+    }
+
+    #[test]
+    fn unknown_payload_tags_are_typed_errors() {
+        for tag in [ACK_KIND as u8, u8::MAX] {
+            let bytes = [tag];
+            let mut r = SnapReader::new(&bytes);
+            assert!(
+                matches!(
+                    Payload::load(&mut r),
+                    Err(SnapError::Invalid {
+                        what: "Payload",
+                        ..
+                    })
+                ),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -266,13 +266,6 @@ impl AppProfile {
             Self::addr(line, word)
         }
     }
-
-    /// Rough expected committed instructions for the whole application
-    /// (for normalization sanity checks; actual counts jitter).
-    #[must_use]
-    pub fn expected_total_instr(&self) -> u64 {
-        u64::from(self.tx_instr) * u64::from(self.total_txs)
-    }
 }
 
 #[cfg(test)]
