@@ -2,15 +2,12 @@
 
 use std::ops::Range;
 
+use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::LineAddr;
 
 /// Largest associativity a [`SetArray`] supports (set lengths are
 /// stored as `u8`).
 pub const MAX_WAYS: usize = u8::MAX as usize;
-
-/// Checkpoint view of one array: per set, every way's
-/// `(line, stamp, payload)` in physical slot order.
-pub type ExportedWays<'a, T> = Vec<Vec<(LineAddr, u64, &'a T)>>;
 
 /// One way of a set: a tag plus caller-defined payload, stamped for LRU.
 #[derive(Debug, Clone)]
@@ -283,38 +280,13 @@ impl<T> SetArray<T> {
         self.pool.iter_mut().map(|w| (w.line, &mut w.data))
     }
 
-    /// Checkpoint view: the LRU tick plus, per set, every way's
-    /// `(line, stamp, payload)` in physical slot order. Slot order is
-    /// preserved (not just the stamp order) so a restored array is
-    /// byte-identical in layout, not merely LRU-equivalent: eviction
-    /// scans, removals and re-exports replay exactly. `iter()` order
-    /// follows the pool and is not preserved.
-    #[must_use]
-    pub fn export_ways(&self) -> (u64, ExportedWays<'_, T>) {
-        let sets = (0..self.n_sets())
-            .map(|set| {
-                self.set_slots(set)
-                    .iter()
-                    .map(|&i| {
-                        let w = &self.pool[i as usize];
-                        (w.line, w.stamp, &w.data)
-                    })
-                    .collect()
-            })
-            .collect();
-        (self.tick, sets)
-    }
-
-    /// Overwrites this array's contents with state captured by
-    /// [`SetArray::export_ways`] from an identically-dimensioned array.
-    ///
-    /// # Errors
-    ///
-    /// Refuses, leaving the array unchanged, if the set count differs, a
-    /// set exceeds the associativity, a stamp is ahead of `tick`, a line
-    /// sits in a set it does not hash to, or a line appears twice (the
-    /// snapshot does not belong to this geometry).
-    pub fn restore_ways(
+    /// Overwrites this array's contents with the tick and ways
+    /// [`SetArray::save_state`] wrote for an identically-dimensioned
+    /// array. Refuses, leaving the array unchanged, if the set count
+    /// differs, a set exceeds the associativity, a stamp is ahead of
+    /// `tick`, a line sits in a set it does not hash to, or a line
+    /// appears twice (the snapshot does not belong to this geometry).
+    fn restore_ways(
         &mut self,
         tick: u64,
         sets: Vec<Vec<(LineAddr, u64, T)>>,
@@ -400,6 +372,49 @@ impl<T> SetArray<T> {
             }
         }
         out
+    }
+}
+
+impl<T: Snap> SetArray<T> {
+    /// Serializes the array: the LRU tick plus, per set, every way's
+    /// `(line, stamp, payload)` in physical slot order. Slot order is
+    /// kept (not just the stamp order) so a restored array is
+    /// byte-identical in layout, not merely LRU-equivalent: eviction
+    /// scans, removals and re-saves replay exactly. Not a `Snap` impl
+    /// because the geometry is the config's, and restore checks the
+    /// ways against it.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.tick);
+        w.put(&self.n_sets());
+        for set in 0..self.n_sets() {
+            let slots = self.set_slots(set);
+            w.put(&slots.len());
+            for &i in slots {
+                let way = &self.pool[i as usize];
+                w.put(&way.line);
+                w.put(&way.stamp);
+                w.put(&way.data);
+            }
+        }
+    }
+
+    /// Restores what [`SetArray::save_state`] wrote into this
+    /// identically-dimensioned array.
+    ///
+    /// # Errors
+    ///
+    /// Any decode failure, or [`SnapError::Invalid`] naming `what` when
+    /// the ways do not fit this array's geometry (the array is then
+    /// left unchanged).
+    pub fn restore_state(
+        &mut self,
+        what: &'static str,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        let tick = r.get()?;
+        let sets = r.get()?;
+        self.restore_ways(tick, sets)
+            .map_err(|e| SnapError::invalid(what, e))
     }
 }
 
@@ -599,13 +614,12 @@ mod tests {
         );
     }
 
+    /// The tick and ways as [`SetArray::save_state`] encodes them.
     fn owned(a: &SetArray<u64>) -> (u64, Sets) {
-        let (tick, sets) = a.export_ways();
-        let sets = sets
-            .into_iter()
-            .map(|set| set.into_iter().map(|(l, s, &d)| (l, s, d)).collect())
-            .collect();
-        (tick, sets)
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        SnapReader::new(&bytes).get().expect("own encoding decodes")
     }
 
     /// The dense pool behaves exactly like the per-set reference under

@@ -1,7 +1,7 @@
 //! The two-level inclusive speculative cache hierarchy.
 
 use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
-use tcc_types::{LineAddr, LineValues, Tid, WordMask};
+use tcc_types::{snap_fields, LineAddr, LineValues, Tid, WordMask};
 
 use crate::array::SetArray;
 use crate::config::{CacheConfig, Level};
@@ -130,6 +130,17 @@ pub struct CacheStats {
     pub overflows: u64,
 }
 
+snap_fields!(CacheStats {
+    l1_load_hits,
+    l2_load_hits,
+    load_misses,
+    l1_store_hits,
+    l2_store_hits,
+    store_misses,
+    writebacks,
+    overflows,
+});
+
 /// The private two-level cache hierarchy of one TCC processor.
 ///
 /// The L2 is the authoritative store (inclusive of L1); the L1 is a
@@ -155,6 +166,8 @@ struct Entry {
     /// Per-word valid bits; cleared by word-granularity invalidations.
     valid: WordMask,
 }
+
+snap_fields!(Entry { state, valid });
 
 impl HierCache {
     /// Creates an empty hierarchy.
@@ -573,51 +586,15 @@ impl HierCache {
         Some((entry.state.values.clone(), valid, entry.state.owner_tid))
     }
 
-    /// Serializes the hierarchy's full mutable state — both levels'
-    /// tag arrays (slot order, LRU stamps, tick) and the counters —
-    /// for checkpointing. The configuration is not written; restore
+    /// Serializes the hierarchy's full mutable state — the counters and
+    /// both levels' tag arrays (slot order, LRU stamps, tick) — for
+    /// checkpointing. The configuration is not written; restore
     /// targets a hierarchy freshly built from the same `CacheConfig`
     /// (gated by the snapshot's config digest).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        let s = self.stats;
-        for v in [
-            s.l1_load_hits,
-            s.l2_load_hits,
-            s.load_misses,
-            s.l1_store_hits,
-            s.l2_store_hits,
-            s.store_misses,
-            s.writebacks,
-            s.overflows,
-        ] {
-            w.put(&v);
-        }
-        let (l1_tick, l1_sets) = self.l1.export_ways();
-        w.put(&l1_tick);
-        w.put(&(l1_sets.len() as u64));
-        for set in &l1_sets {
-            w.put(&(set.len() as u64));
-            for &(line, stamp, _) in set {
-                w.put(&line);
-                w.put(&stamp);
-            }
-        }
-        let (l2_tick, l2_sets) = self.l2.export_ways();
-        w.put(&l2_tick);
-        w.put(&(l2_sets.len() as u64));
-        for set in &l2_sets {
-            w.put(&(set.len() as u64));
-            for &(line, stamp, entry) in set {
-                w.put(&line);
-                w.put(&stamp);
-                w.put(&entry.state.sr);
-                w.put(&entry.state.sm);
-                w.put(&entry.state.dirty);
-                w.put(&entry.state.owner_tid);
-                w.put(&entry.state.values);
-                w.put(&entry.valid);
-            }
-        }
+        w.put(&self.stats);
+        self.l1.save_state(w);
+        self.l2.save_state(w);
     }
 
     /// Restores state captured by [`HierCache::save_state`] into this
@@ -627,61 +604,11 @@ impl HierCache {
     ///
     /// Returns [`SnapError`] on truncated or structurally invalid
     /// input, including array contents that disagree with this
-    /// hierarchy's geometry (see [`SetArray::restore_ways`]).
+    /// hierarchy's geometry (see [`SetArray::restore_state`]).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = CacheStats {
-            l1_load_hits: r.get()?,
-            l2_load_hits: r.get()?,
-            load_misses: r.get()?,
-            l1_store_hits: r.get()?,
-            l2_store_hits: r.get()?,
-            store_misses: r.get()?,
-            writebacks: r.get()?,
-            overflows: r.get()?,
-        };
-        let l1_tick: u64 = r.get()?;
-        let n1 = r.get_len(8)?;
-        let mut l1_sets = Vec::with_capacity(n1);
-        for _ in 0..n1 {
-            let len = r.get_len(16)?;
-            let mut set = Vec::with_capacity(len);
-            for _ in 0..len {
-                let line: LineAddr = r.get()?;
-                let stamp: u64 = r.get()?;
-                set.push((line, stamp, ()));
-            }
-            l1_sets.push(set);
-        }
-        self.l1
-            .restore_ways(l1_tick, l1_sets)
-            .map_err(|e| SnapError::invalid("HierCache.l1", e))?;
-        let l2_tick: u64 = r.get()?;
-        let n2 = r.get_len(8)?;
-        let mut l2_sets = Vec::with_capacity(n2);
-        for _ in 0..n2 {
-            let len = r.get_len(16)?;
-            let mut set = Vec::with_capacity(len);
-            for _ in 0..len {
-                let line: LineAddr = r.get()?;
-                let stamp: u64 = r.get()?;
-                let entry = Entry {
-                    state: LineState {
-                        sr: r.get()?,
-                        sm: r.get()?,
-                        dirty: r.get()?,
-                        owner_tid: r.get()?,
-                        values: r.get()?,
-                    },
-                    valid: r.get()?,
-                };
-                set.push((line, stamp, entry));
-            }
-            l2_sets.push(set);
-        }
-        self.l2
-            .restore_ways(l2_tick, l2_sets)
-            .map_err(|e| SnapError::invalid("HierCache.l2", e))?;
-        Ok(())
+        self.stats = r.get()?;
+        self.l1.restore_state("HierCache.l1", r)?;
+        self.l2.restore_state("HierCache.l2", r)
     }
 
     /// Whether `line` is resident with its dirty bit set.

@@ -1,6 +1,6 @@
 //! Per-line cache metadata.
 
-use tcc_types::{LineValues, Tid, WordMask};
+use tcc_types::{snap_fields, LineValues, Tid, WordMask};
 
 /// The state of one cache line in a TCC processor's hierarchy
 /// (Fig. 1b of the paper).
@@ -29,6 +29,14 @@ pub struct LineState {
     /// along the real data paths for the serializability checker.
     pub values: LineValues,
 }
+
+snap_fields!(LineState {
+    sr,
+    sm,
+    dirty,
+    owner_tid,
+    values,
+});
 
 impl LineState {
     /// A freshly filled, clean, non-speculative line.

@@ -1,6 +1,6 @@
 //! Execution-time breakdown and per-transaction characteristics.
 
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use tcc_types::snap_fields;
 
 /// The five-way cycle attribution used in Figures 6–8 of the paper.
 ///
@@ -44,24 +44,13 @@ impl Breakdown {
     }
 }
 
-impl Snap for Breakdown {
-    fn save(&self, w: &mut SnapWriter) {
-        self.useful.save(w);
-        self.cache_miss.save(w);
-        self.commit.save(w);
-        self.violation.save(w);
-        self.idle.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Breakdown {
-            useful: r.get()?,
-            cache_miss: r.get()?,
-            commit: r.get()?,
-            violation: r.get()?,
-            idle: r.get()?,
-        })
-    }
-}
+snap_fields!(Breakdown {
+    useful,
+    cache_miss,
+    commit,
+    violation,
+    idle,
+});
 
 /// Characteristics of one committed transaction, feeding the Table 3
 /// columns (90th-percentile size, read/write-set, ops per word written,
@@ -95,26 +84,14 @@ impl TxCharacteristics {
     }
 }
 
-impl Snap for TxCharacteristics {
-    fn save(&self, w: &mut SnapWriter) {
-        self.instructions.save(w);
-        self.read_set_bytes.save(w);
-        self.write_set_bytes.save(w);
-        self.words_written.save(w);
-        self.dirs_written.save(w);
-        self.dirs_touched.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxCharacteristics {
-            instructions: r.get()?,
-            read_set_bytes: r.get()?,
-            write_set_bytes: r.get()?,
-            words_written: r.get()?,
-            dirs_written: r.get()?,
-            dirs_touched: r.get()?,
-        })
-    }
-}
+snap_fields!(TxCharacteristics {
+    instructions,
+    read_set_bytes,
+    write_set_bytes,
+    words_written,
+    dirs_written,
+    dirs_touched,
+});
 
 #[cfg(test)]
 mod tests {

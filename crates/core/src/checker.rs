@@ -12,8 +12,7 @@
 
 use std::collections::HashMap;
 
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{LineAddr, Tid, WordMask};
+use tcc_types::{snap_fields, LineAddr, Tid, WordMask};
 
 /// One committed transaction's externally-visible behaviour.
 #[derive(Debug, Clone, Default)]
@@ -27,20 +26,7 @@ pub struct TxRecord {
     pub writes: Vec<(LineAddr, WordMask)>,
 }
 
-impl Snap for TxRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        self.tid.save(w);
-        self.reads.save(w);
-        self.writes.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxRecord {
-            tid: r.get()?,
-            reads: r.get()?,
-            writes: r.get()?,
-        })
-    }
-}
+snap_fields!(TxRecord { tid, reads, writes });
 
 /// A serializability violation found by [`Checker::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +62,11 @@ pub struct Checker {
     records: Vec<TxRecord>,
 }
 
+// The record log is the checker's whole state: commits before a
+// checkpoint must survive a resume, or the end-of-run verdict would
+// silently cover only the tail.
+snap_fields!(Checker { records });
+
 impl Checker {
     /// An empty checker.
     #[must_use]
@@ -92,19 +83,6 @@ impl Checker {
     #[must_use]
     pub fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// The accumulated records, for checkpointing. Commits before a
-    /// checkpoint must survive a resume, or the end-of-run
-    /// serializability verdict would silently cover only the tail.
-    #[must_use]
-    pub fn records(&self) -> &[TxRecord] {
-        &self.records
-    }
-
-    /// Replaces the record list with checkpointed state.
-    pub fn restore_records(&mut self, records: Vec<TxRecord>) {
-        self.records = records;
     }
 
     /// True if no commits were recorded.

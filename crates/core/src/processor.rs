@@ -6,8 +6,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use tcc_cache::{Eviction, LineState};
 use tcc_trace::{TraceEvent, Tracer, ViolationCause};
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, DirId, LineAddr, LineValues, Message, NodeId, Payload, Tid, WordMask};
+use tcc_types::{
+    snap_fields, snap_variants, Cycle, DirId, LineAddr, LineValues, Message, NodeId, Payload, Tid,
+    WordMask,
+};
 
 use crate::config::SystemConfig;
 use crate::driver::{home_of, Backend, Effects, Phase, Proc, ProcCounters};
@@ -65,24 +67,11 @@ pub enum TccPhase {
     Validating,
 }
 
-impl Snap for TccPhase {
-    fn save(&self, w: &mut SnapWriter) {
-        let tag: u8 = match self {
-            TccPhase::WaitTid => 0,
-            TccPhase::WaitTidEarly => 1,
-            TccPhase::Validating => 2,
-        };
-        tag.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::load(r)? {
-            0 => TccPhase::WaitTid,
-            1 => TccPhase::WaitTidEarly,
-            2 => TccPhase::Validating,
-            t => return Err(SnapError::invalid("TCC phase", format!("tag {t}"))),
-        })
-    }
-}
+snap_variants!(TccPhase {
+    WaitTid,
+    WaitTidEarly,
+    Validating,
+});
 
 /// The TCC backend's per-processor state: validation, forward-progress
 /// machinery, the victim buffer, and TCC-only counters.
@@ -1110,92 +1099,45 @@ impl Processor {
     }
 }
 
-impl Snap for SpillEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        self.sr.save(w);
-        self.sm.save(w);
-        self.valid.save(w);
-        self.dirty.save(w);
-        self.generation.save(w);
-        self.values.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SpillEntry {
-            sr: r.get()?,
-            sm: r.get()?,
-            valid: r.get()?,
-            dirty: r.get()?,
-            generation: r.get()?,
-            values: r.get()?,
-        })
-    }
-}
+snap_fields!(SpillEntry {
+    sr,
+    sm,
+    valid,
+    dirty,
+    generation,
+    values,
+});
 
-impl Snap for ValState {
-    fn save(&self, w: &mut SnapWriter) {
-        self.tid.save(w);
-        self.write_set.save(w);
-        self.wdirs.save(w);
-        self.sdirs_only.save(w);
-        self.pending.save(w);
-        self.marks_per_dir.save(w);
-        self.announced.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ValState {
-            tid: r.get()?,
-            write_set: r.get()?,
-            wdirs: r.get()?,
-            sdirs_only: r.get()?,
-            pending: r.get()?,
-            marks_per_dir: r.get()?,
-            announced: r.get()?,
-        })
-    }
-}
+snap_fields!(ValState {
+    tid,
+    write_set,
+    wdirs,
+    sdirs_only,
+    pending,
+    marks_per_dir,
+    announced,
+});
 
-/// Every field but the tracer, in declaration order.
-impl Snap for TccState {
-    fn save(&self, w: &mut SnapWriter) {
-        self.val.save(w);
-        self.announce_at.save(w);
-        self.attempt_commit_extra.save(w);
-        self.sharing_dirs.save(w);
-        self.violations_in_row.save(w);
-        self.serialize_mode.save(w);
-        self.early_tid.save(w);
-        self.spill.save(w);
-        self.last_tid.save(w);
-        self.orphaned_tid_requests.save(w);
-        self.overflows.save(w);
-        self.serialized_retries.save(w);
-        self.tid_wait.save(w);
-        self.probe_wait.save(w);
-        self.profile_violations.save(w);
-        self.profile_starvation.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TccState {
-            val: r.get()?,
-            announce_at: r.get()?,
-            attempt_commit_extra: r.get()?,
-            sharing_dirs: r.get()?,
-            violations_in_row: r.get()?,
-            serialize_mode: r.get()?,
-            early_tid: r.get()?,
-            spill: r.get()?,
-            last_tid: r.get()?,
-            orphaned_tid_requests: r.get()?,
-            overflows: r.get()?,
-            serialized_retries: r.get()?,
-            tid_wait: r.get()?,
-            probe_wait: r.get()?,
-            tracer: Tracer::disabled(),
-            profile_violations: r.get()?,
-            profile_starvation: r.get()?,
-        })
-    }
-}
+// Every field but the tracer, which the machine re-attaches.
+snap_fields!(TccState {
+    val,
+    announce_at,
+    attempt_commit_extra,
+    sharing_dirs,
+    violations_in_row,
+    serialize_mode,
+    early_tid,
+    spill,
+    last_tid,
+    orphaned_tid_requests,
+    overflows,
+    serialized_retries,
+    tid_wait,
+    probe_wait,
+    profile_violations,
+    profile_starvation;
+    skipped: TccState::default()
+});
 
 #[cfg(test)]
 mod tests {

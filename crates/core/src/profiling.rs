@@ -12,8 +12,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, LineAddr, NodeId, Tid, WordMask};
+use tcc_types::{snap_fields, Cycle, LineAddr, NodeId, Tid, WordMask};
 
 /// One recorded violation: `victim`'s transaction attempt was rolled
 /// back by `committer_tid`'s commit to `line`.
@@ -48,43 +47,21 @@ pub struct StarvationEvent {
     pub at: Cycle,
 }
 
-impl Snap for ViolationEvent {
-    fn save(&self, w: &mut SnapWriter) {
-        self.victim.save(w);
-        self.line.save(w);
-        self.words.save(w);
-        self.committer_tid.save(w);
-        self.wasted_cycles.save(w);
-        self.at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ViolationEvent {
-            victim: r.get()?,
-            line: r.get()?,
-            words: r.get()?,
-            committer_tid: r.get()?,
-            wasted_cycles: r.get()?,
-            at: r.get()?,
-        })
-    }
-}
+snap_fields!(ViolationEvent {
+    victim,
+    line,
+    words,
+    committer_tid,
+    wasted_cycles,
+    at,
+});
 
-impl Snap for StarvationEvent {
-    fn save(&self, w: &mut SnapWriter) {
-        self.proc.save(w);
-        self.violations.save(w);
-        self.overflow.save(w);
-        self.at.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(StarvationEvent {
-            proc: r.get()?,
-            violations: r.get()?,
-            overflow: r.get()?,
-            at: r.get()?,
-        })
-    }
-}
+snap_fields!(StarvationEvent {
+    proc,
+    violations,
+    overflow,
+    at,
+});
 
 /// Aggregated per-line conflict statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -11,10 +11,10 @@ use tcc_network::{
 use tcc_snapshot::{Snapshot, SnapshotError};
 use tcc_trace::{TraceReport, Tracer};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Frame, LineAddr, Message, NodeId};
+use tcc_types::{snap_variants, Cycle, Frame, LineAddr, Message, NodeId};
 
 use crate::breakdown::{Breakdown, TxCharacteristics};
-use crate::checker::{Checker, SerializabilityError, TxRecord};
+use crate::checker::{Checker, SerializabilityError};
 use crate::config::{ConfigError, SystemConfig};
 use crate::driver::{Effects, ProcCounters};
 use crate::profiling::ProfileReport;
@@ -80,15 +80,12 @@ impl DirCache {
 
     /// Serializes the cache's mutable state. `resident` is implied by
     /// the FIFO (every inserted line enters both, every eviction leaves
-    /// both), so only the FIFO order is stored; the unordered spilled
-    /// set is sorted so the bytes are a pure function of state.
+    /// both), so only the FIFO order is stored.
     fn save_state(&self, w: &mut SnapWriter) {
-        self.fifo.save(w);
-        let mut spilled: Vec<LineAddr> = self.spilled.iter().copied().collect();
-        spilled.sort_unstable();
-        spilled.save(w);
-        self.hits.save(w);
-        self.misses.save(w);
+        w.put(&self.fifo);
+        w.put(&self.spilled);
+        w.put(&self.hits);
+        w.put(&self.misses);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -101,8 +98,7 @@ impl DirCache {
         }
         self.resident = fifo.iter().copied().collect();
         self.fifo = fifo;
-        let spilled: Vec<LineAddr> = r.get()?;
-        self.spilled = spilled.into_iter().collect();
+        self.spilled = r.get()?;
         self.hits = r.get()?;
         self.misses = r.get()?;
         Ok(())
@@ -198,60 +194,14 @@ enum Event {
     },
 }
 
-impl Snap for Event {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Deliver(m) => {
-                0u8.save(w);
-                m.save(w);
-            }
-            Event::Inject(m) => {
-                1u8.save(w);
-                m.save(w);
-            }
-            Event::ProcStep(n, seq) => {
-                2u8.save(w);
-                n.save(w);
-                seq.save(w);
-            }
-            Event::Wire(f) => {
-                3u8.save(w);
-                f.save(w);
-            }
-            Event::RetxTimer { src, dst, epoch } => {
-                4u8.save(w);
-                src.save(w);
-                dst.save(w);
-                epoch.save(w);
-            }
-            Event::AckTimer { src, dst, epoch } => {
-                5u8.save(w);
-                src.save(w);
-                dst.save(w);
-                epoch.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match u8::load(r)? {
-            0 => Event::Deliver(r.get()?),
-            1 => Event::Inject(r.get()?),
-            2 => Event::ProcStep(r.get()?, r.get()?),
-            3 => Event::Wire(r.get()?),
-            4 => Event::RetxTimer {
-                src: r.get()?,
-                dst: r.get()?,
-                epoch: r.get()?,
-            },
-            5 => Event::AckTimer {
-                src: r.get()?,
-                dst: r.get()?,
-                epoch: r.get()?,
-            },
-            t => return Err(SnapError::invalid("Event", format!("tag {t}"))),
-        })
-    }
-}
+snap_variants!(Event {
+    Deliver(m),
+    Inject(m),
+    ProcStep(n, seq),
+    Wire(f),
+    RetxTimer { src, dst, epoch },
+    AckTimer { src, dst, epoch },
+});
 
 /// Results of one complete simulation.
 #[derive(Debug)]
@@ -950,63 +900,23 @@ impl Simulator {
     /// characteristics, active count, transport, watchdog, program
     /// seed.
     fn save_body(&self, w: &mut SnapWriter) {
-        self.program_digest().save(w);
-        self.cfg.protocol.save(w);
-        self.started.save(w);
-        self.queue.now().save(w);
-        self.queue.next_seq().save(w);
-        self.queue.events_processed().save(w);
-        let entries = self.queue.export_entries();
-        entries.len().save(w);
-        for (at, key, seq, ev) in entries {
-            at.save(w);
-            key.save(w);
-            seq.save(w);
-            ev.save(w);
-        }
+        w.put(&self.program_digest());
+        w.put(&self.cfg.protocol);
+        w.put(&self.started);
+        self.queue.save_state(w);
         self.machine.save_state(w);
         self.net.save_state(w);
-        self.dir_busy.save(w);
+        w.put(&self.dir_busy);
         for c in &self.dir_caches {
-            match c {
-                Some(c) => {
-                    true.save(w);
-                    c.save_state(w);
-                }
-                None => false.save(w),
-            }
+            w.save_present(c.as_ref(), DirCache::save_state);
         }
-        self.barrier_waiting.save(w);
-        match &self.checker {
-            Some(c) => {
-                true.save(w);
-                c.records().len().save(w);
-                for rec in c.records() {
-                    rec.save(w);
-                }
-            }
-            None => false.save(w),
-        }
-        self.tx_chars.save(w);
-        self.active.save(w);
-        match &self.transport {
-            Some(t) => {
-                true.save(w);
-                t.save_state(w);
-            }
-            None => false.save(w),
-        }
-        match &self.watchdog {
-            Some(wd) => {
-                true.save(w);
-                let (next_check, last_sig, stale_samples) = wd.state();
-                next_check.save(w);
-                last_sig.save(w);
-                stale_samples.save(w);
-            }
-            None => false.save(w),
-        }
-        self.program_seed.save(w);
+        w.put(&self.barrier_waiting);
+        w.save_present(self.checker.as_ref(), Checker::save);
+        w.put(&self.tx_chars);
+        w.put(&self.active);
+        w.save_present(self.transport.as_ref(), Transport::save_state);
+        w.save_present(self.watchdog.as_ref(), ProgressWatchdog::save_state);
+        w.put(&self.program_seed);
     }
 
     /// Overlays a snapshot body onto this freshly constructed machine.
@@ -1045,26 +955,12 @@ impl Simulator {
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.started = r.get()?;
-        let now: Cycle = r.get()?;
-        let next_seq: u64 = r.get()?;
-        let popped: u64 = r.get()?;
-        // Smallest entry: 8 (at) + 16 (key) + 8 (seq) + 1 (event tag).
-        let n = r.get_len(33)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let at: Cycle = r.get()?;
-            let key: u128 = r.get()?;
-            let seq: u64 = r.get()?;
-            let ev: Event = r.get()?;
-            entries.push((at, key, seq, ev));
-        }
         let tie_break = match self.cfg.tie_break_seed {
             Some(salt) => TieBreak::Seeded(salt),
             None => TieBreak::Fifo,
         };
-        let mut queue = EventQueue::restore(tie_break, now, next_seq, popped, entries);
-        queue.set_tracer(self.tracer.clone());
-        self.queue = queue;
+        self.queue = EventQueue::restore_state(tie_break, r)?;
+        self.queue.set_tracer(self.tracer.clone());
         self.machine.restore_state(r)?;
         self.net.restore_state(r)?;
         let dir_busy: Vec<Cycle> = r.get()?;
@@ -1079,67 +975,24 @@ impl Simulator {
             ));
         }
         self.dir_busy = dir_busy;
-        for (i, c) in self.dir_caches.iter_mut().enumerate() {
-            let present: bool = r.get()?;
-            match (present, c.as_mut()) {
-                (true, Some(cache)) => cache.restore_state(r)?,
-                (false, None) => {}
-                (in_snap, _) => {
-                    return Err(SnapError::invalid(
-                        "Simulator.dir_caches",
-                        format!(
-                            "directory {i}: snapshot {} a directory cache, config {}",
-                            if in_snap { "has" } else { "lacks" },
-                            if in_snap { "lacks one" } else { "has one" },
-                        ),
-                    ));
-                }
-            }
+        for c in &mut self.dir_caches {
+            r.restore_present("Simulator.dir_caches", c.as_mut(), DirCache::restore_state)?;
         }
         self.barrier_waiting = r.get()?;
-        let checker_present: bool = r.get()?;
-        match (checker_present, self.checker.as_mut()) {
-            (true, Some(c)) => {
-                let records: Vec<TxRecord> = r.get()?;
-                c.restore_records(records);
-            }
-            (false, None) => {}
-            _ => {
-                return Err(SnapError::invalid(
-                    "Simulator.checker",
-                    "snapshot and config disagree on the serializability checker".to_string(),
-                ));
-            }
-        }
+        r.restore_present("Simulator.checker", self.checker.as_mut(), |c, r| {
+            *c = r.get()?;
+            Ok(())
+        })?;
         self.tx_chars = r.get()?;
         self.active = r.get()?;
-        let transport_present: bool = r.get()?;
-        match (transport_present, self.transport.as_mut()) {
-            (true, Some(t)) => t.restore_state(r)?,
-            (false, None) => {}
-            _ => {
-                return Err(SnapError::invalid(
-                    "Simulator.transport",
-                    "snapshot and config disagree on the reliable transport".to_string(),
-                ));
-            }
-        }
-        let watchdog_present: bool = r.get()?;
-        match (watchdog_present, self.watchdog.as_mut()) {
-            (true, Some(wd)) => {
-                let next_check: u64 = r.get()?;
-                let last_sig: Option<u64> = r.get()?;
-                let stale_samples: u32 = r.get()?;
-                wd.restore_state(next_check, last_sig, stale_samples);
-            }
-            (false, None) => {}
-            _ => {
-                return Err(SnapError::invalid(
-                    "Simulator.watchdog",
-                    "snapshot and config disagree on the progress watchdog".to_string(),
-                ));
-            }
-        }
+        let transport = self.transport.as_mut();
+        r.restore_present("Simulator.transport", transport, Transport::restore_state)?;
+        let watchdog = self.watchdog.as_mut();
+        r.restore_present(
+            "Simulator.watchdog",
+            watchdog,
+            ProgressWatchdog::restore_state,
+        )?;
         self.program_seed = r.get()?;
         Ok(())
     }

@@ -49,11 +49,11 @@ use tcc_trace::{TraceEvent, Tracer};
 use tcc_types::hash::FxHashMap;
 use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::{
-    Cycle, DataSource, DirId, LineAddr, LineValues, NodeId, Payload, ProtocolBugs, Tid, WordMask,
+    snap_fields, Cycle, DataSource, DirId, LineAddr, LineValues, NodeId, Payload, ProtocolBugs,
+    Tid, WordMask,
 };
 
 use crate::entry::{DirEntry, MarkInfo};
-use crate::sharer_set::SharerSet;
 use crate::skip_vector::{SkipRefused, SkipVector};
 
 /// Directory configuration.
@@ -113,6 +113,19 @@ pub struct DirStats {
     pub occupancy: Vec<u64>,
 }
 
+snap_fields!(DirStats {
+    commits,
+    skips,
+    aborts,
+    marks,
+    invalidations,
+    loads,
+    stalled_loads,
+    writebacks_accepted,
+    writebacks_dropped,
+    occupancy,
+});
+
 /// One in-flight commit awaiting invalidation acknowledgements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct AckWait {
@@ -128,6 +141,13 @@ struct AckWait {
     locked: Vec<LineAddr>,
 }
 
+snap_fields!(AckWait {
+    tid,
+    acks_left,
+    opened_at,
+    locked,
+});
+
 /// A `Commit` that arrived before all of its `Mark`s (unordered network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingCommit {
@@ -135,6 +155,12 @@ struct PendingCommit {
     committer: NodeId,
     marks_expected: u32,
 }
+
+snap_fields!(PendingCommit {
+    tid,
+    committer,
+    marks_expected,
+});
 
 /// Loads queued behind an outstanding `DataRequest`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,6 +171,8 @@ struct Waiters {
     queue: Vec<(NodeId, u64)>,
 }
 
+snap_fields!(Waiters { target, queue });
+
 /// A deferred probe awaiting the right NSTID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingProbe {
@@ -154,6 +182,13 @@ struct PendingProbe {
     /// When the probe arrived (defer-duration metric).
     since: Cycle,
 }
+
+snap_fields!(PendingProbe {
+    tid,
+    requester,
+    for_write,
+    since,
+});
 
 /// The directory controller for one node's memory slice.
 ///
@@ -963,97 +998,24 @@ impl Directory {
     /// checkpointing: NSTID + skip vector, the line table, every
     /// deferred/pending structure (probes, stalled loads, data-request
     /// waiters, marked lines, pending commit, ack window), the sticky
-    /// skip refusal, and the statistics. The config and tracer are not
-    /// written (reconstructed by the resuming caller); the action
-    /// buffer is empty between events by construction.
-    ///
-    /// Unordered containers are emitted in sorted key order so snapshot
-    /// bytes are a pure function of state.
+    /// skip refusal, and the statistics. Not a `Snap` impl because the
+    /// config and tracer are not written (the resuming caller
+    /// reconstructs them) and the action buffer is empty between
+    /// events by construction.
     pub fn save_state(&self, w: &mut SnapWriter) {
         debug_assert!(self.out.is_empty(), "save_state mid-transition");
-        let (nstid, sv_bits) = self.sv.snapshot_parts();
-        w.put(&nstid);
-        w.put(&sv_bits);
-        w.put(&(self.entries.len() as u64));
-        for (line, e) in &self.entries {
-            w.put(line);
-            w.put(&e.sharers.bits());
-            w.put(&e.owner);
-            match &e.marked {
-                None => w.put(&false),
-                Some(m) => {
-                    w.put(&true);
-                    w.put(&m.tid);
-                    w.put(&m.by);
-                    w.put(&m.words);
-                }
-            }
-            w.put(&e.tid_tag);
-            w.put(&e.owner_words);
-            w.put(&e.memory);
-        }
-        w.put(&(self.pending_probes.len() as u64));
-        for p in &self.pending_probes {
-            w.put(&p.tid);
-            w.put(&p.requester);
-            w.put(&p.for_write);
-            w.put(&p.since);
-        }
+        w.put(&self.sv);
+        w.put(&self.entries);
+        w.put(&self.pending_probes);
         w.put(&self.stalled_loads);
-        let mut waiters: Vec<(&LineAddr, &Waiters)> = self.data_req_waiters.iter().collect();
-        waiters.sort_by_key(|(l, _)| **l);
-        w.put(&(waiters.len() as u64));
-        for (line, wtr) in waiters {
-            w.put(line);
-            w.put(&wtr.target);
-            w.put(&wtr.queue);
-        }
+        w.put(&self.data_req_waiters);
         w.put(&self.marked_lines);
         w.put(&self.marks_received);
-        match &self.pending_commit {
-            None => w.put(&false),
-            Some(pc) => {
-                w.put(&true);
-                w.put(&pc.tid);
-                w.put(&pc.committer);
-                w.put(&pc.marks_expected);
-            }
-        }
-        match &self.ack_wait {
-            None => w.put(&false),
-            Some(aw) => {
-                w.put(&true);
-                w.put(&aw.tid);
-                w.put(&aw.acks_left);
-                w.put(&aw.opened_at);
-                w.put(&aw.locked);
-            }
-        }
+        w.put(&self.pending_commit);
+        w.put(&self.ack_wait);
         w.put(&self.commit_span_start);
-        match &self.skip_refusal {
-            None => w.put(&false),
-            Some(sr) => {
-                w.put(&true);
-                w.put(&sr.tid);
-                w.put(&sr.now_serving);
-                w.put(&sr.window);
-            }
-        }
-        let s = &self.stats;
-        for v in [
-            s.commits,
-            s.skips,
-            s.aborts,
-            s.marks,
-            s.invalidations,
-            s.loads,
-            s.stalled_loads,
-            s.writebacks_accepted,
-            s.writebacks_dropped,
-        ] {
-            w.put(&v);
-        }
-        w.put(&s.occupancy);
+        w.put(&self.skip_refusal);
+        w.put(&self.stats);
     }
 
     /// Restores state captured by [`Directory::save_state`] into this
@@ -1064,93 +1026,18 @@ impl Directory {
     /// Returns [`SnapError`] on truncated or structurally invalid
     /// input.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let nstid: Tid = r.get()?;
-        let sv_bits: Vec<u64> = r.get()?;
-        self.sv = SkipVector::from_parts(nstid, sv_bits);
-        self.entries.clear();
-        let n_entries = r.get_len(8)?;
-        for _ in 0..n_entries {
-            let line: LineAddr = r.get()?;
-            let mut e = DirEntry::new(self.cfg.words_per_line);
-            e.sharers = SharerSet::from_bits(r.get()?);
-            e.owner = r.get()?;
-            e.marked = if r.get::<bool>()? {
-                Some(MarkInfo {
-                    tid: r.get()?,
-                    by: r.get()?,
-                    words: r.get()?,
-                })
-            } else {
-                None
-            };
-            e.tid_tag = r.get()?;
-            e.owner_words = r.get()?;
-            e.memory = r.get()?;
-            self.entries.insert(line, e);
-        }
-        let n_probes = r.get_len(8)?;
-        self.pending_probes.clear();
-        for _ in 0..n_probes {
-            self.pending_probes.push(PendingProbe {
-                tid: r.get()?,
-                requester: r.get()?,
-                for_write: r.get()?,
-                since: r.get()?,
-            });
-        }
+        self.sv = r.get()?;
+        self.entries = r.get()?;
+        self.pending_probes = r.get()?;
         self.stalled_loads = r.get()?;
-        self.data_req_waiters.clear();
-        let n_waiters = r.get_len(8)?;
-        for _ in 0..n_waiters {
-            let line: LineAddr = r.get()?;
-            let target: NodeId = r.get()?;
-            let queue: Vec<(NodeId, u64)> = r.get()?;
-            self.data_req_waiters
-                .insert(line, Waiters { target, queue });
-        }
+        self.data_req_waiters = r.get()?;
         self.marked_lines = r.get()?;
         self.marks_received = r.get()?;
-        self.pending_commit = if r.get::<bool>()? {
-            Some(PendingCommit {
-                tid: r.get()?,
-                committer: r.get()?,
-                marks_expected: r.get()?,
-            })
-        } else {
-            None
-        };
-        self.ack_wait = if r.get::<bool>()? {
-            Some(AckWait {
-                tid: r.get()?,
-                acks_left: r.get()?,
-                opened_at: r.get()?,
-                locked: r.get()?,
-            })
-        } else {
-            None
-        };
+        self.pending_commit = r.get()?;
+        self.ack_wait = r.get()?;
         self.commit_span_start = r.get()?;
-        self.skip_refusal = if r.get::<bool>()? {
-            Some(SkipRefused {
-                tid: r.get()?,
-                now_serving: r.get()?,
-                window: r.get()?,
-            })
-        } else {
-            None
-        };
-        self.stats = DirStats {
-            commits: r.get()?,
-            skips: r.get()?,
-            aborts: r.get()?,
-            marks: r.get()?,
-            invalidations: r.get()?,
-            loads: r.get()?,
-            stalled_loads: r.get()?,
-            writebacks_accepted: r.get()?,
-            writebacks_dropped: r.get()?,
-            occupancy: r.get()?,
-        };
+        self.skip_refusal = r.get()?;
+        self.stats = r.get()?;
         Ok(())
     }
 }
@@ -1573,5 +1460,34 @@ mod tests {
         let mut fresh = dir();
         let mut short = SnapReader::new(&bytes[..bytes.len() - 1]);
         assert!(fresh.restore_state(&mut short).is_err());
+    }
+
+    /// A skip vector wider than the live vector could ever buffer is a
+    /// typed refusal on restore, not a panic or a large allocation.
+    #[test]
+    fn restore_refuses_an_oversize_skip_vector() {
+        let mut w = SnapWriter::new();
+        dir().save_state(&mut w);
+        let fresh = w.into_bytes();
+        // A fresh directory's body starts with NSTID 0 and an empty
+        // bit-word vector; splice in 3,000 words instead.
+        let mut w = SnapWriter::new();
+        w.put(&Tid(0));
+        w.put(&vec![1u64; 3_000]);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&fresh[16..]);
+        let mut d = dir();
+        let err = d.restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapError::Invalid {
+                    what: "SkipVector.bits",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(d.now_serving(), Tid(0));
     }
 }

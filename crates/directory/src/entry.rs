@@ -1,6 +1,6 @@
 //! Per-line directory entries (Fig. 4 of the paper).
 
-use tcc_types::{LineValues, NodeId, Tid, WordMask};
+use tcc_types::{snap_fields, LineValues, NodeId, Tid, WordMask};
 
 use crate::sharer_set::SharerSet;
 
@@ -48,6 +48,16 @@ pub struct MarkInfo {
     /// detection, §3.3).
     pub words: WordMask,
 }
+
+snap_fields!(DirEntry {
+    sharers,
+    owner,
+    marked,
+    tid_tag,
+    owner_words,
+    memory,
+});
+snap_fields!(MarkInfo { tid, by, words });
 
 impl DirEntry {
     /// A fresh entry: unshared, unowned, memory never written.

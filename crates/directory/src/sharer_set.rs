@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tcc_types::NodeId;
+use tcc_types::{snap_fields, NodeId};
 
 /// A set of nodes, stored as a full bit vector.
 ///
@@ -25,6 +25,8 @@ use tcc_types::NodeId;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SharerSet(u128);
+
+snap_fields!(SharerSet { 0 });
 
 impl SharerSet {
     /// Maximum number of nodes representable.

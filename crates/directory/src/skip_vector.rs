@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use tcc_types::Tid;
+use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use tcc_types::{snap_fields, Tid};
 
 /// Typed refusal for a skip so far past the NSTID that buffering it
 /// would grow the vector beyond the outstanding-TID window.
@@ -23,6 +24,12 @@ pub struct SkipRefused {
     /// The window bound in force.
     pub window: u64,
 }
+
+snap_fields!(SkipRefused {
+    tid,
+    now_serving,
+    window,
+});
 
 impl fmt::Display for SkipRefused {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -221,27 +228,27 @@ impl SkipVector {
     pub fn buffered(&self) -> u32 {
         self.bits.iter().map(|w| w.count_ones()).sum()
     }
+}
 
-    /// Checkpoint view: `(now_serving, bit words)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (Tid, Vec<u64>) {
-        (self.now_serving, self.bits.clone())
+/// Saved as `(now_serving, bits)`. Loading refuses a window the live
+/// vector would never buffer, so a crafted snapshot cannot allocate
+/// past [`SkipVector::MAX_WINDOW`].
+impl Snap for SkipVector {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put(&self.now_serving);
+        w.put(&self.bits);
     }
-
-    /// Rebuilds a vector from [`SkipVector::snapshot_parts`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` exceeds the [`SkipVector::MAX_WINDOW`] bound —
-    /// a snapshot can never legitimately contain what the live vector
-    /// refuses to buffer.
-    #[must_use]
-    pub fn from_parts(now_serving: Tid, bits: Vec<u64>) -> SkipVector {
-        assert!(
-            bits.len() <= (Self::MAX_WINDOW as usize / 64) + 1,
-            "skip-vector snapshot exceeds the outstanding-TID window"
-        );
-        SkipVector { now_serving, bits }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let now_serving = r.get()?;
+        let bits: Vec<u64> = r.get()?;
+        let max_words = SkipVector::MAX_WINDOW as usize / 64 + 1;
+        if bits.len() > max_words {
+            return Err(SnapError::invalid(
+                "SkipVector.bits",
+                format!("{} words exceed the {max_words}-word window", bits.len()),
+            ));
+        }
+        Ok(SkipVector { now_serving, bits })
     }
 }
 

@@ -34,8 +34,8 @@
 use std::collections::VecDeque;
 
 use tcc_types::hash::FxHashMap;
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{LineAddr, LineValues, NodeId, Payload, Tid, WordMask};
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
+use tcc_types::{snap_fields, LineAddr, LineValues, NodeId, Payload, Tid, WordMask};
 
 use crate::DirAction;
 
@@ -70,26 +70,14 @@ impl TardisLine {
     }
 }
 
-impl Snap for TardisLine {
-    fn save(&self, w: &mut SnapWriter) {
-        self.wts.save(w);
-        self.rts.save(w);
-        self.values.save(w);
-        self.locked.save(w);
-        self.lock_queue.save(w);
-        self.deferred_loads.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TardisLine {
-            wts: r.get()?,
-            rts: r.get()?,
-            values: r.get()?,
-            locked: r.get()?,
-            lock_queue: r.get()?,
-            deferred_loads: r.get()?,
-        })
-    }
-}
+snap_fields!(TardisLine {
+    wts,
+    rts,
+    values,
+    locked,
+    lock_queue,
+    deferred_loads,
+});
 
 /// Event counters for one Tardis home.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,28 +98,15 @@ pub struct TardisHomeStats {
     pub publishes: u64,
 }
 
-impl Snap for TardisHomeStats {
-    fn save(&self, w: &mut SnapWriter) {
-        self.loads.save(w);
-        self.deferred_loads.save(w);
-        self.renews.save(w);
-        self.renew_nacks.save(w);
-        self.renew_nacks_locked.save(w);
-        self.lock_waits.save(w);
-        self.publishes.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TardisHomeStats {
-            loads: r.get()?,
-            deferred_loads: r.get()?,
-            renews: r.get()?,
-            renew_nacks: r.get()?,
-            renew_nacks_locked: r.get()?,
-            lock_waits: r.get()?,
-            publishes: r.get()?,
-        })
-    }
-}
+snap_fields!(TardisHomeStats {
+    loads,
+    deferred_loads,
+    renews,
+    renew_nacks,
+    renew_nacks_locked,
+    lock_waits,
+    publishes,
+});
 
 /// One node's slice of the timestamp-ordered home state.
 #[derive(Debug)]
@@ -376,21 +351,22 @@ impl TardisHome {
         self.lines.len()
     }
 
-    /// Serializes the home's mutable state (lines in sorted order so
-    /// the bytes are a pure function of state).
+    /// Serializes the home's mutable state. Not a `Snap` impl because
+    /// the lease length, line width and memory latency come from the
+    /// config the resuming caller rebuilds.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        let mut lines: Vec<(LineAddr, TardisLine)> =
-            self.lines.iter().map(|(&l, s)| (l, s.clone())).collect();
-        lines.sort_unstable_by_key(|&(l, _)| l);
-        lines.save(w);
-        self.max_ts.save(w);
-        self.stats.save(w);
+        w.put(&self.lines);
+        w.put(&self.max_ts);
+        w.put(&self.stats);
     }
 
     /// Restores state captured by [`TardisHome::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the decode failure.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let lines: Vec<(LineAddr, TardisLine)> = r.get()?;
-        self.lines = lines.into_iter().collect();
+        self.lines = r.get()?;
         self.max_ts = r.get()?;
         self.stats = r.get()?;
         Ok(())

@@ -58,6 +58,7 @@ use std::collections::BinaryHeap;
 use tcc_trace::Tracer;
 use tcc_types::hash::mix64;
 use tcc_types::slab::{Slab, SlabKey};
+use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::Cycle;
 
 pub mod budget;
@@ -440,23 +441,12 @@ impl<E> EventQueue<E> {
         Ok(Some((at, event)))
     }
 
-    /// The next insertion sequence number. Part of the queue's
-    /// checkpointable state: future FIFO tie-break keys derive from it,
-    /// so a restored queue must resume the counter exactly.
-    #[must_use]
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Every pending event as `(at, key, seq, payload)`, sorted by the
-    /// queue's total order `(at, key, seq)`. The deterministic ordering
-    /// makes snapshot bytes a pure function of queue *state*, not of
-    /// slab/heap layout history. Wheel timestamps are reconstructed
-    /// from slot position relative to the window anchor (`now`); all
-    /// wheel residents lie in `[now, now + WHEEL_SLOTS)` by
-    /// construction.
-    #[must_use]
-    pub fn export_entries(&self) -> Vec<(Cycle, u128, u64, &E)> {
+    /// queue's total order `(at, key, seq)`. Wheel timestamps are
+    /// reconstructed from slot position relative to the window anchor
+    /// (`now`); all wheel residents lie in `[now, now + WHEEL_SLOTS)`
+    /// by construction.
+    fn export_entries(&self) -> Vec<(Cycle, u128, u64, &E)> {
         let mut out = Vec::with_capacity(self.len());
         for (slot, entries) in self.slots.iter().enumerate() {
             let dt = (slot as u64).wrapping_sub(self.now.0) & WHEEL_MASK;
@@ -480,34 +470,28 @@ impl<E> EventQueue<E> {
         out
     }
 
-    /// Rebuilds a queue from checkpointed state: the clock, the
-    /// insertion/pop counters, and every pending entry with its
-    /// *original* `(key, seq)` — re-insertion must not re-key events,
-    /// or same-cycle ordering (and thus the resumed run's fingerprint)
-    /// would diverge from the uninterrupted run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry predates `now` or reuses a sequence number at
-    /// or beyond `seq` (either means the snapshot is inconsistent).
-    #[must_use]
-    pub fn restore(
+    /// The queue [`EventQueue::save_state`] captured: the clock, the
+    /// counters, and every pending entry with its original ordering key.
+    fn restore(
         tie_break: TieBreak,
         now: Cycle,
         seq: u64,
         popped: u64,
         entries: Vec<(Cycle, u128, u64, E)>,
-    ) -> EventQueue<E> {
+    ) -> Result<EventQueue<E>, SnapError> {
         let mut q = EventQueue::with_tie_break(tie_break);
         q.now = now;
         q.seq = seq;
         q.popped = popped;
         for (at, key, eseq, event) in entries {
-            assert!(at >= now, "restored event at {at} predates now {now}");
-            assert!(
-                eseq < seq,
-                "restored event seq {eseq} not below next seq {seq}"
-            );
+            if at < now {
+                let detail = format!("event at {at} predates now {now}");
+                return Err(SnapError::invalid("EventQueue", detail));
+            }
+            if eseq >= seq {
+                let detail = format!("event seq {eseq} not below next seq {seq}");
+                return Err(SnapError::invalid("EventQueue", detail));
+            }
             let id = q.events.insert(event);
             if at.0 - now.0 < WHEEL_SLOTS as u64 {
                 q.wheel_insert(at, SlotEntry { key, seq: eseq, id });
@@ -520,7 +504,7 @@ impl<E> EventQueue<E> {
                 }));
             }
         }
-        q
+        Ok(q)
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -538,6 +522,45 @@ impl<E> EventQueue<E> {
             (Some(w), Some(f)) => Some(w.min(f)),
             (w, f) => w.or(f),
         }
+    }
+}
+
+impl<E: Snap> EventQueue<E> {
+    /// Serializes the queue's checkpointable state: the clock, the
+    /// next insertion sequence number (future FIFO tie-break keys
+    /// derive from it), the pop counter, and every pending entry as
+    /// `(at, key, seq, event)` in the queue's total order, so the bytes
+    /// are a pure function of queue *state*, not of slab/heap layout
+    /// history.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.now);
+        w.put(&self.seq);
+        w.put(&self.popped);
+        let entries = self.export_entries();
+        w.put(&entries.len());
+        for (at, key, seq, event) in entries {
+            w.put(&at);
+            w.put(&key);
+            w.put(&seq);
+            w.put(event);
+        }
+    }
+
+    /// Rebuilds a queue from [`EventQueue::save_state`] bytes. Every
+    /// entry keeps its *original* `(key, seq)`: re-insertion must not
+    /// re-key events, or same-cycle ordering (and thus the resumed
+    /// run's fingerprint) would diverge from the uninterrupted run.
+    ///
+    /// # Errors
+    ///
+    /// Any decode failure, or an entry that predates the clock or
+    /// reuses a sequence number at or beyond the next one (the snapshot
+    /// is inconsistent).
+    pub fn restore_state(tie_break: TieBreak, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let now = r.get()?;
+        let seq = r.get()?;
+        let popped = r.get()?;
+        EventQueue::restore(tie_break, now, seq, popped, r.get()?)
     }
 }
 
@@ -718,7 +741,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Export + restore reproduces the exact pop sequence of the
+    /// Save + restore reproduces the exact pop sequence of the
     /// original queue — including events scheduled *after* the restore
     /// point, whose FIFO keys depend on the restored `seq` counter —
     /// across tie-break policies and near/far placements.
@@ -739,17 +762,15 @@ mod tests {
             for _ in 0..37 {
                 q.pop();
             }
-            let entries: Vec<(Cycle, u128, u64, usize)> = q
-                .export_entries()
-                .into_iter()
-                .map(|(at, key, seq, &ev)| (at, key, seq, ev))
-                .collect();
+            let entries = q.export_entries();
             assert_eq!(entries.len(), q.len());
             assert!(entries
                 .windows(2)
                 .all(|w| { (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2) }));
-            let mut restored =
-                EventQueue::restore(tb, q.now(), q.next_seq(), q.events_processed(), entries);
+            let mut w = SnapWriter::new();
+            q.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = EventQueue::restore_state(tb, &mut SnapReader::new(&bytes)).unwrap();
             assert_eq!(restored.len(), q.len());
             assert_eq!(restored.now(), q.now());
             // Post-restore scheduling must continue the key stream.

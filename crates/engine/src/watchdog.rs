@@ -17,6 +17,7 @@
 //! perturbs nothing, so enabling it cannot change simulation results —
 //! only whether a stuck run is reported early.
 
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::Cycle;
 
 /// Watchdog tuning.
@@ -91,24 +92,29 @@ impl ProgressWatchdog {
         self.cfg.interval * u64::from(self.cfg.grace)
     }
 
-    /// Checkpointable state: `(next_check, last_sig, stale_samples)`.
-    /// The progress-signature history must survive a checkpoint —
-    /// otherwise a run resumed inside a stall window would restart the
-    /// grace count and detect the stall later than the uninterrupted
-    /// run.
-    #[must_use]
-    pub fn state(&self) -> (u64, Option<u64>, u32) {
-        (self.next_check, self.last_sig, self.stale_samples)
+    /// Serializes the mutable state: `next_check`, `last_sig`,
+    /// `stale_samples`. The progress-signature history must survive a
+    /// checkpoint — otherwise a run resumed inside a stall window would
+    /// restart the grace count and detect the stall later than the
+    /// uninterrupted run. The config is not saved: the resuming caller
+    /// rebuilds it from `SystemConfig` (gated by the config digest).
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.next_check);
+        w.put(&self.last_sig);
+        w.put(&self.stale_samples);
     }
 
-    /// Overwrites the mutable state with values captured by
-    /// [`ProgressWatchdog::state`]. The config is not part of the
-    /// snapshot: the resuming caller reconstructs it from
-    /// `SystemConfig` (gated by the config digest).
-    pub fn restore_state(&mut self, next_check: u64, last_sig: Option<u64>, stale_samples: u32) {
-        self.next_check = next_check;
-        self.last_sig = last_sig;
-        self.stale_samples = stale_samples;
+    /// Overwrites the mutable state with what
+    /// [`ProgressWatchdog::save_state`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the decode failure.
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.next_check = r.get()?;
+        self.last_sig = r.get()?;
+        self.stale_samples = r.get()?;
+        Ok(())
     }
 }
 

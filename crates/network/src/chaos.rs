@@ -59,8 +59,8 @@ use tcc_types::hash::FxHashMap;
 
 use tcc_trace::Json;
 use tcc_types::rng::SmallRng;
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Message, NodeId};
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
+use tcc_types::{snap_fields, Cycle, Message, NodeId};
 
 /// Extra latency for one message kind inside a cycle window.
 #[derive(Debug, Clone, PartialEq)]
@@ -403,6 +403,14 @@ pub struct ChaosStats {
     pub duplicated: u64,
 }
 
+snap_fields!(ChaosStats {
+    messages,
+    perturbed,
+    extra_cycles,
+    dropped,
+    duplicated,
+});
+
 /// The deterministic fault injector driven by a [`ChaosConfig`]: the
 /// hook the [`Network`](crate::Network) calls for every message send.
 #[derive(Debug)]
@@ -532,18 +540,13 @@ impl SeededInjector {
     }
 
     /// Serializes the injector's mutable state (RNG position, FIFO
-    /// clamp watermarks, counters) for a checkpoint.
+    /// clamp watermarks, counters) for a checkpoint. Not a `Snap` impl
+    /// because the rules come from the config the resuming caller
+    /// rebuilds.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.rng.save(w);
-        let mut clamp: Vec<((NodeId, NodeId), u64)> =
-            self.last_arrival.iter().map(|(&k, &v)| (k, v)).collect();
-        clamp.sort_unstable();
-        clamp.save(w);
-        self.stats.messages.save(w);
-        self.stats.perturbed.save(w);
-        self.stats.extra_cycles.save(w);
-        self.stats.dropped.save(w);
-        self.stats.duplicated.save(w);
+        w.put(&self.rng);
+        w.put(&self.last_arrival);
+        w.put(&self.stats);
     }
 
     /// Restores state saved by [`save_state`](SeededInjector::save_state).
@@ -551,15 +554,8 @@ impl SeededInjector {
     /// that saved (the snapshot's config digest guarantees this).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = r.get()?;
-        let clamp: Vec<((NodeId, NodeId), u64)> = r.get()?;
-        self.last_arrival = clamp.into_iter().collect();
-        self.stats = ChaosStats {
-            messages: r.get()?,
-            perturbed: r.get()?,
-            extra_cycles: r.get()?,
-            dropped: r.get()?,
-            duplicated: r.get()?,
-        };
+        self.last_arrival = r.get()?;
+        self.stats = r.get()?;
         Ok(())
     }
 }

@@ -40,7 +40,7 @@ pub use stats::TrafficStats;
 pub use transport::{RetryExhausted, Transport, TransportAction, TransportConfig, TransportStats};
 
 use tcc_trace::{TraceEvent, Tracer};
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, Frame, Message, NodeId, Payload};
 
 /// The interconnect facade: routes [`Message`]s over a [`Mesh2D`] and
@@ -208,46 +208,19 @@ impl Network {
     /// clamp state. Topology and line size come from config and are
     /// covered by the snapshot's config digest.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.mesh.link_state().to_vec().save(w);
+        self.mesh.save_state(w);
         self.stats.save_state(w);
-        match self.injector.as_ref() {
-            None => false.save(w),
-            Some(inj) => {
-                true.save(w);
-                inj.save_state(w);
-            }
-        }
+        w.save_present(self.injector.as_ref(), SeededInjector::save_state);
     }
 
     /// Restores state saved by [`Network::save_state`] into a network
     /// built from the same configuration (same topology, and an
     /// injector attached iff one was attached at save time).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let links: Vec<Cycle> = r.get()?;
-        if links.len() != self.mesh.link_state().len() {
-            return Err(SnapError::invalid(
-                "Network.mesh",
-                "link state from a differently shaped mesh",
-            ));
-        }
-        self.mesh.restore_link_state(links);
+        self.mesh.restore_state(r)?;
         self.stats.restore_state(r)?;
-        let had_injector: bool = r.get()?;
-        match (had_injector, self.injector.as_mut()) {
-            (true, Some(inj)) => inj.restore_state(r)?,
-            (false, None) => {}
-            (saved, _) => {
-                return Err(SnapError::invalid(
-                    "Network.injector",
-                    format!(
-                        "snapshot {} an injector but this network {} one",
-                        if saved { "carries" } else { "lacks" },
-                        if saved { "lacks" } else { "carries" },
-                    ),
-                ));
-            }
-        }
-        Ok(())
+        let injector = self.injector.as_mut();
+        r.restore_present("Network.injector", injector, SeededInjector::restore_state)
     }
 
     /// Number of mesh hops between two nodes.

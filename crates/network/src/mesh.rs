@@ -1,5 +1,6 @@
 //! 2D mesh topology with dimension-order routing and link contention.
 
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::{Cycle, NodeId};
 
 /// Interconnect timing parameters.
@@ -196,26 +197,28 @@ impl Mesh2D {
         hops * (self.ser_cycles(size) + self.config.link_latency)
     }
 
-    /// The per-link next-free cycles — the mesh's only mutable state —
-    /// for checkpointing.
-    #[must_use]
-    pub fn link_state(&self) -> &[Cycle] {
-        &self.link_free
+    /// Serializes the per-link next-free cycles — the mesh's only
+    /// mutable state — for checkpointing.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.link_free);
     }
 
     /// Overwrites the per-link occupancy with a checkpointed copy.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `link_free` was captured from a differently shaped
-    /// mesh (the link count is fixed by the grid dimensions).
-    pub fn restore_link_state(&mut self, link_free: Vec<Cycle>) {
-        assert_eq!(
-            link_free.len(),
-            self.link_free.len(),
-            "link state from a differently shaped mesh"
-        );
+    /// Any decode failure, or a link count from a differently shaped
+    /// mesh (the count is fixed by the grid dimensions).
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let link_free: Vec<Cycle> = r.get()?;
+        if link_free.len() != self.link_free.len() {
+            return Err(SnapError::invalid(
+                "Network.mesh",
+                "link state from a differently shaped mesh",
+            ));
+        }
         self.link_free = link_free;
+        Ok(())
     }
 }
 

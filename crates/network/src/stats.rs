@@ -1,7 +1,7 @@
 //! Remote-traffic accounting in the categories of Figure 9.
 
 use tcc_types::msg::{kind_index_of, KIND_NAMES, N_KINDS};
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::{NodeId, TrafficCategory};
 
 /// Number of traffic categories (see [`TrafficCategory::ALL`]).
@@ -125,19 +125,17 @@ impl TrafficStats {
         self.bytes_in_category(cat) as f64 / self.received.len() as f64
     }
 
-    /// Serializes the accumulated counters for a checkpoint. The
-    /// per-kind census stores owned kind names in alphabetical order;
-    /// restore maps them back to kind indices.
+    /// Serializes the accumulated counters for a checkpoint. Not a
+    /// `Snap` impl because the per-kind census is stored by kind name,
+    /// in alphabetical order, and restore maps the names back to kind
+    /// indices.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.received.save(w);
-        self.messages.save(w);
-        let census = self.message_census();
-        (census.len() as u64).save(w);
-        for (kind, count) in census {
-            kind.to_string().save(w);
-            count.save(w);
-        }
-        self.total_messages.save(w);
+        w.put(&self.received);
+        w.put(&self.messages);
+        let census = self.message_census().into_iter();
+        let census: Vec<(String, u64)> = census.map(|(k, n)| (k.to_string(), n)).collect();
+        w.put(&census);
+        w.put(&self.total_messages);
     }
 
     /// Restores counters from a checkpoint taken on a same-sized
@@ -156,11 +154,8 @@ impl TrafficStats {
         }
         self.received = received;
         self.messages = r.get()?;
-        let n = r.get_len(2)?;
         self.by_kind = [0; N_KINDS];
-        for _ in 0..n {
-            let name: String = r.get()?;
-            let count: u64 = r.get()?;
+        for (name, count) in r.get::<Vec<(String, u64)>>()? {
             let kind = kind_index_of(&name).ok_or_else(|| {
                 SnapError::invalid("TrafficStats.by_kind", format!("unknown kind {name:?}"))
             })?;

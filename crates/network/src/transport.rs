@@ -46,8 +46,8 @@
 use std::collections::BTreeMap;
 
 use tcc_trace::{TraceEvent, Tracer};
-use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use tcc_types::{Cycle, Frame, Message, NodeId, ProtocolBugs};
+use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
+use tcc_types::{snap_fields, Cycle, Frame, Message, NodeId, ProtocolBugs};
 
 /// Tuning for the reliable transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +99,16 @@ pub struct TransportStats {
     /// Out-of-order frames parked in a reorder buffer.
     pub buffered: u64,
 }
+
+snap_fields!(TransportStats {
+    data_frames,
+    retransmits,
+    dup_drops,
+    timeout_fires,
+    acks,
+    delivered,
+    buffered,
+});
 
 /// What the caller must do after poking the transport: put a frame on
 /// the wire or arm a timer. Timers carry the channel's epoch; a bumped
@@ -159,6 +169,14 @@ struct SendChannel {
     timer_armed: bool,
 }
 
+snap_fields!(SendChannel {
+    next_seq,
+    unacked,
+    retries,
+    epoch,
+    timer_armed,
+});
+
 /// Receiver side of one directed channel.
 #[derive(Debug, Default)]
 struct RecvChannel {
@@ -173,6 +191,13 @@ struct RecvChannel {
     /// Cancellation epoch for the ack timer (piggybacking bumps it).
     ack_epoch: u64,
 }
+
+snap_fields!(RecvChannel {
+    next_expected,
+    buffer,
+    ack_pending,
+    ack_epoch,
+});
 
 /// The global transport state machine (one per simulator; channels are
 /// keyed by directed `(src, dst)` pairs). `BTreeMap` keeps every
@@ -459,71 +484,24 @@ impl Transport {
 
     /// Serializes every channel's sliding-window state — sequence
     /// counters, unacked frames, reorder buffers, timer epochs — plus
-    /// the activity counters. Config and bugs are not included; they
-    /// are covered by the snapshot's config digest.
+    /// the activity counters. Not a `Snap` impl because config, bugs
+    /// and tracer are not included; the snapshot's config digest
+    /// covers them.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        (self.tx.len() as u64).save(w);
-        for (&(src, dst), ch) in &self.tx {
-            (src, dst).save(w);
-            ch.next_seq.save(w);
-            ch.unacked.save(w);
-            ch.retries.save(w);
-            ch.epoch.save(w);
-            ch.timer_armed.save(w);
-        }
-        (self.rx.len() as u64).save(w);
-        for (&(src, dst), ch) in &self.rx {
-            (src, dst).save(w);
-            ch.next_expected.save(w);
-            ch.buffer.save(w);
-            ch.ack_pending.save(w);
-            ch.ack_epoch.save(w);
-        }
-        self.stats.data_frames.save(w);
-        self.stats.retransmits.save(w);
-        self.stats.dup_drops.save(w);
-        self.stats.timeout_fires.save(w);
-        self.stats.acks.save(w);
-        self.stats.delivered.save(w);
-        self.stats.buffered.save(w);
+        w.put(&self.tx);
+        w.put(&self.rx);
+        w.put(&self.stats);
     }
 
     /// Restores channel state saved by [`Transport::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the decode failure.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.tx.clear();
-        let n = r.get_len(8)?;
-        for _ in 0..n {
-            let key: (NodeId, NodeId) = r.get()?;
-            let ch = SendChannel {
-                next_seq: r.get()?,
-                unacked: r.get()?,
-                retries: r.get()?,
-                epoch: r.get()?,
-                timer_armed: r.get()?,
-            };
-            self.tx.insert(key, ch);
-        }
-        self.rx.clear();
-        let n = r.get_len(8)?;
-        for _ in 0..n {
-            let key: (NodeId, NodeId) = r.get()?;
-            let ch = RecvChannel {
-                next_expected: r.get()?,
-                buffer: r.get()?,
-                ack_pending: r.get()?,
-                ack_epoch: r.get()?,
-            };
-            self.rx.insert(key, ch);
-        }
-        self.stats = TransportStats {
-            data_frames: r.get()?,
-            retransmits: r.get()?,
-            dup_drops: r.get()?,
-            timeout_fires: r.get()?,
-            acks: r.get()?,
-            delivered: r.get()?,
-            buffered: r.get()?,
-        };
+        self.tx = r.get()?;
+        self.rx = r.get()?;
+        self.stats = r.get()?;
         Ok(())
     }
 

@@ -46,30 +46,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Mean inter-arrival time in ticks, averaged over states /
-    /// envelope phases — the reciprocal of the long-run offered rate.
-    #[must_use]
-    pub fn mean_interarrival_ticks(&self) -> f64 {
-        match self.cfg {
-            ArrivalConfig::Poisson {
-                mean_interarrival_ticks,
-            }
-            | ArrivalConfig::Diurnal {
-                mean_interarrival_ticks,
-                ..
-            } => mean_interarrival_ticks,
-            ArrivalConfig::Bursty {
-                calm_interarrival_ticks,
-                burst_interarrival_ticks,
-                ..
-            } => {
-                // Equal expected dwell in each state: the long-run rate
-                // is the mean of the two state rates.
-                2.0 / (1.0 / calm_interarrival_ticks + 1.0 / burst_interarrival_ticks)
-            }
-        }
-    }
-
     /// Advances to the next arrival and returns its tick.
     pub fn next_at(&mut self, rng: &mut SmallRng) -> u64 {
         let dt = match self.cfg {

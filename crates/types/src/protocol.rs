@@ -6,8 +6,6 @@
 //! the directory, chaos, and bench crates can refer to a backend
 //! without depending on the simulator crate.
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
 /// Which protocol machine drives the simulated system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ProtocolKind {
@@ -40,28 +38,6 @@ impl ProtocolKind {
             ProtocolKind::Tardis => "tardis",
         }
     }
-
-    /// Snapshot tag byte; restore refuses a body whose tag disagrees
-    /// with the configured backend.
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            ProtocolKind::Tcc => 0,
-            ProtocolKind::SerializedCommit => 1,
-            ProtocolKind::Tardis => 2,
-        }
-    }
-
-    /// Inverse of [`ProtocolKind::tag`].
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<ProtocolKind> {
-        Some(match tag {
-            0 => ProtocolKind::Tcc,
-            1 => ProtocolKind::SerializedCommit,
-            2 => ProtocolKind::Tardis,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -84,16 +60,13 @@ impl std::str::FromStr for ProtocolKind {
     }
 }
 
-impl Snap for ProtocolKind {
-    fn save(&self, w: &mut SnapWriter) {
-        self.tag().save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let t = u8::load(r)?;
-        ProtocolKind::from_tag(t)
-            .ok_or_else(|| SnapError::invalid("ProtocolKind", format!("tag {t}")))
-    }
-}
+// The snapshot tag is the declaration position; restore refuses a body
+// whose tag disagrees with the configured backend.
+crate::snap_variants!(ProtocolKind {
+    Tcc,
+    SerializedCommit,
+    Tardis,
+});
 
 #[cfg(test)]
 mod tests {
@@ -103,10 +76,23 @@ mod tests {
     fn names_round_trip() {
         for kind in ProtocolKind::ALL {
             assert_eq!(kind.as_str().parse::<ProtocolKind>().unwrap(), kind);
-            assert_eq!(ProtocolKind::from_tag(kind.tag()), Some(kind));
         }
         assert!("paxos".parse::<ProtocolKind>().is_err());
-        assert_eq!(ProtocolKind::from_tag(9), None);
+    }
+
+    #[test]
+    fn snapshot_tags_are_pinned() {
+        use crate::snap::{SnapReader, SnapWriter};
+        for (tag, kind) in ProtocolKind::ALL.into_iter().enumerate() {
+            let mut w = SnapWriter::new();
+            w.put(&kind);
+            assert_eq!(w.into_bytes(), [tag as u8]);
+            assert_eq!(
+                SnapReader::new(&[tag as u8]).get::<ProtocolKind>(),
+                Ok(kind)
+            );
+        }
+        assert!(SnapReader::new(&[9]).get::<ProtocolKind>().is_err());
     }
 
     #[test]
