@@ -17,6 +17,10 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
+// A checkpoint saves the raw xoshiro256** words: restoring them
+// reproduces the identical tail sequence.
+crate::snap_fields!(SmallRng { s });
+
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -33,21 +37,6 @@ impl SmallRng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        SmallRng { s }
-    }
-
-    /// The raw xoshiro256** state, for checkpointing. Restoring via
-    /// [`SmallRng::from_state`] reproduces the identical tail sequence.
-    #[must_use]
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a previously captured [`state`].
-    ///
-    /// [`state`]: SmallRng::state
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
         SmallRng { s }
     }
 
@@ -228,14 +217,19 @@ mod tests {
 
     #[test]
     fn state_round_trip_reproduces_identical_tail() {
-        // The checkpoint contract: `from_state(state())` mid-stream is
-        // indistinguishable from never having stopped, across every
-        // consumption path (raw words, bounded ints, floats, bools).
+        // The checkpoint contract: a generator saved and loaded
+        // mid-stream is indistinguishable from never having stopped,
+        // across every consumption path (raw words, bounded ints,
+        // floats, bools).
         let mut live = SmallRng::seed_from_u64(0xc0ffee);
         for _ in 0..123 {
             let _ = live.next_u64();
         }
-        let mut resumed = SmallRng::from_state(live.state());
+        let mut w = crate::snap::SnapWriter::new();
+        w.put(&live);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 32, "the four state words");
+        let mut resumed: SmallRng = crate::snap::SnapReader::new(&bytes).get().unwrap();
         for i in 0..2048 {
             match i % 4 {
                 0 => assert_eq!(live.next_u64(), resumed.next_u64(), "word {i}"),
@@ -251,7 +245,7 @@ mod tests {
                 _ => assert_eq!(live.gen_bool(0.3), resumed.gen_bool(0.3), "bool {i}"),
             }
         }
-        assert_eq!(live.state(), resumed.state());
+        assert_eq!(live, resumed);
     }
 
     #[test]

@@ -180,17 +180,20 @@ mod tests {
 
     #[test]
     fn sampling_stream_resumes_identically_from_saved_state() {
-        // Checkpoint semantics for workload generation: capturing the
-        // xoshiro256** word state mid-stream and rebuilding with
-        // `from_state` must reproduce the identical sampling tail —
-        // both raw words and Zipf draws (which consume the stream
-        // through `gen_range(f64)`).
+        // Checkpoint semantics for workload generation: saving the
+        // xoshiro256** word state mid-stream and loading it back must
+        // reproduce the identical sampling tail — both raw words and
+        // Zipf draws (which consume the stream through
+        // `gen_range(f64)`).
         let z = Zipf::new(64, 0.8);
         let mut live = stream_rng(13, 2);
         for _ in 0..257 {
             let _ = z.sample(&mut live);
         }
-        let mut resumed = SmallRng::from_state(live.state());
+        let mut w = tcc_types::snap::SnapWriter::new();
+        w.put(&live);
+        let bytes = w.into_bytes();
+        let mut resumed: SmallRng = tcc_types::snap::SnapReader::new(&bytes).get().unwrap();
         for i in 0..1024 {
             assert_eq!(
                 z.sample(&mut live),
@@ -198,7 +201,7 @@ mod tests {
                 "Zipf tail diverged at draw {i}"
             );
         }
-        assert_eq!(live.state(), resumed.state(), "word state diverged");
+        assert_eq!(live, resumed, "word state diverged");
         for i in 0..256 {
             assert_eq!(
                 live.next_u64(),
