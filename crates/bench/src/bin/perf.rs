@@ -272,6 +272,13 @@ fn main() {
         "{:<18} {:>10} {:>12} {:>12} {:>12} {:>9} {:>12}  fingerprint",
         "cell", "wall ms", "events/s", "allocs", "alloc MB", "build ms", "build allocs"
     );
+    // The first simulation in a process makes one-time allocations
+    // (lazily built tables, thread-locals). An unmeasured warm-up run
+    // keeps them out of whichever cell happens to run first, so every
+    // cell's count is the same for any `--reps` and app filter.
+    if let Some(first) = cells.iter().find(|c| args.selects(c.app.name)) {
+        run_cell(first, 1);
+    }
     for cell in &cells {
         if !args.selects(cell.app.name) {
             continue;

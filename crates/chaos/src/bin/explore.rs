@@ -93,24 +93,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos-explore: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut ok = true;
-
-    // 1. Survival sweep: the unmutated protocol must pass every point.
-    let grid = GridSpec::new(0..args.programs, 0..args.chaos);
+/// Runs a grid the unmutated protocol must pass at every point. Each
+/// failure is shrunk and written under `--out` with its pre-failure
+/// snapshot. Returns whether every point passed.
+fn sweep(label: &str, axis: &str, grid: &GridSpec, args: &Args) -> bool {
     let scenarios = grid.scenarios();
     println!(
-        "survival sweep: {} scenarios ({} program seeds x {} chaos seeds) on {} jobs",
+        "{label}: {} scenarios ({} program seeds x {} {axis}) on {} jobs",
         scenarios.len(),
-        args.programs,
-        args.chaos,
+        grid.program_seeds.end - grid.program_seeds.start,
+        grid.chaos_seeds.end - grid.chaos_seeds.start,
         args.jobs
     );
     let report = run_scenarios(&scenarios, args.jobs);
@@ -121,73 +113,54 @@ fn main() -> ExitCode {
         report.failures.len()
     );
     if !report.passed() {
-        ok = false;
         std::fs::create_dir_all(&args.out).ok();
-        for failure in &report.failures {
-            let (small, stats) = shrink(&failure.scenario, args.shrink_budget);
-            let path = args.out.join(format!("{}.json", small.name));
-            println!(
-                "  FAIL {}: {} (shrunk in {} attempts -> {})",
-                failure.scenario.name,
-                failure.outcome.failure.as_ref().unwrap(),
-                stats.attempts,
-                path.display()
-            );
-            if let Err(e) = std::fs::write(&path, small.to_json_string()) {
-                eprintln!("  write {}: {e}", path.display());
-            }
-            if let Some(snap) = &failure.snapshot {
-                let spath = args.out.join(format!("{}.snap", failure.scenario.name));
-                match snap.write_atomic(&spath) {
-                    Ok(()) => println!(
-                        "  snapshot from cycle {} (pre-failure) -> {}",
-                        snap.at_cycle,
-                        spath.display()
-                    ),
-                    Err(e) => eprintln!("  write {}: {e}", spath.display()),
-                }
+    }
+    for failure in &report.failures {
+        let (small, stats) = shrink(&failure.scenario, args.shrink_budget);
+        let path = args.out.join(format!("{}.json", small.name));
+        println!(
+            "  FAIL {}: {} (shrunk in {} attempts -> {})",
+            failure.scenario.name,
+            failure.outcome.failure.as_ref().unwrap(),
+            stats.attempts,
+            path.display()
+        );
+        if let Err(e) = std::fs::write(&path, small.to_json_string()) {
+            eprintln!("  write {}: {e}", path.display());
+        }
+        if let Some(snap) = &failure.snapshot {
+            let spath = args.out.join(format!("{}.snap", failure.scenario.name));
+            match snap.write_atomic(&spath) {
+                Ok(()) => println!(
+                    "  snapshot from cycle {} (pre-failure) -> {}",
+                    snap.at_cycle,
+                    spath.display()
+                ),
+                Err(e) => eprintln!("  write {}: {e}", spath.display()),
             }
         }
     }
+    report.passed()
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("chaos-explore: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // 1. Survival sweep: the unmutated protocol must pass every point.
+    let grid = GridSpec::new(0..args.programs, 0..args.chaos);
+    let mut ok = sweep("survival sweep", "chaos seeds", &grid, &args);
 
     // 1b. Loss sweep: the unmutated protocol over lossy wires — drops,
     // duplicates, cross-channel reordering — must still pass every
     // point (the reliable transport recovers; zero stalls tolerated).
     if args.loss > 0 {
         let grid = GridSpec::lossy(0..args.programs, 0..args.loss);
-        let scenarios = grid.scenarios();
-        println!(
-            "loss sweep: {} scenarios ({} program seeds x {} lossy chaos seeds) on {} jobs",
-            scenarios.len(),
-            args.programs,
-            args.loss,
-            args.jobs
-        );
-        let report = run_scenarios(&scenarios, args.jobs);
-        println!(
-            "  {} runs, {} commits, {} failures",
-            report.runs,
-            report.commits,
-            report.failures.len()
-        );
-        if !report.passed() {
-            ok = false;
-            std::fs::create_dir_all(&args.out).ok();
-            for failure in &report.failures {
-                let (small, stats) = shrink(&failure.scenario, args.shrink_budget);
-                let path = args.out.join(format!("{}.json", small.name));
-                println!(
-                    "  FAIL {}: {} (shrunk in {} attempts -> {})",
-                    failure.scenario.name,
-                    failure.outcome.failure.as_ref().unwrap(),
-                    stats.attempts,
-                    path.display()
-                );
-                if let Err(e) = std::fs::write(&path, small.to_json_string()) {
-                    eprintln!("  write {}: {e}", path.display());
-                }
-            }
-        }
+        ok &= sweep("loss sweep", "lossy chaos seeds", &grid, &args);
     }
 
     // 2. Mutation self-test: every knob must trip within the budget.

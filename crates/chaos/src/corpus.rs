@@ -13,7 +13,8 @@
 
 use std::path::Path;
 
-use tcc_trace::Json;
+use tcc_trace::json::{JsonCodec, NonEmpty};
+use tcc_trace::{json_fields, Json};
 
 use crate::scenario::{POp, Scenario};
 
@@ -45,52 +46,10 @@ pub fn load_scenarios(dir: &Path) -> Result<Vec<Scenario>, String> {
     Ok(out)
 }
 
-/// One entry of a `tcc-regression-corpus/v1` file: a named machine-wide
-/// program (no chaos — the schedule axes are applied by the replayer).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegressionCase {
-    pub name: String,
-    pub threads: Vec<Vec<Vec<POp>>>,
-}
-
-/// Parses a `tcc-regression-corpus/v1` document.
-pub fn parse_regression_corpus(text: &str) -> Result<Vec<RegressionCase>, String> {
-    let json = Json::parse(text)?;
-    match json.get("schema").and_then(Json::as_str) {
-        Some("tcc-regression-corpus/v1") => {}
-        other => return Err(format!("unsupported corpus schema {other:?}")),
-    }
-    let mut out = Vec::new();
-    for case in json
-        .get("cases")
-        .and_then(Json::as_arr)
-        .ok_or("corpus missing cases")?
-    {
-        let name = case
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("case missing name")?
-            .to_string();
-        // Piggyback on the scenario parser by wrapping the threads in a
-        // minimal scenario document.
-        let threads_json = case.get("threads").ok_or("case missing threads")?;
-        let wrapper = Json::obj(vec![
-            ("schema", "tcc-chaos-scenario/v1".into()),
-            ("name", name.as_str().into()),
-            ("threads", threads_json.clone()),
-        ]);
-        let scenario = Scenario::from_json(&wrapper).map_err(|e| format!("{name}: {e}"))?;
-        out.push(RegressionCase {
-            name,
-            threads: scenario.threads,
-        });
-    }
-    Ok(out)
-}
-
 /// One shrunk witness program: a named machine-wide program of
 /// transactional threads (each thread a list of transactions, each
 /// transaction a list of [`POp`]s), stripped of chaos/schedule config.
+/// It is also one case of a `tcc-regression-corpus/v1` file.
 ///
 /// This is the backend-agnostic view of the corpus: the programs were
 /// minimized against the *simulator*, but they only describe memory
@@ -103,30 +62,46 @@ pub struct Witness {
     pub threads: Vec<Vec<Vec<POp>>>,
 }
 
+json_fields!(Witness {
+    name,
+    threads with NonEmpty,
+});
+
+/// A `tcc-regression-corpus/v1` document: named programs with no chaos
+/// (the replayer applies the schedule axes).
+struct RegressionCorpus {
+    cases: Vec<Witness>,
+}
+
+json_fields!(
+    #[schema = "tcc-regression-corpus/v1"]
+    RegressionCorpus { cases }
+);
+
+/// Parses a `tcc-regression-corpus/v1` document.
+pub fn parse_regression_corpus(text: &str) -> Result<Vec<Witness>, String> {
+    Ok(RegressionCorpus::from_json(&Json::parse(text)?)?.cases)
+}
+
 /// Every shrunk witness program checked into the repo: the scenario
 /// corpus in `crates/chaos/corpus/` plus the shared regression-seed
 /// corpus, in stable order. Names are unique (scenario corpus names are
 /// file-derived, regression names are prefixed with `regression/`).
 pub fn witnesses() -> Result<Vec<Witness>, String> {
-    let mut out = Vec::new();
-    for scenario in load_scenarios(&corpus_dir())? {
-        out.push(Witness {
-            name: scenario.name.clone(),
-            threads: scenario.threads,
-        });
-    }
-    for case in load_core_regression_corpus()? {
-        out.push(Witness {
-            name: format!("regression/{}", case.name),
-            threads: case.threads,
-        });
-    }
-    Ok(out)
+    let scenarios = load_scenarios(&corpus_dir())?.into_iter().map(|s| Witness {
+        name: s.name,
+        threads: s.threads,
+    });
+    let regressions = load_core_regression_corpus()?.into_iter().map(|c| Witness {
+        name: format!("regression/{}", c.name),
+        ..c
+    });
+    Ok(scenarios.chain(regressions).collect())
 }
 
 /// The shared regression-seed corpus converted from the old proptest
 /// artifact, also replayed by `crates/core/tests/random.rs`.
-pub fn load_core_regression_corpus() -> Result<Vec<RegressionCase>, String> {
+pub fn load_core_regression_corpus() -> Result<Vec<Witness>, String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/regression_corpus.json");
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;

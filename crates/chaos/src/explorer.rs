@@ -12,7 +12,7 @@ use std::sync::{Mutex, Once};
 use crate::progen::{chaos_profile, generate_programs, loss_profile, tie_break_for, ProgramSpec};
 use crate::scenario::{RunOutcome, Scenario};
 use tcc_network::{DropRule, DupRule};
-use tcc_types::ProtocolKind;
+use tcc_types::{ProtocolBugs, ProtocolKind};
 
 /// A named configuration variant applied on top of each generated
 /// scenario (e.g. torus topology, Fig. 2f flush mode).
@@ -46,6 +46,8 @@ pub struct GridSpec {
     /// faults, reliable transport on) instead of the latency-only
     /// [`chaos_profile`].
     pub lossy: bool,
+    /// Mutation knobs every scenario runs with.
+    pub bugs: ProtocolBugs,
 }
 
 impl GridSpec {
@@ -60,6 +62,7 @@ impl GridSpec {
             variants: vec![BASELINE],
             protocols: vec![ProtocolKind::Tcc],
             lossy: false,
+            bugs: ProtocolBugs::default(),
         }
     }
 
@@ -107,7 +110,7 @@ impl GridSpec {
                             format!("{}-{protocol}-p{ps}-c{cs}", variant.name)
                         };
                         let mut s = Scenario::new(name, threads.clone());
-                        s.protocol = protocol;
+                        s.tweaks.protocol = protocol;
                         if self.lossy {
                             s.chaos = Some(loss_profile(cs, self.program.n_procs));
                             s.tweaks.transport = true;
@@ -116,6 +119,7 @@ impl GridSpec {
                         }
                         s.tie_break_seed = tie_break_for(cs);
                         s.program_seed = Some(ps);
+                        s.bugs = self.bugs;
                         (variant.apply)(&mut s);
                         out.push(s);
                     }
@@ -126,20 +130,7 @@ impl GridSpec {
     }
 }
 
-fn apply_skip_ack_wait(s: &mut Scenario) {
-    s.bugs.skip_ack_wait = true;
-}
-
-fn apply_unlocked_window_loads(s: &mut Scenario) {
-    s.bugs.unlocked_window_loads = true;
-}
-
-fn apply_accept_stale_fills(s: &mut Scenario) {
-    s.bugs.accept_stale_fills = true;
-}
-
 fn apply_transport_no_dedup(s: &mut Scenario) {
-    s.bugs.transport_no_dedup = true;
     s.tweaks.transport = true;
     // Guarantee duplicates exist for the broken receiver to leak:
     // heavy blanket duplication plus enough delay that the copy lands
@@ -156,7 +147,6 @@ fn apply_transport_no_dedup(s: &mut Scenario) {
 }
 
 fn apply_transport_no_reorder(s: &mut Scenario) {
-    s.bugs.transport_no_reorder = true;
     s.tweaks.transport = true;
     // Out-of-order arrivals are what the broken receiver mishandles:
     // force cross-channel reorder jitter, and add drops so retransmitted
@@ -175,7 +165,6 @@ fn apply_transport_no_reorder(s: &mut Scenario) {
 }
 
 fn apply_writeback_latest_tid(s: &mut Scenario) {
-    s.bugs.writeback_latest_tid = true;
     // The mistagged write-back only matters when a superseded owner's
     // flush races a newer commit to the same line, so force eviction
     // pressure and stretch the invalidate/flush race window.
@@ -203,10 +192,8 @@ pub fn mutation_grid(
     chaos_seeds: std::ops::Range<u64>,
 ) -> GridSpec {
     let mut grid = GridSpec::new(program_seeds, chaos_seeds);
+    assert!(grid.bugs.set_by_name(knob), "unknown mutation knob {knob}");
     let apply: fn(&mut Scenario) = match knob {
-        "skip_ack_wait" => apply_skip_ack_wait,
-        "unlocked_window_loads" => apply_unlocked_window_loads,
-        "accept_stale_fills" => apply_accept_stale_fills,
         "writeback_latest_tid" => {
             grid.program = ProgramSpec {
                 max_txs: 8,
@@ -229,7 +216,7 @@ pub fn mutation_grid(
             grid.lossy = true;
             apply_transport_no_reorder
         }
-        other => panic!("unknown mutation knob {other}"),
+        _ => apply_none,
     };
     grid.variants = vec![Variant { name: "mut", apply }];
     grid
@@ -252,6 +239,21 @@ pub struct FailureRecord {
     /// failing cycle is unknowable (panics) or precedes the rewind
     /// window.
     pub snapshot: Option<tcc_core::Snapshot>,
+}
+
+impl FailureRecord {
+    /// Records grid point `index`, re-running it for the checkpoint.
+    fn new(index: usize, scenario: &Scenario, outcome: RunOutcome) -> FailureRecord {
+        let snapshot = outcome
+            .fail_cycle
+            .and_then(|at| scenario.checkpoint_before(at, SNAPSHOT_LOOKBACK));
+        FailureRecord {
+            index,
+            scenario: scenario.clone(),
+            outcome,
+            snapshot,
+        }
+    }
 }
 
 /// The result of sweeping a grid.
@@ -337,15 +339,9 @@ pub fn run_scenarios(scenarios: &[Scenario], jobs: usize) -> ExploreReport {
             .expect("every grid point must have run");
         report.commits += outcome.commits;
         if outcome.failure.is_some() {
-            let snapshot = outcome
-                .fail_cycle
-                .and_then(|at| scenarios[i].checkpoint_before(at, SNAPSHOT_LOOKBACK));
-            report.failures.push(FailureRecord {
-                index: i,
-                scenario: scenarios[i].clone(),
-                outcome,
-                snapshot,
-            });
+            report
+                .failures
+                .push(FailureRecord::new(i, &scenarios[i], outcome));
         }
     }
     report
@@ -366,18 +362,8 @@ pub fn seeds_to_first_failure(scenarios: &[Scenario]) -> Option<(usize, FailureR
                 for (i, scenario) in scenarios.iter().enumerate() {
                     let outcome = scenario.run();
                     if outcome.failure.is_some() {
-                        let snapshot = outcome
-                            .fail_cycle
-                            .and_then(|at| scenario.checkpoint_before(at, SNAPSHOT_LOOKBACK));
-                        *found.lock().unwrap() = Some((
-                            i + 1,
-                            FailureRecord {
-                                index: i,
-                                scenario: scenario.clone(),
-                                outcome,
-                                snapshot,
-                            },
-                        ));
+                        let record = FailureRecord::new(i, scenario, outcome);
+                        *found.lock().unwrap() = Some((i + 1, record));
                         return;
                     }
                 }

@@ -13,7 +13,8 @@ use tcc_core::{
     TransportConfig, TxOp, WatchdogConfig, WorkItem,
 };
 use tcc_network::ChaosConfig;
-use tcc_trace::Json;
+use tcc_trace::json::{DecimalString, JsonCodec, NonEmpty};
+use tcc_trace::{json_fields, Json};
 use tcc_types::{Addr, Cycle, ProtocolBugs, ProtocolKind};
 
 /// One portable program operation. Addresses are `(line, word)` pairs
@@ -27,8 +28,20 @@ pub enum POp {
 }
 
 impl POp {
-    fn to_json(self) -> Json {
+    fn to_tx_op(self) -> TxOp {
         match self {
+            POp::Load(l, w) => TxOp::Load(Addr(l * 32 + w * 4)),
+            POp::Store(l, w) => TxOp::Store(Addr(l * 32 + w * 4)),
+            POp::Compute(c) => TxOp::Compute(c),
+        }
+    }
+}
+
+// Hand-written: an op is a tagged array (`["load", line, word]`), not a
+// record.
+impl JsonCodec for POp {
+    fn to_json(&self) -> Json {
+        match *self {
             POp::Load(l, w) => Json::Arr(vec!["load".into(), l.into(), w.into()]),
             POp::Store(l, w) => Json::Arr(vec!["store".into(), l.into(), w.into()]),
             POp::Compute(c) => Json::Arr(vec!["compute".into(), c.into()]),
@@ -37,28 +50,17 @@ impl POp {
 
     fn from_json(json: &Json) -> Result<POp, String> {
         let arr = json.as_arr().ok_or("op must be an array")?;
-        let kind = arr
-            .first()
-            .and_then(Json::as_str)
-            .ok_or("op missing kind")?;
-        let num = |i: usize| -> Result<u64, String> {
-            arr.get(i)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("op {kind} missing operand {i}"))
-        };
-        match kind {
-            "load" => Ok(POp::Load(num(1)?, num(2)?)),
-            "store" => Ok(POp::Store(num(1)?, num(2)?)),
-            "compute" => Ok(POp::Compute(num(1)? as u32)),
+        let operand =
+            |i: usize| u64::from_json(arr.get(i).ok_or_else(|| format!("no operand {i}"))?);
+        match arr.first().and_then(Json::as_str) {
+            Some("load") => Ok(POp::Load(operand(1)?, operand(2)?)),
+            Some("store") => Ok(POp::Store(operand(1)?, operand(2)?)),
+            Some("compute") => Ok(POp::Compute(
+                operand(1)?
+                    .try_into()
+                    .map_err(|_| "compute cycles overflow u32")?,
+            )),
             other => Err(format!("unknown op kind {other:?}")),
-        }
-    }
-
-    fn to_tx_op(self) -> TxOp {
-        match self {
-            POp::Load(l, w) => TxOp::Load(Addr(l * 32 + w * 4)),
-            POp::Store(l, w) => TxOp::Store(Addr(l * 32 + w * 4)),
-            POp::Compute(c) => TxOp::Compute(c),
         }
     }
 }
@@ -86,7 +88,28 @@ pub struct ConfigTweaks {
     /// watchdog) enabled. Implied whenever the chaos schedule contains
     /// drop/dup/reorder wire faults, which are meaningless without it.
     pub transport: bool,
+    /// Coherence/commit backend. Defaults to the paper's scalable TCC.
+    pub protocol: ProtocolKind,
 }
+
+// Each tweak is written only when it differs from its default, so
+// artifacts stay small and every older one means what it always meant.
+json_fields!(
+    #[omit_defaults]
+    ConfigTweaks {
+        link_latency,
+        torus,
+        owner_flush_keeps_line,
+        starvation_threshold,
+        exec_chunk,
+        line_granularity,
+        small_caches,
+        dir_cache_entries,
+        max_cycles,
+        transport,
+        protocol,
+    }
+);
 
 impl Default for ConfigTweaks {
     fn default() -> Self {
@@ -101,6 +124,7 @@ impl Default for ConfigTweaks {
             dir_cache_entries: None,
             max_cycles: 20_000_000,
             transport: false,
+            protocol: ProtocolKind::Tcc,
         }
     }
 }
@@ -174,10 +198,6 @@ pub struct RunOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     pub name: String,
-    /// Coherence/commit backend the scenario runs on. Defaults to the
-    /// paper's scalable TCC; artifacts only carry the field when it
-    /// differs, so pre-existing corpus JSON replays unchanged.
-    pub protocol: ProtocolKind,
     pub tweaks: ConfigTweaks,
     /// Mutation knobs (all-default outside the mutation self-test).
     pub bugs: ProtocolBugs,
@@ -199,7 +219,6 @@ impl Scenario {
     pub fn new(name: impl Into<String>, threads: Vec<Vec<Vec<POp>>>) -> Scenario {
         Scenario {
             name: name.into(),
-            protocol: ProtocolKind::Tcc,
             tweaks: ConfigTweaks::default(),
             bugs: ProtocolBugs::default(),
             chaos: None,
@@ -229,7 +248,7 @@ impl Scenario {
     #[must_use]
     pub fn to_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::with_procs(self.threads.len());
-        cfg.protocol = self.protocol;
+        cfg.protocol = self.tweaks.protocol;
         cfg.check_serializability = true;
         cfg.network.link_latency = self.tweaks.link_latency;
         cfg.network.torus = self.tweaks.torus;
@@ -400,216 +419,6 @@ impl Scenario {
         .flatten()
     }
 
-    pub fn to_json(&self) -> Json {
-        let d = ConfigTweaks::default();
-        let mut config = Vec::new();
-        // Only non-default tweaks are written, keeping artifacts small
-        // and forward-compatible.
-        if self.tweaks.link_latency != d.link_latency {
-            config.push(("link_latency", self.tweaks.link_latency.into()));
-        }
-        if self.tweaks.torus != d.torus {
-            config.push(("torus", self.tweaks.torus.into()));
-        }
-        if self.tweaks.owner_flush_keeps_line != d.owner_flush_keeps_line {
-            config.push((
-                "owner_flush_keeps_line",
-                self.tweaks.owner_flush_keeps_line.into(),
-            ));
-        }
-        if self.tweaks.starvation_threshold != d.starvation_threshold {
-            config.push((
-                "starvation_threshold",
-                u64::from(self.tweaks.starvation_threshold).into(),
-            ));
-        }
-        if self.tweaks.exec_chunk != d.exec_chunk {
-            config.push(("exec_chunk", self.tweaks.exec_chunk.into()));
-        }
-        if self.tweaks.line_granularity != d.line_granularity {
-            config.push(("line_granularity", self.tweaks.line_granularity.into()));
-        }
-        if self.tweaks.small_caches != d.small_caches {
-            config.push(("small_caches", self.tweaks.small_caches.into()));
-        }
-        if self.tweaks.dir_cache_entries != d.dir_cache_entries {
-            config.push((
-                "dir_cache_entries",
-                match self.tweaks.dir_cache_entries {
-                    Some(n) => n.into(),
-                    None => Json::Null,
-                },
-            ));
-        }
-        if self.tweaks.max_cycles != d.max_cycles {
-            config.push(("max_cycles", self.tweaks.max_cycles.into()));
-        }
-        if self.tweaks.transport != d.transport {
-            config.push(("transport", self.tweaks.transport.into()));
-        }
-        // The protocol is only written when non-default, like the
-        // tweaks: every pre-existing v1 artifact stays valid and means
-        // what it always meant (TCC).
-        if self.protocol != ProtocolKind::Tcc {
-            config.push(("protocol", self.protocol.as_str().into()));
-        }
-        Json::obj(vec![
-            ("schema", "tcc-chaos-scenario/v1".into()),
-            ("name", self.name.as_str().into()),
-            ("config", Json::obj(config)),
-            (
-                "bugs",
-                Json::Arr(
-                    self.bugs
-                        .enabled_names()
-                        .into_iter()
-                        .map(Json::from)
-                        .collect(),
-                ),
-            ),
-            (
-                "tie_break_seed",
-                match self.tie_break_seed {
-                    Some(s) => s.to_string().into(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "program_seed",
-                match self.program_seed {
-                    Some(s) => s.to_string().into(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "chaos",
-                match &self.chaos {
-                    Some(c) => c.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "threads",
-                Json::Arr(
-                    self.threads
-                        .iter()
-                        .map(|txs| {
-                            Json::Arr(
-                                txs.iter()
-                                    .map(|ops| {
-                                        Json::Arr(ops.iter().map(|op| op.to_json()).collect())
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    pub fn from_json(json: &Json) -> Result<Scenario, String> {
-        match json.get("schema").and_then(Json::as_str) {
-            Some("tcc-chaos-scenario/v1") => {}
-            other => return Err(format!("unsupported scenario schema {other:?}")),
-        }
-        let name = json
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("scenario missing name")?
-            .to_string();
-        let mut tweaks = ConfigTweaks::default();
-        let mut protocol = ProtocolKind::Tcc;
-        if let Some(cfg) = json.get("config") {
-            if let Some(p) = cfg.get("protocol").and_then(Json::as_str) {
-                protocol = p.parse::<ProtocolKind>()?;
-            }
-            if let Some(v) = cfg.get("link_latency").and_then(Json::as_u64) {
-                tweaks.link_latency = v;
-            }
-            if let Some(Json::Bool(b)) = cfg.get("torus") {
-                tweaks.torus = *b;
-            }
-            if let Some(Json::Bool(b)) = cfg.get("owner_flush_keeps_line") {
-                tweaks.owner_flush_keeps_line = *b;
-            }
-            if let Some(v) = cfg.get("starvation_threshold").and_then(Json::as_u64) {
-                tweaks.starvation_threshold = v as u32;
-            }
-            if let Some(v) = cfg.get("exec_chunk").and_then(Json::as_u64) {
-                tweaks.exec_chunk = v;
-            }
-            if let Some(Json::Bool(b)) = cfg.get("line_granularity") {
-                tweaks.line_granularity = *b;
-            }
-            if let Some(Json::Bool(b)) = cfg.get("small_caches") {
-                tweaks.small_caches = *b;
-            }
-            if let Some(v) = cfg.get("dir_cache_entries").and_then(Json::as_u64) {
-                tweaks.dir_cache_entries = Some(v as usize);
-            }
-            if let Some(v) = cfg.get("max_cycles").and_then(Json::as_u64) {
-                tweaks.max_cycles = v;
-            }
-            if let Some(Json::Bool(b)) = cfg.get("transport") {
-                tweaks.transport = *b;
-            }
-        }
-        let mut bugs = ProtocolBugs::default();
-        if let Some(arr) = json.get("bugs").and_then(Json::as_arr) {
-            for b in arr {
-                let n = b.as_str().ok_or("bug name must be a string")?;
-                if !bugs.set_by_name(n) {
-                    return Err(format!("unknown bug knob {n:?}"));
-                }
-            }
-        }
-        let tie_break_seed = match json.get("tie_break_seed") {
-            Some(Json::Str(s)) => Some(s.parse::<u64>().map_err(|e| format!("bad tie salt: {e}"))?),
-            _ => None,
-        };
-        let program_seed = match json.get("program_seed") {
-            Some(Json::Str(s)) => Some(
-                s.parse::<u64>()
-                    .map_err(|e| format!("bad program seed: {e}"))?,
-            ),
-            _ => None,
-        };
-        let chaos = match json.get("chaos") {
-            Some(Json::Null) | None => None,
-            Some(c) => Some(ChaosConfig::from_json(c)?),
-        };
-        let mut threads = Vec::new();
-        for txs in json
-            .get("threads")
-            .and_then(Json::as_arr)
-            .ok_or("scenario missing threads")?
-        {
-            let mut thread = Vec::new();
-            for ops in txs.as_arr().ok_or("thread must be an array")? {
-                let mut tx = Vec::new();
-                for op in ops.as_arr().ok_or("transaction must be an array")? {
-                    tx.push(POp::from_json(op)?);
-                }
-                thread.push(tx);
-            }
-            threads.push(thread);
-        }
-        if threads.is_empty() {
-            return Err("scenario has no threads".to_string());
-        }
-        Ok(Scenario {
-            name,
-            protocol,
-            tweaks,
-            bugs,
-            chaos,
-            tie_break_seed,
-            program_seed,
-            threads,
-        })
-    }
-
     /// Pretty JSON artifact text.
     #[must_use]
     pub fn to_json_string(&self) -> String {
@@ -622,6 +431,16 @@ impl Scenario {
         Scenario::from_json(&Json::parse(text)?)
     }
 }
+
+json_fields!(#[schema = "tcc-chaos-scenario/v1"] Scenario {
+    name,
+    tweaks as "config" = ConfigTweaks::default(),
+    bugs = ProtocolBugs::default(),
+    tie_break_seed with DecimalString = None,
+    program_seed with DecimalString = None,
+    chaos = None,
+    threads with NonEmpty,
+});
 
 #[cfg(test)]
 mod tests {
@@ -640,7 +459,7 @@ mod tests {
                 vec![vec![POp::Load(0, 0), POp::Store(1, 2)]],
             ],
         );
-        s.protocol = ProtocolKind::Tardis;
+        s.tweaks.protocol = ProtocolKind::Tardis;
         s.tweaks.link_latency = 9;
         s.tweaks.torus = true;
         s.tweaks.small_caches = true;
@@ -716,11 +535,11 @@ mod tests {
     #[test]
     fn v1_artifacts_without_a_protocol_field_replay_as_tcc() {
         let mut s = sample();
-        s.protocol = ProtocolKind::Tcc;
+        s.tweaks.protocol = ProtocolKind::Tcc;
         let text = s.to_json_string();
         assert!(!text.contains("protocol"), "default must not be written");
         let back = Scenario::from_json_str(&text).unwrap();
-        assert_eq!(back.protocol, ProtocolKind::Tcc);
+        assert_eq!(back.tweaks.protocol, ProtocolKind::Tcc);
     }
 
     #[test]
@@ -733,7 +552,7 @@ mod tests {
                     vec![vec![POp::Load(0, 0), POp::Store(1, 0)]],
                 ],
             );
-            s.protocol = protocol;
+            s.tweaks.protocol = protocol;
             let out = s.run();
             assert_eq!(out.failure, None, "{protocol}");
             assert_eq!(out.commits, 3, "{protocol}");
@@ -746,7 +565,7 @@ mod tests {
     #[test]
     fn refused_combinations_come_back_as_typed_rejections() {
         let mut s = Scenario::new("bad", vec![vec![vec![POp::Store(0, 0)]]]);
-        s.protocol = ProtocolKind::Tardis;
+        s.tweaks.protocol = ProtocolKind::Tardis;
         s.bugs.skip_ack_wait = true;
         let out = s.run();
         let failure = out.failure.expect("combination must be refused");

@@ -14,6 +14,8 @@
 //! fixpoint or the run budget is exhausted. Every candidate execution
 //! is a full simulator run, so the budget bounds shrinking time.
 
+use tcc_network::ChaosConfig;
+
 use crate::scenario::Scenario;
 
 /// Accounting for one shrink session.
@@ -65,77 +67,62 @@ pub fn shrink(scenario: &Scenario, max_attempts: u64) -> (Scenario, ShrinkStats)
 /// shrink fast).
 fn candidate_passes(s: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
+    let mut candidate = |edit: &dyn Fn(&mut Scenario)| {
+        let mut c = s.clone();
+        edit(&mut c);
+        out.push(c);
+    };
     // Chaos axis, most aggressive first: no chaos at all.
     if s.chaos.is_some() {
-        let mut c = s.clone();
-        c.chaos = None;
-        out.push(c);
+        candidate(&|c| c.chaos = None);
     }
     if s.tie_break_seed.is_some() {
-        let mut c = s.clone();
-        c.tie_break_seed = None;
-        out.push(c);
+        candidate(&|c| c.tie_break_seed = None);
     }
     // Program axis: drop a whole thread (keep at least one).
     if s.threads.len() > 1 {
         for t in 0..s.threads.len() {
-            let mut c = s.clone();
-            c.threads.remove(t);
-            out.push(c);
+            candidate(&|c| _ = c.threads.remove(t));
         }
     }
     // Drop one transaction.
-    for t in 0..s.threads.len() {
-        for tx in 0..s.threads[t].len() {
-            let mut c = s.clone();
-            c.threads[t].remove(tx);
-            out.push(c);
+    for (t, txs) in s.threads.iter().enumerate() {
+        for tx in 0..txs.len() {
+            candidate(&|c| _ = c.threads[t].remove(tx));
         }
     }
     // Drop one operation (empty transactions are legal: they commit
     // trivially and often shrink away on the next pass).
-    for t in 0..s.threads.len() {
-        for tx in 0..s.threads[t].len() {
-            for op in 0..s.threads[t][tx].len() {
-                let mut c = s.clone();
-                c.threads[t][tx].remove(op);
-                out.push(c);
+    for (t, txs) in s.threads.iter().enumerate() {
+        for (tx, ops) in txs.iter().enumerate() {
+            for op in 0..ops.len() {
+                candidate(&|c| _ = c.threads[t][tx].remove(op));
             }
         }
     }
-    // Relax perturbations one rule at a time.
-    if let Some(chaos) = &s.chaos {
-        for k in 0..chaos.kind_delays.len() {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().kind_delays.remove(k);
-            out.push(c);
-        }
-        for h in 0..chaos.hotspots.len() {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().hotspots.remove(h);
-            out.push(c);
-        }
-        // Wire faults shrink rule by rule, like the latency rules.
-        for i in 0..chaos.drops.len() {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().drops.remove(i);
-            out.push(c);
-        }
-        for i in 0..chaos.dups.len() {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().dups.remove(i);
-            out.push(c);
-        }
-        if chaos.reorder > 0 {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().reorder = 0;
-            out.push(c);
-        }
-        if chaos.jitter > 0 {
-            let mut c = s.clone();
-            c.chaos.as_mut().unwrap().jitter = 0;
-            out.push(c);
-        }
+    // Relax perturbations one rule at a time; wire faults shrink rule
+    // by rule, like the latency rules.
+    let Some(chaos) = &s.chaos else { return out };
+    let mut relax = |edit: &dyn Fn(&mut ChaosConfig)| {
+        candidate(&|c| edit(c.chaos.as_mut().expect("chaos is set")));
+    };
+    for k in 0..chaos.kind_delays.len() {
+        relax(&|ch| _ = ch.kind_delays.remove(k));
+    }
+    for h in 0..chaos.hotspots.len() {
+        relax(&|ch| _ = ch.hotspots.remove(h));
+    }
+    for i in 0..chaos.drops.len() {
+        relax(&|ch| _ = ch.drops.remove(i));
+    }
+    for i in 0..chaos.dups.len() {
+        relax(&|ch| _ = ch.dups.remove(i));
+    }
+    if chaos.reorder > 0 {
+        relax(&|ch| ch.reorder = 0);
+    }
+    if chaos.jitter > 0 {
+        relax(&|ch| ch.jitter = 0);
     }
     out
 }

@@ -393,34 +393,27 @@ impl SystemConfig {
                 ));
             }
         }
-        if self.protocol != ProtocolKind::Tcc {
-            if self.profile {
-                return Err(ConfigError::unsupported(
-                    self.protocol,
-                    "profile",
-                    "TAPE-style profiling hooks (violation sites, \
-                     starvation events) live in the TCC processor",
-                    "set cfg.profile = false, or select ProtocolKind::Tcc",
-                ));
-            }
-            if let Some(&knob) = self.bugs.inapplicable_names(self.protocol).first() {
-                let field = match knob {
-                    "skip_ack_wait" => "bugs.skip_ack_wait",
-                    "writeback_latest_tid" => "bugs.writeback_latest_tid",
-                    "unlocked_window_loads" => "bugs.unlocked_window_loads",
-                    _ => "bugs.accept_stale_fills",
-                };
-                return Err(ConfigError::unsupported(
-                    self.protocol,
-                    field,
-                    format!(
-                        "the `{knob}` mutation disables a Scalable TCC \
-                         race-elimination rule this backend does not have; \
-                         running it would silently test nothing"
-                    ),
-                    "clear the knob, or select ProtocolKind::Tcc",
-                ));
-            }
+        if self.protocol != ProtocolKind::Tcc && self.profile {
+            return Err(ConfigError::unsupported(
+                self.protocol,
+                "profile",
+                "TAPE-style profiling hooks (violation sites, \
+                 starvation events) live in the TCC processor",
+                "set cfg.profile = false, or select ProtocolKind::Tcc",
+            ));
+        }
+        // Each knob declares the backends it applies to (`tcc_types::bugs`).
+        if let Some(&knob) = self.bugs.inapplicable_names(self.protocol).first() {
+            return Err(ConfigError::unsupported(
+                self.protocol,
+                ProtocolBugs::config_path(knob).unwrap_or("bugs"),
+                format!(
+                    "the `{knob}` mutation disables a race-elimination rule \
+                     this backend does not have; running it would silently \
+                     test nothing"
+                ),
+                "clear the knob, or select a backend it applies to",
+            ));
         }
         if self.serial_execution && self.protocol != ProtocolKind::SerializedCommit {
             return Err(ConfigError::unsupported(

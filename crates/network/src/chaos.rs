@@ -57,7 +57,8 @@
 
 use tcc_types::hash::FxHashMap;
 
-use tcc_trace::Json;
+use tcc_trace::json::{DecimalString, JsonCodec, JsonWith};
+use tcc_trace::{json_fields, Json};
 use tcc_types::rng::SmallRng;
 use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
 use tcc_types::{snap_fields, Cycle, Message, NodeId};
@@ -128,9 +129,8 @@ pub struct HotSpot {
 }
 
 /// Full description of one adversarial schedule, deterministic from
-/// `seed`. JSON round-trips via [`ChaosConfig::to_json`] /
-/// [`ChaosConfig::from_json`] so failing schedules are replayable
-/// artifacts.
+/// `seed`. JSON round-trips through its [`JsonCodec`] so failing
+/// schedules are replayable artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for the injector's private RNG stream.
@@ -182,211 +182,47 @@ impl ChaosConfig {
     pub fn has_wire_faults(&self) -> bool {
         !self.drops.is_empty() || !self.dups.is_empty() || self.reorder > 0
     }
+}
 
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seed", self.seed.to_string().into()),
-            ("jitter", self.jitter.into()),
-            ("jitter_prob", self.jitter_prob.into()),
-            (
-                "kind_delays",
-                Json::Arr(
-                    self.kind_delays
-                        .iter()
-                        .map(|kd| {
-                            Json::obj(vec![
-                                ("kind", kd.kind.as_str().into()),
-                                ("extra", kd.extra.into()),
-                                ("prob", kd.prob.into()),
-                                ("from", kd.from.into()),
-                                ("until", window_end_json(kd.until)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "hotspots",
-                Json::Arr(
-                    self.hotspots
-                        .iter()
-                        .map(|h| {
-                            Json::obj(vec![
-                                ("node", u64::from(h.node.0).into()),
-                                ("extra", h.extra.into()),
-                                ("from", h.from.into()),
-                                ("until", window_end_json(h.until)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("preserve_channel_fifo", self.preserve_channel_fifo.into()),
-            (
-                "drops",
-                Json::Arr(
-                    self.drops
-                        .iter()
-                        .map(|d| {
-                            Json::obj(vec![
-                                ("kind", d.kind.as_str().into()),
-                                ("prob", d.prob.into()),
-                                ("from", d.from.into()),
-                                ("until", window_end_json(d.until)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "dups",
-                Json::Arr(
-                    self.dups
-                        .iter()
-                        .map(|d| {
-                            Json::obj(vec![
-                                ("kind", d.kind.as_str().into()),
-                                ("prob", d.prob.into()),
-                                ("delay", d.delay.into()),
-                                ("from", d.from.into()),
-                                ("until", window_end_json(d.until)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("reorder", self.reorder.into()),
-            ("reorder_prob", self.reorder_prob.into()),
-        ])
+/// A window end, written as `null` when the window is open: `u64::MAX`
+/// does not fit the `f64` of a JSON number.
+struct WindowEnd;
+
+impl JsonWith<u64> for WindowEnd {
+    fn to_json(until: &u64) -> Json {
+        if *until == u64::MAX {
+            Json::Null
+        } else {
+            until.to_json()
+        }
     }
-
-    pub fn from_json(json: &Json) -> Result<ChaosConfig, String> {
-        let seed = json
-            .get("seed")
-            .and_then(Json::as_str)
-            .ok_or("chaos: missing seed")?
-            .parse::<u64>()
-            .map_err(|e| format!("chaos: bad seed: {e}"))?;
-        let jitter = field_u64(json, "jitter")?;
-        let jitter_prob = json
-            .get("jitter_prob")
-            .and_then(Json::as_f64)
-            .ok_or("chaos: missing jitter_prob")?;
-        let mut kind_delays = Vec::new();
-        for kd in json
-            .get("kind_delays")
-            .and_then(Json::as_arr)
-            .ok_or("chaos: missing kind_delays")?
-        {
-            kind_delays.push(KindDelay {
-                kind: kd
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("chaos: kind_delay missing kind")?
-                    .to_string(),
-                extra: field_u64(kd, "extra")?,
-                prob: kd
-                    .get("prob")
-                    .and_then(Json::as_f64)
-                    .ok_or("chaos: kind_delay missing prob")?,
-                from: field_u64(kd, "from")?,
-                until: window_end_from_json(kd.get("until")),
-            });
+    fn from_json(json: &Json) -> Result<u64, String> {
+        match json {
+            Json::Null => Ok(u64::MAX),
+            v => u64::from_json(v),
         }
-        let mut hotspots = Vec::new();
-        for h in json
-            .get("hotspots")
-            .and_then(Json::as_arr)
-            .ok_or("chaos: missing hotspots")?
-        {
-            hotspots.push(HotSpot {
-                node: NodeId(field_u64(h, "node")? as u16),
-                extra: field_u64(h, "extra")?,
-                from: field_u64(h, "from")?,
-                until: window_end_from_json(h.get("until")),
-            });
-        }
-        let preserve_channel_fifo = match json.get("preserve_channel_fifo") {
-            Some(Json::Bool(b)) => *b,
-            _ => true,
-        };
-        // Wire-fault fields are additive: artifacts written before the
-        // reliable transport existed simply lack them.
-        let mut drops = Vec::new();
-        if let Some(arr) = json.get("drops").and_then(Json::as_arr) {
-            for d in arr {
-                drops.push(DropRule {
-                    kind: d
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or("chaos: drop rule missing kind")?
-                        .to_string(),
-                    prob: d
-                        .get("prob")
-                        .and_then(Json::as_f64)
-                        .ok_or("chaos: drop rule missing prob")?,
-                    from: field_u64(d, "from")?,
-                    until: window_end_from_json(d.get("until")),
-                });
-            }
-        }
-        let mut dups = Vec::new();
-        if let Some(arr) = json.get("dups").and_then(Json::as_arr) {
-            for d in arr {
-                dups.push(DupRule {
-                    kind: d
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or("chaos: dup rule missing kind")?
-                        .to_string(),
-                    prob: d
-                        .get("prob")
-                        .and_then(Json::as_f64)
-                        .ok_or("chaos: dup rule missing prob")?,
-                    delay: field_u64(d, "delay")?,
-                    from: field_u64(d, "from")?,
-                    until: window_end_from_json(d.get("until")),
-                });
-            }
-        }
-        let reorder = json.get("reorder").and_then(Json::as_u64).unwrap_or(0);
-        let reorder_prob = json
-            .get("reorder_prob")
-            .and_then(Json::as_f64)
-            .unwrap_or(1.0);
-        Ok(ChaosConfig {
-            seed,
-            jitter,
-            jitter_prob,
-            kind_delays,
-            hotspots,
-            preserve_channel_fifo,
-            drops,
-            dups,
-            reorder,
-            reorder_prob,
-        })
     }
 }
 
-/// Open-ended windows serialize as `null` (f64 cannot hold `u64::MAX`).
-fn window_end_json(until: u64) -> Json {
-    if until == u64::MAX {
-        Json::Null
-    } else {
-        until.into()
-    }
-}
+json_fields!(KindDelay { kind, extra, prob, from, until with WindowEnd = u64::MAX });
+json_fields!(HotSpot { node, extra, from, until with WindowEnd = u64::MAX });
+json_fields!(DropRule { kind, prob, from, until with WindowEnd = u64::MAX });
+json_fields!(DupRule { kind, prob, delay, from, until with WindowEnd = u64::MAX });
 
-fn window_end_from_json(v: Option<&Json>) -> u64 {
-    v.and_then(Json::as_u64).unwrap_or(u64::MAX)
-}
-
-fn field_u64(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("chaos: missing {key}"))
-}
+// The fields from `preserve_channel_fifo` on read as their defaults when
+// absent: artifacts written before the reliable transport lack them.
+json_fields!(ChaosConfig {
+    seed with DecimalString,
+    jitter,
+    jitter_prob,
+    kind_delays,
+    hotspots,
+    preserve_channel_fifo = true,
+    drops = Vec::new(),
+    dups = Vec::new(),
+    reorder = 0,
+    reorder_prob = 1.0,
+});
 
 /// Counters the injector keeps about its own activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -140,6 +140,10 @@ unsafe fn drop_core(p: NonNull<u8>) {
     unsafe { ptr::drop_in_place(p.cast::<CellCore>().as_ptr()) };
 }
 
+/// Max spins a read stalls on a marked cell whose writer holds the
+/// serial position (an abort-avoidance hint).
+const READ_STALL_SPINS: u32 = 64;
+
 /// A cell's block: leaked from a `Box` by [`Stm::new_tvar`], so
 /// allocated with `CellCore`'s layout.
 static CELL_KIND: ebr::BlockKind = ebr::BlockKind {
@@ -258,9 +262,6 @@ pub struct StmConfig {
     /// Failed attempts before a transaction escalates to early-TID
     /// acquisition (the paper's starvation defense).
     pub starvation_threshold: u32,
-    /// Max spins a read stalls on a marked cell whose writer holds the
-    /// serial position (abort-avoidance hint; 0 disables stalling).
-    pub read_stall_spins: u32,
 }
 
 impl Default for StmConfig {
@@ -269,7 +270,6 @@ impl Default for StmConfig {
             shards: 8,
             vendor_slots: 8,
             starvation_threshold: 4,
-            read_stall_spins: 64,
         }
     }
 }
@@ -601,7 +601,7 @@ impl<'s> Tx<'s> {
         // imminent — reading the doomed version would only manufacture
         // a conflict. Bounded, so it can never become a wait-for edge.
         let mut spins = 0;
-        while spins < self.stm.config.read_stall_spins {
+        while spins < READ_STALL_SPINS {
             let m = core.mark.load(Ordering::SeqCst);
             if !proto::read_should_stall(&self.stm.state, core.shard, m) {
                 break;

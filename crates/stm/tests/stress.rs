@@ -123,7 +123,6 @@ fn high_contention_single_shard_never_livelocks() {
         shards: 1,
         vendor_slots: 1,
         starvation_threshold: 1,
-        ..StmConfig::default()
     });
     let hot = stm.new_tvar(0u64);
     let threads = 4;
@@ -167,7 +166,6 @@ fn tid_space_is_gap_free_after_stress() {
         shards: 8,
         vendor_slots: 2,
         starvation_threshold: 2,
-        ..StmConfig::default()
     });
     let cells: Vec<TVar<u64>> = (0..16).map(|_| stm.new_tvar(0u64)).collect();
     spawn_all(

@@ -4,8 +4,14 @@
 //! hand. Objects preserve insertion order, which keeps emitted reports
 //! stable and diffable. The parser exists so run-report schemas can be
 //! round-trip tested and future tools can read `BENCH_*.json` back.
+//!
+//! Artifacts that are read back (chaos scenarios, regression corpora)
+//! implement [`JsonCodec`]; a record declares its fields once with
+//! [`json_fields!`](crate::json_fields).
 
 use std::fmt::Write as _;
+
+use tcc_types::{NodeId, ProtocolBugs, ProtocolKind};
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -17,39 +23,15 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
-}
-impl From<u64> for Json {
-    fn from(v: u64) -> Self {
-        Json::Num(v as f64)
-    }
-}
-impl From<u32> for Json {
-    fn from(v: u32) -> Self {
-        Json::Num(v as f64)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::Num(v as f64)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::Num(v)
+/// A value with a codec converts to its encoding.
+impl<T: JsonCodec> From<T> for Json {
+    fn from(v: T) -> Self {
+        v.to_json()
     }
 }
 impl From<&str> for Json {
     fn from(v: &str) -> Self {
         Json::Str(v.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
     }
 }
 impl From<Vec<Json>> for Json {
@@ -218,6 +200,238 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+/// A value with a JSON encoding that reads back to itself. Records
+/// implement it with [`json_fields!`](crate::json_fields).
+pub trait JsonCodec: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(json: &Json) -> Result<Self, String>;
+}
+
+/// An encoding of `T` other than its own [`JsonCodec`], named in a
+/// [`json_fields!`](crate::json_fields) list with `with`.
+pub trait JsonWith<T> {
+    fn to_json(value: &T) -> Json;
+    fn from_json(json: &Json) -> Result<T, String>;
+}
+
+/// A `u64` as a decimal string, since [`Json::Num`] is an `f64` and
+/// seeds use all 64 bits. An `Option<u64>` writes `None` as `null`.
+pub struct DecimalString;
+
+impl JsonWith<u64> for DecimalString {
+    fn to_json(value: &u64) -> Json {
+        Json::Str(value.to_string())
+    }
+    fn from_json(json: &Json) -> Result<u64, String> {
+        let s = json.as_str().ok_or("expected a decimal string")?;
+        s.parse().map_err(|e| format!("bad decimal {s:?}: {e}"))
+    }
+}
+
+impl JsonWith<Option<u64>> for DecimalString {
+    fn to_json(value: &Option<u64>) -> Json {
+        value.as_ref().map_or(Json::Null, Self::to_json)
+    }
+    fn from_json(json: &Json) -> Result<Option<u64>, String> {
+        match json {
+            Json::Null => Ok(None),
+            v => Self::from_json(v).map(Some),
+        }
+    }
+}
+
+/// A list that must hold at least one element.
+pub struct NonEmpty;
+
+impl<T: JsonCodec> JsonWith<Vec<T>> for NonEmpty {
+    fn to_json(value: &Vec<T>) -> Json {
+        value.to_json()
+    }
+    fn from_json(json: &Json) -> Result<Vec<T>, String> {
+        Some(Vec::from_json(json)?)
+            .filter(|v| !v.is_empty())
+            .ok_or_else(|| "expected a non-empty array".to_string())
+    }
+}
+
+/// Each scalar's JSON value, and the pattern that reads it back.
+macro_rules! scalar_codecs {
+    ($($t:ty: $v:ident => $to:expr, $json:pat => $from:expr;)*) => {$(
+        impl JsonCodec for $t {
+            fn to_json(&self) -> Json {
+                let $v = self;
+                $to
+            }
+            fn from_json(json: &Json) -> Result<Self, String> {
+                match json {
+                    $json => $from,
+                    #[allow(unreachable_patterns)]
+                    _ => None,
+                }
+                .ok_or_else(|| format!("expected a {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+scalar_codecs! {
+    bool: v => Json::Bool(*v), Json::Bool(b) => Some(*b);
+    f64: v => Json::Num(*v), Json::Num(n) => Some(*n);
+    u64: v => Json::Num(*v as f64), n => n.as_u64();
+    u32: v => Json::Num(f64::from(*v)), n => n.as_u64().and_then(|n| n.try_into().ok());
+    u16: v => Json::Num(f64::from(*v)), n => n.as_u64().and_then(|n| n.try_into().ok());
+    usize: v => Json::Num(*v as f64), n => n.as_u64().and_then(|n| n.try_into().ok());
+    String: v => Json::Str(v.clone()), Json::Str(s) => Some(s.clone());
+    NodeId: v => v.0.to_json(), n => u16::from_json(n).ok().map(NodeId);
+    // A backend is its stable name (`"tcc"`, `"serialized"`, `"tardis"`).
+    ProtocolKind: v => v.as_str().into(), Json::Str(s) => s.parse().ok();
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let items = json.as_arr().ok_or("expected an array")?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+/// `None` is `null`.
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        match json {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+/// Mutation knobs are the list of the set knobs' catalog names.
+impl JsonCodec for ProtocolBugs {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.enabled_names().into_iter().map(Json::from).collect())
+    }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let mut bugs = ProtocolBugs::default();
+        for name in Vec::<String>::from_json(json)? {
+            if !bugs.set_by_name(&name) {
+                return Err(format!("unknown bug knob {name:?}"));
+            }
+        }
+        Ok(bugs)
+    }
+}
+
+/// Refuses a record that is not an object or lacks its schema tag.
+#[doc(hidden)]
+pub fn check_record(json: &Json, schema: Option<&str>) -> Result<(), String> {
+    let got = json.get("schema").and_then(Json::as_str);
+    match schema {
+        _ if !matches!(json, Json::Obj(_)) => Err("expected an object".to_string()),
+        Some(want) if got != Some(want) => Err(format!("schema {got:?}, expected {want:?}")),
+        _ => Ok(()),
+    }
+}
+
+/// Reads field `key` of a record; a missing key reads as `absent`, and
+/// is an error when that is `None`.
+#[doc(hidden)]
+pub fn read_field<T>(
+    json: &Json,
+    key: &str,
+    absent: Option<T>,
+    decode: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    match json.get(key) {
+        Some(v) => decode(v).map_err(|e| format!("{key}: {e}")),
+        None => absent.ok_or_else(|| format!("missing {key}")),
+    }
+}
+
+/// Implements [`JsonCodec`] for a record from one list of its fields,
+/// written as a JSON object in list order and read back by key.
+///
+/// Each field is its name, then optionally `as "key"` (its JSON key when
+/// that differs), `with Encoding` (a [`JsonWith`] replacing the field
+/// type's own codec) and `= default` (what an absent key reads as;
+/// without it the key is required). `#[schema = "..."]` writes a
+/// `"schema"` key first and refuses any other tag. `#[omit_defaults]`
+/// writes a field only when it differs from the type's `Default`, and
+/// reads an absent one as that. Unknown keys are ignored.
+///
+/// ```
+/// use tcc_trace::json::{DecimalString, JsonCodec};
+/// use tcc_trace::Json;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Rule { kind: String, seed: u64, prob: f64 }
+/// tcc_trace::json_fields!(Rule { kind, seed with DecimalString, prob = 1.0 });
+///
+/// let rule = Rule::from_json(&Json::parse(r#"{"kind": "Mark", "seed": "7"}"#).unwrap());
+/// assert_eq!(rule, Ok(Rule { kind: "Mark".into(), seed: 7, prob: 1.0 }));
+/// assert_eq!(rule.unwrap().to_json().to_compact(), r#"{"kind":"Mark","seed":"7","prob":1}"#);
+/// assert!(Rule::from_json(&Json::parse(r#"{"seed": "7"}"#).unwrap()).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_fields {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@some) => { ::std::option::Option::None };
+    (@some $value:expr) => { ::std::option::Option::Some($value) };
+    (@write $value:expr) => { $crate::json::JsonCodec::to_json($value) };
+    (@write $value:expr, $via:ty) => { <$via as $crate::json::JsonWith<_>>::to_json($value) };
+    (@decode) => { $crate::json::JsonCodec::from_json };
+    (@decode $via:ty) => { <$via as $crate::json::JsonWith<_>>::from_json };
+    (@read $json:ident, $key:expr, $absent:expr $(, $via:ty)?) => {
+        $crate::json::read_field($json, $key, $absent, $crate::json_fields!(@decode $($via)?))?
+    };
+    (#[omit_defaults] $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let d = <Self as ::std::default::Default>::default();
+                let mut fields = ::std::vec::Vec::new();
+                $(if self.$field != d.$field {
+                    let v = $crate::json::JsonCodec::to_json(&self.$field);
+                    fields.push((stringify!($field).to_string(), v));
+                })+
+                $crate::Json::Obj(fields)
+            }
+            fn from_json(json: &$crate::Json) -> ::std::result::Result<Self, ::std::string::String> {
+                $crate::json::check_record(json, ::std::option::Option::None)?;
+                let d = <Self as ::std::default::Default>::default();
+                ::std::result::Result::Ok($ty {$(
+                    $field: $crate::json_fields!(@read json, stringify!($field),
+                        ::std::option::Option::Some(d.$field)),
+                )+})
+            }
+        }
+    };
+    ($(#[schema = $schema:literal])? $ty:ident {
+        $($field:ident $(as $key:literal)? $(with $via:ty)? $(= $default:expr)?),+ $(,)?
+    }) => {
+        impl $crate::json::JsonCodec for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Obj(::std::vec![
+                    $(("schema".to_string(), $crate::Json::from($schema)),)?
+                    $(($crate::json_fields!(@key $field $($key)?).to_string(),
+                        $crate::json_fields!(@write &self.$field $(, $via)?)),)+
+                ])
+            }
+            fn from_json(json: &$crate::Json) -> ::std::result::Result<Self, ::std::string::String> {
+                $crate::json::check_record(json, $crate::json_fields!(@some $($schema)?))?;
+                ::std::result::Result::Ok($ty {$(
+                    $field: $crate::json_fields!(@read json, $crate::json_fields!(@key $field $($key)?),
+                        $crate::json_fields!(@some $($default)?) $(, $via)?),
+                )+})
+            }
+        }
+    };
 }
 
 struct Parser<'a> {
