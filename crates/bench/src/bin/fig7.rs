@@ -2,7 +2,7 @@
 //! every application as the machine scales from 1 to 64 processors.
 
 use tcc_bench::report::{
-    breakdown_json, harness_json, histogram_of, maybe_write_chrome, write_report, TransportTotals,
+    breakdown_json, harness_json, histogram_of, maybe_write_chrome, write_report,
 };
 use tcc_bench::{par_map, run_app_seeded, HarnessArgs, FIG7_SIZES, HARNESS_SEED};
 use tcc_stats::breakdown::scaling_curve;
@@ -14,7 +14,6 @@ fn main() {
     let args = HarnessArgs::parse();
     let seed = args.seed.unwrap_or(HARNESS_SEED);
     let mut summary: Vec<(String, f64, f64)> = Vec::new();
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let mut report = RunReport::new("fig7");
     report.set_workers(args.jobs() as u64);
     report.set("harness", harness_json(&args, seed));
@@ -23,7 +22,6 @@ fn main() {
         Json::Arr(FIG7_SIZES.iter().map(|&n| n.into()).collect()),
     );
     let mut apps_json: Vec<Json> = Vec::new();
-    let mut transport = TransportTotals::default();
     for app in apps::all() {
         if !args.selects(app.name) {
             continue;
@@ -34,9 +32,6 @@ fn main() {
             maybe_write_chrome(&r, &format!("fig7_{}_p{n}", app.name));
             r
         });
-        for r in &results {
-            transport.add(r);
-        }
         let curve = scaling_curve(&FIG7_SIZES, &results);
         println!("\n{} — Figure 7 panel", app.name);
         let mut t = TextTable::new(vec![
@@ -72,20 +67,6 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        for p in &curve {
-            csv.push(vec![
-                app.name.to_string(),
-                p.n_procs.to_string(),
-                p.cycles.to_string(),
-                format!("{:.3}", p.speedup),
-                format!("{:.4}", p.pct.useful),
-                format!("{:.4}", p.pct.cache_miss),
-                format!("{:.4}", p.pct.idle),
-                format!("{:.4}", p.pct.commit),
-                format!("{:.4}", p.pct.violation),
-                p.violations.to_string(),
-            ]);
-        }
         let s32 = curve
             .iter()
             .find(|p| p.n_procs == 32)
@@ -135,24 +116,7 @@ fn main() {
         t.row(vec![name.clone(), format!("{s32:.1}"), format!("{s64:.1}")]);
     }
     println!("{}", t.render());
-    args.write_csv(
-        "fig7",
-        &[
-            "app",
-            "cpus",
-            "cycles",
-            "speedup",
-            "useful",
-            "miss",
-            "idle",
-            "commit",
-            "violation_frac",
-            "violations",
-        ],
-        &csv,
-    );
     report.set("apps", Json::Arr(apps_json));
-    report.set("transport", transport.to_json());
     write_report(&report);
     println!("Paper anchors: 32-CPU speedups ~11..32; 64-CPU speedups ~16..57;");
     println!("SPECjbb2000 ~linear; SVM Classify best; equake/volrend worst");

@@ -16,7 +16,6 @@ fn main() {
         harness_json(&args, args.seed.unwrap_or(HARNESS_SEED)),
     );
     let mut apps_json: Vec<Json> = Vec::new();
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(vec![
         "Application",
         "1 cyc/hop",
@@ -54,14 +53,6 @@ fn main() {
                 ),
             ),
         ]));
-        for (lat, c) in FIG8_LATENCIES.iter().zip(&cycles) {
-            csv.push(vec![
-                app.name.to_string(),
-                lat.to_string(),
-                c.to_string(),
-                format!("{:.4}", *c as f64 / base),
-            ]);
-        }
         let mut row = vec![app.name.to_string()];
         for c in &cycles {
             row.push(format!("{:.2}", *c as f64 / base));
@@ -72,11 +63,6 @@ fn main() {
     println!("Figure 8: 64-CPU execution time vs. cycles per hop");
     println!("(normalized to the 1-cycle-per-hop run)\n");
     println!("{}", t.render());
-    args.write_csv(
-        "fig8",
-        &["app", "cycles_per_hop", "cycles", "normalized"],
-        &csv,
-    );
     report.set("apps", Json::Arr(apps_json));
     write_report(&report);
     println!("Paper anchors: equake (remote-load bound) and volrend");

@@ -16,7 +16,6 @@ fn main() {
         harness_json(&args, args.seed.unwrap_or(HARNESS_SEED)),
     );
     let mut apps_json: Vec<Json> = Vec::new();
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(vec![
         "Application",
         "Overhead",
@@ -48,35 +47,16 @@ fn main() {
             ("mbps_at_2ghz", rep.total_mbps_at_2ghz.into()),
         ]));
         let mut row = vec![app.name.to_string()];
-        let mut csv_row = vec![app.name.to_string()];
         for (_, v) in &rep.per_category {
             row.push(format!("{v:.4}"));
-            csv_row.push(format!("{v:.6}"));
         }
         row.push(format!("{:.3}", rep.total));
         row.push(format!("{:.1}", rep.total_mbps_at_2ghz));
-        csv_row.push(format!("{:.6}", rep.total));
-        csv_row.push(format!("{:.2}", rep.total_mbps_at_2ghz));
         t.row(row);
-        csv.push(csv_row);
         eprintln!("  done: {}", app.name);
     }
     println!("Figure 9: remote traffic per directory at 64 CPUs (bytes/instruction)\n");
     println!("{}", t.render());
-    args.write_csv(
-        "fig9",
-        &[
-            "app",
-            "overhead",
-            "miss",
-            "writeback",
-            "commit",
-            "shared",
-            "total",
-            "mbps_2ghz",
-        ],
-        &csv,
-    );
     report.set("apps", Json::Arr(apps_json));
     write_report(&report);
     println!("Paper anchors: totals range ~0.01..0.6 bytes/instruction;");

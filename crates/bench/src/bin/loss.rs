@@ -5,7 +5,7 @@
 //! acks). Every run must complete exactly once — a stall at any loss
 //! rate is a harness failure.
 
-use tcc_bench::report::{harness_json, write_report, TransportTotals};
+use tcc_bench::report::{harness_json, write_report};
 use tcc_bench::{par_map, run_app_seeded, HarnessArgs, HARNESS_SEED};
 use tcc_core::{TransportConfig, WatchdogConfig};
 use tcc_network::{ChaosConfig, DropRule};
@@ -57,9 +57,7 @@ fn main() {
         "Acks",
     ]);
     let mut rows: Vec<Json> = Vec::new();
-    let mut totals = TransportTotals::default();
     for (&pct, r) in LOSS_PCT.iter().zip(&results) {
-        totals.add(r);
         let ts = r.transport.as_ref().expect("transport was on");
         t.row(vec![
             pct.to_string(),
@@ -88,6 +86,5 @@ fn main() {
     );
     println!("{}", t.render());
     report.set("points", Json::Arr(rows));
-    report.set("transport", totals.to_json());
     write_report(&report);
 }

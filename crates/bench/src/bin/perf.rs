@@ -20,24 +20,20 @@
 //!   the paper's largest); writes `BENCH_perf.json`.
 //! * `perf --smoke` — small fixed cells for CI.
 //! * `perf --smoke --check <golden.json>` — assert fingerprint identity
-//!   and allocation counts within tolerance against a checked-in
-//!   golden; exits non-zero on any regression. With an app filter
+//!   and allocation counts within tolerance against a golden run
+//!   report (a `BENCH_perf.json` that `perf --smoke` wrote); exits
+//!   non-zero on any regression. With an app filter
 //!   (`perf --smoke volrend --check ...`) only that app's golden cells
 //!   are compared.
-//! * `perf --smoke --write-golden <golden.json>` — regenerate the
-//!   golden after an intentional behaviour change.
-//!
-//! If `results/BENCH_perf_seed.json` (the committed pre-overhaul
-//! reference, measured on the same machine class) is readable, each
-//! cell also reports `speedup_vs_seed`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tcc_bench::report::write_report;
-use tcc_bench::{check_golden, GoldenCell, HarnessArgs, HARNESS_SEED};
+use tcc_bench::{refuse_flag, Golden, HarnessArgs, ReportCell, HARNESS_SEED};
 use tcc_core::{Simulator, SystemConfig};
+use tcc_trace::json::JsonCodec;
 use tcc_trace::{Json, RunReport};
 use tcc_workloads::{apps, AppProfile, Scale};
 
@@ -126,8 +122,10 @@ fn tracked_cells(smoke: bool) -> Vec<Cell> {
     }
 }
 
+/// One cell of `BENCH_perf.json`. `wall_ms`, `events_per_sec` and
+/// `build_ms` are host-relative: reported, never compared.
 struct Measurement {
-    label: String,
+    cell: String,
     wall_ms: f64,
     events: u64,
     events_per_sec: f64,
@@ -140,6 +138,32 @@ struct Measurement {
     fingerprint: String,
     total_cycles: u64,
     commits: u64,
+}
+
+tcc_trace::json_fields!(Measurement {
+    cell,
+    wall_ms,
+    events,
+    events_per_sec,
+    alloc_count,
+    alloc_bytes,
+    build_ms,
+    build_alloc_count,
+    fingerprint,
+    total_cycles,
+    commits,
+});
+
+impl ReportCell for Measurement {
+    fn label(&self) -> &str {
+        &self.cell
+    }
+    fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+    fn alloc_count(&self) -> Option<u64> {
+        Some(self.alloc_count)
+    }
 }
 
 fn run_cell(cell: &Cell, reps: usize) -> Measurement {
@@ -161,7 +185,7 @@ fn run_cell(cell: &Cell, reps: usize) -> Measurement {
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (a1, b1) = allocs();
         Measurement {
-            label: cell.label(),
+            cell: cell.label(),
             wall_ms,
             events: r.events,
             events_per_sec: r.events as f64 / (wall_ms / 1e3),
@@ -180,71 +204,11 @@ fn run_cell(cell: &Cell, reps: usize) -> Measurement {
         .expect("at least one rep")
 }
 
-fn measurement_json(m: &Measurement, seed_ref: Option<&Json>) -> Json {
-    let mut fields = vec![
-        ("cell", Json::from(m.label.clone())),
-        ("wall_ms", Json::Num(m.wall_ms)),
-        ("events", m.events.into()),
-        ("events_per_sec", Json::Num(m.events_per_sec)),
-        ("alloc_count", m.alloc_count.into()),
-        ("alloc_bytes", m.alloc_bytes.into()),
-        ("build_ms", Json::Num(m.build_ms)),
-        ("build_alloc_count", m.build_alloc_count.into()),
-        ("fingerprint", m.fingerprint.clone().into()),
-        ("total_cycles", m.total_cycles.into()),
-        ("commits", m.commits.into()),
-    ];
-    if let Some(seed) = seed_ref.and_then(|s| seed_cell_wall(s, &m.label)) {
-        fields.push(("seed_wall_ms", Json::Num(seed)));
-        fields.push(("speedup_vs_seed", Json::Num(seed / m.wall_ms)));
-    }
-    Json::obj(fields)
-}
-
-/// Looks up a cell's wall-clock in the committed seed reference report.
-fn seed_cell_wall(seed: &Json, label: &str) -> Option<f64> {
-    let cells = seed.get("cells")?;
-    let Json::Arr(arr) = cells else { return None };
-    arr.iter()
-        .find(|c| c.get("cell").and_then(Json::as_str) == Some(label))
-        .and_then(|c| c.get("wall_ms"))
-        .and_then(Json::as_f64)
-}
-
-fn load_seed_reference() -> Option<Json> {
-    let text = std::fs::read_to_string("results/BENCH_perf_seed.json").ok()?;
-    Json::parse(&text).ok()
-}
-
-fn golden_json(cells: &[Measurement]) -> Json {
-    Json::obj(vec![
-        ("schema", "tcc-perf-golden/v1".into()),
-        (
-            "cells",
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|m| {
-                        Json::obj(vec![
-                            ("cell", Json::from(m.label.clone())),
-                            ("fingerprint", m.fingerprint.clone().into()),
-                            ("alloc_count", m.alloc_count.into()),
-                            ("total_cycles", m.total_cycles.into()),
-                            ("commits", m.commits.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn main() {
     // One parse loop for everything: the shared `HarnessArgs` grammar
     // treats any free token as the app filter, which would swallow the
-    // value of `--check`/`--write-golden`/`--reps`.
+    // value of `--check`/`--reps`.
     let mut check: Option<String> = None;
-    let mut write_golden: Option<String> = None;
     let mut reps = 3usize;
     let mut smoke = false;
     let mut filter: Option<String> = None;
@@ -252,11 +216,10 @@ fn main() {
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--check" => check = iter.next(),
-            "--write-golden" => write_golden = iter.next(),
             "--reps" => reps = iter.next().and_then(|v| v.parse().ok()).unwrap_or(3),
             "--smoke" => smoke = true,
-            other if !other.starts_with("--") => filter = Some(other.to_string()),
-            _ => {}
+            other if other.starts_with("--") => refuse_flag(other),
+            other => filter = Some(other.to_string()),
         }
     }
     let args = HarnessArgs {
@@ -265,8 +228,8 @@ fn main() {
         ..HarnessArgs::default()
     };
 
+    let golden: Option<Golden<Measurement>> = check.map(Golden::read);
     let cells = tracked_cells(args.smoke);
-    let seed_ref = load_seed_reference();
     let mut measured = Vec::new();
     println!(
         "{:<18} {:>10} {:>12} {:>12} {:>12} {:>9} {:>12}  fingerprint",
@@ -286,7 +249,7 @@ fn main() {
         let m = run_cell(cell, reps);
         println!(
             "{:<18} {:>10.1} {:>12.0} {:>12} {:>12.1} {:>9.1} {:>12}  {}",
-            m.label,
+            m.cell,
             m.wall_ms,
             m.events_per_sec,
             m.alloc_count,
@@ -305,39 +268,10 @@ fn main() {
         ("reps", (reps as u64).into()),
     ];
     report.set("harness", Json::obj(harness));
-    report.set(
-        "cells",
-        Json::Arr(
-            measured
-                .iter()
-                .map(|m| measurement_json(m, seed_ref.as_ref()))
-                .collect(),
-        ),
-    );
+    report.set("cells", measured.to_json());
     write_report(&report);
 
-    if let Some(path) = write_golden {
-        std::fs::write(&path, golden_json(&measured).to_pretty()).expect("write golden");
-        eprintln!("  wrote {path}");
-    }
-    if let Some(path) = check {
-        let run: Vec<GoldenCell<'_>> = measured
-            .iter()
-            .map(|m| GoldenCell {
-                label: &m.label,
-                fingerprint: &m.fingerprint,
-                alloc_count: m.alloc_count,
-            })
-            .collect();
-        let verdict = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|golden| check_golden(&golden, &run, |app| args.selects(app)));
-        match verdict {
-            Ok(()) => println!("perf-smoke: OK ({} cells match {path})", measured.len()),
-            Err(e) => {
-                eprintln!("perf-smoke FAILED: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(golden) = golden {
+        golden.enforce("perf-smoke", &measured, |app| args.selects(app));
     }
 }

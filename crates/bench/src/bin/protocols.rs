@@ -18,15 +18,15 @@
 //!
 //! * `protocols` — run the sweep, write `BENCH_protocols.json`.
 //! * `protocols --check <golden.json>` — additionally assert exact
-//!   result-fingerprint identity against a checked-in golden; exits
-//!   non-zero on any mismatch.
-//! * `protocols --write-golden <golden.json>` — regenerate the golden
-//!   after an intentional behaviour change.
+//!   result-fingerprint identity against a golden run report, such as
+//!   the committed `BENCH_protocols.json` (read before this run
+//!   overwrites it); exits non-zero on any mismatch.
 
 use tcc_bench::report::write_report;
-use tcc_bench::{check_golden, GoldenCell};
+use tcc_bench::{refuse_flag, Golden, ReportCell};
 use tcc_core::{Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
-use tcc_trace::{Json, RunReport};
+use tcc_trace::json::JsonCodec;
+use tcc_trace::RunReport;
 use tcc_types::{Addr, ProtocolKind};
 
 fn tx(ops: Vec<TxOp>) -> WorkItem {
@@ -125,6 +125,7 @@ const WORKLOADS: [Workload; 3] = [
     },
 ];
 
+/// One cell of `BENCH_protocols.json`.
 struct Measurement {
     cell: String,
     protocol: ProtocolKind,
@@ -137,6 +138,30 @@ struct Measurement {
     broadcasts: u64,
     renews: u64,
     fingerprint: String,
+}
+
+tcc_trace::json_fields!(Measurement {
+    cell,
+    protocol,
+    total_cycles,
+    commits,
+    violations,
+    traffic_bytes,
+    messages,
+    invalidations,
+    broadcasts,
+    renews,
+    fingerprint,
+});
+
+/// Allocations are not counted here, so the golden gates results only.
+impl ReportCell for Measurement {
+    fn label(&self) -> &str {
+        &self.cell
+    }
+    fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
 }
 
 fn census_count(census: &[(&'static str, u64)], kind: &str) -> u64 {
@@ -172,56 +197,17 @@ fn run_cell(w: &Workload, protocol: ProtocolKind) -> Measurement {
     }
 }
 
-fn measurement_json(m: &Measurement) -> Json {
-    Json::obj(vec![
-        ("cell", Json::from(m.cell.clone())),
-        ("protocol", m.protocol.as_str().into()),
-        ("total_cycles", m.total_cycles.into()),
-        ("commits", m.commits.into()),
-        ("violations", m.violations.into()),
-        ("traffic_bytes", m.traffic_bytes.into()),
-        ("messages", m.messages.into()),
-        ("invalidations", m.invalidations.into()),
-        ("broadcasts", m.broadcasts.into()),
-        ("renews", m.renews.into()),
-        ("fingerprint", m.fingerprint.clone().into()),
-    ])
-}
-
-fn golden_json(cells: &[Measurement]) -> Json {
-    Json::obj(vec![
-        ("schema", "tcc-protocols-golden/v1".into()),
-        (
-            "cells",
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|m| {
-                        Json::obj(vec![
-                            ("cell", Json::from(m.cell.clone())),
-                            ("fingerprint", m.fingerprint.clone().into()),
-                            ("total_cycles", m.total_cycles.into()),
-                            ("commits", m.commits.into()),
-                            ("invalidations", m.invalidations.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn main() {
     let mut check: Option<String> = None;
-    let mut write_golden: Option<String> = None;
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--check" => check = iter.next(),
-            "--write-golden" => write_golden = iter.next(),
-            _ => {}
+        if a == "--check" {
+            check = iter.next();
+        } else {
+            refuse_flag(&a);
         }
     }
+    let golden: Option<Golden<Measurement>> = check.map(Golden::read);
 
     let mut measured = Vec::new();
     println!(
@@ -258,39 +244,10 @@ fn main() {
     }
 
     let mut report = RunReport::new("protocols");
-    report.set(
-        "cells",
-        Json::Arr(measured.iter().map(measurement_json).collect()),
-    );
+    report.set("cells", measured.to_json());
     write_report(&report);
 
-    if let Some(path) = write_golden {
-        std::fs::write(&path, golden_json(&measured).to_pretty()).expect("write golden");
-        eprintln!("  wrote {path}");
-    }
-    if let Some(path) = check {
-        // Allocations are not counted here; the protocols golden
-        // carries no `alloc_count`, so the checker gates results only.
-        let run: Vec<GoldenCell<'_>> = measured
-            .iter()
-            .map(|m| GoldenCell {
-                label: &m.cell,
-                fingerprint: &m.fingerprint,
-                alloc_count: 0,
-            })
-            .collect();
-        let verdict = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|golden| check_golden(&golden, &run, |_| true));
-        match verdict {
-            Ok(()) => println!(
-                "protocols-smoke: OK ({} cells match {path})",
-                measured.len()
-            ),
-            Err(e) => {
-                eprintln!("protocols-smoke FAILED: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(golden) = golden {
+        golden.enforce("protocols-smoke", &measured, |_| true);
     }
 }

@@ -16,7 +16,6 @@ fn main() {
         harness_json(&args, args.seed.unwrap_or(HARNESS_SEED)),
     );
     let mut apps_json: Vec<Json> = Vec::new();
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let mut t = TextTable::new(vec![
         "Application",
         "Input",
@@ -56,32 +55,8 @@ fn main() {
             format!("{:.0}", row.working_set_p90),
             format!("{:.0}", row.occupancy_p90),
         ]);
-        csv.push(vec![
-            row.name.clone(),
-            format!("{:.0}", row.tx_size_p90),
-            format!("{:.4}", row.write_set_kb_p90),
-            format!("{:.4}", row.read_set_kb_p90),
-            format!("{:.2}", row.ops_per_word_p90),
-            format!("{:.0}", row.dirs_per_commit_p90),
-            format!("{:.0}", row.working_set_p90),
-            format!("{:.0}", row.occupancy_p90),
-        ]);
         eprintln!("  done: {}", app.name);
     }
-    args.write_csv(
-        "table3",
-        &[
-            "app",
-            "tx_size_p90",
-            "wr_set_kb_p90",
-            "rd_set_kb_p90",
-            "ops_per_word_p90",
-            "dirs_per_commit_p90",
-            "working_set_p90",
-            "occupancy_p90",
-        ],
-        &csv,
-    );
     report.set("apps", Json::Arr(apps_json));
     write_report(&report);
     println!("Table 3: application characteristics at 32 processors\n");

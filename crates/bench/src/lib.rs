@@ -22,7 +22,8 @@
 pub mod report;
 
 use tcc_core::{SimResult, Simulator, SystemConfig};
-use tcc_trace::Json;
+use tcc_trace::json::JsonCodec;
+use tcc_trace::RunReport;
 use tcc_workloads::{AppProfile, Scale};
 
 /// Deterministic workload seed shared by all harness binaries, so every
@@ -36,9 +37,6 @@ pub struct HarnessArgs {
     pub filter: Option<String>,
     /// Run at smoke scale (~1/8 the transactions) for a quick pass.
     pub smoke: bool,
-    /// Directory to write machine-readable CSV outputs into
-    /// (`--csv <dir>`), alongside the text tables on stdout.
-    pub csv_dir: Option<String>,
     /// Workload seed override (`--seed <n>`), for sensitivity studies;
     /// defaults to [`HARNESS_SEED`].
     pub seed: Option<u64>,
@@ -51,7 +49,8 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `std::env::args()`: any `--smoke` flag plus an optional
-    /// free-form filter string.
+    /// free-form filter string. An unknown flag is refused
+    /// ([`refuse_flag`]).
     #[must_use]
     pub fn parse() -> HarnessArgs {
         let mut args = HarnessArgs::default();
@@ -59,37 +58,17 @@ impl HarnessArgs {
         while let Some(a) = iter.next() {
             if a == "--smoke" {
                 args.smoke = true;
-            } else if a == "--csv" {
-                args.csv_dir = iter.next();
             } else if a == "--seed" {
                 args.seed = iter.next().and_then(|v| v.parse().ok());
             } else if a == "--jobs" {
                 args.jobs = iter.next().and_then(|v| v.parse().ok());
-            } else if !a.starts_with("--") {
+            } else if a.starts_with("--") {
+                refuse_flag(&a);
+            } else {
                 args.filter = Some(a);
             }
         }
         args
-    }
-
-    /// Writes `rows` (with `headers`) as `<csv_dir>/<name>.csv` if
-    /// `--csv` was given; silently does nothing otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_csv(&self, name: &str, headers: &[&str], rows: &[Vec<String>]) {
-        let Some(dir) = &self.csv_dir else { return };
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let mut out = headers.join(",");
-        out.push('\n');
-        for r in rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        let path = format!("{dir}/{name}.csv");
-        std::fs::write(&path, out).expect("write csv");
-        eprintln!("  wrote {path}");
     }
 
     /// The workload scale selected.
@@ -116,6 +95,14 @@ impl HarnessArgs {
             Some(f) => name.to_lowercase().contains(&f.to_lowercase()),
         }
     }
+}
+
+/// Exits 2 on a command-line flag the harness does not know. Ignoring
+/// it would take the flag's value as the app filter, and the run would
+/// write an empty report over the committed one.
+pub fn refuse_flag(flag: &str) -> ! {
+    eprintln!("unknown flag {flag}");
+    std::process::exit(2);
 }
 
 /// Applies `f` to every item on `jobs` worker threads, returning the
@@ -198,45 +185,52 @@ pub fn run_app_seeded(
 /// fails a cell.
 pub const ALLOC_TOLERANCE: f64 = 0.10;
 
-/// One measured cell as [`check_golden`] sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct GoldenCell<'a> {
-    /// The cell's label, e.g. `radix@16/smoke`.
-    pub label: &'a str,
+/// One cell of a harness's run report: the record its `cells` array is
+/// written from (with [`tcc_trace::json_fields!`]) and a golden report
+/// is read back with.
+pub trait ReportCell: JsonCodec {
+    /// The cell's label, e.g. `radix@16/smoke`; its app name is the
+    /// part before `@`.
+    fn label(&self) -> &str;
     /// The run's [`SimResult::fingerprint`].
-    pub fingerprint: &'a str,
-    /// Heap allocations the run made.
-    pub alloc_count: u64,
+    fn fingerprint(&self) -> &str;
+    /// Heap allocations the run made, when the harness counts them.
+    fn alloc_count(&self) -> Option<u64> {
+        None
+    }
 }
 
-/// Checks measured cells against a checked-in golden (`golden` is the
-/// golden file's text). Only the golden cells whose app name (the label
-/// up to `@`) `selects` holds for are compared, so a run filtered to
-/// some apps checks just their cells. Those cells' labels must match
-/// the run's in order and every fingerprint exactly. A golden cell that
-/// carries `alloc_count` also bounds the run's allocations at that
-/// count plus [`ALLOC_TOLERANCE`]; a golden cell without it gates
-/// results only.
+/// Decodes the `cells` of a run report's text.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first mismatch, or why the golden
-/// could not be read, or that `selects` holds for no golden cell.
-pub fn check_golden(
-    golden: &str,
-    run: &[GoldenCell<'_>],
+/// Returns why the text is not a run report or a cell does not decode.
+pub fn report_cells<C: JsonCodec>(text: &str) -> Result<Vec<C>, String> {
+    let report = RunReport::validate(text)?;
+    let cells = report.get("cells").ok_or("report has no cells array")?;
+    Vec::from_json(cells).map_err(|e| format!("cells: {e}"))
+}
+
+/// Checks a run's cells against a golden report's. Only the golden
+/// cells whose app name `selects` holds for are compared, so a run
+/// filtered to some apps checks just their cells. Those cells' labels
+/// must match the run's in order and every fingerprint exactly. A
+/// golden cell that carries an allocation count also bounds the run's
+/// allocations at that count plus [`ALLOC_TOLERANCE`]. Host-relative
+/// fields (wall time, events/s) are never compared.
+///
+/// # Errors
+///
+/// Returns a message naming the first mismatch, or that `selects`
+/// holds for no golden cell.
+pub fn check_golden<C: ReportCell>(
+    golden: &[C],
+    run: &[C],
     selects: impl Fn(&str) -> bool,
 ) -> Result<(), String> {
-    let golden = Json::parse(golden)?;
-    let want: Vec<&Json> = golden
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("golden has no cells array")?
+    let want: Vec<&C> = golden
         .iter()
-        .filter(|w| {
-            let label = w.get("cell").and_then(Json::as_str).unwrap_or("?");
-            selects(label.split_once('@').map_or(label, |(app, _)| app))
-        })
+        .filter(|w| selects(w.label().split_once('@').map_or(w.label(), |(app, _)| app)))
         .collect();
     if want.is_empty() {
         return Err("the app filter selects no golden cell".to_string());
@@ -248,36 +242,76 @@ pub fn check_golden(
             run.len()
         ));
     }
-    for (w, got) in want.iter().zip(run) {
-        let cell = w.get("cell").and_then(Json::as_str).unwrap_or("?");
-        if cell != got.label {
+    for (w, got) in want.into_iter().zip(run) {
+        let cell = w.label();
+        if cell != got.label() {
             return Err(format!(
                 "cell order mismatch: golden {cell}, run {}",
-                got.label
+                got.label()
             ));
         }
-        let want_fp = w.get("fingerprint").and_then(Json::as_str).unwrap_or("?");
-        if want_fp != got.fingerprint {
+        if w.fingerprint() != got.fingerprint() {
             return Err(format!(
-                "{cell}: result fingerprint changed: golden {want_fp}, run {} \
+                "{cell}: result fingerprint changed: golden {}, run {} \
                  (simulation results must be byte-identical)",
-                got.fingerprint
+                w.fingerprint(),
+                got.fingerprint()
             ));
         }
-        let Some(want_allocs) = w.get("alloc_count").and_then(Json::as_f64) else {
+        let Some(want_allocs) = w.alloc_count() else {
             continue;
         };
-        let limit = want_allocs * (1.0 + ALLOC_TOLERANCE);
-        if got.alloc_count as f64 > limit {
+        let limit = want_allocs as f64 * (1.0 + ALLOC_TOLERANCE);
+        let got_allocs = got.alloc_count().unwrap_or(0);
+        if got_allocs as f64 > limit {
             return Err(format!(
-                "{cell}: allocation regression: {} allocs > {limit:.0} \
-                 (golden {want_allocs:.0} + {:.0}% tolerance)",
-                got.alloc_count,
+                "{cell}: allocation regression: {got_allocs} allocs > {limit:.0} \
+                 (golden {want_allocs} + {:.0}% tolerance)",
                 ALLOC_TOLERANCE * 100.0
             ));
         }
     }
     Ok(())
+}
+
+/// The `--check <golden>` gate of `perf` and `protocols`: the cells of
+/// a golden run report.
+pub struct Golden<C> {
+    path: String,
+    cells: Vec<C>,
+}
+
+impl<C: ReportCell> Golden<C> {
+    /// Reads the golden report at `path`, exiting 1 if it cannot be
+    /// read. Read it before the run writes its own report: that can be
+    /// the same file (`protocols --check BENCH_protocols.json` from the
+    /// repo root), and a golden read afterwards would be the run itself.
+    #[must_use]
+    pub fn read(path: String) -> Golden<C> {
+        let cells = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| report_cells(&text));
+        match cells {
+            Ok(cells) => Golden { path, cells },
+            Err(e) => {
+                eprintln!("cannot read golden {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Checks `run` with [`check_golden`] and prints the verdict as
+    /// `gate`; exits 1 on a mismatch.
+    pub fn enforce(&self, gate: &str, run: &[C], selects: impl Fn(&str) -> bool) {
+        let path = &self.path;
+        match check_golden(&self.cells, run, selects) {
+            Ok(()) => println!("{gate}: OK ({} cells match {path})", run.len()),
+            Err(e) => {
+                eprintln!("{gate} FAILED: {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// The machine sizes Figure 7 sweeps.
@@ -343,30 +377,72 @@ mod tests {
         assert_eq!(a.jobs(), 8);
     }
 
-    const GOLDEN: &str = r#"{"cells": [
-        {"cell": "a@1/smoke", "fingerprint": "00aa", "alloc_count": 100},
-        {"cell": "b@2/smoke", "fingerprint": "00bb"}
-    ]}"#;
+    /// A report cell with an optional allocation count, so one golden
+    /// can hold cells with and without it.
+    #[derive(Debug, Clone)]
+    struct TestCell {
+        cell: String,
+        wall_ms: f64,
+        alloc_count: Option<u64>,
+        fingerprint: String,
+    }
 
-    fn cell<'a>(label: &'a str, fingerprint: &'a str, alloc_count: u64) -> GoldenCell<'a> {
-        GoldenCell {
-            label,
-            fingerprint,
-            alloc_count,
+    tcc_trace::json_fields!(TestCell {
+        cell,
+        wall_ms,
+        alloc_count = None,
+        fingerprint,
+    });
+
+    impl ReportCell for TestCell {
+        fn label(&self) -> &str {
+            &self.cell
+        }
+        fn fingerprint(&self) -> &str {
+            &self.fingerprint
+        }
+        fn alloc_count(&self) -> Option<u64> {
+            self.alloc_count
+        }
+    }
+
+    /// A golden run report, as a harness writes it: the second cell
+    /// carries no allocation count.
+    const GOLDEN: &str = r#"{
+        "schema": "tcc-run-report/v1",
+        "bench": "test",
+        "host": {"host_cpus": 1, "workers": 1},
+        "cells": [
+            {"cell": "a@1/smoke", "wall_ms": 1.5, "alloc_count": 100, "fingerprint": "00aa"},
+            {"cell": "b@2/smoke", "wall_ms": 2.5, "fingerprint": "00bb"}
+        ]
+    }"#;
+
+    fn golden() -> Vec<TestCell> {
+        report_cells(GOLDEN).expect("the golden is a run report")
+    }
+
+    /// A run's cell; its wall time never matches the golden's.
+    fn cell(label: &str, fingerprint: &str, alloc_count: u64) -> TestCell {
+        TestCell {
+            cell: label.to_string(),
+            wall_ms: 99.0,
+            alloc_count: Some(alloc_count),
+            fingerprint: fingerprint.to_string(),
         }
     }
 
     #[test]
     fn golden_check_rejects_cells_out_of_order() {
         let run = [cell("b@2/smoke", "00bb", 0), cell("a@1/smoke", "00aa", 0)];
-        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
+        let err = check_golden(&golden(), &run, |_| true).unwrap_err();
         assert!(err.contains("cell order mismatch"), "{err}");
     }
 
     #[test]
     fn golden_check_rejects_a_changed_fingerprint() {
         let run = [cell("a@1/smoke", "00ab", 100), cell("b@2/smoke", "00bb", 0)];
-        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
+        let err = check_golden(&golden(), &run, |_| true).unwrap_err();
         assert!(
             err.contains("a@1/smoke: result fingerprint changed"),
             "{err}"
@@ -376,7 +452,7 @@ mod tests {
     #[test]
     fn golden_check_bounds_allocations_by_the_tolerance() {
         let run = [cell("a@1/smoke", "00aa", 111), cell("b@2/smoke", "00bb", 0)];
-        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
+        let err = check_golden(&golden(), &run, |_| true).unwrap_err();
         assert!(err.contains("a@1/smoke: allocation regression"), "{err}");
     }
 
@@ -386,17 +462,45 @@ mod tests {
             cell("a@1/smoke", "00aa", 110),
             cell("b@2/smoke", "00bb", u64::MAX),
         ];
-        assert_eq!(check_golden(GOLDEN, &run, |_| true), Ok(()));
+        assert_eq!(check_golden(&golden(), &run, |_| true), Ok(()));
     }
 
     #[test]
     fn golden_check_compares_only_the_cells_the_filter_selects() {
         let run = [cell("b@2/smoke", "00bb", 0)];
-        assert_eq!(check_golden(GOLDEN, &run, |app| app == "b"), Ok(()));
-        let err = check_golden(GOLDEN, &run, |_| true).unwrap_err();
+        assert_eq!(check_golden(&golden(), &run, |app| app == "b"), Ok(()));
+        let err = check_golden(&golden(), &run, |_| true).unwrap_err();
         assert!(err.contains("golden has 2 cells, run produced 1"), "{err}");
-        let err = check_golden(GOLDEN, &[], |app| app == "c").unwrap_err();
+        let err = check_golden(&golden(), &[], |app| app == "c").unwrap_err();
         assert!(err.contains("selects no golden cell"), "{err}");
+    }
+
+    #[test]
+    fn a_written_report_is_its_own_golden_until_a_fingerprint_is_edited() {
+        let run = [cell("a@1/smoke", "00aa", 100), cell("b@2/smoke", "00bb", 7)];
+        let mut report = RunReport::new("test");
+        report.set("cells", run.to_vec().to_json());
+        let text = report.to_json().to_pretty();
+        let same: Vec<TestCell> = report_cells(&text).unwrap();
+        assert_eq!(check_golden(&same, &run, |_| true), Ok(()));
+
+        let edited = text.replacen("\"00bb\"", "\"00bc\"", 1);
+        assert_ne!(edited, text);
+        let golden: Vec<TestCell> = report_cells(&edited).unwrap();
+        let err = check_golden(&golden, &run, |_| true).unwrap_err();
+        assert!(
+            err.contains("b@2/smoke: result fingerprint changed: golden 00bc, run 00bb"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_golden_that_is_not_a_run_report_is_refused() {
+        let old_format = r#"{"schema": "other/v1", "cells": []}"#;
+        assert!(report_cells::<TestCell>(old_format).is_err());
+        let no_fingerprint = GOLDEN.replacen(r#", "fingerprint": "00bb""#, "", 1);
+        let err = report_cells::<TestCell>(&no_fingerprint).unwrap_err();
+        assert!(err.contains("missing fingerprint"), "{err}");
     }
 
     #[test]

@@ -104,53 +104,6 @@ pub fn histogram_of(r: &SimResult, name: &str) -> Json {
         .map_or(Json::Null, tcc_trace::report::histogram_json)
 }
 
-/// Accumulates reliable-transport recovery counters across benchmark
-/// runs for the additive `transport` run-report section. Benchmarks
-/// run with the transport off by default, so the section reports
-/// `enabled: false` with zero counters — the fields exist so lossy-wire
-/// sweeps diff cleanly against clean-wire baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TransportTotals {
-    enabled: bool,
-    retransmits: u64,
-    dup_drops: u64,
-    timeout_fires: u64,
-    acks: u64,
-    stalls: u64,
-}
-
-impl TransportTotals {
-    /// Folds one run's transport stats in (no-op when the run had the
-    /// transport off).
-    pub fn add(&mut self, r: &SimResult) {
-        if let Some(t) = &r.transport {
-            self.enabled = true;
-            self.retransmits += t.retransmits;
-            self.dup_drops += t.dup_drops;
-            self.timeout_fires += t.timeout_fires;
-            self.acks += t.acks;
-        }
-    }
-
-    /// Records a run that ended in a typed stall
-    /// ([`tcc_core::RunError::Stalled`]).
-    pub fn add_stall(&mut self) {
-        self.stalls += 1;
-    }
-
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("enabled", self.enabled.into()),
-            ("retransmits", self.retransmits.into()),
-            ("dup_drops", self.dup_drops.into()),
-            ("timeout_fires", self.timeout_fires.into()),
-            ("acks", self.acks.into()),
-            ("stalls", self.stalls.into()),
-        ])
-    }
-}
-
 /// Writes `BENCH_<bench>.json` into the current directory.
 ///
 /// # Panics
