@@ -41,9 +41,12 @@ fn main() {
         });
         time_runs(&format!("baseline_serialized/{n}"), 10, || {
             let programs = app.generate_scaled(n, 7, Scale::Smoke);
+            let cfg = SystemConfig {
+                protocol: ProtocolKind::SerializedCommit,
+                ..SystemConfig::with_procs(n)
+            };
             std::hint::black_box(
-                Simulator::builder(SystemConfig::with_procs(n))
-                    .protocol(ProtocolKind::SerializedCommit)
+                Simulator::builder(cfg)
                     .programs(programs)
                     .build()
                     .expect("valid config")

@@ -31,7 +31,7 @@ fn main() {
     ablation_c(&args, &mut report);
     ablation_d(&args, &mut report);
     ablation_e(&args, &mut report);
-    write_report(&report);
+    write_report(&report, args.scale());
 }
 
 /// The three OCC conditions of §2.1 head-to-head: serial execution
@@ -86,11 +86,11 @@ fn run_serialized(
     serial_execution: bool,
 ) -> SimResult {
     let cfg = SystemConfig {
+        protocol: ProtocolKind::SerializedCommit,
         serial_execution,
         ..SystemConfig::with_procs(n)
     };
     Simulator::builder(cfg)
-        .protocol(ProtocolKind::SerializedCommit)
         .programs(programs)
         .build()
         .expect("valid config")

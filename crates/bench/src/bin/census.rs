@@ -66,7 +66,7 @@ fn main() {
         eprintln!("  done: {}", app.name);
     }
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Remote messages per committed transaction (16 CPUs)\n");
     println!("{}", t.render());
     println!("Reading: every commit skips ~all remote directories (Skip ~15);");

@@ -48,7 +48,7 @@ fn main() {
         eprintln!("  done: {}", app.name);
     }
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Figure 6: single-processor execution-time breakdown\n");
     println!("{}", t.render());
     println!("Paper anchor: with one processor the only TCC overhead is the");

@@ -117,7 +117,7 @@ fn main() {
     }
     println!("{}", t.render());
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Paper anchors: 32-CPU speedups ~11..32; 64-CPU speedups ~16..57;");
     println!("SPECjbb2000 ~linear; SVM Classify best; equake/volrend worst");
     println!("(small transactions -> commit-time bound at high CPU counts).");

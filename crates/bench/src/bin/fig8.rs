@@ -64,7 +64,7 @@ fn main() {
     println!("(normalized to the 1-cycle-per-hop run)\n");
     println!("{}", t.render());
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Paper anchors: equake (remote-load bound) and volrend");
     println!("(commit bound) degrade ~50% at 8 cycles/hop; SPECjbb2000 and");
     println!("swim are nearly flat.");

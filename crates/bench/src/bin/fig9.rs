@@ -58,7 +58,7 @@ fn main() {
     println!("Figure 9: remote traffic per directory at 64 CPUs (bytes/instruction)\n");
     println!("{}", t.render());
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Paper anchors: totals range ~0.01..0.6 bytes/instruction;");
     println!("within commodity-interconnect bandwidth (tens to hundreds of MB/s).");
 }

@@ -86,5 +86,5 @@ fn main() {
     );
     println!("{}", t.render());
     report.set("points", Json::Arr(rows));
-    write_report(&report);
+    write_report(&report, args.scale());
 }

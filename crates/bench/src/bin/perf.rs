@@ -18,11 +18,12 @@
 //! * `perf` — the full tracked cells (radix across the Figure 7 sweep,
 //!   three more 64-CPU apps, and four apps on a 128-CPU machine, past
 //!   the paper's largest); writes `BENCH_perf.json`.
-//! * `perf --smoke` — small fixed cells for CI.
+//! * `perf --smoke` — small fixed cells for CI; writes
+//!   `BENCH_perf_smoke.json`.
 //! * `perf --smoke --check <golden.json>` — assert fingerprint identity
 //!   and allocation counts within tolerance against a golden run
-//!   report (a `BENCH_perf.json` that `perf --smoke` wrote); exits
-//!   non-zero on any regression. With an app filter
+//!   report (a `BENCH_perf_smoke.json` that `perf --smoke` wrote);
+//!   exits non-zero on any regression. With an app filter
 //!   (`perf --smoke volrend --check ...`) only that app's golden cells
 //!   are compared.
 
@@ -31,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tcc_bench::report::write_report;
-use tcc_bench::{refuse_flag, Golden, HarnessArgs, ReportCell, HARNESS_SEED};
+use tcc_bench::{flag_value, refuse, Golden, HarnessArgs, ReportCell, HARNESS_SEED};
 use tcc_core::{Simulator, SystemConfig};
 use tcc_trace::json::JsonCodec;
 use tcc_trace::{Json, RunReport};
@@ -204,29 +205,39 @@ fn run_cell(cell: &Cell, reps: usize) -> Measurement {
         .expect("at least one rep")
 }
 
-fn main() {
-    // One parse loop for everything: the shared `HarnessArgs` grammar
-    // treats any free token as the app filter, which would swallow the
-    // value of `--check`/`--reps`.
-    let mut check: Option<String> = None;
-    let mut reps = 3usize;
-    let mut smoke = false;
-    let mut filter: Option<String> = None;
-    let mut iter = std::env::args().skip(1);
+/// The command line: `--check <golden.json>`, `--reps <n>` (default
+/// 3), `--smoke` and an app filter.
+struct PerfArgs {
+    args: HarnessArgs,
+    check: Option<String>,
+    reps: usize,
+}
+
+/// Parses the command line (without the program name) in one loop: the
+/// shared `HarnessArgs` grammar treats any free token as the app
+/// filter, which would swallow the value of `--check`/`--reps`.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<PerfArgs, String> {
+    let mut parsed = PerfArgs {
+        args: HarnessArgs::default(),
+        check: None,
+        reps: 3,
+    };
+    let mut iter = argv.into_iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
-            "--check" => check = iter.next(),
-            "--reps" => reps = iter.next().and_then(|v| v.parse().ok()).unwrap_or(3),
-            "--smoke" => smoke = true,
-            other if other.starts_with("--") => refuse_flag(other),
-            other => filter = Some(other.to_string()),
+            "--check" => parsed.check = Some(flag_value("--check", &mut iter)?),
+            "--reps" => parsed.reps = flag_value("--reps", &mut iter)?,
+            "--smoke" => parsed.args.smoke = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            _ => parsed.args.filter = Some(a),
         }
     }
-    let args = HarnessArgs {
-        filter,
-        smoke,
-        ..HarnessArgs::default()
-    };
+    Ok(parsed)
+}
+
+fn main() {
+    let PerfArgs { args, check, reps } =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
 
     let golden: Option<Golden<Measurement>> = check.map(Golden::read);
     let cells = tracked_cells(args.smoke);
@@ -269,9 +280,41 @@ fn main() {
     ];
     report.set("harness", Json::obj(harness));
     report.set("cells", measured.to_json());
-    write_report(&report);
+    write_report(&report, args.scale());
 
     if let Some(golden) = golden {
         golden.enforce("perf-smoke", &measured, |app| args.selects(app));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<PerfArgs, String> {
+        parse_args(argv.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn parses_check_reps_smoke_and_filter() {
+        let p = parse(&["--smoke", "--reps", "2", "volrend", "--check", "g.json"]).unwrap();
+        assert!(p.args.smoke);
+        assert_eq!(p.reps, 2);
+        assert_eq!(p.args.filter.as_deref(), Some("volrend"));
+        assert_eq!(p.check.as_deref(), Some("g.json"));
+        assert_eq!(parse(&[]).unwrap().reps, 3);
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_refused_by_name() {
+        for (argv, flag) in [
+            (&["--reps", "x"][..], "--reps"),
+            (&["--smoke", "--check"], "--check"),
+            (&["--check", "--smoke"], "--check"),
+            (&["--write-golden"], "--write-golden"),
+        ] {
+            let err = parse(argv).err().expect("refused");
+            assert!(err.contains(flag), "{argv:?}: {err}");
+        }
     }
 }

@@ -23,11 +23,12 @@
 //!   overwrites it); exits non-zero on any mismatch.
 
 use tcc_bench::report::write_report;
-use tcc_bench::{refuse_flag, Golden, ReportCell};
+use tcc_bench::{flag_value, refuse, Golden, ReportCell};
 use tcc_core::{Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
 use tcc_trace::json::JsonCodec;
 use tcc_trace::RunReport;
 use tcc_types::{Addr, ProtocolKind};
+use tcc_workloads::Scale;
 
 fn tx(ops: Vec<TxOp>) -> WorkItem {
     WorkItem::Tx(Transaction::new(ops))
@@ -173,9 +174,9 @@ fn census_count(census: &[(&'static str, u64)], kind: &str) -> u64 {
 
 fn run_cell(w: &Workload, protocol: ProtocolKind) -> Measurement {
     let mut cfg = SystemConfig::with_procs(w.cpus);
+    cfg.protocol = protocol;
     cfg.check_serializability = true;
     let r = Simulator::builder(cfg)
-        .protocol(protocol)
         .programs((w.programs)(w.cpus, w.rounds))
         .build()
         .expect("valid config")
@@ -197,16 +198,23 @@ fn run_cell(w: &Workload, protocol: ProtocolKind) -> Measurement {
     }
 }
 
-fn main() {
-    let mut check: Option<String> = None;
-    let mut iter = std::env::args().skip(1);
+/// Parses the command line (without the program name): the only
+/// option is `--check <golden.json>`.
+fn parse_check(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
+    let mut check = None;
+    let mut iter = args.into_iter();
     while let Some(a) = iter.next() {
         if a == "--check" {
-            check = iter.next();
+            check = Some(flag_value("--check", &mut iter)?);
         } else {
-            refuse_flag(&a);
+            return Err(format!("unknown flag {a}"));
         }
     }
+    Ok(check)
+}
+
+fn main() {
+    let check = parse_check(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
     let golden: Option<Golden<Measurement>> = check.map(Golden::read);
 
     let mut measured = Vec::new();
@@ -245,9 +253,26 @@ fn main() {
 
     let mut report = RunReport::new("protocols");
     report.set("cells", measured.to_json());
-    write_report(&report);
+    write_report(&report, Scale::Full);
 
     if let Some(golden) = golden {
         golden.enforce("protocols-smoke", &measured, |_| true);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Option<String>, String> {
+        parse_check(argv.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn check_takes_a_value() {
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--check", "g.json"]), Ok(Some("g.json".into())));
+        assert!(parse(&["--check"]).unwrap_err().contains("--check"));
+        assert!(parse(&["--smoke"]).unwrap_err().contains("--smoke"));
     }
 }

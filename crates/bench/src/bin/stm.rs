@@ -283,5 +283,5 @@ fn main() {
             if beats { "STM WINS" } else { "mutex wins" }
         );
     }
-    write_report(&report);
+    write_report(&report, args.scale());
 }

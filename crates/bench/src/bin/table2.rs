@@ -4,6 +4,7 @@ use tcc_bench::report::write_report;
 use tcc_core::SystemConfig;
 use tcc_stats::render::TextTable;
 use tcc_trace::{Json, RunReport};
+use tcc_workloads::Scale;
 
 fn main() {
     let c = SystemConfig::default();
@@ -73,7 +74,7 @@ fn main() {
         "Placement".into(),
         "line-interleaved homes (workloads encode first-touch placement into addresses)".into(),
     ]);
-    write_report(&report);
+    write_report(&report, Scale::Full);
     println!("Table 2: parameters of the simulated architecture\n");
     println!("{}", t.render());
 }

@@ -58,7 +58,7 @@ fn main() {
         eprintln!("  done: {}", app.name);
     }
     report.set("apps", Json::Arr(apps_json));
-    write_report(&report);
+    write_report(&report, args.scale());
     println!("Table 3: application characteristics at 32 processors\n");
     println!("{}", t.render());
     println!("Paper anchors: tx sizes 200..45000 inst; read sets < 16 KB;");

@@ -152,5 +152,5 @@ fn main() {
     }
     report.set("scenarios", Json::Arr(scenarios_json));
     report.set("trace", million_trace_section(smoke));
-    write_report(&report);
+    write_report(&report, args.scale());
 }

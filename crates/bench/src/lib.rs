@@ -48,27 +48,34 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args()`: any `--smoke` flag plus an optional
-    /// free-form filter string. An unknown flag is refused
-    /// ([`refuse_flag`]).
+    /// Parses `std::env::args()` with [`HarnessArgs::parse_from`],
+    /// exiting 2 on a refused command line ([`refuse`]).
     #[must_use]
     pub fn parse() -> HarnessArgs {
-        let mut args = HarnessArgs::default();
-        let mut iter = std::env::args().skip(1);
+        HarnessArgs::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e))
+    }
+
+    /// Parses command-line arguments (without the program name): any
+    /// `--smoke` flag, `--seed <n>`, `--jobs <n>`, plus an optional
+    /// free-form filter string.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, or a `--seed`/`--jobs` whose value is missing
+    /// or malformed; the message names the flag.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, String> {
+        let mut parsed = HarnessArgs::default();
+        let mut iter = args.into_iter();
         while let Some(a) = iter.next() {
-            if a == "--smoke" {
-                args.smoke = true;
-            } else if a == "--seed" {
-                args.seed = iter.next().and_then(|v| v.parse().ok());
-            } else if a == "--jobs" {
-                args.jobs = iter.next().and_then(|v| v.parse().ok());
-            } else if a.starts_with("--") {
-                refuse_flag(&a);
-            } else {
-                args.filter = Some(a);
+            match a.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--seed" => parsed.seed = Some(flag_value("--seed", &mut iter)?),
+                "--jobs" => parsed.jobs = Some(flag_value("--jobs", &mut iter)?),
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ => parsed.filter = Some(a),
             }
         }
-        args
+        Ok(parsed)
     }
 
     /// The workload scale selected.
@@ -97,12 +104,33 @@ impl HarnessArgs {
     }
 }
 
-/// Exits 2 on a command-line flag the harness does not know. Ignoring
-/// it would take the flag's value as the app filter, and the run would
-/// write an empty report over the committed one.
-pub fn refuse_flag(flag: &str) -> ! {
-    eprintln!("unknown flag {flag}");
+/// Exits 2 on a command line the harness refuses: an unknown flag, or a
+/// flag whose value is missing or malformed. Running on would take an
+/// unknown flag's value as the app filter, or a bad value as "not
+/// given", and write a report the command line did not ask for over
+/// the committed one.
+pub fn refuse(err: &str) -> ! {
+    eprintln!("{err}");
     std::process::exit(2);
+}
+
+/// Takes the value following `flag` from `args`, parsed as `T`.
+///
+/// # Errors
+///
+/// A missing value (the arguments end, or the next one is a flag) or
+/// one that does not parse as `T`; the message names the flag.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let value = args
+        .next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: malformed value {value:?}"))
 }
 
 /// Applies `f` to every item on `jobs` worker threads, returning the
@@ -171,11 +199,11 @@ pub fn run_app_seeded(
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> SimResult {
     let mut cfg = SystemConfig::with_procs(n);
-    cfg.trace = report::trace_config();
     tweak(&mut cfg);
     let programs = app.generate_scaled(n, seed, scale);
     Simulator::builder(cfg)
         .programs(programs)
+        .tracer(report::tracer())
         .build()
         .expect("valid config")
         .run()
@@ -375,6 +403,33 @@ mod tests {
             ..HarnessArgs::default()
         };
         assert_eq!(a.jobs(), 8);
+    }
+
+    fn parse(argv: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(argv.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn harness_args_parse_flags_values_and_filter() {
+        let a = parse(&["--smoke", "--seed", "12", "--jobs", "3", "volrend"]).unwrap();
+        assert!(a.smoke);
+        assert_eq!(a.seed, Some(12));
+        assert_eq!(a.jobs, Some(3));
+        assert_eq!(a.filter.as_deref(), Some("volrend"));
+    }
+
+    #[test]
+    fn bad_missing_or_unknown_flags_are_refused_by_name() {
+        for (argv, flag) in [
+            (&["--smoke", "--seed", "12x", "volrend"][..], "--seed"),
+            (&["--jobs", "many"], "--jobs"),
+            (&["--seed"], "--seed"),
+            (&["--jobs", "--smoke"], "--jobs"),
+            (&["--csv"], "--csv"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(flag), "{argv:?}: {err}");
+        }
     }
 
     /// A report cell with an optional allocation count, so one golden

@@ -1,9 +1,10 @@
 //! Run-report plumbing shared by the harness binaries.
 //!
 //! Every binary writes a `BENCH_<name>.json` run report (schema
-//! `tcc-run-report/v1`, see [`tcc_trace::report`]) into the current
-//! directory alongside its text output, so figure regeneration always
-//! leaves a machine-readable artifact behind. Setting
+//! `tcc-run-report/v1`, see [`tcc_trace::report`]; `--smoke` runs write
+//! `BENCH_<name>_smoke.json`) into the current directory alongside its
+//! text output, so figure regeneration always leaves a machine-readable
+//! artifact behind. Setting
 //! `TCC_CHROME_TRACE=<dir>` additionally captures full event rings and
 //! writes one Chrome `trace_event` file per simulated run into `<dir>`
 //! (openable in chrome://tracing or Perfetto).
@@ -11,20 +12,20 @@
 use std::path::Path;
 
 use tcc_core::SimResult;
-use tcc_trace::{Json, RunReport, TraceConfig};
+use tcc_trace::{Json, RunReport, TraceConfig, Tracer};
+use tcc_workloads::Scale;
 
 use crate::HarnessArgs;
 
-/// The trace configuration harness binaries run with: metrics always
-/// (counters and histograms are cheap and feed the run report), full
-/// event rings only when a Chrome trace was requested via
-/// `TCC_CHROME_TRACE`.
+/// The tracer harness binaries run with: metrics always (counters and
+/// histograms are cheap and feed the run report), full event rings only
+/// when a Chrome trace was requested via `TCC_CHROME_TRACE`.
 #[must_use]
-pub fn trace_config() -> TraceConfig {
+pub fn tracer() -> Tracer {
     if chrome_dir().is_some() {
-        TraceConfig::full()
+        Tracer::new(&TraceConfig::full())
     } else {
-        TraceConfig::metrics_only()
+        Tracer::new(&TraceConfig::metrics_only())
     }
 }
 
@@ -104,12 +105,18 @@ pub fn histogram_of(r: &SimResult, name: &str) -> Json {
         .map_or(Json::Null, tcc_trace::report::histogram_json)
 }
 
-/// Writes `BENCH_<bench>.json` into the current directory.
+/// Writes `report` into the cwd as `BENCH_<bench>.json`, or as
+/// `BENCH_<bench>_smoke.json` at smoke scale, so a smoke run never
+/// overwrites a committed full-scale artifact.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn write_report(report: &RunReport) {
-    let path = report.write_to(Path::new(".")).expect("write run report");
-    eprintln!("  wrote {}", path.display());
+pub fn write_report(report: &RunReport, scale: Scale) {
+    let path = match scale {
+        Scale::Full => format!("BENCH_{}.json", report.bench()),
+        Scale::Smoke => format!("BENCH_{}_smoke.json", report.bench()),
+    };
+    std::fs::write(&path, report.to_json().to_pretty()).expect("write run report");
+    eprintln!("  wrote {path}");
 }

@@ -109,38 +109,6 @@ pub struct InvalidateOutcome {
     pub retained: bool,
 }
 
-/// Hit/miss and maintenance counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Loads serviced by L1.
-    pub l1_load_hits: u64,
-    /// Loads serviced by L2.
-    pub l2_load_hits: u64,
-    /// Loads that left the hierarchy.
-    pub load_misses: u64,
-    /// Stores absorbed by L1.
-    pub l1_store_hits: u64,
-    /// Stores absorbed by L2.
-    pub l2_store_hits: u64,
-    /// Stores that required a write-allocate fill.
-    pub store_misses: u64,
-    /// Dirty lines written back on eviction or pre-write.
-    pub writebacks: u64,
-    /// Fills rejected because a speculative line would be displaced.
-    pub overflows: u64,
-}
-
-snap_fields!(CacheStats {
-    l1_load_hits,
-    l2_load_hits,
-    load_misses,
-    l1_store_hits,
-    l2_store_hits,
-    store_misses,
-    writebacks,
-    overflows,
-});
-
 /// The private two-level cache hierarchy of one TCC processor.
 ///
 /// The L2 is the authoritative store (inclusive of L1); the L1 is a
@@ -157,7 +125,6 @@ pub struct HierCache {
     config: CacheConfig,
     l1: SetArray<()>,
     l2: SetArray<Entry>,
-    stats: CacheStats,
 }
 
 #[derive(Debug, Clone)]
@@ -175,24 +142,13 @@ impl HierCache {
     pub fn new(config: CacheConfig) -> HierCache {
         let l1 = SetArray::new(config.sets(Level::L1), config.l1_ways as usize);
         let l2 = SetArray::new(config.sets(Level::L2), config.l2_ways as usize);
-        HierCache {
-            config,
-            l1,
-            l2,
-            stats: CacheStats::default(),
-        }
+        HierCache { config, l1, l2 }
     }
 
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Access counters.
-    #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     /// Whether `line` is resident (any level).
@@ -238,13 +194,11 @@ impl HierCache {
         let track = self.config.track_mask(word);
         let level = self.level_of(line);
         let Some(entry) = self.l2.get_mut(line) else {
-            self.stats.load_misses += 1;
             return LoadOutcome::Miss;
         };
         let own = entry.state.sm.get(word);
         if !own && !entry.valid.get(word) {
             // Present but the word was invalidated: upgrade miss.
-            self.stats.load_misses += 1;
             return LoadOutcome::Miss;
         }
         let value = entry.state.values.words.get(word).copied().flatten();
@@ -254,11 +208,9 @@ impl HierCache {
         }
         match level {
             Level::L1 => {
-                self.stats.l1_load_hits += 1;
                 self.l1.get_mut(line); // refresh LRU
             }
             Level::L2 => {
-                self.stats.l2_load_hits += 1;
                 self.promote_to_l1(line);
             }
         }
@@ -278,7 +230,6 @@ impl HierCache {
         let track = self.config.track_mask(word);
         let level = self.level_of(line);
         let Some(entry) = self.l2.get_mut(line) else {
-            self.stats.store_misses += 1;
             return StoreOutcome::Miss;
         };
         // First speculative write to a dirty line: write the committed
@@ -293,16 +244,13 @@ impl HierCache {
                 dirty: true,
                 generation: entry.state.owner_tid,
             });
-            self.stats.writebacks += 1;
         }
         entry.state.sm = entry.state.sm.union(track);
         match level {
             Level::L1 => {
-                self.stats.l1_store_hits += 1;
                 self.l1.get_mut(line); // refresh LRU
             }
             Level::L2 => {
-                self.stats.l2_store_hits += 1;
                 self.promote_to_l1(line);
             }
         }
@@ -367,7 +315,6 @@ impl HierCache {
                 if let Some((vline, ventry)) = victim {
                     self.l1.remove(vline); // maintain inclusion
                     if ventry.state.dirty {
-                        self.stats.writebacks += 1;
                         evictions.push(Eviction {
                             line: vline,
                             values: ventry.state.values,
@@ -383,13 +330,10 @@ impl HierCache {
                     overflow: false,
                 }
             }
-            Err(_) => {
-                self.stats.overflows += 1;
-                FillResult {
-                    evictions: Vec::new(),
-                    overflow: true,
-                }
-            }
+            Err(_) => FillResult {
+                evictions: Vec::new(),
+                overflow: true,
+            },
         }
     }
 
@@ -425,7 +369,6 @@ impl HierCache {
                     if ventry.state.is_speculative() {
                         out.spilled = Some((vline, ventry.state, ventry.valid));
                     } else if ventry.state.dirty {
-                        self.stats.writebacks += 1;
                         out.evictions.push(Eviction {
                             line: vline,
                             values: ventry.state.values,
@@ -586,13 +529,12 @@ impl HierCache {
         Some((entry.state.values.clone(), valid, entry.state.owner_tid))
     }
 
-    /// Serializes the hierarchy's full mutable state — the counters and
-    /// both levels' tag arrays (slot order, LRU stamps, tick) — for
-    /// checkpointing. The configuration is not written; restore
-    /// targets a hierarchy freshly built from the same `CacheConfig`
-    /// (gated by the snapshot's config digest).
+    /// Serializes the hierarchy's full mutable state — both levels' tag
+    /// arrays (slot order, LRU stamps, tick) — for checkpointing. The
+    /// configuration is not written; restore targets a hierarchy freshly
+    /// built from the same `CacheConfig` (gated by the snapshot's config
+    /// digest).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.stats);
         self.l1.save_state(w);
         self.l2.save_state(w);
     }
@@ -606,7 +548,6 @@ impl HierCache {
     /// input, including array contents that disagree with this
     /// hierarchy's geometry (see [`SetArray::restore_state`]).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = r.get()?;
         self.l1.restore_state("HierCache.l1", r)?;
         self.l2.restore_state("HierCache.l2", r)
     }
@@ -675,8 +616,6 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
-        assert_eq!(c.stats().load_misses, 1);
-        assert_eq!(c.stats().l1_load_hits, 1);
     }
 
     #[test]
@@ -738,7 +677,6 @@ mod tests {
         assert_eq!(c.store(LineAddr(0), 0), StoreOutcome::Miss);
         c.fill(LineAddr(0), vals(), false);
         assert!(matches!(c.store(LineAddr(0), 0), StoreOutcome::Hit { .. }));
-        assert_eq!(c.stats().store_misses, 1);
     }
 
     #[test]
@@ -879,7 +817,6 @@ mod tests {
         assert!(r.overflow);
         assert!(r.evictions.is_empty());
         assert!(c.contains(LineAddr(0)) && c.contains(LineAddr(2)));
-        assert_eq!(c.stats().overflows, 1);
     }
 
     #[test]
@@ -919,7 +856,6 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         restored.restore_state(&mut r).unwrap();
         assert!(r.is_done());
-        assert_eq!(restored.stats(), c.stats());
         // Re-saving yields identical bytes: state is fully captured.
         let mut w2 = SnapWriter::new();
         restored.save_state(&mut w2);
@@ -933,7 +869,10 @@ mod tests {
         let b = restored.fill(LineAddr(4), vals(), false);
         assert_eq!(a, b);
         assert_eq!(c.write_set(), restored.write_set());
-        assert_eq!(c.stats(), restored.stats());
+        let (mut wa, mut wb) = (SnapWriter::new(), SnapWriter::new());
+        c.save_state(&mut wa);
+        restored.save_state(&mut wb);
+        assert_eq!(wa.into_bytes(), wb.into_bytes());
     }
 
     #[test]

@@ -42,7 +42,6 @@ mod line;
 pub use array::{SetArray, MAX_WAYS};
 pub use config::{CacheConfig, Granularity, Level};
 pub use hier::{
-    CacheStats, Eviction, FillResult, ForcedFillResult, HierCache, InvalidateOutcome, LoadOutcome,
-    StoreOutcome,
+    Eviction, FillResult, ForcedFillResult, HierCache, InvalidateOutcome, LoadOutcome, StoreOutcome,
 };
 pub use line::LineState;

@@ -3,7 +3,6 @@
 use tcc_cache::{CacheConfig, MAX_WAYS};
 use tcc_engine::WatchdogConfig;
 use tcc_network::{ChaosConfig, NetworkConfig, TransportConfig};
-use tcc_trace::TraceConfig;
 use tcc_types::{NodeId, ProtocolBugs, ProtocolKind};
 
 /// Configuration of the simulated machine and protocol.
@@ -67,10 +66,6 @@ pub struct SystemConfig {
     /// (used pervasively in tests; costs memory proportional to the
     /// committed read/write sets).
     pub check_serializability: bool,
-    /// Protocol tracing and metrics collection (`tcc-trace`).
-    /// Observation-only: enabling it never changes cycle counts or
-    /// checker verdicts. Disabled by default.
-    pub trace: TraceConfig,
     /// Adversarial fault injection on the interconnect (`tcc-chaos`).
     /// `None` (the default) is the benign mesh; `Some` attaches a
     /// seeded [`tcc_network::SeededInjector`] that stretches message
@@ -468,7 +463,6 @@ impl Default for SystemConfig {
             owner_flush_keeps_line: true,
             profile: false,
             check_serializability: false,
-            trace: TraceConfig::default(),
             chaos: None,
             tie_break_seed: None,
             bugs: ProtocolBugs::default(),

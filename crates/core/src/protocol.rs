@@ -542,7 +542,7 @@ impl Machine {
             Machine::Tcc(m) => m
                 .dirs
                 .iter()
-                .flat_map(|d| d.stats().occupancy.iter().copied())
+                .flat_map(|d| d.occupancy().iter().copied())
                 .collect(),
             _ => Vec::new(),
         }

@@ -237,7 +237,8 @@ pub struct SimResult {
     pub serializability: Option<Result<(), SerializabilityError>>,
     /// TAPE profiling report, when `cfg.profile` was enabled.
     pub profile: Option<ProfileReport>,
-    /// Protocol trace and metrics, when `cfg.trace` was enabled.
+    /// Protocol trace and metrics, when a tracer was attached
+    /// ([`SimulatorBuilder::tracer`]).
     pub trace: Option<TraceReport>,
     /// Reliable-transport counters, when `cfg.transport` was enabled.
     pub transport: Option<TransportStats>,
@@ -507,7 +508,7 @@ pub struct Simulator {
 pub struct SimulatorBuilder {
     cfg: SystemConfig,
     programs: Vec<ThreadProgram>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
 }
 
 impl SimulatorBuilder {
@@ -517,20 +518,12 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Select the coherence/commit backend, overriding
-    /// `cfg.protocol`. Equivalent to setting the field before calling
-    /// [`Simulator::builder`]; provided so sweeps can share one base
-    /// config and vary only the protocol axis.
-    pub fn protocol(mut self, kind: tcc_types::ProtocolKind) -> SimulatorBuilder {
-        self.cfg.protocol = kind;
-        self
-    }
-
-    /// Use an externally-created [`Tracer`] instead of the one derived
-    /// from `cfg.trace` — e.g. to share one metrics registry across
-    /// several runs, or to keep a handle for inspection after `run`.
+    /// Attach a [`Tracer`] (observation-only: it never changes cycle
+    /// counts or checker verdicts). Without one, tracing is disabled.
+    /// Keep a clone to share one metrics registry across several runs,
+    /// or to inspect the trace after `run`.
     pub fn tracer(mut self, tracer: Tracer) -> SimulatorBuilder {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -586,17 +579,12 @@ impl Simulator {
         SimulatorBuilder {
             cfg,
             programs: Vec::new(),
-            tracer: None,
+            tracer: Tracer::disabled(),
         }
     }
 
     /// The validated construction path shared by the builder.
-    fn construct(
-        cfg: SystemConfig,
-        programs: Vec<ThreadProgram>,
-        tracer: Option<Tracer>,
-    ) -> Simulator {
-        let tracer = tracer.unwrap_or_else(|| Tracer::new(&cfg.trace));
+    fn construct(cfg: SystemConfig, programs: Vec<ThreadProgram>, tracer: Tracer) -> Simulator {
         let machine = Machine::new(cfg.clone(), programs, &tracer);
         let mut net = Network::new(
             cfg.n_procs,
@@ -817,11 +805,11 @@ impl Simulator {
     ///
     /// Meant to be called between events — at a [`Step::Paused`]
     /// boundary or before the run starts. The construction inputs
-    /// (config, programs, tracer) are *not* stored; the caller supplies
-    /// them again to [`Simulator::resume`], gated by the config and
-    /// program digests. Observation-only state (tracer rings, metric
-    /// counters) is deliberately excluded: it never feeds back into
-    /// protocol decisions, so resumed-run *results* are still
+    /// (config, programs) are *not* stored; the caller supplies them
+    /// again to [`Simulator::resume`], gated by the config and program
+    /// digests. Observation-only state (the tracer, its rings and
+    /// metric counters) is deliberately excluded: it never feeds back
+    /// into protocol decisions, so resumed-run *results* are still
     /// byte-identical (see DESIGN.md §14).
     ///
     /// # Panics
@@ -859,7 +847,8 @@ impl Simulator {
     /// simulator from `cfg` and `programs` through the normal validated
     /// path, then overlays the snapshotted state. Running the result
     /// continues the captured run exactly — same events in the same
-    /// order, same final fingerprint as the uninterrupted run.
+    /// order, same final fingerprint as the uninterrupted run, whether
+    /// or not that run was traced. The resumed run is untraced.
     ///
     /// # Errors
     ///

@@ -70,13 +70,13 @@ fn live_bytes() -> i64 {
 }
 
 /// Allocations allowed for building one volrend@64 machine. It takes
-/// 264 (two per cache array, the rest for directories, network and
+/// 263 (two per cache array, the rest for directories, network and
 /// queues); a layout that allocates per set (2,304 sets per processor)
 /// or renders the programs at build time takes ~147,600.
 const BUILD_ALLOC_BOUND: u64 = 400;
 
 /// Heap bytes a freshly built volrend@64 machine may hold. TCC holds
-/// 865,280 and Tardis 829,952, 590 KB of it the per-set chunk words of
+/// 854,016 and Tardis 819,712, 590 KB of it the per-set chunk words of
 /// the cache arrays. Way slots sized by capacity (`sets × ways` per
 /// array) held 4,722,688; those of the L1s alone would add 262,144.
 const BUILD_BYTES_BOUND: i64 = 1_000_000;

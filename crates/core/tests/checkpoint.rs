@@ -12,6 +12,7 @@ use tcc_core::{
     ThreadProgram, Transaction, TransportConfig, TxOp, WatchdogConfig, WorkItem,
 };
 use tcc_network::{ChaosConfig, DropRule, DupRule};
+use tcc_trace::{TraceConfig, Tracer};
 use tcc_types::rng::SmallRng;
 use tcc_types::snap::SnapError;
 use tcc_types::{Addr, Cycle};
@@ -353,6 +354,37 @@ fn early_checkpoint_before_any_event_resumes() {
     assert_eq!(got.as_deref(), Some(baseline.fingerprint().as_str()));
 }
 
+/// The tracer is neither config nor body: a run checkpointed with a
+/// metrics tracer attached resumes untraced, to the uninterrupted run's
+/// fingerprint.
+#[test]
+fn traced_checkpoint_resumes_untraced() {
+    let mut cfg = SystemConfig::with_procs(4);
+    cfg.check_serializability = true;
+    let programs = random_programs(4, 5, 3);
+    let baseline = build(&cfg, &programs).try_run().expect("baseline");
+    let tracer = Tracer::new(&TraceConfig::metrics_only());
+    let Step::Paused(paused) = Simulator::builder(cfg.clone())
+        .programs(programs.clone())
+        .tracer(tracer.clone())
+        .build()
+        .expect("valid config")
+        .try_run_until(Some(Cycle(baseline.total_cycles / 2)))
+        .expect("run")
+    else {
+        panic!("run finished before the pause cycle");
+    };
+    let traced = tracer.take_report().expect("the tracer is enabled");
+    assert!(traced.metrics.counter("engine.events_dispatched") > 0);
+    let r = Simulator::resume(cfg, programs, &paused.checkpoint())
+        .expect("resume")
+        .try_run()
+        .expect("resumed run");
+    assert!(r.trace.is_none(), "the resumed run is untraced");
+    assert_eq!(r.fingerprint(), baseline.fingerprint());
+    r.assert_serializable();
+}
+
 // ---------------------------------------------------------------------
 // `parallel` is inert: every run uses the one event loop, so setting it
 // changes no result, and a snapshot taken under either value resumes
@@ -402,7 +434,7 @@ fn parallel_config_is_inert_fresh_and_resumed_for_every_protocol() {
 
 // ---------------------------------------------------------------------
 // Pinned snapshot bytes: the cache arrays' slot order, LRU stamps and
-// the program digest are part of the v3 body, so a change to the cache
+// the program digest are part of the v4 body, so a change to the cache
 // layout or to how the digest is computed that alters a single byte
 // breaks resuming snapshots written by earlier builds.
 // ---------------------------------------------------------------------
@@ -447,9 +479,9 @@ fn checkpoint_bytes_are_pinned_for_every_protocol() {
     const PROGRAM_DIGEST: u64 = 0x406e_d523_b4c4_ff4e;
     // (protocol, FNV-1a of the body at the pause cycle)
     let pinned = [
-        (ProtocolKind::Tcc, 0xb2c2_86d0_539e_ce01),
-        (ProtocolKind::SerializedCommit, 0x0845_b506_d7e3_55e6),
-        (ProtocolKind::Tardis, 0xfd9f_af62_d426_7a12),
+        (ProtocolKind::Tcc, 0x821f_add4_dc15_4c21),
+        (ProtocolKind::SerializedCommit, 0x9f71_781c_d146_d6fd),
+        (ProtocolKind::Tardis, 0x9648_1592_f7ba_a948),
     ];
     for (kind, body_fnv) in pinned {
         let (cfg, programs) = pinned_case(kind);
@@ -495,13 +527,13 @@ fn checkpoint_bytes_are_pinned_for_every_protocol() {
 fn checkpoint_bytes_are_pinned_with_every_section_present() {
     // (protocol, body length, FNV-1a of the body at the pause cycle)
     let pinned = [
-        (ProtocolKind::Tcc, 18_534, 0x169c_5a5b_49ea_6453),
+        (ProtocolKind::Tcc, 17_782, 0xff28_99cb_bc25_5c17),
         (
             ProtocolKind::SerializedCommit,
-            13_685,
-            0x3bd8_684d_ddce_8727,
+            13_221,
+            0x62eb_0e8e_5eae_40d0,
         ),
-        (ProtocolKind::Tardis, 20_233, 0x09e1_7cd1_802f_9c04),
+        (ProtocolKind::Tardis, 19_545, 0x6980_2c32_9af6_007d),
     ];
     for (kind, body_len, body_fnv) in pinned {
         let (mut cfg, programs) = pinned_case(kind);

@@ -502,8 +502,11 @@ fn parallel_commits_overlap_in_time() {
         .build()
         .expect("valid config")
         .run();
-    let serialized = Simulator::builder(SystemConfig::with_procs(n))
-        .protocol(ProtocolKind::SerializedCommit)
+    let cfg = SystemConfig {
+        protocol: ProtocolKind::SerializedCommit,
+        ..SystemConfig::with_procs(n)
+    };
+    let serialized = Simulator::builder(cfg)
         .programs(mk())
         .build()
         .expect("valid config")
@@ -545,8 +548,7 @@ fn directory_occupancy_samples_come_only_from_timed_commits() {
                 ])])
             })
             .collect();
-        Simulator::builder(cfg(4))
-            .protocol(protocol)
+        Simulator::builder(SystemConfig { protocol, ..cfg(4) })
             .programs(programs)
             .build()
             .expect("valid config")

@@ -388,8 +388,11 @@ fn prop_baseline_is_serializable() {
         let raw = random_raw(&mut rng, 2, 4);
         let programs = to_programs(&raw);
         let expected: u64 = programs.iter().map(|p| p.transactions() as u64).sum();
-        let r = Simulator::builder(checked_cfg(2))
-            .protocol(ProtocolKind::SerializedCommit)
+        let cfg = SystemConfig {
+            protocol: ProtocolKind::SerializedCommit,
+            ..checked_cfg(2)
+        };
+        let r = Simulator::builder(cfg)
             .programs(programs)
             .build()
             .expect("valid config")

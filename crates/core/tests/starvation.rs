@@ -5,7 +5,7 @@
 //! counter and the `StarvationEvent` profiling stream.
 
 use tcc_core::{SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem};
-use tcc_trace::TraceConfig;
+use tcc_trace::{TraceConfig, Tracer};
 use tcc_types::Addr;
 
 fn line_addr(line: u64, word: u64) -> Addr {
@@ -20,13 +20,13 @@ fn cfg(n: usize) -> SystemConfig {
     let mut c = SystemConfig::with_procs(n);
     c.check_serializability = true;
     c.profile = true;
-    c.trace = TraceConfig::metrics_only();
     c
 }
 
 fn run(c: SystemConfig, programs: Vec<ThreadProgram>) -> SimResult {
     Simulator::builder(c)
         .programs(programs)
+        .tracer(Tracer::new(&TraceConfig::metrics_only()))
         .build()
         .expect("valid config")
         .run()

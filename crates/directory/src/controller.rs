@@ -86,46 +86,6 @@ impl DirAction {
     }
 }
 
-/// Event counters and occupancy samples for one directory.
-#[derive(Debug, Clone, Default)]
-pub struct DirStats {
-    /// Commits completed (gang-upgrades performed).
-    pub commits: u64,
-    /// Skip messages applied (including aborts treated as skips).
-    pub skips: u64,
-    /// Aborts that gang-cleared marks.
-    pub aborts: u64,
-    /// Mark messages accepted.
-    pub marks: u64,
-    /// Invalidations sent.
-    pub invalidations: u64,
-    /// Load requests serviced (including stalled ones, once).
-    pub loads: u64,
-    /// Loads that stalled against a marked line.
-    pub stalled_loads: u64,
-    /// Write-backs/flushes accepted into memory.
-    pub writebacks_accepted: u64,
-    /// Write-backs dropped by the TID-tag staleness check.
-    pub writebacks_dropped: u64,
-    /// Busy span of each completed commit, in cycles (first `Mark` — or
-    /// the `Commit` itself — until the NSTID advances). Feeds the
-    /// Table 3 "directory occupancy" column.
-    pub occupancy: Vec<u64>,
-}
-
-snap_fields!(DirStats {
-    commits,
-    skips,
-    aborts,
-    marks,
-    invalidations,
-    loads,
-    stalled_loads,
-    writebacks_accepted,
-    writebacks_dropped,
-    occupancy,
-});
-
 /// One in-flight commit awaiting invalidation acknowledgements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct AckWait {
@@ -225,7 +185,10 @@ pub struct Directory {
     /// turns it into a typed run error instead of letting the skip
     /// vector balloon or the process abort.
     skip_refusal: Option<SkipRefused>,
-    stats: DirStats,
+    /// Busy span of each completed commit, in cycles (first `Mark` — or
+    /// the `Commit` itself — until the NSTID advances). Feeds the
+    /// Table 3 "directory occupancy" column.
+    occupancy: Vec<u64>,
     tracer: Tracer,
     /// Reusable output buffer: internal transition helpers push into
     /// this, and the public `handle_*` wrappers hand it out by value
@@ -252,7 +215,7 @@ impl Directory {
             ack_wait: None,
             commit_span_start: None,
             skip_refusal: None,
-            stats: DirStats::default(),
+            occupancy: Vec::new(),
             tracer: Tracer::disabled(),
             out: Vec::new(),
         }
@@ -270,10 +233,10 @@ impl Directory {
         self.sv.now_serving()
     }
 
-    /// Event counters and occupancy samples.
+    /// Busy span of each completed commit, in completion order.
     #[must_use]
-    pub fn stats(&self) -> &DirStats {
-        &self.stats
+    pub fn occupancy(&self) -> &[u64] {
+        &self.occupancy
     }
 
     /// Read access to a line's entry, if the directory has seen it.
@@ -372,14 +335,13 @@ impl Directory {
         req: u64,
     ) -> Vec<DirAction> {
         self.out.clear();
-        self.stats.loads += 1;
         self.dispatch_load(now, line, requester, req, None);
         std::mem::take(&mut self.out)
     }
 
-    /// Load path without the statistics bump, shared with re-dispatch of
-    /// stalled loads (`stalled_since` carries the original stall time so
-    /// a load that re-stalls keeps one contiguous stall interval).
+    /// Load path shared with re-dispatch of stalled loads
+    /// (`stalled_since` carries the original stall time so a load that
+    /// re-stalls keeps one contiguous stall interval).
     fn dispatch_load(
         &mut self,
         now: Cycle,
@@ -398,7 +360,6 @@ impl Directory {
                 .is_some_and(|w| w.locked.contains(&line));
         if self.entry_mut(line).is_marked() || commit_locked {
             if stalled_since.is_none() {
-                self.stats.stalled_loads += 1;
                 self.tracer.count("dir.loads_stalled", 1);
                 self.tracer.record(now, || TraceEvent::LoadStallEnter {
                     dir,
@@ -460,11 +421,6 @@ impl Directory {
 
     /// Processes a `Skip` for `tid`.
     pub fn handle_skip(&mut self, now: Cycle, tid: Tid) -> Vec<DirAction> {
-        // Count only fresh skips (stale duplicates and re-sent future
-        // skips are ignored by the Skip Vector).
-        if tid >= self.now_serving() && !self.sv.is_buffered(tid) {
-            self.stats.skips += 1;
-        }
         debug_assert!(
             !(tid == self.now_serving() && self.ack_wait.is_some()),
             "the transaction being committed cannot also skip"
@@ -575,7 +531,6 @@ impl Directory {
             debug_assert!(tid < self.now_serving(), "mark from unserved future {tid}");
             return Vec::new();
         }
-        self.stats.marks += 1;
         self.commit_span_start.get_or_insert(now);
         self.marks_received += 1;
         let entry = self.entry_mut(line);
@@ -643,7 +598,6 @@ impl Directory {
     fn do_commit(&mut self, now: Cycle, tid: Tid, committer: NodeId) {
         self.pending_commit = None;
         self.marks_received = 0;
-        self.stats.commits += 1;
         let dir = self.cfg.id;
         let mut acks = 0u32;
         // Visit exactly the lines this transaction marked, in ascending
@@ -692,7 +646,6 @@ impl Directory {
                 acks += 1;
             }
         }
-        self.stats.invalidations += u64::from(acks);
         if acks == 0 || self.cfg.bugs.skip_ack_wait {
             // Mutation knob: advancing the NSTID before the
             // invalidation acks return re-opens the §3.3 race the ack
@@ -791,7 +744,6 @@ impl Directory {
         // would be ignored, so drop them.
         self.pending_probes.retain(|p| p.tid != tid);
         if tid > self.now_serving() {
-            self.stats.skips += 1;
             let dir = self.cfg.id;
             self.tracer
                 .record(now, || TraceEvent::SkipBuffered { dir, tid });
@@ -804,7 +756,6 @@ impl Directory {
         // Serving this TID: clear its marks and move on. Every mark set
         // while `tid` was being served is recorded in `marked_lines`, so
         // this visits exactly the marked entries.
-        self.stats.aborts += 1;
         for line in std::mem::take(&mut self.marked_lines) {
             if let Some(entry) = self.entries.get_mut(&line) {
                 if entry.marked.is_some_and(|m| m.tid == tid) {
@@ -853,12 +804,10 @@ impl Directory {
             // Fully shadowed by the newer commit: drop the data (§3.3) —
             // but still service the waiter queue, which may need a
             // re-targeted DataRequest at the new owner.
-            self.stats.writebacks_dropped += 1;
             self.out.clear();
             self.service_waiters(line);
             return std::mem::take(&mut self.out);
         }
-        self.stats.writebacks_accepted += 1;
         {
             let entry = self.entry_mut(line);
             entry.memory.merge_from(&values, merge_mask);
@@ -933,7 +882,7 @@ impl Directory {
         let served = self.now_serving();
         if let Some(start) = self.commit_span_start.take() {
             let span = now.since(start);
-            self.stats.occupancy.push(span);
+            self.occupancy.push(span);
             let dir = self.cfg.id;
             self.tracer.observe("dir.occupancy", span);
             self.tracer.record(now, || TraceEvent::CommitComplete {
@@ -998,7 +947,8 @@ impl Directory {
     /// checkpointing: NSTID + skip vector, the line table, every
     /// deferred/pending structure (probes, stalled loads, data-request
     /// waiters, marked lines, pending commit, ack window), the sticky
-    /// skip refusal, and the statistics. Not a `Snap` impl because the
+    /// skip refusal, and the occupancy samples (a result, not a counter:
+    /// they feed `SimResult::dir_occupancy`). Not a `Snap` impl because the
     /// config and tracer are not written (the resuming caller
     /// reconstructs them) and the action buffer is empty between
     /// events by construction.
@@ -1015,7 +965,7 @@ impl Directory {
         w.put(&self.ack_wait);
         w.put(&self.commit_span_start);
         w.put(&self.skip_refusal);
-        w.put(&self.stats);
+        w.put(&self.occupancy);
     }
 
     /// Restores state captured by [`Directory::save_state`] into this
@@ -1037,7 +987,7 @@ impl Directory {
         self.ack_wait = r.get()?;
         self.commit_span_start = r.get()?;
         self.skip_refusal = r.get()?;
-        self.stats = r.get()?;
+        self.occupancy = r.get()?;
         Ok(())
     }
 }
@@ -1121,9 +1071,7 @@ mod tests {
         // interest left), so it was pruned from the sharers list; the
         // committer stays.
         assert!(e.sharers.contains(N1) && !e.sharers.contains(N2));
-        assert_eq!(d.stats().commits, 1);
-        assert_eq!(d.stats().invalidations, 1);
-        assert_eq!(d.stats().occupancy, vec![20]); // cycles 10..30
+        assert_eq!(d.occupancy(), [20]); // cycles 10..30
     }
 
     #[test]
@@ -1194,7 +1142,6 @@ mod tests {
             d.handle_load(Cycle(0), L, N2, 0).is_empty(),
             "load must stall on marked line"
         );
-        assert_eq!(d.stats().stalled_loads, 1);
         // Commit completes; the stalled load re-dispatches and is
         // forwarded to the new owner.
         let acts = d.handle_commit(Cycle(0), Tid(0), N1, 1);
@@ -1222,7 +1169,6 @@ mod tests {
                 )
         }));
         assert_eq!(d.now_serving(), Tid(1));
-        assert_eq!(d.stats().aborts, 1);
     }
 
     #[test]
@@ -1252,7 +1198,6 @@ mod tests {
         assert_eq!(d.now_serving(), Tid(0));
         d.handle_skip(Cycle(0), Tid(0));
         assert_eq!(d.now_serving(), Tid(3));
-        assert_eq!(d.stats().skips, 3);
     }
 
     #[test]
@@ -1311,9 +1256,15 @@ mod tests {
         d.handle_inv_ack(Cycle(2), Tid(1), L, N2, false);
         // A delayed write-back from N1 (tagged TID 0) covering only the
         // superseded word now arrives: fully shadowed, dropped.
-        let stale = vals_with(0, Tid(0));
+        // Its word 0 differs from memory, so a merge would show.
+        let memory = d.entry(L).unwrap().memory.clone();
+        let stale = LineValues::fresh(8);
         d.handle_writeback(L, Tid(0), stale, WordMask::single(0), N1, false);
-        assert_eq!(d.stats().writebacks_dropped, 1);
+        assert_eq!(
+            d.entry(L).unwrap().memory,
+            memory,
+            "stale WB must not merge"
+        );
         assert_eq!(
             d.entry(L).unwrap().owner,
             Some(N2),
@@ -1449,8 +1400,7 @@ mod tests {
             let acts = d.handle_inv_ack(Cycle(30), Tid(0), L, N2, false);
             assert!(acts.is_empty());
             assert_eq!(d.now_serving(), Tid(1));
-            assert_eq!(d.stats().commits, 1);
-            assert_eq!(d.stats().occupancy, vec![20]);
+            assert_eq!(d.occupancy(), [20]);
             let e = d.entry(L).unwrap();
             assert_eq!(e.owner, Some(N1));
             assert!(e.sharers.contains(N1) && !e.sharers.contains(N2));

@@ -24,8 +24,8 @@ mod sharer_set;
 mod skip_vector;
 pub mod tardis;
 
-pub use controller::{DirAction, DirConfig, DirStats, Directory};
+pub use controller::{DirAction, DirConfig, Directory};
 pub use entry::DirEntry;
 pub use sharer_set::SharerSet;
 pub use skip_vector::{SkipRefused, SkipVector};
-pub use tardis::{TardisHome, TardisHomeStats, TardisLine};
+pub use tardis::{TardisHome, TardisLine};

@@ -79,35 +79,6 @@ snap_fields!(TardisLine {
     deferred_loads,
 });
 
-/// Event counters for one Tardis home.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TardisHomeStats {
-    /// Load requests serviced (including deferred ones, once).
-    pub loads: u64,
-    /// Loads deferred behind a write lock.
-    pub deferred_loads: u64,
-    /// Lease renewals granted.
-    pub renews: u64,
-    /// Renewals refused because the line's `wts` moved.
-    pub renew_nacks: u64,
-    /// Renewals refused because the line was write-locked.
-    pub renew_nacks_locked: u64,
-    /// Lock requests queued behind a holder.
-    pub lock_waits: u64,
-    /// Committed lines published.
-    pub publishes: u64,
-}
-
-snap_fields!(TardisHomeStats {
-    loads,
-    deferred_loads,
-    renews,
-    renew_nacks,
-    renew_nacks_locked,
-    lock_waits,
-    publishes,
-});
-
 /// One node's slice of the timestamp-ordered home state.
 #[derive(Debug)]
 pub struct TardisHome {
@@ -120,8 +91,6 @@ pub struct TardisHome {
     lines: FxHashMap<LineAddr, TardisLine>,
     /// Highest commit time published at this home (progress telemetry).
     max_ts: u64,
-    /// Event counters.
-    pub stats: TardisHomeStats,
 }
 
 impl TardisHome {
@@ -134,7 +103,6 @@ impl TardisHome {
             mem_latency,
             lines: FxHashMap::default(),
             max_ts: 0,
-            stats: TardisHomeStats::default(),
         }
     }
 
@@ -172,7 +140,6 @@ impl TardisHome {
         let l = self.line(line);
         if l.locked.is_some() {
             l.deferred_loads.push((requester, req));
-            self.stats.deferred_loads += 1;
             return;
         }
         l.rts = l.rts.max(l.wts + lease);
@@ -183,7 +150,6 @@ impl TardisHome {
             rts: l.rts,
             req,
         };
-        self.stats.loads += 1;
         out.push((
             mem,
             DirAction {
@@ -206,7 +172,6 @@ impl TardisHome {
         debug_assert_ne!(l.locked, Some(requester), "re-lock by the holder");
         if l.locked.is_some() {
             l.lock_queue.push_back(requester);
-            self.stats.lock_waits += 1;
             return;
         }
         l.locked = Some(requester);
@@ -239,17 +204,10 @@ impl TardisHome {
         out: &mut Vec<(u64, DirAction)>,
     ) {
         let l = self.line(line);
-        let ok = if l.locked.is_some() {
-            self.stats.renew_nacks_locked += 1;
-            false
-        } else if l.wts != wts {
-            self.stats.renew_nacks += 1;
-            false
-        } else {
+        let ok = l.locked.is_none() && l.wts == wts;
+        if ok {
             l.rts = l.rts.max(ts);
-            self.stats.renews += 1;
-            true
-        };
+        }
         out.push((
             0,
             DirAction {
@@ -288,7 +246,6 @@ impl TardisHome {
             l.rts = l.rts.max(ts);
         }
         self.max_ts = self.max_ts.max(ts);
-        self.stats.publishes += 1;
         self.unlock(line, out);
         out.push((
             0,
@@ -357,7 +314,6 @@ impl TardisHome {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.lines);
         w.put(&self.max_ts);
-        w.put(&self.stats);
     }
 
     /// Restores state captured by [`TardisHome::save_state`].
@@ -368,7 +324,6 @@ impl TardisHome {
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.lines = r.get()?;
         self.max_ts = r.get()?;
-        self.stats = r.get()?;
         Ok(())
     }
 

@@ -194,8 +194,8 @@ fn occupancy_samples_cover_each_commit() {
     for tid in 0..4u64 {
         commit_line(&mut d, tid, L, (tid % 8) as usize, N1);
     }
-    assert_eq!(d.stats().commits, 4);
-    assert_eq!(d.stats().occupancy.len(), 4);
+    assert_eq!(d.now_serving(), Tid(4));
+    assert_eq!(d.occupancy().len(), 4);
 }
 
 #[test]
@@ -221,7 +221,6 @@ fn skip_floods_advance_over_many_tids_cheaply() {
     assert_eq!(d.now_serving(), Tid(0));
     d.handle_skip(Cycle(0), Tid(0));
     assert_eq!(d.now_serving(), Tid(1000));
-    assert_eq!(d.stats().skips, 1000);
 }
 
 #[test]

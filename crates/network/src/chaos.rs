@@ -61,7 +61,7 @@ use tcc_trace::json::{DecimalString, JsonCodec, JsonWith};
 use tcc_trace::{json_fields, Json};
 use tcc_types::rng::SmallRng;
 use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
-use tcc_types::{snap_fields, Cycle, Message, NodeId};
+use tcc_types::{Cycle, Message, NodeId};
 
 /// Extra latency for one message kind inside a cycle window.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,29 +224,6 @@ json_fields!(ChaosConfig {
     reorder_prob = 1.0,
 });
 
-/// Counters the injector keeps about its own activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Messages that passed through the injector.
-    pub messages: u64,
-    /// Messages whose delivery moved later than natural arrival.
-    pub perturbed: u64,
-    /// Total extra cycles injected.
-    pub extra_cycles: u64,
-    /// Transport frames dropped on the wire.
-    pub dropped: u64,
-    /// Extra transport-frame copies created by duplication rules.
-    pub duplicated: u64,
-}
-
-snap_fields!(ChaosStats {
-    messages,
-    perturbed,
-    extra_cycles,
-    dropped,
-    duplicated,
-});
-
 /// The deterministic fault injector driven by a [`ChaosConfig`]: the
 /// hook the [`Network`](crate::Network) calls for every message send.
 #[derive(Debug)]
@@ -255,7 +232,6 @@ pub struct SeededInjector {
     rng: SmallRng,
     /// Last delivery time per directed channel, for the FIFO clamp.
     last_arrival: FxHashMap<(NodeId, NodeId), u64>,
-    stats: ChaosStats,
 }
 
 impl SeededInjector {
@@ -266,13 +242,7 @@ impl SeededInjector {
             cfg,
             rng,
             last_arrival: FxHashMap::default(),
-            stats: ChaosStats::default(),
         }
-    }
-
-    #[must_use]
-    pub fn stats(&self) -> ChaosStats {
-        self.stats
     }
 
     fn extra_for(&mut self, now: Cycle, kind: &str, dst: NodeId) -> u64 {
@@ -303,7 +273,6 @@ impl SeededInjector {
     /// time is `arrival`, returning a delivery time no earlier than
     /// `arrival` (the engine cannot schedule into the past).
     pub fn perturb(&mut self, now: Cycle, msg: &Message, arrival: Cycle) -> Cycle {
-        self.stats.messages += 1;
         let extra = self.extra_for(now, msg.payload.kind_name(), msg.dst);
         let mut t = arrival.0 + extra;
         if self.cfg.preserve_channel_fifo {
@@ -314,10 +283,6 @@ impl SeededInjector {
                 }
             }
             self.last_arrival.insert(key, t);
-        }
-        if t > arrival.0 {
-            self.stats.perturbed += 1;
-            self.stats.extra_cycles += t - arrival.0;
         }
         Cycle(t)
     }
@@ -337,7 +302,6 @@ impl SeededInjector {
         dst: NodeId,
         arrival: Cycle,
     ) -> Vec<Cycle> {
-        self.stats.messages += 1;
         let mut extra = self.extra_for(now, kind, dst);
         if self.cfg.reorder > 0 && self.rng.gen_bool(self.cfg.reorder_prob) {
             extra += self.rng.gen_range(0..=self.cfg.reorder);
@@ -362,27 +326,20 @@ impl SeededInjector {
             }
         }
         if dropped {
-            self.stats.dropped += 1;
             return Vec::new();
         }
-        if t > arrival.0 {
-            self.stats.perturbed += 1;
-            self.stats.extra_cycles += t - arrival.0;
-        }
-        self.stats.duplicated += copies.len() as u64;
         let mut fates = vec![Cycle(t)];
         fates.extend(copies);
         fates
     }
 
-    /// Serializes the injector's mutable state (RNG position, FIFO
-    /// clamp watermarks, counters) for a checkpoint. Not a `Snap` impl
+    /// Serializes the injector's mutable state (RNG position and FIFO
+    /// clamp watermarks) for a checkpoint. Not a `Snap` impl
     /// because the rules come from the config the resuming caller
     /// rebuilds.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.rng);
         w.put(&self.last_arrival);
-        w.put(&self.stats);
     }
 
     /// Restores state saved by [`save_state`](SeededInjector::save_state).
@@ -391,7 +348,6 @@ impl SeededInjector {
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = r.get()?;
         self.last_arrival = r.get()?;
-        self.stats = r.get()?;
         Ok(())
     }
 }
@@ -493,8 +449,6 @@ mod tests {
         assert_eq!(inj.perturb(Cycle(150), &msg(0, 3), Cycle(160)), Cycle(200));
         assert_eq!(inj.perturb(Cycle(150), &msg(0, 2), Cycle(160)), Cycle(160));
         assert_eq!(inj.perturb(Cycle(250), &msg(0, 3), Cycle(260)), Cycle(260));
-        assert_eq!(inj.stats().perturbed, 1);
-        assert_eq!(inj.stats().extra_cycles, 40);
     }
 
     #[test]
@@ -583,7 +537,6 @@ mod tests {
             inj.wire_fate(Cycle(150), "Probe", NodeId(0), NodeId(1), Cycle(160)),
             vec![Cycle(160)]
         );
-        assert_eq!(inj.stats().dropped, 1);
     }
 
     #[test]
@@ -604,7 +557,6 @@ mod tests {
             inj.wire_fate(Cycle(0), "Ack", NodeId(0), NodeId(1), Cycle(15)),
             vec![Cycle(15), Cycle(45)]
         );
-        assert_eq!(inj.stats().duplicated, 1);
     }
 
     /// A restored injector must continue the RNG stream and FIFO clamp
@@ -639,7 +591,6 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         restored.restore_state(&mut r).unwrap();
         assert!(r.is_done());
-        assert_eq!(restored.stats(), inj.stats());
 
         for i in 300..600u64 {
             let m = msg((i % 3) as u16, 1);

@@ -34,7 +34,7 @@ mod mesh;
 mod stats;
 pub mod transport;
 
-pub use chaos::{ChaosConfig, ChaosStats, DropRule, DupRule, HotSpot, KindDelay, SeededInjector};
+pub use chaos::{ChaosConfig, DropRule, DupRule, HotSpot, KindDelay, SeededInjector};
 pub use mesh::{Mesh2D, NetworkConfig};
 pub use stats::TrafficStats;
 pub use transport::{RetryExhausted, Transport, TransportAction, TransportConfig, TransportStats};
@@ -61,7 +61,7 @@ impl Network {
     pub fn new(n_nodes: usize, line_bytes: u32, config: NetworkConfig) -> Network {
         Network {
             mesh: Mesh2D::new(n_nodes, config),
-            stats: TrafficStats::new(n_nodes),
+            stats: TrafficStats::default(),
             line_bytes,
             tracer: Tracer::disabled(),
             injector: None,
@@ -110,8 +110,7 @@ impl Network {
         let kind = msg.payload.kind_name();
         trace_send(&self.tracer, now, kind, msg.src, msg.dst, size);
         if msg.src != msg.dst {
-            self.stats
-                .record(msg.src, msg.dst, msg.payload.category(), size);
+            self.stats.record(msg.payload.category(), size);
             self.stats.record_kind(msg.payload.kind_index());
         }
         let arrival = self.mesh.send(now, msg.src, msg.dst, size);
@@ -144,8 +143,7 @@ impl Network {
             let arrival = self.mesh.send(now, msg.src, msg.dst, size);
             return self.apply_chaos(now, msg, arrival);
         }
-        self.stats
-            .record(msg.src, msg.dst, msg.payload.category(), size);
+        self.stats.record(msg.payload.category(), size);
         self.stats.record_kind(msg.payload.kind_index());
         let hops = self.mesh.hops(msg.src, msg.dst);
         let arrival = now + self.mesh.uncontended_latency(hops, size);
@@ -170,7 +168,7 @@ impl Network {
         let kind = frame.kind_name();
         trace_send(&self.tracer, now, kind, src, dst, size);
         debug_assert_ne!(src, dst, "local messages bypass the transport");
-        self.stats.record(src, dst, frame.category(), size);
+        self.stats.record(frame.category(), size);
         self.stats.record_kind(frame.kind_index());
         let arrival = if matches!(frame, Frame::Data { msg, .. } if is_multicast(&msg.payload)) {
             let hops = self.mesh.hops(src, dst);

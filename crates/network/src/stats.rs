@@ -2,7 +2,7 @@
 
 use tcc_types::msg::{kind_index_of, KIND_NAMES, N_KINDS};
 use tcc_types::snap::{SnapError, SnapReader, SnapWriter};
-use tcc_types::{NodeId, TrafficCategory};
+use tcc_types::TrafficCategory;
 
 /// Number of traffic categories (see [`TrafficCategory::ALL`]).
 const N_CATS: usize = 5;
@@ -21,16 +21,14 @@ fn cat_index(c: TrafficCategory) -> usize {
 ///
 /// Figure 9 of the paper reports "the traffic produced and consumed on
 /// average at each directory … in terms of bytes per instruction". We
-/// record, per node, the bytes it *received*, broken down by
-/// [`TrafficCategory`]; global totals and message counts are kept as
-/// well. Bytes-per-instruction normalization happens in `tcc-stats`,
-/// which knows the instruction counts.
+/// record the bytes delivered in each [`TrafficCategory`], the message
+/// count and a per-kind census. Per-directory averaging and
+/// bytes-per-instruction normalization happen in `tcc-stats`, which
+/// knows the node and instruction counts.
 #[derive(Debug, Clone)]
 pub struct TrafficStats {
-    /// `received[node][category]` = bytes delivered to `node`.
-    received: Vec<[u64; N_CATS]>,
-    /// Global message count per category.
-    messages: [u64; N_CATS],
+    /// Bytes delivered per category.
+    bytes: [u64; N_CATS],
     /// Census: remote message count per protocol message kind (the
     /// Table 1 vocabulary plus replies/acks), by kind index.
     by_kind: [u64; N_KINDS],
@@ -39,23 +37,20 @@ pub struct TrafficStats {
     total_messages: u64,
 }
 
-impl TrafficStats {
-    /// Creates zeroed statistics for an `n_nodes` machine.
-    #[must_use]
-    pub fn new(n_nodes: usize) -> TrafficStats {
+impl Default for TrafficStats {
+    fn default() -> TrafficStats {
         TrafficStats {
-            received: vec![[0; N_CATS]; n_nodes],
-            messages: [0; N_CATS],
+            bytes: [0; N_CATS],
             by_kind: [0; N_KINDS],
             total_messages: 0,
         }
     }
+}
 
-    /// Records one `size`-byte message from `_src` delivered to `dst`.
-    pub fn record(&mut self, _src: NodeId, dst: NodeId, cat: TrafficCategory, size: u32) {
-        let i = cat_index(cat);
-        self.received[dst.index()][i] += u64::from(size);
-        self.messages[i] += 1;
+impl TrafficStats {
+    /// Records one delivered `size`-byte message of category `cat`.
+    pub fn record(&mut self, cat: TrafficCategory, size: u32) {
+        self.bytes[cat_index(cat)] += u64::from(size);
         self.total_messages += 1;
     }
 
@@ -87,26 +82,13 @@ impl TrafficStats {
     /// Total bytes delivered across the whole machine.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.received.iter().flatten().sum()
+        self.bytes.iter().sum()
     }
 
     /// Total bytes delivered in one category.
     #[must_use]
     pub fn bytes_in_category(&self, cat: TrafficCategory) -> u64 {
-        let i = cat_index(cat);
-        self.received.iter().map(|r| r[i]).sum()
-    }
-
-    /// Bytes delivered to one node in one category.
-    #[must_use]
-    pub fn bytes_at(&self, node: NodeId, cat: TrafficCategory) -> u64 {
-        self.received[node.index()][cat_index(cat)]
-    }
-
-    /// Number of remote messages in one category.
-    #[must_use]
-    pub fn messages_in_category(&self, cat: TrafficCategory) -> u64 {
-        self.messages[cat_index(cat)]
+        self.bytes[cat_index(cat)]
     }
 
     /// Total number of remote messages.
@@ -115,45 +97,25 @@ impl TrafficStats {
         self.total_messages
     }
 
-    /// Average bytes per node in one category (the Figure 9 y-axis
-    /// numerator).
-    #[must_use]
-    pub fn avg_bytes_per_node(&self, cat: TrafficCategory) -> f64 {
-        if self.received.is_empty() {
-            return 0.0;
-        }
-        self.bytes_in_category(cat) as f64 / self.received.len() as f64
-    }
-
     /// Serializes the accumulated counters for a checkpoint. Not a
     /// `Snap` impl because the per-kind census is stored by kind name,
     /// in alphabetical order, and restore maps the names back to kind
     /// indices.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.received);
-        w.put(&self.messages);
+        w.put(&self.bytes);
         let census = self.message_census().into_iter();
         let census: Vec<(String, u64)> = census.map(|(k, n)| (k.to_string(), n)).collect();
         w.put(&census);
         w.put(&self.total_messages);
     }
 
-    /// Restores counters from a checkpoint taken on a same-sized
-    /// machine.
+    /// Restores counters saved by [`TrafficStats::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError`] on truncated input or an unknown kind name.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let received: Vec<[u64; N_CATS]> = r.get()?;
-        if received.len() != self.received.len() {
-            return Err(SnapError::invalid(
-                "TrafficStats.received",
-                format!(
-                    "snapshot has {} nodes, machine has {}",
-                    received.len(),
-                    self.received.len()
-                ),
-            ));
-        }
-        self.received = received;
-        self.messages = r.get()?;
+        self.bytes = r.get()?;
         self.by_kind = [0; N_KINDS];
         for (name, count) in r.get::<Vec<(String, u64)>>()? {
             let kind = kind_index_of(&name).ok_or_else(|| {
@@ -171,31 +133,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_accumulate_by_node_and_category() {
-        let mut s = TrafficStats::new(4);
-        s.record(NodeId(0), NodeId(1), TrafficCategory::Miss, 40);
-        s.record(NodeId(2), NodeId(1), TrafficCategory::Miss, 40);
-        s.record(NodeId(0), NodeId(3), TrafficCategory::Commit, 16);
+    fn records_accumulate_by_category() {
+        let mut s = TrafficStats::default();
+        s.record(TrafficCategory::Miss, 40);
+        s.record(TrafficCategory::Miss, 40);
+        s.record(TrafficCategory::Commit, 16);
         assert_eq!(s.total_bytes(), 96);
         assert_eq!(s.bytes_in_category(TrafficCategory::Miss), 80);
-        assert_eq!(s.bytes_at(NodeId(1), TrafficCategory::Miss), 80);
-        assert_eq!(s.bytes_at(NodeId(3), TrafficCategory::Commit), 16);
-        assert_eq!(s.bytes_at(NodeId(3), TrafficCategory::Miss), 0);
-        assert_eq!(s.messages_in_category(TrafficCategory::Miss), 2);
+        assert_eq!(s.bytes_in_category(TrafficCategory::Commit), 16);
         assert_eq!(s.total_messages(), 3);
     }
 
     #[test]
-    fn averages_divide_by_node_count() {
-        let mut s = TrafficStats::new(4);
-        s.record(NodeId(0), NodeId(1), TrafficCategory::Shared, 100);
-        assert_eq!(s.avg_bytes_per_node(TrafficCategory::Shared), 25.0);
-        assert_eq!(s.avg_bytes_per_node(TrafficCategory::Miss), 0.0);
-    }
-
-    #[test]
     fn census_is_alphabetical_and_survives_a_checkpoint() {
-        let mut s = TrafficStats::new(1);
+        let mut s = TrafficStats::default();
         for name in ["Probe", "Ack", "Probe", "LoadRequest"] {
             s.record_kind(kind_index_of(name).unwrap());
         }
@@ -204,16 +155,16 @@ mod tests {
         let mut w = SnapWriter::new();
         s.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut back = TrafficStats::new(1);
+        let mut back = TrafficStats::default();
         back.restore_state(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back.message_census(), census);
     }
 
     #[test]
     fn all_categories_are_distinct_buckets() {
-        let mut s = TrafficStats::new(1);
+        let mut s = TrafficStats::default();
         for (i, c) in TrafficCategory::ALL.iter().enumerate() {
-            s.record(NodeId(0), NodeId(0), *c, (i as u32 + 1) * 10);
+            s.record(*c, (i as u32 + 1) * 10);
         }
         for (i, c) in TrafficCategory::ALL.iter().enumerate() {
             assert_eq!(s.bytes_in_category(*c), (i as u64 + 1) * 10);

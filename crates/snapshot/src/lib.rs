@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"TCCSNAP1"
-//!      8     2  version          u16 LE (currently 3)
+//!      8     2  version          u16 LE (currently 4)
 //!     10     8  config_digest    u64 LE — digest of the SystemConfig
 //!     18     8  at_cycle         u64 LE — simulated cycle of capture
 //!     26     8  body_len         u64 LE
@@ -56,9 +56,12 @@ pub const MAGIC: &[u8; 8] = b"TCCSNAP1";
 /// serialized-commit and Tardis processors save their shared program-
 /// driver fields first and share the driver's phase tags. Version 3
 /// moved the TCC processor onto the same layout (driver fields first,
-/// TCC phases as backend phases). An older body would misparse and is
-/// refused instead.
-pub const FORMAT_VERSION: u16 = 3;
+/// TCC phases as backend phases). Version 4 dropped the event counters
+/// nothing read: the cache, directory, Tardis-home and chaos counters,
+/// per-node traffic bytes and per-category message counts. The body now
+/// holds protocol state plus the counters a run's result reports. An
+/// older body would misparse and is refused instead.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_BYTES: usize = 8 + 2 + 8 + 8 + 8 + 8 + 8;
@@ -553,6 +556,15 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&with_version(2)),
             Err(SnapshotError::UnsupportedVersion(2))
+        ));
+    }
+
+    #[test]
+    fn version_3_containers_are_refused() {
+        // Version-3 bodies carry the counter blocks version 4 dropped.
+        assert!(matches!(
+            Snapshot::from_bytes(&with_version(3)),
+            Err(SnapshotError::UnsupportedVersion(3))
         ));
     }
 

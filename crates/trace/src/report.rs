@@ -16,9 +16,6 @@
 //! fixed header is what tooling keys on. Histograms serialize with
 //! their moments, coarse percentiles, and non-empty log2 buckets.
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use crate::json::Json;
 use crate::metrics::{Histogram, MetricsSnapshot};
 
@@ -84,13 +81,6 @@ impl RunReport {
         ];
         fields.extend(self.fields.iter().cloned());
         Json::Obj(fields)
-    }
-
-    /// Write `BENCH_<bench>.json` into `dir`, pretty-printed.
-    pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.bench));
-        std::fs::write(&path, self.to_json().to_pretty())?;
-        Ok(path)
     }
 
     /// Parse a previously written report back, checking the header.

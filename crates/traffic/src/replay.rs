@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use tcc_core::{
     ConfigError, SimResult, Simulator, SystemConfig, ThreadProgram, Transaction, TxOp, WorkItem,
 };
-use tcc_trace::{Histogram, TraceConfig};
+use tcc_trace::{Histogram, TraceConfig, Tracer};
 use tcc_types::Addr;
 
 use crate::shapes::TrafficOp;
@@ -115,9 +115,11 @@ pub fn run_sim_replay(
         .map(ThreadProgram::transactions)
         .sum::<usize>() as u64;
     let span_ticks = trace.iter().take(limit).last().map_or(0, |tx| tx.at).max(1);
-    let mut cfg = SystemConfig::with_procs(n_procs);
-    cfg.trace = TraceConfig::metrics_only();
-    let result = Simulator::builder(cfg).programs(programs).build()?.run();
+    let result = Simulator::builder(SystemConfig::with_procs(n_procs))
+        .programs(programs)
+        .tracer(Tracer::new(&TraceConfig::metrics_only()))
+        .build()?
+        .run();
     let commit_latency = result
         .trace
         .as_ref()

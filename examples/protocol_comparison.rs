@@ -33,8 +33,11 @@ fn main() {
             .expect("valid config")
             .run()
             .total_cycles;
-        let serialized = Simulator::builder(SystemConfig::with_procs(n))
-            .protocol(ProtocolKind::SerializedCommit)
+        let cfg = SystemConfig {
+            protocol: ProtocolKind::SerializedCommit,
+            ..SystemConfig::with_procs(n)
+        };
+        let serialized = Simulator::builder(cfg)
             .programs(programs)
             .build()
             .expect("valid config")

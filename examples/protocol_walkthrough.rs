@@ -31,9 +31,9 @@ fn main() {
 
     let mut cfg = SystemConfig::with_procs(2);
     cfg.check_serializability = true;
-    cfg.trace = TraceConfig::full();
     let result = Simulator::builder(cfg)
         .programs(programs)
+        .tracer(Tracer::new(&TraceConfig::full()))
         .build()
         .expect("valid config")
         .run();

@@ -62,10 +62,10 @@
 //! use scalable_tcc::prelude::*;
 //!
 //! let mut cfg = SystemConfig::with_procs(4);
+//! cfg.protocol = ProtocolKind::Tardis;
 //! cfg.check_serializability = true;
 //! let programs = apps::radix().generate(4, 7);
 //! let result = Simulator::builder(cfg)
-//!     .protocol(ProtocolKind::Tardis)
 //!     .programs(programs)
 //!     .build()?
 //!     .try_run()?;

@@ -99,8 +99,11 @@ fn scalable_beats_the_serialized_baseline_on_commit_bound_work() {
         .expect("valid config")
         .run()
         .total_cycles;
-    let serialized = Simulator::builder(SystemConfig::with_procs(n))
-        .protocol(ProtocolKind::SerializedCommit)
+    let cfg = SystemConfig {
+        protocol: ProtocolKind::SerializedCommit,
+        ..SystemConfig::with_procs(n)
+    };
+    let serialized = Simulator::builder(cfg)
         .programs(programs)
         .build()
         .expect("valid config")

@@ -11,11 +11,11 @@ fn run_with(trace: TraceConfig) -> SimResult {
     let programs = app.generate_scaled(4, 7, Scale::Smoke);
     let cfg = SystemConfig {
         check_serializability: true,
-        trace,
         ..SystemConfig::with_procs(4)
     };
     Simulator::builder(cfg)
         .programs(programs)
+        .tracer(Tracer::new(&trace))
         .build()
         .expect("valid config")
         .run()
