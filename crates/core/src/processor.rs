@@ -508,10 +508,9 @@ impl Processor {
         debug_assert!(!val.announced);
         val.announced = true;
         val.pending = val.wdirs.union(&val.sdirs_only).copied().collect();
-        let involved: BTreeSet<DirId> = val.pending.clone();
         for d in 0..cfg.n_procs {
             let dir = DirId(d as u16);
-            if involved.contains(&dir) {
+            if val.pending.contains(&dir) {
                 let for_write = val.wdirs.contains(&dir);
                 fx.sends.push((
                     delay,
@@ -533,15 +532,15 @@ impl Processor {
             }
         }
         let node = self.id;
-        let probes = involved.len() as u32;
-        let skips = (cfg.n_procs - involved.len()) as u32;
+        let probes = val.pending.len() as u32;
+        let skips = cfg.n_procs as u32 - probes;
         self.x.tracer.record(at, || TraceEvent::CommitAnnounce {
             node,
             tid,
             probes,
             skips,
         });
-        if involved.is_empty() {
+        if probes == 0 {
             // A transaction with no memory footprint commits at once.
             fx.merge(self.complete_commit(cfg, at));
         }

@@ -23,43 +23,41 @@ pub enum TxOp {
     Store(Addr),
 }
 
-/// Ops per encoding group: one word of 2-bit kinds covers 32 ops.
-const GROUP: usize = 32;
-/// Words per full group: the kind word and 32 operands.
-const GROUP_WORDS: usize = GROUP + 1;
-/// 2-bit op kinds in a group's kind word.
-const COMPUTE: u64 = 0;
-const LOAD: u64 = 1;
-const STORE: u64 = 2;
+/// Operand bits of an op's word; the top 2 bits hold its kind.
+const OPERAND_BITS: u32 = 30;
+/// The largest operand stored in line.
+const OPERAND: u32 = (1 << OPERAND_BITS) - 1;
+/// Op kinds, the top 2 bits of a word.
+const COMPUTE: u32 = 0;
+const LOAD: u32 = 1;
+const STORE: u32 = 2;
+/// The op's operand does not fit in 30 bits: the word's operand is an
+/// index into the transaction's out-of-line ops.
+const OUT_OF_LINE: u32 = 3;
 
-/// Words that encode `len` ops.
-const fn words_for(len: usize) -> usize {
-    len + len.div_ceil(GROUP)
-}
-
-/// The op of kind `kind` with operand `operand`.
-#[inline]
-fn decode(kind: u64, operand: u64) -> TxOp {
-    match kind {
-        COMPUTE => TxOp::Compute(operand as u32),
-        LOAD => TxOp::Load(Addr(operand)),
-        _ => TxOp::Store(Addr(operand)),
-    }
-}
+/// The ops whose operand does not fit in 30 bits, by page: page `p`
+/// holds, in order, those among ops `p << 30 .. (p + 1) << 30`, so an
+/// op's index in its page fits in its word's 30 operand bits however
+/// long the transaction is.
+#[derive(Clone, PartialEq, Eq, Default)]
+struct Spill(Vec<Vec<TxOp>>);
 
 /// A replayable transaction: the unit of atomicity, conflict detection,
 /// and rollback.
 ///
-/// The ops are stored in one `Vec<u64>` of groups of up to 32 ops:
-/// each group is a word of 2-bit kinds (op `j` of the group in bits
-/// `2j..2j+2`) followed by the group's operands, the compute count or
-/// the full 64-bit address. That is 8.25 bytes per op where a
-/// `Vec<TxOp>` takes 16, op `i` is still O(1) to reach, and the op
-/// count follows from the word count. `Debug` prints the same text as
-/// a `Vec<TxOp>` field named `ops` would (DESIGN.md §16).
+/// Each op is one `u32` word: the top 2 bits hold its kind (compute 0,
+/// load 1, store 2) and the low 30 bits its operand, the compute count
+/// or the address. An op whose operand does not fit in 30 bits is
+/// stored out of line, and its word holds kind 3 and the op's index
+/// there. That is 4 bytes per op where a `Vec<TxOp>` takes 16, op `i`
+/// is word `i`, and a transaction with no out-of-line op makes one
+/// allocation. `Debug` prints the same text as a `Vec<TxOp>` field
+/// named `ops` would (DESIGN.md §16).
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Transaction {
-    words: Vec<u64>,
+    words: Vec<u32>,
+    /// `None` until the first out-of-line op.
+    spill: Option<Box<Spill>>,
 }
 
 impl Transaction {
@@ -73,41 +71,56 @@ impl Transaction {
     #[must_use]
     pub fn with_capacity(ops: usize) -> Transaction {
         Transaction {
-            words: Vec::with_capacity(words_for(ops)),
+            words: Vec::with_capacity(ops),
+            spill: None,
         }
     }
 
     /// Appends one operation.
     #[inline]
     pub fn push(&mut self, op: TxOp) {
-        let w = self.words.len();
-        let j = w % GROUP_WORDS;
         let (kind, operand) = match op {
             TxOp::Compute(n) => (COMPUTE, u64::from(n)),
             TxOp::Load(a) => (LOAD, a.0),
             TxOp::Store(a) => (STORE, a.0),
         };
-        if j == 0 {
-            self.words.push(kind);
-        } else {
-            self.words[w - j] |= kind << (2 * (j - 1));
+        let word = match u32::try_from(operand) {
+            Ok(operand) if operand <= OPERAND => (kind << OPERAND_BITS) | operand,
+            _ => self.push_out_of_line(op),
+        };
+        self.words.push(word);
+    }
+
+    /// Stores `op`, the next op, out of line and returns its word.
+    #[cold]
+    fn push_out_of_line(&mut self, op: TxOp) -> u32 {
+        let page = self.words.len() >> OPERAND_BITS;
+        let pages = &mut self.spill.get_or_insert_with(Box::default).0;
+        if pages.len() <= page {
+            pages.resize_with(page + 1, Vec::new);
         }
-        self.words.push(operand);
+        let ops = &mut pages[page];
+        // A page holds 2^30 ops, so fewer than 2^30 precede this one.
+        let index = ops.len() as u32;
+        ops.push(op);
+        (OUT_OF_LINE << OPERAND_BITS) | index
     }
 
     /// Operation `i`, or `None` past the end.
     #[inline]
     #[must_use]
     pub fn op(&self, i: usize) -> Option<TxOp> {
-        // Past the word count is past the end, and below it the group
-        // arithmetic cannot overflow.
-        if i >= self.words.len() {
-            return None;
-        }
-        let (g, j) = (i / GROUP * GROUP_WORDS, i % GROUP);
-        let operand = *self.words.get(g + 1 + j)?;
-        let kinds = *self.words.get(g)?;
-        Some(decode((kinds >> (2 * j)) & 3, operand))
+        let word = *self.words.get(i)?;
+        let operand = word & OPERAND;
+        Some(match word >> OPERAND_BITS {
+            COMPUTE => TxOp::Compute(operand),
+            LOAD => TxOp::Load(Addr(u64::from(operand))),
+            STORE => TxOp::Store(Addr(u64::from(operand))),
+            _ => {
+                let pages = &self.spill.as_ref()?.0;
+                *pages.get(i >> OPERAND_BITS)?.get(operand as usize)?
+            }
+        })
     }
 
     /// The operations, in order.
@@ -118,8 +131,7 @@ impl Transaction {
     /// Number of operations.
     #[must_use]
     pub fn len(&self) -> usize {
-        let w = self.words.len();
-        w - w.div_ceil(GROUP_WORDS)
+        self.words.len()
     }
 
     /// Whether the transaction has no operations.
@@ -264,6 +276,14 @@ mod tests {
         }
     }
 
+    /// Whether `op`'s operand fits in a word's 30 operand bits.
+    fn in_line(op: TxOp) -> bool {
+        match op {
+            TxOp::Compute(n) => n < 1 << 30,
+            TxOp::Load(a) | TxOp::Store(a) => a.0 < 1 << 30,
+        }
+    }
+
     fn assert_round_trip(ops: &[TxOp]) {
         let t = Transaction::new(ops.to_vec());
         assert_eq!(t.len(), ops.len());
@@ -275,6 +295,11 @@ mod tests {
         }
         assert_eq!(t.op(ops.len()), None);
         assert_eq!(t.op(usize::MAX), None);
+        let spilled = ops.iter().filter(|&&op| !in_line(op)).count();
+        match &t.spill {
+            None => assert_eq!(spilled, 0),
+            Some(spill) => assert_eq!(spill.0.iter().map(Vec::len).sum::<usize>(), spilled),
+        }
 
         let mut pushed = Transaction::with_capacity(ops.len());
         let capacity = pushed.words.capacity();
@@ -289,27 +314,61 @@ mod tests {
         assert_eq!(format!("{t:#?}"), format!("{old:#?}"));
     }
 
+    /// Ops at and around the 30-bit operand limit, in line first.
+    const EDGES: [TxOp; 10] = [
+        TxOp::Compute(0),
+        TxOp::Compute((1 << 30) - 1),
+        TxOp::Load(Addr((1 << 30) - 1)),
+        TxOp::Store(Addr((1 << 30) - 1)),
+        TxOp::Compute(1 << 30),
+        TxOp::Load(Addr(1 << 30)),
+        TxOp::Store(Addr(1 << 30)),
+        TxOp::Compute(u32::MAX),
+        TxOp::Load(Addr(u64::MAX)),
+        TxOp::Store(Addr(u64::MAX)),
+    ];
+
+    #[test]
+    fn operands_at_the_30_bit_limit_round_trip() {
+        assert!(EDGES[..4].iter().all(|&op| in_line(op)));
+        assert!(EDGES[4..].iter().all(|&op| !in_line(op)));
+        assert_round_trip(&[]);
+        for &op in &EDGES {
+            assert_round_trip(&[op]);
+        }
+        assert_round_trip(&EDGES);
+        // Every op out of line.
+        assert_round_trip(&EDGES[4..]);
+        assert_round_trip(&[TxOp::Store(Addr(u64::MAX)); 70]);
+        // Out-of-line ops interleaved with in-line ones.
+        let interleaved: Vec<TxOp> = (0..40)
+            .map(|i| EDGES[if i % 2 == 0 { i % 4 } else { 4 + i % 6 }])
+            .collect();
+        assert_round_trip(&interleaved);
+    }
+
+    #[test]
+    fn ops_without_a_wide_operand_make_one_allocation() {
+        let t = Transaction::new(EDGES[..4].to_vec());
+        assert!(t.spill.is_none());
+        assert_eq!(t.words.capacity(), 4);
+        // The boxed out-of-line store keeps a `WorkItem` within 32 bytes.
+        assert!(std::mem::size_of::<WorkItem>() <= 32);
+    }
+
     #[test]
     fn encoding_round_trips() {
-        let extremes = [
-            TxOp::Compute(u32::MAX),
-            TxOp::Load(Addr(u64::MAX)),
-            TxOp::Store(Addr(u64::MAX)),
-            TxOp::Compute(0),
-            TxOp::Store(Addr(0)),
-        ];
-        assert_round_trip(&[]);
-        assert_round_trip(&extremes);
         let mut rng = SmallRng::seed_from_u64(21);
         let mut random = |n: usize| -> Vec<TxOp> {
             (0..n)
                 .map(|_| {
-                    let v = rng.next_u64();
+                    // About half the operands fit in 30 bits.
+                    let v = rng.next_u64() >> (rng.gen_range(0..2u32) * 34);
                     match rng.gen_range(0..4u32) {
                         0 => TxOp::Compute(v as u32),
                         1 => TxOp::Load(Addr(v)),
                         2 => TxOp::Store(Addr(v)),
-                        _ => extremes[v as usize % extremes.len()],
+                        _ => EDGES[v as usize % EDGES.len()],
                     }
                 })
                 .collect()

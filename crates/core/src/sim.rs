@@ -38,8 +38,6 @@ struct DirCache {
     /// synthesized empty, no memory read needed). Grows with the
     /// evicted-line population — acceptable for simulation bookkeeping.
     spilled: FxHashSet<LineAddr>,
-    hits: u64,
-    misses: u64,
 }
 
 impl DirCache {
@@ -49,8 +47,6 @@ impl DirCache {
             resident: FxHashSet::default(),
             fifo: VecDeque::new(),
             spilled: FxHashSet::default(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -58,15 +54,9 @@ impl DirCache {
     /// fetched back from memory.
     fn touch(&mut self, line: LineAddr) -> bool {
         if self.resident.contains(&line) {
-            self.hits += 1;
             return true;
         }
         let refetch = self.spilled.contains(&line);
-        if refetch {
-            self.misses += 1;
-        } else {
-            self.hits += 1; // cold allocate: entry synthesized, no fetch
-        }
         if self.resident.len() >= self.cap {
             if let Some(victim) = self.fifo.pop_front() {
                 self.resident.remove(&victim);
@@ -84,8 +74,6 @@ impl DirCache {
     fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.fifo);
         w.put(&self.spilled);
-        w.put(&self.hits);
-        w.put(&self.misses);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -99,8 +87,6 @@ impl DirCache {
         self.resident = fifo.iter().copied().collect();
         self.fifo = fifo;
         self.spilled = r.get()?;
-        self.hits = r.get()?;
-        self.misses = r.get()?;
         Ok(())
     }
 }

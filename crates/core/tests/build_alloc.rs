@@ -9,8 +9,9 @@
 //! computed only when a checkpoint asks for it.
 //!
 //! Its programs cost what they hold: one allocation per transaction
-//! and per thread, and about 8.5 heap bytes per operation
-//! (`Transaction`'s encoding, DESIGN.md §16).
+//! and per thread, and about 4.3 heap bytes per operation
+//! (`Transaction`'s encoding, DESIGN.md §16). Generating, building and
+//! running it on TCC peaks under 10 MB of live heap.
 //!
 //! A counting global allocator counts the calling thread's allocations
 //! and the bytes they hold, so tests running on other threads do not
@@ -26,6 +27,7 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation request that grows the thread's live heap by
@@ -36,7 +38,11 @@ fn bump(bytes: i64) {
 }
 
 fn grow(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+    let _ = LIVE_BYTES.try_with(|c| {
+        let live = c.get() + bytes;
+        c.set(live);
+        let _ = PEAK_BYTES.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -69,6 +75,15 @@ fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
 }
 
+/// Restarts the thread's peak at its live heap.
+fn reset_peak() {
+    PEAK_BYTES.with(|p| p.set(live_bytes()));
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.with(Cell::get)
+}
+
 /// Allocations allowed for building one volrend@64 machine. It takes
 /// 263 (two per cache array, the rest for directories, network and
 /// queues); a layout that allocates per set (2,304 sets per processor)
@@ -76,7 +91,7 @@ fn live_bytes() -> i64 {
 const BUILD_ALLOC_BOUND: u64 = 400;
 
 /// Heap bytes a freshly built volrend@64 machine may hold. TCC holds
-/// 854,016 and Tardis 819,712, 590 KB of it the per-set chunk words of
+/// 852,992 and Tardis 818,688, 590 KB of it the per-set chunk words of
 /// the cache arrays. Way slots sized by capacity (`sets × ways` per
 /// array) held 4,722,688; those of the L1s alone would add 262,144.
 const BUILD_BYTES_BOUND: i64 = 1_000_000;
@@ -106,11 +121,12 @@ fn full_scale_volrend_at_64_builds_in_a_few_hundred_allocations() {
 }
 
 /// Heap bytes the volrend@64 programs may hold per operation. They
-/// hold 8.506: 8.285 in the transactions (8 per operand plus one kind
-/// word per group of up to 32 ops, about 113 ops per transaction) and
-/// 0.22 in the item vectors. A `Vec<TxOp>` per transaction held 16.4;
-/// one spare op reserved per transaction would hold 8.58.
-const PROGRAM_BYTES_PER_OP_BOUND: f64 = 8.52;
+/// hold 4.293: 4 in the transactions (one `u32` word per op, none out
+/// of line) and 0.29 in the item vectors (a 32-byte `WorkItem` per
+/// transaction, about 113 ops each). Groups of 32 ops in `u64` words
+/// held 8.506 and a `Vec<TxOp>` per transaction 16.4; one spare op
+/// reserved per transaction would hold 4.33.
+const PROGRAM_BYTES_PER_OP_BOUND: f64 = 4.30;
 
 /// Allocations allowed for generating the volrend@64 programs of seed
 /// 0: the 6,785 that a `Vec<TxOp>` per transaction in a growing item
@@ -143,5 +159,29 @@ fn full_scale_volrend_at_64_programs_cost_what_they_hold() {
     assert!(
         n_allocs <= GENERATE_ALLOC_BOUND,
         "generating volrend@64 took {n_allocs} allocations (bound {GENERATE_ALLOC_BOUND})"
+    );
+}
+
+/// Peak live heap bytes allowed for generating, building and running
+/// volrend@64 of seed 0 on TCC, above the thread's heap before it. It
+/// peaks at 9,656,912, 3.1 MB of it the programs; with ops in groups of
+/// `u64` words it peaked at 12,708,104.
+const RUN_PEAK_BYTES_BOUND: i64 = 9_900_000;
+
+#[test]
+fn full_scale_volrend_at_64_runs_within_its_peak_heap() {
+    reset_peak();
+    let before = live_bytes();
+    let programs = tcc_workloads::apps::volrend().generate(64, 0);
+    let sim = Simulator::builder(SystemConfig::with_procs(64))
+        .programs(programs)
+        .build()
+        .expect("volrend@64 is a valid machine");
+    sim.try_run().expect("volrend@64 runs to completion");
+    let peak = peak_bytes() - before;
+    eprintln!("volrend@64 on TCC: peak live heap {peak} bytes");
+    assert!(
+        peak <= RUN_PEAK_BYTES_BOUND,
+        "volrend@64 on TCC peaked at {peak} live heap bytes (bound {RUN_PEAK_BYTES_BOUND})"
     );
 }

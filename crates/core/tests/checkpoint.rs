@@ -434,7 +434,7 @@ fn parallel_config_is_inert_fresh_and_resumed_for_every_protocol() {
 
 // ---------------------------------------------------------------------
 // Pinned snapshot bytes: the cache arrays' slot order, LRU stamps and
-// the program digest are part of the v4 body, so a change to the cache
+// the program digest are part of the body, so a change to the cache
 // layout or to how the digest is computed that alters a single byte
 // breaks resuming snapshots written by earlier builds.
 // ---------------------------------------------------------------------
@@ -527,7 +527,7 @@ fn checkpoint_bytes_are_pinned_for_every_protocol() {
 fn checkpoint_bytes_are_pinned_with_every_section_present() {
     // (protocol, body length, FNV-1a of the body at the pause cycle)
     let pinned = [
-        (ProtocolKind::Tcc, 17_782, 0xff28_99cb_bc25_5c17),
+        (ProtocolKind::Tcc, 17_718, 0x1217_eef2_0cc7_dea6),
         (
             ProtocolKind::SerializedCommit,
             13_221,

@@ -59,9 +59,11 @@ pub const MAGIC: &[u8; 8] = b"TCCSNAP1";
 /// TCC phases as backend phases). Version 4 dropped the event counters
 /// nothing read: the cache, directory, Tardis-home and chaos counters,
 /// per-node traffic bytes and per-category message counts. The body now
-/// holds protocol state plus the counters a run's result reports. An
-/// older body would misparse and is refused instead.
-pub const FORMAT_VERSION: u16 = 4;
+/// holds protocol state plus the counters a run's result reports.
+/// Version 5 dropped the directory caches' hit and miss counters, the
+/// last counters nothing read. An older body would misparse and is
+/// refused instead.
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Size of the fixed container header in bytes.
 pub const HEADER_BYTES: usize = 8 + 2 + 8 + 8 + 8 + 8 + 8;
@@ -565,6 +567,16 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&with_version(3)),
             Err(SnapshotError::UnsupportedVersion(3))
+        ));
+    }
+
+    #[test]
+    fn version_4_containers_are_refused() {
+        // Version-4 bodies carry the directory-cache counters version 5
+        // dropped.
+        assert!(matches!(
+            Snapshot::from_bytes(&with_version(4)),
+            Err(SnapshotError::UnsupportedVersion(4))
         ));
     }
 
