@@ -140,10 +140,8 @@ pub fn flag_value<T: std::str::FromStr>(
 /// the result vector — and anything rendered from it — is identical for
 /// every job count.
 ///
-/// The fan-out is leased from the shared [`tcc_core::WorkerBudget`], so
-/// a sweep nested inside another leased fan-out degrades the thread
-/// count instead of oversubscribing the machine; a reduced grant never
-/// changes results.
+/// The thread count is capped at the machine's available parallelism;
+/// a lower cap never changes results.
 pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -153,8 +151,8 @@ where
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let lease = tcc_core::WorkerBudget::global().lease(jobs.min(items.len()));
-    let jobs = lease.workers();
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let jobs = jobs.min(items.len()).min(cpus);
     if jobs <= 1 {
         return items.iter().map(f).collect();
     }
@@ -163,7 +161,7 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(items.len()) {
+        for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 let Some(item) = items.get(i) else { break };

@@ -297,17 +297,13 @@ fn install_quiet_panic_hook() {
 /// in grid order. `jobs == 1` still uses one worker thread so panic
 /// output stays suppressed. The report is independent of `jobs`.
 ///
-/// The fan-out is leased from the process-wide [`tcc_core::WorkerBudget`],
-/// so composing this sweep with other thread pools (a bench `--jobs`
-/// fan-out) degrades the worker count
-/// instead of oversubscribing the machine — and since the report is
-/// `jobs`-invariant, a reduced grant never changes the result.
+/// The worker count is capped at the machine's available parallelism;
+/// since the report is `jobs`-invariant, the cap never changes it.
 #[must_use]
 pub fn run_scenarios(scenarios: &[Scenario], jobs: usize) -> ExploreReport {
     install_quiet_panic_hook();
-    let desired = jobs.clamp(1, scenarios.len().max(1));
-    let lease = tcc_core::WorkerBudget::global().lease(desired);
-    let jobs = lease.workers().clamp(1, scenarios.len().max(1));
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let jobs = jobs.min(cpus).clamp(1, scenarios.len().max(1));
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<RunOutcome>>> =
         scenarios.iter().map(|_| Mutex::new(None)).collect();

@@ -91,10 +91,10 @@ pub use sim::{ResumeError, SimResult, Simulator, SimulatorBuilder, Step};
 // Re-exported so backend selection does not require a tcc-types import.
 pub use stall::{RunError, RunProvenance, StallDiagnostic, StallReason};
 pub use tcc_types::ProtocolKind;
-// Re-exported so downstream crates can enable the reliable transport,
-// the watchdog, and the shared worker budget without depending on
-// tcc-network/tcc-engine directly.
-pub use tcc_engine::{WatchdogConfig, WorkerBudget, WorkerLease};
+// Re-exported so downstream crates can enable the reliable transport
+// and the watchdog without depending on tcc-network/tcc-engine
+// directly (`WorkerBudget` for tccbench's host report).
+pub use tcc_engine::{WatchdogConfig, WorkerBudget};
 pub use tcc_network::TransportConfig;
 // Re-exported so checkpoint producers/consumers (bench soak harness,
 // chaos explorer) get the container and journal types from tcc-core.

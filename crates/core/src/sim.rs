@@ -704,16 +704,8 @@ impl Simulator {
                     return Ok(Step::Paused(Box::new(self)));
                 }
             }
-            let (now, ev) = match self.queue.try_pop() {
-                Ok(Some(popped)) => popped,
-                Ok(None) => break,
-                Err(c) => {
-                    let now = self.queue.now();
-                    let reason = StallReason::QueueCorrupt {
-                        detail: c.to_string(),
-                    };
-                    return Err(self.stalled(now, reason));
-                }
+            let Some((now, ev)) = self.queue.pop() else {
+                break;
             };
             if now.0 > self.cfg.max_cycles {
                 let limit = self.cfg.max_cycles;

@@ -40,11 +40,6 @@ pub enum StallReason {
     /// The event queue drained while processors were still blocked (the
     /// legacy protocol-deadlock check).
     Deadlock,
-    /// The event queue's internal structures disagreed (occupancy
-    /// bitmap vs. slot contents vs. payload slab). Formerly a hot-path
-    /// `expect` panic; surfaced as a run failure so chaos-oracle
-    /// reports record it.
-    QueueCorrupt { detail: String },
     /// A transport-only event (`Wire`/`RetxTimer`/`AckTimer`) was
     /// scheduled in a run with no transport configured. Formerly a
     /// hot-path `expect` panic.
@@ -82,7 +77,6 @@ impl std::fmt::Display for StallReason {
                  {kind} seq {seq} unacked after {retries} retransmission timeouts"
             ),
             StallReason::Deadlock => write!(f, "protocol deadlock: event queue drained"),
-            StallReason::QueueCorrupt { detail } => write!(f, "{detail}"),
             StallReason::MissingTransport { event } => {
                 write!(f, "{event} event scheduled without a transport configured")
             }
@@ -110,7 +104,6 @@ impl StallReason {
             StallReason::NoProgress { .. } => "no_progress",
             StallReason::RetryExhausted { .. } => "retry_exhausted",
             StallReason::Deadlock => "deadlock",
-            StallReason::QueueCorrupt { .. } => "queue_corrupt",
             StallReason::MissingTransport { .. } => "missing_transport",
             StallReason::SkipRefused { .. } => "skip_refused",
         }

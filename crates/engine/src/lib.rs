@@ -26,10 +26,11 @@
 //!
 //! Because all wheel-resident events lie in one half-open window of
 //! length `WHEEL_SLOTS`, each slot holds events of exactly one timestamp,
-//! so per-slot ordering only needs the tie-break key. Event payloads are
-//! interned in a generational [`Slab`] and the
-//! wheel/heap move 24-byte `(key, seq, id)` entries instead of full
-//! events — steady-state scheduling performs no heap allocation.
+//! so per-slot ordering only needs the tie-break key. Every pending event
+//! lives once, in an arena of nodes owned by the queue; a slot is a
+//! linked list of arena indices in pop order, the far heap holds
+//! `(at, key, seq, index)` tuples, and popped nodes go on a free list,
+//! so steady-state scheduling performs no heap allocation.
 //!
 //! The original `BinaryHeap` scheduler is retained verbatim as
 //! [`ReferenceQueue`] and the property tests replay random schedules
@@ -57,7 +58,6 @@ use std::collections::BinaryHeap;
 
 use tcc_trace::Tracer;
 use tcc_types::hash::mix64;
-use tcc_types::slab::{Slab, SlabKey};
 use tcc_types::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use tcc_types::Cycle;
 
@@ -65,7 +65,7 @@ pub mod budget;
 pub mod reference;
 pub mod watchdog;
 
-pub use budget::{WorkerBudget, WorkerLease};
+pub use budget::WorkerBudget;
 pub use reference::ReferenceQueue;
 pub use watchdog::{progress_signature, ProgressWatchdog, WatchdogConfig};
 
@@ -95,126 +95,34 @@ pub const WHEEL_SLOTS: usize = 1 << 10;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const OCC_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// Typed report of an internally-inconsistent queue: an occupancy bit
-/// without entries, or a wheel entry whose interned payload is gone.
-/// Both states are unreachable through the safe API, but an embedding
-/// that replays corrupt or adversarial event streams wants them
-/// surfaced as a run failure rather than a process abort — see
-/// [`EventQueue::try_pop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueCorruption {
-    /// The occupancy bitmap pointed at slot `slot`, but it held no
-    /// entries.
-    EmptySlot { slot: usize },
-    /// A popped wheel entry's payload was missing from the slab.
-    MissingPayload { at: Cycle },
+/// The null arena index: ends a slot list and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in the queue's arena. A key is the insertion
+/// sequence (or its salted hash); it is stored as `u128` because
+/// checkpoints carry keys at that width. `next` links the node to the
+/// one after it in its wheel slot, or, once popped, in the free list.
+#[derive(Debug)]
+struct Node<E> {
+    key: u128,
+    seq: u64,
+    next: u32,
+    /// `None` only while the node is on the free list.
+    event: Option<E>,
 }
 
-impl std::fmt::Display for QueueCorruption {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueCorruption::EmptySlot { slot } => {
-                write!(f, "event queue corrupt: occupied slot {slot} is empty")
-            }
-            QueueCorruption::MissingPayload { at } => {
-                write!(
-                    f,
-                    "event queue corrupt: wheel entry at {at} has no interned payload"
-                )
-            }
-        }
-    }
-}
-
-/// A wheel-slot entry. All entries in one slot share the same timestamp
-/// (see module docs), so ordering within a slot is `(key, seq)` only;
-/// the payload lives in the queue's slab behind `id`.
-///
-/// A key is the insertion sequence (or its salted hash); it is stored
-/// as `u128` because checkpoints carry keys at that width.
+/// A wheel slot: the first and last arena index of its list, linked in
+/// ascending `(key, seq)` order; both [`NIL`] when the slot is empty.
 #[derive(Debug, Clone, Copy)]
-struct SlotEntry {
-    key: u128,
-    seq: u64,
-    id: SlabKey,
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-#[inline]
-fn slot_lt(a: &SlotEntry, b: &SlotEntry) -> bool {
-    (a.key, a.seq) < (b.key, b.seq)
-}
-
-/// Pushes onto a slot's implicit binary min-heap. Under FIFO
-/// tie-breaking keys arrive in increasing order, so the sift-up loop
-/// exits immediately and pushes are O(1).
-fn slot_push(slot: &mut Vec<SlotEntry>, e: SlotEntry) {
-    slot.push(e);
-    let mut i = slot.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        if slot_lt(&slot[i], &slot[p]) {
-            slot.swap(i, p);
-            i = p;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Pops the minimum `(key, seq)` entry from a slot heap, or `None`
-/// when the slot is (corruptly) empty despite its occupancy bit.
-fn slot_pop(slot: &mut Vec<SlotEntry>) -> Option<SlotEntry> {
-    if slot.is_empty() {
-        return None;
-    }
-    let last = slot.len() - 1;
-    slot.swap(0, last);
-    let e = slot.pop()?;
-    let n = slot.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= n {
-            break;
-        }
-        let r = l + 1;
-        let c = if r < n && slot_lt(&slot[r], &slot[l]) {
-            r
-        } else {
-            l
-        };
-        if slot_lt(&slot[c], &slot[i]) {
-            slot.swap(i, c);
-            i = c;
-        } else {
-            break;
-        }
-    }
-    Some(e)
-}
-
-/// Far-heap entry: full `(at, key, seq)` ordering, payload in the slab.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FarEntry {
-    at: Cycle,
-    key: u128,
-    seq: u64,
-    id: SlabKey,
-}
-
-impl PartialOrd for FarEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FarEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .cmp(&other.at)
-            .then(self.key.cmp(&other.key))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A deterministic, time-ordered event queue (hierarchical timing wheel;
 /// see the module docs for the structure).
@@ -224,17 +132,19 @@ impl Ord for FarEntry {
 /// in the past is a logic error and panics in debug builds.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `WHEEL_SLOTS` per-slot min-heaps; slot `t & WHEEL_MASK` holds the
-    /// wheel-resident events with timestamp `t`. Slot capacity is
-    /// retained across reuse, so steady state allocates nothing.
-    slots: Box<[Vec<SlotEntry>]>,
+    /// Every pending event, plus the popped nodes on the free list. The
+    /// arena never shrinks, so steady state allocates nothing.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
+    /// Slot `t & WHEEL_MASK` lists the wheel-resident events with
+    /// timestamp `t`.
+    slots: Box<[Slot]>,
     /// One bit per slot: set iff the slot is non-empty.
     occupancy: [u64; OCC_WORDS],
-    /// Events at or beyond `now + WHEEL_SLOTS`, promoted as the window
-    /// advances.
-    far: BinaryHeap<Reverse<FarEntry>>,
-    /// Interned payloads; wheel and far heap carry only `SlabKey`s.
-    events: Slab<E>,
+    /// `(at, key, seq, index)` of the events at or beyond
+    /// `now + WHEEL_SLOTS`, promoted as the window advances.
+    far: BinaryHeap<Reverse<(Cycle, u128, u64, u32)>>,
     /// Number of wheel-resident events (`len() == wheel_len + far.len()`).
     wheel_len: usize,
     seq: u64,
@@ -249,10 +159,11 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY; WHEEL_SLOTS].into_boxed_slice(),
             occupancy: [0; OCC_WORDS],
             far: BinaryHeap::new(),
-            events: Slab::new(),
             wheel_len: 0,
             seq: 0,
             now: Cycle::ZERO,
@@ -314,30 +225,75 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let key = match self.tie_break {
-            TieBreak::Fifo => u128::from(self.seq),
-            TieBreak::Seeded(salt) => u128::from(mix64(self.seq ^ salt)),
-        };
-        self.insert(at, key, event);
-    }
-
-    #[inline]
-    fn insert(&mut self, at: Cycle, key: u128, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        let id = self.events.insert(event);
-        if at.0 - self.now.0 < WHEEL_SLOTS as u64 {
-            self.wheel_insert(at, SlotEntry { key, seq, id });
+        let key = match self.tie_break {
+            TieBreak::Fifo => u128::from(seq),
+            TieBreak::Seeded(salt) => u128::from(mix64(seq ^ salt)),
+        };
+        self.insert(at, key, seq, event);
+    }
+
+    /// Places an event in a fresh node (the free list's head, else a
+    /// new one), on the wheel when `at` lies in the window and in the
+    /// far heap otherwise.
+    #[inline]
+    fn insert(&mut self, at: Cycle, key: u128, seq: u64, event: E) {
+        let node = Node {
+            key,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let i = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "event arena is full");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
         } else {
-            self.far.push(Reverse(FarEntry { at, key, seq, id }));
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        if at.0 - self.now.0 < WHEEL_SLOTS as u64 {
+            self.link(at, i);
+        } else {
+            self.far.push(Reverse((at, key, seq, i)));
         }
     }
 
+    /// True if node `a` pops before node `b` within one slot.
     #[inline]
-    fn wheel_insert(&mut self, at: Cycle, entry: SlotEntry) {
-        let slot = (at.0 & WHEEL_MASK) as usize;
-        slot_push(&mut self.slots[slot], entry);
-        self.occupancy[slot / 64] |= 1u64 << (slot % 64);
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (a, b) = (&self.nodes[a as usize], &self.nodes[b as usize]);
+        (a.key, a.seq) < (b.key, b.seq)
+    }
+
+    /// Links node `i` (whose `next` is [`NIL`]) into the slot of time
+    /// `at`. Under FIFO tie-breaking keys arrive in increasing order,
+    /// so this is a tail append; seeded keys walk the slot's list.
+    #[inline]
+    fn link(&mut self, at: Cycle, i: u32) {
+        let s = (at.0 & WHEEL_MASK) as usize;
+        let Slot { head, tail } = self.slots[s];
+        if head == NIL {
+            self.slots[s] = Slot { head: i, tail: i };
+            self.occupancy[s / 64] |= 1u64 << (s % 64);
+        } else if self.before(tail, i) {
+            self.nodes[tail as usize].next = i;
+            self.slots[s].tail = i;
+        } else if self.before(i, head) {
+            self.nodes[i as usize].next = head;
+            self.slots[s].head = i;
+        } else {
+            // head < i < tail: stop at the last node that pops before i.
+            let mut prev = head;
+            while self.before(self.nodes[prev as usize].next, i) {
+                prev = self.nodes[prev as usize].next;
+            }
+            self.nodes[i as usize].next = self.nodes[prev as usize].next;
+            self.nodes[prev as usize].next = i;
+        }
         self.wheel_len += 1;
     }
 
@@ -348,19 +304,12 @@ impl<E> EventQueue<E> {
     /// undercut everything wheel-resident, so promotion cannot wait for
     /// the wheel to drain.
     fn promote(&mut self, base: Cycle) {
-        while let Some(&Reverse(e)) = self.far.peek() {
-            if e.at.0 - base.0 >= WHEEL_SLOTS as u64 {
+        while let Some(&Reverse((at, _, _, i))) = self.far.peek() {
+            if at.0 - base.0 >= WHEEL_SLOTS as u64 {
                 break;
             }
             self.far.pop();
-            self.wheel_insert(
-                e.at,
-                SlotEntry {
-                    key: e.key,
-                    seq: e.seq,
-                    id: e.id,
-                },
-            );
+            self.link(at, i);
         }
     }
 
@@ -387,58 +336,37 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Events at equal timestamps pop in scheduling order
     /// (FIFO) or salted order (seeded) — identical to [`ReferenceQueue`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue's internal structures are inconsistent
-    /// (unreachable through this API); embeddings that must survive
-    /// that use [`EventQueue::try_pop`].
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.try_pop().expect("corrupt event queue")
-    }
-
-    /// [`EventQueue::pop`], but internal inconsistency comes back as a
-    /// typed [`QueueCorruption`] instead of a panic, so a simulation
-    /// driver can record the failure (e.g. in a chaos-oracle run
-    /// report) and unwind cleanly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueCorruption`] when the occupancy bitmap, a wheel
-    /// slot, and the payload slab disagree.
-    pub fn try_pop(&mut self) -> Result<Option<(Cycle, E)>, QueueCorruption> {
         // Window anchor: the wheel covers [base, base + WHEEL_SLOTS).
         // Normally base == now; if the wheel is empty, jump straight to
         // the earliest far event.
         let base = if self.wheel_len == 0 {
-            match self.far.peek() {
-                Some(&Reverse(e)) => e.at,
-                None => return Ok(None),
-            }
+            self.far.peek()?.0 .0
         } else {
             self.now
         };
         if !self.far.is_empty() {
             self.promote(base);
         }
-        debug_assert!(self.wheel_len > 0);
-        let slot = self.scan_from((base.0 & WHEEL_MASK) as usize);
-        let dt = (slot as u64).wrapping_sub(base.0) & WHEEL_MASK;
+        let s = self.scan_from((base.0 & WHEEL_MASK) as usize);
+        let dt = (s as u64).wrapping_sub(base.0) & WHEEL_MASK;
         let at = Cycle(base.0 + dt);
-        let Some(entry) = slot_pop(&mut self.slots[slot]) else {
-            return Err(QueueCorruption::EmptySlot { slot });
-        };
-        if self.slots[slot].is_empty() {
-            self.occupancy[slot / 64] &= !(1u64 << (slot % 64));
+        let i = self.slots[s].head;
+        let node = &mut self.nodes[i as usize];
+        let event = node.event.take().expect("a linked node holds its event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = i;
+        if next == NIL {
+            self.slots[s] = EMPTY;
+            self.occupancy[s / 64] &= !(1u64 << (s % 64));
+        } else {
+            self.slots[s].head = next;
         }
         self.wheel_len -= 1;
-        let Some(event) = self.events.remove(entry.id) else {
-            return Err(QueueCorruption::MissingPayload { at });
-        };
         self.now = at;
         self.popped += 1;
         self.tracer.count("engine.events_dispatched", 1);
-        Ok(Some((at, event)))
+        Some((at, event))
     }
 
     /// Every pending event as `(at, key, seq, payload)`, sorted by the
@@ -448,23 +376,21 @@ impl<E> EventQueue<E> {
     /// by construction.
     fn export_entries(&self) -> Vec<(Cycle, u128, u64, &E)> {
         let mut out = Vec::with_capacity(self.len());
-        for (slot, entries) in self.slots.iter().enumerate() {
-            let dt = (slot as u64).wrapping_sub(self.now.0) & WHEEL_MASK;
-            let at = Cycle(self.now.0 + dt);
-            for e in entries {
-                let ev = self
-                    .events
-                    .get(e.id)
-                    .expect("wheel entry payload missing from slab");
-                out.push((at, e.key, e.seq, ev));
+        let mut push = |at: Cycle, i: u32| {
+            let n = &self.nodes[i as usize];
+            let event = n.event.as_ref().expect("a pending node holds its event");
+            out.push((at, n.key, n.seq, event));
+        };
+        for (s, slot) in self.slots.iter().enumerate() {
+            let dt = (s as u64).wrapping_sub(self.now.0) & WHEEL_MASK;
+            let mut i = slot.head;
+            while i != NIL {
+                push(Cycle(self.now.0 + dt), i);
+                i = self.nodes[i as usize].next;
             }
         }
-        for &Reverse(e) in &self.far {
-            let ev = self
-                .events
-                .get(e.id)
-                .expect("far entry payload missing from slab");
-            out.push((e.at, e.key, e.seq, ev));
+        for &Reverse((at, _, _, i)) in &self.far {
+            push(at, i);
         }
         out.sort_by_key(|a| (a.0, a.1, a.2));
         out
@@ -492,17 +418,7 @@ impl<E> EventQueue<E> {
                 let detail = format!("event seq {eseq} not below next seq {seq}");
                 return Err(SnapError::invalid("EventQueue", detail));
             }
-            let id = q.events.insert(event);
-            if at.0 - now.0 < WHEEL_SLOTS as u64 {
-                q.wheel_insert(at, SlotEntry { key, seq: eseq, id });
-            } else {
-                q.far.push(Reverse(FarEntry {
-                    at,
-                    key,
-                    seq: eseq,
-                    id,
-                }));
-            }
+            q.insert(at, key, eseq, event);
         }
         Ok(q)
     }
@@ -517,7 +433,7 @@ impl<E> EventQueue<E> {
         } else {
             None
         };
-        let far = self.far.peek().map(|&Reverse(e)| e.at);
+        let far = self.far.peek().map(|&Reverse((at, ..))| at);
         match (wheel, far) {
             (Some(w), Some(f)) => Some(w.min(f)),
             (w, f) => w.or(f),
@@ -530,7 +446,7 @@ impl<E: Snap> EventQueue<E> {
     /// next insertion sequence number (future FIFO tie-break keys
     /// derive from it), the pop counter, and every pending entry as
     /// `(at, key, seq, event)` in the queue's total order, so the bytes
-    /// are a pure function of queue *state*, not of slab/heap layout
+    /// are a pure function of queue *state*, not of arena/heap layout
     /// history.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.now);
@@ -788,6 +704,43 @@ mod tests {
                 }
             }
             assert_eq!(q.events_processed(), restored.events_processed());
+        }
+    }
+
+    /// After a warm-up, rounds of schedules and pops with at most `K`
+    /// events pending run on recycled nodes: the arena never holds more
+    /// than `K` nodes, its buffer is never reallocated, and every event
+    /// pops exactly once.
+    #[test]
+    fn steady_state_reuses_arena_nodes() {
+        const K: usize = 64;
+        for tb in [TieBreak::Fifo, TieBreak::Seeded(0xa11c)] {
+            let mut rng = SmallRng::seed_from_u64(0xe191_0005);
+            let mut q = EventQueue::with_tie_break(tb);
+            let mut pops = Vec::new();
+            let mut scheduled = 0usize;
+            let mut capacity = None;
+            for _ in 0..2_000 {
+                while q.len() < K {
+                    // Same-cycle ties, near events, and far events.
+                    let d = match rng.gen_range(0u32..8) {
+                        0 => 0,
+                        1 => WHEEL_SLOTS as u64 + rng.gen_range(0u64..3_000),
+                        _ => rng.gen_range(1u64..200),
+                    };
+                    q.schedule(q.now() + d, scheduled);
+                    scheduled += 1;
+                }
+                for _ in 0..rng.gen_range(1..=K) {
+                    pops.push(q.pop().expect("K events are pending").1);
+                }
+                assert!(q.nodes.len() <= K, "arena grew to {}", q.nodes.len());
+                let cap = *capacity.get_or_insert(q.nodes.capacity());
+                assert_eq!(q.nodes.capacity(), cap, "steady state reallocated");
+            }
+            pops.extend(std::iter::from_fn(|| q.pop().map(|(_, e)| e)));
+            pops.sort_unstable();
+            assert_eq!(pops, (0..scheduled).collect::<Vec<_>>());
         }
     }
 

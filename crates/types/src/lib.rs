@@ -34,7 +34,6 @@ pub mod ids;
 pub mod msg;
 pub mod protocol;
 pub mod rng;
-pub mod slab;
 pub mod snap;
 pub mod wire;
 

@@ -111,10 +111,10 @@ pub struct LineValues {
 /// uses it for a few hundred cycles, and drops it. Interning the
 /// backing `Vec` through a per-thread pool makes those clones
 /// allocation-free in steady state while leaving the `LineValues` API
-/// (and its snapshot format) completely unchanged. A slab-handle
-/// representation was rejected: payload handles would have to resolve
-/// inside serialized snapshots, which a generational key cannot
-/// survive.
+/// (and its snapshot format) completely unchanged. A handle
+/// representation (an index into a shared arena) was rejected: payload
+/// handles would have to resolve inside serialized snapshots, which an
+/// arena index cannot survive.
 ///
 /// The pool is bounded so a pathological run cannot hoard memory, and
 /// `Drop` uses `try_with` so buffers released during thread teardown
