@@ -270,8 +270,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Links node `i` (whose `next` is [`NIL`]) into the slot of time
-    /// `at`. Under FIFO tie-breaking keys arrive in increasing order,
-    /// so this is a tail append; seeded keys walk the slot's list.
+    /// `at`. A direct FIFO insert carries the largest key yet, so it is
+    /// a tail append; seeded keys, and far events promoted after direct
+    /// inserts reached the slot, walk the list. `(key, seq)` pairs are
+    /// distinct, so a walk stops before the tail.
     #[inline]
     fn link(&mut self, at: Cycle, i: u32) {
         let s = (at.0 & WHEEL_MASK) as usize;
@@ -409,6 +411,7 @@ impl<E> EventQueue<E> {
         q.now = now;
         q.seq = seq;
         q.popped = popped;
+        let mut last = None;
         for (at, key, eseq, event) in entries {
             if at < now {
                 let detail = format!("event at {at} predates now {now}");
@@ -418,6 +421,13 @@ impl<E> EventQueue<E> {
                 let detail = format!("event seq {eseq} not below next seq {seq}");
                 return Err(SnapError::invalid("EventQueue", detail));
             }
+            // Strictly ascending order makes every wheel insert below a
+            // tail append, and rules out duplicate entries.
+            if last >= Some((at, key, eseq)) {
+                let detail = format!("event ({at}, {key}, {eseq}) is not above the one before it");
+                return Err(SnapError::invalid("EventQueue", detail));
+            }
+            last = Some((at, key, eseq));
             q.insert(at, key, eseq, event);
         }
         Ok(q)
@@ -469,8 +479,9 @@ impl<E: Snap> EventQueue<E> {
     ///
     /// # Errors
     ///
-    /// Any decode failure, or an entry that predates the clock or
-    /// reuses a sequence number at or beyond the next one (the snapshot
+    /// Any decode failure, or an entry that predates the clock, reuses
+    /// a sequence number at or beyond the next one, or is not strictly
+    /// above the entry before it in `(at, key, seq)` order (the snapshot
     /// is inconsistent).
     pub fn restore_state(tie_break: TieBreak, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let now = r.get()?;
@@ -741,6 +752,47 @@ mod tests {
             pops.extend(std::iter::from_fn(|| q.pop().map(|(_, e)| e)));
             pops.sort_unstable();
             assert_eq!(pops, (0..scheduled).collect::<Vec<_>>());
+        }
+    }
+
+    /// Restore takes entries only in the strictly ascending order that
+    /// `save_state` writes: a duplicated or out-of-order entry is an
+    /// invalid snapshot, not a queue with a corrupt slot list.
+    #[test]
+    fn restore_rejects_duplicate_and_unsorted_entries() {
+        let restore = |entries: &[(Cycle, u128, u64, u32)]| {
+            let mut w = SnapWriter::new();
+            w.put(&Cycle(5)); // now
+            w.put(&10u64); // next seq
+            w.put(&3u64); // popped
+            w.put(&entries.to_vec());
+            let bytes = w.into_bytes();
+            EventQueue::<u32>::restore_state(TieBreak::Fifo, &mut SnapReader::new(&bytes))
+        };
+        let a = (Cycle(7), 4, 4, 40);
+        let b = (Cycle(7), 6, 6, 60);
+        let far = (Cycle(5 + WHEEL_SLOTS as u64), 5, 5, 50);
+        let mut q = restore(&[a, b, far]).expect("sorted entries restore");
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(popped, [40, 60, 50]);
+        for bad in [
+            vec![a, a],
+            vec![a, b, b],
+            vec![b, a],
+            vec![far, a],
+            vec![far, far],
+        ] {
+            let err = restore(&bad).expect_err("an entry not above the one before it");
+            assert!(
+                matches!(
+                    err,
+                    SnapError::Invalid {
+                        what: "EventQueue",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
     }
 
